@@ -12,8 +12,8 @@
 //! Run with: `cargo bench -p nexus-bench --bench cluster_scalability`
 //! Environment: `NEXUS_BENCH_SCALE=<0..1>` (default 0.1), `NEXUS_FULL=1`,
 //! `NEXUS_LINK=rdma|ethernet|ideal` (default rdma),
-//! `NEXUS_POLICY=xorhash|affinity|locality|topo` (default xorhash),
-//! `NEXUS_STEAL=off|steal|steal-half|hier` (default off),
+//! `NEXUS_POLICY=xorhash|affinity|topo` (default xorhash),
+//! `NEXUS_STEAL=off|steal|hier` (default off),
 //! `NEXUS_FEEDBACK=off|place|reclaim|full` (default off),
 //! `NEXUS_TOPO=bus|mesh|racktiers|torus|dragonfly` (default: the link
 //! preset's wiring). All knobs are case-insensitive.

@@ -11,7 +11,7 @@
 //!    toward the balanced bound while link words rise.
 //! 2. **Does locality-aware placement cut link traffic?** The same un-hinted
 //!    (affinity-stripped) sparselu partition is routed by every placement
-//!    policy. `locality` keeps producer→consumer chains on one node, so it
+//!    policy. `topo` keeps producer→consumer chains on one node, so it
 //!    should move fewer notification words over the interconnect than the
 //!    address-hash `xorhash` baseline at equal node counts.
 //! 3. **Does runtime feedback beat the static stack?** A chain-skewed
@@ -26,7 +26,7 @@
 //!
 //! Run with: `cargo bench -p nexus-bench --bench policy_comparison`
 //! Environment: `NEXUS_BENCH_SCALE=<0..1>` (default 0.1), `NEXUS_FULL=1`,
-//! `NEXUS_LINK=rdma|ethernet|ideal`, `NEXUS_POLICY=xorhash|affinity|locality`
+//! `NEXUS_LINK=rdma|ethernet|ideal`, `NEXUS_POLICY=xorhash|affinity|topo`
 //! (placement used in the stealing sweep), `NEXUS_STEAL=off|steal`,
 //! `NEXUS_FEEDBACK=off|place|reclaim|full` (applied to sweeps 1 and 2;
 //! sweep 3 runs every mode regardless).

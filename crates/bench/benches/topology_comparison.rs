@@ -101,10 +101,8 @@ fn main() {
         us(30),
         11,
     ));
-    let stacks: [(&str, PolicyKind, StealKind); 4] = [
+    let stacks: [(&str, PolicyKind, StealKind); 2] = [
         ("flat", PolicyKind::XorHash, StealKind::MostLoaded),
-        ("locality", PolicyKind::LocalityAware, StealKind::MostLoaded),
-        ("half", PolicyKind::LocalityAware, StealKind::Half),
         ("aware", PolicyKind::TopologyAware, StealKind::Hierarchical),
     ];
     let mut table = Table::new(

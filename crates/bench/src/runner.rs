@@ -50,7 +50,7 @@ pub fn cluster_link() -> nexus_cluster::LinkConfig {
 }
 
 /// The placement policy used by the cluster benches: `NEXUS_POLICY=xorhash`
-/// (default), `affinity` or `locality`, case-insensitively. Typos abort with
+/// (default), `affinity` or `topo`, case-insensitively. Typos abort with
 /// the list of valid values.
 pub fn cluster_policy() -> nexus_sched::PolicyKind {
     let Ok(raw) = std::env::var("NEXUS_POLICY") else {
@@ -61,7 +61,7 @@ pub fn cluster_policy() -> nexus_sched::PolicyKind {
 }
 
 /// The work-stealing policy used by the cluster benches:
-/// `NEXUS_STEAL=off` (default), `steal`, `steal-half` or `hier`,
+/// `NEXUS_STEAL=off` (default), `steal` or `hier`,
 /// case-insensitively. Typos abort with the list of valid values.
 pub fn cluster_steal() -> nexus_sched::StealKind {
     let Ok(raw) = std::env::var("NEXUS_STEAL") else {

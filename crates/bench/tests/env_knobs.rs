@@ -91,11 +91,15 @@ fn unknown_link_aborts_listing_options() {
 #[test]
 fn unknown_policy_aborts_listing_options() {
     assert_aborts("NEXUS_POLICY", "roundrobin", "xorhash");
+    // Locality placement is TopologyAware on a flat fabric.
+    assert_aborts("NEXUS_POLICY", "locality", "xorhash|affinity|topo");
 }
 
 #[test]
 fn unknown_steal_aborts_listing_options() {
     assert_aborts("NEXUS_STEAL", "sometimes", "steal");
+    // Steal-half batching is HierarchicalSteal on a flat fabric.
+    assert_aborts("NEXUS_STEAL", "steal-half", "off|steal|hier");
 }
 
 #[test]

@@ -209,10 +209,10 @@ mod tests {
         assert_eq!(cfg.stealing, StealKind::Disabled);
         assert_eq!(cfg.feedback, FeedbackKind::Off);
         let cfg = cfg
-            .with_placement(PolicyKind::LocalityAware)
+            .with_placement(PolicyKind::TopologyAware)
             .with_stealing(StealKind::MostLoaded)
             .with_feedback(FeedbackKind::Full);
-        assert_eq!(cfg.placement, PolicyKind::LocalityAware);
+        assert_eq!(cfg.placement, PolicyKind::TopologyAware);
         assert!(cfg.stealing.is_enabled());
         assert!(cfg.feedback.place_enabled() && cfg.feedback.reclaim_enabled());
     }

@@ -23,33 +23,37 @@
 //!   ([`NOTIFY_WORDS`] words) has crossed the interconnect;
 //! * every retirement is also forwarded to the master, which implements
 //!   `taskwait` / `taskwait on` over the cluster-wide retirement count;
-//! * with a [`StealPolicy`] enabled, an **idle
-//!   node** (free workers, empty ready queue, empty input queue) pulls
-//!   pending descriptors from a loaded neighbour: a request message crosses
-//!   the interconnect, the victim hands over its youngest *eligible*
-//!   descriptors (all last-writer producers retired, so the task can run
-//!   anywhere), and each stolen descriptor pays the full re-forwarding cost
-//!   on the victim→thief link. Consumers that would have resolved the stolen
-//!   task's dependence node-locally are re-subscribed to a cross-node
-//!   retirement notification, so dependence enforcement is preserved. A
-//!   stolen descriptor enters the thief's input queue at the *front*: it is
-//!   fully resolved by construction, and parking it behind the thief's own
-//!   blocked head would break the queues' topological order and can deadlock
-//!   the cluster on dependence-heavy traces;
-//! * with runtime **feedback** enabled ([`FeedbackKind`], `NEXUS_FEEDBACK`),
-//!   every retirement notification to the master additionally carries the
+//! * **migration** moves pending descriptors from a loaded node to an idle
+//!   one, in two kinds that share one path. A *steal* (with a
+//!   [`StealPolicy`] enabled) takes the victim's youngest *eligible*
+//!   descriptors: every last-writer producer has retired, so the task can
+//!   run anywhere. A *reclaim* (in the `reclaim` and `full` feedback modes)
+//!   takes its youngest dependence-*blocked* descriptors, work a steal can
+//!   never reach. After every event, first for steals and then for
+//!   reclaims, each idle node (free workers, empty ready and input queues,
+//!   nothing of its own in flight) sends a request to the victim the policy
+//!   picks, and the victim grants a batch or replies empty-handed. Each
+//!   granted descriptor pays the full re-forwarding cost on the
+//!   victim→thief link and is re-homed at the thief: consumers that would
+//!   have resolved its dependence inside the victim's manager are
+//!   re-subscribed to a cross-node retirement notification, and the task is
+//!   subscribed to each of its own still-unretired producers. On arrival an
+//!   eligible descriptor enters the thief's input queue at the *front*
+//!   (behind the thief's own blocked head it would break the queues'
+//!   topological order and can deadlock dependence-heavy traces); any other
+//!   is *parked* outside the queue until its last producer notification
+//!   lands, then enters at the front. A stolen descriptor is always eligible
+//!   on arrival;
+//! * with runtime **feedback** enabled
+//!   ([`FeedbackKind`](nexus_sched::FeedbackKind), `NEXUS_FEEDBACK`), every
+//!   retirement notification to the master additionally carries the
 //!   retiring node's live load digest ([`LoadView`]) — no new message types
 //!   on the happy path. The master folds the digests into a `LoadTracker`
 //!   consulted by submit-time re-placement (`place` mode, via
-//!   [`FeedbackPlacement`]) and by
-//!   pool-reclamation victim selection (`reclaim` mode): an idle node may
-//!   pull the youngest dependence-*blocked* descriptors — work a steal can
-//!   never reach — out of a loaded pool, paying the same full re-forwarding
-//!   cost as a steal. A reclaimed descriptor is still blocked on arrival, so
-//!   it is *parked* outside the thief's input queue and enters at the front
-//!   only when its last producer notification lands (the stolen-descriptor
-//!   rule); its dependences are re-homed by subscribing it to every
-//!   still-unretired producer at grant time.
+//!   [`FeedbackPlacement`]) and by reclaim victim selection.
+//!
+//! The event loop is one `match` that hands each event to its handler method
+//! on the run's state.
 //!
 //! Cross-node anti-dependencies (a remote writer overtaking a remote reader)
 //! are intentionally *not* ordered: as in distributed task-based runtimes
@@ -63,7 +67,7 @@
 use crate::config::ClusterConfig;
 use crate::interconnect::Interconnect;
 use crate::outcome::{ClusterOutcome, LinkStats};
-use crate::routing::DepScanner;
+use crate::routing::{DepScanner, EdgeStats};
 use crate::stream::{DepthSeries, StreamOutcome, StreamingSource};
 use nexus_host::manager::{ManagerEvent, TaskManager};
 use nexus_host::master::{MasterSm, MasterStep};
@@ -71,8 +75,8 @@ use nexus_host::metrics::SimOutcome;
 use nexus_host::pool::WorkerPool;
 use nexus_obs::{Recorder, Registry, SpanEvent};
 use nexus_sched::{
-    FeedbackKind, FeedbackPlacement, LiveLoad, LoadView, NodeLoad, PlacedLoad, PlacementCtx,
-    PlacementPolicy, StealPolicy,
+    FeedbackPlacement, LiveLoad, LoadView, NodeLoad, PlacedLoad, PlacementCtx, PlacementPolicy,
+    StealPolicy,
 };
 use nexus_sim::events::TimedEvent;
 use nexus_sim::{EventQueue, FxHashMap, SimDuration, SimTime};
@@ -98,7 +102,35 @@ pub const RECLAIM_WORDS: u64 = 2;
 /// fades from the placement decision within a handful of retirements).
 const DIGEST_HALF_LIFE_PS: u64 = 200_000_000;
 
-#[derive(Debug, Clone, Copy)]
+/// The two kinds of migration (see the [module docs](self)). Per-kind state
+/// lives in two-element arrays indexed by `kind as usize`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum MoveKind {
+    /// Work stealing: eligible descriptors only.
+    Steal,
+    /// Pool reclamation: dependence-blocked descriptors only.
+    Reclaim,
+}
+
+impl MoveKind {
+    /// Words on the wire for a request or its empty-handed reply.
+    fn words(self) -> u64 {
+        match self {
+            MoveKind::Steal => STEAL_WORDS,
+            MoveKind::Reclaim => RECLAIM_WORDS,
+        }
+    }
+
+    /// The span event recording one moved descriptor.
+    fn span(self, task: usize, from: usize, to: usize) -> SpanEvent {
+        match self {
+            MoveKind::Steal => SpanEvent::Stolen { task, from, to },
+            MoveKind::Reclaim => SpanEvent::Reclaimed { task, from, to },
+        }
+    }
+}
+
+#[derive(Debug)]
 enum Event {
     /// The master executes its next trace operation.
     MasterStep,
@@ -127,18 +159,20 @@ enum Event {
         /// (attached only while runtime feedback is enabled).
         load: Option<(usize, LoadView)>,
     },
-    /// An idle node's steal request reaches its victim.
-    StealRequest { thief: usize, victim: usize },
-    /// A stolen descriptor reaches the thief's input queue.
-    StolenArrive { node: usize, idx: usize },
-    /// The victim's empty-handed steal reply reaches the thief.
-    StealFailed { thief: usize },
-    /// An idle node's pool-reclamation request reaches its victim.
-    ReclaimRequest { thief: usize, victim: usize },
-    /// A reclaimed (still dependence-blocked) descriptor reaches the thief.
-    ReclaimedArrive { node: usize, idx: usize },
-    /// The victim's empty-handed reclaim reply reaches the thief.
-    ReclaimFailed { thief: usize },
+    /// An idle node's move request reaches its victim.
+    MoveRequest {
+        kind: MoveKind,
+        thief: usize,
+        victim: usize,
+    },
+    /// A granted descriptor reaches the thief.
+    MoveArrive {
+        kind: MoveKind,
+        node: usize,
+        idx: usize,
+    },
+    /// The victim's empty-handed reply reaches the thief.
+    MoveFailed { kind: MoveKind, thief: usize },
     /// A multi-hop message finished hop `hop - 1` of the `from → to` route
     /// and enters hop `hop` now (its physical arrival time at that link —
     /// links are acquired causally, in arrival order).
@@ -151,14 +185,14 @@ enum Event {
         hop: usize,
         /// Message size in 32-bit words (paid on every hop).
         words: u64,
-        /// What happens when the message leaves the last hop.
-        then: Deliver,
+        /// The event the message becomes when it leaves the last hop.
+        then: Box<Event>,
     },
 }
 
 impl Event {
     /// Event-kind names for the profiling registry, indexed by
-    /// [`Event::kind_index`].
+    /// [`Event::kind_index`]; each move event has one name per kind.
     const KINDS: [&'static str; 16] = [
         "master_step",
         "descriptor_arrive",
@@ -189,12 +223,9 @@ impl Event {
             Event::WorkerFree { .. } => 6,
             Event::Retired { .. } => 7,
             Event::MasterSawRetire { .. } => 8,
-            Event::StealRequest { .. } => 9,
-            Event::StolenArrive { .. } => 10,
-            Event::StealFailed { .. } => 11,
-            Event::ReclaimRequest { .. } => 12,
-            Event::ReclaimedArrive { .. } => 13,
-            Event::ReclaimFailed { .. } => 14,
+            Event::MoveRequest { kind, .. } => 9 + 3 * *kind as usize,
+            Event::MoveArrive { kind, .. } => 10 + 3 * *kind as usize,
+            Event::MoveFailed { kind, .. } => 11 + 3 * *kind as usize,
             Event::Relay { .. } => 15,
         }
     }
@@ -231,33 +262,6 @@ impl EngineProf {
         reg.add("engine.pushes", self.pushes);
         reg.add("engine.inline_coalesced", self.inline_coalesced);
     }
-}
-
-/// Terminal action of a message once it leaves the fabric — the payload a
-/// multi-hop [`Event::Relay`] carries to its final hop.
-#[derive(Debug, Clone, Copy)]
-enum Deliver {
-    /// Becomes [`Event::DescriptorArrive`].
-    Descriptor { node: usize, idx: usize },
-    /// Becomes [`Event::NotifyArrive`].
-    Notify { idx: usize },
-    /// Becomes [`Event::MasterSawRetire`].
-    MasterRetire {
-        task: TaskId,
-        load: Option<(usize, LoadView)>,
-    },
-    /// Becomes [`Event::StealRequest`].
-    StealRequest { thief: usize, victim: usize },
-    /// Becomes [`Event::StolenArrive`].
-    Stolen { node: usize, idx: usize },
-    /// Becomes [`Event::StealFailed`].
-    StealFailed { thief: usize },
-    /// Becomes [`Event::ReclaimRequest`].
-    ReclaimRequest { thief: usize, victim: usize },
-    /// Becomes [`Event::ReclaimedArrive`].
-    Reclaimed { node: usize, idx: usize },
-    /// Becomes [`Event::ReclaimFailed`].
-    ReclaimFailed { thief: usize },
 }
 
 /// Task-id → submission-index lookup. Traces built by the generators assign
@@ -298,25 +302,10 @@ impl IdMap {
     }
 }
 
-impl Deliver {
-    fn into_event(self) -> Event {
-        match self {
-            Deliver::Descriptor { node, idx } => Event::DescriptorArrive { node, idx },
-            Deliver::Notify { idx } => Event::NotifyArrive { idx },
-            Deliver::MasterRetire { task, load } => Event::MasterSawRetire { task, load },
-            Deliver::StealRequest { thief, victim } => Event::StealRequest { thief, victim },
-            Deliver::Stolen { node, idx } => Event::StolenArrive { node, idx },
-            Deliver::StealFailed { thief } => Event::StealFailed { thief },
-            Deliver::ReclaimRequest { thief, victim } => Event::ReclaimRequest { thief, victim },
-            Deliver::Reclaimed { node, idx } => Event::ReclaimedArrive { node, idx },
-            Deliver::ReclaimFailed { thief } => Event::ReclaimFailed { thief },
-        }
-    }
-}
-
 /// Per-task routing and cross-node dependency bookkeeping.
 struct TaskMeta {
-    /// The task's current home node (placement decision, updated on steal).
+    /// The task's current home node (placement decision, updated when the
+    /// task moves).
     home: usize,
     /// Indices (into submission order) of *all* distinct last-writer
     /// producers.
@@ -335,7 +324,7 @@ struct TaskMeta {
 
 /// Open-loop bookkeeping threaded through the event loop by the streaming
 /// entry point ([`ClusterDriver::run_streaming`]). With `gated == false`
-/// (closed-loop source) it performs *no* gating or steal capping — only
+/// (closed-loop source) it performs *no* gating or move capping — only
 /// latency/occupancy accounting on the side — so the event flow stays
 /// bit-identical to [`ClusterDriver::run`]. With `gated == true` the master's
 /// submissions are released at their overlay arrival times, shifted by the
@@ -445,7 +434,7 @@ impl FlowState {
     }
 
     /// A descriptor left `node`'s admission domain (handed to the manager or
-    /// stolen away); wakes the master if it was blocked on this node.
+    /// moved away); wakes the master if it was blocked on this node.
     fn on_slot_freed(&mut self, node: usize, now: SimTime, queue: &mut EventQueue<Event>) {
         self.admitted[node] -= 1;
         if self.blocked_on == Some(node) && self.admitted[node] < self.depth {
@@ -454,9 +443,9 @@ impl FlowState {
         }
     }
 
-    /// A stolen descriptor entered the thief's admission domain. (No gating:
-    /// the steal path sizes its batch against the bound before granting.)
-    fn note_steal_in(&mut self, thief: usize) {
+    /// A moved descriptor entered the thief's admission domain. (No gating:
+    /// the grant sizes its batch against the bound.)
+    fn note_move_in(&mut self, thief: usize) {
         self.admitted[thief] += 1;
         self.max_admitted = self.max_admitted.max(self.admitted[thief]);
     }
@@ -484,29 +473,22 @@ struct NodeState<M> {
     last_accounting: SimTime,
     makespan: SimTime,
     max_pending: usize,
-    /// A steal request is in flight from this node (unresolved at the victim).
-    steal_inflight: bool,
-    /// Stolen descriptors granted to this node and still crossing the link.
-    /// The node does not issue further requests until the whole batch landed.
-    incoming_steals: usize,
-    /// Last time a steal attempt came back empty-handed (suppresses immediate
-    /// same-timestamp retries, which would loop forever on ideal links).
-    last_steal_fail: Option<SimTime>,
-    /// Reclaimed descriptors parked at this node until their last producer
-    /// notification arrives. They are dependence-blocked by construction and
-    /// must *not* enter `pending`: a consumer queued ahead of its own
-    /// reclaimed producer would deadlock the FIFO, and in-flight races make
-    /// any grant-time ordering guarantee unsound. Unparked to the *front* of
-    /// `pending` the moment they resolve (the stolen-descriptor rule).
+    /// Per [`MoveKind`]: a request is in flight from this node (unresolved
+    /// at the victim).
+    inflight: [bool; 2],
+    /// Per [`MoveKind`]: granted descriptors still crossing the link. The
+    /// node issues no further request of that kind until the batch landed.
+    incoming: [usize; 2],
+    /// Per [`MoveKind`]: last time a request came back empty-handed
+    /// (suppresses immediate same-timestamp retries, which would loop
+    /// forever on ideal links).
+    last_fail: [Option<SimTime>; 2],
+    /// Moved descriptors parked at this node until their last producer
+    /// notification arrives. They are dependence-blocked and must *not*
+    /// enter `pending`: a consumer queued ahead of its own moved producer
+    /// would deadlock the FIFO, and in-flight races make any grant-time
+    /// ordering guarantee unsound.
     parked: Vec<usize>,
-    /// A reclaim request is in flight from this node.
-    reclaim_inflight: bool,
-    /// Reclaimed descriptors granted to this node and still crossing the
-    /// link. The node does not issue further requests until all landed.
-    incoming_reclaims: usize,
-    /// Last time a reclaim attempt came back empty-handed (same
-    /// ideal-link-livelock guard as `last_steal_fail`).
-    last_reclaim_fail: Option<SimTime>,
 }
 
 impl<M> NodeState<M> {
@@ -521,8 +503,8 @@ impl<M> NodeState<M> {
     }
 
     /// The node's live load digest at `now`. `pending` counts parked
-    /// (reclaimed, still-blocked) descriptors too: they occupy the node
-    /// exactly like queued ones as far as a remote placement is concerned.
+    /// (moved, still-blocked) descriptors too: they occupy the node exactly
+    /// like queued ones as far as a remote placement is concerned.
     fn digest(&self, now: SimTime) -> LoadView {
         let held = (self.pending.len() + self.parked.len()) as u64;
         LoadView {
@@ -531,6 +513,28 @@ impl<M> NodeState<M> {
             retired: self.retired,
             updated_at: now.as_ps(),
         }
+    }
+
+    /// Queues a resolved moved descriptor at the front of the input queue.
+    fn push_front(&mut self, idx: usize) {
+        self.pending.push_front(idx);
+        self.max_pending = self.max_pending.max(self.pending.len());
+    }
+
+    /// True if the node may issue a move request of `kind` now: free
+    /// workers, nothing ready, nothing pending, no request or granted batch
+    /// of that kind in flight, and no failed attempt at this very timestamp.
+    /// A reclaim also waits out the node's own steal traffic and parked
+    /// descriptors: imported eligible work is strictly cheaper than imported
+    /// blocked work.
+    fn may_move(&self, kind: MoveKind, now: SimTime) -> bool {
+        let quiet = |k: MoveKind| !self.inflight[k as usize] && self.incoming[k as usize] == 0;
+        quiet(kind)
+            && self.last_fail[kind as usize] != Some(now)
+            && (kind == MoveKind::Steal || (quiet(MoveKind::Steal) && self.parked.is_empty()))
+            && self.pool.free() > 0
+            && self.pool.queued() == 0
+            && self.pending.is_empty()
     }
 }
 
@@ -572,12 +576,6 @@ pub struct ClusterDriver<M> {
     cfg: ClusterConfig,
     nodes: Vec<NodeState<M>>,
     net: Interconnect,
-    steals: u64,
-    steal_grants: u64,
-    steal_failures: u64,
-    reclaims: u64,
-    reclaim_grants: u64,
-    reclaim_failures: u64,
 }
 
 impl<M: TaskManager> ClusterDriver<M> {
@@ -628,25 +626,16 @@ impl<M: TaskManager> ClusterDriver<M> {
                 last_accounting: SimTime::ZERO,
                 makespan: SimTime::ZERO,
                 max_pending: 0,
-                steal_inflight: false,
-                incoming_steals: 0,
-                last_steal_fail: None,
+                inflight: [false; 2],
+                incoming: [0; 2],
+                last_fail: [None; 2],
                 parked: Vec::new(),
-                reclaim_inflight: false,
-                incoming_reclaims: 0,
-                last_reclaim_fail: None,
             })
             .collect();
         ClusterDriver {
             cfg: *cfg,
             nodes,
             net: Interconnect::with_fabric(fabric),
-            steals: 0,
-            steal_grants: 0,
-            steal_failures: 0,
-            reclaims: 0,
-            reclaim_grants: 0,
-            reclaim_failures: 0,
         }
     }
 
@@ -765,45 +754,182 @@ impl<M: TaskManager> ClusterDriver<M> {
     /// same holds for `rec` (span tracing) and `prof` (event-loop profiling),
     /// each a single `Option` branch when disabled.
     fn run_inner(
-        mut self,
+        self,
         trace: &Trace,
-        mut flow: Option<FlowState>,
-        mut rec: Option<&mut dyn Recorder>,
-        mut prof: Option<&mut EngineProf>,
+        flow: Option<FlowState>,
+        rec: Option<&mut dyn Recorder>,
+        prof: Option<&mut EngineProf>,
     ) -> (ClusterOutcome, Option<FlowState>) {
+        Run::new(self, trace, flow, rec).run(prof)
+    }
+}
+
+/// Routes every task and finds its remote last-writer producers, in the
+/// same pass that accumulates the edge census (one [`DepScanner`] scan —
+/// the reported statistics and the enforced dependencies cannot diverge).
+/// The fabric's distance matrix is handed to the placement policy so
+/// distance-aware placements see the real tiers.
+fn analyze(
+    cfg: &ClusterConfig,
+    tasks: &[&TaskDescriptor],
+    distances: &DistanceMatrix,
+) -> (Vec<TaskMeta>, EdgeStats) {
+    let mut scanner =
+        DepScanner::with_policy(cfg.nodes, cfg.placement.build()).with_distances(distances.clone());
+    let mut metas: Vec<TaskMeta> = Vec::with_capacity(tasks.len());
+    for task in tasks {
+        let i = metas.len();
+        let r = scanner.scan_full(task);
+        for &p in &r.producers {
+            metas[p].consumers.push(i);
+        }
+        metas.push(TaskMeta {
+            home: r.home,
+            remaining_remote: r.remote_producers.len(),
+            producers: r.producers,
+            remote_producers: r.remote_producers,
+            consumers: Vec::new(),
+            retired_at: None,
+            subscribers: Vec::new(),
+        });
+    }
+    (metas, scanner.stats())
+}
+
+/// True if the descriptor at `idx` may be stolen: every last-writer
+/// producer has retired and no notification is still in flight, so the
+/// task can execute on any node without waiting on anything.
+fn eligible(metas: &[TaskMeta], idx: usize) -> bool {
+    metas[idx].remaining_remote == 0
+        && metas[idx]
+            .producers
+            .iter()
+            .all(|&p| metas[p].retired_at.is_some())
+}
+
+/// Schedules manager notifications onto the global event queue.
+fn schedule_events(
+    events: impl IntoIterator<Item = ManagerEvent>,
+    node: usize,
+    now: SimTime,
+    queue: &mut EventQueue<Event>,
+) {
+    for ev in events {
+        match ev {
+            ManagerEvent::Ready { task, at } => {
+                queue.schedule(at.max(now), Event::Ready { node, task });
+            }
+            ManagerEvent::Retired { task, at } => {
+                queue.schedule(at.max(now), Event::Retired { node, task });
+            }
+        }
+    }
+}
+
+/// Drains a node manager's notifications into the global event queue
+/// through a reused scratch buffer (no per-call allocation).
+fn drain<M: TaskManager>(
+    n: &mut NodeState<M>,
+    node: usize,
+    now: SimTime,
+    queue: &mut EventQueue<Event>,
+    scratch: &mut Vec<ManagerEvent>,
+) {
+    n.manager.drain_events_into(scratch);
+    schedule_events(scratch.drain(..), node, now, queue);
+}
+
+/// One run's state: the driver's nodes and fabric plus everything the event
+/// handlers share. [`ClusterDriver::run_inner`] builds it, and each event
+/// kind has one handler method. `flow` (streaming runs), `rec` (span
+/// tracing) and `tracker` (runtime feedback) are `None` when off, so a
+/// disabled hook costs one `Option` branch.
+struct Run<'t, 'r, M> {
+    cfg: ClusterConfig,
+    trace: &'t Trace,
+    nodes: Vec<NodeState<M>>,
+    net: Interconnect,
+    tasks: Vec<&'t TaskDescriptor>,
+    idx_of: IdMap,
+    durations: Vec<SimDuration>,
+    /// The fabric's distance matrix, cloned out of the interconnect so the
+    /// policies can consult it while sending.
+    distances: DistanceMatrix,
+    metas: Vec<TaskMeta>,
+    edges: EdgeStats,
+    queue: EventQueue<Event>,
+    scratch: Vec<ManagerEvent>,
+    master: MasterSm,
+    supports_taskwait_on: bool,
+    policy: Box<dyn StealPolicy>,
+    /// The master's fold of the live load digests. It exists only while a
+    /// feedback consumer is active, so the off path computes no digests and
+    /// stays bit-identical to the static behaviour.
+    tracker: Option<LoadTracker>,
+    /// Submit-time re-placement's placed-load board (`place` mode). Unlike
+    /// the pre-pass board (charged at static homes during `analyze`), tasks
+    /// are charged to their *final* home at commit time.
+    placed_loads: Vec<PlacedLoad>,
+    flow: Option<FlowState>,
+    rec: Option<&'r mut dyn Recorder>,
+    notifications: u64,
+    /// Per [`MoveKind`]: descriptors moved, requests granted and requests
+    /// answered empty-handed.
+    moved: [u64; 2],
+    grants: [u64; 2],
+    failures: [u64; 2],
+}
+
+impl<'t, 'r, M: TaskManager> Run<'t, 'r, M> {
+    fn new(
+        driver: ClusterDriver<M>,
+        trace: &'t Trace,
+        flow: Option<FlowState>,
+        rec: Option<&'r mut dyn Recorder>,
+    ) -> Self {
+        let ClusterDriver { cfg, nodes, net } = driver;
         let tasks: Vec<&TaskDescriptor> = trace.tasks().collect();
-        let idx_of = IdMap::build(&tasks);
-        let durations: Vec<SimDuration> = tasks.iter().map(|t| t.duration).collect();
-        // The fabric's distance matrix is static; clone it out of the
-        // interconnect so the steal path can consult it while sending.
-        let distances = self.net.distances().clone();
-        let (mut metas, edges) = self.analyze(&tasks, &distances);
+        let distances = net.distances().clone();
+        let (metas, edges) = analyze(&cfg, &tasks, &distances);
+        Run {
+            idx_of: IdMap::build(&tasks),
+            durations: tasks.iter().map(|t| t.duration).collect(),
+            queue: EventQueue::with_engine(cfg.engine),
+            scratch: Vec::new(),
+            master: MasterSm::new(),
+            supports_taskwait_on: nodes[0].manager.supports_taskwait_on(),
+            policy: cfg.stealing.build(),
+            tracker: cfg
+                .feedback
+                .is_enabled()
+                .then(|| LoadTracker::new(cfg.nodes)),
+            placed_loads: vec![PlacedLoad::default(); cfg.nodes],
+            notifications: 0,
+            moved: [0; 2],
+            grants: [0; 2],
+            failures: [0; 2],
+            cfg,
+            trace,
+            nodes,
+            net,
+            tasks,
+            distances,
+            metas,
+            edges,
+            flow,
+            rec,
+        }
+    }
 
-        let mut queue: EventQueue<Event> = EventQueue::with_engine(self.cfg.engine);
-        let mut scratch: Vec<ManagerEvent> = Vec::new();
-        let mut master = MasterSm::new();
-        let mut steal_policy: Box<dyn StealPolicy> = self.cfg.stealing.build();
+    /// The event loop: events pop in `(time, seq)` order and go to their
+    /// handler, then idle nodes may request moves. Profiling samples the
+    /// wall clock only when `prof` is attached.
+    fn run(mut self, mut prof: Option<&mut EngineProf>) -> (ClusterOutcome, Option<FlowState>) {
         let steal_enabled = self.cfg.stealing.is_enabled();
-        let feedback: FeedbackKind = self.cfg.feedback;
-        let reclaim_enabled = feedback.reclaim_enabled();
-        // The live-load tracker only exists while a feedback consumer is
-        // active, so the off path computes no digests and stays bit-identical
-        // to the static behaviour (same pattern as `flow`/`rec`/`prof`).
-        let mut tracker: Option<LoadTracker> = feedback
-            .is_enabled()
-            .then(|| LoadTracker::new(self.cfg.nodes));
-        // Submit-time re-placement state (`place` mode): the live policy plus
-        // an incrementally maintained placed-load board. Unlike the pre-pass
-        // board (charged at static homes during `analyze`), tasks are charged
-        // to their *final* home at commit time.
-        let mut place_live = FeedbackPlacement;
-        let mut placed_loads: Vec<PlacedLoad> = vec![PlacedLoad::default(); self.cfg.nodes];
-        let supports_taskwait_on = self.nodes[0].manager.supports_taskwait_on();
-        let mut notifications: u64 = 0;
+        let reclaim_enabled = self.cfg.feedback.reclaim_enabled();
         let mut makespan = SimTime::ZERO;
-        let mut events_processed: u64 = 0;
-
-        queue.schedule(SimTime::ZERO, Event::MasterStep);
+        let mut events: u64 = 0;
+        self.queue.schedule(SimTime::ZERO, Event::MasterStep);
 
         // Back-to-back link-relay coalescing: when a relay's continuation is
         // provably the next event to pop (strictly smaller `(time, seq)` key
@@ -819,584 +945,134 @@ impl<M: TaskManager> ClusterDriver<M> {
                     inline_coalesced += 1;
                     ev
                 }
-                None => match queue.pop() {
+                None => match self.queue.pop() {
                     Some(ev) => ev,
                     None => break,
                 },
             };
             let now = ev.time;
             makespan = makespan.max(now);
-            events_processed += 1;
-            // Profiling samples the wall clock only when a profile is
-            // attached; the disabled path is one `Option` check per event.
+            events += 1;
             let prof_start = prof
                 .as_ref()
                 .map(|_| (Instant::now(), ev.payload.kind_index()));
-            if events_processed > self.cfg.max_events {
+            if events > self.cfg.max_events {
                 panic!(
                     "cluster simulation exceeded {} events on {}",
-                    self.cfg.max_events, trace.name
+                    self.cfg.max_events, self.trace.name
                 );
             }
 
-            // Set by the Relay arm; resolved after the post-event steal scan
-            // (which may schedule earlier events and veto the inline).
-            let mut pending_inline: Option<TimedEvent<Event>> = None;
-
+            // Set by the relay handler; resolved after the move scans (which
+            // may schedule earlier events and veto the inline).
+            let mut relayed = None;
             match ev.payload {
-                Event::MasterStep => {
-                    match master.step(trace, now, supports_taskwait_on) {
-                        MasterStep::Submit(task) => {
-                            let idx = idx_of.idx(task.id);
-                            if feedback.place_enabled() {
-                                if let Some(tr) = tracker.as_ref() {
-                                    // Live re-placement: the pre-pass home was
-                                    // chosen before any runtime load existed;
-                                    // re-decide against the decayed digests.
-                                    // Producers may themselves have moved
-                                    // (re-placed, stolen or reclaimed), so the
-                                    // remote-producer set and the outstanding
-                                    // notification count are recomputed from
-                                    // the producers' *current* homes — a
-                                    // producer that already subscribed this
-                                    // task keeps exactly one subscription.
-                                    let producer_homes: Vec<usize> = metas[idx]
-                                        .producers
-                                        .iter()
-                                        .map(|&p| metas[p].home)
-                                        .collect();
-                                    let home = place_live.place(
-                                        tasks[idx],
-                                        &PlacementCtx {
-                                            nodes: self.cfg.nodes,
-                                            loads: &placed_loads,
-                                            producer_homes: &producer_homes,
-                                            distances: Some(&distances),
-                                            live: Some(tr.live(now.as_ps())),
-                                        },
-                                    );
-                                    metas[idx].home = home;
-                                    let producers = std::mem::take(&mut metas[idx].producers);
-                                    let mut remaining = 0;
-                                    let mut remote = Vec::new();
-                                    for &p in &producers {
-                                        if metas[p].subscribers.contains(&idx) {
-                                            remaining += 1;
-                                        } else if metas[p].home != home {
-                                            remote.push(p);
-                                        }
-                                    }
-                                    remaining += remote.len();
-                                    metas[idx].producers = producers;
-                                    metas[idx].remote_producers = remote;
-                                    metas[idx].remaining_remote = remaining;
-                                }
-                            }
-                            let home = metas[idx].home;
-                            // An open-loop source may defer the submission
-                            // (future arrival time or full admission queue);
-                            // the cursor stays put and the same submit is
-                            // re-offered on the next master step.
-                            let deferred = match flow.as_mut() {
-                                None => false,
-                                Some(fs) => {
-                                    let bp_before = fs.backpressure_events;
-                                    let d = fs.gate_submit(home, idx, now, &mut queue);
-                                    if fs.backpressure_events > bp_before {
-                                        if let Some(r) = rec.as_mut() {
-                                            r.record(
-                                                now.as_ps(),
-                                                SpanEvent::Backpressure { node: home },
-                                            );
-                                        }
-                                    }
-                                    d
-                                }
-                            };
-                            if !deferred {
-                                master.commit_submit(task, now);
-                                if feedback.place_enabled() {
-                                    placed_loads[home].tasks += 1;
-                                    placed_loads[home].work += tasks[idx].duration;
-                                }
-                                if let Some(fs) = flow.as_mut() {
-                                    fs.note_submit(home, idx, now);
-                                }
-                                if let Some(r) = rec.as_mut() {
-                                    r.record(now.as_ps(), SpanEvent::Submitted { task: idx });
-                                    r.record(
-                                        now.as_ps(),
-                                        SpanEvent::Placed {
-                                            task: idx,
-                                            node: home,
-                                        },
-                                    );
-                                }
-                                // Forward the descriptor to its home node.
-                                let sender_free = self.send_msg(
-                                    0,
-                                    home,
-                                    task.transfer_words(),
-                                    now,
-                                    Deliver::Descriptor { node: home, idx },
-                                    &mut queue,
-                                    &mut rec,
-                                );
-                                // Subscribe to (or directly forward) the
-                                // remote dependency notifications the task
-                                // needs. The producer list is moved out and
-                                // restored (a task is never its own producer)
-                                // to keep the hot path free of per-submit
-                                // clones.
-                                let producers = std::mem::take(&mut metas[idx].remote_producers);
-                                for &p in &producers {
-                                    match metas[p].retired_at {
-                                        Some(_) => {
-                                            let ph = metas[p].home;
-                                            self.send_msg(
-                                                ph,
-                                                home,
-                                                NOTIFY_WORDS,
-                                                now,
-                                                Deliver::Notify { idx },
-                                                &mut queue,
-                                                &mut rec,
-                                            );
-                                            notifications += 1;
-                                        }
-                                        None => metas[p].subscribers.push(idx),
-                                    }
-                                }
-                                metas[idx].remote_producers = producers;
-                                queue.schedule(sender_free.max(now), Event::MasterStep);
-                            }
-                        }
-                        MasterStep::Compute(d) => {
-                            queue.schedule(now + d, Event::MasterStep);
-                        }
-                        MasterStep::Continue => {
-                            queue.schedule(now, Event::MasterStep);
-                        }
-                        MasterStep::Waiting | MasterStep::Done => {}
-                    }
-                }
-
-                Event::DescriptorArrive { node, idx } => {
-                    let n = &mut self.nodes[node];
-                    n.touch(now);
-                    n.outstanding += 1;
-                    n.pending.push_back(idx);
-                    n.max_pending = n.max_pending.max(n.pending.len());
-                    self.pump(
-                        node,
-                        now,
-                        &metas,
-                        &tasks,
-                        &mut queue,
-                        &mut scratch,
-                        &mut flow,
-                        &mut rec,
-                    );
-                }
-
-                Event::NotifyArrive { idx } => {
-                    let meta = &mut metas[idx];
-                    meta.remaining_remote -= 1;
-                    let home = meta.home;
-                    let resolved = meta.remaining_remote == 0;
-                    self.nodes[home].touch(now);
-                    if resolved {
-                        // A parked reclaimed descriptor resolves on its last
-                        // producer notification: it enters the queue at the
-                        // *front*, exactly like a stolen descriptor (fully
-                        // resolved by construction). No-op unless reclamation
-                        // actually parked something here.
-                        let n = &mut self.nodes[home];
-                        if let Some(pos) = n.parked.iter().position(|&i| i == idx) {
-                            n.parked.swap_remove(pos);
-                            debug_assert!(
-                                Self::eligible(&metas, idx),
-                                "unparked task {idx} still has unretired producers"
-                            );
-                            let n = &mut self.nodes[home];
-                            n.pending.push_front(idx);
-                            n.max_pending = n.max_pending.max(n.pending.len());
-                        }
-                    }
-                    self.pump(
-                        home,
-                        now,
-                        &metas,
-                        &tasks,
-                        &mut queue,
-                        &mut scratch,
-                        &mut flow,
-                        &mut rec,
-                    );
-                }
-
-                Event::Pump { node } => {
-                    let n = &mut self.nodes[node];
-                    n.pump_queued = false;
-                    n.touch(now);
-                    self.pump(
-                        node,
-                        now,
-                        &metas,
-                        &tasks,
-                        &mut queue,
-                        &mut scratch,
-                        &mut flow,
-                        &mut rec,
-                    );
-                }
-
-                Event::Ready { node, task } => {
-                    let n = &mut self.nodes[node];
-                    n.touch(now);
-                    n.pool.enqueue(task);
-                    Self::dispatch(
-                        n,
-                        node,
-                        now,
-                        &idx_of,
-                        &durations,
-                        &mut queue,
-                        &mut scratch,
-                        &mut rec,
-                    );
-                }
-
+                Event::MasterStep => self.master_step(now),
+                Event::DescriptorArrive { node, idx } => self.descriptor_arrive(node, idx, now),
+                Event::NotifyArrive { idx } => self.notify_arrive(idx, now),
+                Event::Pump { node } => self.pump_retry(node, now),
+                Event::Ready { node, task } => self.ready(node, task, now),
                 Event::WorkerFinish { node, task, worker } => {
-                    let n = &mut self.nodes[node];
-                    n.touch(now);
-                    n.executed += 1;
-                    let free_at = n.manager.finish(task, now);
-                    Self::drain(n, node, now, &mut queue, &mut scratch);
-                    queue.schedule(free_at.max(now), Event::WorkerFree { node, worker });
+                    self.worker_finish(node, task, worker, now)
                 }
-
-                Event::WorkerFree { node, worker } => {
-                    let n = &mut self.nodes[node];
-                    n.touch(now);
-                    n.pool.release(worker);
-                    Self::dispatch(
-                        n,
-                        node,
-                        now,
-                        &idx_of,
-                        &durations,
-                        &mut queue,
-                        &mut scratch,
-                        &mut rec,
-                    );
-                }
-
-                Event::Retired { node, task } => {
-                    let n = &mut self.nodes[node];
-                    n.touch(now);
-                    n.retired += 1;
-                    n.outstanding -= 1;
-                    let idx = idx_of.idx(task);
-                    n.total_work += durations[idx];
-                    metas[idx].retired_at = Some(now);
-                    if let Some(fs) = flow.as_mut() {
-                        fs.latencies[idx] = now.since(fs.submitted_at[idx]);
-                    }
-                    if let Some(r) = rec.as_mut() {
-                        r.record(now.as_ps(), SpanEvent::Retired { task: idx, node });
-                    }
-                    // Forward the retirement to every subscribed consumer…
-                    for sub in std::mem::take(&mut metas[idx].subscribers) {
-                        let home = metas[sub].home;
-                        self.send_msg(
-                            node,
-                            home,
-                            NOTIFY_WORDS,
-                            now,
-                            Deliver::Notify { idx: sub },
-                            &mut queue,
-                            &mut rec,
-                        );
-                        notifications += 1;
-                    }
-                    // …and to the master (free if the task retired on node 0).
-                    // With feedback enabled the notification carries the
-                    // retiring node's load digest — same message, same words,
-                    // no extra traffic on the happy path.
-                    let load = tracker
-                        .as_ref()
-                        .map(|_| (node, self.nodes[node].digest(now)));
-                    self.send_msg(
-                        node,
-                        0,
-                        NOTIFY_WORDS,
-                        now,
-                        Deliver::MasterRetire { task, load },
-                        &mut queue,
-                        &mut rec,
-                    );
-                    // A task-pool slot may have been freed.
-                    self.pump(
-                        node,
-                        now,
-                        &metas,
-                        &tasks,
-                        &mut queue,
-                        &mut scratch,
-                        &mut flow,
-                        &mut rec,
-                    );
-                }
-
-                Event::MasterSawRetire { task, load } => {
-                    if let Some((node, view)) = load {
-                        if let Some(tr) = tracker.as_mut() {
-                            tr.observe(node, view);
-                        }
-                    }
-                    if master.on_retired(task, now) {
-                        queue.schedule(now, Event::MasterStep);
-                    }
-                }
-
-                Event::StealRequest { thief, victim } => {
-                    self.grant_steal(
-                        thief,
-                        victim,
-                        now,
-                        steal_policy.as_ref(),
-                        &mut metas,
-                        &tasks,
-                        &mut queue,
-                        &mut flow,
-                        &mut rec,
-                    );
-                }
-
-                Event::StolenArrive { node, idx } => {
-                    let n = &mut self.nodes[node];
-                    debug_assert!(
-                        n.incoming_steals > 0,
-                        "StolenArrive at node {node} without an outstanding steal grant"
-                    );
-                    n.incoming_steals = n
-                        .incoming_steals
-                        .checked_sub(1)
-                        .expect("steal accounting underflow: StolenArrive without a grant");
-                    n.touch(now);
-                    n.outstanding += 1;
-                    // Stolen descriptors enter at the FRONT: they are fully
-                    // resolved by construction (eligibility) and the thief
-                    // stole them to run *now*. Queueing them behind the
-                    // thief's own blocked head would break the topological
-                    // order of the per-node FIFO queues — an early-order
-                    // stolen task stuck behind a later blocked head can close
-                    // a cross-node head-of-line dependency cycle (deadlock).
-                    n.pending.push_front(idx);
-                    n.max_pending = n.max_pending.max(n.pending.len());
-                    self.pump(
-                        node,
-                        now,
-                        &metas,
-                        &tasks,
-                        &mut queue,
-                        &mut scratch,
-                        &mut flow,
-                        &mut rec,
-                    );
-                }
-
-                Event::StealFailed { thief } => {
-                    let n = &mut self.nodes[thief];
-                    n.steal_inflight = false;
-                    n.last_steal_fail = Some(now);
-                    n.touch(now);
-                }
-
-                Event::ReclaimRequest { thief, victim } => {
-                    self.grant_reclaim(
-                        thief,
-                        victim,
-                        now,
-                        steal_policy.as_ref(),
-                        &mut metas,
-                        &tasks,
-                        &mut queue,
-                        &mut flow,
-                        &mut rec,
-                    );
-                }
-
-                Event::ReclaimedArrive { node, idx } => {
-                    {
-                        let n = &mut self.nodes[node];
-                        debug_assert!(
-                            n.incoming_reclaims > 0,
-                            "ReclaimedArrive at node {node} without an outstanding grant"
-                        );
-                        n.incoming_reclaims = n
-                            .incoming_reclaims
-                            .checked_sub(1)
-                            .expect("reclaim accounting underflow: arrival without a grant");
-                        n.touch(now);
-                        n.outstanding += 1;
-                    }
-                    if Self::eligible(&metas, idx) {
-                        // Every blocker resolved while the descriptor crossed
-                        // the link: it is fully resolved now and takes the
-                        // stolen-descriptor fast path to the queue front.
-                        let n = &mut self.nodes[node];
-                        n.pending.push_front(idx);
-                        n.max_pending = n.max_pending.max(n.pending.len());
-                        self.pump(
-                            node,
-                            now,
-                            &metas,
-                            &tasks,
-                            &mut queue,
-                            &mut scratch,
-                            &mut flow,
-                            &mut rec,
-                        );
-                    } else {
-                        // Still blocked: park it outside the FIFO until its
-                        // last producer notification lands (`NotifyArrive`).
-                        self.nodes[node].parked.push(idx);
-                    }
-                }
-
-                Event::ReclaimFailed { thief } => {
-                    let n = &mut self.nodes[thief];
-                    n.reclaim_inflight = false;
-                    n.last_reclaim_fail = Some(now);
-                    n.touch(now);
-                }
-
+                Event::WorkerFree { node, worker } => self.worker_free(node, worker, now),
+                Event::Retired { node, task } => self.retired(node, task, now),
+                Event::MasterSawRetire { task, load } => self.master_saw_retire(task, load, now),
+                Event::MoveRequest {
+                    kind,
+                    thief,
+                    victim,
+                } => self.grant_move(kind, thief, victim, now),
+                Event::MoveArrive { kind, node, idx } => self.move_arrive(kind, node, idx, now),
+                Event::MoveFailed { kind, thief } => self.move_failed(kind, thief, now),
                 Event::Relay {
                     from,
                     to,
                     hop,
                     words,
                     then,
-                } => {
-                    if let Some(r) = rec.as_mut() {
-                        let (link, tier) = self.net.hop_link(from, to, hop);
-                        r.record(now.as_ps(), SpanEvent::LinkHop { link, tier, words });
-                    }
-                    let d = self.net.send_hop(from, to, hop, words, now);
-                    let payload = if hop + 1 == self.net.hops(from, to) {
-                        then.into_event()
-                    } else {
-                        Event::Relay {
-                            from,
-                            to,
-                            hop: hop + 1,
-                            words,
-                            then,
-                        }
-                    };
-                    // Reserve the seq a plain `schedule` would assign, but
-                    // defer the enqueue: if the continuation is still the
-                    // queue minimum after the steal scan it short-circuits
-                    // into the next iteration (see `inline_next`).
-                    pending_inline = Some(TimedEvent {
-                        time: d.delivered,
-                        seq: queue.reserve_seq(),
-                        payload,
-                    });
-                }
+                } => relayed = Some(self.relay(from, to, hop, words, then, now)),
             }
 
+            // Steals are scanned first on purpose: a node that just issued a
+            // steal request (eligible work, strictly cheaper to import) sits
+            // out the reclaim round.
             if steal_enabled {
-                self.try_steals(
-                    now,
-                    &metas,
-                    &distances,
-                    steal_policy.as_mut(),
-                    &mut queue,
-                    &mut rec,
-                );
+                self.try_moves(MoveKind::Steal, now);
             }
             if reclaim_enabled {
-                // After the steal scan on purpose: a node that just issued a
-                // steal request (eligible work, strictly cheaper to import)
-                // sits out of the reclaim round.
-                self.try_reclaims(
-                    now,
-                    &metas,
-                    &distances,
-                    tracker.as_ref(),
-                    steal_policy.as_mut(),
-                    &mut queue,
-                    &mut rec,
-                );
+                self.try_moves(MoveKind::Reclaim, now);
             }
-            if let Some((t0, kind)) = prof_start {
-                if let Some(p) = prof.as_mut() {
-                    p.note(kind, t0.elapsed().as_nanos() as u64);
-                }
+            if let (Some((t0, kind)), Some(p)) = (prof_start, prof.as_mut()) {
+                p.note(kind, t0.elapsed().as_nanos() as u64);
             }
-            if let Some(te) = pending_inline.take() {
-                let beats_queue = queue.peek_key().is_none_or(|min| (te.time, te.seq) < min);
+            if let Some(te) = relayed {
+                let beats_queue = self
+                    .queue
+                    .peek_key()
+                    .is_none_or(|min| (te.time, te.seq) < min);
                 if beats_queue {
                     inline_next = Some(te);
                 } else {
-                    queue.schedule_at_seq(te.time, te.seq, te.payload);
+                    self.queue.schedule_at_seq(te.time, te.seq, te.payload);
                 }
             }
         }
+        if let Some(p) = prof {
+            p.pops = events - inline_coalesced;
+            p.pushes = self.queue.total_scheduled();
+            p.inline_coalesced = inline_coalesced;
+        }
+        self.finish(makespan, events)
+    }
 
+    /// Checks that every task ran and assembles the outcome.
+    fn finish(self, makespan: SimTime, events: u64) -> (ClusterOutcome, Option<FlowState>) {
+        let name = &self.trace.name;
         assert!(
-            master.is_done(),
-            "cluster master never finished the trace ({}; deadlock?)",
-            trace.name
+            self.master.is_done(),
+            "cluster master never finished the trace ({name}; deadlock?)"
         );
-        let master_last_writer = master.last_writer_table();
+        let master_last_writer = self.master.last_writer_table();
         let executed: u64 = self.nodes.iter().map(|n| n.executed).sum();
         assert_eq!(
             executed as usize,
-            tasks.len(),
-            "not all tasks executed on the cluster ({})",
-            trace.name
+            self.tasks.len(),
+            "not all tasks executed on the cluster ({name})"
         );
         let retired: u64 = self.nodes.iter().map(|n| n.retired).sum();
-        assert_eq!(retired as usize, tasks.len());
+        assert_eq!(retired as usize, self.tasks.len());
 
-        if let Some(p) = prof.as_mut() {
-            p.pops = events_processed - inline_coalesced;
-            p.pushes = queue.total_scheduled();
-            p.inline_coalesced = inline_coalesced;
-        }
-
+        let net = &self.net;
         let link = LinkStats {
-            messages: self.net.messages(),
-            words: self.net.words(),
-            busy_time: self.net.busy_time(),
-            wait_time: self.net.wait_time(),
-            peak_utilization: self.net.peak_utilization(makespan),
-            per_tier: self.net.tier_stats(),
+            messages: net.messages(),
+            words: net.words(),
+            busy_time: net.busy_time(),
+            wait_time: net.wait_time(),
+            peak_utilization: net.peak_utilization(makespan),
+            per_tier: net.tier_stats(),
         };
 
         // The registry the outcome's scalar fields are views over. Populated
         // once here from the driver's deterministic tallies (no hot-path
         // registry operations), so the engine-equivalence grid can compare it
         // bit for bit.
+        let (steal, reclaim) = (MoveKind::Steal as usize, MoveKind::Reclaim as usize);
         let mut metrics = Registry::new();
         metrics.add("task.executed", executed);
         metrics.add("task.retired", retired);
-        metrics.add("notify.sent", notifications);
-        metrics.add("steal.stolen", self.steals);
-        metrics.add("steal.grants", self.steal_grants);
-        metrics.add("steal.failures", self.steal_failures);
-        metrics.add("reclaim.reclaimed", self.reclaims);
-        metrics.add("reclaim.grants", self.reclaim_grants);
-        metrics.add("reclaim.failures", self.reclaim_failures);
+        metrics.add("notify.sent", self.notifications);
+        metrics.add("steal.stolen", self.moved[steal]);
+        metrics.add("steal.grants", self.grants[steal]);
+        metrics.add("steal.failures", self.failures[steal]);
+        metrics.add("reclaim.reclaimed", self.moved[reclaim]);
+        metrics.add("reclaim.grants", self.grants[reclaim]);
+        metrics.add("reclaim.failures", self.failures[reclaim]);
         metrics.add(
             "load.digest.updates",
-            tracker.as_ref().map_or(0, |tr| tr.updates),
+            self.tracker.as_ref().map_or(0, |tr| tr.updates),
         );
-        metrics.add("sim.events", events_processed);
+        metrics.add("sim.events", events);
         metrics.add("link.messages", link.messages);
         metrics.add("link.words", link.words);
         for tier in &link.per_tier {
@@ -1407,7 +1083,7 @@ impl<M: TaskManager> ClusterDriver<M> {
             metrics.sample("node.pending.max", n.max_pending as u64);
             metrics.sample("node.executed", n.executed);
         }
-        if let Some(fs) = flow.as_ref() {
+        if let Some(fs) = self.flow.as_ref() {
             if fs.gated {
                 metrics.add("stream.backpressure", fs.backpressure_events);
                 metrics.sample("stream.admission.max", fs.max_admitted as u64);
@@ -1419,7 +1095,7 @@ impl<M: TaskManager> ClusterDriver<M> {
             .iter()
             .enumerate()
             .map(|(i, n)| SimOutcome {
-                benchmark: format!("{} [node {i}]", trace.name),
+                benchmark: format!("{name} [node {i}]"),
                 manager: n.manager.name(),
                 workers: self.cfg.workers_per_node,
                 makespan: n.makespan.since(SimTime::ZERO),
@@ -1433,7 +1109,7 @@ impl<M: TaskManager> ClusterDriver<M> {
             .collect();
 
         let outcome = ClusterOutcome {
-            benchmark: trace.name.clone(),
+            benchmark: name.clone(),
             manager: self.nodes[0].manager.name(),
             placement: self.cfg.placement.name().to_string(),
             stealing: self.cfg.stealing.name().to_string(),
@@ -1441,11 +1117,11 @@ impl<M: TaskManager> ClusterDriver<M> {
             nodes: self.cfg.nodes,
             workers_per_node: self.cfg.workers_per_node,
             makespan: makespan.since(SimTime::ZERO),
-            total_work: trace.total_work(),
+            total_work: self.trace.total_work(),
             tasks: executed,
-            master_barrier_time: master.barrier_time(),
+            master_barrier_time: self.master.barrier_time(),
             per_node,
-            edges,
+            edges: self.edges,
             notifications: metrics.counter("notify.sent"),
             steals: metrics.counter("steal.stolen"),
             steal_failures: metrics.counter("steal.failures"),
@@ -1457,129 +1133,486 @@ impl<M: TaskManager> ClusterDriver<M> {
             master_last_writer,
             metrics,
         };
-        (outcome, flow)
+        (outcome, self.flow)
     }
 
-    /// Routes every task and finds its remote last-writer producers, in the
-    /// same pass that accumulates the edge census (one [`DepScanner`] scan —
-    /// the reported statistics and the enforced dependencies cannot diverge).
-    /// The fabric's distance matrix is handed to the placement policy so
-    /// distance-aware placements see the real tiers.
-    fn analyze(
-        &self,
-        tasks: &[&TaskDescriptor],
-        distances: &DistanceMatrix,
-    ) -> (Vec<TaskMeta>, crate::routing::EdgeStats) {
-        let mut scanner = DepScanner::with_policy(self.cfg.nodes, self.cfg.placement.build())
-            .with_distances(distances.clone());
-        let mut metas: Vec<TaskMeta> = Vec::with_capacity(tasks.len());
-        for task in tasks {
-            let i = metas.len();
-            let r = scanner.scan_full(task);
-            for &p in &r.producers {
-                metas[p].consumers.push(i);
-            }
-            metas.push(TaskMeta {
-                home: r.home,
-                remaining_remote: r.remote_producers.len(),
-                producers: r.producers,
-                remote_producers: r.remote_producers,
-                consumers: Vec::new(),
-                retired_at: None,
-                subscribers: Vec::new(),
-            });
+    /// The master executes its next trace operation.
+    fn master_step(&mut self, now: SimTime) {
+        match self.master.step(self.trace, now, self.supports_taskwait_on) {
+            MasterStep::Submit(task) => self.submit(task, now),
+            MasterStep::Compute(d) => self.queue.schedule(now + d, Event::MasterStep),
+            MasterStep::Continue => self.queue.schedule(now, Event::MasterStep),
+            MasterStep::Waiting | MasterStep::Done => {}
         }
-        (metas, scanner.stats())
+    }
+
+    /// Submits `task` unless an open-loop source defers it (a future arrival
+    /// time or a full admission queue: the cursor stays put and the same
+    /// submit is re-offered on the next master step). The descriptor is
+    /// forwarded to its home node and the task subscribes to its remote
+    /// producers.
+    fn submit(&mut self, task: &'t TaskDescriptor, now: SimTime) {
+        let idx = self.idx_of.idx(task.id);
+        if self.cfg.feedback.place_enabled() {
+            self.replace(idx, now);
+        }
+        let home = self.metas[idx].home;
+        if let Some(fs) = self.flow.as_mut() {
+            let bp_before = fs.backpressure_events;
+            let deferred = fs.gate_submit(home, idx, now, &mut self.queue);
+            if fs.backpressure_events > bp_before {
+                if let Some(r) = self.rec.as_mut() {
+                    r.record(now.as_ps(), SpanEvent::Backpressure { node: home });
+                }
+            }
+            if deferred {
+                return;
+            }
+        }
+        self.master.commit_submit(task, now);
+        if self.cfg.feedback.place_enabled() {
+            self.placed_loads[home].tasks += 1;
+            self.placed_loads[home].work += self.tasks[idx].duration;
+        }
+        if let Some(fs) = self.flow.as_mut() {
+            fs.note_submit(home, idx, now);
+        }
+        if let Some(r) = self.rec.as_mut() {
+            r.record(now.as_ps(), SpanEvent::Submitted { task: idx });
+            r.record(
+                now.as_ps(),
+                SpanEvent::Placed {
+                    task: idx,
+                    node: home,
+                },
+            );
+        }
+        let arrive = Event::DescriptorArrive { node: home, idx };
+        let sender_free = self.send_msg(0, home, task.transfer_words(), now, arrive);
+        // Subscribe to (or directly forward) the remote dependency
+        // notifications the task needs. The producer list is moved out and
+        // restored (a task is never its own producer) to keep the hot path
+        // free of per-submit clones.
+        let producers = std::mem::take(&mut self.metas[idx].remote_producers);
+        for &p in &producers {
+            match self.metas[p].retired_at {
+                Some(_) => {
+                    let from = self.metas[p].home;
+                    self.send_msg(from, home, NOTIFY_WORDS, now, Event::NotifyArrive { idx });
+                    self.notifications += 1;
+                }
+                None => self.metas[p].subscribers.push(idx),
+            }
+        }
+        self.metas[idx].remote_producers = producers;
+        self.queue.schedule(sender_free.max(now), Event::MasterStep);
+    }
+
+    /// Live re-placement (`place` feedback): the pre-pass home was chosen
+    /// before any runtime load existed; re-decide against the decayed
+    /// digests. Producers may themselves have moved (re-placed, stolen or
+    /// reclaimed), so the remote-producer set and the outstanding
+    /// notification count are recomputed from the producers' *current* homes
+    /// — a producer that already subscribed this task keeps exactly one
+    /// subscription.
+    fn replace(&mut self, idx: usize, now: SimTime) {
+        let Some(tr) = self.tracker.as_ref() else {
+            return;
+        };
+        let metas = &mut self.metas;
+        let producer_homes: Vec<usize> = metas[idx]
+            .producers
+            .iter()
+            .map(|&p| metas[p].home)
+            .collect();
+        let home = FeedbackPlacement.place(
+            self.tasks[idx],
+            &PlacementCtx {
+                nodes: self.cfg.nodes,
+                loads: &self.placed_loads,
+                producer_homes: &producer_homes,
+                distances: &self.distances,
+                live: Some(tr.live(now.as_ps())),
+            },
+        );
+        metas[idx].home = home;
+        let producers = std::mem::take(&mut metas[idx].producers);
+        let mut remaining = 0;
+        let mut remote = Vec::new();
+        for &p in &producers {
+            if metas[p].subscribers.contains(&idx) {
+                remaining += 1;
+            } else if metas[p].home != home {
+                remote.push(p);
+            }
+        }
+        remaining += remote.len();
+        metas[idx].producers = producers;
+        metas[idx].remote_producers = remote;
+        metas[idx].remaining_remote = remaining;
+    }
+
+    /// A task descriptor reaches its home node's input queue.
+    fn descriptor_arrive(&mut self, node: usize, idx: usize, now: SimTime) {
+        let n = &mut self.nodes[node];
+        n.touch(now);
+        n.outstanding += 1;
+        n.pending.push_back(idx);
+        n.max_pending = n.max_pending.max(n.pending.len());
+        self.pump(node, now);
+    }
+
+    /// A remote-dependency notification reaches the consumer's node. A
+    /// parked descriptor resolves on its last one and enters the input queue
+    /// at the front, like any eligible moved descriptor.
+    fn notify_arrive(&mut self, idx: usize, now: SimTime) {
+        let meta = &mut self.metas[idx];
+        meta.remaining_remote -= 1;
+        let home = meta.home;
+        let resolved = meta.remaining_remote == 0;
+        let n = &mut self.nodes[home];
+        n.touch(now);
+        if resolved {
+            if let Some(pos) = n.parked.iter().position(|&i| i == idx) {
+                n.parked.swap_remove(pos);
+                debug_assert!(
+                    eligible(&self.metas, idx),
+                    "unparked task {idx} still has unretired producers"
+                );
+                n.push_front(idx);
+            }
+        }
+        self.pump(home, now);
+    }
+
+    /// A node's input processor retries handing pending tasks to its manager.
+    fn pump_retry(&mut self, node: usize, now: SimTime) {
+        let n = &mut self.nodes[node];
+        n.pump_queued = false;
+        n.touch(now);
+        self.pump(node, now);
+    }
+
+    /// A node-local ready notification becomes visible.
+    fn ready(&mut self, node: usize, task: TaskId, now: SimTime) {
+        let n = &mut self.nodes[node];
+        n.touch(now);
+        n.pool.enqueue(task);
+        self.dispatch(node, now);
+    }
+
+    /// Worker core `worker` on `node` finished executing `task`.
+    fn worker_finish(&mut self, node: usize, task: TaskId, worker: usize, now: SimTime) {
+        let n = &mut self.nodes[node];
+        n.touch(now);
+        n.executed += 1;
+        let free_at = n.manager.finish(task, now);
+        drain(n, node, now, &mut self.queue, &mut self.scratch);
+        self.queue
+            .schedule(free_at.max(now), Event::WorkerFree { node, worker });
+    }
+
+    /// Worker core `worker` on `node` becomes available again.
+    fn worker_free(&mut self, node: usize, worker: usize, now: SimTime) {
+        let n = &mut self.nodes[node];
+        n.touch(now);
+        n.pool.release(worker);
+        self.dispatch(node, now);
+    }
+
+    /// A node's manager retired `task`: notify every subscribed consumer and
+    /// the master, then pump (a task-pool slot may have been freed).
+    fn retired(&mut self, node: usize, task: TaskId, now: SimTime) {
+        let idx = self.idx_of.idx(task);
+        let n = &mut self.nodes[node];
+        n.touch(now);
+        n.retired += 1;
+        n.outstanding -= 1;
+        n.total_work += self.durations[idx];
+        self.metas[idx].retired_at = Some(now);
+        if let Some(fs) = self.flow.as_mut() {
+            fs.latencies[idx] = now.since(fs.submitted_at[idx]);
+        }
+        if let Some(r) = self.rec.as_mut() {
+            r.record(now.as_ps(), SpanEvent::Retired { task: idx, node });
+        }
+        for sub in std::mem::take(&mut self.metas[idx].subscribers) {
+            let home = self.metas[sub].home;
+            let notify = Event::NotifyArrive { idx: sub };
+            self.send_msg(node, home, NOTIFY_WORDS, now, notify);
+            self.notifications += 1;
+        }
+        // The master's notification is free if the task retired on node 0.
+        // With feedback enabled it carries the retiring node's load digest —
+        // same message, same words, no extra traffic on the happy path.
+        let load = self
+            .tracker
+            .as_ref()
+            .map(|_| (node, self.nodes[node].digest(now)));
+        let seen = Event::MasterSawRetire { task, load };
+        self.send_msg(node, 0, NOTIFY_WORDS, now, seen);
+        self.pump(node, now);
+    }
+
+    /// A retirement notification (with its load digest) reaches the master.
+    fn master_saw_retire(&mut self, task: TaskId, load: Option<(usize, LoadView)>, now: SimTime) {
+        if let (Some((node, view)), Some(tr)) = (load, self.tracker.as_mut()) {
+            tr.observe(node, view);
+        }
+        if self.master.on_retired(task, now) {
+            self.queue.schedule(now, Event::MasterStep);
+        }
+    }
+
+    /// A move request of `kind` from `thief` reaches `victim`: hand over up
+    /// to a batch of the youngest pending descriptors of that kind —
+    /// eligible ones for a steal, dependence-blocked ones for a reclaim — or
+    /// reply empty-handed. The policy sizes the batch from the thief's free
+    /// workers and the victim's backlog of the kind at grant time; an
+    /// open-loop thief also honours its own admission bound, since moved
+    /// descriptors enter its admission domain.
+    fn grant_move(&mut self, kind: MoveKind, thief: usize, victim: usize, now: SimTime) {
+        let k = kind as usize;
+        self.nodes[victim].touch(now);
+        // Positions collected from the back of the queue (descending, so
+        // removal is position-stable).
+        let want_eligible = kind == MoveKind::Steal;
+        let mut positions: Vec<usize> = {
+            let pending = &self.nodes[victim].pending;
+            (0..pending.len())
+                .rev()
+                .filter(|&pos| eligible(&self.metas, pending[pos]) == want_eligible)
+                .collect()
+        };
+        let free = self.nodes[thief].pool.free();
+        let mut batch = match kind {
+            MoveKind::Steal => self.policy.batch_for(free, positions.len()),
+            MoveKind::Reclaim => self.policy.reclaim_batch(free, positions.len()),
+        };
+        if let Some(fs) = self.flow.as_ref() {
+            if fs.gated {
+                batch = batch.min(fs.depth.saturating_sub(fs.admitted[thief]));
+            }
+        }
+        positions.truncate(batch);
+        if positions.is_empty() {
+            self.failures[k] += 1;
+            let failed = Event::MoveFailed { kind, thief };
+            self.send_msg(victim, thief, kind.words(), now, failed);
+            return;
+        }
+        // The request is resolved; the thief stays quiet until every granted
+        // descriptor has landed (it has no capacity for more anyway).
+        self.grants[k] += 1;
+        self.nodes[thief].inflight[k] = false;
+        self.nodes[thief].incoming[k] += positions.len();
+        for pos in positions {
+            let idx = self.nodes[victim]
+                .pending
+                .remove(pos)
+                .expect("move position in range");
+            self.nodes[victim].outstanding -= 1;
+            if let Some(fs) = self.flow.as_mut() {
+                // The descriptor moves between admission domains; the freed
+                // victim slot may wake a back-pressured source.
+                fs.on_slot_freed(victim, now, &mut self.queue);
+                fs.note_move_in(thief);
+            }
+            debug_assert_eq!(self.metas[idx].home, victim, "moved task must be at home");
+            self.rehome(idx, victim, thief);
+            self.moved[k] += 1;
+            if let Some(r) = self.rec.as_mut() {
+                r.record(now.as_ps(), kind.span(idx, victim, thief));
+            }
+            let arrive = Event::MoveArrive {
+                kind,
+                node: thief,
+                idx,
+            };
+            self.send_msg(victim, thief, self.tasks[idx].transfer_words(), now, arrive);
+        }
+    }
+
+    /// Re-homes the moved descriptor `idx` from `victim` to `thief`.
+    /// Consumers that counted on resolving its dependence inside the
+    /// victim's manager now need a cross-node retirement notification; and
+    /// the task's own unretired producers, which the victim's manager would
+    /// have ordered locally, now notify it across the fabric (a producer
+    /// that already subscribed it keeps exactly one subscription). The
+    /// producer loop does nothing for an eligible descriptor: its producers
+    /// have all retired.
+    fn rehome(&mut self, idx: usize, victim: usize, thief: usize) {
+        let metas = &mut self.metas;
+        let consumers = std::mem::take(&mut metas[idx].consumers);
+        for &c in &consumers {
+            if metas[c].home == victim && !metas[idx].subscribers.contains(&c) {
+                metas[c].remaining_remote += 1;
+                metas[idx].subscribers.push(c);
+            }
+        }
+        metas[idx].consumers = consumers;
+        let producers = std::mem::take(&mut metas[idx].producers);
+        for &p in &producers {
+            if metas[p].retired_at.is_none() && !metas[p].subscribers.contains(&idx) {
+                metas[idx].remaining_remote += 1;
+                metas[p].subscribers.push(idx);
+            }
+        }
+        metas[idx].producers = producers;
+        metas[idx].home = thief;
+    }
+
+    /// A granted descriptor reaches the thief. An eligible one enters the
+    /// input queue at the *front* and is pumped: the thief imported it to run
+    /// now, and queueing it behind the thief's own blocked head would break
+    /// the topological order of the per-node FIFO queues — an early-order
+    /// task stuck behind a later blocked head can close a cross-node
+    /// head-of-line dependency cycle (deadlock). Any other is parked until
+    /// its last producer notification lands (`notify_arrive`).
+    fn move_arrive(&mut self, kind: MoveKind, node: usize, idx: usize, now: SimTime) {
+        let k = kind as usize;
+        let n = &mut self.nodes[node];
+        n.incoming[k] = n.incoming[k].checked_sub(1).unwrap_or_else(|| {
+            panic!("move accounting underflow: {kind:?} arrival at node {node} without a grant")
+        });
+        n.touch(now);
+        n.outstanding += 1;
+        if eligible(&self.metas, idx) {
+            n.push_front(idx);
+            self.pump(node, now);
+        } else {
+            debug_assert_eq!(kind, MoveKind::Reclaim, "stolen task {idx} arrived blocked");
+            n.parked.push(idx);
+        }
+    }
+
+    /// The victim's empty-handed reply reaches the thief.
+    fn move_failed(&mut self, kind: MoveKind, thief: usize, now: SimTime) {
+        let n = &mut self.nodes[thief];
+        n.inflight[kind as usize] = false;
+        n.last_fail[kind as usize] = Some(now);
+        n.touch(now);
+    }
+
+    /// A multi-hop message enters hop `hop` now. Returns its continuation —
+    /// the next hop, or the terminal event once the last hop is crossed —
+    /// under the seq a plain `schedule` would assign; the loop decides
+    /// whether it is enqueued or handed straight to the next iteration.
+    fn relay(
+        &mut self,
+        from: usize,
+        to: usize,
+        hop: usize,
+        words: u64,
+        then: Box<Event>,
+        now: SimTime,
+    ) -> TimedEvent<Event> {
+        if let Some(r) = self.rec.as_mut() {
+            let (link, tier) = self.net.hop_link(from, to, hop);
+            r.record(now.as_ps(), SpanEvent::LinkHop { link, tier, words });
+        }
+        let d = self.net.send_hop(from, to, hop, words, now);
+        let payload = if hop + 1 == self.net.hops(from, to) {
+            *then
+        } else {
+            Event::Relay {
+                from,
+                to,
+                hop: hop + 1,
+                words,
+                then,
+            }
+        };
+        TimedEvent {
+            time: d.delivered,
+            seq: self.queue.reserve_seq(),
+            payload,
+        }
     }
 
     /// Hands a message to the fabric: serializes it onto the first hop now
     /// and schedules an [`Event::Relay`] per remaining hop, so every link is
     /// acquired at the message's physical arrival time (causal,
     /// work-conserving FIFO per link — see `Interconnect::send_hop`). The
-    /// terminal [`Deliver`] fires when the message leaves the last hop.
-    /// Node-local messages (`from == to`) bypass the network and deliver
-    /// immediately. Returns when the sender's interface is free again.
-    #[allow(clippy::too_many_arguments)]
+    /// message becomes `then` when it leaves the last hop. Node-local
+    /// messages (`from == to`) bypass the network and deliver immediately.
+    /// Returns when the sender's interface is free again.
     fn send_msg(
         &mut self,
         from: usize,
         to: usize,
         words: u64,
         now: SimTime,
-        then: Deliver,
-        queue: &mut EventQueue<Event>,
-        rec: &mut Option<&mut dyn Recorder>,
+        then: Event,
     ) -> SimTime {
         if from == to {
-            queue.schedule(now, then.into_event());
+            self.queue.schedule(now, then);
             return now;
         }
-        if let Some(r) = rec.as_mut() {
+        if let Some(r) = self.rec.as_mut() {
             let (link, tier) = self.net.hop_link(from, to, 0);
             r.record(now.as_ps(), SpanEvent::LinkHop { link, tier, words });
         }
         let d = self.net.send_hop(from, to, 0, words, now);
-        if self.net.hops(from, to) == 1 {
-            queue.schedule(d.delivered, then.into_event());
+        let payload = if self.net.hops(from, to) == 1 {
+            then
         } else {
-            queue.schedule(
-                d.delivered,
-                Event::Relay {
-                    from,
-                    to,
-                    hop: 1,
-                    words,
-                    then,
-                },
-            );
-        }
+            Event::Relay {
+                from,
+                to,
+                hop: 1,
+                words,
+                then: Box::new(then),
+            }
+        };
+        self.queue.schedule(d.delivered, payload);
         d.sender_free
     }
 
-    /// True if the descriptor at `idx` may be stolen: every last-writer
-    /// producer has retired and no notification is still in flight, so the
-    /// task can execute on any node without waiting on anything.
-    fn eligible(metas: &[TaskMeta], idx: usize) -> bool {
-        metas[idx].remaining_remote == 0
-            && metas[idx]
-                .producers
-                .iter()
-                .all(|&p| metas[p].retired_at.is_some())
+    /// Sends a move request of `kind` from every idle node that may issue
+    /// one (see `NodeState::may_move`) to the victim the policy picks. Runs
+    /// after each event while the kind is enabled; the load board (with its
+    /// per-descriptor eligibility scan) is only built when some node
+    /// qualifies.
+    fn try_moves(&mut self, kind: MoveKind, now: SimTime) {
+        if !self.nodes.iter().any(|n| n.may_move(kind, now)) {
+            return;
+        }
+        let loads = self.load_board();
+        for thief in 0..self.nodes.len() {
+            if !self.nodes[thief].may_move(kind, now) {
+                continue;
+            }
+            let victim = match kind {
+                MoveKind::Steal => self.policy.choose_victim(thief, &loads, &self.distances),
+                MoveKind::Reclaim => {
+                    let live = self.tracker.as_ref().map(|tr| tr.live(now.as_ps()));
+                    self.policy
+                        .choose_reclaim_victim(thief, &loads, live, &self.distances)
+                }
+            };
+            let Some(victim) = victim else {
+                continue;
+            };
+            assert!(
+                victim != thief && victim < self.nodes.len(),
+                "{kind:?} policy {} picked victim {victim} for thief {thief}",
+                self.policy.name()
+            );
+            self.nodes[thief].inflight[kind as usize] = true;
+            let request = Event::MoveRequest {
+                kind,
+                thief,
+                victim,
+            };
+            self.send_msg(thief, victim, kind.words(), now, request);
+        }
     }
 
-    /// True if `node` may initiate a steal right now: free workers, nothing
-    /// ready, nothing pending, no request or granted batch still in flight,
-    /// and no failed attempt at this very timestamp.
-    fn may_steal(n: &NodeState<M>, now: SimTime) -> bool {
-        !n.steal_inflight
-            && n.incoming_steals == 0
-            && n.last_steal_fail != Some(now)
-            && n.pool.free() > 0
-            && n.pool.queued() == 0
-            && n.pending.is_empty()
-    }
-
-    /// True if `node` may initiate a pool reclamation right now: idle by the
-    /// steal criteria, nothing parked, no reclaim of its own in flight, and —
-    /// because the reclaim scan runs *after* the steal scan — no steal
-    /// request or granted batch in flight either (imported eligible work is
-    /// strictly cheaper than imported blocked work).
-    fn may_reclaim(n: &NodeState<M>, now: SimTime) -> bool {
-        !n.reclaim_inflight
-            && n.incoming_reclaims == 0
-            && n.last_reclaim_fail != Some(now)
-            && !n.steal_inflight
-            && n.incoming_steals == 0
-            && n.pool.free() > 0
-            && n.pool.queued() == 0
-            && n.pending.is_empty()
-            && n.parked.is_empty()
-    }
-
-    /// The per-node load board handed to steal and reclaim victim selection,
-    /// built through the shared [`NodeLoad::snapshot`] constructor (the live
-    /// runtime's manager loop builds its board through the same one).
-    fn load_board(&self, metas: &[TaskMeta]) -> Vec<NodeLoad> {
+    /// The per-node load board handed to victim selection, built through the
+    /// shared [`NodeLoad::snapshot`] constructor (the live runtime's manager
+    /// loop builds its board through the same one).
+    fn load_board(&self) -> Vec<NodeLoad> {
         self.nodes
             .iter()
             .map(|n| {
@@ -1587,7 +1620,7 @@ impl<M: TaskManager> ClusterDriver<M> {
                     n.pending.len(),
                     n.pending
                         .iter()
-                        .filter(|&&i| Self::eligible(metas, i))
+                        .filter(|&&i| eligible(&self.metas, i))
                         .count(),
                     n.pool.queued(),
                     n.pool.free(),
@@ -1598,330 +1631,23 @@ impl<M: TaskManager> ClusterDriver<M> {
             .collect()
     }
 
-    /// Initiates steal requests from every idle node (see
-    /// [`ClusterDriver::may_steal`]). Runs after each event while stealing is
-    /// enabled; the load snapshot (with its per-descriptor eligibility scan)
-    /// is only built when some node actually qualifies.
-    fn try_steals(
-        &mut self,
-        now: SimTime,
-        metas: &[TaskMeta],
-        distances: &DistanceMatrix,
-        policy: &mut dyn StealPolicy,
-        queue: &mut EventQueue<Event>,
-        rec: &mut Option<&mut dyn Recorder>,
-    ) {
-        if !self.nodes.iter().any(|n| Self::may_steal(n, now)) {
-            return;
-        }
-        let loads = self.load_board(metas);
-        for thief in 0..self.nodes.len() {
-            if !Self::may_steal(&self.nodes[thief], now) {
-                continue;
-            }
-            let Some(victim) = policy.choose_victim_tiered(thief, &loads, Some(distances)) else {
-                continue;
-            };
-            assert!(
-                victim != thief && victim < self.nodes.len(),
-                "steal policy {} picked victim {victim} for thief {thief}",
-                policy.name()
-            );
-            self.nodes[thief].steal_inflight = true;
-            self.send_msg(
-                thief,
-                victim,
-                STEAL_WORDS,
-                now,
-                Deliver::StealRequest { thief, victim },
-                queue,
-                rec,
-            );
-        }
-    }
-
-    /// Handles a steal request arriving at `victim`: hand over up to a batch
-    /// of the youngest eligible pending descriptors (re-homing their
-    /// dependence notifications), or send an empty-handed reply. The batch is
-    /// sized by the policy from the thief's free workers *and* the victim's
-    /// eligible backlog at grant time (adaptive policies steal half of it).
-    #[allow(clippy::too_many_arguments)]
-    fn grant_steal(
-        &mut self,
-        thief: usize,
-        victim: usize,
-        now: SimTime,
-        policy: &dyn StealPolicy,
-        metas: &mut [TaskMeta],
-        tasks: &[&TaskDescriptor],
-        queue: &mut EventQueue<Event>,
-        flow: &mut Option<FlowState>,
-        rec: &mut Option<&mut dyn Recorder>,
-    ) {
-        self.nodes[victim].touch(now);
-        // Positions of the youngest eligible descriptors, collected from the
-        // back of the queue (descending, so removal is position-stable).
-        let mut positions: Vec<usize> = {
-            let pending = &self.nodes[victim].pending;
-            (0..pending.len())
-                .rev()
-                .filter(|&pos| Self::eligible(metas, pending[pos]))
-                .collect()
-        };
-        let mut batch = policy.batch_for(self.nodes[thief].pool.free(), positions.len());
-        if let Some(fs) = flow.as_ref() {
-            if fs.gated {
-                // An open-loop thief honours its own admission bound: stolen
-                // descriptors enter its admission domain too.
-                batch = batch.min(fs.depth.saturating_sub(fs.admitted[thief]));
-            }
-        }
-        positions.truncate(batch);
-        if positions.is_empty() {
-            self.steal_failures += 1;
-            self.send_msg(
-                victim,
-                thief,
-                STEAL_WORDS,
-                now,
-                Deliver::StealFailed { thief },
-                queue,
-                rec,
-            );
-            return;
-        }
-        // The request is resolved; the thief stays quiet until every granted
-        // descriptor has landed (it has no capacity for more anyway).
-        self.steal_grants += 1;
-        self.nodes[thief].steal_inflight = false;
-        self.nodes[thief].incoming_steals += positions.len();
-        for pos in positions {
-            let idx = self.nodes[victim]
-                .pending
-                .remove(pos)
-                .expect("steal position in range");
-            self.nodes[victim].outstanding -= 1;
-            if let Some(fs) = flow.as_mut() {
-                // The descriptor moves between admission domains; the freed
-                // victim slot may wake a back-pressured source.
-                fs.on_slot_freed(victim, now, queue);
-                fs.note_steal_in(thief);
-            }
-            debug_assert_eq!(metas[idx].home, victim, "stolen task must be at home");
-            // Consumers that counted on resolving this dependence inside the
-            // victim's manager now need a cross-node retirement notification.
-            let consumers = std::mem::take(&mut metas[idx].consumers);
-            for &c in &consumers {
-                if metas[c].home == victim && !metas[idx].subscribers.contains(&c) {
-                    metas[c].remaining_remote += 1;
-                    metas[idx].subscribers.push(c);
-                }
-            }
-            metas[idx].consumers = consumers;
-            metas[idx].home = thief;
-            self.steals += 1;
-            if let Some(r) = rec.as_mut() {
-                r.record(
-                    now.as_ps(),
-                    SpanEvent::Stolen {
-                        task: idx,
-                        from: victim,
-                        to: thief,
-                    },
-                );
-            }
-            self.send_msg(
-                victim,
-                thief,
-                tasks[idx].transfer_words(),
-                now,
-                Deliver::Stolen { node: thief, idx },
-                queue,
-                rec,
-            );
-        }
-    }
-
-    /// Initiates pool-reclamation requests from every idle node (see
-    /// [`ClusterDriver::may_reclaim`]). Runs after the steal scan while
-    /// reclamation is enabled: where a steal can only take *eligible*
-    /// descriptors, a reclaim reaches past them to the dependence-blocked
-    /// remainder of a loaded pool ([`NodeLoad::reclaimable`]), betting that
-    /// the blockers resolve sooner next to spare capacity.
-    #[allow(clippy::too_many_arguments)]
-    fn try_reclaims(
-        &mut self,
-        now: SimTime,
-        metas: &[TaskMeta],
-        distances: &DistanceMatrix,
-        tracker: Option<&LoadTracker>,
-        policy: &mut dyn StealPolicy,
-        queue: &mut EventQueue<Event>,
-        rec: &mut Option<&mut dyn Recorder>,
-    ) {
-        if !self.nodes.iter().any(|n| Self::may_reclaim(n, now)) {
-            return;
-        }
-        let loads = self.load_board(metas);
-        for thief in 0..self.nodes.len() {
-            if !Self::may_reclaim(&self.nodes[thief], now) {
-                continue;
-            }
-            let live = tracker.map(|tr| tr.live(now.as_ps()));
-            let Some(victim) = policy.choose_reclaim_victim(thief, &loads, live, Some(distances))
-            else {
-                continue;
-            };
-            assert!(
-                victim != thief && victim < self.nodes.len(),
-                "reclaim policy {} picked victim {victim} for thief {thief}",
-                policy.name()
-            );
-            self.nodes[thief].reclaim_inflight = true;
-            self.send_msg(
-                thief,
-                victim,
-                RECLAIM_WORDS,
-                now,
-                Deliver::ReclaimRequest { thief, victim },
-                queue,
-                rec,
-            );
-        }
-    }
-
-    /// Handles a reclaim request arriving at `victim`: hand over up to a
-    /// batch of the youngest *ineligible* (dependence-blocked) pending
-    /// descriptors, or send an empty-handed reply. Where a steal grant
-    /// re-homes only the *consumers'* notifications, a reclaim grant must
-    /// additionally re-subscribe the moved task to its own still-unretired
-    /// producers: the victim's manager would have enforced those dependences
-    /// locally, and after the move they need cross-node retirement
-    /// notifications. Each reclaimed descriptor pays the full re-forwarding
-    /// cost on the victim→thief link, exactly like a stolen one.
-    #[allow(clippy::too_many_arguments)]
-    fn grant_reclaim(
-        &mut self,
-        thief: usize,
-        victim: usize,
-        now: SimTime,
-        policy: &dyn StealPolicy,
-        metas: &mut [TaskMeta],
-        tasks: &[&TaskDescriptor],
-        queue: &mut EventQueue<Event>,
-        flow: &mut Option<FlowState>,
-        rec: &mut Option<&mut dyn Recorder>,
-    ) {
-        self.nodes[victim].touch(now);
-        // Positions of the youngest blocked descriptors, collected from the
-        // back of the queue (descending, so removal is position-stable).
-        let mut positions: Vec<usize> = {
-            let pending = &self.nodes[victim].pending;
-            (0..pending.len())
-                .rev()
-                .filter(|&pos| !Self::eligible(metas, pending[pos]))
-                .collect()
-        };
-        let mut batch = policy.reclaim_batch(self.nodes[thief].pool.free(), positions.len());
-        if let Some(fs) = flow.as_ref() {
-            if fs.gated {
-                // An open-loop thief honours its own admission bound.
-                batch = batch.min(fs.depth.saturating_sub(fs.admitted[thief]));
-            }
-        }
-        positions.truncate(batch);
-        if positions.is_empty() {
-            self.reclaim_failures += 1;
-            self.send_msg(
-                victim,
-                thief,
-                RECLAIM_WORDS,
-                now,
-                Deliver::ReclaimFailed { thief },
-                queue,
-                rec,
-            );
-            return;
-        }
-        self.reclaim_grants += 1;
-        self.nodes[thief].reclaim_inflight = false;
-        self.nodes[thief].incoming_reclaims += positions.len();
-        for pos in positions {
-            let idx = self.nodes[victim]
-                .pending
-                .remove(pos)
-                .expect("reclaim position in range");
-            self.nodes[victim].outstanding -= 1;
-            if let Some(fs) = flow.as_mut() {
-                fs.on_slot_freed(victim, now, queue);
-                fs.note_steal_in(thief);
-            }
-            debug_assert_eq!(metas[idx].home, victim, "reclaimed task must be at home");
-            // Consumers that counted on resolving this dependence inside the
-            // victim's manager now need a cross-node notification.
-            let consumers = std::mem::take(&mut metas[idx].consumers);
-            for &c in &consumers {
-                if metas[c].home == victim && !metas[idx].subscribers.contains(&c) {
-                    metas[c].remaining_remote += 1;
-                    metas[idx].subscribers.push(c);
-                }
-            }
-            metas[idx].consumers = consumers;
-            // The task's own unretired producers: the victim's manager would
-            // have ordered them locally; subscribe the moved task to their
-            // retirement notifications instead (already-subscribed producers
-            // — the task was their remote consumer all along — keep exactly
-            // one subscription).
-            let producers = std::mem::take(&mut metas[idx].producers);
-            for &p in &producers {
-                if metas[p].retired_at.is_none() && !metas[p].subscribers.contains(&idx) {
-                    metas[idx].remaining_remote += 1;
-                    metas[p].subscribers.push(idx);
-                }
-            }
-            metas[idx].producers = producers;
-            metas[idx].home = thief;
-            self.reclaims += 1;
-            if let Some(r) = rec.as_mut() {
-                r.record(
-                    now.as_ps(),
-                    SpanEvent::Reclaimed {
-                        task: idx,
-                        from: victim,
-                        to: thief,
-                    },
-                );
-            }
-            self.send_msg(
-                victim,
-                thief,
-                tasks[idx].transfer_words(),
-                now,
-                Deliver::Reclaimed { node: thief, idx },
-                queue,
-                rec,
-            );
-        }
-    }
-
     /// Hands pending tasks at `node` to the local manager: strictly in arrival
     /// order, only once all remote dependencies have arrived, respecting the
     /// manager's back-pressure and the submission interface's busy time.
     /// Every hand-over frees a slot in the node's admission domain (streaming
     /// runs only), which may wake a back-pressured source.
-    #[allow(clippy::too_many_arguments)]
-    fn pump(
-        &mut self,
-        node: usize,
-        now: SimTime,
-        metas: &[TaskMeta],
-        tasks: &[&TaskDescriptor],
-        queue: &mut EventQueue<Event>,
-        scratch: &mut Vec<ManagerEvent>,
-        flow: &mut Option<FlowState>,
-        rec: &mut Option<&mut dyn Recorder>,
-    ) {
-        let n = &mut self.nodes[node];
+    fn pump(&mut self, node: usize, now: SimTime) {
+        let Run {
+            nodes,
+            metas,
+            tasks,
+            queue,
+            scratch,
+            flow,
+            rec,
+            ..
+        } = self;
+        let n = &mut nodes[node];
         while let Some(&idx) = n.pending.front() {
             if metas[idx].remaining_remote > 0 {
                 break; // head-of-line: preserves per-node program order
@@ -1949,58 +1675,25 @@ impl<M: TaskManager> ClusterDriver<M> {
                 r.record(now.as_ps(), SpanEvent::Dispatched { task: idx, node });
             }
             let release = n.manager.submit(tasks[idx], now);
-            Self::drain(n, node, now, queue, scratch);
+            drain(n, node, now, queue, scratch);
             n.input_free = release.max(now);
         }
     }
 
-    /// Schedules manager notifications onto the global event queue.
-    fn schedule_events(
-        events: impl IntoIterator<Item = ManagerEvent>,
-        node: usize,
-        now: SimTime,
-        queue: &mut EventQueue<Event>,
-    ) {
-        for ev in events {
-            match ev {
-                ManagerEvent::Ready { task, at } => {
-                    queue.schedule(at.max(now), Event::Ready { node, task });
-                }
-                ManagerEvent::Retired { task, at } => {
-                    queue.schedule(at.max(now), Event::Retired { node, task });
-                }
-            }
-        }
-    }
-
-    /// Drains a node manager's notifications into the global event queue
-    /// through a reused scratch buffer (no per-call allocation).
-    fn drain(
-        n: &mut NodeState<M>,
-        node: usize,
-        now: SimTime,
-        queue: &mut EventQueue<Event>,
-        scratch: &mut Vec<ManagerEvent>,
-    ) {
-        n.manager.drain_events_into(scratch);
-        Self::schedule_events(scratch.drain(..), node, now, queue);
-    }
-
     /// Hands queued ready tasks to free workers on `node`.
-    #[allow(clippy::too_many_arguments)]
-    fn dispatch(
-        n: &mut NodeState<M>,
-        node: usize,
-        now: SimTime,
-        idx_of: &IdMap,
-        durations: &[SimDuration],
-        queue: &mut EventQueue<Event>,
-        scratch: &mut Vec<ManagerEvent>,
-        rec: &mut Option<&mut dyn Recorder>,
-    ) {
+    fn dispatch(&mut self, node: usize, now: SimTime) {
+        let Run {
+            nodes,
+            idx_of,
+            durations,
+            queue,
+            scratch,
+            rec,
+            ..
+        } = self;
+        let n = &mut nodes[node];
         let manager = &mut n.manager;
-        let pool = &mut n.pool;
-        pool.dispatch(|task, worker, speed| {
+        n.pool.dispatch(|task, worker, speed| {
             let idx = idx_of.idx(task);
             let extra = manager.dispatch_cost(task, now);
             manager.drain_events_into(scratch);
@@ -2023,7 +1716,7 @@ impl<M: TaskManager> ClusterDriver<M> {
                 Event::WorkerFinish { node, task, worker },
             );
         });
-        Self::schedule_events(scratch.drain(..), node, now, queue);
+        schedule_events(scratch.drain(..), node, now, queue);
     }
 }
 
@@ -2479,7 +2172,7 @@ mod tests {
 
     #[test]
     fn failed_steals_on_ideal_links_cannot_livelock_a_timestamp() {
-        // Regression for the `last_steal_fail == Some(now)` guard: on an
+        // Regression for the `last_fail == Some(now)` guard: on an
         // ideal (zero-latency) link a failed steal's empty-handed reply
         // returns at the *same* timestamp it was issued. Without the guard
         // the idle thief re-issues the request inside the same event cascade

@@ -69,9 +69,10 @@ pub struct ScanRecord {
 pub struct DepScanner {
     nodes: usize,
     policy: Box<dyn PlacementPolicy>,
-    /// Interconnect distance matrix handed to the policy (None = uniform
-    /// wiring; distance-aware policies fall back to remote-edge counting).
-    distances: Option<DistanceMatrix>,
+    /// Interconnect distance matrix handed to the policy
+    /// ([`DistanceMatrix::uniform`] until [`DepScanner::with_distances`]
+    /// supplies the fabric's).
+    distances: DistanceMatrix,
     last_writer: FxHashMap<u64, usize>,
     homes: Vec<usize>,
     loads: Vec<PlacedLoad>,
@@ -85,12 +86,12 @@ impl DepScanner {
         Self::with_policy(nodes, PolicyKind::XorHash.build())
     }
 
-    /// Creates a scanner routing through `policy`.
+    /// Creates a scanner routing through `policy` over uniform wiring.
     pub fn with_policy(nodes: usize, policy: Box<dyn PlacementPolicy>) -> Self {
         DepScanner {
             nodes,
             policy,
-            distances: None,
+            distances: DistanceMatrix::uniform(nodes),
             last_writer: FxHashMap::default(),
             homes: Vec::new(),
             loads: vec![PlacedLoad::default(); nodes],
@@ -109,7 +110,7 @@ impl DepScanner {
             self.nodes,
             "distance matrix node count mismatch"
         );
-        self.distances = Some(distances);
+        self.distances = distances;
         self
     }
 
@@ -156,7 +157,7 @@ impl DepScanner {
                 nodes: self.nodes,
                 loads: &self.loads,
                 producer_homes: &producer_homes,
-                distances: self.distances.as_ref(),
+                distances: &self.distances,
                 live,
             },
         );
@@ -351,7 +352,7 @@ mod tests {
     fn locality_policy_cuts_the_remote_fraction_on_unhinted_traces() {
         let t = distributed::unhinted(&distributed::sparselu(4, 0.3, 11, 0.002));
         let xor = edge_stats_with(&t, 4, PolicyKind::XorHash);
-        let loc = edge_stats_with(&t, 4, PolicyKind::LocalityAware);
+        let loc = edge_stats_with(&t, 4, PolicyKind::TopologyAware);
         assert_eq!(xor.total, loc.total, "census must see the same edges");
         assert!(
             (loc.remote as f64) < 0.5 * xor.remote as f64,

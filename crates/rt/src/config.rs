@@ -151,13 +151,13 @@ mod tests {
         assert_eq!(cfg.time_scale_ns_per_us, 500);
 
         let sim = ClusterConfig::new(3, 8)
-            .with_stealing(StealKind::Half)
+            .with_stealing(StealKind::Hierarchical)
             .with_feedback(FeedbackKind::Reclaim);
         let rt = RtConfig::from_cluster(&sim);
         assert_eq!(rt.nodes, 3);
         assert_eq!(rt.workers_per_node, 8);
         assert_eq!(rt.placement, sim.placement);
-        assert_eq!(rt.stealing, StealKind::Half);
+        assert_eq!(rt.stealing, StealKind::Hierarchical);
         assert_eq!(rt.feedback, FeedbackKind::Reclaim);
         assert_eq!(
             RtConfig::new(1, 1).feedback,

@@ -12,38 +12,42 @@
 //!
 //! 1. sends `Subscribe { producer, to: home }` to each *remote* producer's
 //!    home node (the producer's **directory**), and
-//! 2. sends `Submit { idx, producers, … }` to the task's home node.
+//! 2. sends `Submit` with the task's descriptor to its home node.
 //!
 //! A manager marks a producer retired either by executing it, by receiving a
 //! cross-node `Notify`, or — for descriptors it granted to a thief — by the
 //! thief's `StolenRetired` report. The home node remains the directory for a
 //! descriptor no matter where it ends up executing, so subscriptions never
-//! chase stolen work around the cluster. Every retirement is appended to one
-//! global retire log (the topological-order witness the conformance suite
-//! checks, and the wait mechanism behind `taskwait`).
+//! chase moved work around the cluster. (The event simulator re-homes moved
+//! work instead; this directory rule is the one place the two clocks
+//! differ.) Every retirement is appended to one global retire log (the
+//! topological-order witness the conformance suite checks, and the wait
+//! mechanism behind `taskwait`).
 //!
-//! Work stealing reuses the simulator's [`StealPolicy`] objects verbatim: an
-//! idle manager snapshots the per-node load boards (lock-free atomics),
-//! lets the policy pick a victim, and sends a `StealRequest`; the victim
-//! answers with up to `batch_for(free, backlog)` of its *youngest* ready
-//! descriptors (they have the fewest local consumers waiting).
+//! **Migration** reuses the simulator's [`StealPolicy`] objects verbatim and
+//! runs one request/grant exchange in two kinds. On an idle tick a manager
+//! snapshots the per-node load boards (lock-free atomics), lets the policy
+//! pick a victim and sends a `MoveRequest`; the victim answers with a
+//! `MoveGrant` of its youngest descriptors of that kind, possibly none:
 //!
-//! With runtime feedback enabled (`RtConfig::feedback`), the protocol grows
-//! the same two consumers the event simulator has:
-//!
-//! * **Load digests** — every cross-node `Notify` piggybacks the sender's
-//!   live [`LoadView`] (wall-nanosecond clock); each manager folds incoming
-//!   digests into its per-node view table for reclaim victim selection, and
-//!   retirements additionally publish to a shared digest board the master
-//!   reads for submit-time [`FeedbackPlacement`] (`Place`/`Full`).
-//! * **Pool reclamation** (`Reclaim`/`Full`) — an idle manager that cannot
-//!   steal (no eligible descriptor anywhere) may `ReclaimRequest` a
-//!   dependence-*blocked* descriptor out of a loaded victim's pending pool.
-//!   The victim hands back its youngest blocked descriptors with their
-//!   unresolved producer lists and registers a forwarding entry per missing
+//! * a **steal** takes up to `batch_for(free, backlog)` *ready*
+//!   descriptors (they have the fewest local consumers waiting);
+//! * a **reclaim** (feedback `Reclaim`/`Full` only, and only once the thief
+//!   is completely drained) takes up to `reclaim_batch` dependence-*blocked*
+//!   descriptors, which a steal cannot reach. Each keeps its list of missing
+//!   producers, and the victim registers a forwarding entry per missing
 //!   producer, so the retirement `Notify` it eventually receives is relayed
-//!   to the thief; the descriptor keeps its original home as directory,
-//!   exactly like stolen work.
+//!   to the thief.
+//!
+//! The thief takes a granted descriptor in exactly like a submission: it is
+//! ready once every producer it still misses has retired.
+//!
+//! With runtime feedback enabled (`RtConfig::feedback`), every cross-node
+//! `Notify` piggybacks the sender's live [`LoadView`] (wall-nanosecond
+//! clock); each manager folds incoming digests into its per-node view table
+//! for reclaim victim selection, and retirements additionally publish to a
+//! shared digest board the master reads for submit-time
+//! [`FeedbackPlacement`] (`Place`/`Full`).
 
 use crate::config::RtConfig;
 use crate::task::{RtTask, SubmitError, TaskBody};
@@ -71,35 +75,33 @@ const IDLE_TICK: Duration = Duration::from_millis(1);
 /// schedule at.
 const DIGEST_HALF_LIFE_NS: u64 = 1_000_000;
 
-/// A ready-to-run descriptor: dependence-free, waiting for a worker. This is
-/// also the unit a steal grant transfers; `home` pins the directory node, so
-/// a descriptor stolen (even repeatedly) still reports its retirement back to
-/// the one node holding its subscriptions.
-struct ReadyTask {
-    idx: usize,
-    id: TaskId,
-    home: usize,
-    duration: SimDuration,
-    body: Option<TaskBody>,
+/// The two kinds of migration (see the [module docs](self)). Per-kind state
+/// lives in two-element arrays indexed by `kind as usize`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum MoveKind {
+    /// Work stealing: ready descriptors only.
+    Steal,
+    /// Pool reclamation: dependence-blocked descriptors only.
+    Reclaim,
 }
 
-/// A submitted descriptor still missing producer retirements. `home` is the
-/// directory node (differs from the holder once the descriptor has been
-/// reclaimed); `missing` lists the producers still unretired as far as the
-/// holding manager knows.
-struct PendingTask {
-    id: TaskId,
-    home: usize,
-    duration: SimDuration,
-    body: Option<TaskBody>,
-    missing: Vec<usize>,
+impl MoveKind {
+    /// The span event recording one moved descriptor.
+    fn span(self, task: usize, from: usize, to: usize) -> SpanEvent {
+        match self {
+            MoveKind::Steal => SpanEvent::Stolen { task, from, to },
+            MoveKind::Reclaim => SpanEvent::Reclaimed { task, from, to },
+        }
+    }
 }
 
-/// A dependence-blocked descriptor in flight from a reclaim victim to the
-/// thief: a [`PendingTask`] plus its submission index, with the unresolved
-/// producer list riding along so the thief can wire up its own waiting
-/// entries.
-struct ReclaimedTask {
+/// A task descriptor as the managers hold it and pass it on: submitted to its
+/// home, queued, granted to a thief, handed to a worker. `home` is the
+/// directory node, so a descriptor moved (even repeatedly) still reports its
+/// retirement back to the one node holding its subscriptions. `missing`
+/// lists the producers still unretired as far as the holding manager knows;
+/// it is empty once the task is ready.
+struct Descriptor {
     idx: usize,
     id: TaskId,
     home: usize,
@@ -110,14 +112,9 @@ struct ReclaimedTask {
 
 /// Messages exchanged with (and between) the manager threads.
 enum MgrMsg {
-    /// Master → home node: a new descriptor (producers by submission index).
-    Submit {
-        idx: usize,
-        id: TaskId,
-        duration: SimDuration,
-        producers: Vec<usize>,
-        body: Option<TaskBody>,
-    },
+    /// Master → home node: a new descriptor, missing every producer (by
+    /// submission index).
+    Submit(Descriptor),
     /// Master → a producer's home: node `to` consumes `producer`; notify it
     /// on retirement (immediately if already retired).
     Subscribe { producer: usize, to: usize },
@@ -130,31 +127,27 @@ enum MgrMsg {
     },
     /// Worker → own manager: the task finished executing.
     WorkerDone { idx: usize, id: TaskId, home: usize },
-    /// Idle thief → victim: request up to a policy-sized batch.
-    StealRequest { thief: usize, free: usize },
-    /// Victim → thief: the granted batch (possibly empty-handed).
-    StealGrant { tasks: Vec<ReadyTask> },
-    /// Thief → a stolen descriptor's home: it retired at the thief.
+    /// Thief → a moved descriptor's home: it retired at the thief.
     StolenRetired { idx: usize },
-    /// Idle thief → victim: request dependence-blocked descriptors a steal
-    /// cannot reach (feedback `Reclaim`/`Full` only).
-    ReclaimRequest { thief: usize, free: usize },
-    /// Victim → thief: the reclaimed batch (possibly empty-handed).
-    ReclaimGrant { tasks: Vec<ReclaimedTask> },
+    /// Idle thief → victim: request up to a policy-sized batch of `kind`.
+    MoveRequest {
+        kind: MoveKind,
+        thief: usize,
+        free: usize,
+    },
+    /// Victim → thief: the granted batch (possibly empty-handed).
+    MoveGrant {
+        kind: MoveKind,
+        tasks: Vec<Descriptor>,
+    },
     /// Owner → manager: stop the node's workers and exit.
     Shutdown,
 }
 
 /// Messages from a manager to its node's worker pool.
 enum WorkerMsg {
-    /// Execute one task (body, then the scaled duration sleep).
-    Run {
-        idx: usize,
-        id: TaskId,
-        home: usize,
-        duration: SimDuration,
-        body: Option<TaskBody>,
-    },
+    /// Execute one ready task (body, then the scaled duration sleep).
+    Run(Descriptor),
     /// Exit the worker loop.
     Stop,
 }
@@ -169,21 +162,28 @@ struct Board {
     speed_milli: u64,
 }
 
+/// One node's migration counters for one [`MoveKind`].
+#[derive(Default, Clone, Copy)]
+struct MoveStats {
+    /// Descriptors taken in as the thief.
+    moved_in: u64,
+    /// Descriptors granted away as the victim.
+    moved_out: u64,
+    /// Requests issued while idle.
+    requests: u64,
+    /// Requests answered with a non-empty batch (as the victim).
+    grants: u64,
+    /// Requests answered empty-handed (as the victim).
+    failures: u64,
+}
+
 /// Mutable per-node statistics, updated by the owning manager.
 #[derive(Default)]
 struct NodeStats {
     admitted: Vec<TaskId>,
     executed: u64,
-    stolen_in: u64,
-    stolen_out: u64,
-    steal_requests: u64,
-    steal_grants: u64,
-    steal_failures: u64,
-    reclaimed_in: u64,
-    reclaimed_out: u64,
-    reclaim_requests: u64,
-    reclaim_grants: u64,
-    reclaim_failures: u64,
+    /// Indexed by [`MoveKind`].
+    moves: [MoveStats; 2],
     digest_updates: u64,
 }
 
@@ -491,8 +491,7 @@ impl ClusterRuntime {
                 ready: VecDeque::new(),
                 free: cfg.workers_per_node,
                 done: 0,
-                steal_inflight: false,
-                reclaim_inflight: false,
+                inflight: [false; 2],
             };
             let t = thread::Builder::new()
                 .name(format!("nexus-rt-mgr-{node}"))
@@ -673,13 +672,14 @@ impl RuntimeHandle {
             });
         }
         self.inner.mgr_tx[rec.home]
-            .send(MgrMsg::Submit {
+            .send(MgrMsg::Submit(Descriptor {
                 idx,
                 id,
+                home: rec.home,
                 duration: descriptor.duration,
-                producers: rec.producers,
                 body,
-            })
+                missing: rec.producers,
+            }))
             .map_err(|_| SubmitError::ShutDown)?;
         Ok(id)
     }
@@ -736,20 +736,21 @@ impl RuntimeHandle {
             .enumerate()
             .map(|(node, shared)| {
                 let stats = shared.stats.lock().expect("node stats poisoned");
+                let [steal, reclaim] = stats.moves;
                 NodeStatsSnapshot {
                     node,
                     admitted: stats.admitted.clone(),
                     executed: stats.executed,
-                    stolen_in: stats.stolen_in,
-                    stolen_out: stats.stolen_out,
-                    steal_requests: stats.steal_requests,
-                    steal_grants: stats.steal_grants,
-                    steal_failures: stats.steal_failures,
-                    reclaimed_in: stats.reclaimed_in,
-                    reclaimed_out: stats.reclaimed_out,
-                    reclaim_requests: stats.reclaim_requests,
-                    reclaim_grants: stats.reclaim_grants,
-                    reclaim_failures: stats.reclaim_failures,
+                    stolen_in: steal.moved_in,
+                    stolen_out: steal.moved_out,
+                    steal_requests: steal.requests,
+                    steal_grants: steal.grants,
+                    steal_failures: steal.failures,
+                    reclaimed_in: reclaim.moved_in,
+                    reclaimed_out: reclaim.moved_out,
+                    reclaim_requests: reclaim.requests,
+                    reclaim_grants: reclaim.grants,
+                    reclaim_failures: reclaim.failures,
                     digest_updates: stats.digest_updates,
                     per_worker_done: shared
                         .per_worker_done
@@ -828,8 +829,8 @@ struct Mgr {
     subs: FxHashMap<usize, Vec<usize>>,
     /// Producer → local pending tasks waiting on it.
     waiting: FxHashMap<usize, Vec<usize>>,
-    /// Pending tasks by submission index.
-    pending: FxHashMap<usize, PendingTask>,
+    /// Dependence-blocked descriptors by submission index.
+    pending: FxHashMap<usize, Descriptor>,
     /// Forwarding entries for descriptors reclaimed away while still blocked:
     /// producer → thief nodes to relay the retirement `Notify` to, so the
     /// thief's copy of the dependence eventually resolves.
@@ -837,15 +838,15 @@ struct Mgr {
     /// Live per-node load digests folded from piggybacked `Notify` loads
     /// (reclaim victim selection reads them; all-default with feedback off).
     views: Vec<LoadView>,
-    /// Dependence-free descriptors waiting for a worker (the stealable
-    /// backlog; thieves take from the back).
-    ready: VecDeque<ReadyTask>,
+    /// Ready descriptors waiting for a worker (the stealable backlog;
+    /// thieves take from the back).
+    ready: VecDeque<Descriptor>,
     free: usize,
     /// Tasks this node's workers completed (the digest's retire counter —
     /// tracked locally so digest emission never takes the stats lock).
     done: u64,
-    steal_inflight: bool,
-    reclaim_inflight: bool,
+    /// Per [`MoveKind`]: a request of that kind is in flight from this node.
+    inflight: [bool; 2],
 }
 
 impl Mgr {
@@ -867,8 +868,8 @@ impl Mgr {
             };
             self.dispatch();
             if idle {
-                self.try_steal();
-                self.try_reclaim();
+                self.try_move(MoveKind::Steal);
+                self.try_move(MoveKind::Reclaim);
             }
             self.sync_board();
         }
@@ -876,41 +877,9 @@ impl Mgr {
 
     fn on_msg(&mut self, msg: MgrMsg) {
         match msg {
-            MgrMsg::Submit {
-                idx,
-                id,
-                duration,
-                producers,
-                body,
-            } => {
-                self.stats().admitted.push(id);
-                let missing: Vec<usize> = producers
-                    .into_iter()
-                    .filter(|p| !self.retired.contains(p))
-                    .collect();
-                if missing.is_empty() {
-                    self.ready.push_back(ReadyTask {
-                        idx,
-                        id,
-                        home: self.node,
-                        duration,
-                        body,
-                    });
-                } else {
-                    for &p in &missing {
-                        self.waiting.entry(p).or_default().push(idx);
-                    }
-                    self.pending.insert(
-                        idx,
-                        PendingTask {
-                            id,
-                            home: self.node,
-                            duration,
-                            body,
-                            missing,
-                        },
-                    );
-                }
+            MgrMsg::Submit(t) => {
+                self.stats().admitted.push(t.id);
+                self.admit(t);
             }
             MgrMsg::Subscribe { producer, to } => {
                 if self.retired.contains(&producer) {
@@ -952,85 +921,34 @@ impl Mgr {
                 self.producer_retired(idx);
                 self.flush_subs(idx);
             }
-            MgrMsg::StealRequest { thief, free } => {
-                let n = self
-                    .policy
-                    .batch_for(free, self.ready.len())
-                    .min(self.ready.len());
-                let mut tasks = Vec::with_capacity(n);
-                for _ in 0..n {
-                    // The youngest ready descriptors leave first: the oldest
-                    // are the ones local consumers have waited on longest.
-                    tasks.push(self.ready.pop_back().expect("batch clamped to backlog"));
-                }
-                if n > 0 {
-                    let mut stats = self.stats();
-                    stats.stolen_out += n as u64;
-                    stats.steal_grants += 1;
-                } else {
-                    self.stats().steal_failures += 1;
-                }
-                if let Some(r) = &self.inner.rec {
-                    for t in &tasks {
-                        r.record_now(SpanEvent::Stolen {
-                            task: t.idx,
-                            from: self.node,
-                            to: thief,
-                        });
-                    }
-                }
-                let _ = self.inner.mgr_tx[thief].send(MgrMsg::StealGrant { tasks });
-            }
-            MgrMsg::StealGrant { tasks } => {
-                self.steal_inflight = false;
+            MgrMsg::MoveRequest { kind, thief, free } => self.grant_move(kind, thief, free),
+            MgrMsg::MoveGrant { kind, tasks } => {
+                self.inflight[kind as usize] = false;
                 if !tasks.is_empty() {
-                    self.stats().stolen_in += tasks.len() as u64;
-                    for t in tasks {
-                        self.ready.push_back(t);
-                    }
-                }
-            }
-            MgrMsg::ReclaimRequest { thief, free } => self.grant_reclaim(thief, free),
-            MgrMsg::ReclaimGrant { tasks } => {
-                self.reclaim_inflight = false;
-                if !tasks.is_empty() {
-                    self.stats().reclaimed_in += tasks.len() as u64;
+                    self.stats().moves[kind as usize].moved_in += tasks.len() as u64;
                 }
                 for t in tasks {
-                    // Producers the thief already knows retired (it executed
-                    // them, or their Notify raced ahead) resolve on arrival;
-                    // the rest wait for the victim's forwarded Notifies.
-                    let missing: Vec<usize> = t
-                        .missing
-                        .into_iter()
-                        .filter(|p| !self.retired.contains(p))
-                        .collect();
-                    if missing.is_empty() {
-                        self.ready.push_back(ReadyTask {
-                            idx: t.idx,
-                            id: t.id,
-                            home: t.home,
-                            duration: t.duration,
-                            body: t.body,
-                        });
-                    } else {
-                        for &p in &missing {
-                            self.waiting.entry(p).or_default().push(t.idx);
-                        }
-                        self.pending.insert(
-                            t.idx,
-                            PendingTask {
-                                id: t.id,
-                                home: t.home,
-                                duration: t.duration,
-                                body: t.body,
-                                missing,
-                            },
-                        );
-                    }
+                    self.admit(t);
                 }
             }
             MgrMsg::Shutdown => unreachable!("handled in the receive loop"),
+        }
+    }
+
+    /// Takes in a descriptor — a submission or a granted move. Producers this
+    /// node already knows retired (it executed them, or their `Notify` raced
+    /// ahead) resolve on arrival; the task is ready if none remain and waits
+    /// for the rest otherwise (for a reclaimed task, the victim's forwarded
+    /// `Notify`s).
+    fn admit(&mut self, mut t: Descriptor) {
+        t.missing.retain(|p| !self.retired.contains(p));
+        if t.missing.is_empty() {
+            self.ready.push_back(t);
+        } else {
+            for &p in &t.missing {
+                self.waiting.entry(p).or_default().push(t.idx);
+            }
+            self.pending.insert(t.idx, t);
         }
     }
 
@@ -1051,23 +969,14 @@ impl Mgr {
             return;
         };
         for idx in waiters {
-            let now_ready = {
-                let t = self
-                    .pending
-                    .get_mut(&idx)
-                    .expect("waiter without a pending record");
-                t.missing.retain(|&m| m != p);
-                t.missing.is_empty()
-            };
-            if now_ready {
+            let t = self
+                .pending
+                .get_mut(&idx)
+                .expect("waiter without a pending record");
+            t.missing.retain(|&m| m != p);
+            if t.missing.is_empty() {
                 let t = self.pending.remove(&idx).expect("checked above");
-                self.ready.push_back(ReadyTask {
-                    idx,
-                    id: t.id,
-                    home: t.home,
-                    duration: t.duration,
-                    body: t.body,
-                });
+                self.ready.push_back(t);
             }
         }
     }
@@ -1136,94 +1045,98 @@ impl Mgr {
                     node: self.node,
                 });
             }
-            let _ = self.worker_tx.send(WorkerMsg::Run {
-                idx: t.idx,
-                id: t.id,
-                home: t.home,
-                duration: t.duration,
-                body: t.body,
-            });
+            let _ = self.worker_tx.send(WorkerMsg::Run(t));
         }
     }
 
-    /// On an idle tick with free workers and no backlog, snapshots the load
-    /// boards and lets the policy pick a victim — at most one request in
-    /// flight per thief.
-    fn try_steal(&mut self) {
-        if !self.steal_enabled || self.steal_inflight || self.free == 0 || !self.ready.is_empty() {
-            return;
-        }
-        let loads = self.load_board();
-        let Some(victim) =
-            self.policy
-                .choose_victim_tiered(self.node, &loads, Some(&self.distances))
-        else {
-            return;
+    /// On an idle tick with free workers and nothing ready, snapshots the
+    /// load boards and lets the policy pick a victim for a move of `kind` —
+    /// at most one request of each kind in flight. A reclaim also waits
+    /// until this node holds no blocked descriptor and its own steal request
+    /// is resolved: eligible work is always the cheaper import.
+    fn try_move(&mut self, kind: MoveKind) {
+        let enabled = match kind {
+            MoveKind::Steal => self.steal_enabled,
+            MoveKind::Reclaim => self.feedback.reclaim_enabled(),
         };
-        self.stats().steal_requests += 1;
-        self.steal_inflight = true;
-        let _ = self.inner.mgr_tx[victim].send(MgrMsg::StealRequest {
-            thief: self.node,
-            free: self.free,
-        });
-    }
-
-    /// On an idle tick where stealing found nothing to take (or is disabled),
-    /// asks the reclaim victim choice for a node with dependence-*blocked*
-    /// descriptors and requests a batch — at most one request in flight, and
-    /// only while this node is completely drained (eligible work is always
-    /// the cheaper import).
-    fn try_reclaim(&mut self) {
-        if !self.feedback.reclaim_enabled()
-            || self.reclaim_inflight
-            || self.steal_inflight
+        let waits = kind == MoveKind::Reclaim
+            && (self.inflight[MoveKind::Steal as usize] || !self.pending.is_empty());
+        if !enabled
+            || waits
+            || self.inflight[kind as usize]
             || self.free == 0
             || !self.ready.is_empty()
-            || !self.pending.is_empty()
         {
             return;
         }
         let loads = self.load_board();
-        let live = LiveLoad {
-            views: &self.views,
-            now: self.inner.epoch.elapsed().as_nanos() as u64,
-            half_life: DIGEST_HALF_LIFE_NS,
+        let victim = match kind {
+            MoveKind::Steal => self
+                .policy
+                .choose_victim(self.node, &loads, &self.distances),
+            MoveKind::Reclaim => {
+                let live = LiveLoad {
+                    views: &self.views,
+                    now: self.inner.epoch.elapsed().as_nanos() as u64,
+                    half_life: DIGEST_HALF_LIFE_NS,
+                };
+                self.policy
+                    .choose_reclaim_victim(self.node, &loads, Some(live), &self.distances)
+            }
         };
-        let Some(victim) =
-            self.policy
-                .choose_reclaim_victim(self.node, &loads, Some(live), Some(&self.distances))
-        else {
+        let Some(victim) = victim else {
             return;
         };
-        self.stats().reclaim_requests += 1;
-        self.reclaim_inflight = true;
-        let _ = self.inner.mgr_tx[victim].send(MgrMsg::ReclaimRequest {
+        self.stats().moves[kind as usize].requests += 1;
+        self.inflight[kind as usize] = true;
+        let _ = self.inner.mgr_tx[victim].send(MgrMsg::MoveRequest {
+            kind,
             thief: self.node,
             free: self.free,
         });
     }
 
-    /// Victim side of reclamation: hands the thief up to a policy-sized batch
-    /// of the *youngest* blocked descriptors (highest submission index — the
-    /// oldest are closest to resolving locally), each with its unresolved
-    /// producer list, and registers forwarding entries so every later
-    /// producer retirement this node learns of is relayed to the thief.
-    fn grant_reclaim(&mut self, thief: usize, free: usize) {
-        let mut blocked: Vec<usize> = self.pending.keys().copied().collect();
-        blocked.sort_unstable_by(|a, b| b.cmp(a));
-        let n = self
-            .policy
-            .reclaim_batch(free, blocked.len())
-            .min(blocked.len());
-        let mut tasks = Vec::with_capacity(n);
-        for &idx in blocked.iter().take(n) {
-            let t = self
-                .pending
-                .remove(&idx)
-                .expect("blocked index came from the pending map");
+    /// Victim side of a move: hands the thief up to a policy-sized batch of
+    /// its youngest descriptors of `kind` — ready ones from the back of the
+    /// ready queue for a steal (the oldest are the ones local consumers have
+    /// waited on longest), blocked ones by highest submission index for a
+    /// reclaim (the oldest are closest to resolving locally) — or an empty
+    /// batch. A blocked descriptor travels with its missing-producer list,
+    /// and this node registers a forwarding entry per missing producer so
+    /// every later producer retirement it learns of is relayed to the thief;
+    /// the loop does nothing for ready descriptors.
+    fn grant_move(&mut self, kind: MoveKind, thief: usize, free: usize) {
+        let tasks: Vec<Descriptor> = match kind {
+            MoveKind::Steal => {
+                let n = self
+                    .policy
+                    .batch_for(free, self.ready.len())
+                    .min(self.ready.len());
+                (0..n)
+                    .map(|_| self.ready.pop_back().expect("batch clamped to backlog"))
+                    .collect()
+            }
+            MoveKind::Reclaim => {
+                let mut blocked: Vec<usize> = self.pending.keys().copied().collect();
+                blocked.sort_unstable_by(|a, b| b.cmp(a));
+                let n = self
+                    .policy
+                    .reclaim_batch(free, blocked.len())
+                    .min(blocked.len());
+                blocked[..n]
+                    .iter()
+                    .map(|idx| {
+                        self.pending
+                            .remove(idx)
+                            .expect("blocked index came from the pending map")
+                    })
+                    .collect()
+            }
+        };
+        for t in &tasks {
             for &p in &t.missing {
                 if let Some(w) = self.waiting.get_mut(&p) {
-                    w.retain(|&i| i != idx);
+                    w.retain(|&i| i != t.idx);
                     if w.is_empty() {
                         self.waiting.remove(&p);
                     }
@@ -1233,34 +1146,23 @@ impl Mgr {
                     thieves.push(thief);
                 }
             }
-            tasks.push(ReclaimedTask {
-                idx,
-                id: t.id,
-                home: t.home,
-                duration: t.duration,
-                body: t.body,
-                missing: t.missing,
-            });
         }
-        if tasks.is_empty() {
-            self.stats().reclaim_failures += 1;
-        } else {
-            {
-                let mut stats = self.stats();
-                stats.reclaimed_out += tasks.len() as u64;
-                stats.reclaim_grants += 1;
-            }
-            if let Some(r) = &self.inner.rec {
-                for t in &tasks {
-                    r.record_now(SpanEvent::Reclaimed {
-                        task: t.idx,
-                        from: self.node,
-                        to: thief,
-                    });
-                }
+        {
+            let mut stats = self.stats();
+            let s = &mut stats.moves[kind as usize];
+            if tasks.is_empty() {
+                s.failures += 1;
+            } else {
+                s.moved_out += tasks.len() as u64;
+                s.grants += 1;
             }
         }
-        let _ = self.inner.mgr_tx[thief].send(MgrMsg::ReclaimGrant { tasks });
+        if let Some(r) = &self.inner.rec {
+            for t in &tasks {
+                r.record_now(kind.span(t.idx, self.node, thief));
+            }
+        }
+        let _ = self.inner.mgr_tx[thief].send(MgrMsg::MoveGrant { kind, tasks });
     }
 
     /// Snapshots every node's published board into the policy-facing
@@ -1320,30 +1222,29 @@ fn worker_loop(
 ) {
     while let Ok(msg) = rx.recv() {
         match msg {
-            WorkerMsg::Run {
-                idx,
-                id,
-                home,
-                duration,
-                body,
-            } => {
+            WorkerMsg::Run(t) => {
                 if let Some(r) = &shared.rec {
                     r.record_now(SpanEvent::Started {
-                        task: idx,
+                        task: t.idx,
                         node,
                         worker,
                     });
                 }
-                if let Some(body) = body {
+                if let Some(body) = t.body {
                     body();
                 }
                 if time_scale_ns_per_us > 0 {
-                    let ns = duration.as_us_f64() * time_scale_ns_per_us as f64 * 1000.0
+                    let ns = t.duration.as_us_f64() * time_scale_ns_per_us as f64 * 1000.0
                         / speed_milli as f64;
                     thread::sleep(Duration::from_nanos(ns as u64));
                 }
                 shared.nodes[node].per_worker_done[worker].fetch_add(1, Ordering::Relaxed);
-                if done.send(MgrMsg::WorkerDone { idx, id, home }).is_err() {
+                let finished = MgrMsg::WorkerDone {
+                    idx: t.idx,
+                    id: t.id,
+                    home: t.home,
+                };
+                if done.send(finished).is_err() {
                     return;
                 }
             }

@@ -11,16 +11,15 @@
 //! * [`PlacementPolicy`] — which node a submitted task calls home. Built-ins:
 //!   [`XorHash`] (affinity hint, then the paper's XOR distribution function —
 //!   the original cluster routing), [`AffinityFirst`] (hint, then least
-//!   loaded), [`LocalityAware`] (hint, then greedy remote-edge minimization
-//!   over the dependence census) and [`TopologyAware`] (hint, then
-//!   distance-weighted edge-cost minimization over the fabric's
-//!   `nexus-topo` [`DistanceMatrix`](nexus_topo::DistanceMatrix)).
+//!   loaded) and [`TopologyAware`] (hint, then distance-weighted edge-cost
+//!   minimization over the fabric's `nexus-topo`
+//!   [`DistanceMatrix`](nexus_topo::DistanceMatrix) — on a flat fabric, greedy
+//!   remote-edge minimization).
 //! * [`StealPolicy`] — whether an idle node pulls pending descriptors from a
 //!   loaded neighbour, paying the descriptor re-forwarding cost over the
-//!   interconnect. Built-ins: [`NoStealing`], [`StealMostLoaded`],
-//!   [`StealHalf`] (adaptive half-backlog batches) and [`HierarchicalSteal`]
-//!   (nearest-tier victims first, escalating only when the near tier has
-//!   nothing eligible).
+//!   interconnect. Built-ins: [`NoStealing`], [`StealMostLoaded`] and
+//!   [`HierarchicalSteal`] (nearest-tier victims first, escalating only when
+//!   the near tier has nothing eligible, with half-backlog batches).
 //!
 //! * **Runtime feedback** — [`LoadView`] live load digests (pending,
 //!   in-flight, retire-rate, staleness age) with integer exponential decay,
@@ -42,16 +41,18 @@
 //!
 //! ```
 //! use nexus_sched::{PlacementCtx, PlacementPolicy, PlacedLoad, PolicyKind};
+//! use nexus_topo::DistanceMatrix;
 //! use nexus_trace::TaskDescriptor;
 //!
-//! let mut policy = "Locality".parse::<PolicyKind>().unwrap().build();
+//! let mut policy = "Topo".parse::<PolicyKind>().unwrap().build();
 //! let loads = vec![PlacedLoad::default(); 2];
+//! let flat = DistanceMatrix::uniform(2);
 //! let consumer = TaskDescriptor::builder(7).input(0x100).output(0x200).build();
 //! let ctx = PlacementCtx {
 //!     nodes: 2,
 //!     loads: &loads,
 //!     producer_homes: &[1],
-//!     distances: None,
+//!     distances: &flat,
 //!     live: None,
 //! };
 //! // The consumer's only producer lives on node 1: keep the edge local.
@@ -66,12 +67,10 @@ pub mod steal;
 
 pub use feedback::{FeedbackKind, LiveLoad, LoadView};
 pub use place::{
-    primary_addr, xor_home, AffinityFirst, FeedbackPlacement, LocalityAware, PlacedLoad,
-    PlacementCtx, PlacementPolicy, PolicyKind, TopologyAware, XorHash,
+    primary_addr, xor_home, AffinityFirst, FeedbackPlacement, PlacedLoad, PlacementCtx,
+    PlacementPolicy, PolicyKind, TopologyAware, XorHash,
 };
-pub use steal::{
-    HierarchicalSteal, NoStealing, NodeLoad, StealHalf, StealKind, StealMostLoaded, StealPolicy,
-};
+pub use steal::{HierarchicalSteal, NoStealing, NodeLoad, StealKind, StealMostLoaded, StealPolicy};
 
 /// Convenience prelude.
 pub mod prelude {

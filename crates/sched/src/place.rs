@@ -4,8 +4,8 @@
 //! simulation starts (the routing pre-pass). [`PlacementPolicy`] is the
 //! pluggable interface of that decision: it sees the task descriptor, the
 //! homes of the task's last-writer producers (the dependence census
-//! accumulated so far) and a snapshot of the load already placed on every
-//! node, and returns the home node.
+//! accumulated so far), a snapshot of the load already placed on every node
+//! and the fabric's [`DistanceMatrix`], and returns the home node.
 //!
 //! Three built-in policies span the design space:
 //!
@@ -14,16 +14,17 @@
 //!   paper's XOR distribution function (§IV-B) at cluster scope,
 //! * [`AffinityFirst`] — honour the affinity hint, otherwise balance: send
 //!   un-hinted tasks to the node with the least placed work,
-//! * [`LocalityAware`] — honour the affinity hint, otherwise greedily place
-//!   each task with the majority of its last-writer producers (minimizing the
-//!   remote-edge fraction of un-hinted traces), breaking ties toward the
-//!   least-loaded node,
 //! * [`TopologyAware`] — honour the affinity hint, otherwise minimize the
 //!   *distance-weighted* cost of the task's producer edges over the fabric's
 //!   [`DistanceMatrix`] (`nexus-topo`): a producer one rack over weighs more
 //!   than one next door, so the placement prefers keeping dependence chains
 //!   not merely node-local but *near* — same rack, adjacent torus column —
-//!   when they cannot stay local.
+//!   when they cannot stay local. On a flat fabric
+//!   ([`DistanceMatrix::uniform`]) every remote edge weighs the same, and each
+//!   task goes where most of its last-writer producers live.
+//!
+//! [`FeedbackPlacement`] adds live load digests on top of [`TopologyAware`];
+//! the feedback mode engages it, not [`PolicyKind`].
 //!
 //! All policies honour explicit affinity hints: a hint is the programmer's
 //! (or trace generator's) domain decomposition, and overriding it would break
@@ -57,10 +58,10 @@ pub struct PlacementCtx<'a> {
     /// Home nodes of the task's distinct last-writer producers, in producer
     /// submission order (the dependence census for this task).
     pub producer_homes: &'a [usize],
-    /// Distance matrix of the interconnect fabric, when one is configured.
-    /// `None` means uniform wiring — distance-aware policies fall back to
-    /// counting remote edges.
-    pub distances: Option<&'a DistanceMatrix>,
+    /// Distance matrix of the interconnect fabric
+    /// ([`DistanceMatrix::uniform`] for uniform wiring, where distance-aware
+    /// policies count remote edges).
+    pub distances: &'a DistanceMatrix,
     /// Live per-node load digests ([`LiveLoad`]), when runtime feedback is
     /// flowing. `None` during the static routing pre-pass — feedback-aware
     /// policies fall back to the placed-load census.
@@ -80,6 +81,16 @@ impl PlacementCtx<'_> {
     }
 }
 
+/// Distance-weighted cost of placing the task on `node`: the sum of
+/// [`DistanceMatrix::weight`] from each producer home to `node` (a node-local
+/// edge costs nothing, a remote one on a flat fabric costs 1).
+fn edge_cost(ctx: &PlacementCtx<'_>, node: usize) -> u128 {
+    ctx.producer_homes
+        .iter()
+        .map(|&h| ctx.distances.weight(h, node) as u128)
+        .sum()
+}
+
 /// A task-to-node placement policy (see the [module docs](self)).
 ///
 /// Policies are stateful: they are driven once per task, in submission order,
@@ -89,18 +100,20 @@ impl PlacementCtx<'_> {
 /// # Example
 ///
 /// ```
-/// use nexus_sched::{PlacementCtx, PlacementPolicy, PlacedLoad, XorHash, LocalityAware};
+/// use nexus_sched::{PlacementCtx, PlacementPolicy, PlacedLoad, TopologyAware, XorHash};
+/// use nexus_topo::DistanceMatrix;
 /// use nexus_trace::TaskDescriptor;
 ///
 /// let producer = TaskDescriptor::builder(0).output(0x1000).build();
 /// let consumer = TaskDescriptor::builder(1).input(0x1000).output(0x2000).build();
 ///
 /// let loads = vec![PlacedLoad::default(); 4];
+/// let flat = DistanceMatrix::uniform(4);
 /// let ctx = |homes: &'static [usize]| PlacementCtx {
 ///     nodes: 4,
 ///     loads: &loads,
 ///     producer_homes: homes,
-///     distances: None,
+///     distances: &flat,
 ///     live: None,
 /// };
 ///
@@ -109,9 +122,9 @@ impl PlacementCtx<'_> {
 /// let home = xor.place(&producer, &ctx(&[]));
 /// assert!(home < 4);
 ///
-/// // … while LocalityAware follows the producer.
-/// let mut loc = LocalityAware::default();
-/// assert_eq!(loc.place(&consumer, &ctx(&[2])), 2);
+/// // … while TopologyAware follows the producer.
+/// let mut topo = TopologyAware;
+/// assert_eq!(topo.place(&consumer, &ctx(&[2])), 2);
 /// ```
 pub trait PlacementPolicy: Send + Sync {
     /// Short human-readable policy name (stable; used in reports and tables).
@@ -184,8 +197,9 @@ impl PlacementPolicy for AffinityFirst {
 /// no-producer case — root tasks) fall to the least-loaded node, which keeps
 /// the placement from collapsing onto one node.
 ///
-/// Without a configured fabric (`ctx.distances == None`) every remote node is
-/// equidistant and the policy decays to exactly [`LocalityAware`].
+/// On a flat fabric every remote edge weighs the same, so the policy is
+/// greedy remote-edge minimization: each task goes where most of its
+/// producers live, and their retirement notifications stay node-local.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TopologyAware;
 
@@ -198,59 +212,8 @@ impl PlacementPolicy for TopologyAware {
         if let Some(hint) = task.home_node(ctx.nodes) {
             return hint;
         }
-        if ctx.producer_homes.is_empty() {
-            return ctx.least_loaded();
-        }
-        let Some(d) = ctx.distances else {
-            // Uniform wiring: distance-weighting degenerates to remote-edge
-            // counting, which is LocalityAware verbatim.
-            return LocalityAware.place(task, ctx);
-        };
         (0..ctx.nodes)
-            .min_by_key(|&n| {
-                let cost: u128 = ctx
-                    .producer_homes
-                    .iter()
-                    .map(|&h| d.weight(h, n) as u128)
-                    .sum();
-                (cost, ctx.loads[n].work, ctx.loads[n].tasks, n)
-            })
-            .unwrap_or(0)
-    }
-}
-
-/// Affinity hint first; otherwise greedy remote-edge minimization.
-///
-/// An un-hinted task is placed on the node where the most of its last-writer
-/// producers live, so the dependence edge to each of them stays node-local and
-/// no retirement notification has to cross the interconnect. Ties (including
-/// the no-producer case — root tasks) are broken toward the node with the
-/// least placed work, which keeps the placement from collapsing onto one node.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LocalityAware;
-
-impl PlacementPolicy for LocalityAware {
-    fn name(&self) -> &'static str {
-        "locality"
-    }
-
-    fn place(&mut self, task: &TaskDescriptor, ctx: &PlacementCtx<'_>) -> usize {
-        if let Some(hint) = task.home_node(ctx.nodes) {
-            return hint;
-        }
-        let mut votes = vec![0u64; ctx.nodes];
-        for &h in ctx.producer_homes {
-            votes[h] += 1;
-        }
-        let best = votes.iter().copied().max().unwrap_or(0);
-        if best == 0 {
-            return ctx.least_loaded();
-        }
-        // Among the most-voted nodes, prefer the least loaded (deterministic:
-        // ties fall to the lowest index).
-        (0..ctx.nodes)
-            .filter(|&n| votes[n] == best)
-            .min_by_key(|&n| (ctx.loads[n].work, ctx.loads[n].tasks, n))
+            .min_by_key(|&n| (edge_cost(ctx, n), ctx.loads[n].work, ctx.loads[n].tasks, n))
             .unwrap_or(0)
     }
 }
@@ -266,8 +229,8 @@ impl PlacementPolicy for LocalityAware {
 /// with no producers the product degenerates to pure live load balancing.
 /// The decayed load is [`LiveLoad::decayed`] — digests age out, so a node
 /// that stopped reporting (and has presumably drained) becomes attractive
-/// again instead of being repelled forever. Without a distance matrix each
-/// remote producer edge costs 1; ties fall back to decayed load, then the
+/// again instead of being repelled forever. On a flat fabric each remote
+/// producer edge costs 1; ties fall back to decayed load, then the
 /// placed-work census, then the lowest index (deterministic).
 ///
 /// Without live digests (`ctx.live == None`, e.g. inside the static routing
@@ -294,14 +257,7 @@ impl PlacementPolicy for FeedbackPlacement {
         };
         (0..ctx.nodes)
             .min_by_key(|&n| {
-                let edge: u128 = match ctx.distances {
-                    Some(d) => ctx
-                        .producer_homes
-                        .iter()
-                        .map(|&h| d.weight(h, n) as u128)
-                        .sum(),
-                    None => ctx.producer_homes.iter().filter(|&&h| h != n).count() as u128,
-                };
+                let edge = edge_cost(ctx, n);
                 let load = live.decayed(n) as u128;
                 (
                     (1 + load) * (1 + edge),
@@ -324,30 +280,26 @@ pub enum PolicyKind {
     XorHash,
     /// [`AffinityFirst`].
     AffinityFirst,
-    /// [`LocalityAware`].
-    LocalityAware,
     /// [`TopologyAware`].
     TopologyAware,
 }
 
 impl PolicyKind {
     /// Every selectable policy, in display order.
-    pub const ALL: [PolicyKind; 4] = [
+    pub const ALL: [PolicyKind; 3] = [
         PolicyKind::XorHash,
         PolicyKind::AffinityFirst,
-        PolicyKind::LocalityAware,
         PolicyKind::TopologyAware,
     ];
 
     /// The accepted (lower-case canonical) spellings, for error messages.
-    pub const VALID: &'static str = "xorhash|affinity|locality|topo";
+    pub const VALID: &'static str = "xorhash|affinity|topo";
 
     /// Instantiates the policy.
     pub fn build(self) -> Box<dyn PlacementPolicy> {
         match self {
             PolicyKind::XorHash => Box::new(XorHash),
             PolicyKind::AffinityFirst => Box::new(AffinityFirst),
-            PolicyKind::LocalityAware => Box::new(LocalityAware),
             PolicyKind::TopologyAware => Box::new(TopologyAware),
         }
     }
@@ -357,7 +309,6 @@ impl PolicyKind {
         match self {
             PolicyKind::XorHash => "xorhash",
             PolicyKind::AffinityFirst => "affinity",
-            PolicyKind::LocalityAware => "locality",
             PolicyKind::TopologyAware => "topo",
         }
     }
@@ -373,12 +324,11 @@ impl FromStr for PolicyKind {
     type Err = String;
 
     /// Case-insensitive; also accepts the long type names
-    /// (`"LocalityAware"`, `"affinity-first"`, …).
+    /// (`"TopologyAware"`, `"affinity-first"`, …).
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s.trim().to_ascii_lowercase().as_str() {
             "xorhash" | "xor" | "xor-hash" => Ok(PolicyKind::XorHash),
             "affinity" | "affinityfirst" | "affinity-first" => Ok(PolicyKind::AffinityFirst),
-            "locality" | "localityaware" | "locality-aware" => Ok(PolicyKind::LocalityAware),
             "topo" | "topology" | "topologyaware" | "topology-aware" => {
                 Ok(PolicyKind::TopologyAware)
             }
@@ -394,12 +344,16 @@ impl FromStr for PolicyKind {
 mod tests {
     use super::*;
 
-    fn ctx<'a>(loads: &'a [PlacedLoad], homes: &'a [usize]) -> PlacementCtx<'a> {
+    fn ctx<'a>(
+        loads: &'a [PlacedLoad],
+        homes: &'a [usize],
+        distances: &'a DistanceMatrix,
+    ) -> PlacementCtx<'a> {
         PlacementCtx {
             nodes: loads.len(),
             loads,
             producer_homes: homes,
-            distances: None,
+            distances,
             live: None,
         }
     }
@@ -414,59 +368,74 @@ mod tests {
     #[test]
     fn xorhash_matches_the_distribution_function() {
         let loads = vec![PlacedLoad::default(); 4];
+        let flat = DistanceMatrix::uniform(4);
         let t = task(0, 0x12345);
         assert_eq!(
-            XorHash.place(&t, &ctx(&loads, &[])),
+            XorHash.place(&t, &ctx(&loads, &[], &flat)),
             xor_hash_tg(0x12345, 4)
         );
         let hinted = TaskDescriptor::builder(1)
             .inout(0x12345)
             .affinity(3)
             .build();
-        assert_eq!(XorHash.place(&hinted, &ctx(&loads, &[])), 3);
+        assert_eq!(XorHash.place(&hinted, &ctx(&loads, &[], &flat)), 3);
         assert_eq!(xor_home(&hinted, 2), 1, "hints wrap modulo the node count");
     }
 
     #[test]
     fn affinity_first_balances_unhinted_tasks_by_work() {
         let mut loads = vec![PlacedLoad::default(); 3];
+        let flat = DistanceMatrix::uniform(3);
         loads[0].work = SimDuration::from_us(100);
         loads[0].tasks = 1;
         let mut p = AffinityFirst;
         // Node 1 and 2 are empty; the lowest index wins the tie.
-        assert_eq!(p.place(&task(0, 0xAAAA), &ctx(&loads, &[])), 1);
+        assert_eq!(p.place(&task(0, 0xAAAA), &ctx(&loads, &[], &flat)), 1);
         loads[1].work = SimDuration::from_us(50);
         loads[1].tasks = 1;
-        assert_eq!(p.place(&task(1, 0xAAAA), &ctx(&loads, &[])), 2);
+        assert_eq!(p.place(&task(1, 0xAAAA), &ctx(&loads, &[], &flat)), 2);
     }
 
     #[test]
     fn locality_follows_the_producer_majority() {
+        // On a flat fabric TopologyAware keeps the most producer edges local.
         let loads = vec![PlacedLoad::default(); 4];
-        let mut p = LocalityAware;
-        assert_eq!(p.place(&task(0, 0x10), &ctx(&loads, &[2, 2, 1])), 2);
+        let flat = DistanceMatrix::uniform(4);
+        let mut p = TopologyAware;
+        assert_eq!(p.place(&task(0, 0x10), &ctx(&loads, &[2, 2, 1], &flat)), 2);
         // A tie falls to the less-loaded node.
         let mut l2 = loads.clone();
         l2[1].work = SimDuration::from_us(5);
         l2[1].tasks = 1;
-        assert_eq!(p.place(&task(1, 0x10), &ctx(&l2, &[1, 3])), 3);
+        assert_eq!(p.place(&task(1, 0x10), &ctx(&l2, &[1, 3], &flat)), 3);
         // Roots spread to the least-loaded node.
-        assert_eq!(p.place(&task(2, 0x10), &ctx(&l2, &[])), 0);
+        assert_eq!(p.place(&task(2, 0x10), &ctx(&l2, &[], &flat)), 0);
     }
 
     #[test]
     fn topology_aware_without_a_fabric_matches_locality() {
-        let loads = vec![PlacedLoad::default(); 4];
+        // The reference: greedy remote-edge minimization — the most-voted
+        // producer home, ties to the least-loaded node.
+        fn majority(ctx: &PlacementCtx<'_>) -> usize {
+            let mut votes = vec![0u64; ctx.nodes];
+            for &h in ctx.producer_homes {
+                votes[h] += 1;
+            }
+            let best = votes.iter().copied().max().unwrap_or(0);
+            (0..ctx.nodes)
+                .filter(|&n| votes[n] == best)
+                .min_by_key(|&n| (ctx.loads[n].work, ctx.loads[n].tasks, n))
+                .unwrap_or(0)
+        }
+        let mut loads = vec![PlacedLoad::default(); 4];
+        let flat = DistanceMatrix::uniform(4);
         let mut topo = TopologyAware;
-        let mut loc = LocalityAware;
         for id in 0..32 {
             let t = task(id, id * 0x51D3);
             let homes = [(id as usize) % 4, (id as usize / 2) % 4];
-            assert_eq!(
-                topo.place(&t, &ctx(&loads, &homes)),
-                loc.place(&t, &ctx(&loads, &homes)),
-                "{id}"
-            );
+            let c = ctx(&loads, &homes, &flat);
+            assert_eq!(topo.place(&t, &c), majority(&c), "{id}");
+            loads[(id as usize * 3) % 4].work += SimDuration::from_us(id);
         }
     }
 
@@ -480,32 +449,31 @@ mod tests {
         let d = fabric.distances();
         let loads = vec![PlacedLoad::default(); 4];
         let mut p = TopologyAware;
-        let mut c = ctx(&loads, &[0, 0, 2]);
-        c.distances = Some(&d);
         // Two producers on node 0, one on node 2: node 0 wins outright.
-        assert_eq!(p.place(&task(0, 0x10), &c), 0);
+        assert_eq!(p.place(&task(0, 0x10), &ctx(&loads, &[0, 0, 2], &d)), 0);
         // Producers split 0/2: nodes 0 and 2 tie on cost (one trunk edge
         // each); leaves 1 and 3 pay an extra intra-rack hop. Tie falls to the
         // lower index.
-        let mut c = ctx(&loads, &[0, 2]);
-        c.distances = Some(&d);
-        assert_eq!(p.place(&task(1, 0x10), &c), 0);
+        assert_eq!(p.place(&task(1, 0x10), &ctx(&loads, &[0, 2], &d)), 0);
         // Load breaks the tie toward the emptier rack peer.
         let mut l2 = loads.clone();
         l2[0].work = SimDuration::from_us(50);
         l2[0].tasks = 1;
-        let mut c = ctx(&l2, &[0, 2]);
-        c.distances = Some(&d);
-        assert_eq!(p.place(&task(2, 0x10), &c), 2);
+        assert_eq!(p.place(&task(2, 0x10), &ctx(&l2, &[0, 2], &d)), 2);
     }
 
     #[test]
     fn hints_override_every_policy() {
         let loads = vec![PlacedLoad::default(); 4];
+        let flat = DistanceMatrix::uniform(4);
         let hinted = TaskDescriptor::builder(0).inout(0x40).affinity(2).build();
         for kind in PolicyKind::ALL {
             let mut p = kind.build();
-            assert_eq!(p.place(&hinted, &ctx(&loads, &[1, 1, 1])), 2, "{kind}");
+            assert_eq!(
+                p.place(&hinted, &ctx(&loads, &[1, 1, 1], &flat)),
+                2,
+                "{kind}"
+            );
         }
         // FeedbackPlacement sits outside PolicyKind but honours hints too,
         // even when the live digests scream that the hinted node is loaded.
@@ -518,7 +486,7 @@ mod tests {
             },
             crate::LoadView::default(),
         ];
-        let mut c = ctx(&loads, &[1, 1, 1]);
+        let mut c = ctx(&loads, &[1, 1, 1], &flat);
         c.live = Some(crate::LiveLoad {
             views: &views,
             now: 0,
@@ -530,14 +498,15 @@ mod tests {
     #[test]
     fn feedback_without_digests_matches_topology_aware() {
         let loads = vec![PlacedLoad::default(); 4];
+        let flat = DistanceMatrix::uniform(4);
         let mut fb = FeedbackPlacement;
         let mut topo = TopologyAware;
         for id in 0..32 {
             let t = task(id, id * 0x51D3);
             let homes = [(id as usize) % 4, (id as usize / 2) % 4];
             assert_eq!(
-                fb.place(&t, &ctx(&loads, &homes)),
-                topo.place(&t, &ctx(&loads, &homes)),
+                fb.place(&t, &ctx(&loads, &homes, &flat)),
+                topo.place(&t, &ctx(&loads, &homes, &flat)),
                 "{id}"
             );
         }
@@ -547,6 +516,7 @@ mod tests {
     fn feedback_flees_the_loaded_node_and_follows_decay() {
         use crate::{LiveLoad, LoadView};
         let loads = vec![PlacedLoad::default(); 3];
+        let flat = DistanceMatrix::uniform(3);
         // Node 0 holds the only producer but is drowning; nodes 1 and 2 are
         // idle. One remote edge (cost 1+1=2) beats the hot node's load.
         let views = [
@@ -565,7 +535,7 @@ mod tests {
                 ..LoadView::default()
             },
         ];
-        let mut c = ctx(&loads, &[0]);
+        let mut c = ctx(&loads, &[0], &flat);
         c.live = Some(LiveLoad {
             views: &views,
             now: 1000,
@@ -575,7 +545,7 @@ mod tests {
         assert_eq!(p.place(&task(0, 0x10), &c), 1, "flee to the idle node");
         // Long after the digest went stale it has decayed to nothing: the
         // producer edge dominates again and the task stays local.
-        let mut c = ctx(&loads, &[0]);
+        let mut c = ctx(&loads, &[0], &flat);
         c.live = Some(LiveLoad {
             views: &views,
             now: 1000 + 500 * 10,
@@ -600,7 +570,7 @@ mod tests {
                 ..LoadView::default()
             },
         ];
-        let mut c = ctx(&loads, &[]);
+        let mut c = ctx(&loads, &[], &flat);
         c.live = Some(LiveLoad {
             views: &views,
             now: 0,
@@ -621,28 +591,31 @@ mod tests {
             PolicyKind::AffinityFirst
         );
         assert_eq!(
-            "LOCALITY".parse::<PolicyKind>().unwrap(),
-            PolicyKind::LocalityAware
+            "Topology-Aware".parse::<PolicyKind>().unwrap(),
+            PolicyKind::TopologyAware
         );
-        let err = "locallity".parse::<PolicyKind>().unwrap_err();
-        assert!(err.contains("xorhash|affinity|locality"), "{err}");
+        let err = "topollogy".parse::<PolicyKind>().unwrap_err();
+        assert!(err.contains("xorhash|affinity|topo"), "{err}");
+        // Locality placement is TopologyAware on a flat fabric.
+        assert!("locality".parse::<PolicyKind>().is_err());
         for kind in PolicyKind::ALL {
             assert_eq!(kind.name().parse::<PolicyKind>().unwrap(), kind);
             assert_eq!(kind.build().name(), kind.name());
         }
         assert_eq!(PolicyKind::default(), PolicyKind::XorHash);
-        assert_eq!(PolicyKind::LocalityAware.to_string(), "locality");
+        assert_eq!(PolicyKind::TopologyAware.to_string(), "topo");
     }
 
     #[test]
     fn placement_stays_in_range_on_every_policy() {
         let loads = vec![PlacedLoad::default(); 5];
+        let flat = DistanceMatrix::uniform(5);
         for kind in PolicyKind::ALL {
             let mut p = kind.build();
             for id in 0..64 {
                 let t = task(id, id * 0x9E37);
                 let homes = [(id as usize) % 5];
-                let h = p.place(&t, &ctx(&loads, &homes));
+                let h = p.place(&t, &ctx(&loads, &homes, &flat));
                 assert!(h < 5, "{kind}: {h}");
             }
         }

@@ -4,23 +4,30 @@
 //! node whose domain finished early sits idle while a loaded neighbour's
 //! input queue backs up behind its task-pool capacity. [`StealPolicy`] is the
 //! pluggable decision of *whether* and *from whom* an idle node pulls pending
-//! task descriptors. The mechanics (re-forwarding the descriptor over the
-//! interconnect, re-homing its dependence notifications) live in the cluster
-//! driver; the policy only picks the victim and sizes the batch.
+//! task descriptors, and how many. The mechanics (re-forwarding the
+//! descriptor over the interconnect, re-homing its dependence notifications)
+//! live in the drivers' migration path; the policy only picks the victim and
+//! sizes the batch.
 //!
 //! A steal is only attempted for descriptors that are *eligible*: still queued
 //! at the victim's input processor (not yet handed to its manager) with every
 //! last-writer producer already retired, so the stolen task can execute
-//! anywhere without waiting on further notifications.
+//! anywhere without waiting on further notifications. Pool reclamation moves
+//! the dependence-blocked rest along the same path; the
+//! [`choose_reclaim_victim`](StealPolicy::choose_reclaim_victim) and
+//! [`reclaim_batch`](StealPolicy::reclaim_batch) hooks decide it, and every
+//! policy inherits their defaults.
 //!
-//! On a non-uniform fabric (`nexus-topo`), victim choice and batch size both
-//! matter more: a cross-rack steal pays the trunk's latency and bandwidth per
-//! stolen descriptor. [`HierarchicalSteal`] therefore escalates victims
-//! bucket by bucket in `(tier, hops)` distance order — same-rack victims
-//! first, the far tier only when nothing near has eligible backlog — and both
-//! it and [`StealHalf`] size the batch from the *victim's* backlog (steal
-//! half of it) instead of the thief's free-worker count, amortizing the
-//! per-steal transfer cost.
+//! Three policies are built in: [`NoStealing`], [`StealMostLoaded`] and
+//! [`HierarchicalSteal`]. Every hook receives the fabric's
+//! [`DistanceMatrix`] ([`DistanceMatrix::uniform`] on a flat fabric). On a
+//! non-uniform fabric victim choice and batch size both matter more: a
+//! cross-rack steal pays the trunk's latency and bandwidth per stolen
+//! descriptor. [`HierarchicalSteal`] therefore escalates victims bucket by
+//! bucket in `(tier, hops)` distance order — same-rack victims first, the far
+//! tier only when nothing near has eligible backlog — and sizes the batch
+//! from the *victim's* backlog (steal half of it) instead of the thief's
+//! free-worker count, amortizing the per-steal transfer cost.
 
 use crate::feedback::LiveLoad;
 use nexus_topo::DistanceMatrix;
@@ -103,53 +110,40 @@ impl NodeLoad {
 ///
 /// ```
 /// use nexus_sched::{NodeLoad, StealMostLoaded, StealPolicy};
+/// use nexus_topo::DistanceMatrix;
 ///
 /// let mut loads = vec![NodeLoad::default(); 4];
 /// loads[2].pending = 40;
 /// loads[2].stealable = 25;
+/// let flat = DistanceMatrix::uniform(4);
 ///
 /// let mut policy = StealMostLoaded;
 /// // Node 0 is idle: steal from node 2, the only node with eligible backlog.
-/// assert_eq!(policy.choose_victim(0, &loads), Some(2));
+/// assert_eq!(policy.choose_victim(0, &loads, &flat), Some(2));
 /// // Node 2 never steals from itself.
-/// assert_eq!(policy.choose_victim(2, &loads), None);
+/// assert_eq!(policy.choose_victim(2, &loads, &flat), None);
 /// ```
 pub trait StealPolicy: Send + Sync {
     /// Short human-readable policy name (stable; used in reports and tables).
     fn name(&self) -> &'static str;
 
     /// Chooses a victim for idle node `thief` given the cluster-wide load
-    /// snapshot, or `None` to stay idle. Victims must have `stealable > 0`.
-    fn choose_victim(&mut self, thief: usize, loads: &[NodeLoad]) -> Option<usize>;
-
-    /// Chooses a victim with the interconnect's distance matrix in hand.
-    /// Drivers with a configured fabric call this entry point; the default
-    /// ignores the distances and defers to [`choose_victim`](Self::choose_victim)
-    /// (flat victim selection).
-    fn choose_victim_tiered(
+    /// snapshot and the fabric's distance matrix, or `None` to stay idle.
+    /// Victims must have `stealable > 0`.
+    fn choose_victim(
         &mut self,
         thief: usize,
         loads: &[NodeLoad],
-        distances: Option<&DistanceMatrix>,
-    ) -> Option<usize> {
-        let _ = distances;
-        self.choose_victim(thief, loads)
-    }
-
-    /// Maximum number of descriptors to request in one steal, given the
-    /// thief's free worker count. Defaults to one per free worker.
-    fn batch(&self, free_workers: usize) -> usize {
-        free_workers.max(1)
-    }
+        distances: &DistanceMatrix,
+    ) -> Option<usize>;
 
     /// Maximum number of descriptors to hand over in one steal, given the
     /// thief's free worker count and the victim's eligible backlog at grant
-    /// time. The default ignores the backlog and defers to
-    /// [`batch`](Self::batch); adaptive policies override it to scale with
-    /// the victim's backlog instead.
+    /// time. The default takes one per free worker and ignores the backlog;
+    /// adaptive policies scale with the backlog instead.
     fn batch_for(&self, free_workers: usize, victim_stealable: usize) -> usize {
         let _ = victim_stealable;
-        self.batch(free_workers)
+        free_workers.max(1)
     }
 
     /// Chooses a victim for *pool reclamation*: an idle node pulling
@@ -165,7 +159,7 @@ pub trait StealPolicy: Send + Sync {
         thief: usize,
         loads: &[NodeLoad],
         live: Option<LiveLoad<'_>>,
-        distances: Option<&DistanceMatrix>,
+        distances: &DistanceMatrix,
     ) -> Option<usize> {
         let _ = distances;
         loads
@@ -197,11 +191,16 @@ impl StealPolicy for NoStealing {
         "none"
     }
 
-    fn choose_victim(&mut self, _thief: usize, _loads: &[NodeLoad]) -> Option<usize> {
+    fn choose_victim(
+        &mut self,
+        _thief: usize,
+        _loads: &[NodeLoad],
+        _distances: &DistanceMatrix,
+    ) -> Option<usize> {
         None
     }
 
-    fn batch(&self, _free_workers: usize) -> usize {
+    fn batch_for(&self, _free_workers: usize, _victim_stealable: usize) -> usize {
         0
     }
 }
@@ -211,7 +210,7 @@ impl StealPolicy for NoStealing {
 /// the larger raw backlog, then the lowest node index. On uniform-speed
 /// clusters this reduces to raw most-loaded selection; with heterogeneous
 /// worker pools it prefers the victim that will take longest to drain its own
-/// queue.
+/// queue. The fabric's distances play no part.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StealMostLoaded;
 
@@ -220,7 +219,12 @@ impl StealPolicy for StealMostLoaded {
         "most-loaded"
     }
 
-    fn choose_victim(&mut self, thief: usize, loads: &[NodeLoad]) -> Option<usize> {
+    fn choose_victim(
+        &mut self,
+        thief: usize,
+        loads: &[NodeLoad],
+        _distances: &DistanceMatrix,
+    ) -> Option<usize> {
         loads
             .iter()
             .enumerate()
@@ -230,34 +234,9 @@ impl StealPolicy for StealMostLoaded {
     }
 }
 
-/// Steal-half with most-loaded victim selection: the victim hands over half
-/// of its eligible backlog (⌈stealable/2⌉) instead of one descriptor per free
-/// thief worker.
-///
-/// The classic steal-half rule: with a fixed free-worker batch a thief with 2
-/// free cores nibbles 2 descriptors off a 40-deep backlog and immediately
-/// goes idle again, paying a full request/transfer round-trip per nibble.
-/// Halving the backlog moves the imbalance in O(log n) steals.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StealHalf;
-
 /// ⌈`stealable` / 2⌉, at least one — the shared adaptive batch rule.
 fn half_backlog(stealable: usize) -> usize {
     stealable.div_ceil(2).max(1)
-}
-
-impl StealPolicy for StealHalf {
-    fn name(&self) -> &'static str {
-        "steal-half"
-    }
-
-    fn choose_victim(&mut self, thief: usize, loads: &[NodeLoad]) -> Option<usize> {
-        StealMostLoaded.choose_victim(thief, loads)
-    }
-
-    fn batch_for(&self, _free_workers: usize, victim_stealable: usize) -> usize {
-        half_backlog(victim_stealable)
-    }
 }
 
 /// Hierarchical victim selection for tiered fabrics: victims are bucketed by
@@ -266,11 +245,17 @@ impl StealPolicy for StealHalf {
 /// travel) and the nearest non-empty bucket wins — steal from the
 /// same rack while it has eligible backlog, escalate to the next tier only
 /// when everything nearer is drained. Within a bucket the largest eligible
-/// backlog wins, ties toward the lowest node index. Batches use the
-/// steal-half rule (cross-tier steals are expensive; amortize them).
+/// backlog wins, ties toward the lowest node index.
 ///
-/// Without a distance matrix (uniform wiring) the policy is exactly
-/// [`StealMostLoaded`] with steal-half batching.
+/// Batches use the steal-half rule, ⌈stealable/2⌉. A thief that took one
+/// descriptor per free worker would nibble 2 descriptors off a 40-deep
+/// backlog and go idle again, paying a full request/transfer round-trip per
+/// nibble; halving the backlog moves the imbalance in O(log n) steals, and
+/// cross-tier steals are the expensive ones to repeat.
+///
+/// On a flat fabric ([`DistanceMatrix::uniform`]) every victim shares one
+/// bucket, so the policy is most-loaded victim choice with steal-half
+/// batches.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HierarchicalSteal;
 
@@ -279,19 +264,12 @@ impl StealPolicy for HierarchicalSteal {
         "hier"
     }
 
-    fn choose_victim(&mut self, thief: usize, loads: &[NodeLoad]) -> Option<usize> {
-        StealMostLoaded.choose_victim(thief, loads)
-    }
-
-    fn choose_victim_tiered(
+    fn choose_victim(
         &mut self,
         thief: usize,
         loads: &[NodeLoad],
-        distances: Option<&DistanceMatrix>,
+        distances: &DistanceMatrix,
     ) -> Option<usize> {
-        let Some(d) = distances else {
-            return self.choose_victim(thief, loads);
-        };
         // Distance is measured victim → thief: that is the direction the
         // expensive payload (the stolen descriptors) actually travels. On
         // every built-in fabric routes are symmetric, but hand-built fabrics
@@ -302,8 +280,8 @@ impl StealPolicy for HierarchicalSteal {
             .filter(|&(n, l)| n != thief && l.stealable > 0)
             .min_by_key(|&(n, l)| {
                 (
-                    d.tier(n, thief),
-                    d.hops(n, thief),
+                    distances.tier(n, thief),
+                    distances.hops(n, thief),
                     u64::MAX - l.stealable as u64,
                     n,
                 )
@@ -325,30 +303,26 @@ pub enum StealKind {
     Disabled,
     /// [`StealMostLoaded`].
     MostLoaded,
-    /// [`StealHalf`].
-    Half,
     /// [`HierarchicalSteal`].
     Hierarchical,
 }
 
 impl StealKind {
     /// Every selectable steal policy, in display order.
-    pub const ALL: [StealKind; 4] = [
+    pub const ALL: [StealKind; 3] = [
         StealKind::Disabled,
         StealKind::MostLoaded,
-        StealKind::Half,
         StealKind::Hierarchical,
     ];
 
     /// The accepted (lower-case canonical) spellings, for error messages.
-    pub const VALID: &'static str = "off|steal|steal-half|hier";
+    pub const VALID: &'static str = "off|steal|hier";
 
     /// Instantiates the policy.
     pub fn build(self) -> Box<dyn StealPolicy> {
         match self {
             StealKind::Disabled => Box::new(NoStealing),
             StealKind::MostLoaded => Box::new(StealMostLoaded),
-            StealKind::Half => Box::new(StealHalf),
             StealKind::Hierarchical => Box::new(HierarchicalSteal),
         }
     }
@@ -364,7 +338,6 @@ impl StealKind {
         match self {
             StealKind::Disabled => "off",
             StealKind::MostLoaded => "steal",
-            StealKind::Half => "steal-half",
             StealKind::Hierarchical => "hier",
         }
     }
@@ -384,7 +357,6 @@ impl FromStr for StealKind {
         match s.trim().to_ascii_lowercase().as_str() {
             "off" | "none" | "disabled" | "0" => Ok(StealKind::Disabled),
             "steal" | "on" | "mostloaded" | "most-loaded" | "1" => Ok(StealKind::MostLoaded),
-            "steal-half" | "stealhalf" | "half" => Ok(StealKind::Half),
             "hier" | "hierarchical" | "hierarchy" => Ok(StealKind::Hierarchical),
             other => Err(format!(
                 "unknown steal policy {other:?} (expected {})",
@@ -397,6 +369,17 @@ impl FromStr for StealKind {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Racks of 2 over `nodes` nodes: {0,1}, {2,3}, …
+    fn racks(nodes: usize) -> DistanceMatrix {
+        nexus_topo::rack_tiers(
+            nodes,
+            2,
+            nexus_sim::SimDuration::from_us(1),
+            nexus_sim::SimDuration::from_ns(10),
+        )
+        .distances()
+    }
 
     #[test]
     fn most_loaded_picks_the_biggest_eligible_backlog() {
@@ -412,13 +395,14 @@ mod tests {
             stealable: 5,
             ..NodeLoad::default()
         };
+        let flat = DistanceMatrix::uniform(4);
         let mut p = StealMostLoaded;
         // Ties on `stealable` break toward the lowest index.
-        assert_eq!(p.choose_victim(0, &loads), Some(2));
+        assert_eq!(p.choose_victim(0, &loads, &flat), Some(2));
         loads[3].stealable = 6;
-        assert_eq!(p.choose_victim(0, &loads), Some(3));
-        assert_eq!(p.choose_victim(3, &loads), Some(2));
-        assert!(p.batch(4) == 4 && p.batch(0) == 1);
+        assert_eq!(p.choose_victim(0, &loads, &flat), Some(3));
+        assert_eq!(p.choose_victim(3, &loads, &flat), Some(2));
+        assert!(p.batch_for(4, 40) == 4 && p.batch_for(0, 40) == 1);
     }
 
     #[test]
@@ -436,12 +420,13 @@ mod tests {
             speed_milli: 1000,
             ..NodeLoad::default()
         };
+        let flat = DistanceMatrix::uniform(3);
         let mut p = StealMostLoaded;
-        assert_eq!(p.choose_victim(0, &loads), Some(2));
+        assert_eq!(p.choose_victim(0, &loads, &flat), Some(2));
         // Unreported speeds (0) fall back to the raw backlog ordering.
         loads[1].speed_milli = 0;
         loads[2].speed_milli = 0;
-        assert_eq!(p.choose_victim(0, &loads), Some(1));
+        assert_eq!(p.choose_victim(0, &loads, &flat), Some(1));
     }
 
     #[test]
@@ -455,91 +440,70 @@ mod tests {
             2
         ];
         let mut p = NoStealing;
-        assert_eq!(p.choose_victim(0, &loads), None);
-        assert_eq!(p.batch(8), 0);
+        assert_eq!(
+            p.choose_victim(0, &loads, &DistanceMatrix::uniform(2)),
+            None
+        );
+        assert_eq!(p.batch_for(8, 100), 0);
     }
 
     #[test]
     fn empty_cluster_yields_no_victim() {
         let loads = vec![NodeLoad::default(); 3];
-        assert_eq!(StealMostLoaded.choose_victim(1, &loads), None);
+        let flat = DistanceMatrix::uniform(3);
+        assert_eq!(StealMostLoaded.choose_victim(1, &loads, &flat), None);
     }
 
     #[test]
     fn steal_half_scales_the_batch_with_the_victim_backlog() {
-        let p = StealHalf;
+        let p = HierarchicalSteal;
         assert_eq!(p.batch_for(2, 40), 20);
         assert_eq!(p.batch_for(8, 3), 2);
         assert_eq!(p.batch_for(8, 1), 1);
         assert_eq!(p.batch_for(8, 0), 1, "grant paths clamp to the backlog");
-        // Victim choice is most-loaded.
-        let mut loads = vec![NodeLoad::default(); 3];
-        loads[2].stealable = 7;
-        assert_eq!(StealHalf.choose_victim(0, &loads), Some(2));
-        // The flat default batch (no backlog info) stays worker-sized.
-        assert_eq!(p.batch(3), 3);
+        // The default batch stays worker-sized whatever the backlog.
+        assert_eq!(StealMostLoaded.batch_for(3, 40), 3);
     }
 
     #[test]
     fn hierarchical_prefers_the_near_tier_and_escalates_when_it_drains() {
         // Racks of 2 on 4 nodes: {0,1} and {2,3}.
-        let d = nexus_topo::rack_tiers(
-            4,
-            2,
-            nexus_sim::SimDuration::from_us(1),
-            nexus_sim::SimDuration::from_ns(10),
-        )
-        .distances();
+        let d = racks(4);
         let mut p = HierarchicalSteal;
         let mut loads = vec![NodeLoad::default(); 4];
         loads[1].stealable = 2;
         loads[3].stealable = 50;
         // Node 0 steals from its rack peer even though node 3 is far fuller.
-        assert_eq!(p.choose_victim_tiered(0, &loads, Some(&d)), Some(1));
+        assert_eq!(p.choose_victim(0, &loads, &d), Some(1));
         // Once the near tier is drained, escalate across the trunk.
         loads[1].stealable = 0;
-        assert_eq!(p.choose_victim_tiered(0, &loads, Some(&d)), Some(3));
-        // Without distances the policy is flat most-loaded.
+        assert_eq!(p.choose_victim(0, &loads, &d), Some(3));
+        // On a flat fabric every victim shares one bucket: most-loaded.
         loads[2].stealable = 10;
-        assert_eq!(p.choose_victim_tiered(0, &loads, None), Some(3));
-        assert_eq!(p.batch_for(1, 9), 5, "steal-half batching");
+        let flat = DistanceMatrix::uniform(4);
+        assert_eq!(p.choose_victim(0, &loads, &flat), Some(3));
 
         // Within one distance bucket the bigger backlog wins: on 8 nodes in
         // racks of 2, the foreign rack routers 2, 4 and 6 are all one trunk
         // hop from node 0.
-        let d8 = nexus_topo::rack_tiers(
-            8,
-            2,
-            nexus_sim::SimDuration::from_us(1),
-            nexus_sim::SimDuration::from_ns(10),
-        )
-        .distances();
+        let d8 = racks(8);
         let mut loads = vec![NodeLoad::default(); 8];
         loads[2].stealable = 10;
         loads[4].stealable = 50;
-        assert_eq!(p.choose_victim_tiered(0, &loads, Some(&d8)), Some(4));
+        assert_eq!(p.choose_victim(0, &loads, &d8), Some(4));
         loads[2].stealable = 50; // tie on backlog: lowest index
-        assert_eq!(p.choose_victim_tiered(0, &loads, Some(&d8)), Some(2));
+        assert_eq!(p.choose_victim(0, &loads, &d8), Some(2));
     }
 
     #[test]
     fn flat_policies_ignore_the_distance_matrix() {
-        let d = nexus_topo::rack_tiers(
-            4,
-            2,
-            nexus_sim::SimDuration::from_us(1),
-            nexus_sim::SimDuration::from_ns(10),
-        )
-        .distances();
+        let d = racks(4);
         let mut loads = vec![NodeLoad::default(); 4];
         loads[1].stealable = 2;
         loads[3].stealable = 50;
         // StealMostLoaded crosses the trunk for the bigger backlog.
-        assert_eq!(
-            StealMostLoaded.choose_victim_tiered(0, &loads, Some(&d)),
-            Some(3)
-        );
-        assert_eq!(NoStealing.choose_victim_tiered(0, &loads, Some(&d)), None);
+        assert_eq!(StealMostLoaded.choose_victim(0, &loads, &d), Some(3));
+        assert_eq!(NoStealing.choose_victim(0, &loads, &d), None);
     }
 
     #[test]
@@ -581,9 +545,10 @@ mod tests {
             stealable: 1,
             ..NodeLoad::default()
         };
+        let flat = DistanceMatrix::uniform(4);
         let mut p = StealMostLoaded;
-        assert_eq!(p.choose_reclaim_victim(0, &loads, None, None), Some(2));
-        assert_eq!(p.choose_reclaim_victim(2, &loads, None, None), Some(3));
+        assert_eq!(p.choose_reclaim_victim(0, &loads, None, &flat), Some(2));
+        assert_eq!(p.choose_reclaim_victim(2, &loads, None, &flat), Some(3));
         // A tie on blocked backlog breaks toward the hotter live digest.
         loads[3] = NodeLoad {
             pending: 10,
@@ -606,20 +571,21 @@ mod tests {
             half_life: 0,
         };
         assert_eq!(
-            p.choose_reclaim_victim(0, &loads, Some(live), None),
+            p.choose_reclaim_victim(0, &loads, Some(live), &flat),
             Some(3)
         );
         // Without digests the same tie falls to the lowest index.
-        assert_eq!(p.choose_reclaim_victim(0, &loads, None, None), Some(2));
+        assert_eq!(p.choose_reclaim_victim(0, &loads, None, &flat), Some(2));
         // NoStealing still names victims: reclamation is gated by the
         // feedback mode, not the steal policy.
         assert_eq!(
-            NoStealing.choose_reclaim_victim(0, &loads, Some(live), None),
+            NoStealing.choose_reclaim_victim(0, &loads, Some(live), &flat),
             Some(3)
         );
         // Nothing blocked anywhere -> no victim.
         let idle = vec![loads[1]; 2];
-        assert_eq!(p.choose_reclaim_victim(0, &idle, None, None), None);
+        let flat2 = DistanceMatrix::uniform(2);
+        assert_eq!(p.choose_reclaim_victim(0, &idle, None, &flat2), None);
     }
 
     #[test]
@@ -637,24 +603,23 @@ mod tests {
             "Most-Loaded".parse::<StealKind>().unwrap(),
             StealKind::MostLoaded
         );
-        assert_eq!("Steal-Half".parse::<StealKind>().unwrap(), StealKind::Half);
         assert_eq!(
             "Hierarchical".parse::<StealKind>().unwrap(),
             StealKind::Hierarchical
         );
         let err = "stea1".parse::<StealKind>().unwrap_err();
-        assert!(err.contains("off|steal|steal-half|hier"), "{err}");
+        assert!(err.contains("off|steal|hier"), "{err}");
+        // Steal-half batching is HierarchicalSteal's on a flat fabric.
+        assert!("steal-half".parse::<StealKind>().is_err());
         for kind in StealKind::ALL {
             assert_eq!(kind.name().parse::<StealKind>().unwrap(), kind);
         }
         assert_eq!(StealKind::default(), StealKind::Disabled);
         assert!(!StealKind::Disabled.is_enabled());
         assert!(StealKind::MostLoaded.is_enabled());
-        assert!(StealKind::Half.is_enabled());
         assert!(StealKind::Hierarchical.is_enabled());
         assert_eq!(StealKind::MostLoaded.build().name(), "most-loaded");
         assert_eq!(StealKind::Disabled.build().name(), "none");
-        assert_eq!(StealKind::Half.build().name(), "steal-half");
         assert_eq!(StealKind::Hierarchical.build().name(), "hier");
     }
 }

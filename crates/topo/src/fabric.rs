@@ -186,11 +186,9 @@ pub struct DistanceMatrix {
 impl DistanceMatrix {
     /// The distance matrix of a uniform (single-tier, single-hop) fabric:
     /// every off-diagonal pair is one zero-latency tier-0 hop apart, so every
-    /// remote node is equally (un)attractive. Note that passing this to a
-    /// distance-aware policy is *not* identical to passing no matrix at all —
-    /// with no matrix the policies take their documented uniform-wiring
-    /// fallback paths (e.g. `TopologyAware` decays to `LocalityAware`), which
-    /// tie-break slightly differently.
+    /// remote node is equally (un)attractive. Placement and steal policies
+    /// see this matrix when no fabric is configured (e.g. a dependence
+    /// scanner built without one).
     pub fn uniform(nodes: usize) -> Self {
         assert!(nodes > 0, "need at least one node");
         let mut hops = vec![1u32; nodes * nodes];

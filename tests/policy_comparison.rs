@@ -3,9 +3,10 @@
 //! * Work stealing must *strictly* improve the makespan of a deliberately
 //!   imbalanced partition at 2 and 4 nodes (idle nodes drain the overloaded
 //!   node's input backlog, paying descriptor re-forwarding).
-//! * `LocalityAware` placement must reduce aggregate interconnect words (and
-//!   the remote-edge census) versus the `XorHash` baseline on un-hinted
-//!   traces at equal node counts.
+//! * `TopologyAware` placement (remote-edge minimization on the uniform
+//!   mesh) must reduce aggregate interconnect words (and the remote-edge
+//!   census) versus the `XorHash` baseline on un-hinted traces at equal node
+//!   counts.
 //! * Every placement × stealing combination must be bit-identical across
 //!   reruns.
 //! * `XorHash` with stealing disabled must reproduce the original
@@ -69,7 +70,7 @@ fn locality_placement_cuts_link_traffic_on_unhinted_traces() {
         simulate_cluster(&trace, &cfg, |_| NexusSharp::paper(6))
     };
     let xor = run(PolicyKind::XorHash);
-    let loc = run(PolicyKind::LocalityAware);
+    let loc = run(PolicyKind::TopologyAware);
     assert_eq!(xor.tasks, loc.tasks);
     assert_eq!(xor.edges.total, loc.edges.total, "same census");
     // The greedy placement keeps most producer→consumer edges node-local …
