@@ -8,7 +8,8 @@
 //! the upper bound, as in the figure.
 //!
 //! Run with: `cargo bench -p nexus-bench --bench fig7_tg_scalability`
-//! Environment: `NEXUS_BENCH_SCALE=<0..1>` (default 0.1), `NEXUS_FULL=1`.
+//! Environment: `NEXUS_BENCH_SCALE=<0..1>` (default 0.1; `1` for the
+//! full-size traces).
 
 use nexus_bench::managers::ManagerKind;
 use nexus_bench::report::Table;
@@ -19,7 +20,7 @@ use nexus_trace::Benchmark;
 
 fn main() {
     let scale = bench_scale();
-    println!("workload scale: {scale} (NEXUS_FULL=1 for full-size traces)\n");
+    println!("workload scale: {scale} (NEXUS_BENCH_SCALE=1 for full-size traces)\n");
     let cores = hw_core_counts();
     let tg_counts = [1usize, 2, 4, 6, 8];
     let model = ResourceModel::paper_calibrated();

@@ -6,7 +6,8 @@
 //! (6 task graphs @ 55.56 MHz) — the four curves of each sub-plot of Fig. 8.
 //!
 //! Run with: `cargo bench -p nexus-bench --bench fig8_benchmarks`
-//! Environment: `NEXUS_BENCH_SCALE=<0..1>` (default 0.1), `NEXUS_FULL=1`.
+//! Environment: `NEXUS_BENCH_SCALE=<0..1>` (default 0.1; `1` for the
+//! full-size traces).
 
 use nexus_bench::managers::ManagerKind;
 use nexus_bench::report::Table;
@@ -15,7 +16,7 @@ use nexus_trace::Benchmark;
 
 fn main() {
     let scale = bench_scale();
-    println!("workload scale: {scale} (NEXUS_FULL=1 for full-size traces)\n");
+    println!("workload scale: {scale} (NEXUS_BENCH_SCALE=1 for full-size traces)\n");
     let managers = ManagerKind::fig8_set();
     let cores = hw_core_counts();
 

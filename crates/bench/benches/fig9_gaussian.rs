@@ -10,8 +10,8 @@
 //!
 //! Run with: `cargo bench -p nexus-bench --bench fig9_gaussian`
 //! Environment: `NEXUS_BENCH_SCALE` scales the matrix dimension (default 0.1
-//! scales each dimension by sqrt(0.1) ≈ 0.32); `NEXUS_FULL=1` runs the paper's
-//! exact sizes including the 4.5-million-task 3000×3000 instance.
+//! scales each dimension by sqrt(0.1) ≈ 0.32); `NEXUS_BENCH_SCALE=1` runs the
+//! paper's exact sizes including the 4.5-million-task 3000×3000 instance.
 
 use nexus_bench::managers::ManagerKind;
 use nexus_bench::paper::{
@@ -24,7 +24,7 @@ use nexus_trace::Benchmark;
 
 fn main() {
     let scale = bench_scale();
-    println!("workload scale: {scale} (NEXUS_FULL=1 for the paper's exact matrix sizes)\n");
+    println!("workload scale: {scale} (NEXUS_BENCH_SCALE=1 for the paper's exact matrix sizes)\n");
     let cores = gaussian_core_counts();
     let managers = [
         ManagerKind::NexusPP,

@@ -24,31 +24,27 @@
 //!    feedback stack lands ≥10% below the static makespan on this fixed
 //!    trace, so a feedback regression fails the bench.
 //!
+//! Every run uses the RDMA link; the stealing sweep places tasks with
+//! `xorhash`.
+//!
 //! Run with: `cargo bench -p nexus-bench --bench policy_comparison`
-//! Environment: `NEXUS_BENCH_SCALE=<0..1>` (default 0.1), `NEXUS_FULL=1`,
-//! `NEXUS_LINK=rdma|ethernet|ideal`, `NEXUS_POLICY=xorhash|affinity|topo`
-//! (placement used in the stealing sweep), `NEXUS_STEAL=off|steal`,
+//! Environment: `NEXUS_BENCH_SCALE=<0..1>` (default 0.1),
 //! `NEXUS_FEEDBACK=off|place|reclaim|full` (applied to sweeps 1 and 2;
-//! sweep 3 runs every mode regardless).
-//! All env knobs are case-insensitive and reject typos with the valid values.
+//! sweep 3 runs every mode regardless). Both are case-insensitive and reject
+//! typos with the valid values.
 
 use nexus_bench::report::Table;
-use nexus_bench::runner::{bench_scale, cluster_feedback, cluster_link, cluster_policy};
+use nexus_bench::runner::{bench_scale, cluster_feedback};
 use nexus_cluster::{simulate_cluster, ClusterConfig, FeedbackKind, PolicyKind, StealKind};
 use nexus_core::NexusSharp;
 use nexus_sim::SimDuration;
 use nexus_trace::generators::distributed;
 
 fn main() {
-    let link = cluster_link();
-    let placement = cluster_policy();
     let feedback = cluster_feedback();
     let scale = bench_scale();
     let workers_per_node = 8;
-    println!(
-        "link: {link:?}, stealing-sweep placement: {placement}, feedback: {feedback}, \
-         scale: {scale}\n"
-    );
+    println!("feedback: {feedback}, scale: {scale}\n");
 
     // Part 1 — imbalanced domains: stealing recovers the makespan.
     let base_tasks = ((scale * 1920.0) as u64).clamp(96, 1920);
@@ -71,8 +67,6 @@ fn main() {
         );
         for stealing in StealKind::ALL {
             let cfg = ClusterConfig::new(nodes, workers_per_node)
-                .with_link(link)
-                .with_placement(placement)
                 .with_stealing(stealing)
                 .with_feedback(feedback);
             let out = simulate_cluster(&trace, &cfg, |_| NexusSharp::paper(6));
@@ -108,7 +102,6 @@ fn main() {
         );
         for placement in PolicyKind::ALL {
             let cfg = ClusterConfig::new(nodes, workers_per_node)
-                .with_link(link)
                 .with_placement(placement)
                 .with_feedback(feedback);
             let out = simulate_cluster(&trace, &cfg, |_| NexusSharp::paper(6));
@@ -130,9 +123,9 @@ fn main() {
     // a stealing policy sees at most one eligible head per chain while the
     // blocked tails clog node 0's pool; only the reclamation path can move
     // them. The reference row is feedback `off` on the same TopologyAware +
-    // Hierarchical stack. Everything here is pinned — fixed trace size and
-    // the default fabric, independent of `NEXUS_BENCH_SCALE`/`NEXUS_LINK` —
-    // because the sweep *asserts* on the deterministic makespans.
+    // Hierarchical stack. Everything here is pinned — a fixed trace size,
+    // independent of `NEXUS_BENCH_SCALE` — because the sweep *asserts* on
+    // the deterministic makespans.
     let coupled = distributed::chained_imbalanced(4, 36, 16, 6.0, SimDuration::from_us(20));
     let mut table = Table::new(
         format!(

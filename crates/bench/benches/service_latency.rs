@@ -14,16 +14,14 @@
 //!    admission queue: back-pressure must engage (and no task is lost);
 //! 3. **knee ramp** — a load sweep locating the highest sustained rate.
 //!
+//! Arrivals are Poisson over the RDMA link; the under-driven case admits up
+//! to the default depth of 64 tasks per node.
+//!
 //! Run with: `cargo bench -p nexus-bench --bench service_latency`
-//! Environment: `NEXUS_BENCH_SCALE=<0..1>` (default 0.1),
-//! `NEXUS_ARRIVAL=poisson|bursty|diurnal|closed` (default poisson),
-//! `NEXUS_ADMIT_DEPTH=<n>` (default 64), plus the usual `NEXUS_LINK`,
-//! `NEXUS_EVENT_ENGINE` knobs. All knobs are case-insensitive. With
-//! `NEXUS_ARRIVAL=closed` the run degenerates to a closed-loop makespan check
-//! and the back-pressure assertions are skipped.
+//! Environment: `NEXUS_BENCH_SCALE=<0..1>` (default 0.1).
 
 use nexus_bench::report::Table;
-use nexus_bench::runner::{admit_depth, bench_scale, cluster_link, event_engine, service_arrival};
+use nexus_bench::runner::bench_scale;
 use nexus_cluster::{simulate_cluster, AdmissionConfig, ClusterConfig};
 use nexus_core::NexusSharp;
 use nexus_flow::{knee_sweep, simulate_service, ArrivalConfig, ArrivalKind, ServiceConfig};
@@ -32,18 +30,14 @@ use nexus_trace::generators::distributed;
 
 fn main() {
     let scale = (bench_scale() * 0.02).clamp(0.001, 0.05);
-    let kind = service_arrival();
-    let depth = admit_depth();
-    let engine = event_engine();
-    let link = cluster_link();
+    let kind = ArrivalKind::Poisson;
+    let depth = AdmissionConfig::DEFAULT_DEPTH;
     let nodes = 4;
     let trace = distributed::sparselu(nodes, 0.3, 42, scale);
-    let cfg = ClusterConfig::new(nodes, 8)
-        .with_link(link)
-        .with_engine(engine);
+    let cfg = ClusterConfig::new(nodes, 8);
     println!(
         "service-latency: dist-sparselu scale {scale}, {} tasks, arrivals: {kind}, \
-         admission depth {depth}, engine: {engine}\n",
+         admission depth {depth}\n",
         trace.task_count()
     );
 
@@ -57,20 +51,6 @@ fn main() {
         closed.makespan,
         1e9 / capacity_gap.as_ns() as f64
     );
-
-    if kind == ArrivalKind::ClosedLoop {
-        // Degenerate mode: the streaming path must reproduce the closed-loop
-        // makespan exactly; there is no arrival clock to back-pressure.
-        let service = ServiceConfig::new(ArrivalConfig::new(kind, capacity_gap, 42));
-        let out = simulate_service(&trace, &service, &cfg, |_| NexusSharp::paper(6));
-        assert_eq!(
-            out.stream.cluster.makespan, closed.makespan,
-            "closed-loop streaming must be bit-identical to the batch run"
-        );
-        assert_eq!(out.histogram.count(), tasks, "every task must retire once");
-        println!("closed-loop streaming: makespan identical, all {tasks} tasks retired\n");
-        return;
-    }
 
     let mut table = Table::new(
         format!("Service latency — {kind} arrivals, admission depth per case"),

@@ -5,7 +5,8 @@
 //! speedup of each, next to the paper's Table IV values.
 //!
 //! Run with: `cargo bench -p nexus-bench --bench table4_max_scalability`
-//! Environment: `NEXUS_BENCH_SCALE=<0..1>` (default 0.1), `NEXUS_FULL=1`.
+//! Environment: `NEXUS_BENCH_SCALE=<0..1>` (default 0.1; `1` for the
+//! full-size traces).
 
 use nexus_bench::managers::ManagerKind;
 use nexus_bench::paper::table4_row;
@@ -15,7 +16,7 @@ use nexus_trace::Benchmark;
 
 fn main() {
     let scale = bench_scale();
-    println!("workload scale: {scale} (NEXUS_FULL=1 for full-size traces)\n");
+    println!("workload scale: {scale} (NEXUS_BENCH_SCALE=1 for full-size traces)\n");
     let managers = ManagerKind::fig8_set();
 
     let mut table = Table::new(

@@ -17,16 +17,14 @@
 //!    (`cross_rack = 1`) runs on `mesh` vs `racktiers`: the tiered fabric
 //!    must degrade, because the traffic fights the wiring.
 //!
+//! Every fabric runs at the RDMA link's latency and bandwidth.
+//!
 //! Run with: `cargo bench -p nexus-bench --bench topology_comparison`
-//! Environment: `NEXUS_BENCH_SCALE=<0..1>` (default 0.1), `NEXUS_FULL=1`,
-//! `NEXUS_LINK=rdma|ethernet|ideal`,
-//! `NEXUS_TOPO=bus|mesh|racktiers|torus|dragonfly` (fabric of sweep 2),
-//! `NEXUS_POLICY=…`, `NEXUS_STEAL=…`. All env knobs are case-insensitive and
-//! reject typos with the valid values.
+//! Environment: `NEXUS_BENCH_SCALE=<0..1>` (default 0.1).
 
 use nexus_bench::report::Table;
-use nexus_bench::runner::{bench_scale, cluster_link, cluster_topology};
-use nexus_cluster::{simulate_cluster, ClusterConfig, ClusterOutcome, Topology};
+use nexus_bench::runner::bench_scale;
+use nexus_cluster::{simulate_cluster, ClusterConfig, ClusterOutcome, LinkConfig, Topology};
 use nexus_core::NexusSharp;
 use nexus_sched::{PolicyKind, StealKind};
 use nexus_sim::SimDuration;
@@ -43,7 +41,7 @@ fn tier_summary(out: &ClusterOutcome) -> String {
 }
 
 fn main() {
-    let link = cluster_link();
+    let link = LinkConfig::rdma();
     let scale = bench_scale();
     let workers_per_node = 4;
     let us = SimDuration::from_us;
@@ -89,7 +87,7 @@ fn main() {
     }
 
     // Sweep 2 — flat vs topology-aware stacks on a tiered fabric.
-    let fabric_kind = cluster_topology().unwrap_or(Topology::RackTiers);
+    let fabric_kind = Topology::RackTiers;
     let skewed = distributed::unhinted(&distributed::rack_clustered(
         2,
         2,

@@ -31,46 +31,6 @@ fn env_knob_error(var: &str, message: &str) -> ! {
     std::process::exit(2);
 }
 
-/// The interconnect used by the cluster benches: `NEXUS_LINK=rdma` (default),
-/// `ethernet` or `ideal`, case-insensitively. Typos abort with the list of
-/// valid values.
-pub fn cluster_link() -> nexus_cluster::LinkConfig {
-    let Ok(raw) = std::env::var("NEXUS_LINK") else {
-        return nexus_cluster::LinkConfig::rdma();
-    };
-    match raw.trim().to_ascii_lowercase().as_str() {
-        "rdma" => nexus_cluster::LinkConfig::rdma(),
-        "ethernet" | "eth" => nexus_cluster::LinkConfig::ethernet(),
-        "ideal" => nexus_cluster::LinkConfig::ideal(),
-        other => env_knob_error(
-            "NEXUS_LINK",
-            &format!("unknown interconnect {other:?} (expected rdma|ethernet|ideal)"),
-        ),
-    }
-}
-
-/// The placement policy used by the cluster benches: `NEXUS_POLICY=xorhash`
-/// (default), `affinity` or `topo`, case-insensitively. Typos abort with
-/// the list of valid values.
-pub fn cluster_policy() -> nexus_sched::PolicyKind {
-    let Ok(raw) = std::env::var("NEXUS_POLICY") else {
-        return nexus_sched::PolicyKind::default();
-    };
-    raw.parse()
-        .unwrap_or_else(|e: String| env_knob_error("NEXUS_POLICY", &e))
-}
-
-/// The work-stealing policy used by the cluster benches:
-/// `NEXUS_STEAL=off` (default), `steal` or `hier`,
-/// case-insensitively. Typos abort with the list of valid values.
-pub fn cluster_steal() -> nexus_sched::StealKind {
-    let Ok(raw) = std::env::var("NEXUS_STEAL") else {
-        return nexus_sched::StealKind::default();
-    };
-    raw.parse()
-        .unwrap_or_else(|e: String| env_knob_error("NEXUS_STEAL", &e))
-}
-
 /// The runtime-feedback mode used by the cluster benches:
 /// `NEXUS_FEEDBACK=off` (default), `place`, `reclaim` or `full`,
 /// case-insensitively. Typos abort with the list of valid values.
@@ -82,152 +42,11 @@ pub fn cluster_feedback() -> nexus_sched::FeedbackKind {
         .unwrap_or_else(|e: String| env_knob_error("NEXUS_FEEDBACK", &e))
 }
 
-/// The interconnect topology override used by the cluster benches:
-/// `NEXUS_TOPO=bus|mesh|racktiers|torus|dragonfly`, case-insensitively.
-/// `None` when unset — the benches then keep the topology of the selected
-/// `NEXUS_LINK` preset. Typos abort with the list of valid values.
-pub fn cluster_topology() -> Option<nexus_topo::TopologyKind> {
-    let raw = std::env::var("NEXUS_TOPO").ok()?;
-    Some(
-        raw.parse()
-            .unwrap_or_else(|e: String| env_knob_error("NEXUS_TOPO", &e)),
-    )
-}
-
-/// The event-queue engine used by the cluster benches:
-/// `NEXUS_EVENT_ENGINE=calendar` (default) or `heap`, case-insensitively.
-/// Typos abort with the list of valid values.
-pub fn event_engine() -> nexus_sim::EngineKind {
-    let Ok(raw) = std::env::var("NEXUS_EVENT_ENGINE") else {
-        return nexus_sim::EngineKind::default();
-    };
-    raw.parse()
-        .unwrap_or_else(|e: String| env_knob_error("NEXUS_EVENT_ENGINE", &e))
-}
-
-/// The arrival process used by the service benches:
-/// `NEXUS_ARRIVAL=poisson` (default), `bursty`, `diurnal` or `closed`,
-/// case-insensitively. Typos abort with the list of valid values.
-pub fn service_arrival() -> nexus_flow::ArrivalKind {
-    let Ok(raw) = std::env::var("NEXUS_ARRIVAL") else {
-        return nexus_flow::ArrivalKind::Poisson;
-    };
-    raw.parse()
-        .unwrap_or_else(|e: String| env_knob_error("NEXUS_ARRIVAL", &e))
-}
-
-/// The per-node admission depth used by the service benches:
-/// `NEXUS_ADMIT_DEPTH=<n>` (default
-/// [`AdmissionConfig::DEFAULT_DEPTH`](nexus_cluster::AdmissionConfig::DEFAULT_DEPTH)).
-/// Zero or unparsable values abort loudly.
-pub fn admit_depth() -> usize {
-    let Ok(raw) = std::env::var("NEXUS_ADMIT_DEPTH") else {
-        return nexus_cluster::AdmissionConfig::DEFAULT_DEPTH;
-    };
-    let v: usize = raw.trim().parse().unwrap_or_else(|_| {
-        env_knob_error(
-            "NEXUS_ADMIT_DEPTH",
-            &format!("unparsable admission depth {raw:?} (expected a positive integer)"),
-        )
-    });
-    if v == 0 {
-        env_knob_error(
-            "NEXUS_ADMIT_DEPTH",
-            "admission depth 0 can never admit (expected a positive integer)",
-        );
-    }
-    v
-}
-
-/// Parses a positive integer knob shared by the runtime-smoke benches.
-fn positive_usize_knob(var: &str, what: &str, default: usize) -> usize {
-    let Ok(raw) = std::env::var(var) else {
-        return default;
-    };
-    let v: usize = raw.trim().parse().unwrap_or_else(|_| {
-        env_knob_error(
-            var,
-            &format!("unparsable {what} {raw:?} (expected a positive integer)"),
-        )
-    });
-    if v == 0 {
-        env_knob_error(
-            var,
-            &format!("{what} 0 makes an empty runtime (expected a positive integer)"),
-        );
-    }
-    v
-}
-
-/// Trace output mode selected by the observability knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TraceMode {
-    /// Tracing disabled (the default).
-    #[default]
-    Off,
-    /// Chrome-trace JSON (loadable in Perfetto / `chrome://tracing`).
-    Chrome,
-    /// Compact human-readable text timeline.
-    Text,
-}
-
-/// The trace export format used by `quick_report`: `NEXUS_TRACE=off`
-/// (default), `chrome` or `text`, case-insensitively. Typos abort with the
-/// list of valid values.
-pub fn trace_mode() -> TraceMode {
-    let Ok(raw) = std::env::var("NEXUS_TRACE") else {
-        return TraceMode::Off;
-    };
-    match raw.trim().to_ascii_lowercase().as_str() {
-        "off" | "0" | "" => TraceMode::Off,
-        "chrome" | "json" => TraceMode::Chrome,
-        "text" | "timeline" => TraceMode::Text,
-        other => env_knob_error(
-            "NEXUS_TRACE",
-            &format!("unknown trace mode {other:?} (expected off|chrome|text)"),
-        ),
-    }
-}
-
-/// The trace output path used by `quick_report`: `NEXUS_TRACE_OUT=<path>`
-/// (overridden by the `--trace-out` flag). `None` when unset; an empty or
-/// all-whitespace path aborts loudly — a misquoted shell variable must not
-/// silently drop the trace.
-pub fn trace_out() -> Option<String> {
-    let raw = std::env::var("NEXUS_TRACE_OUT").ok()?;
-    if raw.trim().is_empty() {
-        env_knob_error(
-            "NEXUS_TRACE_OUT",
-            "empty trace output path (expected a writable file path)",
-        );
-    }
-    Some(raw)
-}
-
-/// Worker threads per node for the live-runtime benches:
-/// `NEXUS_RT_WORKERS=<n>` (default 2). Zero or unparsable values abort
-/// loudly.
-pub fn rt_workers() -> usize {
-    positive_usize_knob("NEXUS_RT_WORKERS", "worker count", 2)
-}
-
-/// Node count for the live-runtime benches: `NEXUS_RT_NODES=<n>` (default
-/// 4). Zero or unparsable values abort loudly.
-pub fn rt_nodes() -> usize {
-    positive_usize_knob("NEXUS_RT_NODES", "node count", 4)
-}
-
-/// The workload scale factor used by the benches: `NEXUS_FULL=1` forces 1.0,
-/// otherwise `NEXUS_BENCH_SCALE` (default 0.1). Unparsable or non-finite
+/// The workload scale factor used by the benches: `NEXUS_BENCH_SCALE`
+/// (default 0.1; `1` runs the full-size traces). Unparsable or non-finite
 /// values abort loudly — a typo like `0,3` must not silently size the whole
 /// workload to the default.
 pub fn bench_scale() -> f64 {
-    if std::env::var("NEXUS_FULL")
-        .map(|v| v == "1")
-        .unwrap_or(false)
-    {
-        return 1.0;
-    }
     let Ok(raw) = std::env::var("NEXUS_BENCH_SCALE") else {
         return 0.1;
     };
@@ -290,25 +109,15 @@ mod tests {
     #[test]
     fn scale_parsing_defaults_and_clamps() {
         // The environment is not modified in tests; just exercise the default
-        // path (no NEXUS_FULL / NEXUS_BENCH_SCALE set in CI).
+        // path (CI's test job never sets NEXUS_BENCH_SCALE).
         let s = bench_scale();
         assert!(s > 0.0 && s <= 1.0);
     }
 
     #[test]
     fn env_knob_defaults() {
-        // Unset knobs must fall back silently (CI never sets them).
-        assert_eq!(cluster_link(), nexus_cluster::LinkConfig::rdma());
-        assert_eq!(cluster_policy(), nexus_sched::PolicyKind::XorHash);
-        assert_eq!(cluster_steal(), nexus_sched::StealKind::Disabled);
+        // Unset knobs must fall back silently (CI's test job never sets them).
         assert_eq!(cluster_feedback(), nexus_sched::FeedbackKind::Off);
-        assert_eq!(cluster_topology(), None);
-        assert_eq!(service_arrival(), nexus_flow::ArrivalKind::Poisson);
-        assert_eq!(admit_depth(), nexus_cluster::AdmissionConfig::DEFAULT_DEPTH);
-        assert_eq!(rt_workers(), 2);
-        assert_eq!(rt_nodes(), 4);
-        assert_eq!(trace_mode(), TraceMode::Off);
-        assert_eq!(trace_out(), None);
     }
 
     #[test]

@@ -2114,6 +2114,10 @@ mod tests {
         assert!(out.steals > 0, "scenario must actually steal");
         let hops = rec.count(|ev| matches!(ev, nexus_obs::SpanEvent::LinkHop { .. }));
         assert_eq!(hops as u64, out.link.messages, "one LinkHop per link entry");
+        let spans = nexus_obs::chrome_trace(&rec)
+            .matches("\"ph\":\"X\"")
+            .count();
+        assert_eq!(spans as u64, out.tasks, "one complete Chrome span per task");
     }
 
     #[test]

@@ -1,13 +1,12 @@
 //! Chrome-trace / Perfetto JSON export plus a compact text timeline.
 //!
-//! Hand-rolled JSON (the vendored serde is a no-op, same policy as
-//! `nexus_bench::baseline`). Layout: one Chrome *process* per node plus a
-//! synthetic `master` process, thread 0 of each node is the manager and
-//! thread `w + 1` is worker `w`. Task executions are complete (`ph:"X"`)
-//! spans on the worker row; descriptor forwards and steal grants are flow
-//! arrows (`ph:"s"` / `ph:"f"`); backpressure stalls are instants. Open the
-//! file at <https://ui.perfetto.dev> (or `chrome://tracing`) via *Open trace
-//! file*.
+//! Hand-rolled JSON (the vendored serde is a no-op). Layout: one Chrome
+//! *process* per node plus a synthetic `master` process, thread 0 of each
+//! node is the manager and thread `w + 1` is worker `w`. Task executions are
+//! complete (`ph:"X"`) spans on the worker row; descriptor forwards and steal
+//! grants are flow arrows (`ph:"s"` / `ph:"f"`); backpressure stalls are
+//! instants. Open the file at <https://ui.perfetto.dev> (or
+//! `chrome://tracing`) via *Open trace file*.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -50,7 +49,8 @@ fn micros(ts: f64) -> String {
 ///
 /// The number of `"ph":"X"` events equals the number of tasks that both
 /// started and retired — for a completed run, exactly the retired-task
-/// count, which is what `quick_report` and CI validate.
+/// count, which the cluster driver's tests and the `cluster_trace` example
+/// check.
 pub fn chrome_trace(rec: &MemRecorder) -> String {
     let mut sorted = rec.clone();
     sorted.sort_by_time();

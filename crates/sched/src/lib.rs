@@ -34,8 +34,8 @@
 //! Both are selected through `ClusterConfig` (see `nexus-cluster`) via the
 //! serializable [`PolicyKind`] / [`StealKind`] / [`FeedbackKind`] handles,
 //! whose `FromStr` implementations are case-insensitive and list the valid
-//! spellings on a typo — the benches hook them up to `NEXUS_POLICY`,
-//! `NEXUS_STEAL` and `NEXUS_FEEDBACK`.
+//! spellings on a typo — the benches hook [`FeedbackKind`] up to
+//! `NEXUS_FEEDBACK`.
 //!
 //! ## Example
 //!

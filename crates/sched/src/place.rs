@@ -271,8 +271,8 @@ impl PlacementPolicy for FeedbackPlacement {
     }
 }
 
-/// Selectable placement policies (the `ClusterConfig` / `NEXUS_POLICY` handle
-/// for the built-in [`PlacementPolicy`] implementations).
+/// Selectable placement policies (the `ClusterConfig` handle for the built-in
+/// [`PlacementPolicy`] implementations).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum PolicyKind {
     /// [`XorHash`].

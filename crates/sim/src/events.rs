@@ -23,8 +23,7 @@
 //! Both engines expose the same API and, by construction, the exact same pop
 //! order — the cluster equivalence suite asserts bit-identical outcomes across
 //! the whole determinism grid. The engine is selected by [`EventQueue::with_engine`]
-//! (drivers plumb it through their configs; the benches read the
-//! `NEXUS_EVENT_ENGINE` env knob).
+//! (drivers plumb it through their configs).
 
 use crate::time::SimTime;
 use std::cmp::Ordering;

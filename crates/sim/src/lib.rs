@@ -7,14 +7,13 @@
 //! * [`ClockDomain`] — cycle ↔ time conversion for a hardware block running at a
 //!   given frequency (the Nexus# designs run at 41.66–100 MHz depending on the
 //!   number of task graphs, while task durations come from wall-clock traces),
-//! * [`SerialResource`] / [`PooledResource`] — busy-until reservation of pipeline
-//!   stages, engines and ports,
-//! * [`LatencyFifo`] — the bounded FIFOs with a fixed forwarding latency that the
-//!   paper uses as the decoupling medium between pipeline stages,
+//! * [`SerialResource`] — busy-until reservation of pipeline stages, engines
+//!   and ports,
 //! * [`LinkResource`] — a point-to-point interconnect link (latency + bandwidth
 //!   + serialization) used by the multi-node cluster simulation,
 //! * [`EventQueue`] — a time-ordered event queue for the multicore host simulation,
-//! * [`stats`] — online statistics and histograms used by the benchmark harness,
+//! * [`stats`] — online statistics and load-balance summaries used by the
+//!   benchmark harness,
 //! * [`rng`] — a small deterministic pseudo-random generator so traces and
 //!   simulations are exactly reproducible without external crates.
 //!
@@ -28,7 +27,6 @@
 
 pub mod clock;
 pub mod events;
-pub mod fifo;
 pub mod fxhash;
 pub mod link;
 pub mod resource;
@@ -38,10 +36,9 @@ pub mod time;
 
 pub use clock::ClockDomain;
 pub use events::{EngineKind, EventQueue, TimedEvent};
-pub use fifo::LatencyFifo;
 pub use fxhash::{FxHashMap, FxHashSet};
 pub use link::{LinkDelivery, LinkResource};
-pub use resource::{PooledResource, SerialResource};
+pub use resource::SerialResource;
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};
 
@@ -49,10 +46,9 @@ pub use time::{SimDuration, SimTime};
 pub mod prelude {
     pub use crate::clock::ClockDomain;
     pub use crate::events::{EngineKind, EventQueue, TimedEvent};
-    pub use crate::fifo::LatencyFifo;
     pub use crate::link::{LinkDelivery, LinkResource};
-    pub use crate::resource::{PooledResource, SerialResource};
+    pub use crate::resource::SerialResource;
     pub use crate::rng::SimRng;
-    pub use crate::stats::{Histogram, OnlineStats};
+    pub use crate::stats::OnlineStats;
     pub use crate::time::{SimDuration, SimTime};
 }

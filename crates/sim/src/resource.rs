@@ -6,12 +6,8 @@
 //! at a time and queue the rest. [`SerialResource`] models such a block as a
 //! "busy until" timestamp: a request arriving at time `t` starts at
 //! `max(t, busy_until)` and occupies the resource for its service time.
-//!
-//! [`PooledResource`] generalizes this to `k` identical servers (used for the
-//! worker-core pool in simple capacity checks and for banked structures).
 
 use crate::time::{SimDuration, SimTime};
-use std::collections::BinaryHeap;
 
 /// A single-server resource with FIFO queueing, modeled by a busy-until time.
 #[derive(Debug, Clone, Default)]
@@ -114,85 +110,6 @@ impl SerialResource {
     }
 }
 
-/// A pool of `k` identical servers with FIFO queueing.
-///
-/// Internally keeps a min-heap of server free times; a request is assigned to
-/// the earliest-free server.
-#[derive(Debug, Clone)]
-pub struct PooledResource {
-    /// Negated free times (BinaryHeap is a max-heap; we want the minimum).
-    free_times: BinaryHeap<std::cmp::Reverse<SimTime>>,
-    servers: usize,
-    busy_time: SimDuration,
-    requests: u64,
-}
-
-impl PooledResource {
-    /// Creates a pool with `servers` identical servers, all idle.
-    ///
-    /// # Panics
-    /// Panics if `servers` is zero.
-    pub fn new(servers: usize) -> Self {
-        assert!(servers > 0, "a resource pool needs at least one server");
-        let mut free_times = BinaryHeap::with_capacity(servers);
-        for _ in 0..servers {
-            free_times.push(std::cmp::Reverse(SimTime::ZERO));
-        }
-        PooledResource {
-            free_times,
-            servers,
-            busy_time: SimDuration::ZERO,
-            requests: 0,
-        }
-    }
-
-    /// Number of servers in the pool.
-    pub fn servers(&self) -> usize {
-        self.servers
-    }
-
-    /// Reserves one server for `service`, starting no earlier than `now`.
-    pub fn acquire(&mut self, now: SimTime, service: SimDuration) -> Reservation {
-        let std::cmp::Reverse(free) = self
-            .free_times
-            .pop()
-            .expect("pool always has `servers` entries");
-        let start = now.max(free);
-        let end = start + service;
-        self.free_times.push(std::cmp::Reverse(end));
-        self.busy_time += service;
-        self.requests += 1;
-        Reservation { start, end }
-    }
-
-    /// Earliest time at which any server is (or becomes) free.
-    pub fn next_free(&self) -> SimTime {
-        self.free_times
-            .peek()
-            .map(|std::cmp::Reverse(t)| *t)
-            .unwrap_or(SimTime::ZERO)
-    }
-
-    /// Number of requests served.
-    pub fn requests(&self) -> u64 {
-        self.requests
-    }
-
-    /// Total busy time summed over all servers.
-    pub fn busy_time(&self) -> SimDuration {
-        self.busy_time
-    }
-
-    /// Average per-server utilization over `[0, horizon]`.
-    pub fn utilization(&self, horizon: SimTime) -> f64 {
-        if horizon == SimTime::ZERO {
-            0.0
-        } else {
-            self.busy_time.as_ps() as f64 / (horizon.as_ps() as f64 * self.servers as f64)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -247,34 +164,5 @@ mod tests {
         r.acquire(at(0), ns(25));
         assert!((r.utilization(at(100)) - 0.25).abs() < 1e-12);
         assert_eq!(r.utilization(SimTime::ZERO), 0.0);
-    }
-
-    #[test]
-    fn pooled_resource_runs_k_requests_in_parallel() {
-        let mut p = PooledResource::new(2);
-        let a = p.acquire(at(0), ns(10));
-        let b = p.acquire(at(0), ns(10));
-        let c = p.acquire(at(0), ns(10));
-        assert_eq!(a.start, at(0));
-        assert_eq!(b.start, at(0));
-        // Third request waits for the first free server.
-        assert_eq!(c.start, at(10));
-        assert_eq!(p.requests(), 3);
-        assert_eq!(p.servers(), 2);
-    }
-
-    #[test]
-    fn pooled_resource_next_free_tracks_earliest_server() {
-        let mut p = PooledResource::new(2);
-        p.acquire(at(0), ns(10));
-        assert_eq!(p.next_free(), SimTime::ZERO);
-        p.acquire(at(0), ns(20));
-        assert_eq!(p.next_free(), at(10));
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one server")]
-    fn empty_pool_rejected() {
-        let _ = PooledResource::new(0);
     }
 }

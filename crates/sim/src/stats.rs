@@ -1,8 +1,8 @@
-//! Online statistics and histograms.
+//! Online statistics and load-balance summaries.
 //!
 //! These are used throughout the evaluation harness: per-benchmark task-size
-//! statistics (Table II / Table III), resource utilization summaries, queue
-//! occupancy distributions, and speedup series.
+//! statistics (Table II / Table III) and how evenly work spreads over task
+//! graphs or nodes.
 
 use crate::time::SimDuration;
 use serde::{Deserialize, Serialize};
@@ -125,100 +125,6 @@ impl OnlineStats {
     }
 }
 
-/// A fixed-bucket histogram over a linear range, with overflow/underflow bins.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    buckets: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-    count: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram covering `[lo, hi)` with `buckets` equal-width bins.
-    ///
-    /// # Panics
-    /// Panics if `lo >= hi` or `buckets == 0`.
-    pub fn new(lo: f64, hi: f64, buckets: usize) -> Self {
-        assert!(lo < hi, "histogram range must be non-empty");
-        assert!(buckets > 0, "histogram needs at least one bucket");
-        Histogram {
-            lo,
-            hi,
-            buckets: vec![0; buckets],
-            underflow: 0,
-            overflow: 0,
-            count: 0,
-        }
-    }
-
-    /// Records an observation.
-    pub fn record(&mut self, x: f64) {
-        self.count += 1;
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let width = (self.hi - self.lo) / self.buckets.len() as f64;
-            let idx = ((x - self.lo) / width) as usize;
-            let idx = idx.min(self.buckets.len() - 1);
-            self.buckets[idx] += 1;
-        }
-    }
-
-    /// Total number of observations (including under/overflow).
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Observations below the range.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Observations at or above the upper bound.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Per-bucket counts.
-    pub fn buckets(&self) -> &[u64] {
-        &self.buckets
-    }
-
-    /// `(low_edge, high_edge, count)` for each bucket.
-    pub fn iter_bins(&self) -> impl Iterator<Item = (f64, f64, u64)> + '_ {
-        let width = (self.hi - self.lo) / self.buckets.len() as f64;
-        self.buckets.iter().enumerate().map(move |(i, &c)| {
-            let lo = self.lo + width * i as f64;
-            (lo, lo + width, c)
-        })
-    }
-
-    /// Approximate quantile from the binned data (`q` in `[0,1]`).
-    pub fn quantile(&self, q: f64) -> f64 {
-        if self.count == 0 {
-            return self.lo;
-        }
-        let target = (q.clamp(0.0, 1.0) * self.count as f64).round() as u64;
-        let mut seen = self.underflow;
-        if seen >= target {
-            return self.lo;
-        }
-        let width = (self.hi - self.lo) / self.buckets.len() as f64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return self.lo + width * (i as f64 + 0.5);
-            }
-        }
-        self.hi
-    }
-}
-
 /// A load-balance summary over a set of parallel units (e.g. how evenly the
 /// distribution function spreads addresses over task graphs — the fairness
 /// property of §IV-B and Fig. 3).
@@ -316,36 +222,6 @@ mod tests {
         assert!((a.variance() - whole.variance()).abs() < 1e-9);
         assert_eq!(a.min(), whole.min());
         assert_eq!(a.max(), whole.max());
-    }
-
-    #[test]
-    fn histogram_bins_and_overflow() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        for x in [0.5, 1.5, 1.7, 9.99, -1.0, 10.0, 25.0] {
-            h.record(x);
-        }
-        assert_eq!(h.count(), 7);
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 2);
-        assert_eq!(h.buckets()[0], 1);
-        assert_eq!(h.buckets()[1], 2);
-        assert_eq!(h.buckets()[9], 1);
-        let bins: Vec<_> = h.iter_bins().collect();
-        assert_eq!(bins.len(), 10);
-        assert!((bins[1].0 - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn histogram_quantile_is_monotone_and_roughly_right() {
-        let mut h = Histogram::new(0.0, 100.0, 100);
-        for i in 0..1000 {
-            h.record((i % 100) as f64);
-        }
-        let q50 = h.quantile(0.5);
-        let q90 = h.quantile(0.9);
-        assert!(q50 < q90);
-        assert!((45.0..55.0).contains(&q50), "q50 {q50}");
-        assert!((85.0..95.0).contains(&q90), "q90 {q90}");
     }
 
     #[test]

@@ -312,8 +312,8 @@ pub fn dragonfly(
     )
 }
 
-/// Selectable interconnect topologies (the `LinkConfig` / `NEXUS_TOPO` handle
-/// for the fabric builders in this module). The degenerate uniform cases
+/// Selectable interconnect topologies (the `LinkConfig` handle for the fabric
+/// builders in this module). The degenerate uniform cases
 /// ([`SharedBus`](TopologyKind::SharedBus) / [`FullMesh`](TopologyKind::FullMesh))
 /// reproduce the original `nexus-cluster` interconnect exactly; the tiered
 /// kinds derive rack/group sizes from the node count (see

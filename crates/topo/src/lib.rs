@@ -19,8 +19,7 @@
 //!   [`FullMesh`](TopologyKind::FullMesh), plus tiered
 //!   [`RackTiers`](TopologyKind::RackTiers), [`Torus2D`](TopologyKind::Torus2D)
 //!   and [`Dragonfly`](TopologyKind::Dragonfly); `FromStr` is case-insensitive
-//!   and lists the valid spellings on a typo (the benches hook it up to
-//!   `NEXUS_TOPO`).
+//!   and lists the valid spellings on a typo.
 //!
 //! `nexus-cluster` instantiates one serializing wire per fabric link and
 //! forwards messages hop by hop (store-and-forward), so multi-hop routes pay

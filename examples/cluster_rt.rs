@@ -9,9 +9,6 @@
 //! simulators are doing the work; only the clock is real.
 //!
 //! Run with: `cargo run --release --example cluster_rt`
-//!
-//! Knobs (loud-abort on typos, exit 2):
-//! `NEXUS_RT_NODES=<n>` (default 4) and `NEXUS_RT_WORKERS=<n>` (default 2).
 
 use nexus::prelude::*;
 use nexus::sched::StealKind;
@@ -19,24 +16,8 @@ use nexus::sim::SimDuration;
 use nexus::trace::generators::distributed;
 use std::time::{Duration, Instant};
 
-/// Reads a positive-integer knob, aborting loudly on anything unparsable —
-/// the same convention as the bench harness (`error: VAR: message`, exit 2).
-fn knob(var: &str, default: usize) -> usize {
-    let Ok(raw) = std::env::var(var) else {
-        return default;
-    };
-    match raw.trim().parse::<usize>() {
-        Ok(v) if v > 0 => v,
-        _ => {
-            eprintln!("error: {var}: unparsable count {raw:?} (expected a positive integer)");
-            std::process::exit(2);
-        }
-    }
-}
-
 fn main() {
-    let nodes = knob("NEXUS_RT_NODES", 4);
-    let workers = knob("NEXUS_RT_WORKERS", 2);
+    let (nodes, workers) = (4, 2);
 
     // Node 0 owns 6x the last node's work — the reproducible test bed for
     // work stealing. A small time scale maps the simulated 30 us tasks to

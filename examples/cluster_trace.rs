@@ -9,7 +9,9 @@
 //! the two runs land side by side as `trace_sim.json` / `trace_rt.json`:
 //! open either in <https://ui.perfetto.dev> or `chrome://tracing` to see one
 //! process row per node, one thread row per worker, and flow arrows where
-//! descriptors were forwarded or stolen.
+//! descriptors were forwarded or stolen. Each export must hold exactly one
+//! complete span per retired task, or the example panics. The simulated log
+//! is also written as a text timeline, `trace_sim.txt`.
 //!
 //! Run with: `cargo run --release --example cluster_trace`
 
@@ -19,6 +21,11 @@ use nexus::rt::SharedRecorder;
 use nexus::sim::SimDuration;
 use nexus::trace::generators::distributed;
 use std::time::Duration;
+
+/// The number of complete (`"ph":"X"`) spans in a Chrome-trace document.
+fn complete_spans(json: &str) -> u64 {
+    json.matches("\"ph\":\"X\"").count() as u64
+}
 
 fn main() {
     // Node 0 owns 6x the last node's work, so most-loaded stealing fires and
@@ -47,7 +54,15 @@ fn main() {
         "     conservation: {} submitted = {} retired, {} stolen",
         conserved.submitted, conserved.retired, conserved.stolen
     );
-    std::fs::write("trace_sim.json", chrome_trace(&sim_rec)).expect("write trace_sim.json");
+    let sim_json = chrome_trace(&sim_rec);
+    assert_eq!(
+        complete_spans(&sim_json),
+        out.tasks,
+        "one sim span per task"
+    );
+    std::fs::write("trace_sim.json", sim_json).expect("write trace_sim.json");
+    let sim_text = text_timeline(&sim_rec);
+    std::fs::write("trace_sim.txt", &sim_text).expect("write trace_sim.txt");
 
     // --- Live run: real threads, wall clock, same schema. ----------------
     let shared = SharedRecorder::new();
@@ -73,7 +88,13 @@ fn main() {
         "     conservation: {} submitted = {} retired, {} stolen",
         conserved.submitted, conserved.retired, conserved.stolen
     );
-    std::fs::write("trace_rt.json", chrome_trace(&rt_rec)).expect("write trace_rt.json");
+    let rt_json = chrome_trace(&rt_rec);
+    assert_eq!(
+        complete_spans(&rt_json),
+        report.retired,
+        "one rt span per task"
+    );
+    std::fs::write("trace_rt.json", rt_json).expect("write trace_rt.json");
 
     // Both sides populate the same registry keys, so the censuses line up.
     println!(
@@ -84,8 +105,11 @@ fn main() {
 
     // A peek at the text timeline (the full log is thousands of lines).
     println!("\nfirst lines of the simulated timeline:");
-    for line in text_timeline(&sim_rec).lines().take(6) {
+    for line in sim_text.lines().take(6) {
         println!("  {line}");
     }
-    println!("\nwrote trace_sim.json and trace_rt.json — load them in ui.perfetto.dev");
+    println!(
+        "\nwrote trace_sim.json and trace_rt.json (load them in ui.perfetto.dev) \
+         and trace_sim.txt"
+    );
 }

@@ -3,7 +3,9 @@
 //! subsystem.
 //!
 //! * Closed-loop streaming is a strict no-op: it reproduces the batch
-//!   `simulate_cluster` makespan exactly on every trace/config sampled here.
+//!   `simulate_cluster` makespan exactly on every trace/config sampled here,
+//!   whether driven by a closed-loop source or by a service whose arrival
+//!   kind is `ClosedLoop`.
 //! * Admission is an invariant, not a hint: the observed queue depth never
 //!   exceeds the bound, and no task is lost or duplicated under back-pressure.
 //! * Under-driven services never back-pressure and keep p99 bounded;
@@ -54,6 +56,20 @@ fn closed_loop_streaming_reproduces_batch_makespans_exactly() {
             );
             assert_eq!(stream.backpressure_events, 0, "{}", trace.name);
             assert_eq!(stream.latencies.len(), trace.task_count(), "{}", trace.name);
+            let closed =
+                ServiceConfig::new(ArrivalConfig::new(ArrivalKind::ClosedLoop, us(40), 42));
+            let served = simulate_service(trace, &closed, &cfg, |_| NexusSharp::paper(6));
+            assert_eq!(
+                served.stream.cluster.makespan, batch.makespan,
+                "{}/{nodes}n: a closed-loop service must not perturb the makespan",
+                trace.name
+            );
+            assert_eq!(
+                served.histogram.count(),
+                trace.task_count() as u64,
+                "{}",
+                trace.name
+            );
         }
     }
 }
