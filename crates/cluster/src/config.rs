@@ -106,10 +106,6 @@ pub struct ClusterConfig {
     /// path bit-identical to the static pre-pass behaviour.
     #[serde(default)]
     pub feedback: FeedbackKind,
-    /// Safety limit on simulation events (guards against model bugs producing
-    /// infinite event loops). The default of 10¹⁰ is ~25× what the largest
-    /// full-size paper workload generates cluster-wide.
-    pub max_events: u64,
     /// Event-queue engine driving the simulation. Outcomes are bit-identical
     /// across engines (the equivalence suite asserts it); the calendar engine
     /// is the fast default, the heap engine the reference.
@@ -117,7 +113,9 @@ pub struct ClusterConfig {
 }
 
 impl ClusterConfig {
-    /// Default event-count guard (see [`ClusterConfig::max_events`]).
+    /// Safety limit on the events of one cluster simulation (guards against
+    /// model bugs producing infinite event loops): 10¹⁰ is ~25× what the
+    /// largest full-size paper workload generates cluster-wide.
     pub const DEFAULT_MAX_EVENTS: u64 = 10_000_000_000;
 
     /// A cluster of `nodes` nodes with `workers_per_node` worker cores each,
@@ -130,7 +128,6 @@ impl ClusterConfig {
             placement: PolicyKind::default(),
             stealing: StealKind::default(),
             feedback: FeedbackKind::default(),
-            max_events: Self::DEFAULT_MAX_EVENTS,
             engine: EngineKind::default(),
         }
     }

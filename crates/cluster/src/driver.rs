@@ -956,10 +956,11 @@ impl<'t, 'r, M: TaskManager> Run<'t, 'r, M> {
             let prof_start = prof
                 .as_ref()
                 .map(|_| (Instant::now(), ev.payload.kind_index()));
-            if events > self.cfg.max_events {
+            if events > ClusterConfig::DEFAULT_MAX_EVENTS {
                 panic!(
                     "cluster simulation exceeded {} events on {}",
-                    self.cfg.max_events, self.trace.name
+                    ClusterConfig::DEFAULT_MAX_EVENTS,
+                    self.trace.name
                 );
             }
 

@@ -18,9 +18,6 @@ pub struct HostConfig {
     /// Number of worker cores (the master runs on its own core, as in the
     /// paper's testbench).
     pub workers: usize,
-    /// Safety limit on simulation events (guards against model bugs producing
-    /// infinite loops). The default is ample for every paper workload.
-    pub max_events: u64,
     /// Event-queue engine driving the simulation (identical outcomes either
     /// way; see [`EngineKind`]).
     pub engine: EngineKind,
@@ -31,7 +28,6 @@ impl HostConfig {
     pub fn with_workers(workers: usize) -> Self {
         HostConfig {
             workers,
-            max_events: u64::MAX,
             engine: EngineKind::default(),
         }
     }
@@ -77,7 +73,6 @@ pub fn simulate(trace: &Trace, manager: &mut dyn TaskManager, cfg: &HostConfig) 
     let mut master = MasterSm::new();
     let mut executed: u64 = 0;
     let mut makespan = SimTime::ZERO;
-    let mut events_processed: u64 = 0;
 
     // Diagnostics.
     let mut idle_worker_area = SimDuration::ZERO; // worker·time with tasks outstanding
@@ -105,15 +100,6 @@ pub fn simulate(trace: &Trace, manager: &mut dyn TaskManager, cfg: &HostConfig) 
     while let Some(ev) = queue.pop() {
         let now = ev.time;
         makespan = makespan.max(now);
-        events_processed += 1;
-        if events_processed > cfg.max_events {
-            panic!(
-                "simulation exceeded {} events on {} / {}",
-                cfg.max_events,
-                trace.name,
-                manager.name()
-            );
-        }
 
         // Integrate idle-worker area (workers idle while work is outstanding).
         let dt = now.saturating_since(last_accounting);

@@ -20,6 +20,12 @@
 //! tasks at the same homes, retire in *some* legal topological order of the
 //! same dependence graph, and converge to the same final last-writer table.
 //!
+//! Dependences follow the simulator's rule: full OmpSs ordering of the
+//! `in`/`out`/`inout` clauses among tasks homed on the same node, and only
+//! last-writer edges across nodes (cross-node anti-dependences are left to
+//! renaming). A one-node runtime, `RtConfig::new(1, workers)`, therefore
+//! orders every dependence and serves as a plain task-parallel library.
+//!
 //! Observability mirrors the simulator's: attach a
 //! [`SharedRecorder`] via [`RtConfig::with_recorder`] and every thread
 //! stamps the same `nexus-obs` span schema (`Submitted` → `Placed` →

@@ -14,13 +14,19 @@
 //!    home node (the producer's **directory**), and
 //! 2. sends `Submit` with the task's descriptor to its home node.
 //!
+//! The descriptor misses every last-writer producer and, if the task writes,
+//! every task homed on the same node that read one of its outputs since that
+//! address was last written (node-local write-after-read, ordered as the
+//! simulator's node managers order it). Readers on other nodes are not
+//! waited for: like the simulator, the runtime leaves cross-node
+//! anti-dependences to renaming.
+//!
 //! A manager marks a producer retired either by executing it, by receiving a
 //! cross-node `Notify`, or — for descriptors it granted to a thief — by the
 //! thief's `StolenRetired` report. The home node remains the directory for a
 //! descriptor no matter where it ends up executing, so subscriptions never
-//! chase moved work around the cluster. (The event simulator re-homes moved
-//! work instead; this directory rule is the one place the two clocks
-//! differ.) Every retirement is appended to one global retire log (the
+//! chase moved work around the cluster (the event simulator re-homes moved
+//! work instead). Every retirement is appended to one global retire log (the
 //! topological-order witness the conformance suite checks, and the wait
 //! mechanism behind `taskwait`).
 //!
@@ -196,11 +202,41 @@ struct NodeShared {
 
 /// The global retirement record: `order` is the append-only log (one entry
 /// per executed task, in real wall-clock retirement order — the topological
-/// witness), `set` the membership index behind `taskwait on`.
+/// witness), `set` the membership index behind `taskwait on`, and `prefix`
+/// the retired-prefix watermark behind `taskwait`.
 #[derive(Default)]
 struct RetireLog {
     order: Vec<TaskId>,
     set: FxHashSet<TaskId>,
+    /// Every submission index below `prefix` has retired.
+    prefix: usize,
+    /// Retired submission indices above `prefix`.
+    ahead: FxHashSet<usize>,
+}
+
+impl RetireLog {
+    /// Records the retirement of task `id`, submission index `idx`.
+    fn retire(&mut self, idx: usize, id: TaskId) {
+        self.order.push(id);
+        self.set.insert(id);
+        if idx != self.prefix {
+            self.ahead.insert(idx);
+            return;
+        }
+        self.prefix += 1;
+        while self.ahead.remove(&self.prefix) {
+            self.prefix += 1;
+        }
+    }
+}
+
+/// What the master remembers about one address.
+#[derive(Default)]
+struct AddrState {
+    /// The last task that wrote the address — the `taskwait on` target.
+    writer: Option<TaskId>,
+    /// Submission indices of the tasks that read the address since then.
+    readers: Vec<usize>,
 }
 
 /// Master-side submission state, serialized under one lock so placement and
@@ -209,8 +245,9 @@ struct SubmitState {
     scanner: DepScanner,
     /// Home node per submission index (the scanner does not expose these).
     homes: Vec<usize>,
-    /// Last writing task per address — the `taskwait on` target map.
-    last_writer: FxHashMap<u64, TaskId>,
+    /// Per address: the `taskwait on` target and the readers the next
+    /// writer may have to wait for.
+    addrs: FxHashMap<u64, AddrState>,
     /// `(producer, node)` pairs already subscribed (dedup: one `Notify` per
     /// consuming node is enough, readiness counting is per missing producer).
     subscribed: FxHashSet<(usize, usize)>,
@@ -444,7 +481,7 @@ impl ClusterRuntime {
             sub: Mutex::new(SubmitState {
                 scanner,
                 homes: Vec::new(),
-                last_writer: FxHashMap::default(),
+                addrs: FxHashMap::default(),
                 subscribed: FxHashSet::default(),
                 closed: false,
             }),
@@ -651,9 +688,25 @@ impl RuntimeHandle {
         };
         let idx = sub.homes.len();
         sub.homes.push(rec.home);
-        for p in descriptor.outputs() {
-            sub.last_writer.insert(p.addr, id);
+        let mut missing = rec.producers;
+        let SubmitState { homes, addrs, .. } = &mut *sub;
+        for p in &descriptor.params {
+            let addr = addrs.entry(p.addr).or_default();
+            if !p.dir.writes() {
+                addr.readers.push(idx);
+                continue;
+            }
+            // Write-after-read, on this node only (see the module docs).
+            for &r in &addr.readers {
+                if r != idx && homes[r] == rec.home {
+                    missing.push(r);
+                }
+            }
+            addr.writer = Some(id);
+            addr.readers.clear();
         }
+        missing.sort_unstable();
+        missing.dedup();
         for &rp in &rec.remote_producers {
             let producer_home = sub.homes[rp];
             if sub.subscribed.insert((rp, rec.home)) {
@@ -678,7 +731,7 @@ impl RuntimeHandle {
                 home: rec.home,
                 duration: descriptor.duration,
                 body,
-                missing: rec.producers,
+                missing,
             }))
             .map_err(|_| SubmitError::ShutDown)?;
         Ok(id)
@@ -687,9 +740,9 @@ impl RuntimeHandle {
     /// Blocks until every task submitted before the call has retired (or the
     /// runtime shuts down, whichever comes first).
     pub fn taskwait(&self) {
-        let target = self.inner.submitted.load(Ordering::Acquire);
+        let target = self.inner.submitted.load(Ordering::Acquire) as usize;
         let mut log = self.inner.lock_log();
-        while (log.order.len() as u64) < target && !self.inner.shutdown.load(Ordering::Acquire) {
+        while log.prefix < target && !self.inner.shutdown.load(Ordering::Acquire) {
             log = self.inner.log_cv.wait(log).expect("retire log poisoned");
         }
     }
@@ -700,7 +753,7 @@ impl RuntimeHandle {
     pub fn taskwait_on(&self, addr: u64) {
         let target = {
             let sub = self.inner.sub.lock().expect("submit state poisoned");
-            sub.last_writer.get(&addr).copied()
+            sub.addrs.get(&addr).and_then(|a| a.writer)
         };
         let Some(target) = target else { return };
         let mut log = self.inner.lock_log();
@@ -898,11 +951,7 @@ impl Mgr {
                 self.done += 1;
                 self.stats().executed += 1;
                 self.publish_digest();
-                {
-                    let mut log = self.inner.lock_log();
-                    log.order.push(id);
-                    log.set.insert(id);
-                }
+                self.inner.lock_log().retire(idx, id);
                 if let Some(r) = &self.inner.rec {
                     r.record_now(SpanEvent::Retired {
                         task: idx,
@@ -1263,6 +1312,36 @@ mod tests {
         TaskDescriptor::builder(id).inout(addr).build()
     }
 
+    fn one_node(workers: usize) -> (ClusterRuntime, RuntimeHandle) {
+        let mut rt = ClusterRuntime::new(RtConfig::new(1, workers));
+        let h = rt.start();
+        (rt, h)
+    }
+
+    /// A task writing `addr` that runs `wait`, then raises `done`.
+    fn writer(
+        id: u64,
+        addr: u64,
+        done: &Arc<AtomicBool>,
+        wait: impl FnOnce() + Send + 'static,
+    ) -> RtTask {
+        let done = Arc::clone(done);
+        RtTask::new(TaskDescriptor::builder(id).output(addr).build()).with_body(move || {
+            wait();
+            done.store(true, Ordering::SeqCst);
+        })
+    }
+
+    /// A gate for a task body: the closure blocks until the sender fires, or
+    /// for at most 5 s, so a wait that wrongly depends on the gated task fails
+    /// its assertions instead of hanging.
+    fn gate() -> (Sender<()>, impl FnOnce() + Send + 'static) {
+        let (open, shut) = unbounded();
+        (open, move || {
+            let _ = shut.recv_timeout(Duration::from_secs(5));
+        })
+    }
+
     #[test]
     fn dependent_bodies_run_in_submission_order() {
         let mut rt = ClusterRuntime::new(RtConfig::new(2, 2));
@@ -1448,6 +1527,203 @@ mod tests {
         let mut sorted: Vec<u64> = log.iter().map(|t| t.0).collect();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..10).collect::<Vec<_>>());
+        rt.shutdown_background();
+    }
+
+    #[test]
+    fn readers_wait_for_writer_and_writer_waits_for_readers() {
+        let (rt, h) = one_node(4);
+        let value = Arc::new(AtomicU64::new(0));
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let v = Arc::clone(&value);
+        let producer = TaskDescriptor::builder(0).output(0x100).build();
+        h.submit(RtTask::new(producer).with_body(move || {
+            thread::sleep(Duration::from_millis(20));
+            v.store(42, Ordering::SeqCst);
+        }))
+        .unwrap();
+        // Fewer readers than workers, and each sleeps before reading: a
+        // writer that does not wait for them runs beside them and overwrites
+        // the value under their feet.
+        for id in 1..=3u64 {
+            let (v, seen) = (Arc::clone(&value), Arc::clone(&seen));
+            let reader = TaskDescriptor::builder(id).input(0x100).build();
+            h.submit(RtTask::new(reader).with_body(move || {
+                thread::sleep(Duration::from_millis(20));
+                seen.lock().unwrap().push(v.load(Ordering::SeqCst));
+            }))
+            .unwrap();
+        }
+        let v = Arc::clone(&value);
+        let writer = TaskDescriptor::builder(4).inout(0x100).build();
+        h.submit(RtTask::new(writer).with_body(move || v.store(7, Ordering::SeqCst)))
+            .unwrap();
+        h.taskwait();
+        assert_eq!(
+            *seen.lock().unwrap(),
+            vec![42; 3],
+            "a reader saw the wrong write"
+        );
+        assert_eq!(value.load(Ordering::SeqCst), 7);
+        rt.shutdown_background();
+    }
+
+    #[test]
+    fn wavefront_computation_matches_sequential_result() {
+        // Listing 1's shape: cell = left + upper-right + 1.
+        const R: usize = 12;
+        const C: usize = 16;
+        let cell = |grid: &[u64], r: usize, c: usize| {
+            let left = if c > 0 { grid[r * C + c - 1] } else { 0 };
+            let upright = if r > 0 && c + 1 < C {
+                grid[(r - 1) * C + c + 1]
+            } else {
+                0
+            };
+            left + upright + 1
+        };
+        let (rt, h) = one_node(6);
+        let grid = Arc::new(Mutex::new(vec![0u64; R * C]));
+        let key = |r: usize, c: usize| (r * C + c) as u64 * 64;
+        for r in 0..R {
+            for c in 0..C {
+                let mut b = TaskDescriptor::builder((r * C + c) as u64).inout(key(r, c));
+                if c > 0 {
+                    b = b.input(key(r, c - 1));
+                }
+                if r > 0 && c + 1 < C {
+                    b = b.input(key(r - 1, c + 1));
+                }
+                let grid = Arc::clone(&grid);
+                h.submit(RtTask::new(b.build()).with_body(move || {
+                    let mut g = grid.lock().unwrap();
+                    g[r * C + c] = cell(&g, r, c);
+                }))
+                .unwrap();
+            }
+        }
+        h.taskwait();
+        let mut reference = vec![0u64; R * C];
+        for r in 0..R {
+            for c in 0..C {
+                reference[r * C + c] = cell(&reference, r, c);
+            }
+        }
+        assert_eq!(*grid.lock().unwrap(), reference);
+        rt.shutdown_background();
+    }
+
+    #[test]
+    fn taskwait_on_waits_for_the_named_key_only() {
+        let (rt, h) = one_node(2);
+        let slow_done = Arc::new(AtomicBool::new(false));
+        let fast_done = Arc::new(AtomicBool::new(false));
+        let (open, wait) = gate();
+        h.submit(writer(0, 0xA, &slow_done, wait)).unwrap();
+        h.submit(writer(1, 0xB, &fast_done, || {})).unwrap();
+        h.taskwait_on(0xB);
+        assert!(fast_done.load(Ordering::SeqCst));
+        assert!(
+            !slow_done.load(Ordering::SeqCst),
+            "waiting on 0xB waited for 0xA's writer"
+        );
+        open.send(()).unwrap();
+        h.taskwait();
+        assert!(slow_done.load(Ordering::SeqCst));
+        rt.shutdown_background();
+    }
+
+    #[test]
+    fn cold_key_wait_returns_immediately_despite_running_tasks() {
+        let (rt, h) = one_node(2);
+        let slow_done = Arc::new(AtomicBool::new(false));
+        let (open, wait) = gate();
+        h.submit(writer(0, 0xA, &slow_done, wait)).unwrap();
+        // Neither a never-written key nor a key whose writer already retired
+        // may wait for the unrelated gated task.
+        h.taskwait_on(0xDEAD);
+        h.submit(RtTask::new(TaskDescriptor::builder(1).output(0xB).build()))
+            .unwrap();
+        while h.retired() == 0 {
+            thread::yield_now();
+        }
+        h.taskwait_on(0xB);
+        assert!(
+            !slow_done.load(Ordering::SeqCst),
+            "a cold-key wait waited for an unrelated task"
+        );
+        open.send(()).unwrap();
+        h.taskwait();
+        assert!(slow_done.load(Ordering::SeqCst));
+        rt.shutdown_background();
+    }
+
+    #[test]
+    fn concurrent_taskwait_on_waiters_are_all_released() {
+        let (rt, h) = one_node(2);
+        let done = Arc::new(AtomicBool::new(false));
+        let (open, wait) = gate();
+        h.submit(writer(0, 0xC0, &done, wait)).unwrap();
+        let waiters: Vec<_> = (0..4)
+            .map(|_| {
+                let (h, done) = (h.clone(), Arc::clone(&done));
+                thread::spawn(move || {
+                    h.taskwait_on(0xC0);
+                    assert!(done.load(Ordering::SeqCst));
+                })
+            })
+            .collect();
+        open.send(()).unwrap();
+        for w in waiters {
+            w.join().unwrap();
+        }
+        rt.shutdown_background();
+    }
+
+    #[test]
+    fn chains_preserve_program_order() {
+        let (rt, h) = one_node(8);
+        let chains: Vec<Arc<Mutex<Vec<u64>>>> = (0..16).map(|_| Arc::default()).collect();
+        for step in 0..50u64 {
+            for (c, log) in chains.iter().enumerate() {
+                let log = Arc::clone(log);
+                let task = chain_task(step * 16 + c as u64, 0x4000 + c as u64 * 64);
+                h.submit(RtTask::new(task).with_body(move || log.lock().unwrap().push(step)))
+                    .unwrap();
+            }
+        }
+        h.taskwait();
+        for log in &chains {
+            assert_eq!(*log.lock().unwrap(), (0..50).collect::<Vec<_>>());
+        }
+        rt.shutdown_background();
+    }
+
+    #[test]
+    fn taskwait_ignores_later_submissions_from_other_handles() {
+        let (rt, h) = one_node(2);
+        let slow_done = Arc::new(AtomicBool::new(false));
+        let (open, wait) = gate();
+        h.submit(writer(0, 0xA, &slow_done, wait)).unwrap();
+        // Another handle submits a fast task while the barrier waits, and
+        // opens the gate a while after that task retired: the fast
+        // retirement must not stand in for the gated one's. (The sleeps only
+        // give a wrong barrier its chance to return early.)
+        let other = h.clone();
+        let late = thread::spawn(move || {
+            thread::sleep(Duration::from_millis(20));
+            let fast = TaskDescriptor::builder(1).output(0xB).build();
+            other.submit(RtTask::new(fast)).unwrap();
+            other.taskwait_on(0xB);
+            thread::sleep(Duration::from_millis(50));
+            open.send(()).unwrap();
+        });
+        h.taskwait();
+        assert!(
+            slow_done.load(Ordering::SeqCst),
+            "taskwait returned before a task submitted ahead of it retired"
+        );
+        late.join().unwrap();
         rt.shutdown_background();
     }
 }

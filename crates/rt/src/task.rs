@@ -31,7 +31,10 @@ impl RtTask {
 
     /// Attaches a closure to run on the executing worker. The closure must
     /// only touch data it declared in the descriptor — an undeclared access
-    /// is a data race the runtime cannot see.
+    /// is a data race the runtime cannot see. Write-after-read is ordered
+    /// only among tasks homed on the same node, so bodies of tasks on
+    /// different nodes must not share memory that one reads and a later one
+    /// writes.
     pub fn with_body(mut self, body: impl FnOnce() + Send + 'static) -> Self {
         self.body = Some(Box::new(body));
         self

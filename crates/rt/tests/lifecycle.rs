@@ -1,6 +1,6 @@
-//! Lifecycle edge cases of the owner/handle pair: double-start, timed-out
-//! shutdown with work still pending, submissions after shutdown, and
-//! heterogeneous worker speeds on the live runtime.
+//! Lifecycle edge cases of the owner/handle pair: rejected configurations,
+//! double-start, timed-out shutdown with work still pending, submissions
+//! after shutdown, and heterogeneous worker speeds on the live runtime.
 
 use nexus_rt::{ClusterRuntime, RtConfig, RtTask, SubmitError};
 use nexus_trace::TaskDescriptor;
@@ -13,6 +13,36 @@ fn task_us(id: u64, addr: u64, us: u64) -> RtTask {
             .duration(nexus_sim::SimDuration::from_us(us))
             .build(),
     )
+}
+
+#[test]
+#[should_panic(expected = "need at least one node")]
+fn zero_nodes_are_rejected() {
+    ClusterRuntime::new(RtConfig::new(0, 1));
+}
+
+#[test]
+#[should_panic(expected = "need at least one worker per node")]
+fn zero_workers_are_rejected() {
+    ClusterRuntime::new(RtConfig::new(1, 0));
+}
+
+#[test]
+#[should_panic(expected = "need one speed factor per worker")]
+fn a_wrong_speed_count_is_rejected() {
+    ClusterRuntime::new(RtConfig::new(1, 2).with_worker_speeds(&[1.0]));
+}
+
+#[test]
+#[should_panic(expected = "positive finite number (got 0)")]
+fn a_zero_speed_is_rejected() {
+    ClusterRuntime::new(RtConfig::new(1, 2).with_worker_speeds(&[1.0, 0.0]));
+}
+
+#[test]
+#[should_panic(expected = "positive finite number (got inf)")]
+fn an_infinite_speed_is_rejected() {
+    ClusterRuntime::new(RtConfig::new(1, 1).with_worker_speeds(&[f64::INFINITY]));
 }
 
 #[test]

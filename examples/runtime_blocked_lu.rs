@@ -1,13 +1,14 @@
-//! Using the *real* runtime (`nexus-runtime`) — not the simulator — to execute a
-//! blocked LU factorization on the current machine's threads, with the same
-//! task graph the sparselu benchmark models (lu0 / fwd / bdiv / bmod tasks and
-//! their in/out/inout footprints), then verifying the result against a
-//! sequential factorization.
+//! Using the *live* runtime (`nexus-rt`, one node) — not the simulator — to
+//! execute a blocked LU factorization on the current machine's threads, with
+//! the same task graph the sparselu benchmark models (lu0 / fwd / bdiv / bmod
+//! tasks and their in/out/inout footprints), then verifying the result
+//! against a sequential factorization.
 //!
 //! Run with: `cargo run --release --example runtime_blocked_lu`
 
 use nexus::prelude::*;
 use std::sync::Arc;
+use std::time::Duration;
 
 const NB: usize = 8; // blocks per dimension
 const BS: usize = 24; // block size (elements per dimension)
@@ -38,6 +39,25 @@ impl Matrix {
 
 fn block_key(bi: usize, bj: usize) -> u64 {
     (bi * NB + bj) as u64 * 64
+}
+
+/// Submits `body` as the next task, reading the blocks `inputs` and updating
+/// the block `inout` in place.
+fn spawn(
+    handle: &RuntimeHandle,
+    id: &mut u64,
+    inputs: &[u64],
+    inout: u64,
+    body: impl FnOnce() + Send + 'static,
+) {
+    let mut task = TaskDescriptor::builder(*id);
+    *id += 1;
+    for &key in inputs {
+        task = task.input(key);
+    }
+    handle
+        .submit(RtTask::new(task.inout(inout).build()).with_body(body))
+        .expect("runtime is running");
 }
 
 /// Sequential LU (no pivoting) used as the reference.
@@ -125,49 +145,45 @@ fn main() {
     let mut reference = original.clone();
     lu_sequential(&mut reference);
 
-    // Task-parallel factorization via nexus-runtime.
+    // Task-parallel factorization on one node of the live runtime.
     let workers = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4);
-    let rt = Runtime::with_shards(workers, 6).unwrap();
+    let mut rt = ClusterRuntime::new(RtConfig::new(1, workers));
+    let handle = rt.start();
     let matrix = Arc::new(Matrix::new(original));
+    let mut id = 0;
 
     let t0 = std::time::Instant::now();
     for kb in 0..NB {
-        {
-            let m = Arc::clone(&matrix);
-            rt.submit(TaskSpec::new(move || lu0(&m, kb)).inout(block_key(kb, kb)));
-        }
+        let m = Arc::clone(&matrix);
+        spawn(&handle, &mut id, &[], block_key(kb, kb), move || {
+            lu0(&m, kb)
+        });
         for jb in (kb + 1)..NB {
             let m = Arc::clone(&matrix);
-            rt.submit(
-                TaskSpec::new(move || fwd(&m, kb, jb))
-                    .input(block_key(kb, kb))
-                    .inout(block_key(kb, jb)),
-            );
+            let (diag, block) = (block_key(kb, kb), block_key(kb, jb));
+            spawn(&handle, &mut id, &[diag], block, move || fwd(&m, kb, jb));
         }
         for ib in (kb + 1)..NB {
             let m = Arc::clone(&matrix);
-            rt.submit(
-                TaskSpec::new(move || bdiv(&m, kb, ib))
-                    .input(block_key(kb, kb))
-                    .inout(block_key(ib, kb)),
-            );
+            let (diag, block) = (block_key(kb, kb), block_key(ib, kb));
+            spawn(&handle, &mut id, &[diag], block, move || bdiv(&m, kb, ib));
         }
         for ib in (kb + 1)..NB {
             for jb in (kb + 1)..NB {
                 let m = Arc::clone(&matrix);
-                rt.submit(
-                    TaskSpec::new(move || bmod(&m, ib, kb, jb))
-                        .input(block_key(ib, kb))
-                        .input(block_key(kb, jb))
-                        .inout(block_key(ib, jb)),
-                );
+                let inputs = [block_key(ib, kb), block_key(kb, jb)];
+                let block = block_key(ib, jb);
+                spawn(&handle, &mut id, &inputs, block, move || {
+                    bmod(&m, ib, kb, jb)
+                });
             }
         }
     }
-    rt.taskwait();
+    handle.taskwait();
     let elapsed = t0.elapsed();
+    let report = rt.shutdown_timeout(Duration::from_secs(10));
 
     // Verify against the sequential reference.
     let mut max_err = 0.0f64;
@@ -176,12 +192,10 @@ fn main() {
             max_err = max_err.max((matrix.at(r, c) - reference[r * N + c]).abs());
         }
     }
-    let stats = rt.stats();
     println!("blocked LU of a {N}x{N} matrix ({NB}x{NB} blocks of {BS}x{BS}) on {workers} threads");
-    println!("tasks executed: {}", stats.executed);
     println!(
-        "largest per-key waiter list: {}",
-        stats.max_waiters_on_a_key
+        "tasks executed: {}",
+        report.metrics.counter("task.executed")
     );
     println!("wall time: {elapsed:?}");
     println!("max |parallel - sequential| = {max_err:.3e}");

@@ -20,8 +20,7 @@
 //! | [`obs`] | `nexus-obs` | task-lifecycle tracing, metrics registry, Chrome-trace export |
 //! | [`cluster`] | `nexus-cluster` | multi-node cluster simulation with an interconnect model |
 //! | [`flow`] | `nexus-flow` | streaming ingestion: open-loop arrivals, latency percentiles, knee sweeps |
-//! | [`runtime`] | `nexus-runtime` | a real single-node threaded runtime using the Nexus# algorithm |
-//! | [`rt`] | `nexus-rt` | a real threaded *cluster* runtime executing the simulator's policies on live channels |
+//! | [`rt`] | `nexus-rt` | the live threaded runtime (one node or a cluster) executing the simulator's policies on real channels |
 //!
 //! ## Quick example
 //!
@@ -52,7 +51,6 @@ pub use nexus_obs as obs;
 pub use nexus_pp as pp;
 pub use nexus_resources as resources;
 pub use nexus_rt as rt;
-pub use nexus_runtime as runtime;
 pub use nexus_sched as sched;
 pub use nexus_sim as sim;
 pub use nexus_taskgraph as taskgraph;
@@ -74,7 +72,6 @@ pub mod prelude {
     pub use nexus_pp::{NexusPP, NexusPPConfig};
     pub use nexus_resources::{ManagerConfig, ResourceModel};
     pub use nexus_rt::{ClusterRuntime, RtConfig, RtTask, RuntimeHandle};
-    pub use nexus_runtime::{Runtime, TaskSpec};
     pub use nexus_sched::{PlacementPolicy, PolicyKind, StealKind, StealPolicy};
     pub use nexus_sim::{SimDuration, SimTime};
     pub use nexus_topo::{Fabric, TopologyKind};
