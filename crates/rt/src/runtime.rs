@@ -1531,6 +1531,54 @@ mod tests {
     }
 
     #[test]
+    fn independent_tasks_all_run() {
+        let mut rt = ClusterRuntime::new(RtConfig::new(1, 4));
+        let h = rt.start();
+        let counter = Arc::new(AtomicU64::new(0));
+        for id in 0..200u64 {
+            let counter = Arc::clone(&counter);
+            let task = TaskDescriptor::builder(id).output(id * 64).build();
+            h.submit(RtTask::new(task).with_body(move || {
+                counter.fetch_add(1, Ordering::Relaxed);
+            }))
+            .unwrap();
+        }
+        h.taskwait();
+        assert_eq!(counter.load(Ordering::Relaxed), 200);
+        let report = rt.shutdown_timeout(Duration::from_secs(10));
+        assert_eq!(report.submitted, 200);
+        assert_eq!(report.retired, 200);
+        assert_eq!(report.per_node[0].executed, 200);
+        assert_eq!(report.per_node[0].per_worker_done.len(), 4);
+    }
+
+    #[test]
+    fn explicit_shutdown_and_drop_are_both_clean() {
+        let (rt, h) = one_node(2);
+        let counter = Arc::new(AtomicU64::new(0));
+        for id in 0..10u64 {
+            let counter = Arc::clone(&counter);
+            h.submit(RtTask::new(chain_task(id, id)).with_body(move || {
+                counter.fetch_add(1, Ordering::Relaxed);
+            }))
+            .unwrap();
+        }
+        // No barrier first: the shutdown itself drains the submitted work.
+        let report = rt.shutdown_timeout(Duration::from_secs(10));
+        assert_eq!(counter.load(Ordering::Relaxed), 10);
+        assert_eq!(report.pending, 0);
+        // Dropping a started runtime without work is also fine, and leaves
+        // its handle with a clean error rather than a hang.
+        let (idle, h) = one_node(1);
+        drop(idle);
+        assert_eq!(
+            h.submit(RtTask::new(chain_task(0, 0))).unwrap_err(),
+            SubmitError::ShutDown
+        );
+        h.taskwait();
+    }
+
+    #[test]
     fn readers_wait_for_writer_and_writer_waits_for_readers() {
         let (rt, h) = one_node(4);
         let value = Arc::new(AtomicU64::new(0));

@@ -86,4 +86,29 @@ mod tests {
         assert!(format!("{bare:?}").contains("None"));
         assert!(SubmitError::ShutDown.to_string().contains("shut down"));
     }
+
+    #[test]
+    fn builder_collects_accesses() {
+        use nexus_trace::Direction::{In, InOut, Out};
+        let d = TaskDescriptor::builder(0)
+            .input(1)
+            .output(2)
+            .inout(3)
+            .input(4)
+            .input(5)
+            .build();
+        let t = RtTask::new(d).with_body(|| {});
+        // The footprint keeps every declared access, in declaration order.
+        let accesses: Vec<_> = t
+            .descriptor()
+            .params
+            .iter()
+            .map(|p| (p.addr, p.dir))
+            .collect();
+        assert_eq!(
+            accesses,
+            vec![(1, In), (2, Out), (3, InOut), (4, In), (5, In)]
+        );
+        assert!(format!("{t:?}").contains("params"));
+    }
 }
