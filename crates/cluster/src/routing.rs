@@ -191,6 +191,20 @@ impl DepScanner {
     pub fn stats(&self) -> EdgeStats {
         self.stats
     }
+
+    /// The home node of submission `idx`.
+    ///
+    /// # Panics
+    /// Panics if fewer than `idx + 1` tasks were scanned.
+    pub fn home(&self, idx: usize) -> usize {
+        self.homes[idx]
+    }
+
+    /// The submission index of the last scanned task that wrote `addr`, if
+    /// any did.
+    pub fn last_writer(&self, addr: u64) -> Option<usize> {
+        self.last_writer.get(&addr).copied()
+    }
 }
 
 /// Counts the dependency edges of `trace` under the default cluster routing
@@ -321,6 +335,14 @@ mod tests {
                 remote: 1
             }
         );
+        // The read accessors expose the same homes and last writers.
+        assert_eq!(
+            (0..3).map(|i| scanner.home(i)).collect::<Vec<_>>(),
+            [0, 1, 1]
+        );
+        assert_eq!(scanner.last_writer(0x100), Some(0));
+        assert_eq!(scanner.last_writer(0x300), Some(2));
+        assert_eq!(scanner.last_writer(0x1), None, "a read is not a write");
     }
 
     #[test]

@@ -13,25 +13,27 @@ use nexus_sched::{FeedbackKind, PolicyKind, StealKind};
 /// edges), which is what makes the conformance suite's cross-checks exact.
 #[derive(Debug, Clone)]
 pub struct RtConfig {
-    /// Number of runtime nodes (one manager thread each).
+    /// Number of runtime nodes (one state machine each, driven by whichever
+    /// thread has work for it).
     pub nodes: usize,
     /// Worker threads per node.
     pub workers_per_node: usize,
     /// Task-to-node placement policy (applied at submission time).
     pub placement: PolicyKind,
-    /// Work-stealing policy driven by idle manager threads.
+    /// Work-stealing policy, consulted on the idle ticks of a node's parked
+    /// workers.
     pub stealing: StealKind,
-    /// Runtime feedback mode, mirroring `ClusterConfig::feedback`: managers
+    /// Runtime feedback mode, mirroring `ClusterConfig::feedback`: nodes
     /// piggyback live load digests on their cross-node retirement `Notify`
     /// messages, submit-time placement consumes them (`Place`/`Full`), and
-    /// idle managers reclaim dependence-blocked descriptors out of loaded
-    /// pools (`Reclaim`/`Full`). Off by default — the protocol then carries
-    /// no digests and the reclaim path is never entered.
+    /// idle nodes reclaim dependence-blocked descriptors out of loaded pools
+    /// (`Reclaim`/`Full`). Off by default — the protocol then carries no
+    /// digests and the reclaim path is never entered.
     pub feedback: FeedbackKind,
-    /// Interconnect description. The runtime's channels are real and carry no
-    /// simulated latency; the link config only supplies the fabric's distance
-    /// matrix to distance-aware placement and tiered steal policies, exactly
-    /// as the cluster driver wires them.
+    /// Interconnect description. Messages between the runtime's nodes carry
+    /// no simulated latency; the link config only supplies the fabric's
+    /// distance matrix to distance-aware placement and tiered steal policies,
+    /// exactly as the cluster driver wires them.
     pub link: LinkConfig,
     /// Per-worker speed factors (`1.0` = a standard core), shared by every
     /// node. `None` means a uniform pool.

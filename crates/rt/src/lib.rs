@@ -3,8 +3,8 @@
 //! Everything else in this workspace *simulates* the Nexus# cluster design:
 //! discrete events stand in for threads, and simulated clocks stand in for
 //! contention. This crate closes the loop — it **executes** tasks on real OS
-//! threads, with real channels standing in for the interconnect, while
-//! consuming the *same* policy objects as the simulator:
+//! threads, with per-node state machines exchanging messages in place of the
+//! interconnect, while consuming the *same* policy objects as the simulator:
 //!
 //! - placement and dependence edges come from the one shared
 //!   `DepScanner` (`nexus-cluster`), so a task's home node is identical
@@ -34,9 +34,15 @@
 //! [`ShutdownReport`] carries a metrics [`Registry`]
 //! whose counter names match `ClusterOutcome::metrics`.
 //!
+//! A node has no thread of its own: its state sits behind a lock, and the
+//! thread that has work for it drives it — the submitting thread, one of
+//! the node's workers retiring a task, or a node's idle worker asking for a
+//! move. The only threads are the workers (see the [`runtime`] module docs
+//! for the protocol).
+//!
 //! The lifecycle is tokio-style, split across two types: a non-cloneable
 //! owner ([`ClusterRuntime`]) whose `new` spawns nothing, whose `start`
-//! spawns the threads exactly once, and whose `shutdown_timeout` /
+//! spawns the worker threads exactly once, and whose `shutdown_timeout` /
 //! `shutdown_background` stop them — and a cheap cloneable
 //! [`RuntimeHandle`] that submits tasks and waits on barriers from any
 //! thread.

@@ -1,18 +1,22 @@
-//! The threaded cluster runtime: the owner/handle pair, the per-node manager
-//! and worker threads, and trace replay through the shared [`MasterSm`].
+//! The threaded cluster runtime: the owner/handle pair, the per-node state
+//! machines and the worker threads that drive them, and trace replay through
+//! the shared [`MasterSm`].
 //!
 //! # Protocol
 //!
-//! One **manager thread** per node owns the node's dependence state and talks
-//! to everyone over channels; `workers_per_node` **worker threads** per node
-//! compete on the node's task channel and execute bodies. The master side
-//! (any thread holding a [`RuntimeHandle`]) routes each submission through
-//! the shared `DepScanner` — the same placement + dependence-edge definition
-//! the event simulator uses — and then:
+//! Each node is a state machine behind its own lock, with no thread of its
+//! own: it holds the node's dependence state, its ready and blocked
+//! descriptors, and the directory of the tasks homed on it. Whichever thread
+//! has work for a node drives it. There are two thread roles:
 //!
-//! 1. sends `Subscribe { producer, to: home }` to each *remote* producer's
-//!    home node (the producer's **directory**), and
-//! 2. sends `Submit` with the task's descriptor to its home node.
+//! * the **master** side, any thread holding a [`RuntimeHandle`], routes each
+//!   submission through the shared `DepScanner` (the same placement and
+//!   dependence-edge definition the event simulator uses). It sends
+//!   `Subscribe { producer, to: home }` to each *remote* producer's home
+//!   node (the producer's **directory**), then `Submit` with the task's
+//!   descriptor to its home node;
+//! * `workers_per_node` **worker threads** per node take ready descriptors
+//!   from their own node, run the bodies, and retire the tasks there.
 //!
 //! The descriptor misses every last-writer producer and, if the task writes,
 //! every task homed on the same node that read one of its outputs since that
@@ -21,17 +25,39 @@
 //! waited for: like the simulator, the runtime leaves cross-node
 //! anti-dependences to renaming.
 //!
-//! A manager marks a producer retired either by executing it, by receiving a
-//! cross-node `Notify`, or — for descriptors it granted to a thief — by the
-//! thief's `StolenRetired` report. The home node remains the directory for a
-//! descriptor no matter where it ends up executing, so subscriptions never
-//! chase moved work around the cluster (the event simulator re-homes moved
-//! work instead). Every retirement is appended to one global retire log (the
-//! topological-order witness the conformance suite checks, and the wait
-//! mechanism behind `taskwait`).
+//! **Delivery.** A node handles one message at a time under its lock and
+//! appends the messages it sends to an out-list. The thread that made the
+//! list delivers it in send order, locking one destination node at a time;
+//! the messages a handler sends join the same list. No thread holds two node
+//! locks at once, and under a node lock only leaf locks are taken (the
+//! recorder and the digest board). A submission is planned and delivered
+//! under the submit lock, so every node admits tasks in program order.
+//!
+//! **Retirement.** A worker that finished a task first appends it to the one
+//! global retire log, then runs `finish` under its node's lock. Appending
+//! first means no dependent can become ready before its producer is in the
+//! log, so the log is a topological order: the witness the conformance suite
+//! checks, and the wait mechanism behind `taskwait`. `finish` marks the
+//! producer retired, which promotes local waiters, and notifies the
+//! producer's subscribers if the node is its home, or sends the home a
+//! `Notify` otherwise. A body that panics is caught: its task retires as
+//! failed, and its dependents still run.
+//!
+//! A node marks a producer retired either by executing it or by a `Notify`.
+//! The home node remains the directory for a descriptor no matter where it
+//! ends up executing, so subscriptions never chase moved work around the
+//! cluster (the event simulator re-homes moved work instead).
+//!
+//! **Wake-ups.** A worker that finds nothing ready parks on its node's token
+//! channel. A step that makes descriptors ready sends one token per newly
+//! ready descriptor, up to the number of parked workers no token has been
+//! sent to yet, so the channel never holds more tokens than the node has
+//! workers. A worker that finishes a task takes the next ready descriptor
+//! itself, without a token. Only while a move kind is enabled do parked
+//! workers also wake every millisecond, to let their node request a move.
 //!
 //! **Migration** reuses the simulator's [`StealPolicy`] objects verbatim and
-//! runs one request/grant exchange in two kinds. On an idle tick a manager
+//! runs one request/grant exchange in two kinds. On an idle tick a node
 //! snapshots the per-node load boards (lock-free atomics), lets the policy
 //! pick a victim and sends a `MoveRequest`; the victim answers with a
 //! `MoveGrant` of its youngest descriptors of that kind, possibly none:
@@ -49,15 +75,15 @@
 //! ready once every producer it still misses has retired.
 //!
 //! With runtime feedback enabled (`RtConfig::feedback`), every cross-node
-//! `Notify` piggybacks the sender's live [`LoadView`] (wall-nanosecond
-//! clock); each manager folds incoming digests into its per-node view table
-//! for reclaim victim selection, and retirements additionally publish to a
-//! shared digest board the master reads for submit-time
-//! [`FeedbackPlacement`] (`Place`/`Full`).
+//! `Notify` from a directory or a relay piggybacks the sender's live
+//! [`LoadView`] (wall-nanosecond clock); each node folds incoming digests
+//! into its per-node view table for reclaim victim selection, and
+//! retirements additionally publish to a shared digest board the master
+//! reads for submit-time [`FeedbackPlacement`] (`Place`/`Full`).
 
 use crate::config::RtConfig;
 use crate::task::{RtTask, SubmitError, TaskBody};
-use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use nexus_cluster::routing::DepScanner;
 use nexus_host::{MasterSm, MasterStep};
 use nexus_obs::{Registry, SharedRecorder, SpanEvent};
@@ -66,13 +92,14 @@ use nexus_sim::{FxHashMap, FxHashSet, SimDuration, SimTime};
 use nexus_topo::DistanceMatrix;
 use nexus_trace::{TaskId, Trace};
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread;
 use std::time::{Duration, Instant};
 
-/// How long an idle manager blocks on its mailbox before scanning the load
-/// boards for a steal opportunity.
+/// How long a parked worker waits for a wake token before letting its node
+/// scan the load boards for a move (only while a move kind is enabled).
 const IDLE_TICK: Duration = Duration::from_millis(1);
 
 /// Decay half-life of live load digests in wall nanoseconds (the runtime's
@@ -101,12 +128,12 @@ impl MoveKind {
     }
 }
 
-/// A task descriptor as the managers hold it and pass it on: submitted to its
-/// home, queued, granted to a thief, handed to a worker. `home` is the
+/// A task descriptor as the nodes hold it and pass it on: submitted to its
+/// home, queued, granted to a thief, taken by a worker. `home` is the
 /// directory node, so a descriptor moved (even repeatedly) still reports its
 /// retirement back to the one node holding its subscriptions. `missing`
-/// lists the producers still unretired as far as the holding manager knows;
-/// it is empty once the task is ready.
+/// lists the producers still unretired as far as the holding node knows; it
+/// is empty once the task is ready.
 struct Descriptor {
     idx: usize,
     id: TaskId,
@@ -116,25 +143,23 @@ struct Descriptor {
     missing: Vec<usize>,
 }
 
-/// Messages exchanged with (and between) the manager threads.
-enum MgrMsg {
+/// Messages from the master to the nodes and between nodes.
+enum Msg {
     /// Master → home node: a new descriptor, missing every producer (by
     /// submission index).
     Submit(Descriptor),
     /// Master → a producer's home: node `to` consumes `producer`; notify it
     /// on retirement (immediately if already retired).
     Subscribe { producer: usize, to: usize },
-    /// Directory → subscriber: `producer` has retired. With feedback enabled
-    /// the sender piggybacks its live load digest (`(node, view)`), the same
-    /// digest-on-retirement channel the event simulator uses.
+    /// `producer` has retired: from its directory to a subscriber, from a
+    /// victim to a thief it reclaimed a waiter for, or from the node that
+    /// executed a moved descriptor to its home. A directory or a relay
+    /// piggybacks its live load digest (`(node, view)`) when feedback is on,
+    /// the same digest-on-retirement channel the event simulator uses.
     Notify {
         producer: usize,
         load: Option<(usize, LoadView)>,
     },
-    /// Worker → own manager: the task finished executing.
-    WorkerDone { idx: usize, id: TaskId, home: usize },
-    /// Thief → a moved descriptor's home: it retired at the thief.
-    StolenRetired { idx: usize },
     /// Idle thief → victim: request up to a policy-sized batch of `kind`.
     MoveRequest {
         kind: MoveKind,
@@ -146,20 +171,14 @@ enum MgrMsg {
         kind: MoveKind,
         tasks: Vec<Descriptor>,
     },
-    /// Owner → manager: stop the node's workers and exit.
-    Shutdown,
 }
 
-/// Messages from a manager to its node's worker pool.
-enum WorkerMsg {
-    /// Execute one ready task (body, then the scaled duration sleep).
-    Run(Descriptor),
-    /// Exit the worker loop.
-    Stop,
-}
+/// Messages not yet delivered, each with its destination node, in send
+/// order.
+type Out = VecDeque<(usize, Msg)>;
 
-/// Per-node load board: lock-free counters the owning manager publishes and
-/// idle thieves snapshot into [`NodeLoad`]s for the steal policy.
+/// Per-node load board: lock-free counters each step publishes and idle
+/// thieves snapshot into [`NodeLoad`]s for the steal policy.
 struct Board {
     pending: AtomicUsize,
     stealable: AtomicUsize,
@@ -183,31 +202,38 @@ struct MoveStats {
     failures: u64,
 }
 
-/// Mutable per-node statistics, updated by the owning manager.
+/// Per-node statistics. The executed count is not here: the workers' own
+/// counters sum to it, and they are bumped before the retire log shows a
+/// retirement.
 #[derive(Default)]
 struct NodeStats {
     admitted: Vec<TaskId>,
-    executed: u64,
     /// Indexed by [`MoveKind`].
     moves: [MoveStats; 2],
     digest_updates: u64,
+    /// Tasks whose body panicked on this node's workers.
+    failed: u64,
 }
 
-/// Everything shared about one node.
-struct NodeShared {
-    stats: Mutex<NodeStats>,
-    per_worker_done: Vec<AtomicU64>,
+/// Everything about one node: its state machine and the parts read without
+/// its lock.
+struct Slot {
+    node: Mutex<Node>,
     board: Board,
+    per_worker_done: Vec<AtomicU64>,
+    /// Wake tokens for the node's parked workers (see the [module
+    /// docs](self)). The slot keeps both ends, so neither ever disconnects.
+    wake_tx: Sender<()>,
+    wake_rx: Receiver<()>,
 }
 
 /// The global retirement record: `order` is the append-only log (one entry
 /// per executed task, in real wall-clock retirement order — the topological
-/// witness), `set` the membership index behind `taskwait on`, and `prefix`
-/// the retired-prefix watermark behind `taskwait`.
+/// witness), and `prefix` with `ahead` the set of retired submission indices
+/// behind `taskwait` and `taskwait on`.
 #[derive(Default)]
 struct RetireLog {
     order: Vec<TaskId>,
-    set: FxHashSet<TaskId>,
     /// Every submission index below `prefix` has retired.
     prefix: usize,
     /// Retired submission indices above `prefix`.
@@ -218,7 +244,6 @@ impl RetireLog {
     /// Records the retirement of task `id`, submission index `idx`.
     fn retire(&mut self, idx: usize, id: TaskId) {
         self.order.push(id);
-        self.set.insert(id);
         if idx != self.prefix {
             self.ahead.insert(idx);
             return;
@@ -228,26 +253,20 @@ impl RetireLog {
             self.prefix += 1;
         }
     }
-}
 
-/// What the master remembers about one address.
-#[derive(Default)]
-struct AddrState {
-    /// The last task that wrote the address — the `taskwait on` target.
-    writer: Option<TaskId>,
-    /// Submission indices of the tasks that read the address since then.
-    readers: Vec<usize>,
+    /// Whether submission `idx` has retired.
+    fn has(&self, idx: usize) -> bool {
+        idx < self.prefix || self.ahead.contains(&idx)
+    }
 }
 
 /// Master-side submission state, serialized under one lock so placement and
 /// dependence scanning see every submission in program order.
 struct SubmitState {
     scanner: DepScanner,
-    /// Home node per submission index (the scanner does not expose these).
-    homes: Vec<usize>,
-    /// Per address: the `taskwait on` target and the readers the next
-    /// writer may have to wait for.
-    addrs: FxHashMap<u64, AddrState>,
+    /// Per address: submission indices of the tasks that read it since it
+    /// was last written, which the next writer on the same node waits for.
+    addrs: FxHashMap<u64, Vec<usize>>,
     /// `(producer, node)` pairs already subscribed (dedup: one `Notify` per
     /// consuming node is enough, readiness counting is per missing producer).
     subscribed: FxHashSet<(usize, usize)>,
@@ -256,31 +275,323 @@ struct SubmitState {
 
 /// State shared between the runtime owner, every handle, and every thread.
 struct Inner {
-    mgr_tx: Vec<Sender<MgrMsg>>,
-    nodes: Vec<NodeShared>,
+    nodes: Vec<Slot>,
     sub: Mutex<SubmitState>,
     submitted: AtomicU64,
+    /// Set once by `stop` before it wakes the parked workers under each
+    /// node's lock. A worker reads it after registering as parked under that
+    /// lock, so either `stop` wakes the worker or the worker sees the flag.
     shutdown: AtomicBool,
     log: Mutex<RetireLog>,
     log_cv: Condvar,
-    /// Span recorder shared by master, manager and worker threads (`None`
-    /// when tracing is off — the emission sites skip even the clock read).
+    /// Span recorder shared by every thread (`None` when tracing is off —
+    /// the emission sites skip even the clock read).
     rec: Option<SharedRecorder>,
     /// Feedback mode the runtime was built with (drives digest piggybacking,
     /// the shared digest board and the reclaim path).
     feedback: FeedbackKind,
+    steal_enabled: bool,
+    distances: DistanceMatrix,
+    /// Speed factor per worker of a node, in thousandths.
+    speeds_milli: Vec<u64>,
+    time_scale_ns_per_us: u64,
     /// Epoch of the digest observation clock — one `Instant` shared by every
     /// thread so all `LoadView::updated_at` stamps are comparable.
     epoch: Instant,
-    /// Shared digest board: the freshest per-node `LoadView` each manager
+    /// Shared digest board: the freshest per-node `LoadView` each node
     /// published at retirement, read by the master for submit-time feedback
     /// placement. Only written when placement feedback is on.
     digests: Mutex<Vec<LoadView>>,
 }
 
 impl Inner {
+    /// Builds every node for `cfg`, spawning nothing.
+    fn new(cfg: &RtConfig) -> Inner {
+        let speeds_milli: Vec<u64> = match &cfg.worker_speeds {
+            Some(speeds) => speeds
+                .iter()
+                .map(|&s| ((s * 1000.0).round() as u64).max(1))
+                .collect(),
+            None => vec![1000; cfg.workers_per_node],
+        };
+        let fabric = cfg.link.fabric(cfg.nodes);
+        // With placement feedback on, the scanner routes through the live
+        // digest-driven policy (exactly what the simulator's submit-time
+        // re-placement runs); the scanner keeps owning the homes table so
+        // dependence subscriptions always match the placement actually used.
+        let scan_policy = if cfg.feedback.place_enabled() {
+            Box::new(FeedbackPlacement)
+        } else {
+            cfg.placement.build()
+        };
+        let scanner =
+            DepScanner::with_policy(cfg.nodes, scan_policy).with_distances(fabric.distances());
+        let nodes = (0..cfg.nodes)
+            .map(|id| {
+                let (wake_tx, wake_rx) = bounded(cfg.workers_per_node);
+                Slot {
+                    node: Mutex::new(Node {
+                        id,
+                        workers: cfg.workers_per_node,
+                        policy: cfg.stealing.build(),
+                        retired: FxHashSet::default(),
+                        subs: FxHashMap::default(),
+                        waiting: FxHashMap::default(),
+                        pending: FxHashMap::default(),
+                        reclaimed_away: FxHashMap::default(),
+                        views: vec![LoadView::default(); cfg.nodes],
+                        ready: VecDeque::new(),
+                        free: cfg.workers_per_node,
+                        done: 0,
+                        inflight: [false; 2],
+                        idle: 0,
+                        woken: 0,
+                        stats: NodeStats::default(),
+                    }),
+                    board: Board {
+                        pending: AtomicUsize::new(0),
+                        stealable: AtomicUsize::new(0),
+                        free: AtomicUsize::new(cfg.workers_per_node),
+                        outstanding: AtomicU64::new(0),
+                        speed_milli: speeds_milli.iter().sum(),
+                    },
+                    per_worker_done: (0..cfg.workers_per_node)
+                        .map(|_| AtomicU64::new(0))
+                        .collect(),
+                    wake_tx,
+                    wake_rx,
+                }
+            })
+            .collect();
+        Inner {
+            nodes,
+            sub: Mutex::new(SubmitState {
+                scanner,
+                addrs: FxHashMap::default(),
+                subscribed: FxHashSet::default(),
+                closed: false,
+            }),
+            submitted: AtomicU64::new(0),
+            shutdown: AtomicBool::new(false),
+            log: Mutex::new(RetireLog::default()),
+            log_cv: Condvar::new(),
+            rec: cfg.recorder.clone(),
+            feedback: cfg.feedback,
+            steal_enabled: cfg.stealing.is_enabled(),
+            distances: fabric.distances(),
+            speeds_milli,
+            time_scale_ns_per_us: cfg.time_scale_ns_per_us,
+            epoch: Instant::now(),
+            digests: Mutex::new(vec![LoadView::default(); cfg.nodes]),
+        }
+    }
+
     fn lock_log(&self) -> MutexGuard<'_, RetireLog> {
         self.log.lock().expect("retire log poisoned")
+    }
+
+    fn lock_node(&self, n: usize) -> MutexGuard<'_, Node> {
+        self.nodes[n].node.lock().expect("node state poisoned")
+    }
+
+    /// Nanoseconds on the digest observation clock.
+    fn now_ns(&self) -> u64 {
+        self.epoch.elapsed().as_nanos() as u64
+    }
+
+    /// Scans a submission and returns the messages that route it: one
+    /// `Subscribe` per remote producer not yet subscribed to from the task's
+    /// home, then the `Submit`.
+    fn plan(&self, sub: &mut SubmitState, task: RtTask) -> Out {
+        let RtTask { descriptor, body } = task;
+        let rec = if self.feedback.place_enabled() {
+            // Feed the freshest published digests into the scanner's
+            // feedback placement — the live analogue of the simulator's
+            // submit-time re-placement off the load tracker.
+            let views = self.digests.lock().expect("digest board poisoned").clone();
+            let live = LiveLoad {
+                views: &views,
+                now: self.now_ns(),
+                half_life: DIGEST_HALF_LIFE_NS,
+            };
+            sub.scanner.scan_full_live(&descriptor, Some(live))
+        } else {
+            sub.scanner.scan_full(&descriptor)
+        };
+        let idx = self.submitted.fetch_add(1, Ordering::AcqRel) as usize;
+        let SubmitState {
+            scanner,
+            addrs,
+            subscribed,
+            ..
+        } = sub;
+        let mut missing = rec.producers;
+        for p in &descriptor.params {
+            let readers = addrs.entry(p.addr).or_default();
+            if p.dir.writes() {
+                // Write-after-read, on this node only (see the module docs).
+                let local = |&r: &usize| r != idx && scanner.home(r) == rec.home;
+                missing.extend(readers.drain(..).filter(local));
+            } else {
+                readers.push(idx);
+            }
+        }
+        missing.sort_unstable();
+        missing.dedup();
+        let mut out = Out::new();
+        for &producer in &rec.remote_producers {
+            if subscribed.insert((producer, rec.home)) {
+                let to = rec.home;
+                out.push_back((scanner.home(producer), Msg::Subscribe { producer, to }));
+            }
+        }
+        if let Some(r) = &self.rec {
+            r.record_now(SpanEvent::Submitted { task: idx });
+            r.record_now(SpanEvent::Placed {
+                task: idx,
+                node: rec.home,
+            });
+        }
+        let t = Descriptor {
+            idx,
+            id: descriptor.id,
+            home: rec.home,
+            duration: descriptor.duration,
+            body,
+            missing,
+        };
+        out.push_back((rec.home, Msg::Submit(t)));
+        out
+    }
+
+    /// Runs `step` on node `n` under its lock and publishes the node's load
+    /// board, then sends the wake tokens the step owes its parked workers.
+    fn with_node<R>(&self, n: usize, step: impl FnOnce(&mut Node) -> R) -> R {
+        let slot = &self.nodes[n];
+        let mut node = self.lock_node(n);
+        let r = step(&mut node);
+        node.sync_board(&slot.board);
+        let tokens = node.woken.min(node.idle);
+        node.idle -= tokens;
+        node.woken = 0;
+        drop(node);
+        for _ in 0..tokens {
+            // Never blocks: each token is owed to a distinct parked worker,
+            // so the channel never holds more tokens than its `workers` slots.
+            slot.wake_tx.send(()).expect("the slot keeps a receiver");
+        }
+        r
+    }
+
+    /// Runs `step` on node `n`, then delivers the messages it sent.
+    fn step<R>(&self, n: usize, step: impl FnOnce(&mut Node, &mut Out) -> R) -> R {
+        let mut out = Out::new();
+        let r = self.with_node(n, |node| step(node, &mut out));
+        self.deliver(out);
+        r
+    }
+
+    /// Delivers `out` in send order, one node lock at a time; the messages a
+    /// handler sends join the list.
+    fn deliver(&self, mut out: Out) {
+        while let Some((to, msg)) = out.pop_front() {
+            self.with_node(to, |node| node.on_msg(self, msg, &mut out));
+        }
+    }
+
+    /// Appends the retirement of submission `idx`, executed on node `node`,
+    /// to the retire log.
+    fn log_retired(&self, idx: usize, id: TaskId, node: usize) {
+        self.lock_log().retire(idx, id);
+        if let Some(r) = &self.rec {
+            r.record_now(SpanEvent::Retired { task: idx, node });
+        }
+        self.log_cv.notify_all();
+    }
+
+    /// One worker thread of node `n` (see the [module docs](self)).
+    fn work(&self, n: usize, worker: usize) {
+        let take = |node: &mut Node| node.take_ready(self);
+        let mut next = self.with_node(n, take);
+        loop {
+            // Read after `take_ready` parks this worker, so a shutdown that
+            // found it unparked is seen here.
+            if self.shutdown.load(Ordering::Acquire) {
+                return;
+            }
+            let Some(t) = next else {
+                if !self.park(n) {
+                    return;
+                }
+                next = self.with_node(n, take);
+                continue;
+            };
+            if let Some(r) = &self.rec {
+                r.record_now(SpanEvent::Started {
+                    task: t.idx,
+                    node: n,
+                    worker,
+                });
+            }
+            let failed = t
+                .body
+                .is_some_and(|body| catch_unwind(AssertUnwindSafe(body)).is_err());
+            if self.time_scale_ns_per_us > 0 {
+                let ns = t.duration.as_us_f64() * self.time_scale_ns_per_us as f64 * 1000.0
+                    / self.speeds_milli[worker] as f64;
+                thread::sleep(Duration::from_nanos(ns as u64));
+            }
+            self.nodes[n].per_worker_done[worker].fetch_add(1, Ordering::Relaxed);
+            // Before `finish`, which may make dependents ready.
+            self.log_retired(t.idx, t.id, n);
+            next = self.step(n, |node, out| {
+                node.finish(self, t.idx, t.home, failed, out);
+                take(node)
+            });
+        }
+    }
+
+    /// Blocks a parked worker of node `n` until it takes a wake token. While
+    /// a move kind is enabled the worker also ticks every [`IDLE_TICK`] to
+    /// let the node request a move, and gives up on shutdown: then it
+    /// returns `false`, still parked, and must not call `take_ready` again
+    /// (that would park it twice).
+    fn park(&self, n: usize) -> bool {
+        let wake = &self.nodes[n].wake_rx;
+        if !self.steal_enabled && !self.feedback.reclaim_enabled() {
+            wake.recv().expect("the slot keeps a sender");
+            return true;
+        }
+        while wake.recv_timeout(IDLE_TICK) == Err(RecvTimeoutError::Timeout) {
+            if self.shutdown.load(Ordering::Acquire) {
+                return false;
+            }
+            self.step(n, |node, out| {
+                node.try_move(self, MoveKind::Steal, out);
+                node.try_move(self, MoveKind::Reclaim, out);
+            });
+        }
+        true
+    }
+
+    /// Snapshots every node's published board into the policy-facing
+    /// [`NodeLoad`]s through the shared constructor (the same one the
+    /// simulator's driver uses, so the two snapshots cannot drift).
+    fn load_board(&self) -> Vec<NodeLoad> {
+        self.nodes
+            .iter()
+            .map(|n| {
+                let stealable = n.board.stealable.load(Ordering::Relaxed);
+                NodeLoad::snapshot(
+                    n.board.pending.load(Ordering::Relaxed),
+                    stealable,
+                    stealable,
+                    n.board.free.load(Ordering::Relaxed),
+                    n.board.outstanding.load(Ordering::Relaxed),
+                    n.board.speed_milli,
+                )
+            })
+            .collect()
     }
 }
 
@@ -318,8 +629,8 @@ pub struct NodeStatsSnapshot {
     pub reclaim_grants: u64,
     /// Reclaim requests this node answered empty-handed (as the victim).
     pub reclaim_failures: u64,
-    /// Piggybacked load digests this node's manager folded into its live
-    /// view table (0 with feedback off — no digest ever rides a `Notify`).
+    /// Piggybacked load digests this node folded into its live view table
+    /// (0 with feedback off — no digest ever rides a `Notify`).
     pub digest_updates: u64,
     /// Tasks completed per worker thread of this node.
     pub per_worker_done: Vec<u64>,
@@ -342,7 +653,8 @@ pub struct ShutdownReport {
     /// (`task.executed`, `task.retired`, `steal.stolen`, `steal.grants`,
     /// `steal.failures`, `reclaim.reclaimed`, `reclaim.grants`,
     /// `reclaim.failures`, `load.digest.updates`), so the conformance suite
-    /// can compare the live and simulated censuses key by key.
+    /// can compare the live and simulated censuses key by key. `task.failed`
+    /// counts the tasks whose body panicked (see [`RtTask::with_body`]).
     pub metrics: Registry,
 }
 
@@ -368,8 +680,8 @@ enum State {
 }
 
 /// The owning half of the runtime, tokio-style: [`ClusterRuntime::new`]
-/// spawns nothing, [`ClusterRuntime::start`] spawns the manager and worker
-/// threads exactly once, and [`ClusterRuntime::shutdown_timeout`] /
+/// spawns nothing, [`ClusterRuntime::start`] spawns the worker threads
+/// exactly once, and [`ClusterRuntime::shutdown_timeout`] /
 /// [`ClusterRuntime::shutdown_background`] stop them. Not cloneable — thread
 /// ownership has one owner; cheap cloneable [`RuntimeHandle`]s do the
 /// submitting.
@@ -417,9 +729,9 @@ impl ClusterRuntime {
         }
     }
 
-    /// Spawns the `nodes` manager threads and `nodes × workers_per_node`
-    /// worker threads and returns a handle for submitting work. Spawning
-    /// happens exactly once per runtime.
+    /// Spawns the `nodes × workers_per_node` worker threads and returns a
+    /// handle for submitting work. Spawning happens exactly once per
+    /// runtime.
     ///
     /// # Panics
     /// Panics if called a second time (`start` spawns exactly once — create
@@ -429,114 +741,17 @@ impl ClusterRuntime {
             self.state == State::New,
             "ClusterRuntime::start called twice (the runtime spawns exactly once)"
         );
-        let cfg = &self.cfg;
-        let speeds_milli: Vec<u64> = match &cfg.worker_speeds {
-            Some(speeds) => speeds
-                .iter()
-                .map(|&s| ((s * 1000.0).round() as u64).max(1))
-                .collect(),
-            None => vec![1000; cfg.workers_per_node],
-        };
-        let total_speed: u64 = speeds_milli.iter().sum();
-
-        let fabric = cfg.link.fabric(cfg.nodes);
-        // With placement feedback on, the scanner routes through the live
-        // digest-driven policy (exactly what the simulator's submit-time
-        // re-placement runs); the scanner keeps owning the homes table so
-        // dependence subscriptions always match the placement actually used.
-        let scan_policy = if cfg.feedback.place_enabled() {
-            Box::new(FeedbackPlacement)
-        } else {
-            cfg.placement.build()
-        };
-        let scanner =
-            DepScanner::with_policy(cfg.nodes, scan_policy).with_distances(fabric.distances());
-        let distances = Arc::new(fabric.distances());
-
-        let mut mgr_tx = Vec::with_capacity(cfg.nodes);
-        let mut mgr_rx = Vec::with_capacity(cfg.nodes);
-        for _ in 0..cfg.nodes {
-            let (tx, rx) = unbounded::<MgrMsg>();
-            mgr_tx.push(tx);
-            mgr_rx.push(rx);
-        }
-        let nodes = (0..cfg.nodes)
-            .map(|_| NodeShared {
-                stats: Mutex::new(NodeStats::default()),
-                per_worker_done: (0..cfg.workers_per_node)
-                    .map(|_| AtomicU64::new(0))
-                    .collect(),
-                board: Board {
-                    pending: AtomicUsize::new(0),
-                    stealable: AtomicUsize::new(0),
-                    free: AtomicUsize::new(cfg.workers_per_node),
-                    outstanding: AtomicU64::new(0),
-                    speed_milli: total_speed,
-                },
-            })
-            .collect();
-        let inner = Arc::new(Inner {
-            mgr_tx,
-            nodes,
-            sub: Mutex::new(SubmitState {
-                scanner,
-                homes: Vec::new(),
-                addrs: FxHashMap::default(),
-                subscribed: FxHashSet::default(),
-                closed: false,
-            }),
-            submitted: AtomicU64::new(0),
-            shutdown: AtomicBool::new(false),
-            log: Mutex::new(RetireLog::default()),
-            log_cv: Condvar::new(),
-            rec: cfg.recorder.clone(),
-            feedback: cfg.feedback,
-            epoch: Instant::now(),
-            digests: Mutex::new(vec![LoadView::default(); cfg.nodes]),
-        });
-
-        for (node, rx) in mgr_rx.into_iter().enumerate() {
-            // Room for one in-flight Run per worker plus the Stop flood at
-            // shutdown, so the manager never blocks on its own pool.
-            let (worker_tx, worker_rx) = bounded::<WorkerMsg>(2 * cfg.workers_per_node);
-            for (w, &speed) in speeds_milli.iter().enumerate() {
-                let rx = worker_rx.clone();
-                let done = inner.mgr_tx[node].clone();
-                let shared = Arc::clone(&inner);
-                let scale = cfg.time_scale_ns_per_us;
+        let inner = Arc::new(Inner::new(&self.cfg));
+        for node in 0..self.cfg.nodes {
+            for worker in 0..self.cfg.workers_per_node {
+                let inner = Arc::clone(&inner);
                 let t = thread::Builder::new()
-                    .name(format!("nexus-rt-w{node}.{w}"))
-                    .spawn(move || worker_loop(node, w, speed, scale, rx, done, shared))
+                    .name(format!("nexus-rt-w{node}.{worker}"))
+                    .spawn(move || inner.work(node, worker))
                     .expect("failed to spawn worker thread");
                 self.threads.push(t);
             }
-            let mgr = Mgr {
-                node,
-                workers: cfg.workers_per_node,
-                inner: Arc::clone(&inner),
-                worker_tx,
-                policy: cfg.stealing.build(),
-                steal_enabled: cfg.stealing.is_enabled(),
-                feedback: cfg.feedback,
-                distances: Arc::clone(&distances),
-                retired: FxHashSet::default(),
-                subs: FxHashMap::default(),
-                waiting: FxHashMap::default(),
-                pending: FxHashMap::default(),
-                reclaimed_away: FxHashMap::default(),
-                views: vec![LoadView::default(); cfg.nodes],
-                ready: VecDeque::new(),
-                free: cfg.workers_per_node,
-                done: 0,
-                inflight: [false; 2],
-            };
-            let t = thread::Builder::new()
-                .name(format!("nexus-rt-mgr-{node}"))
-                .spawn(move || mgr.run(rx))
-                .expect("failed to spawn manager thread");
-            self.threads.push(t);
         }
-
         self.state = State::Running;
         self.inner = Some(Arc::clone(&inner));
         RuntimeHandle { inner }
@@ -547,6 +762,10 @@ impl ClusterRuntime {
     /// After a fully drained run the report's `pending` is zero. Submissions
     /// through surviving handles fail with [`SubmitError::ShutDown`] from
     /// this point on.
+    ///
+    /// # Panics
+    /// Re-raises the panic of a worker thread that died outside a task body
+    /// (a panicking body only fails its task).
     pub fn shutdown_timeout(mut self, timeout: Duration) -> ShutdownReport {
         self.stop(Some(timeout))
     }
@@ -590,8 +809,9 @@ impl ClusterRuntime {
         }
         inner.shutdown.store(true, Ordering::Release);
         inner.sub.lock().expect("submit state poisoned").closed = true;
-        for tx in &inner.mgr_tx {
-            let _ = tx.send(MgrMsg::Shutdown);
+        // Wake every parked worker; one that parks later sees the flag first.
+        for n in 0..inner.nodes.len() {
+            inner.with_node(n, |node| node.woken = node.idle);
         }
         // Wake anyone parked in taskwait/run_trace so they observe the
         // shutdown instead of sleeping forever.
@@ -599,7 +819,9 @@ impl ClusterRuntime {
         let threads = std::mem::take(&mut self.threads);
         if wait.is_some() {
             for t in threads {
-                let _ = t.join();
+                if let Err(panic) = t.join() {
+                    resume_unwind(panic);
+                }
             }
         }
         let handle = RuntimeHandle {
@@ -614,6 +836,7 @@ impl ClusterRuntime {
         for s in &per_node {
             let mut node = Registry::new();
             node.add("task.executed", s.executed);
+            node.add("task.failed", inner.lock_node(s.node).stats.failed);
             node.add("steal.stolen", s.stolen_in);
             node.add("steal.grants", s.steal_grants);
             node.add("steal.failures", s.steal_failures);
@@ -661,79 +884,14 @@ impl RuntimeHandle {
     /// # Errors
     /// [`SubmitError::ShutDown`] once the runtime owner has shut down.
     pub fn submit(&self, task: RtTask) -> Result<TaskId, SubmitError> {
-        let RtTask { descriptor, body } = task;
-        let id = descriptor.id;
+        let id = task.descriptor.id;
         let mut sub = self.inner.sub.lock().expect("submit state poisoned");
         if sub.closed {
             return Err(SubmitError::ShutDown);
         }
-        let rec = if self.inner.feedback.place_enabled() {
-            // Feed the freshest published digests into the scanner's
-            // feedback placement — the live analogue of the simulator's
-            // submit-time re-placement off the load tracker.
-            let views = self
-                .inner
-                .digests
-                .lock()
-                .expect("digest board poisoned")
-                .clone();
-            let live = LiveLoad {
-                views: &views,
-                now: self.inner.epoch.elapsed().as_nanos() as u64,
-                half_life: DIGEST_HALF_LIFE_NS,
-            };
-            sub.scanner.scan_full_live(&descriptor, Some(live))
-        } else {
-            sub.scanner.scan_full(&descriptor)
-        };
-        let idx = sub.homes.len();
-        sub.homes.push(rec.home);
-        let mut missing = rec.producers;
-        let SubmitState { homes, addrs, .. } = &mut *sub;
-        for p in &descriptor.params {
-            let addr = addrs.entry(p.addr).or_default();
-            if !p.dir.writes() {
-                addr.readers.push(idx);
-                continue;
-            }
-            // Write-after-read, on this node only (see the module docs).
-            for &r in &addr.readers {
-                if r != idx && homes[r] == rec.home {
-                    missing.push(r);
-                }
-            }
-            addr.writer = Some(id);
-            addr.readers.clear();
-        }
-        missing.sort_unstable();
-        missing.dedup();
-        for &rp in &rec.remote_producers {
-            let producer_home = sub.homes[rp];
-            if sub.subscribed.insert((rp, rec.home)) {
-                let _ = self.inner.mgr_tx[producer_home].send(MgrMsg::Subscribe {
-                    producer: rp,
-                    to: rec.home,
-                });
-            }
-        }
-        self.inner.submitted.fetch_add(1, Ordering::AcqRel);
-        if let Some(r) = &self.inner.rec {
-            r.record_now(SpanEvent::Submitted { task: idx });
-            r.record_now(SpanEvent::Placed {
-                task: idx,
-                node: rec.home,
-            });
-        }
-        self.inner.mgr_tx[rec.home]
-            .send(MgrMsg::Submit(Descriptor {
-                idx,
-                id,
-                home: rec.home,
-                duration: descriptor.duration,
-                body,
-                missing,
-            }))
-            .map_err(|_| SubmitError::ShutDown)?;
+        let out = self.inner.plan(&mut sub, task);
+        // Still under the submit lock: every node admits in program order.
+        self.inner.deliver(out);
         Ok(id)
     }
 
@@ -751,13 +909,13 @@ impl RuntimeHandle {
     /// nothing submitted so far writes `addr`. Returns early if the runtime
     /// shuts down.
     pub fn taskwait_on(&self, addr: u64) {
-        let target = {
-            let sub = self.inner.sub.lock().expect("submit state poisoned");
-            sub.addrs.get(&addr).and_then(|a| a.writer)
+        let sub = self.inner.sub.lock().expect("submit state poisoned");
+        let Some(target) = sub.scanner.last_writer(addr) else {
+            return;
         };
-        let Some(target) = target else { return };
+        drop(sub);
         let mut log = self.inner.lock_log();
-        while !log.set.contains(&target) && !self.inner.shutdown.load(Ordering::Acquire) {
+        while !log.has(target) && !self.inner.shutdown.load(Ordering::Acquire) {
             log = self.inner.log_cv.wait(log).expect("retire log poisoned");
         }
     }
@@ -783,17 +941,19 @@ impl RuntimeHandle {
     /// Per-node statistics snapshots (admission order, executed/stolen
     /// counts, per-worker completions).
     pub fn node_stats(&self) -> Vec<NodeStatsSnapshot> {
-        self.inner
-            .nodes
-            .iter()
-            .enumerate()
-            .map(|(node, shared)| {
-                let stats = shared.stats.lock().expect("node stats poisoned");
+        (0..self.inner.nodes.len())
+            .map(|node| {
+                let per_worker_done: Vec<u64> = self.inner.nodes[node]
+                    .per_worker_done
+                    .iter()
+                    .map(|c| c.load(Ordering::Relaxed))
+                    .collect();
+                let stats = &self.inner.lock_node(node).stats;
                 let [steal, reclaim] = stats.moves;
                 NodeStatsSnapshot {
                     node,
                     admitted: stats.admitted.clone(),
-                    executed: stats.executed,
+                    executed: per_worker_done.iter().sum(),
                     stolen_in: steal.moved_in,
                     stolen_out: steal.moved_out,
                     steal_requests: steal.requests,
@@ -805,11 +965,7 @@ impl RuntimeHandle {
                     reclaim_grants: reclaim.grants,
                     reclaim_failures: reclaim.failures,
                     digest_updates: stats.digest_updates,
-                    per_worker_done: shared
-                        .per_worker_done
-                        .iter()
-                        .map(|c| c.load(Ordering::Relaxed))
-                        .collect(),
+                    per_worker_done,
                 }
             })
             .collect()
@@ -864,19 +1020,15 @@ impl RuntimeHandle {
     }
 }
 
-/// One manager thread's state (see the [module docs](self) for the
-/// protocol).
-struct Mgr {
-    node: usize,
+/// One node's state machine (see the [module docs](self) for the protocol).
+/// Each method handles one event and appends the messages it sends to an
+/// out-list; none takes a lock but the leaf ones.
+struct Node {
+    id: usize,
     workers: usize,
-    inner: Arc<Inner>,
-    worker_tx: Sender<WorkerMsg>,
     policy: Box<dyn StealPolicy>,
-    steal_enabled: bool,
-    feedback: FeedbackKind,
-    distances: Arc<DistanceMatrix>,
-    /// Producers known retired at this node (from local execution, `Notify`,
-    /// or `StolenRetired`).
+    /// Producers known retired at this node (executed here, or announced by
+    /// a `Notify`).
     retired: FxHashSet<usize>,
     /// Directory: producer → nodes to `Notify` when it retires.
     subs: FxHashMap<usize, Vec<usize>>,
@@ -894,93 +1046,85 @@ struct Mgr {
     /// Ready descriptors waiting for a worker (the stealable backlog;
     /// thieves take from the back).
     ready: VecDeque<Descriptor>,
+    /// Workers not holding a descriptor.
     free: usize,
-    /// Tasks this node's workers completed (the digest's retire counter —
-    /// tracked locally so digest emission never takes the stats lock).
+    /// Tasks this node's workers completed (the digest's retire counter).
     done: u64,
     /// Per [`MoveKind`]: a request of that kind is in flight from this node.
     inflight: [bool; 2],
+    /// Parked workers no wake token has been sent to yet.
+    idle: usize,
+    /// Descriptors made ready in the current step and not taken in it: the
+    /// wake tokens the step owes.
+    woken: usize,
+    stats: NodeStats,
 }
 
-impl Mgr {
-    fn run(mut self, rx: Receiver<MgrMsg>) {
-        loop {
-            let idle = match rx.recv_timeout(IDLE_TICK) {
-                Ok(MgrMsg::Shutdown) => {
-                    for _ in 0..self.workers {
-                        let _ = self.worker_tx.send(WorkerMsg::Stop);
-                    }
-                    return;
-                }
-                Ok(msg) => {
-                    self.on_msg(msg);
-                    false
-                }
-                Err(RecvTimeoutError::Timeout) => true,
-                Err(RecvTimeoutError::Disconnected) => return,
-            };
-            self.dispatch();
-            if idle {
-                self.try_move(MoveKind::Steal);
-                self.try_move(MoveKind::Reclaim);
-            }
-            self.sync_board();
-        }
-    }
-
-    fn on_msg(&mut self, msg: MgrMsg) {
+impl Node {
+    /// Handles one message.
+    fn on_msg(&mut self, cx: &Inner, msg: Msg, out: &mut Out) {
         match msg {
-            MgrMsg::Submit(t) => {
-                self.stats().admitted.push(t.id);
+            Msg::Submit(t) => {
+                self.stats.admitted.push(t.id);
                 self.admit(t);
             }
-            MgrMsg::Subscribe { producer, to } => {
+            Msg::Subscribe { producer, to } => {
                 if self.retired.contains(&producer) {
-                    let load = self.digest_pair();
-                    let _ = self.inner.mgr_tx[to].send(MgrMsg::Notify { producer, load });
+                    let load = self.digest(cx);
+                    out.push_back((to, Msg::Notify { producer, load }));
                 } else {
                     self.subs.entry(producer).or_default().push(to);
                 }
             }
-            MgrMsg::Notify { producer, load } => {
+            Msg::Notify { producer, load } => {
                 self.observe(load);
-                self.producer_retired(producer);
+                self.producer_retired(cx, producer, out);
+                // Directory duty, which only the producer's home holds.
+                self.flush_subs(cx, producer, out);
             }
-            MgrMsg::WorkerDone { idx, id, home } => {
-                self.free += 1;
-                self.done += 1;
-                self.stats().executed += 1;
-                self.publish_digest();
-                self.inner.lock_log().retire(idx, id);
-                if let Some(r) = &self.inner.rec {
-                    r.record_now(SpanEvent::Retired {
-                        task: idx,
-                        node: self.node,
-                    });
-                }
-                self.inner.log_cv.notify_all();
-                self.producer_retired(idx);
-                if home == self.node {
-                    self.flush_subs(idx);
-                } else {
-                    let _ = self.inner.mgr_tx[home].send(MgrMsg::StolenRetired { idx });
-                }
-            }
-            MgrMsg::StolenRetired { idx } => {
-                self.producer_retired(idx);
-                self.flush_subs(idx);
-            }
-            MgrMsg::MoveRequest { kind, thief, free } => self.grant_move(kind, thief, free),
-            MgrMsg::MoveGrant { kind, tasks } => {
+            Msg::MoveRequest { kind, thief, free } => self.grant_move(cx, kind, thief, free, out),
+            Msg::MoveGrant { kind, tasks } => {
                 self.inflight[kind as usize] = false;
-                if !tasks.is_empty() {
-                    self.stats().moves[kind as usize].moved_in += tasks.len() as u64;
-                }
+                self.stats.moves[kind as usize].moved_in += tasks.len() as u64;
                 for t in tasks {
                     self.admit(t);
                 }
             }
-            MgrMsg::Shutdown => unreachable!("handled in the receive loop"),
+        }
+    }
+
+    /// Takes the oldest ready descriptor for a worker of this node. With
+    /// none ready the worker parks: it counts as idle until a wake token is
+    /// sent to it.
+    fn take_ready(&mut self, cx: &Inner) -> Option<Descriptor> {
+        let Some(t) = self.ready.pop_front() else {
+            self.idle += 1;
+            return None;
+        };
+        self.free -= 1;
+        self.woken = self.woken.saturating_sub(1);
+        if let Some(r) = &cx.rec {
+            r.record_now(SpanEvent::Dispatched {
+                task: t.idx,
+                node: self.id,
+            });
+        }
+        Some(t)
+    }
+
+    /// Retires submission `idx`, homed at `home`, which a worker of this
+    /// node executed and the retire log already holds.
+    fn finish(&mut self, cx: &Inner, idx: usize, home: usize, failed: bool, out: &mut Out) {
+        self.free += 1;
+        self.done += 1;
+        self.stats.failed += u64::from(failed);
+        self.publish_digest(cx);
+        self.producer_retired(cx, idx, out);
+        if home == self.id {
+            self.flush_subs(cx, idx, out);
+        } else {
+            let (producer, load) = (idx, None);
+            out.push_back((home, Msg::Notify { producer, load }));
         }
     }
 
@@ -992,7 +1136,7 @@ impl Mgr {
     fn admit(&mut self, mut t: Descriptor) {
         t.missing.retain(|p| !self.retired.contains(p));
         if t.missing.is_empty() {
-            self.ready.push_back(t);
+            self.make_ready(t);
         } else {
             for &p in &t.missing {
                 self.waiting.entry(p).or_default().push(t.idx);
@@ -1001,18 +1145,26 @@ impl Mgr {
         }
     }
 
+    /// Queues a ready descriptor; the current step owes a wake token for it.
+    fn make_ready(&mut self, t: Descriptor) {
+        self.ready.push_back(t);
+        self.woken += 1;
+    }
+
     /// Records that producer `p` retired (idempotent), relays the news to any
     /// thief holding a descriptor reclaimed away while waiting on `p`, and
     /// promotes any local tasks whose last missing producer it was.
-    fn producer_retired(&mut self, p: usize) {
+    fn producer_retired(&mut self, cx: &Inner, p: usize, out: &mut Out) {
         if !self.retired.insert(p) {
             return;
         }
         if let Some(thieves) = self.reclaimed_away.remove(&p) {
-            let load = self.digest_pair();
-            for to in thieves {
-                let _ = self.inner.mgr_tx[to].send(MgrMsg::Notify { producer: p, load });
-            }
+            let load = self.digest(cx);
+            out.extend(
+                thieves
+                    .into_iter()
+                    .map(|to| (to, Msg::Notify { producer: p, load })),
+            );
         }
         let Some(waiters) = self.waiting.remove(&p) else {
             return;
@@ -1025,35 +1177,36 @@ impl Mgr {
             t.missing.retain(|&m| m != p);
             if t.missing.is_empty() {
                 let t = self.pending.remove(&idx).expect("checked above");
-                self.ready.push_back(t);
+                self.make_ready(t);
             }
         }
     }
 
     /// Notifies every node subscribed to producer `p` (directory duty of the
     /// home node), piggybacking this node's digest when feedback is on.
-    fn flush_subs(&mut self, p: usize) {
+    fn flush_subs(&mut self, cx: &Inner, p: usize, out: &mut Out) {
         if let Some(subs) = self.subs.remove(&p) {
-            let load = self.digest_pair();
-            for to in subs {
-                let _ = self.inner.mgr_tx[to].send(MgrMsg::Notify { producer: p, load });
-            }
+            let load = self.digest(cx);
+            out.extend(
+                subs.into_iter()
+                    .map(|to| (to, Msg::Notify { producer: p, load })),
+            );
         }
     }
 
-    /// This node's live digest, `None` with feedback off (no clock read, no
-    /// payload on the wire — the off path carries exactly the old protocol).
-    fn digest_pair(&self) -> Option<(usize, LoadView)> {
-        if !self.feedback.is_enabled() {
+    /// This node's live digest, `None` with feedback off (then no clock read
+    /// and no payload on the wire).
+    fn digest(&self, cx: &Inner) -> Option<(usize, LoadView)> {
+        if !cx.feedback.is_enabled() {
             return None;
         }
         Some((
-            self.node,
+            self.id,
             LoadView {
                 pending: (self.pending.len() + self.ready.len()) as u64,
                 in_flight: (self.workers - self.free) as u64,
                 retired: self.done,
-                updated_at: self.inner.epoch.elapsed().as_nanos() as u64,
+                updated_at: cx.now_ns(),
             },
         ))
     }
@@ -1062,7 +1215,7 @@ impl Mgr {
     fn observe(&mut self, load: Option<(usize, LoadView)>) {
         if let Some((node, view)) = load {
             if self.views[node].observe(view) {
-                self.stats().digest_updates += 1;
+                self.stats.digest_updates += 1;
             }
         }
     }
@@ -1070,43 +1223,24 @@ impl Mgr {
     /// Publishes this node's digest to the shared board the master's
     /// feedback placement reads (a retirement is the publish trigger, the
     /// same cadence the simulator's load tracker observes digests at).
-    fn publish_digest(&self) {
-        if !self.feedback.place_enabled() {
+    fn publish_digest(&self, cx: &Inner) {
+        if !cx.feedback.place_enabled() {
             return;
         }
-        if let Some((node, view)) = self.digest_pair() {
-            let mut board = self.inner.digests.lock().expect("digest board poisoned");
-            board[node].observe(view);
+        if let Some((node, view)) = self.digest(cx) {
+            cx.digests.lock().expect("digest board poisoned")[node].observe(view);
         }
     }
 
-    /// Hands ready descriptors to free workers (the workers compete on the
-    /// node's task channel, fastest-finisher-first by construction).
-    fn dispatch(&mut self) {
-        while self.free > 0 {
-            let Some(t) = self.ready.pop_front() else {
-                break;
-            };
-            self.free -= 1;
-            if let Some(r) = &self.inner.rec {
-                r.record_now(SpanEvent::Dispatched {
-                    task: t.idx,
-                    node: self.node,
-                });
-            }
-            let _ = self.worker_tx.send(WorkerMsg::Run(t));
-        }
-    }
-
-    /// On an idle tick with free workers and nothing ready, snapshots the
-    /// load boards and lets the policy pick a victim for a move of `kind` —
-    /// at most one request of each kind in flight. A reclaim also waits
-    /// until this node holds no blocked descriptor and its own steal request
-    /// is resolved: eligible work is always the cheaper import.
-    fn try_move(&mut self, kind: MoveKind) {
+    /// With free workers and nothing ready, snapshots the load boards and
+    /// lets the policy pick a victim for a move of `kind` — at most one
+    /// request of each kind in flight. A reclaim also waits until this node
+    /// holds no blocked descriptor and its own steal request is resolved:
+    /// eligible work is always the cheaper import.
+    fn try_move(&mut self, cx: &Inner, kind: MoveKind, out: &mut Out) {
         let enabled = match kind {
-            MoveKind::Steal => self.steal_enabled,
-            MoveKind::Reclaim => self.feedback.reclaim_enabled(),
+            MoveKind::Steal => cx.steal_enabled,
+            MoveKind::Reclaim => cx.feedback.reclaim_enabled(),
         };
         let waits = kind == MoveKind::Reclaim
             && (self.inflight[MoveKind::Steal as usize] || !self.pending.is_empty());
@@ -1118,31 +1252,26 @@ impl Mgr {
         {
             return;
         }
-        let loads = self.load_board();
+        let loads = cx.load_board();
         let victim = match kind {
-            MoveKind::Steal => self
-                .policy
-                .choose_victim(self.node, &loads, &self.distances),
+            MoveKind::Steal => self.policy.choose_victim(self.id, &loads, &cx.distances),
             MoveKind::Reclaim => {
                 let live = LiveLoad {
                     views: &self.views,
-                    now: self.inner.epoch.elapsed().as_nanos() as u64,
+                    now: cx.now_ns(),
                     half_life: DIGEST_HALF_LIFE_NS,
                 };
                 self.policy
-                    .choose_reclaim_victim(self.node, &loads, Some(live), &self.distances)
+                    .choose_reclaim_victim(self.id, &loads, Some(live), &cx.distances)
             }
         };
         let Some(victim) = victim else {
             return;
         };
-        self.stats().moves[kind as usize].requests += 1;
+        self.stats.moves[kind as usize].requests += 1;
         self.inflight[kind as usize] = true;
-        let _ = self.inner.mgr_tx[victim].send(MgrMsg::MoveRequest {
-            kind,
-            thief: self.node,
-            free: self.free,
-        });
+        let (thief, free) = (self.id, self.free);
+        out.push_back((victim, Msg::MoveRequest { kind, thief, free }));
     }
 
     /// Victim side of a move: hands the thief up to a policy-sized batch of
@@ -1154,7 +1283,7 @@ impl Mgr {
     /// and this node registers a forwarding entry per missing producer so
     /// every later producer retirement it learns of is relayed to the thief;
     /// the loop does nothing for ready descriptors.
-    fn grant_move(&mut self, kind: MoveKind, thief: usize, free: usize) {
+    fn grant_move(&mut self, cx: &Inner, kind: MoveKind, thief: usize, free: usize, out: &mut Out) {
         let tasks: Vec<Descriptor> = match kind {
             MoveKind::Steal => {
                 let n = self
@@ -1196,116 +1325,43 @@ impl Mgr {
                 }
             }
         }
-        {
-            let mut stats = self.stats();
-            let s = &mut stats.moves[kind as usize];
-            if tasks.is_empty() {
-                s.failures += 1;
-            } else {
-                s.moved_out += tasks.len() as u64;
-                s.grants += 1;
-            }
+        let s = &mut self.stats.moves[kind as usize];
+        if tasks.is_empty() {
+            s.failures += 1;
+        } else {
+            s.moved_out += tasks.len() as u64;
+            s.grants += 1;
         }
-        if let Some(r) = &self.inner.rec {
+        if let Some(r) = &cx.rec {
             for t in &tasks {
-                r.record_now(kind.span(t.idx, self.node, thief));
+                r.record_now(kind.span(t.idx, self.id, thief));
             }
         }
-        let _ = self.inner.mgr_tx[thief].send(MgrMsg::MoveGrant { kind, tasks });
+        out.push_back((thief, Msg::MoveGrant { kind, tasks }));
     }
 
-    /// Snapshots every node's published board into the policy-facing
-    /// [`NodeLoad`]s through the shared constructor (the same one the
-    /// simulator's driver uses, so the two snapshots cannot drift).
-    fn load_board(&self) -> Vec<NodeLoad> {
-        self.inner
-            .nodes
-            .iter()
-            .map(|n| {
-                let stealable = n.board.stealable.load(Ordering::Relaxed);
-                NodeLoad::snapshot(
-                    n.board.pending.load(Ordering::Relaxed),
-                    stealable,
-                    stealable,
-                    n.board.free.load(Ordering::Relaxed),
-                    n.board.outstanding.load(Ordering::Relaxed),
-                    n.board.speed_milli,
-                )
-            })
-            .collect()
-    }
-
-    fn sync_board(&self) {
-        let board = &self.inner.nodes[self.node].board;
+    /// Publishes this node's counters to its load board.
+    fn sync_board(&self, board: &Board) {
         // `pending` counts everything held at the node (blocked + ready),
         // matching the simulator's input-queue semantics, so that
         // `NodeLoad::reclaimable` = blocked count on both sides.
-        board
-            .pending
-            .store(self.pending.len() + self.ready.len(), Ordering::Relaxed);
+        let held = self.pending.len() + self.ready.len();
+        board.pending.store(held, Ordering::Relaxed);
         board.stealable.store(self.ready.len(), Ordering::Relaxed);
         board.free.store(self.free, Ordering::Relaxed);
-        board.outstanding.store(
-            (self.pending.len() + self.ready.len() + (self.workers - self.free)) as u64,
-            Ordering::Relaxed,
-        );
-    }
-
-    fn stats(&self) -> MutexGuard<'_, NodeStats> {
-        self.inner.nodes[self.node]
-            .stats
-            .lock()
-            .expect("node stats poisoned")
-    }
-}
-
-/// One worker thread: run the body, sleep the scaled duration, report back.
-fn worker_loop(
-    node: usize,
-    worker: usize,
-    speed_milli: u64,
-    time_scale_ns_per_us: u64,
-    rx: Receiver<WorkerMsg>,
-    done: Sender<MgrMsg>,
-    shared: Arc<Inner>,
-) {
-    while let Ok(msg) = rx.recv() {
-        match msg {
-            WorkerMsg::Run(t) => {
-                if let Some(r) = &shared.rec {
-                    r.record_now(SpanEvent::Started {
-                        task: t.idx,
-                        node,
-                        worker,
-                    });
-                }
-                if let Some(body) = t.body {
-                    body();
-                }
-                if time_scale_ns_per_us > 0 {
-                    let ns = t.duration.as_us_f64() * time_scale_ns_per_us as f64 * 1000.0
-                        / speed_milli as f64;
-                    thread::sleep(Duration::from_nanos(ns as u64));
-                }
-                shared.nodes[node].per_worker_done[worker].fetch_add(1, Ordering::Relaxed);
-                let finished = MgrMsg::WorkerDone {
-                    idx: t.idx,
-                    id: t.id,
-                    home: t.home,
-                };
-                if done.send(finished).is_err() {
-                    return;
-                }
-            }
-            WorkerMsg::Stop => return,
-        }
+        board
+            .outstanding
+            .store((held + self.workers - self.free) as u64, Ordering::Relaxed);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crossbeam::channel::unbounded;
+    use nexus_sim::SimRng;
     use nexus_trace::TaskDescriptor;
+    use std::collections::BTreeMap;
     use std::sync::atomic::AtomicU64;
 
     fn chain_task(id: u64, addr: u64) -> TaskDescriptor {
@@ -1773,5 +1829,325 @@ mod tests {
         );
         late.join().unwrap();
         rt.shutdown_background();
+    }
+
+    #[test]
+    fn a_panicking_body_fails_its_task_and_its_dependents_still_run() {
+        let (rt, h) = one_node(1);
+        let writer = TaskDescriptor::builder(0).output(0xF0).build();
+        h.submit(RtTask::new(writer).with_body(|| panic!("task body fails on purpose")))
+            .unwrap();
+        let read = Arc::new(AtomicBool::new(false));
+        let r = Arc::clone(&read);
+        let reader = TaskDescriptor::builder(1).input(0xF0).build();
+        h.submit(RtTask::new(reader).with_body(move || r.store(true, Ordering::SeqCst)))
+            .unwrap();
+        // Waiting on a helper thread turns a hang into a failed assertion.
+        let (done, waited) = unbounded();
+        let waiter = h.clone();
+        thread::spawn(move || {
+            waiter.taskwait();
+            done.send(()).unwrap();
+        });
+        assert!(
+            waited.recv_timeout(Duration::from_secs(5)).is_ok(),
+            "taskwait hung behind a panicking body"
+        );
+        assert!(read.load(Ordering::SeqCst), "the reader never ran");
+        let report = rt.shutdown_timeout(Duration::from_secs(5));
+        assert_eq!(report.pending, 0);
+        assert_eq!(report.metrics.counter("task.failed"), 1);
+    }
+
+    /// One explorer input: a runtime shape and at most six tasks pinned to
+    /// their nodes.
+    struct Input {
+        name: &'static str,
+        cfg: RtConfig,
+        tasks: Vec<TaskDescriptor>,
+    }
+
+    fn explorer_inputs() -> Vec<Input> {
+        use nexus_sched::StealKind::MostLoaded;
+        let on = |id: u64, node: u32| TaskDescriptor::builder(id).affinity(node);
+        vec![
+            Input {
+                name: "raw-and-war",
+                cfg: RtConfig::new(2, 2),
+                tasks: vec![
+                    on(0, 0).output(0xA).build(),
+                    // Cross-node read-after-write.
+                    on(1, 1).input(0xA).build(),
+                    on(2, 0).input(0xB).build(),
+                    // Same-home write-after-read on 0xB.
+                    on(3, 0).input(0xA).output(0xB).build(),
+                    // Waits for 3 (same home), not for 1 (other node).
+                    on(4, 0).output(0xA).build(),
+                    on(5, 1).inout(0xB).build(),
+                ],
+            },
+            Input {
+                name: "steal",
+                cfg: RtConfig::new(2, 1).with_stealing(MostLoaded),
+                tasks: vec![
+                    on(0, 0).output(0xA).build(),
+                    on(1, 0).output(0xB).build(),
+                    on(2, 0).output(0xC).build(),
+                    on(3, 1).input(0xA).input(0xB).build(),
+                    on(4, 0).input(0xC).build(),
+                ],
+            },
+            Input {
+                name: "reclaim",
+                cfg: RtConfig::new(2, 1).with_feedback(FeedbackKind::Reclaim),
+                tasks: vec![
+                    on(0, 0).inout(0xA).build(),
+                    on(1, 0).inout(0xA).build(),
+                    on(2, 0).inout(0xA).build(),
+                    on(3, 0).inout(0xA).build(),
+                    on(4, 1).input(0xA).build(),
+                ],
+            },
+            Input {
+                name: "steal-and-reclaim",
+                cfg: RtConfig::new(2, 2)
+                    .with_stealing(MostLoaded)
+                    .with_feedback(FeedbackKind::Reclaim),
+                tasks: vec![
+                    on(0, 0).inout(0xA).build(),
+                    on(1, 0).output(0xB).build(),
+                    on(2, 0).inout(0xA).build(),
+                    on(3, 0).input(0xB).inout(0xA).build(),
+                    on(4, 1).input(0xA).build(),
+                    on(5, 0).output(0xB).build(),
+                ],
+            },
+        ]
+    }
+
+    /// Per task, the submission indices it must retire after: its
+    /// last-writer producers, and the readers since the last write of each
+    /// address it writes that share its home.
+    fn expected_deps(input: &Input) -> Vec<Vec<usize>> {
+        let mut scanner = DepScanner::with_policy(input.cfg.nodes, input.cfg.placement.build());
+        let mut readers: FxHashMap<u64, Vec<usize>> = FxHashMap::default();
+        let mut homes = Vec::new();
+        let mut deps = Vec::new();
+        for (i, t) in input.tasks.iter().enumerate() {
+            let rec = scanner.scan_full(t);
+            homes.push(rec.home);
+            let mut d = rec.producers;
+            for p in &t.params {
+                let r = readers.entry(p.addr).or_default();
+                if p.dir.writes() {
+                    d.extend(r.drain(..).filter(|&j| j != i && homes[j] == rec.home));
+                } else {
+                    r.push(i);
+                }
+            }
+            deps.push(d);
+        }
+        deps
+    }
+
+    /// One explorer step.
+    #[derive(Clone, Copy)]
+    enum Action {
+        Submit,
+        /// Deliver the oldest message on a `(sender, receiver)` link.
+        Deliver((usize, usize)),
+        /// An awake worker of the node takes a ready descriptor, or parks.
+        Take(usize),
+        /// A parked worker of the node receives a wake token.
+        Wake(usize),
+        /// A running descriptor retires; its worker takes the next one.
+        Finish(usize),
+        /// A parked worker of the node ticks, so the node may request a move.
+        Move(usize),
+    }
+
+    /// The explorer's count of one node's workers that hold no descriptor,
+    /// and of the wake tokens sent to the node and not yet received.
+    #[derive(Default)]
+    struct Workers {
+        awake: usize,
+        parked: usize,
+        tokens: usize,
+    }
+
+    /// Plays one seeded schedule of `input` over thread-less nodes, the test
+    /// standing in for the master and every worker (parking and wake tokens
+    /// included), and checks the outcome. Returns the descriptors stolen and
+    /// reclaimed.
+    fn explore(input: &Input, seed: u64) -> Result<[u64; 2], String> {
+        const MASTER: usize = usize::MAX;
+        let inner = Inner::new(&input.cfg);
+        let nodes = input.cfg.nodes;
+        let mut rng = SimRng::new(seed);
+        let mut links: BTreeMap<(usize, usize), VecDeque<Msg>> = BTreeMap::new();
+        let send = |links: &mut BTreeMap<_, VecDeque<_>>, from, out: Out| {
+            for (to, msg) in out {
+                links.entry((from, to)).or_default().push_back(msg);
+            }
+        };
+        let mut workers: Vec<Workers> = (0..nodes)
+            .map(|_| Workers {
+                awake: input.cfg.workers_per_node,
+                ..Workers::default()
+            })
+            .collect();
+        let mut running: Vec<(usize, Descriptor)> = Vec::new();
+        let (mut submitted, mut moves_left) = (0, 6);
+        loop {
+            let mut actions = Vec::new();
+            if submitted < input.tasks.len() {
+                actions.push(Action::Submit);
+            }
+            let busy = links.iter().filter(|(_, q)| !q.is_empty());
+            actions.extend(busy.map(|(&link, _)| Action::Deliver(link)));
+            for (n, w) in workers.iter().enumerate() {
+                if w.awake > 0 {
+                    actions.push(Action::Take(n));
+                }
+                if w.tokens > 0 {
+                    actions.push(Action::Wake(n));
+                }
+            }
+            actions.extend((0..running.len()).map(Action::Finish));
+            if actions.is_empty() {
+                break;
+            }
+            if moves_left > 0 {
+                let ticking = (0..nodes).filter(|&n| workers[n].parked > 0);
+                actions.extend(ticking.map(Action::Move));
+            }
+            let mut out = Out::new();
+            match actions[rng.next_below(actions.len() as u64) as usize] {
+                Action::Submit => {
+                    let task = RtTask::new(input.tasks[submitted].clone());
+                    submitted += 1;
+                    let planned = inner.plan(&mut inner.sub.lock().unwrap(), task);
+                    send(&mut links, MASTER, planned);
+                }
+                Action::Deliver(link) => {
+                    let msg = links.get_mut(&link).unwrap().pop_front().unwrap();
+                    inner.with_node(link.1, |node| node.on_msg(&inner, msg, &mut out));
+                    send(&mut links, link.1, out);
+                }
+                Action::Take(n) => {
+                    workers[n].awake -= 1;
+                    match inner.with_node(n, |node| node.take_ready(&inner)) {
+                        Some(t) => running.push((n, t)),
+                        None => workers[n].parked += 1,
+                    }
+                }
+                Action::Wake(n) => {
+                    let w = &mut workers[n];
+                    w.tokens -= 1;
+                    w.parked -= 1;
+                    w.awake += 1;
+                }
+                Action::Finish(i) => {
+                    let (n, t) = running.swap_remove(i);
+                    inner.log_retired(t.idx, t.id, n);
+                    let next = inner.with_node(n, |node| {
+                        node.finish(&inner, t.idx, t.home, false, &mut out);
+                        node.take_ready(&inner)
+                    });
+                    match next {
+                        Some(t) => running.push((n, t)),
+                        None => workers[n].parked += 1,
+                    }
+                    send(&mut links, n, out);
+                }
+                Action::Move(n) => {
+                    moves_left -= 1;
+                    inner.with_node(n, |node| {
+                        node.try_move(&inner, MoveKind::Steal, &mut out);
+                        node.try_move(&inner, MoveKind::Reclaim, &mut out);
+                    });
+                    send(&mut links, n, out);
+                }
+            }
+            // Every parked worker is owed a token or has one on its way, and
+            // none is owed one while ready work outnumbers the workers coming
+            // to take it.
+            for (n, w) in workers.iter_mut().enumerate() {
+                while inner.nodes[n].wake_rx.try_recv().is_ok() {
+                    w.tokens += 1;
+                }
+                let node = inner.lock_node(n);
+                let (idle, ready, tokens) = (node.idle, node.ready.len(), w.tokens);
+                if idle + tokens != w.parked || (idle > 0 && ready > tokens + w.awake) {
+                    return Err(format!(
+                        "node {n}: {} parked, {idle} idle, {tokens} tokens, {ready} ready",
+                        w.parked
+                    ));
+                }
+            }
+        }
+
+        let log = inner.lock_log().order.clone();
+        if submitted < input.tasks.len() || log.len() < submitted {
+            return Err(format!(
+                "stuck with {} of {} retired",
+                log.len(),
+                input.tasks.len()
+            ));
+        }
+        let mut pos = vec![None; log.len()];
+        for (at, id) in log.iter().enumerate() {
+            if pos[id.0 as usize].replace(at).is_some() {
+                return Err(format!("task {} retired twice", id.0));
+            }
+        }
+        for (i, deps) in expected_deps(input).iter().enumerate() {
+            if let Some(&d) = deps.iter().find(|&&d| pos[d] > pos[i]) {
+                return Err(format!("task {i} retired before {d}"));
+            }
+        }
+        let mut moved = [0; 2];
+        for n in 0..nodes {
+            let node = inner.lock_node(n);
+            let held = !node.ready.is_empty()
+                || !node.pending.is_empty()
+                || !node.waiting.is_empty()
+                || !node.subs.is_empty()
+                || !node.reclaimed_away.is_empty()
+                || node.free != node.workers
+                || node.idle != node.workers
+                || node.inflight != [false; 2];
+            if held {
+                return Err(format!("node {n} still holds state after the run"));
+            }
+            for (m, s) in moved.iter_mut().zip(node.stats.moves) {
+                *m += s.moved_in;
+            }
+        }
+        Ok(moved)
+    }
+
+    #[test]
+    fn seeded_delivery_orders_retire_every_task_in_dependence_order() {
+        for input in explorer_inputs() {
+            let mut moved = [0; 2];
+            for seed in 0..500 {
+                let run = std::panic::catch_unwind(AssertUnwindSafe(|| explore(&input, seed)));
+                match run {
+                    Ok(Ok(m)) => (0..2).for_each(|k| moved[k] += m[k]),
+                    Ok(Err(e)) => panic!("input {} seed {seed}: {e}", input.name),
+                    Err(_) => panic!("input {} seed {seed}: a node step panicked", input.name),
+                }
+            }
+            // Each migration kind an input enables happens in some schedule.
+            let [stolen, reclaimed] = moved;
+            let name = input.name;
+            assert!(
+                stolen > 0 || !input.cfg.stealing.is_enabled(),
+                "{name}: no steal"
+            );
+            let reclaims = input.cfg.feedback.reclaim_enabled();
+            assert!(reclaimed > 0 || !reclaims, "{name}: no reclaim");
+        }
     }
 }

@@ -35,6 +35,11 @@ impl RtTask {
     /// only among tasks homed on the same node, so bodies of tasks on
     /// different nodes must not share memory that one reads and a later one
     /// writes.
+    ///
+    /// A body that panics fails its task without stopping the runtime: the
+    /// task still retires and its dependents still run, on whatever the
+    /// failed body left behind. The shutdown report's metrics count such
+    /// tasks under `task.failed`.
     pub fn with_body(mut self, body: impl FnOnce() + Send + 'static) -> Self {
         self.body = Some(Box::new(body));
         self
