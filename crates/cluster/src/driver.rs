@@ -483,12 +483,13 @@ struct NodeState<M> {
     /// (suppresses immediate same-timestamp retries, which would loop
     /// forever on ideal links).
     last_fail: [Option<SimTime>; 2],
-    /// Moved descriptors parked at this node until their last producer
-    /// notification arrives. They are dependence-blocked and must *not*
-    /// enter `pending`: a consumer queued ahead of its own moved producer
-    /// would deadlock the FIFO, and in-flight races make any grant-time
-    /// ordering guarantee unsound.
-    parked: Vec<usize>,
+    /// How many moved descriptors are parked at this node until their last
+    /// producer notification arrives (which ones is `MoveBook::waits`).
+    /// They are dependence-blocked and must *not* enter `pending`: a
+    /// consumer queued ahead of its own moved producer would deadlock the
+    /// FIFO, and in-flight races make any grant-time ordering guarantee
+    /// unsound.
+    parked: usize,
 }
 
 impl<M> NodeState<M> {
@@ -506,7 +507,7 @@ impl<M> NodeState<M> {
     /// (moved, still-blocked) descriptors too: they occupy the node exactly
     /// like queued ones as far as a remote placement is concerned.
     fn digest(&self, now: SimTime) -> LoadView {
-        let held = (self.pending.len() + self.parked.len()) as u64;
+        let held = (self.pending.len() + self.parked) as u64;
         LoadView {
             pending: held,
             in_flight: self.outstanding.saturating_sub(held),
@@ -531,7 +532,7 @@ impl<M> NodeState<M> {
         let quiet = |k: MoveKind| !self.inflight[k as usize] && self.incoming[k as usize] == 0;
         quiet(kind)
             && self.last_fail[kind as usize] != Some(now)
-            && (kind == MoveKind::Steal || (quiet(MoveKind::Steal) && self.parked.is_empty()))
+            && (kind == MoveKind::Steal || (quiet(MoveKind::Steal) && self.parked == 0))
             && self.pool.free() > 0
             && self.pool.queued() == 0
             && self.pending.is_empty()
@@ -567,6 +568,122 @@ impl LoadTracker {
             views: &self.views,
             now: now_ps,
             half_life: DIGEST_HALF_LIFE_PS,
+        }
+    }
+}
+
+/// A move request, grant or arrival implies migration is enabled, and with
+/// it `Run::book`.
+const BOOKED: &str = "moves run only with migration bookkeeping";
+
+/// Where a descriptor waits, as far as migration is concerned.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Waits {
+    /// At no node: not yet arrived, crossing the fabric, handed to the
+    /// manager or retired.
+    Nowhere,
+    /// In its home node's input queue (`NodeState::pending`).
+    Queued,
+    /// Parked at its home node (see `NodeState::parked`).
+    Parked,
+}
+
+/// Migration bookkeeping: counters kept up to date as descriptors move, so
+/// that every question the steal and reclaim paths ask (is this descriptor
+/// eligible, how many eligible descriptors does a node's input queue hold,
+/// is this one parked) is answered without walking a queue or a producer
+/// list. Debug builds check every answer against those walks.
+struct MoveBook {
+    /// Per task: last-writer producers not yet retired.
+    unretired: Vec<u32>,
+    /// Per task: where its descriptor waits.
+    waits: Vec<Waits>,
+    /// Per node: eligible descriptors in its input queue.
+    eligible: Vec<usize>,
+    /// Per node: aggregate worker speed (pools do not change during a run).
+    speed_milli: Vec<u64>,
+    /// The load board, rebuilt in place for each round of move requests.
+    board: Vec<NodeLoad>,
+}
+
+impl MoveBook {
+    fn new<M>(metas: &[TaskMeta], nodes: &[NodeState<M>]) -> Self {
+        MoveBook {
+            unretired: metas
+                .iter()
+                .map(|m| u32::try_from(m.producers.len()).expect("producer count fits u32"))
+                .collect(),
+            waits: vec![Waits::Nowhere; metas.len()],
+            eligible: vec![0; nodes.len()],
+            speed_milli: nodes.iter().map(|n| n.pool.total_speed_milli()).collect(),
+            board: Vec::with_capacity(nodes.len()),
+        }
+    }
+
+    /// True if the descriptor at `idx` may be stolen: every last-writer
+    /// producer has retired and no notification is still in flight, so the
+    /// task can execute on any node without waiting on anything.
+    fn eligible(&self, metas: &[TaskMeta], idx: usize) -> bool {
+        let eligible = metas[idx].remaining_remote == 0 && self.unretired[idx] == 0;
+        debug_assert_eq!(
+            eligible,
+            eligible_by_scan(metas, idx),
+            "eligibility of task {idx} drifted from its producers"
+        );
+        eligible
+    }
+
+    /// `node`'s eligible count, checked against a recount of its input
+    /// queue `pending` in debug builds.
+    fn eligible_at(&self, metas: &[TaskMeta], node: usize, pending: &VecDeque<usize>) -> usize {
+        debug_assert_eq!(
+            self.eligible[node],
+            eligible_in(metas, pending),
+            "eligible count of node {node} drifted from its input queue"
+        );
+        self.eligible[node]
+    }
+
+    /// The descriptor at `idx` entered `node`'s input queue.
+    fn enqueue(&mut self, metas: &[TaskMeta], node: usize, idx: usize) {
+        self.waits[idx] = Waits::Queued;
+        if self.eligible(metas, idx) {
+            self.eligible[node] += 1;
+        }
+    }
+
+    /// The descriptor at `idx` left `node`'s input queue: handed to the
+    /// manager, or granted (before it is re-homed).
+    fn dequeue(&mut self, metas: &[TaskMeta], node: usize, idx: usize, now: SimTime) {
+        self.waits[idx] = Waits::Nowhere;
+        if self.eligible(metas, idx) {
+            self.eligible[node] = self.eligible[node]
+                .checked_sub(1)
+                .unwrap_or_else(|| underflow("eligible count", idx, node, now));
+        }
+    }
+
+    /// One of the two counters that gate `idx` reached zero: if the other
+    /// is zero too, a queued descriptor just became eligible where it waits.
+    /// (Neither counter rises on a queued descriptor that is eligible: a
+    /// re-homed producer has not retired, so its queued consumers are
+    /// blocked anyway.)
+    fn resolved(&mut self, metas: &[TaskMeta], idx: usize) {
+        if self.waits[idx] == Waits::Queued && self.eligible(metas, idx) {
+            self.eligible[metas[idx].home] += 1;
+        }
+    }
+
+    /// The task at `idx` retired: each consumer waits for one producer less.
+    fn retire(&mut self, metas: &[TaskMeta], idx: usize, now: SimTime) {
+        for &c in &metas[idx].consumers {
+            let left = self.unretired[c]
+                .checked_sub(1)
+                .unwrap_or_else(|| underflow("unretired producer count", c, metas[c].home, now));
+            self.unretired[c] = left;
+            if left == 0 {
+                self.resolved(metas, c);
+            }
         }
     }
 }
@@ -629,7 +746,7 @@ impl<M: TaskManager> ClusterDriver<M> {
                 inflight: [false; 2],
                 incoming: [0; 2],
                 last_fail: [None; 2],
-                parked: Vec::new(),
+                parked: 0,
             })
             .collect();
         ClusterDriver {
@@ -796,15 +913,33 @@ fn analyze(
     (metas, scanner.stats())
 }
 
-/// True if the descriptor at `idx` may be stolen: every last-writer
-/// producer has retired and no notification is still in flight, so the
-/// task can execute on any node without waiting on anything.
-fn eligible(metas: &[TaskMeta], idx: usize) -> bool {
+/// [`MoveBook::eligible`] by definition, walking the producer list (the
+/// debug builds' cross-check of the counters).
+fn eligible_by_scan(metas: &[TaskMeta], idx: usize) -> bool {
     metas[idx].remaining_remote == 0
         && metas[idx]
             .producers
             .iter()
             .all(|&p| metas[p].retired_at.is_some())
+}
+
+/// Eligible descriptors in an input queue, counted by walking it (the debug
+/// builds' cross-check of `MoveBook::eligible`).
+fn eligible_in(metas: &[TaskMeta], pending: &VecDeque<usize>) -> usize {
+    pending
+        .iter()
+        .filter(|&&i| eligible_by_scan(metas, i))
+        .count()
+}
+
+/// Panics on a bookkeeping counter that would drop below zero, naming the
+/// task, its node and the simulated time. The decrements are checked in
+/// release builds too, so a miscount fails where it happens instead of
+/// wrapping and leaving the run to end in "never finished the trace".
+#[cold]
+#[track_caller]
+fn underflow(counter: &str, task: usize, node: usize, now: SimTime) -> ! {
+    panic!("{counter} underflow: task {task} at node {node}, {now}")
 }
 
 /// Schedules manager notifications onto the global event queue.
@@ -842,8 +977,8 @@ fn drain<M: TaskManager>(
 /// One run's state: the driver's nodes and fabric plus everything the event
 /// handlers share. [`ClusterDriver::run_inner`] builds it, and each event
 /// kind has one handler method. `flow` (streaming runs), `rec` (span
-/// tracing) and `tracker` (runtime feedback) are `None` when off, so a
-/// disabled hook costs one `Option` branch.
+/// tracing), `tracker` (runtime feedback) and `book` (migration) are `None`
+/// when off, so a disabled hook costs one `Option` branch.
 struct Run<'t, 'r, M> {
     cfg: ClusterConfig,
     trace: &'t Trace,
@@ -866,6 +1001,10 @@ struct Run<'t, 'r, M> {
     /// feedback consumer is active, so the off path computes no digests and
     /// stays bit-identical to the static behaviour.
     tracker: Option<LoadTracker>,
+    /// Migration bookkeeping. It exists only while stealing or reclamation
+    /// is enabled: its retirement sweep touches one entry per dependence
+    /// edge, a cost that runs which never move a descriptor do not pay.
+    book: Option<MoveBook>,
     /// Submit-time re-placement's placed-load board (`place` mode). Unlike
     /// the pre-pass board (charged at static homes during `analyze`), tasks
     /// are charged to their *final* home at commit time.
@@ -891,7 +1030,10 @@ impl<'t, 'r, M: TaskManager> Run<'t, 'r, M> {
         let tasks: Vec<&TaskDescriptor> = trace.tasks().collect();
         let distances = net.distances().clone();
         let (metas, edges) = analyze(&cfg, &tasks, &distances);
+        let book = (cfg.stealing.is_enabled() || cfg.feedback.reclaim_enabled())
+            .then(|| MoveBook::new(&metas, &nodes));
         Run {
+            book,
             idx_of: IdMap::build(&tasks),
             durations: tasks.iter().map(|t| t.duration).collect(),
             queue: EventQueue::with_engine(cfg.engine),
@@ -1260,6 +1402,9 @@ impl<'t, 'r, M: TaskManager> Run<'t, 'r, M> {
         n.outstanding += 1;
         n.pending.push_back(idx);
         n.max_pending = n.max_pending.max(n.pending.len());
+        if let Some(book) = self.book.as_mut() {
+            book.enqueue(&self.metas, node, idx);
+        }
         self.pump(node, now);
     }
 
@@ -1268,19 +1413,30 @@ impl<'t, 'r, M: TaskManager> Run<'t, 'r, M> {
     /// at the front, like any eligible moved descriptor.
     fn notify_arrive(&mut self, idx: usize, now: SimTime) {
         let meta = &mut self.metas[idx];
-        meta.remaining_remote -= 1;
         let home = meta.home;
+        meta.remaining_remote = meta
+            .remaining_remote
+            .checked_sub(1)
+            .unwrap_or_else(|| underflow("remaining_remote", idx, home, now));
         let resolved = meta.remaining_remote == 0;
         let n = &mut self.nodes[home];
         n.touch(now);
         if resolved {
-            if let Some(pos) = n.parked.iter().position(|&i| i == idx) {
-                n.parked.swap_remove(pos);
-                debug_assert!(
-                    eligible(&self.metas, idx),
-                    "unparked task {idx} still has unretired producers"
-                );
-                n.push_front(idx);
+            if let Some(book) = self.book.as_mut() {
+                if book.waits[idx] == Waits::Parked {
+                    n.parked = n
+                        .parked
+                        .checked_sub(1)
+                        .unwrap_or_else(|| underflow("parked count", idx, home, now));
+                    debug_assert!(
+                        book.eligible(&self.metas, idx),
+                        "unparked task {idx} still has unretired producers"
+                    );
+                    n.push_front(idx);
+                    book.enqueue(&self.metas, home, idx);
+                } else {
+                    book.resolved(&self.metas, idx);
+                }
             }
         }
         self.pump(home, now);
@@ -1331,6 +1487,9 @@ impl<'t, 'r, M: TaskManager> Run<'t, 'r, M> {
         n.outstanding -= 1;
         n.total_work += self.durations[idx];
         self.metas[idx].retired_at = Some(now);
+        if let Some(book) = self.book.as_mut() {
+            book.retire(&self.metas, idx, now);
+        }
         if let Some(fs) = self.flow.as_mut() {
             fs.latencies[idx] = now.since(fs.submitted_at[idx]);
         }
@@ -1371,31 +1530,32 @@ impl<'t, 'r, M: TaskManager> Run<'t, 'r, M> {
     /// reply empty-handed. The policy sizes the batch from the thief's free
     /// workers and the victim's backlog of the kind at grant time; an
     /// open-loop thief also honours its own admission bound, since moved
-    /// descriptors enter its admission domain.
+    /// descriptors enter its admission domain. After a grant the victim is
+    /// pumped, since its queue may have a new head.
     fn grant_move(&mut self, kind: MoveKind, thief: usize, victim: usize, now: SimTime) {
         let k = kind as usize;
         self.nodes[victim].touch(now);
-        // Positions collected from the back of the queue (descending, so
-        // removal is position-stable).
-        let want_eligible = kind == MoveKind::Steal;
-        let mut positions: Vec<usize> = {
-            let pending = &self.nodes[victim].pending;
-            (0..pending.len())
-                .rev()
-                .filter(|&pos| eligible(&self.metas, pending[pos]) == want_eligible)
-                .collect()
-        };
+        let book = self.book.as_ref().expect(BOOKED);
+        let pending = &self.nodes[victim].pending;
+        let eligible = book.eligible_at(&self.metas, victim, pending);
         let free = self.nodes[thief].pool.free();
         let mut batch = match kind {
-            MoveKind::Steal => self.policy.batch_for(free, positions.len()),
-            MoveKind::Reclaim => self.policy.reclaim_batch(free, positions.len()),
+            MoveKind::Steal => self.policy.batch_for(free, eligible),
+            MoveKind::Reclaim => self.policy.reclaim_batch(free, pending.len() - eligible),
         };
         if let Some(fs) = self.flow.as_ref() {
             if fs.gated {
                 batch = batch.min(fs.depth.saturating_sub(fs.admitted[thief]));
             }
         }
-        positions.truncate(batch);
+        // The youngest `batch` descriptors of the kind, collected from the
+        // back of the queue (descending, so removal is position-stable).
+        let want_eligible = kind == MoveKind::Steal;
+        let positions: Vec<usize> = (0..pending.len())
+            .rev()
+            .filter(|&pos| book.eligible(&self.metas, pending[pos]) == want_eligible)
+            .take(batch)
+            .collect();
         if positions.is_empty() {
             self.failures[k] += 1;
             let failed = Event::MoveFailed { kind, thief };
@@ -1420,6 +1580,10 @@ impl<'t, 'r, M: TaskManager> Run<'t, 'r, M> {
                 fs.note_move_in(thief);
             }
             debug_assert_eq!(self.metas[idx].home, victim, "moved task must be at home");
+            self.book
+                .as_mut()
+                .expect(BOOKED)
+                .dequeue(&self.metas, victim, idx, now);
             self.rehome(idx, victim, thief);
             self.moved[k] += 1;
             if let Some(r) = self.rec.as_mut() {
@@ -1432,6 +1596,10 @@ impl<'t, 'r, M: TaskManager> Run<'t, 'r, M> {
             };
             self.send_msg(victim, thief, self.tasks[idx].transfer_words(), now, arrive);
         }
+        // A reclaim may have taken the queue's blocked head: the eligible
+        // descriptors behind it would otherwise wait for a wake-up that
+        // never comes.
+        self.pump(victim, now);
     }
 
     /// Re-homes the moved descriptor `idx` from `victim` to `thief`.
@@ -1478,12 +1646,15 @@ impl<'t, 'r, M: TaskManager> Run<'t, 'r, M> {
         });
         n.touch(now);
         n.outstanding += 1;
-        if eligible(&self.metas, idx) {
+        let book = self.book.as_mut().expect(BOOKED);
+        if book.eligible(&self.metas, idx) {
             n.push_front(idx);
+            book.enqueue(&self.metas, node, idx);
             self.pump(node, now);
         } else {
             debug_assert_eq!(kind, MoveKind::Reclaim, "stolen task {idx} arrived blocked");
-            n.parked.push(idx);
+            n.parked += 1;
+            book.waits[idx] = Waits::Parked;
         }
     }
 
@@ -1572,9 +1743,8 @@ impl<'t, 'r, M: TaskManager> Run<'t, 'r, M> {
 
     /// Sends a move request of `kind` from every idle node that may issue
     /// one (see `NodeState::may_move`) to the victim the policy picks. Runs
-    /// after each event while the kind is enabled; the load board (with its
-    /// per-descriptor eligibility scan) is only built when some node
-    /// qualifies.
+    /// after each event while the kind is enabled; the load board is only
+    /// built when some node qualifies, from counters (O(1) per node).
     fn try_moves(&mut self, kind: MoveKind, now: SimTime) {
         if !self.nodes.iter().any(|n| n.may_move(kind, now)) {
             return;
@@ -1608,28 +1778,28 @@ impl<'t, 'r, M: TaskManager> Run<'t, 'r, M> {
             };
             self.send_msg(thief, victim, kind.words(), now, request);
         }
+        self.book.as_mut().expect(BOOKED).board = loads;
     }
 
     /// The per-node load board handed to victim selection, built through the
-    /// shared [`NodeLoad::snapshot`] constructor (the live runtime's manager
-    /// loop builds its board through the same one).
-    fn load_board(&self) -> Vec<NodeLoad> {
-        self.nodes
-            .iter()
-            .map(|n| {
-                NodeLoad::snapshot(
-                    n.pending.len(),
-                    n.pending
-                        .iter()
-                        .filter(|&&i| eligible(&self.metas, i))
-                        .count(),
-                    n.pool.queued(),
-                    n.pool.free(),
-                    n.outstanding,
-                    n.pool.total_speed_milli(),
-                )
-            })
-            .collect()
+    /// shared [`NodeLoad::snapshot`] constructor (the live runtime builds its
+    /// board through the same one). The buffer is the book's, taken out for
+    /// the round of requests and handed back by `try_moves`.
+    fn load_board(&mut self) -> Vec<NodeLoad> {
+        let book = self.book.as_mut().expect(BOOKED);
+        let mut board = std::mem::take(&mut book.board);
+        board.clear();
+        board.extend(self.nodes.iter().enumerate().map(|(i, n)| {
+            NodeLoad::snapshot(
+                n.pending.len(),
+                book.eligible_at(&self.metas, i, &n.pending),
+                n.pool.queued(),
+                n.pool.free(),
+                n.outstanding,
+                book.speed_milli[i],
+            )
+        }));
+        board
     }
 
     /// Hands pending tasks at `node` to the local manager: strictly in arrival
@@ -1646,6 +1816,7 @@ impl<'t, 'r, M: TaskManager> Run<'t, 'r, M> {
             scratch,
             flow,
             rec,
+            book,
             ..
         } = self;
         let n = &mut nodes[node];
@@ -1669,6 +1840,9 @@ impl<'t, 'r, M: TaskManager> Run<'t, 'r, M> {
                 break;
             }
             n.pending.pop_front();
+            if let Some(book) = book.as_mut() {
+                book.dequeue(metas, node, idx, now);
+            }
             if let Some(fs) = flow.as_mut() {
                 fs.on_slot_freed(node, now, queue);
             }
@@ -2348,6 +2522,25 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn a_reclaim_grant_that_takes_the_blocked_head_wakes_the_victim() {
+        // Regression: a grant removes descriptors from the victim's input
+        // queue. When it takes the blocked head, the eligible descriptors
+        // behind it reach the manager only if the victim is pumped; without
+        // stealing nobody else takes them, and the run used to end in
+        // "cluster master never finished the trace".
+        let trace = distributed::unhinted(&distributed::sparselu(3, 0.1, 5, 0.005));
+        assert_eq!(trace.task_count(), 855);
+        let cfg = ClusterConfig::new(3, 2)
+            .with_link(LinkConfig::rdma().with_topology(crate::config::Topology::FullMesh))
+            .with_placement(PolicyKind::XorHash)
+            .with_stealing(StealKind::Disabled)
+            .with_feedback(FeedbackKind::Reclaim);
+        let out = simulate_cluster(&trace, &cfg, |_| nexus_core::NexusSharp::paper(6));
+        assert_eq!(out.tasks, 855);
+        assert!(out.reclaims > 0, "scenario must actually reclaim");
     }
 
     #[test]

@@ -13,7 +13,6 @@ use nexus_sim::FxHashMap;
 use nexus_topo::DistanceMatrix;
 use nexus_trace::{TaskDescriptor, Trace};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 
 pub use nexus_sched::primary_addr;
 
@@ -143,13 +142,13 @@ impl DepScanner {
         let i = self.homes.len();
         // `last_writer` only holds indices of previously scanned tasks, so a
         // task can never appear as its own producer.
-        let producers: Vec<usize> = task
+        let mut producers: Vec<usize> = task
             .params
             .iter()
             .filter_map(|p| self.last_writer.get(&p.addr).copied())
-            .collect::<BTreeSet<usize>>()
-            .into_iter()
             .collect();
+        producers.sort_unstable();
+        producers.dedup();
         let producer_homes: Vec<usize> = producers.iter().map(|&d| self.homes[d]).collect();
         let home = self.policy.place(
             task,
@@ -343,6 +342,18 @@ mod tests {
         assert_eq!(scanner.last_writer(0x100), Some(0));
         assert_eq!(scanner.last_writer(0x300), Some(2));
         assert_eq!(scanner.last_writer(0x1), None, "a read is not a write");
+        // Producers come back ascending and distinct, whatever the order of
+        // the parameters and however often one producer's output is read.
+        let r = scanner.scan_full(
+            &TaskDescriptor::builder(3)
+                .input(0x300)
+                .input(0x100)
+                .inout(0x300)
+                .affinity(0)
+                .build(),
+        );
+        assert_eq!(r.producers, vec![0, 2]);
+        assert_eq!(r.remote_producers, vec![2]);
     }
 
     #[test]
