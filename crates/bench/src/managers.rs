@@ -145,6 +145,14 @@ impl TaskManager for AnyManager {
             AnyManager::NexusSharp(m) => m.drain_events(),
         }
     }
+    fn drain_events_into(&mut self, out: &mut Vec<ManagerEvent>) {
+        match self {
+            AnyManager::Ideal(m) => m.drain_events_into(out),
+            AnyManager::Nanos(m) => m.drain_events_into(out),
+            AnyManager::NexusPP(m) => m.drain_events_into(out),
+            AnyManager::NexusSharp(m) => m.drain_events_into(out),
+        }
+    }
     fn stats_summary(&self) -> Vec<(String, f64)> {
         match self {
             AnyManager::Ideal(m) => m.stats_summary(),

@@ -1,5 +1,6 @@
 //! Reference values reported in the paper, used to print paper-vs-measured
-//! columns in the regenerated tables (EXPERIMENTS.md records the comparison).
+//! columns in the regenerated tables. No document records the full
+//! comparison yet; the ROADMAP's "Paper fidelity, measured" item plans one.
 
 /// One row of Table IV: maximum speedup per benchmark and task manager.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -6,7 +6,7 @@
 //! * the **master** (on node 0) streams trace operations in program order
 //!   (the [`MasterSm`] state machine shared with the single-node host driver);
 //!   each submitted task is routed to its home node by the configured
-//!   [`PlacementPolicy`] (affinity hint +
+//!   [`PolicyKind`](nexus_sched::PolicyKind) (affinity hint +
 //!   XOR distribution function by default) and its descriptor is forwarded
 //!   over the interconnect (`transfer_words()` words, as over PCIe in the
 //!   single-chip design). Messages traverse the fabric hop by hop through
@@ -24,16 +24,17 @@
 //! * every retirement is also forwarded to the master, which implements
 //!   `taskwait` / `taskwait on` over the cluster-wide retirement count;
 //! * **migration** moves pending descriptors from a loaded node to an idle
-//!   one, in two kinds that share one path. A *steal* (with a
-//!   [`StealPolicy`] enabled) takes the victim's youngest *eligible*
-//!   descriptors: every last-writer producer has retired, so the task can
-//!   run anywhere. A *reclaim* (in the `reclaim` and `full` feedback modes)
-//!   takes its youngest dependence-*blocked* descriptors, work a steal can
-//!   never reach. After every event, first for steals and then for
-//!   reclaims, each idle node (free workers, empty ready and input queues,
-//!   nothing of its own in flight) sends a request to the victim the policy
-//!   picks, and the victim grants a batch or replies empty-handed. Each
-//!   granted descriptor pays the full re-forwarding cost on the
+//!   one, in two kinds ([`MoveKind`]) that share one path. A *steal* (with a
+//!   [`StealKind`](nexus_sched::StealKind) enabled) takes the victim's
+//!   youngest *eligible* descriptors: every last-writer producer has
+//!   retired, so the task can run anywhere. A *reclaim* (in the `reclaim`
+//!   and `full` feedback modes) takes its youngest dependence-*blocked*
+//!   descriptors, work a steal can never reach. After every event, first
+//!   for steals and then for reclaims, each idle node (free workers, empty
+//!   ready and input queues, nothing of its own in flight) sends a request
+//!   to the victim [`MoveKind::choose_victim`] picks, and the victim grants
+//!   a batch ([`MoveKind::batch`]) or replies empty-handed. Each granted
+//!   descriptor pays the full re-forwarding cost on the
 //!   victim→thief link and is re-homed at the thief: consumers that would
 //!   have resolved its dependence inside the victim's manager are
 //!   re-subscribed to a cross-node retirement notification, and the task is
@@ -48,9 +49,10 @@
 //!   ([`FeedbackKind`](nexus_sched::FeedbackKind), `NEXUS_FEEDBACK`), every
 //!   retirement notification to the master additionally carries the
 //!   retiring node's live load digest ([`LoadView`]) — no new message types
-//!   on the happy path. The master folds the digests into a `LoadTracker`
-//!   consulted by submit-time re-placement (`place` mode, via
-//!   [`FeedbackPlacement`]) and by reclaim victim selection.
+//!   on the happy path. The master folds the digests into a [`LoadTracker`]
+//!   consulted by submit-time re-placement (`place` mode, through the
+//!   feedback rule of [`PolicyKind::place`](nexus_sched::PolicyKind::place))
+//!   and by reclaim victim selection.
 //!
 //! The event loop is one `match` that hands each event to its handler method
 //! on the run's state.
@@ -66,6 +68,7 @@
 
 use crate::config::ClusterConfig;
 use crate::interconnect::Interconnect;
+use crate::moves::MoveKind;
 use crate::outcome::{ClusterOutcome, LinkStats};
 use crate::routing::{DepScanner, EdgeStats};
 use crate::stream::{DepthSeries, StreamOutcome, StreamingSource};
@@ -74,10 +77,7 @@ use nexus_host::master::{MasterSm, MasterStep};
 use nexus_host::metrics::SimOutcome;
 use nexus_host::pool::WorkerPool;
 use nexus_obs::{Recorder, Registry, SpanEvent};
-use nexus_sched::{
-    FeedbackPlacement, LiveLoad, LoadView, NodeLoad, PlacedLoad, PlacementCtx, PlacementPolicy,
-    StealPolicy,
-};
+use nexus_sched::{LoadTracker, LoadView, NodeLoad, PlacedLoad, PlacementCtx};
 use nexus_sim::events::TimedEvent;
 use nexus_sim::{EventQueue, FxHashMap, SimDuration, SimTime};
 use nexus_topo::{DistanceMatrix, Fabric};
@@ -89,46 +89,10 @@ use std::time::Instant;
 /// plus task id).
 pub const NOTIFY_WORDS: u64 = 2;
 
-/// Words on the wire for a steal request or its empty-handed reply (message
-/// tag plus node id).
-pub const STEAL_WORDS: u64 = 2;
-
-/// Words on the wire for a pool-reclamation request or its empty-handed
-/// reply (message tag plus node id — same shape as a steal request).
-pub const RECLAIM_WORDS: u64 = 2;
-
 /// Decay half-life of a live load digest, in virtual picoseconds (200 µs —
 /// a few task lengths at benchmark scale, so a digest that stops refreshing
 /// fades from the placement decision within a handful of retirements).
 const DIGEST_HALF_LIFE_PS: u64 = 200_000_000;
-
-/// The two kinds of migration (see the [module docs](self)). Per-kind state
-/// lives in two-element arrays indexed by `kind as usize`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum MoveKind {
-    /// Work stealing: eligible descriptors only.
-    Steal,
-    /// Pool reclamation: dependence-blocked descriptors only.
-    Reclaim,
-}
-
-impl MoveKind {
-    /// Words on the wire for a request or its empty-handed reply.
-    fn words(self) -> u64 {
-        match self {
-            MoveKind::Steal => STEAL_WORDS,
-            MoveKind::Reclaim => RECLAIM_WORDS,
-        }
-    }
-
-    /// The span event recording one moved descriptor.
-    fn span(self, task: usize, from: usize, to: usize) -> SpanEvent {
-        match self {
-            MoveKind::Steal => SpanEvent::Stolen { task, from, to },
-            MoveKind::Reclaim => SpanEvent::Reclaimed { task, from, to },
-        }
-    }
-}
 
 #[derive(Debug)]
 enum Event {
@@ -511,7 +475,6 @@ impl<M> NodeState<M> {
         LoadView {
             pending: held,
             in_flight: self.outstanding.saturating_sub(held),
-            retired: self.retired,
             updated_at: now.as_ps(),
         }
     }
@@ -536,39 +499,6 @@ impl<M> NodeState<M> {
             && self.pool.free() > 0
             && self.pool.queued() == 0
             && self.pending.is_empty()
-    }
-}
-
-/// The master's fold of the per-node load digests piggybacked on retirement
-/// notifications — the live counterpart of the routing pre-pass's placed-load
-/// board. Built only when `cfg.feedback` enables a consumer, so the off path
-/// never touches it.
-struct LoadTracker {
-    views: Vec<LoadView>,
-    /// Digests actually applied (reordered stale digests are dropped).
-    updates: u64,
-}
-
-impl LoadTracker {
-    fn new(nodes: usize) -> Self {
-        LoadTracker {
-            views: vec![LoadView::default(); nodes],
-            updates: 0,
-        }
-    }
-
-    fn observe(&mut self, node: usize, view: LoadView) {
-        if self.views[node].observe(view) {
-            self.updates += 1;
-        }
-    }
-
-    fn live(&self, now_ps: u64) -> LiveLoad<'_> {
-        LiveLoad {
-            views: &self.views,
-            now: now_ps,
-            half_life: DIGEST_HALF_LIFE_PS,
-        }
     }
 }
 
@@ -892,7 +822,7 @@ fn analyze(
     distances: &DistanceMatrix,
 ) -> (Vec<TaskMeta>, EdgeStats) {
     let mut scanner =
-        DepScanner::with_policy(cfg.nodes, cfg.placement.build()).with_distances(distances.clone());
+        DepScanner::with_policy(cfg.nodes, cfg.placement).with_distances(distances.clone());
     let mut metas: Vec<TaskMeta> = Vec::with_capacity(tasks.len());
     for task in tasks {
         let i = metas.len();
@@ -996,10 +926,11 @@ struct Run<'t, 'r, M> {
     scratch: Vec<ManagerEvent>,
     master: MasterSm,
     supports_taskwait_on: bool,
-    policy: Box<dyn StealPolicy>,
-    /// The master's fold of the live load digests. It exists only while a
-    /// feedback consumer is active, so the off path computes no digests and
-    /// stays bit-identical to the static behaviour.
+    /// The master's fold of the load digests riding retirement
+    /// notifications, the live counterpart of the routing pre-pass's
+    /// placed-load board. It exists only while a feedback consumer is
+    /// active, so the off path computes no digests and stays bit-identical
+    /// to the static behaviour.
     tracker: Option<LoadTracker>,
     /// Migration bookkeeping. It exists only while stealing or reclamation
     /// is enabled: its retirement sweep touches one entry per dependence
@@ -1030,7 +961,9 @@ impl<'t, 'r, M: TaskManager> Run<'t, 'r, M> {
         let tasks: Vec<&TaskDescriptor> = trace.tasks().collect();
         let distances = net.distances().clone();
         let (metas, edges) = analyze(&cfg, &tasks, &distances);
-        let book = (cfg.stealing.is_enabled() || cfg.feedback.reclaim_enabled())
+        let book = MoveKind::ALL
+            .iter()
+            .any(|k| k.enabled(cfg.stealing, cfg.feedback))
             .then(|| MoveBook::new(&metas, &nodes));
         Run {
             book,
@@ -1040,11 +973,10 @@ impl<'t, 'r, M: TaskManager> Run<'t, 'r, M> {
             scratch: Vec::new(),
             master: MasterSm::new(),
             supports_taskwait_on: nodes[0].manager.supports_taskwait_on(),
-            policy: cfg.stealing.build(),
             tracker: cfg
                 .feedback
                 .is_enabled()
-                .then(|| LoadTracker::new(cfg.nodes)),
+                .then(|| LoadTracker::new(cfg.nodes, DIGEST_HALF_LIFE_PS)),
             placed_loads: vec![PlacedLoad::default(); cfg.nodes],
             notifications: 0,
             moved: [0; 2],
@@ -1067,8 +999,8 @@ impl<'t, 'r, M: TaskManager> Run<'t, 'r, M> {
     /// handler, then idle nodes may request moves. Profiling samples the
     /// wall clock only when `prof` is attached.
     fn run(mut self, mut prof: Option<&mut EngineProf>) -> (ClusterOutcome, Option<FlowState>) {
-        let steal_enabled = self.cfg.stealing.is_enabled();
-        let reclaim_enabled = self.cfg.feedback.reclaim_enabled();
+        let (stealing, feedback) = (self.cfg.stealing, self.cfg.feedback);
+        let enabled = MoveKind::ALL.map(|k| k.enabled(stealing, feedback));
         let mut makespan = SimTime::ZERO;
         let mut events: u64 = 0;
         self.queue.schedule(SimTime::ZERO, Event::MasterStep);
@@ -1137,14 +1069,11 @@ impl<'t, 'r, M: TaskManager> Run<'t, 'r, M> {
                 } => relayed = Some(self.relay(from, to, hop, words, then, now)),
             }
 
-            // Steals are scanned first on purpose: a node that just issued a
-            // steal request (eligible work, strictly cheaper to import) sits
-            // out the reclaim round.
-            if steal_enabled {
-                self.try_moves(MoveKind::Steal, now);
-            }
-            if reclaim_enabled {
-                self.try_moves(MoveKind::Reclaim, now);
+            // Steals are scanned first (see `MoveKind::ALL`).
+            for kind in MoveKind::ALL {
+                if enabled[kind as usize] {
+                    self.try_moves(kind, now);
+                }
             }
             if let (Some((t0, kind)), Some(p)) = (prof_start, prof.as_mut()) {
                 p.note(kind, t0.elapsed().as_nanos() as u64);
@@ -1213,7 +1142,7 @@ impl<'t, 'r, M: TaskManager> Run<'t, 'r, M> {
         metrics.add("reclaim.failures", self.failures[reclaim]);
         metrics.add(
             "load.digest.updates",
-            self.tracker.as_ref().map_or(0, |tr| tr.updates),
+            self.tracker.as_ref().map_or(0, LoadTracker::updates),
         );
         metrics.add("sim.events", events);
         metrics.add("link.messages", link.messages);
@@ -1368,7 +1297,7 @@ impl<'t, 'r, M: TaskManager> Run<'t, 'r, M> {
             .iter()
             .map(|&p| metas[p].home)
             .collect();
-        let home = FeedbackPlacement.place(
+        let home = self.cfg.placement.place(
             self.tasks[idx],
             &PlacementCtx {
                 nodes: self.cfg.nodes,
@@ -1538,11 +1467,14 @@ impl<'t, 'r, M: TaskManager> Run<'t, 'r, M> {
         let book = self.book.as_ref().expect(BOOKED);
         let pending = &self.nodes[victim].pending;
         let eligible = book.eligible_at(&self.metas, victim, pending);
-        let free = self.nodes[thief].pool.free();
-        let mut batch = match kind {
-            MoveKind::Steal => self.policy.batch_for(free, eligible),
-            MoveKind::Reclaim => self.policy.reclaim_batch(free, pending.len() - eligible),
+        let want_eligible = kind == MoveKind::Steal;
+        let backlog = if want_eligible {
+            eligible
+        } else {
+            pending.len() - eligible
         };
+        let free = self.nodes[thief].pool.free();
+        let mut batch = kind.batch(self.cfg.stealing, free, backlog);
         if let Some(fs) = self.flow.as_ref() {
             if fs.gated {
                 batch = batch.min(fs.depth.saturating_sub(fs.admitted[thief]));
@@ -1550,7 +1482,6 @@ impl<'t, 'r, M: TaskManager> Run<'t, 'r, M> {
         }
         // The youngest `batch` descriptors of the kind, collected from the
         // back of the queue (descending, so removal is position-stable).
-        let want_eligible = kind == MoveKind::Steal;
         let positions: Vec<usize> = (0..pending.len())
             .rev()
             .filter(|&pos| book.eligible(&self.metas, pending[pos]) == want_eligible)
@@ -1750,25 +1681,19 @@ impl<'t, 'r, M: TaskManager> Run<'t, 'r, M> {
             return;
         }
         let loads = self.load_board();
+        let stealing = self.cfg.stealing;
         for thief in 0..self.nodes.len() {
             if !self.nodes[thief].may_move(kind, now) {
                 continue;
             }
-            let victim = match kind {
-                MoveKind::Steal => self.policy.choose_victim(thief, &loads, &self.distances),
-                MoveKind::Reclaim => {
-                    let live = self.tracker.as_ref().map(|tr| tr.live(now.as_ps()));
-                    self.policy
-                        .choose_reclaim_victim(thief, &loads, live, &self.distances)
-                }
-            };
+            let live = self.tracker.as_ref().map(|tr| tr.live(now.as_ps()));
+            let victim = kind.choose_victim(stealing, thief, &loads, live, &self.distances);
             let Some(victim) = victim else {
                 continue;
             };
             assert!(
                 victim != thief && victim < self.nodes.len(),
-                "{kind:?} policy {} picked victim {victim} for thief {thief}",
-                self.policy.name()
+                "{kind:?} under steal policy {stealing} picked victim {victim} for thief {thief}"
             );
             self.nodes[thief].inflight[kind as usize] = true;
             let request = Event::MoveRequest {
@@ -1781,23 +1706,17 @@ impl<'t, 'r, M: TaskManager> Run<'t, 'r, M> {
         self.book.as_mut().expect(BOOKED).board = loads;
     }
 
-    /// The per-node load board handed to victim selection, built through the
-    /// shared [`NodeLoad::snapshot`] constructor (the live runtime builds its
-    /// board through the same one). The buffer is the book's, taken out for
-    /// the round of requests and handed back by `try_moves`.
+    /// The per-node load board handed to victim selection. The buffer is
+    /// the book's, taken out for the round of requests and handed back by
+    /// `try_moves`.
     fn load_board(&mut self) -> Vec<NodeLoad> {
         let book = self.book.as_mut().expect(BOOKED);
         let mut board = std::mem::take(&mut book.board);
         board.clear();
-        board.extend(self.nodes.iter().enumerate().map(|(i, n)| {
-            NodeLoad::snapshot(
-                n.pending.len(),
-                book.eligible_at(&self.metas, i, &n.pending),
-                n.pool.queued(),
-                n.pool.free(),
-                n.outstanding,
-                book.speed_milli[i],
-            )
+        board.extend(self.nodes.iter().enumerate().map(|(i, n)| NodeLoad {
+            pending: n.pending.len(),
+            stealable: book.eligible_at(&self.metas, i, &n.pending),
+            speed_milli: book.speed_milli[i],
         }));
         board
     }

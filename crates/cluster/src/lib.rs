@@ -33,6 +33,8 @@
 //!   depth series and back-pressure counts on top of the closed-loop fields,
 //! * [`routing`] — the policy-driven dependence scanner and the remote-edge
 //!   census used by benchmarks and tests,
+//! * [`moves`] — [`MoveKind`], the steal and reclaim decisions the simulator
+//!   and the live runtime (`nexus-rt`) share,
 //! * observability — [`simulate_cluster_traced`] /
 //!   [`ClusterDriver::run_recorded`] attach a `nexus-obs`
 //!   [`Recorder`] to the event loop (task-lifecycle
@@ -66,6 +68,7 @@
 pub mod config;
 pub mod driver;
 pub mod interconnect;
+pub mod moves;
 pub mod outcome;
 pub mod routing;
 pub mod stream;
@@ -73,9 +76,10 @@ pub mod stream;
 pub use config::{ClusterConfig, LinkConfig, Topology};
 pub use driver::{
     simulate_cluster, simulate_cluster_on, simulate_cluster_traced, simulate_streaming,
-    ClusterDriver, NOTIFY_WORDS, RECLAIM_WORDS, STEAL_WORDS,
+    ClusterDriver, NOTIFY_WORDS,
 };
 pub use interconnect::Interconnect;
+pub use moves::{MoveKind, RECLAIM_WORDS, STEAL_WORDS};
 pub use nexus_obs::{MemRecorder, Recorder, Registry, SpanEvent, TimeBase};
 pub use nexus_sched::{FeedbackKind, PolicyKind, StealKind};
 pub use nexus_topo::{DistanceMatrix, Fabric};

@@ -1,14 +1,14 @@
 //! Task-to-node routing and cross-node dependency analysis.
 //!
-//! Routing is delegated to a pluggable [`PlacementPolicy`] (`nexus-sched`).
-//! The default, [`nexus_sched::XorHash`], reuses the paper's XOR distribution
-//! function (§IV-B) at cluster scope: a task without an affinity hint goes to
-//! the node selected by folding its primary output address, exactly as Nexus#
+//! Routing is decided by a [`PolicyKind`] (`nexus-sched`). The default,
+//! [`PolicyKind::XorHash`], reuses the paper's XOR distribution function
+//! (§IV-B) at cluster scope: a task without an affinity hint goes to the node
+//! selected by folding its primary output address, exactly as Nexus#
 //! distributes addresses over task graphs within one chip. Tasks generated by
 //! `nexus_trace::generators::distributed` carry explicit affinity hints, which
-//! every built-in policy honours (wrapped modulo the node count).
+//! every policy honours (wrapped modulo the node count).
 
-use nexus_sched::{LiveLoad, PlacedLoad, PlacementCtx, PlacementPolicy, PolicyKind};
+use nexus_sched::{LiveLoad, PlacedLoad, PlacementCtx, PolicyKind};
 use nexus_sim::FxHashMap;
 use nexus_topo::DistanceMatrix;
 use nexus_trace::{TaskDescriptor, Trace};
@@ -17,7 +17,7 @@ use serde::{Deserialize, Serialize};
 pub use nexus_sched::primary_addr;
 
 /// The home node of `task` in a cluster of `nodes` nodes under the default
-/// [`nexus_sched::XorHash`] policy: the affinity hint if present (wrapped),
+/// [`PolicyKind::XorHash`] policy: the affinity hint if present (wrapped),
 /// otherwise the XOR distribution function over the primary address.
 pub fn home_of(task: &TaskDescriptor, nodes: usize) -> usize {
     nexus_sched::xor_home(task, nodes)
@@ -62,12 +62,12 @@ pub struct ScanRecord {
 /// must forward): both the [`edge_stats`] census and the cluster driver's
 /// routing pre-pass are built on it, so they can never disagree.
 ///
-/// Placement is delegated to the scanner's [`PlacementPolicy`]: for every task
-/// the scanner assembles the policy inputs (the homes of the task's last-writer
+/// Placement is decided by the scanner's [`PolicyKind`]: for every task the
+/// scanner assembles the policy inputs (the homes of the task's last-writer
 /// producers and the per-node load placed so far) and records the decision.
 pub struct DepScanner {
     nodes: usize,
-    policy: Box<dyn PlacementPolicy>,
+    policy: PolicyKind,
     /// Interconnect distance matrix handed to the policy
     /// ([`DistanceMatrix::uniform`] until [`DepScanner::with_distances`]
     /// supplies the fabric's).
@@ -80,13 +80,13 @@ pub struct DepScanner {
 
 impl DepScanner {
     /// Creates a scanner for a cluster of `nodes` nodes with the default
-    /// [`nexus_sched::XorHash`] placement.
+    /// [`PolicyKind::XorHash`] placement.
     pub fn new(nodes: usize) -> Self {
-        Self::with_policy(nodes, PolicyKind::XorHash.build())
+        Self::with_policy(nodes, PolicyKind::XorHash)
     }
 
     /// Creates a scanner routing through `policy` over uniform wiring.
-    pub fn with_policy(nodes: usize, policy: Box<dyn PlacementPolicy>) -> Self {
+    pub fn with_policy(nodes: usize, policy: PolicyKind) -> Self {
         DepScanner {
             nodes,
             policy,
@@ -129,11 +129,13 @@ impl DepScanner {
     }
 
     /// [`DepScanner::scan_full`] with live load digests made visible to the
-    /// placement policy. This is the live runtime's feedback-placement entry
-    /// point: the scanner keeps owning the homes table (so dependence
-    /// subscriptions stay consistent with placement), while the caller feeds
-    /// in whatever digests have arrived by submit time. Policies that ignore
-    /// [`PlacementCtx::live`] behave exactly as under [`DepScanner::scan_full`].
+    /// placement. This is the live runtime's feedback-placement entry point:
+    /// the scanner keeps owning the homes table (so dependence subscriptions
+    /// stay consistent with placement), while the caller feeds in whatever
+    /// digests have arrived by submit time. Every policy reads them: with
+    /// `live` set, an un-hinted task follows the feedback rule of
+    /// [`PolicyKind::place`] whatever the scanner's kind, and with `None`
+    /// this is exactly [`DepScanner::scan_full`].
     pub fn scan_full_live(
         &mut self,
         task: &TaskDescriptor,
@@ -163,7 +165,7 @@ impl DepScanner {
         assert!(
             home < self.nodes,
             "placement policy {} returned node {home} of {}",
-            self.policy.name(),
+            self.policy,
             self.nodes
         );
         let remote_producers: Vec<usize> = producers
@@ -215,7 +217,7 @@ pub fn edge_stats(trace: &Trace, nodes: usize) -> EdgeStats {
 /// Counts the dependency edges of `trace` when placed on `nodes` nodes by
 /// `policy`.
 pub fn edge_stats_with(trace: &Trace, nodes: usize, policy: PolicyKind) -> EdgeStats {
-    let mut scanner = DepScanner::with_policy(nodes, policy.build());
+    let mut scanner = DepScanner::with_policy(nodes, policy);
     for task in trace.tasks() {
         scanner.scan(task);
     }
@@ -227,7 +229,7 @@ pub fn edge_stats_with(trace: &Trace, nodes: usize, policy: PolicyKind) -> EdgeS
 /// [`crate::simulate_cluster`] would use, so the census agrees with the
 /// driver even for distance-aware policies.
 pub fn edge_stats_on(trace: &Trace, cfg: &crate::config::ClusterConfig) -> EdgeStats {
-    let mut scanner = DepScanner::with_policy(cfg.nodes, cfg.placement.build())
+    let mut scanner = DepScanner::with_policy(cfg.nodes, cfg.placement)
         .with_distances(cfg.link.fabric(cfg.nodes).distances());
     for task in trace.tasks() {
         scanner.scan(task);
@@ -358,7 +360,7 @@ mod tests {
 
     #[test]
     fn live_digests_steer_the_scanner_when_the_policy_listens() {
-        use nexus_sched::{FeedbackPlacement, LiveLoad, LoadView};
+        use nexus_sched::{LiveLoad, LoadView};
         let views = [
             LoadView {
                 pending: 50,
@@ -373,11 +375,13 @@ mod tests {
             half_life: 0,
         };
         let t = TaskDescriptor::builder(0).inout(0x10).build();
-        let mut scanner = DepScanner::with_policy(2, Box::new(FeedbackPlacement));
-        let r = scanner.scan_full_live(&t, Some(live));
-        assert_eq!(r.home, 1, "the hot digest repels placement from node 0");
-        // The same scan without digests falls back to the static tie-break.
-        let mut fresh = DepScanner::with_policy(2, Box::new(FeedbackPlacement));
+        for kind in PolicyKind::ALL {
+            let mut scanner = DepScanner::with_policy(2, kind);
+            let r = scanner.scan_full_live(&t, Some(live));
+            assert_eq!(r.home, 1, "{kind}: the hot digest repels placement");
+        }
+        // The same scan without digests falls back to the static rule.
+        let mut fresh = DepScanner::with_policy(2, PolicyKind::TopologyAware);
         assert_eq!(fresh.scan_full(&t).home, 0);
     }
 

@@ -4,13 +4,14 @@
 //! discrete events stand in for threads, and simulated clocks stand in for
 //! contention. This crate closes the loop — it **executes** tasks on real OS
 //! threads, with per-node state machines exchanging messages in place of the
-//! interconnect, while consuming the *same* policy objects as the simulator:
+//! interconnect, while making the *same* policy decisions as the simulator:
 //!
 //! - placement and dependence edges come from the one shared
 //!   `DepScanner` (`nexus-cluster`), so a task's home node is identical
 //!   under simulation and execution;
-//! - work stealing calls the same [`StealPolicy`](nexus_sched::StealPolicy)
-//!   trait objects (`nexus-sched`), fed from live lock-free load boards;
+//! - steal and reclaim victims and batches come from the same
+//!   [`MoveKind`](nexus_cluster::MoveKind) decisions (`nexus-cluster`, over
+//!   the `nexus-sched` policy kinds), fed from live lock-free load boards;
 //! - trace replay drives the same `MasterSm` master state machine
 //!   (`nexus-host`), so program order, `taskwait`, and `taskwait on` mean
 //!   exactly what they mean in the simulators.

@@ -56,38 +56,42 @@
 //! itself, without a token. Only while a move kind is enabled do parked
 //! workers also wake every millisecond, to let their node request a move.
 //!
-//! **Migration** reuses the simulator's [`StealPolicy`] objects verbatim and
-//! runs one request/grant exchange in two kinds. On an idle tick a node
-//! snapshots the per-node load boards (lock-free atomics), lets the policy
-//! pick a victim and sends a `MoveRequest`; the victim answers with a
-//! `MoveGrant` of its youngest descriptors of that kind, possibly none:
+//! **Migration** runs one request/grant exchange in the simulator's two
+//! kinds, with the simulator's decisions: [`MoveKind`] from `nexus-cluster`
+//! says which configuration enables each kind, whom a thief asks and how
+//! much a victim grants. On an idle tick a node snapshots the per-node load
+//! boards (lock-free atomics), picks a victim and sends a `MoveRequest`; the
+//! victim answers with a `MoveGrant` of its youngest descriptors of that
+//! kind, possibly none:
 //!
-//! * a **steal** takes up to `batch_for(free, backlog)` *ready*
-//!   descriptors (they have the fewest local consumers waiting);
+//! * a **steal** takes up to [`MoveKind::batch`] *ready* descriptors (they
+//!   have the fewest local consumers waiting);
 //! * a **reclaim** (feedback `Reclaim`/`Full` only, and only once the thief
-//!   is completely drained) takes up to `reclaim_batch` dependence-*blocked*
-//!   descriptors, which a steal cannot reach. Each keeps its list of missing
-//!   producers, and the victim registers a forwarding entry per missing
-//!   producer, so the retirement `Notify` it eventually receives is relayed
-//!   to the thief.
+//!   is completely drained) takes up to [`MoveKind::batch`]
+//!   dependence-*blocked* descriptors, which a steal cannot reach. Each keeps
+//!   its list of missing producers, and the victim registers a forwarding
+//!   entry per missing producer, so the retirement `Notify` it eventually
+//!   receives is relayed to the thief.
 //!
 //! The thief takes a granted descriptor in exactly like a submission: it is
 //! ready once every producer it still misses has retired.
 //!
-//! With runtime feedback enabled (`RtConfig::feedback`), every cross-node
-//! `Notify` from a directory or a relay piggybacks the sender's live
-//! [`LoadView`] (wall-nanosecond clock); each node folds incoming digests
-//! into its per-node view table for reclaim victim selection, and
-//! retirements additionally publish to a shared digest board the master
-//! reads for submit-time [`FeedbackPlacement`] (`Place`/`Full`).
+//! **Feedback.** With runtime feedback enabled (`RtConfig::feedback`), every
+//! retirement publishes the retiring node's live [`LoadView`]
+//! (wall-nanosecond clock) to one shared digest board, a [`LoadTracker`], as
+//! the simulator's retirement notifications carry digests to its master's
+//! tracker. Submit-time placement (`Place`/`Full`, the feedback rule of
+//! [`PolicyKind::place`](nexus_sched::PolicyKind::place)) and reclaim victim
+//! choice both read that board. No digest travels on a node message.
 
 use crate::config::RtConfig;
 use crate::task::{RtTask, SubmitError, TaskBody};
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use nexus_cluster::routing::DepScanner;
+use nexus_cluster::MoveKind;
 use nexus_host::{MasterSm, MasterStep};
 use nexus_obs::{Registry, SharedRecorder, SpanEvent};
-use nexus_sched::{FeedbackKind, FeedbackPlacement, LiveLoad, LoadView, NodeLoad, StealPolicy};
+use nexus_sched::{FeedbackKind, LoadTracker, LoadView, NodeLoad, StealKind};
 use nexus_sim::{FxHashMap, FxHashSet, SimDuration, SimTime};
 use nexus_topo::DistanceMatrix;
 use nexus_trace::{TaskId, Trace};
@@ -107,26 +111,6 @@ const IDLE_TICK: Duration = Duration::from_millis(1);
 /// virtual half-life, stretched to the millisecond scale real threads
 /// schedule at.
 const DIGEST_HALF_LIFE_NS: u64 = 1_000_000;
-
-/// The two kinds of migration (see the [module docs](self)). Per-kind state
-/// lives in two-element arrays indexed by `kind as usize`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum MoveKind {
-    /// Work stealing: ready descriptors only.
-    Steal,
-    /// Pool reclamation: dependence-blocked descriptors only.
-    Reclaim,
-}
-
-impl MoveKind {
-    /// The span event recording one moved descriptor.
-    fn span(self, task: usize, from: usize, to: usize) -> SpanEvent {
-        match self {
-            MoveKind::Steal => SpanEvent::Stolen { task, from, to },
-            MoveKind::Reclaim => SpanEvent::Reclaimed { task, from, to },
-        }
-    }
-}
 
 /// A task descriptor as the nodes hold it and pass it on: submitted to its
 /// home, queued, granted to a thief, taken by a worker. `home` is the
@@ -153,14 +137,9 @@ enum Msg {
     Subscribe { producer: usize, to: usize },
     /// `producer` has retired: from its directory to a subscriber, from a
     /// victim to a thief it reclaimed a waiter for, or from the node that
-    /// executed a moved descriptor to its home. A directory or a relay
-    /// piggybacks its live load digest (`(node, view)`) when feedback is on,
-    /// the same digest-on-retirement channel the event simulator uses.
-    Notify {
-        producer: usize,
-        load: Option<(usize, LoadView)>,
-    },
-    /// Idle thief → victim: request up to a policy-sized batch of `kind`.
+    /// executed a moved descriptor to its home.
+    Notify { producer: usize },
+    /// Idle thief → victim: request up to a [`MoveKind::batch`] of `kind`.
     MoveRequest {
         kind: MoveKind,
         thief: usize,
@@ -178,12 +157,10 @@ enum Msg {
 type Out = VecDeque<(usize, Msg)>;
 
 /// Per-node load board: lock-free counters each step publishes and idle
-/// thieves snapshot into [`NodeLoad`]s for the steal policy.
+/// thieves snapshot into [`NodeLoad`]s for victim choice.
 struct Board {
     pending: AtomicUsize,
     stealable: AtomicUsize,
-    free: AtomicUsize,
-    outstanding: AtomicU64,
     speed_milli: u64,
 }
 
@@ -210,6 +187,7 @@ struct NodeStats {
     admitted: Vec<TaskId>,
     /// Indexed by [`MoveKind`].
     moves: [MoveStats; 2],
+    /// Digests this node published that the board applied.
     digest_updates: u64,
     /// Tasks whose body panicked on this node's workers.
     failed: u64,
@@ -287,10 +265,10 @@ struct Inner {
     /// Span recorder shared by every thread (`None` when tracing is off —
     /// the emission sites skip even the clock read).
     rec: Option<SharedRecorder>,
-    /// Feedback mode the runtime was built with (drives digest piggybacking,
-    /// the shared digest board and the reclaim path).
+    /// Feedback mode the runtime was built with (drives the digest board and
+    /// the reclaim path).
     feedback: FeedbackKind,
-    steal_enabled: bool,
+    stealing: StealKind,
     distances: DistanceMatrix,
     /// Speed factor per worker of a node, in thousandths.
     speeds_milli: Vec<u64>,
@@ -298,10 +276,11 @@ struct Inner {
     /// Epoch of the digest observation clock — one `Instant` shared by every
     /// thread so all `LoadView::updated_at` stamps are comparable.
     epoch: Instant,
-    /// Shared digest board: the freshest per-node `LoadView` each node
-    /// published at retirement, read by the master for submit-time feedback
-    /// placement. Only written when placement feedback is on.
-    digests: Mutex<Vec<LoadView>>,
+    /// Shared digest board: the freshest `LoadView` each node published at
+    /// retirement, read by submit-time feedback placement and reclaim victim
+    /// choice. Written only while feedback is on. A leaf lock: taken under
+    /// the submit lock or a node lock, never the other way round.
+    digests: Mutex<LoadTracker>,
 }
 
 impl Inner {
@@ -315,17 +294,11 @@ impl Inner {
             None => vec![1000; cfg.workers_per_node],
         };
         let fabric = cfg.link.fabric(cfg.nodes);
-        // With placement feedback on, the scanner routes through the live
-        // digest-driven policy (exactly what the simulator's submit-time
-        // re-placement runs); the scanner keeps owning the homes table so
-        // dependence subscriptions always match the placement actually used.
-        let scan_policy = if cfg.feedback.place_enabled() {
-            Box::new(FeedbackPlacement)
-        } else {
-            cfg.placement.build()
-        };
+        // The scanner keeps owning the homes table, so dependence
+        // subscriptions always match the placement actually used, digests
+        // or not (see `plan`).
         let scanner =
-            DepScanner::with_policy(cfg.nodes, scan_policy).with_distances(fabric.distances());
+            DepScanner::with_policy(cfg.nodes, cfg.placement).with_distances(fabric.distances());
         let nodes = (0..cfg.nodes)
             .map(|id| {
                 let (wake_tx, wake_rx) = bounded(cfg.workers_per_node);
@@ -333,16 +306,13 @@ impl Inner {
                     node: Mutex::new(Node {
                         id,
                         workers: cfg.workers_per_node,
-                        policy: cfg.stealing.build(),
                         retired: FxHashSet::default(),
                         subs: FxHashMap::default(),
                         waiting: FxHashMap::default(),
                         pending: FxHashMap::default(),
                         reclaimed_away: FxHashMap::default(),
-                        views: vec![LoadView::default(); cfg.nodes],
                         ready: VecDeque::new(),
                         free: cfg.workers_per_node,
-                        done: 0,
                         inflight: [false; 2],
                         idle: 0,
                         woken: 0,
@@ -351,8 +321,6 @@ impl Inner {
                     board: Board {
                         pending: AtomicUsize::new(0),
                         stealable: AtomicUsize::new(0),
-                        free: AtomicUsize::new(cfg.workers_per_node),
-                        outstanding: AtomicU64::new(0),
                         speed_milli: speeds_milli.iter().sum(),
                     },
                     per_worker_done: (0..cfg.workers_per_node)
@@ -377,12 +345,12 @@ impl Inner {
             log_cv: Condvar::new(),
             rec: cfg.recorder.clone(),
             feedback: cfg.feedback,
-            steal_enabled: cfg.stealing.is_enabled(),
+            stealing: cfg.stealing,
             distances: fabric.distances(),
             speeds_milli,
             time_scale_ns_per_us: cfg.time_scale_ns_per_us,
             epoch: Instant::now(),
-            digests: Mutex::new(vec![LoadView::default(); cfg.nodes]),
+            digests: Mutex::new(LoadTracker::new(cfg.nodes, DIGEST_HALF_LIFE_NS)),
         }
     }
 
@@ -392,6 +360,10 @@ impl Inner {
 
     fn lock_node(&self, n: usize) -> MutexGuard<'_, Node> {
         self.nodes[n].node.lock().expect("node state poisoned")
+    }
+
+    fn lock_digests(&self) -> MutexGuard<'_, LoadTracker> {
+        self.digests.lock().expect("digest board poisoned")
     }
 
     /// Nanoseconds on the digest observation clock.
@@ -405,15 +377,10 @@ impl Inner {
     fn plan(&self, sub: &mut SubmitState, task: RtTask) -> Out {
         let RtTask { descriptor, body } = task;
         let rec = if self.feedback.place_enabled() {
-            // Feed the freshest published digests into the scanner's
-            // feedback placement — the live analogue of the simulator's
-            // submit-time re-placement off the load tracker.
-            let views = self.digests.lock().expect("digest board poisoned").clone();
-            let live = LiveLoad {
-                views: &views,
-                now: self.now_ns(),
-                half_life: DIGEST_HALF_LIFE_NS,
-            };
+            // Place against the freshest published digests — the live
+            // analogue of the simulator's submit-time re-placement.
+            let digests = self.lock_digests();
+            let live = digests.live(self.now_ns());
             sub.scanner.scan_full_live(&descriptor, Some(live))
         } else {
             sub.scanner.scan_full(&descriptor)
@@ -558,7 +525,10 @@ impl Inner {
     /// (that would park it twice).
     fn park(&self, n: usize) -> bool {
         let wake = &self.nodes[n].wake_rx;
-        if !self.steal_enabled && !self.feedback.reclaim_enabled() {
+        let moves = MoveKind::ALL
+            .iter()
+            .any(|k| k.enabled(self.stealing, self.feedback));
+        if !moves {
             wake.recv().expect("the slot keeps a sender");
             return true;
         }
@@ -567,29 +537,23 @@ impl Inner {
                 return false;
             }
             self.step(n, |node, out| {
-                node.try_move(self, MoveKind::Steal, out);
-                node.try_move(self, MoveKind::Reclaim, out);
+                for kind in MoveKind::ALL {
+                    node.try_move(self, kind, out);
+                }
             });
         }
         true
     }
 
-    /// Snapshots every node's published board into the policy-facing
-    /// [`NodeLoad`]s through the shared constructor (the same one the
-    /// simulator's driver uses, so the two snapshots cannot drift).
+    /// Snapshots every node's published board into the [`NodeLoad`]s victim
+    /// choice reads.
     fn load_board(&self) -> Vec<NodeLoad> {
         self.nodes
             .iter()
-            .map(|n| {
-                let stealable = n.board.stealable.load(Ordering::Relaxed);
-                NodeLoad::snapshot(
-                    n.board.pending.load(Ordering::Relaxed),
-                    stealable,
-                    stealable,
-                    n.board.free.load(Ordering::Relaxed),
-                    n.board.outstanding.load(Ordering::Relaxed),
-                    n.board.speed_milli,
-                )
+            .map(|n| NodeLoad {
+                pending: n.board.pending.load(Ordering::Relaxed),
+                stealable: n.board.stealable.load(Ordering::Relaxed),
+                speed_milli: n.board.speed_milli,
             })
             .collect()
     }
@@ -629,8 +593,8 @@ pub struct NodeStatsSnapshot {
     pub reclaim_grants: u64,
     /// Reclaim requests this node answered empty-handed (as the victim).
     pub reclaim_failures: u64,
-    /// Piggybacked load digests this node folded into its live view table
-    /// (0 with feedback off — no digest ever rides a `Notify`).
+    /// Load digests this node published at retirement that the shared digest
+    /// board applied (0 with feedback off, when nothing is published).
     pub digest_updates: u64,
     /// Tasks completed per worker thread of this node.
     pub per_worker_done: Vec<u64>,
@@ -1026,7 +990,6 @@ impl RuntimeHandle {
 struct Node {
     id: usize,
     workers: usize,
-    policy: Box<dyn StealPolicy>,
     /// Producers known retired at this node (executed here, or announced by
     /// a `Notify`).
     retired: FxHashSet<usize>,
@@ -1040,16 +1003,11 @@ struct Node {
     /// producer → thief nodes to relay the retirement `Notify` to, so the
     /// thief's copy of the dependence eventually resolves.
     reclaimed_away: FxHashMap<usize, Vec<usize>>,
-    /// Live per-node load digests folded from piggybacked `Notify` loads
-    /// (reclaim victim selection reads them; all-default with feedback off).
-    views: Vec<LoadView>,
     /// Ready descriptors waiting for a worker (the stealable backlog;
     /// thieves take from the back).
     ready: VecDeque<Descriptor>,
     /// Workers not holding a descriptor.
     free: usize,
-    /// Tasks this node's workers completed (the digest's retire counter).
-    done: u64,
     /// Per [`MoveKind`]: a request of that kind is in flight from this node.
     inflight: [bool; 2],
     /// Parked workers no wake token has been sent to yet.
@@ -1070,17 +1028,15 @@ impl Node {
             }
             Msg::Subscribe { producer, to } => {
                 if self.retired.contains(&producer) {
-                    let load = self.digest(cx);
-                    out.push_back((to, Msg::Notify { producer, load }));
+                    out.push_back((to, Msg::Notify { producer }));
                 } else {
                     self.subs.entry(producer).or_default().push(to);
                 }
             }
-            Msg::Notify { producer, load } => {
-                self.observe(load);
-                self.producer_retired(cx, producer, out);
+            Msg::Notify { producer } => {
+                self.producer_retired(producer, out);
                 // Directory duty, which only the producer's home holds.
-                self.flush_subs(cx, producer, out);
+                self.flush_subs(producer, out);
             }
             Msg::MoveRequest { kind, thief, free } => self.grant_move(cx, kind, thief, free, out),
             Msg::MoveGrant { kind, tasks } => {
@@ -1116,15 +1072,13 @@ impl Node {
     /// node executed and the retire log already holds.
     fn finish(&mut self, cx: &Inner, idx: usize, home: usize, failed: bool, out: &mut Out) {
         self.free += 1;
-        self.done += 1;
         self.stats.failed += u64::from(failed);
         self.publish_digest(cx);
-        self.producer_retired(cx, idx, out);
+        self.producer_retired(idx, out);
         if home == self.id {
-            self.flush_subs(cx, idx, out);
+            self.flush_subs(idx, out);
         } else {
-            let (producer, load) = (idx, None);
-            out.push_back((home, Msg::Notify { producer, load }));
+            out.push_back((home, Msg::Notify { producer: idx }));
         }
     }
 
@@ -1154,16 +1108,15 @@ impl Node {
     /// Records that producer `p` retired (idempotent), relays the news to any
     /// thief holding a descriptor reclaimed away while waiting on `p`, and
     /// promotes any local tasks whose last missing producer it was.
-    fn producer_retired(&mut self, cx: &Inner, p: usize, out: &mut Out) {
+    fn producer_retired(&mut self, p: usize, out: &mut Out) {
         if !self.retired.insert(p) {
             return;
         }
         if let Some(thieves) = self.reclaimed_away.remove(&p) {
-            let load = self.digest(cx);
             out.extend(
                 thieves
                     .into_iter()
-                    .map(|to| (to, Msg::Notify { producer: p, load })),
+                    .map(|to| (to, Msg::Notify { producer: p })),
             );
         }
         let Some(waiters) = self.waiting.remove(&p) else {
@@ -1183,68 +1136,39 @@ impl Node {
     }
 
     /// Notifies every node subscribed to producer `p` (directory duty of the
-    /// home node), piggybacking this node's digest when feedback is on.
-    fn flush_subs(&mut self, cx: &Inner, p: usize, out: &mut Out) {
+    /// home node).
+    fn flush_subs(&mut self, p: usize, out: &mut Out) {
         if let Some(subs) = self.subs.remove(&p) {
-            let load = self.digest(cx);
-            out.extend(
-                subs.into_iter()
-                    .map(|to| (to, Msg::Notify { producer: p, load })),
-            );
+            out.extend(subs.into_iter().map(|to| (to, Msg::Notify { producer: p })));
         }
     }
 
-    /// This node's live digest, `None` with feedback off (then no clock read
-    /// and no payload on the wire).
-    fn digest(&self, cx: &Inner) -> Option<(usize, LoadView)> {
+    /// Publishes this node's live digest to the shared digest board while
+    /// feedback is on (a retirement is the publish trigger, the same cadence
+    /// at which the simulator's digests reach its master).
+    fn publish_digest(&mut self, cx: &Inner) {
         if !cx.feedback.is_enabled() {
-            return None;
-        }
-        Some((
-            self.id,
-            LoadView {
-                pending: (self.pending.len() + self.ready.len()) as u64,
-                in_flight: (self.workers - self.free) as u64,
-                retired: self.done,
-                updated_at: cx.now_ns(),
-            },
-        ))
-    }
-
-    /// Folds a piggybacked digest into the per-node view table.
-    fn observe(&mut self, load: Option<(usize, LoadView)>) {
-        if let Some((node, view)) = load {
-            if self.views[node].observe(view) {
-                self.stats.digest_updates += 1;
-            }
-        }
-    }
-
-    /// Publishes this node's digest to the shared board the master's
-    /// feedback placement reads (a retirement is the publish trigger, the
-    /// same cadence the simulator's load tracker observes digests at).
-    fn publish_digest(&self, cx: &Inner) {
-        if !cx.feedback.place_enabled() {
             return;
         }
-        if let Some((node, view)) = self.digest(cx) {
-            cx.digests.lock().expect("digest board poisoned")[node].observe(view);
+        let view = LoadView {
+            pending: (self.pending.len() + self.ready.len()) as u64,
+            in_flight: (self.workers - self.free) as u64,
+            updated_at: cx.now_ns(),
+        };
+        if cx.lock_digests().observe(self.id, view) {
+            self.stats.digest_updates += 1;
         }
     }
 
     /// With free workers and nothing ready, snapshots the load boards and
-    /// lets the policy pick a victim for a move of `kind` — at most one
-    /// request of each kind in flight. A reclaim also waits until this node
-    /// holds no blocked descriptor and its own steal request is resolved:
-    /// eligible work is always the cheaper import.
+    /// picks a victim for a move of `kind` — at most one request of each
+    /// kind in flight. A reclaim also waits until this node holds no blocked
+    /// descriptor and its own steal request is resolved: eligible work is
+    /// always the cheaper import.
     fn try_move(&mut self, cx: &Inner, kind: MoveKind, out: &mut Out) {
-        let enabled = match kind {
-            MoveKind::Steal => cx.steal_enabled,
-            MoveKind::Reclaim => cx.feedback.reclaim_enabled(),
-        };
         let waits = kind == MoveKind::Reclaim
             && (self.inflight[MoveKind::Steal as usize] || !self.pending.is_empty());
-        if !enabled
+        if !kind.enabled(cx.stealing, cx.feedback)
             || waits
             || self.inflight[kind as usize]
             || self.free == 0
@@ -1253,18 +1177,10 @@ impl Node {
             return;
         }
         let loads = cx.load_board();
-        let victim = match kind {
-            MoveKind::Steal => self.policy.choose_victim(self.id, &loads, &cx.distances),
-            MoveKind::Reclaim => {
-                let live = LiveLoad {
-                    views: &self.views,
-                    now: cx.now_ns(),
-                    half_life: DIGEST_HALF_LIFE_NS,
-                };
-                self.policy
-                    .choose_reclaim_victim(self.id, &loads, Some(live), &cx.distances)
-            }
-        };
+        let digests = cx.lock_digests();
+        let live = Some(digests.live(cx.now_ns()));
+        let victim = kind.choose_victim(cx.stealing, self.id, &loads, live, &cx.distances);
+        drop(digests);
         let Some(victim) = victim else {
             return;
         };
@@ -1274,7 +1190,7 @@ impl Node {
         out.push_back((victim, Msg::MoveRequest { kind, thief, free }));
     }
 
-    /// Victim side of a move: hands the thief up to a policy-sized batch of
+    /// Victim side of a move: hands the thief up to a [`MoveKind::batch`] of
     /// its youngest descriptors of `kind` — ready ones from the back of the
     /// ready queue for a steal (the oldest are the ones local consumers have
     /// waited on longest), blocked ones by highest submission index for a
@@ -1286,9 +1202,8 @@ impl Node {
     fn grant_move(&mut self, cx: &Inner, kind: MoveKind, thief: usize, free: usize, out: &mut Out) {
         let tasks: Vec<Descriptor> = match kind {
             MoveKind::Steal => {
-                let n = self
-                    .policy
-                    .batch_for(free, self.ready.len())
+                let n = kind
+                    .batch(cx.stealing, free, self.ready.len())
                     .min(self.ready.len());
                 (0..n)
                     .map(|_| self.ready.pop_back().expect("batch clamped to backlog"))
@@ -1297,9 +1212,8 @@ impl Node {
             MoveKind::Reclaim => {
                 let mut blocked: Vec<usize> = self.pending.keys().copied().collect();
                 blocked.sort_unstable_by(|a, b| b.cmp(a));
-                let n = self
-                    .policy
-                    .reclaim_batch(free, blocked.len())
+                let n = kind
+                    .batch(cx.stealing, free, blocked.len())
                     .min(blocked.len());
                 blocked[..n]
                     .iter()
@@ -1348,10 +1262,6 @@ impl Node {
         let held = self.pending.len() + self.ready.len();
         board.pending.store(held, Ordering::Relaxed);
         board.stealable.store(self.ready.len(), Ordering::Relaxed);
-        board.free.store(self.free, Ordering::Relaxed);
-        board
-            .outstanding
-            .store((held + self.workers - self.free) as u64, Ordering::Relaxed);
     }
 }
 
@@ -1501,8 +1411,8 @@ mod tests {
         assert_eq!(report.metrics.counter("task.executed"), 24);
         assert_eq!(report.metrics.counter("task.retired"), 24);
         assert_eq!(report.metrics.counter("steal.stolen"), 0);
-        // Feedback off: the reclaim path is never entered and no digest ever
-        // rides a Notify — the keys exist but stay zero, like the simulator.
+        // Feedback off: the reclaim path is never entered and no digest is
+        // ever published — the keys exist but stay zero, like the simulator.
         assert_eq!(report.metrics.counter("reclaim.reclaimed"), 0);
         assert_eq!(report.metrics.counter("reclaim.failures"), 0);
         assert_eq!(report.metrics.counter("load.digest.updates"), 0);
@@ -1560,7 +1470,7 @@ mod tests {
         assert!(report.metrics.counter("reclaim.grants") > 0);
         assert!(
             report.metrics.counter("load.digest.updates") > 0,
-            "no digest ever rode a Notify"
+            "no retirement published a digest outside place mode"
         );
 
         let snap = rec.snapshot();
@@ -1929,7 +1839,7 @@ mod tests {
     /// last-writer producers, and the readers since the last write of each
     /// address it writes that share its home.
     fn expected_deps(input: &Input) -> Vec<Vec<usize>> {
-        let mut scanner = DepScanner::with_policy(input.cfg.nodes, input.cfg.placement.build());
+        let mut scanner = DepScanner::with_policy(input.cfg.nodes, input.cfg.placement);
         let mut readers: FxHashMap<u64, Vec<usize>> = FxHashMap::default();
         let mut homes = Vec::new();
         let mut deps = Vec::new();

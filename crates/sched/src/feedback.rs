@@ -2,20 +2,21 @@
 //!
 //! The routing pre-pass sees only the load it has placed itself; it cannot
 //! know that one node's manager pool has backed up at runtime. [`LoadView`]
-//! is the per-node *live* digest closing that loop: piggybacked on existing
-//! retirement notifications by the cluster driver's load tracker (and on the
-//! live runtime's notification channel messages), aged by its staleness and
-//! exponentially decayed so an old digest stops repelling placements.
-//! [`FeedbackKind`] is the `ClusterConfig` / `NEXUS_FEEDBACK` handle that
-//! selects which consumers act on it: live placement
-//! ([`crate::FeedbackPlacement`]), task-pool reclamation (the
-//! `choose_reclaim_victim` hook on [`crate::StealPolicy`]), or both.
+//! is the per-node *live* digest closing that loop, aged by its staleness and
+//! exponentially decayed so an old digest stops repelling placements. Both
+//! clocks fold the digests into one [`LoadTracker`]: the simulator's master
+//! folds the digests riding retirement notifications, and the live runtime's
+//! nodes publish to it at every retirement. [`FeedbackKind`] is the
+//! `ClusterConfig` / `NEXUS_FEEDBACK` handle that selects which consumers
+//! read the tracker: live placement (the feedback rule of
+//! [`crate::PolicyKind::place`]), task-pool reclamation
+//! ([`crate::choose_reclaim_victim`]), or both.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
-/// One node's live load digest, as piggybacked on retirement notifications.
+/// One node's live load digest.
 ///
 /// All fields are raw integers in the producer's units so that digests from
 /// the virtual-time simulator and the wall-clock runtime flow through the
@@ -25,10 +26,9 @@ pub struct LoadView {
     /// Descriptors held at the node's input processor (queued plus parked),
     /// not yet handed to its manager.
     pub pending: u64,
-    /// Tasks that arrived at the node and have not retired yet.
+    /// Tasks at the node beyond `pending` that have not retired yet (handed
+    /// to its manager in the simulator, running in the live runtime).
     pub in_flight: u64,
-    /// Total tasks the node has retired so far (the retire-rate numerator).
-    pub retired: u64,
     /// Producer timestamp of the digest, in the observation clock's units
     /// (virtual picoseconds in the simulator, wall nanoseconds live).
     pub updated_at: u64,
@@ -67,19 +67,10 @@ impl LoadView {
         let halvings = (self.age(now) / half_life).min(63);
         self.raw_load() >> halvings
     }
-
-    /// Mean retire throughput since the producer's epoch, in milli-tasks per
-    /// clock unit (0 when no time has passed).
-    pub fn retire_rate_milli(&self, now: u64) -> u64 {
-        self.retired
-            .saturating_mul(1000)
-            .checked_div(now)
-            .unwrap_or(0)
-    }
 }
 
 /// A cluster-wide set of live digests plus the consumer's observation clock —
-/// the borrowed bundle placement and reclaim policies consume.
+/// the borrowed bundle placement and reclaim victim choice consume.
 #[derive(Debug, Clone, Copy)]
 pub struct LiveLoad<'a> {
     /// Per-node digests (`views.len()` == node count).
@@ -99,6 +90,52 @@ impl LiveLoad<'_> {
     }
 }
 
+/// Every node's freshest digest, folded from whatever digests arrive, and the
+/// decay half-life consumers read them with. One definition for both clocks:
+/// the simulator's master folds the digests riding retirement notifications
+/// (virtual picoseconds), and the live runtime's nodes publish to a shared
+/// one at every retirement (wall nanoseconds).
+#[derive(Debug, Clone)]
+pub struct LoadTracker {
+    views: Vec<LoadView>,
+    half_life: u64,
+    updates: u64,
+}
+
+impl LoadTracker {
+    /// An empty tracker over `nodes` nodes whose digests decay with
+    /// `half_life` clock units (0 = no decay).
+    pub fn new(nodes: usize, half_life: u64) -> Self {
+        LoadTracker {
+            views: vec![LoadView::default(); nodes],
+            half_life,
+            updates: 0,
+        }
+    }
+
+    /// Folds `node`'s digest in, returning whether it was applied (see
+    /// [`LoadView::observe`]: a reordered older digest is dropped).
+    pub fn observe(&mut self, node: usize, view: LoadView) -> bool {
+        let applied = self.views[node].observe(view);
+        self.updates += u64::from(applied);
+        applied
+    }
+
+    /// Digests applied so far.
+    pub fn updates(&self) -> u64 {
+        self.updates
+    }
+
+    /// The digests as placement and reclaim victim choice read them at `now`.
+    pub fn live(&self, now: u64) -> LiveLoad<'_> {
+        LiveLoad {
+            views: &self.views,
+            now,
+            half_life: self.half_life,
+        }
+    }
+}
+
 /// Which feedback consumers are active (the `ClusterConfig` / `NEXUS_FEEDBACK`
 /// handle). Off by default: the scheduling path is bit-identical to the
 /// static pre-pass behaviour unless explicitly enabled.
@@ -107,8 +144,9 @@ pub enum FeedbackKind {
     /// No feedback: static pre-pass placement, steal-only balancing.
     #[default]
     Off,
-    /// Live placement only ([`crate::FeedbackPlacement`] re-homes un-hinted
-    /// tasks at submit time using the decayed digests).
+    /// Live placement only: un-hinted tasks are re-homed at submit time by
+    /// the feedback rule of [`crate::PolicyKind::place`], which reads the
+    /// decayed digests whatever the placement kind.
     Place,
     /// Task-pool reclamation only (idle nodes pull dependence-blocked
     /// descriptors out of a loaded node's pool).
@@ -190,7 +228,6 @@ mod tests {
         assert!(view.observe(LoadView {
             pending: 4,
             in_flight: 2,
-            retired: 1,
             updated_at: 100,
         }));
         // A reordered older digest is dropped …
@@ -214,7 +251,6 @@ mod tests {
         let view = LoadView {
             pending: 10,
             in_flight: 6,
-            retired: 0,
             updated_at: 1000,
         };
         assert_eq!(view.raw_load(), 16);
@@ -229,14 +265,23 @@ mod tests {
     }
 
     #[test]
-    fn retire_rate_is_mean_throughput() {
-        let view = LoadView {
-            retired: 6,
+    fn tracker_counts_the_digests_it_applies_and_decays_them() {
+        let mut tracker = LoadTracker::new(2, 50);
+        let at = |pending, updated_at| LoadView {
+            pending,
+            updated_at,
             ..LoadView::default()
         };
-        assert_eq!(view.retire_rate_milli(0), 0);
-        assert_eq!(view.retire_rate_milli(3), 2000);
-        assert_eq!(view.retire_rate_milli(12), 500);
+        assert!(tracker.observe(1, at(8, 100)));
+        assert!(
+            !tracker.observe(1, at(3, 40)),
+            "a reordered digest is dropped"
+        );
+        assert!(tracker.observe(0, at(6, 0)));
+        assert_eq!(tracker.updates(), 2);
+        let live = tracker.live(100);
+        assert_eq!((live.decayed(0), live.decayed(1)), (1, 8));
+        assert_eq!(live.half_life, 50);
     }
 
     #[test]

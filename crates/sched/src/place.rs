@@ -1,34 +1,37 @@
-//! Task → node placement policies.
+//! Task → node placement.
 //!
 //! The cluster driver routes every submitted task to a *home node* before the
-//! simulation starts (the routing pre-pass). [`PlacementPolicy`] is the
-//! pluggable interface of that decision: it sees the task descriptor, the
-//! homes of the task's last-writer producers (the dependence census
-//! accumulated so far), a snapshot of the load already placed on every node
-//! and the fabric's [`DistanceMatrix`], and returns the home node.
+//! simulation starts (the routing pre-pass). [`PolicyKind::place`] makes that
+//! decision: it sees the task descriptor, the homes of the task's last-writer
+//! producers (the dependence census accumulated so far), a snapshot of the
+//! load already placed on every node and the fabric's [`DistanceMatrix`], and
+//! returns the home node.
 //!
-//! Three built-in policies span the design space:
+//! Three kinds span the design space:
 //!
-//! * [`XorHash`] — the behaviour the cluster driver shipped with: honour the
-//!   affinity hint, otherwise fold the primary output address through the
-//!   paper's XOR distribution function (§IV-B) at cluster scope,
-//! * [`AffinityFirst`] — honour the affinity hint, otherwise balance: send
-//!   un-hinted tasks to the node with the least placed work,
-//! * [`TopologyAware`] — honour the affinity hint, otherwise minimize the
-//!   *distance-weighted* cost of the task's producer edges over the fabric's
-//!   [`DistanceMatrix`] (`nexus-topo`): a producer one rack over weighs more
-//!   than one next door, so the placement prefers keeping dependence chains
-//!   not merely node-local but *near* — same rack, adjacent torus column —
-//!   when they cannot stay local. On a flat fabric
-//!   ([`DistanceMatrix::uniform`]) every remote edge weighs the same, and each
-//!   task goes where most of its last-writer producers live.
+//! * [`PolicyKind::XorHash`] — the behaviour the cluster driver shipped with:
+//!   fold the primary output address through the paper's XOR distribution
+//!   function (§IV-B) at cluster scope,
+//! * [`PolicyKind::AffinityFirst`] — balance: send the task to the node with
+//!   the least placed work,
+//! * [`PolicyKind::TopologyAware`] — minimize the *distance-weighted* cost of
+//!   the task's producer edges over the fabric's [`DistanceMatrix`]
+//!   (`nexus-topo`): a producer one rack over weighs more than one next door,
+//!   so the placement prefers keeping dependence chains not merely node-local
+//!   but *near* — same rack, adjacent torus column — when they cannot stay
+//!   local. On a flat fabric ([`DistanceMatrix::uniform`]) every remote edge
+//!   weighs the same, and each task goes where most of its last-writer
+//!   producers live.
 //!
-//! [`FeedbackPlacement`] adds live load digests on top of [`TopologyAware`];
-//! the feedback mode engages it, not [`PolicyKind`].
+//! Once live load digests flow ([`PlacementCtx::live`], set only for the
+//! `place` feedback mode's submit-time decision), every kind applies one
+//! *feedback* rule instead: minimize decayed live load combined with
+//! distance-weighted producer cost (see [`PolicyKind::place`]).
 //!
-//! All policies honour explicit affinity hints: a hint is the programmer's
-//! (or trace generator's) domain decomposition, and overriding it would break
-//! the workload's locality story. Policies only differ on *un-hinted* tasks.
+//! Every kind honours explicit affinity hints, with or without digests: a hint
+//! is the programmer's (or trace generator's) domain decomposition, and
+//! overriding it would break the workload's locality story. The kinds only
+//! differ on *un-hinted* tasks.
 
 use crate::feedback::LiveLoad;
 use nexus_core::distribution::xor_hash_tg;
@@ -48,7 +51,7 @@ pub struct PlacedLoad {
     pub work: SimDuration,
 }
 
-/// Everything a placement policy may consult for one task.
+/// Everything a placement decision may consult for one task.
 #[derive(Debug)]
 pub struct PlacementCtx<'a> {
     /// Number of nodes in the cluster (≥ 1).
@@ -60,25 +63,13 @@ pub struct PlacementCtx<'a> {
     pub producer_homes: &'a [usize],
     /// Distance matrix of the interconnect fabric
     /// ([`DistanceMatrix::uniform`] for uniform wiring, where distance-aware
-    /// policies count remote edges).
+    /// kinds count remote edges).
     pub distances: &'a DistanceMatrix,
     /// Live per-node load digests ([`LiveLoad`]), when runtime feedback is
-    /// flowing. `None` during the static routing pre-pass — feedback-aware
-    /// policies fall back to the placed-load census.
+    /// flowing. Every kind reads them: with digests, an un-hinted task
+    /// follows the feedback rule of [`PolicyKind::place`] instead of its
+    /// kind's static rule. `None` during the static routing pre-pass.
     pub live: Option<LiveLoad<'a>>,
-}
-
-impl PlacementCtx<'_> {
-    /// The node with the least placed work, breaking ties toward the lowest
-    /// index (deterministic).
-    pub fn least_loaded(&self) -> usize {
-        self.loads
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, l)| (l.work, l.tasks))
-            .map(|(n, _)| n)
-            .unwrap_or(0)
-    }
 }
 
 /// Distance-weighted cost of placing the task on `node`: the sum of
@@ -91,49 +82,6 @@ fn edge_cost(ctx: &PlacementCtx<'_>, node: usize) -> u128 {
         .sum()
 }
 
-/// A task-to-node placement policy (see the [module docs](self)).
-///
-/// Policies are stateful: they are driven once per task, in submission order,
-/// by the routing pre-pass. Determinism is required — the same trace and node
-/// count must always produce the same placement.
-///
-/// # Example
-///
-/// ```
-/// use nexus_sched::{PlacementCtx, PlacementPolicy, PlacedLoad, TopologyAware, XorHash};
-/// use nexus_topo::DistanceMatrix;
-/// use nexus_trace::TaskDescriptor;
-///
-/// let producer = TaskDescriptor::builder(0).output(0x1000).build();
-/// let consumer = TaskDescriptor::builder(1).input(0x1000).output(0x2000).build();
-///
-/// let loads = vec![PlacedLoad::default(); 4];
-/// let flat = DistanceMatrix::uniform(4);
-/// let ctx = |homes: &'static [usize]| PlacementCtx {
-///     nodes: 4,
-///     loads: &loads,
-///     producer_homes: homes,
-///     distances: &flat,
-///     live: None,
-/// };
-///
-/// // XorHash ignores the census entirely …
-/// let mut xor = XorHash;
-/// let home = xor.place(&producer, &ctx(&[]));
-/// assert!(home < 4);
-///
-/// // … while TopologyAware follows the producer.
-/// let mut topo = TopologyAware;
-/// assert_eq!(topo.place(&consumer, &ctx(&[2])), 2);
-/// ```
-pub trait PlacementPolicy: Send + Sync {
-    /// Short human-readable policy name (stable; used in reports and tables).
-    fn name(&self) -> &'static str;
-
-    /// Chooses the home node of `task`. Must return a value `< ctx.nodes`.
-    fn place(&mut self, task: &TaskDescriptor, ctx: &PlacementCtx<'_>) -> usize;
-}
-
 /// The address used to route a task: its first written parameter, falling back
 /// to its first parameter (tasks always have at least one in a valid trace).
 pub fn primary_addr(task: &TaskDescriptor) -> u64 {
@@ -144,143 +92,37 @@ pub fn primary_addr(task: &TaskDescriptor) -> u64 {
         .unwrap_or(0)
 }
 
-/// The home node `task` gets under [`XorHash`] in a cluster of `nodes` nodes:
-/// the affinity hint if present (wrapped), otherwise the paper's XOR
-/// distribution function over the primary address.
+/// The home node `task` gets under [`PolicyKind::XorHash`] in a cluster of
+/// `nodes` nodes: the affinity hint if present (wrapped), otherwise the
+/// paper's XOR distribution function over the primary address.
 pub fn xor_home(task: &TaskDescriptor, nodes: usize) -> usize {
     task.home_node(nodes)
         .unwrap_or_else(|| xor_hash_tg(primary_addr(task), nodes))
 }
 
-/// Affinity hint first, XOR distribution function otherwise — the routing the
-/// cluster driver shipped with, extracted verbatim.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct XorHash;
-
-impl PlacementPolicy for XorHash {
-    fn name(&self) -> &'static str {
-        "xorhash"
-    }
-
-    fn place(&mut self, task: &TaskDescriptor, ctx: &PlacementCtx<'_>) -> usize {
-        xor_home(task, ctx.nodes)
-    }
-}
-
-/// Affinity hint first, least-loaded node otherwise.
-///
-/// Un-hinted tasks are balanced by placed work rather than hashed, trading
-/// locality for an even split — useful as the load-balance end of the design
-/// space and as the fallback when traces carry partial hints.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AffinityFirst;
-
-impl PlacementPolicy for AffinityFirst {
-    fn name(&self) -> &'static str {
-        "affinity"
-    }
-
-    fn place(&mut self, task: &TaskDescriptor, ctx: &PlacementCtx<'_>) -> usize {
-        task.home_node(ctx.nodes)
-            .unwrap_or_else(|| ctx.least_loaded())
-    }
-}
-
-/// Affinity hint first; otherwise minimize distance-weighted producer cost.
-///
-/// An un-hinted task is placed on the node `n` minimizing
-/// `Σ_h weight(h, n)` over its last-writer producer homes `h`, where the
-/// weight is the fabric's [`DistanceMatrix::weight`] (route latency plus hop
-/// count). Keeping an edge node-local costs nothing; keeping it within the
-/// rack costs little; sending it over an inter-rack trunk costs a lot — so
-/// chains that cannot stay on one node stay *near*. Ties (including the
-/// no-producer case — root tasks) fall to the least-loaded node, which keeps
-/// the placement from collapsing onto one node.
-///
-/// On a flat fabric every remote edge weighs the same, so the policy is
-/// greedy remote-edge minimization: each task goes where most of its
-/// producers live, and their retirement notifications stay node-local.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TopologyAware;
-
-impl PlacementPolicy for TopologyAware {
-    fn name(&self) -> &'static str {
-        "topo"
-    }
-
-    fn place(&mut self, task: &TaskDescriptor, ctx: &PlacementCtx<'_>) -> usize {
-        if let Some(hint) = task.home_node(ctx.nodes) {
-            return hint;
-        }
-        (0..ctx.nodes)
-            .min_by_key(|&n| (edge_cost(ctx, n), ctx.loads[n].work, ctx.loads[n].tasks, n))
-            .unwrap_or(0)
-    }
-}
-
-/// Affinity hint first; otherwise minimize decayed *live* load combined with
-/// distance-weighted producer cost — the first placement policy to consume
-/// runtime feedback instead of the pre-pass census.
-///
-/// An un-hinted task goes to the node `n` minimizing
-/// `(1 + decayed_load(n)) · (1 + Σ_h weight(h, n))` over its last-writer
-/// producer homes `h`: an idle node next to the producers wins outright, a
-/// backed-up node must be *much* closer to beat an idle one further away, and
-/// with no producers the product degenerates to pure live load balancing.
-/// The decayed load is [`LiveLoad::decayed`] — digests age out, so a node
-/// that stopped reporting (and has presumably drained) becomes attractive
-/// again instead of being repelled forever. On a flat fabric each remote
-/// producer edge costs 1; ties fall back to decayed load, then the
-/// placed-work census, then the lowest index (deterministic).
-///
-/// Without live digests (`ctx.live == None`, e.g. inside the static routing
-/// pre-pass) the policy is exactly [`TopologyAware`].
-///
-/// Not part of [`PolicyKind`]: it is engaged by the feedback mode
-/// (`FeedbackKind`, see the cluster crate's config) on top of whatever static
-/// policy seeds the pre-pass, because it only makes sense where live digests
-/// flow.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FeedbackPlacement;
-
-impl PlacementPolicy for FeedbackPlacement {
-    fn name(&self) -> &'static str {
-        "feedback"
-    }
-
-    fn place(&mut self, task: &TaskDescriptor, ctx: &PlacementCtx<'_>) -> usize {
-        if let Some(hint) = task.home_node(ctx.nodes) {
-            return hint;
-        }
-        let Some(live) = ctx.live else {
-            return TopologyAware.place(task, ctx);
-        };
-        (0..ctx.nodes)
-            .min_by_key(|&n| {
-                let edge = edge_cost(ctx, n);
-                let load = live.decayed(n) as u128;
-                (
-                    (1 + load) * (1 + edge),
-                    load,
-                    ctx.loads[n].work,
-                    ctx.loads[n].tasks,
-                    n,
-                )
-            })
-            .unwrap_or(0)
-    }
-}
-
-/// Selectable placement policies (the `ClusterConfig` handle for the built-in
-/// [`PlacementPolicy`] implementations).
+/// Selectable placement policies (the `ClusterConfig` handle; see the
+/// [module docs](self)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum PolicyKind {
-    /// [`XorHash`].
+    /// Affinity hint first, XOR distribution function otherwise — the routing
+    /// the cluster driver shipped with.
     #[default]
     XorHash,
-    /// [`AffinityFirst`].
+    /// Affinity hint first, least-loaded node otherwise: un-hinted tasks are
+    /// balanced by placed work rather than hashed, trading locality for an
+    /// even split — the load-balance end of the design space and the
+    /// fallback when traces carry partial hints.
     AffinityFirst,
-    /// [`TopologyAware`].
+    /// Affinity hint first; otherwise the node `n` minimizing
+    /// `Σ_h weight(h, n)` over the task's last-writer producer homes `h`,
+    /// where the weight is the fabric's [`DistanceMatrix::weight`] (route
+    /// latency plus hop count). Keeping an edge node-local costs nothing;
+    /// keeping it within the rack costs little; sending it over an inter-rack
+    /// trunk costs a lot — so chains that cannot stay on one node stay
+    /// *near*. Ties (including the no-producer case — root tasks) fall to the
+    /// least-loaded node, which keeps the placement from collapsing onto one
+    /// node. On a flat fabric this is greedy remote-edge minimization: each
+    /// task goes where most of its producers live.
     TopologyAware,
 }
 
@@ -295,16 +137,49 @@ impl PolicyKind {
     /// The accepted (lower-case canonical) spellings, for error messages.
     pub const VALID: &'static str = "xorhash|affinity|topo";
 
-    /// Instantiates the policy.
-    pub fn build(self) -> Box<dyn PlacementPolicy> {
-        match self {
-            PolicyKind::XorHash => Box::new(XorHash),
-            PolicyKind::AffinityFirst => Box::new(AffinityFirst),
-            PolicyKind::TopologyAware => Box::new(TopologyAware),
-        }
+    /// Returns the kind itself: placement needs no state beyond it. Kept only
+    /// for perfbench, whose scanners call
+    /// `DepScanner::with_policy(n, cfg.placement.build())` and which changes
+    /// only together with the benchmark; drop it then.
+    pub fn build(self) -> PolicyKind {
+        self
     }
 
-    /// The canonical name (matches [`PlacementPolicy::name`]).
+    /// Chooses the home node of `task`, always `< ctx.nodes`. The affinity
+    /// hint wins. Otherwise, with live digests ([`PlacementCtx::live`]), the
+    /// *feedback* rule decides whatever the kind: the node `n` minimizing
+    /// `(1 + decayed_load(n)) · (1 + Σ_h weight(h, n))` over the producer
+    /// homes `h`. An idle node next to the producers wins outright, a
+    /// backed-up node must be *much* closer to beat an idle one further
+    /// away, and with no producers the product degenerates to pure live load
+    /// balancing. The decayed load is [`LiveLoad::decayed`]: digests age
+    /// out, so a node that stopped reporting (and has presumably drained)
+    /// becomes attractive again instead of being repelled forever. Ties fall
+    /// to decayed load, then the placed-work census, then the lowest index.
+    /// Without digests the kind's static rule decides.
+    ///
+    /// Deterministic: the same trace and node count always produce the same
+    /// placement.
+    pub fn place(self, task: &TaskDescriptor, ctx: &PlacementCtx<'_>) -> usize {
+        if let Some(hint) = task.home_node(ctx.nodes) {
+            return hint;
+        }
+        let placed = |n: usize| (ctx.loads[n].work, ctx.loads[n].tasks, n);
+        let best = match (ctx.live, self) {
+            (Some(live), _) => (0..ctx.nodes).min_by_key(|&n| {
+                let load = live.decayed(n) as u128;
+                ((1 + load) * (1 + edge_cost(ctx, n)), load, placed(n))
+            }),
+            (None, PolicyKind::XorHash) => Some(xor_hash_tg(primary_addr(task), ctx.nodes)),
+            (None, PolicyKind::AffinityFirst) => (0..ctx.nodes).min_by_key(|&n| placed(n)),
+            (None, PolicyKind::TopologyAware) => {
+                (0..ctx.nodes).min_by_key(|&n| (edge_cost(ctx, n), placed(n)))
+            }
+        };
+        best.unwrap_or(0)
+    }
+
+    /// The canonical name.
     pub fn name(self) -> &'static str {
         match self {
             PolicyKind::XorHash => "xorhash",
@@ -343,6 +218,7 @@ impl FromStr for PolicyKind {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::LoadView;
 
     fn ctx<'a>(
         loads: &'a [PlacedLoad],
@@ -371,14 +247,17 @@ mod tests {
         let flat = DistanceMatrix::uniform(4);
         let t = task(0, 0x12345);
         assert_eq!(
-            XorHash.place(&t, &ctx(&loads, &[], &flat)),
+            PolicyKind::XorHash.place(&t, &ctx(&loads, &[], &flat)),
             xor_hash_tg(0x12345, 4)
         );
         let hinted = TaskDescriptor::builder(1)
             .inout(0x12345)
             .affinity(3)
             .build();
-        assert_eq!(XorHash.place(&hinted, &ctx(&loads, &[], &flat)), 3);
+        assert_eq!(
+            PolicyKind::XorHash.place(&hinted, &ctx(&loads, &[], &flat)),
+            3
+        );
         assert_eq!(xor_home(&hinted, 2), 1, "hints wrap modulo the node count");
     }
 
@@ -388,7 +267,7 @@ mod tests {
         let flat = DistanceMatrix::uniform(3);
         loads[0].work = SimDuration::from_us(100);
         loads[0].tasks = 1;
-        let mut p = AffinityFirst;
+        let p = PolicyKind::AffinityFirst;
         // Node 1 and 2 are empty; the lowest index wins the tie.
         assert_eq!(p.place(&task(0, 0xAAAA), &ctx(&loads, &[], &flat)), 1);
         loads[1].work = SimDuration::from_us(50);
@@ -401,7 +280,7 @@ mod tests {
         // On a flat fabric TopologyAware keeps the most producer edges local.
         let loads = vec![PlacedLoad::default(); 4];
         let flat = DistanceMatrix::uniform(4);
-        let mut p = TopologyAware;
+        let p = PolicyKind::TopologyAware;
         assert_eq!(p.place(&task(0, 0x10), &ctx(&loads, &[2, 2, 1], &flat)), 2);
         // A tie falls to the less-loaded node.
         let mut l2 = loads.clone();
@@ -429,7 +308,7 @@ mod tests {
         }
         let mut loads = vec![PlacedLoad::default(); 4];
         let flat = DistanceMatrix::uniform(4);
-        let mut topo = TopologyAware;
+        let topo = PolicyKind::TopologyAware;
         for id in 0..32 {
             let t = task(id, id * 0x51D3);
             let homes = [(id as usize) % 4, (id as usize / 2) % 4];
@@ -448,7 +327,7 @@ mod tests {
             nexus_topo::rack_tiers(4, 2, SimDuration::from_us(1), SimDuration::from_ns(10));
         let d = fabric.distances();
         let loads = vec![PlacedLoad::default(); 4];
-        let mut p = TopologyAware;
+        let p = PolicyKind::TopologyAware;
         // Two producers on node 0, one on node 2: node 0 wins outright.
         assert_eq!(p.place(&task(0, 0x10), &ctx(&loads, &[0, 0, 2], &d)), 0);
         // Producers split 0/2: nodes 0 and 2 tie on cost (one trunk edge
@@ -467,64 +346,64 @@ mod tests {
         let loads = vec![PlacedLoad::default(); 4];
         let flat = DistanceMatrix::uniform(4);
         let hinted = TaskDescriptor::builder(0).inout(0x40).affinity(2).build();
-        for kind in PolicyKind::ALL {
-            let mut p = kind.build();
-            assert_eq!(
-                p.place(&hinted, &ctx(&loads, &[1, 1, 1], &flat)),
-                2,
-                "{kind}"
-            );
-        }
-        // FeedbackPlacement sits outside PolicyKind but honours hints too,
-        // even when the live digests scream that the hinted node is loaded.
+        // A hot digest on the hinted node does not move the task either.
         let views = [
-            crate::LoadView::default(),
-            crate::LoadView::default(),
-            crate::LoadView {
+            LoadView::default(),
+            LoadView::default(),
+            LoadView {
                 pending: 1000,
-                ..crate::LoadView::default()
+                ..LoadView::default()
             },
-            crate::LoadView::default(),
+            LoadView::default(),
         ];
-        let mut c = ctx(&loads, &[1, 1, 1], &flat);
-        c.live = Some(crate::LiveLoad {
+        let hot = LiveLoad {
             views: &views,
             now: 0,
             half_life: 0,
-        });
-        assert_eq!(FeedbackPlacement.place(&hinted, &c), 2);
+        };
+        for kind in PolicyKind::ALL {
+            for live in [None, Some(hot)] {
+                let mut c = ctx(&loads, &[1, 1, 1], &flat);
+                c.live = live;
+                assert_eq!(kind.place(&hinted, &c), 2, "{kind} {live:?}");
+            }
+        }
     }
 
     #[test]
     fn feedback_without_digests_matches_topology_aware() {
+        // Before any digest arrives every node reads idle, so the feedback
+        // rule is TopologyAware's static rule, whatever the kind.
         let loads = vec![PlacedLoad::default(); 4];
         let flat = DistanceMatrix::uniform(4);
-        let mut fb = FeedbackPlacement;
-        let mut topo = TopologyAware;
+        let none_yet = [LoadView::default(); 4];
         for id in 0..32 {
             let t = task(id, id * 0x51D3);
             let homes = [(id as usize) % 4, (id as usize / 2) % 4];
-            assert_eq!(
-                fb.place(&t, &ctx(&loads, &homes, &flat)),
-                topo.place(&t, &ctx(&loads, &homes, &flat)),
-                "{id}"
-            );
+            let topo = PolicyKind::TopologyAware.place(&t, &ctx(&loads, &homes, &flat));
+            for kind in PolicyKind::ALL {
+                let mut c = ctx(&loads, &homes, &flat);
+                c.live = Some(LiveLoad {
+                    views: &none_yet,
+                    now: 0,
+                    half_life: 0,
+                });
+                assert_eq!(kind.place(&t, &c), topo, "{kind} {id}");
+            }
         }
     }
 
     #[test]
     fn feedback_flees_the_loaded_node_and_follows_decay() {
-        use crate::{LiveLoad, LoadView};
         let loads = vec![PlacedLoad::default(); 3];
         let flat = DistanceMatrix::uniform(3);
         // Node 0 holds the only producer but is drowning; nodes 1 and 2 are
         // idle. One remote edge (cost 1+1=2) beats the hot node's load.
-        let views = [
+        let hot = [
             LoadView {
                 pending: 20,
                 in_flight: 4,
                 updated_at: 1000,
-                ..LoadView::default()
             },
             LoadView {
                 updated_at: 1000,
@@ -535,48 +414,33 @@ mod tests {
                 ..LoadView::default()
             },
         ];
-        let mut c = ctx(&loads, &[0], &flat);
-        c.live = Some(LiveLoad {
-            views: &views,
-            now: 1000,
-            half_life: 500,
-        });
-        let mut p = FeedbackPlacement;
-        assert_eq!(p.place(&task(0, 0x10), &c), 1, "flee to the idle node");
-        // Long after the digest went stale it has decayed to nothing: the
-        // producer edge dominates again and the task stays local.
-        let mut c = ctx(&loads, &[0], &flat);
-        c.live = Some(LiveLoad {
-            views: &views,
-            now: 1000 + 500 * 10,
-            half_life: 500,
-        });
-        assert_eq!(p.place(&task(1, 0x10), &c), 0, "stale digest aged out");
-        // With no producers the policy is pure live load balancing.
-        let views = [
-            LoadView {
-                pending: 5,
-                updated_at: 0,
-                ..LoadView::default()
-            },
-            LoadView {
-                pending: 2,
-                updated_at: 0,
-                ..LoadView::default()
-            },
-            LoadView {
-                pending: 9,
-                updated_at: 0,
-                ..LoadView::default()
-            },
-        ];
-        let mut c = ctx(&loads, &[], &flat);
-        c.live = Some(LiveLoad {
-            views: &views,
-            now: 0,
-            half_life: 0,
-        });
-        assert_eq!(p.place(&task(2, 0x10), &c), 1, "least live load wins");
+        let queued = |pending| LoadView {
+            pending,
+            ..LoadView::default()
+        };
+        let spread = [queued(5), queued(2), queued(9)];
+        let with = |views, now, half_life, homes| {
+            let mut c = ctx(&loads, homes, &flat);
+            c.live = Some(LiveLoad {
+                views,
+                now,
+                half_life,
+            });
+            c
+        };
+        // With digests every kind follows the same rule and picks the same
+        // node.
+        for p in PolicyKind::ALL {
+            let c = with(&hot, 1000, 500, &[0]);
+            assert_eq!(p.place(&task(0, 0x10), &c), 1, "{p}: flee to the idle node");
+            // Long after the digest went stale it has decayed to nothing: the
+            // producer edge dominates again and the task stays local.
+            let c = with(&hot, 1000 + 500 * 10, 500, &[0]);
+            assert_eq!(p.place(&task(1, 0x10), &c), 0, "{p}: stale digest aged out");
+            // With no producers the rule is pure live load balancing.
+            let c = with(&spread, 0, 0, &[]);
+            assert_eq!(p.place(&task(2, 0x10), &c), 1, "{p}: least live load wins");
+        }
     }
 
     #[test]
@@ -600,7 +464,7 @@ mod tests {
         assert!("locality".parse::<PolicyKind>().is_err());
         for kind in PolicyKind::ALL {
             assert_eq!(kind.name().parse::<PolicyKind>().unwrap(), kind);
-            assert_eq!(kind.build().name(), kind.name());
+            assert_eq!(kind.build(), kind);
         }
         assert_eq!(PolicyKind::default(), PolicyKind::XorHash);
         assert_eq!(PolicyKind::TopologyAware.to_string(), "topo");
@@ -611,11 +475,10 @@ mod tests {
         let loads = vec![PlacedLoad::default(); 5];
         let flat = DistanceMatrix::uniform(5);
         for kind in PolicyKind::ALL {
-            let mut p = kind.build();
             for id in 0..64 {
                 let t = task(id, id * 0x9E37);
                 let homes = [(id as usize) % 5];
-                let h = p.place(&t, &ctx(&loads, &homes, &flat));
+                let h = kind.place(&t, &ctx(&loads, &homes, &flat));
                 assert!(h < 5, "{kind}: {h}");
             }
         }

@@ -1,33 +1,29 @@
-//! Work-stealing policies for idle cluster nodes.
+//! Work-stealing and reclaim victim choice for idle cluster nodes.
 //!
 //! Static placement — however good — cannot anticipate runtime imbalance: a
 //! node whose domain finished early sits idle while a loaded neighbour's
-//! input queue backs up behind its task-pool capacity. [`StealPolicy`] is the
-//! pluggable decision of *whether* and *from whom* an idle node pulls pending
-//! task descriptors, and how many. The mechanics (re-forwarding the
-//! descriptor over the interconnect, re-homing its dependence notifications)
-//! live in the drivers' migration path; the policy only picks the victim and
-//! sizes the batch.
+//! input queue backs up behind its task-pool capacity. [`StealKind`] decides
+//! *whether* and *from whom* an idle node pulls pending task descriptors, and
+//! how many. The mechanics (re-forwarding the descriptor over the
+//! interconnect, re-homing its dependence notifications) live in the drivers'
+//! migration path; the kind only picks the victim and sizes the batch.
 //!
 //! A steal is only attempted for descriptors that are *eligible*: still queued
 //! at the victim's input processor (not yet handed to its manager) with every
 //! last-writer producer already retired, so the stolen task can execute
 //! anywhere without waiting on further notifications. Pool reclamation moves
-//! the dependence-blocked rest along the same path; the
-//! [`choose_reclaim_victim`](StealPolicy::choose_reclaim_victim) and
-//! [`reclaim_batch`](StealPolicy::reclaim_batch) hooks decide it, and every
-//! policy inherits their defaults.
+//! the dependence-blocked rest along the same path; its rule is the same
+//! whatever the steal kind, [`choose_reclaim_victim`] and [`reclaim_batch`].
 //!
-//! Three policies are built in: [`NoStealing`], [`StealMostLoaded`] and
-//! [`HierarchicalSteal`]. Every hook receives the fabric's
-//! [`DistanceMatrix`] ([`DistanceMatrix::uniform`] on a flat fabric). On a
-//! non-uniform fabric victim choice and batch size both matter more: a
-//! cross-rack steal pays the trunk's latency and bandwidth per stolen
-//! descriptor. [`HierarchicalSteal`] therefore escalates victims bucket by
-//! bucket in `(tier, hops)` distance order — same-rack victims first, the far
-//! tier only when nothing near has eligible backlog — and sizes the batch
-//! from the *victim's* backlog (steal half of it) instead of the thief's
-//! free-worker count, amortizing the per-steal transfer cost.
+//! Victim choice receives the fabric's [`DistanceMatrix`]
+//! ([`DistanceMatrix::uniform`] on a flat fabric). On a non-uniform fabric
+//! victim choice and batch size both matter more: a cross-rack steal pays the
+//! trunk's latency and bandwidth per stolen descriptor.
+//! [`StealKind::Hierarchical`] therefore escalates victims bucket by bucket in
+//! `(tier, hops)` distance order — same-rack victims first, the far tier only
+//! when nothing near has eligible backlog — and sizes the batch from the
+//! *victim's* backlog (steal half of it) instead of the thief's free-worker
+//! count, amortizing the per-steal transfer cost.
 
 use crate::feedback::LiveLoad;
 use nexus_topo::DistanceMatrix;
@@ -35,21 +31,17 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
-/// Runtime load snapshot of one node, as seen by a [`StealPolicy`].
+/// Runtime load snapshot of one node, as victim choice sees it. Both clocks
+/// build it with a struct literal, so a new field fails to compile in each
+/// until both fill it in.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NodeLoad {
-    /// Descriptors queued at the node's input processor (not yet submitted to
-    /// its manager).
+    /// Descriptors held at the node and not yet handed to its manager (the
+    /// simulator's input queue; the runtime's blocked and ready descriptors).
     pub pending: usize,
     /// Subset of `pending` that is eligible for stealing (all last-writer
     /// producers retired, no notification in flight).
     pub stealable: usize,
-    /// Ready tasks queued for the node's workers.
-    pub ready: usize,
-    /// Idle worker cores on the node.
-    pub free_workers: usize,
-    /// Tasks arrived at the node and not yet retired.
-    pub outstanding: u64,
     /// Aggregate service capacity of the node's worker pool, in milli-units
     /// (a standard core contributes 1000; a 2×-fast core 2000). `0` means
     /// "unreported" and is treated as one standard core per comparison, so
@@ -58,28 +50,6 @@ pub struct NodeLoad {
 }
 
 impl NodeLoad {
-    /// Assembles a snapshot from the raw queue readings. This is the single
-    /// constructor shared by the cluster driver and the live runtime's
-    /// manager loop, so a new field cannot silently drift between the
-    /// simulated and the live snapshot (both would fail to compile).
-    pub fn snapshot(
-        pending: usize,
-        stealable: usize,
-        ready: usize,
-        free_workers: usize,
-        outstanding: u64,
-        speed_milli: u64,
-    ) -> Self {
-        NodeLoad {
-            pending,
-            stealable,
-            ready,
-            free_workers,
-            outstanding,
-            speed_milli,
-        }
-    }
-
     /// Descriptors a reclaim could reach: pending at the node but *not*
     /// steal-eligible (dependence-blocked behind unretired producers), so
     /// stealing alone can never move them.
@@ -101,209 +71,70 @@ impl NodeLoad {
     }
 }
 
-/// A victim-selection policy for work stealing (see the [module docs](self)).
-///
-/// Driven by the cluster driver whenever a node goes idle (free workers, empty
-/// ready queue, empty input queue). Determinism is required.
-///
-/// # Example
-///
-/// ```
-/// use nexus_sched::{NodeLoad, StealMostLoaded, StealPolicy};
-/// use nexus_topo::DistanceMatrix;
-///
-/// let mut loads = vec![NodeLoad::default(); 4];
-/// loads[2].pending = 40;
-/// loads[2].stealable = 25;
-/// let flat = DistanceMatrix::uniform(4);
-///
-/// let mut policy = StealMostLoaded;
-/// // Node 0 is idle: steal from node 2, the only node with eligible backlog.
-/// assert_eq!(policy.choose_victim(0, &loads, &flat), Some(2));
-/// // Node 2 never steals from itself.
-/// assert_eq!(policy.choose_victim(2, &loads, &flat), None);
-/// ```
-pub trait StealPolicy: Send + Sync {
-    /// Short human-readable policy name (stable; used in reports and tables).
-    fn name(&self) -> &'static str;
-
-    /// Chooses a victim for idle node `thief` given the cluster-wide load
-    /// snapshot and the fabric's distance matrix, or `None` to stay idle.
-    /// Victims must have `stealable > 0`.
-    fn choose_victim(
-        &mut self,
-        thief: usize,
-        loads: &[NodeLoad],
-        distances: &DistanceMatrix,
-    ) -> Option<usize>;
-
-    /// Maximum number of descriptors to hand over in one steal, given the
-    /// thief's free worker count and the victim's eligible backlog at grant
-    /// time. The default takes one per free worker and ignores the backlog;
-    /// adaptive policies scale with the backlog instead.
-    fn batch_for(&self, free_workers: usize, victim_stealable: usize) -> usize {
-        let _ = victim_stealable;
-        free_workers.max(1)
-    }
-
-    /// Chooses a victim for *pool reclamation*: an idle node pulling
-    /// dependence-blocked descriptors ([`NodeLoad::reclaimable`]) out of a
-    /// loaded node's pool — work a steal can never reach. The default picks
-    /// the largest blocked backlog, breaking ties toward the higher decayed
-    /// live load ([`LiveLoad`], when digests are flowing) and then the lowest
-    /// node index. Reclamation is gated by the driver's feedback mode, not by
-    /// the steal policy, so every policy (including [`NoStealing`]) inherits
-    /// a sensible victim choice.
-    fn choose_reclaim_victim(
-        &mut self,
-        thief: usize,
-        loads: &[NodeLoad],
-        live: Option<LiveLoad<'_>>,
-        distances: &DistanceMatrix,
-    ) -> Option<usize> {
-        let _ = distances;
-        loads
-            .iter()
-            .enumerate()
-            .filter(|&(n, l)| n != thief && l.reclaimable() > 0)
-            .max_by_key(|&(n, l)| {
-                let decayed = live.map_or(0, |lv| lv.decayed(n));
-                (l.reclaimable(), decayed, usize::MAX - n)
-            })
-            .map(|(n, _)| n)
-    }
-
-    /// Maximum number of blocked descriptors to hand back in one reclaim,
-    /// given the victim's blocked backlog at grant time. Defaults to the
-    /// steal-half rule (reclaims pay full link cost; amortize them).
-    fn reclaim_batch(&self, free_workers: usize, victim_reclaimable: usize) -> usize {
-        let _ = free_workers;
-        half_backlog(victim_reclaimable)
-    }
+/// ⌈`backlog` / 2⌉, at least one — the steal-half batch rule.
+fn half_backlog(backlog: usize) -> usize {
+    backlog.div_ceil(2).max(1)
 }
 
-/// Never steal — the behaviour the cluster driver shipped with.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NoStealing;
-
-impl StealPolicy for NoStealing {
-    fn name(&self) -> &'static str {
-        "none"
-    }
-
-    fn choose_victim(
-        &mut self,
-        _thief: usize,
-        _loads: &[NodeLoad],
-        _distances: &DistanceMatrix,
-    ) -> Option<usize> {
-        None
-    }
-
-    fn batch_for(&self, _free_workers: usize, _victim_stealable: usize) -> usize {
-        0
-    }
+/// Chooses a victim for *pool reclamation*: an idle node pulling
+/// dependence-blocked descriptors ([`NodeLoad::reclaimable`]) out of a loaded
+/// node's pool — work a steal can never reach. Picks the largest blocked
+/// backlog, breaking ties toward the higher decayed live load ([`LiveLoad`],
+/// when digests are flowing) and then the lowest node index. Reclamation is
+/// gated by the feedback mode, not by the steal kind, so the rule is the same
+/// for every [`StealKind`], [`StealKind::Disabled`] included.
+pub fn choose_reclaim_victim(
+    thief: usize,
+    loads: &[NodeLoad],
+    live: Option<LiveLoad<'_>>,
+) -> Option<usize> {
+    loads
+        .iter()
+        .enumerate()
+        .filter(|&(n, l)| n != thief && l.reclaimable() > 0)
+        .max_by_key(|&(n, l)| {
+            let decayed = live.map_or(0, |lv| lv.decayed(n));
+            (l.reclaimable(), decayed, usize::MAX - n)
+        })
+        .map(|(n, _)| n)
 }
 
-/// Steal from the neighbour with the largest eligible backlog *per unit of
-/// service capacity* (see [`NodeLoad::drain_estimate`]), breaking ties toward
-/// the larger raw backlog, then the lowest node index. On uniform-speed
-/// clusters this reduces to raw most-loaded selection; with heterogeneous
-/// worker pools it prefers the victim that will take longest to drain its own
-/// queue. The fabric's distances play no part.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StealMostLoaded;
-
-impl StealPolicy for StealMostLoaded {
-    fn name(&self) -> &'static str {
-        "most-loaded"
-    }
-
-    fn choose_victim(
-        &mut self,
-        thief: usize,
-        loads: &[NodeLoad],
-        _distances: &DistanceMatrix,
-    ) -> Option<usize> {
-        loads
-            .iter()
-            .enumerate()
-            .filter(|&(n, l)| n != thief && l.stealable > 0)
-            .max_by_key(|&(n, l)| (l.drain_estimate(), l.stealable, usize::MAX - n))
-            .map(|(n, _)| n)
-    }
+/// Maximum number of blocked descriptors to hand back in one reclaim, given
+/// the victim's blocked backlog at grant time: the steal-half rule (reclaims
+/// pay full link cost; amortize them).
+pub fn reclaim_batch(backlog: usize) -> usize {
+    half_backlog(backlog)
 }
 
-/// ⌈`stealable` / 2⌉, at least one — the shared adaptive batch rule.
-fn half_backlog(stealable: usize) -> usize {
-    stealable.div_ceil(2).max(1)
-}
-
-/// Hierarchical victim selection for tiered fabrics: victims are bucketed by
-/// their `(tier, hops)` victim→thief distance (the fabric's
-/// [`DistanceMatrix`], measured in the direction the stolen descriptors will
-/// travel) and the nearest non-empty bucket wins — steal from the
-/// same rack while it has eligible backlog, escalate to the next tier only
-/// when everything nearer is drained. Within a bucket the largest eligible
-/// backlog wins, ties toward the lowest node index.
-///
-/// Batches use the steal-half rule, ⌈stealable/2⌉. A thief that took one
-/// descriptor per free worker would nibble 2 descriptors off a 40-deep
-/// backlog and go idle again, paying a full request/transfer round-trip per
-/// nibble; halving the backlog moves the imbalance in O(log n) steals, and
-/// cross-tier steals are the expensive ones to repeat.
-///
-/// On a flat fabric ([`DistanceMatrix::uniform`]) every victim shares one
-/// bucket, so the policy is most-loaded victim choice with steal-half
-/// batches.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct HierarchicalSteal;
-
-impl StealPolicy for HierarchicalSteal {
-    fn name(&self) -> &'static str {
-        "hier"
-    }
-
-    fn choose_victim(
-        &mut self,
-        thief: usize,
-        loads: &[NodeLoad],
-        distances: &DistanceMatrix,
-    ) -> Option<usize> {
-        // Distance is measured victim → thief: that is the direction the
-        // expensive payload (the stolen descriptors) actually travels. On
-        // every built-in fabric routes are symmetric, but hand-built fabrics
-        // may not be.
-        loads
-            .iter()
-            .enumerate()
-            .filter(|&(n, l)| n != thief && l.stealable > 0)
-            .min_by_key(|&(n, l)| {
-                (
-                    distances.tier(n, thief),
-                    distances.hops(n, thief),
-                    u64::MAX - l.stealable as u64,
-                    n,
-                )
-            })
-            .map(|(n, _)| n)
-    }
-
-    fn batch_for(&self, _free_workers: usize, victim_stealable: usize) -> usize {
-        half_backlog(victim_stealable)
-    }
-}
-
-/// Selectable steal policies (the `ClusterConfig` / env handle for the
-/// built-in [`StealPolicy`] implementations).
+/// Selectable steal policies (the `ClusterConfig` / env handle).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum StealKind {
-    /// [`NoStealing`].
+    /// Never steal — the behaviour the cluster driver shipped with.
     #[default]
     Disabled,
-    /// [`StealMostLoaded`].
+    /// Steal from the neighbour with the largest eligible backlog *per unit
+    /// of service capacity* (see [`NodeLoad::drain_estimate`]), breaking ties
+    /// toward the larger raw backlog, then the lowest node index, one
+    /// descriptor per free worker of the thief. On uniform-speed clusters
+    /// this reduces to raw most-loaded selection; with heterogeneous worker
+    /// pools it prefers the victim that will take longest to drain its own
+    /// queue. The fabric's distances play no part.
     MostLoaded,
-    /// [`HierarchicalSteal`].
+    /// Hierarchical victim selection for tiered fabrics: victims are bucketed
+    /// by their `(tier, hops)` victim→thief distance (measured in the
+    /// direction the stolen descriptors travel; hand-built fabrics may route
+    /// asymmetrically) and the nearest non-empty bucket wins — steal from the
+    /// same rack while it has eligible backlog, escalate to the next tier
+    /// only when everything nearer is drained. Within a bucket the largest
+    /// eligible backlog wins, ties toward the lowest node index.
+    ///
+    /// Batches use the steal-half rule, ⌈stealable/2⌉. A thief that took one
+    /// descriptor per free worker would nibble 2 descriptors off a 40-deep
+    /// backlog and go idle again, paying a full request/transfer round-trip
+    /// per nibble; halving the backlog moves the imbalance in O(log n)
+    /// steals, and cross-tier steals are the expensive ones to repeat. On a
+    /// flat fabric every victim shares one bucket, so this is most-loaded
+    /// victim choice with steal-half batches.
     Hierarchical,
 }
 
@@ -318,19 +149,50 @@ impl StealKind {
     /// The accepted (lower-case canonical) spellings, for error messages.
     pub const VALID: &'static str = "off|steal|hier";
 
-    /// Instantiates the policy.
-    pub fn build(self) -> Box<dyn StealPolicy> {
-        match self {
-            StealKind::Disabled => Box::new(NoStealing),
-            StealKind::MostLoaded => Box::new(StealMostLoaded),
-            StealKind::Hierarchical => Box::new(HierarchicalSteal),
-        }
-    }
-
     /// True when stealing is enabled at all (lets the driver skip the idle
     /// scan entirely).
     pub fn is_enabled(self) -> bool {
         self != StealKind::Disabled
+    }
+
+    /// Chooses a victim for idle node `thief` given the cluster-wide load
+    /// snapshot and the fabric's distance matrix, or `None` to stay idle.
+    /// Victims have `stealable > 0`; [`StealKind::Disabled`] picks none.
+    /// Deterministic.
+    pub fn choose_victim(
+        self,
+        thief: usize,
+        loads: &[NodeLoad],
+        distances: &DistanceMatrix,
+    ) -> Option<usize> {
+        let victims = loads
+            .iter()
+            .enumerate()
+            .filter(|&(n, l)| n != thief && l.stealable > 0);
+        let victim = match self {
+            StealKind::Disabled => None,
+            StealKind::MostLoaded => {
+                victims.max_by_key(|&(n, l)| (l.drain_estimate(), l.stealable, usize::MAX - n))
+            }
+            StealKind::Hierarchical => victims.min_by_key(|&(n, l)| {
+                let near = (distances.tier(n, thief), distances.hops(n, thief));
+                (near, u64::MAX - l.stealable as u64, n)
+            }),
+        };
+        victim.map(|(n, _)| n)
+    }
+
+    /// Maximum number of descriptors to hand over in one steal, given the
+    /// thief's free worker count and the victim's eligible backlog at grant
+    /// time: 0 when disabled, one per free worker (at least one) for
+    /// [`StealKind::MostLoaded`], half the backlog for
+    /// [`StealKind::Hierarchical`].
+    pub fn batch_for(self, free_workers: usize, victim_stealable: usize) -> usize {
+        match self {
+            StealKind::Disabled => 0,
+            StealKind::MostLoaded => free_workers.max(1),
+            StealKind::Hierarchical => half_backlog(victim_stealable),
+        }
     }
 
     /// The canonical name.
@@ -396,7 +258,7 @@ mod tests {
             ..NodeLoad::default()
         };
         let flat = DistanceMatrix::uniform(4);
-        let mut p = StealMostLoaded;
+        let p = StealKind::MostLoaded;
         // Ties on `stealable` break toward the lowest index.
         assert_eq!(p.choose_victim(0, &loads, &flat), Some(2));
         loads[3].stealable = 6;
@@ -421,7 +283,7 @@ mod tests {
             ..NodeLoad::default()
         };
         let flat = DistanceMatrix::uniform(3);
-        let mut p = StealMostLoaded;
+        let p = StealKind::MostLoaded;
         assert_eq!(p.choose_victim(0, &loads, &flat), Some(2));
         // Unreported speeds (0) fall back to the raw backlog ordering.
         loads[1].speed_milli = 0;
@@ -439,7 +301,7 @@ mod tests {
             };
             2
         ];
-        let mut p = NoStealing;
+        let p = StealKind::Disabled;
         assert_eq!(
             p.choose_victim(0, &loads, &DistanceMatrix::uniform(2)),
             None
@@ -451,25 +313,27 @@ mod tests {
     fn empty_cluster_yields_no_victim() {
         let loads = vec![NodeLoad::default(); 3];
         let flat = DistanceMatrix::uniform(3);
-        assert_eq!(StealMostLoaded.choose_victim(1, &loads, &flat), None);
+        for kind in StealKind::ALL {
+            assert_eq!(kind.choose_victim(1, &loads, &flat), None, "{kind}");
+        }
     }
 
     #[test]
     fn steal_half_scales_the_batch_with_the_victim_backlog() {
-        let p = HierarchicalSteal;
+        let p = StealKind::Hierarchical;
         assert_eq!(p.batch_for(2, 40), 20);
         assert_eq!(p.batch_for(8, 3), 2);
         assert_eq!(p.batch_for(8, 1), 1);
         assert_eq!(p.batch_for(8, 0), 1, "grant paths clamp to the backlog");
-        // The default batch stays worker-sized whatever the backlog.
-        assert_eq!(StealMostLoaded.batch_for(3, 40), 3);
+        // MostLoaded's batch stays worker-sized whatever the backlog.
+        assert_eq!(StealKind::MostLoaded.batch_for(3, 40), 3);
     }
 
     #[test]
     fn hierarchical_prefers_the_near_tier_and_escalates_when_it_drains() {
         // Racks of 2 on 4 nodes: {0,1} and {2,3}.
         let d = racks(4);
-        let mut p = HierarchicalSteal;
+        let p = StealKind::Hierarchical;
         let mut loads = vec![NodeLoad::default(); 4];
         loads[1].stealable = 2;
         loads[3].stealable = 50;
@@ -501,27 +365,25 @@ mod tests {
         let mut loads = vec![NodeLoad::default(); 4];
         loads[1].stealable = 2;
         loads[3].stealable = 50;
-        // StealMostLoaded crosses the trunk for the bigger backlog.
-        assert_eq!(StealMostLoaded.choose_victim(0, &loads, &d), Some(3));
-        assert_eq!(NoStealing.choose_victim(0, &loads, &d), None);
+        // MostLoaded crosses the trunk for the bigger backlog.
+        assert_eq!(StealKind::MostLoaded.choose_victim(0, &loads, &d), Some(3));
+        assert_eq!(StealKind::Disabled.choose_victim(0, &loads, &d), None);
     }
 
     #[test]
-    fn snapshot_constructor_fills_every_field() {
-        let l = NodeLoad::snapshot(9, 4, 3, 2, 11, 2000);
-        assert_eq!(
-            l,
-            NodeLoad {
-                pending: 9,
-                stealable: 4,
-                ready: 3,
-                free_workers: 2,
-                outstanding: 11,
-                speed_milli: 2000,
-            }
-        );
+    fn reclaimable_is_the_blocked_part_of_the_backlog() {
+        let l = NodeLoad {
+            pending: 9,
+            stealable: 4,
+            speed_milli: 2000,
+        };
         assert_eq!(l.reclaimable(), 5, "pending minus steal-eligible");
-        assert_eq!(NodeLoad::snapshot(2, 7, 0, 0, 0, 0).reclaimable(), 0);
+        let all_eligible = NodeLoad {
+            pending: 2,
+            stealable: 7,
+            ..NodeLoad::default()
+        };
+        assert_eq!(all_eligible.reclaimable(), 0);
     }
 
     #[test]
@@ -545,10 +407,8 @@ mod tests {
             stealable: 1,
             ..NodeLoad::default()
         };
-        let flat = DistanceMatrix::uniform(4);
-        let mut p = StealMostLoaded;
-        assert_eq!(p.choose_reclaim_victim(0, &loads, None, &flat), Some(2));
-        assert_eq!(p.choose_reclaim_victim(2, &loads, None, &flat), Some(3));
+        assert_eq!(choose_reclaim_victim(0, &loads, None), Some(2));
+        assert_eq!(choose_reclaim_victim(2, &loads, None), Some(3));
         // A tie on blocked backlog breaks toward the hotter live digest.
         loads[3] = NodeLoad {
             pending: 10,
@@ -570,29 +430,19 @@ mod tests {
             now: 0,
             half_life: 0,
         };
-        assert_eq!(
-            p.choose_reclaim_victim(0, &loads, Some(live), &flat),
-            Some(3)
-        );
+        assert_eq!(choose_reclaim_victim(0, &loads, Some(live)), Some(3));
         // Without digests the same tie falls to the lowest index.
-        assert_eq!(p.choose_reclaim_victim(0, &loads, None, &flat), Some(2));
-        // NoStealing still names victims: reclamation is gated by the
-        // feedback mode, not the steal policy.
-        assert_eq!(
-            NoStealing.choose_reclaim_victim(0, &loads, Some(live), &flat),
-            Some(3)
-        );
+        assert_eq!(choose_reclaim_victim(0, &loads, None), Some(2));
         // Nothing blocked anywhere -> no victim.
         let idle = vec![loads[1]; 2];
-        let flat2 = DistanceMatrix::uniform(2);
-        assert_eq!(p.choose_reclaim_victim(0, &idle, None, &flat2), None);
+        assert_eq!(choose_reclaim_victim(0, &idle, None), None);
     }
 
     #[test]
     fn reclaim_batches_use_the_half_backlog_rule() {
-        assert_eq!(StealMostLoaded.reclaim_batch(2, 9), 5);
-        assert_eq!(HierarchicalSteal.reclaim_batch(8, 1), 1);
-        assert_eq!(NoStealing.reclaim_batch(0, 0), 1, "grant paths clamp");
+        assert_eq!(reclaim_batch(9), 5);
+        assert_eq!(reclaim_batch(1), 1);
+        assert_eq!(reclaim_batch(0), 1, "grant paths clamp");
     }
 
     #[test]
@@ -609,7 +459,7 @@ mod tests {
         );
         let err = "stea1".parse::<StealKind>().unwrap_err();
         assert!(err.contains("off|steal|hier"), "{err}");
-        // Steal-half batching is HierarchicalSteal's on a flat fabric.
+        // Steal-half batching is Hierarchical's on a flat fabric.
         assert!("steal-half".parse::<StealKind>().is_err());
         for kind in StealKind::ALL {
             assert_eq!(kind.name().parse::<StealKind>().unwrap(), kind);
@@ -618,8 +468,5 @@ mod tests {
         assert!(!StealKind::Disabled.is_enabled());
         assert!(StealKind::MostLoaded.is_enabled());
         assert!(StealKind::Hierarchical.is_enabled());
-        assert_eq!(StealKind::MostLoaded.build().name(), "most-loaded");
-        assert_eq!(StealKind::Disabled.build().name(), "none");
-        assert_eq!(StealKind::Hierarchical.build().name(), "hier");
     }
 }

@@ -6,13 +6,13 @@
 //! * [`SetAssocTable`] — the "set-associative cache-like structure" that maps a
 //!   parameter memory address to its tracking entry, with a bounded number of
 //!   ways per set and an overflow (dummy-entry) area,
-//! * [`KickOffList`] — the per-address list of tasks waiting for the address,
-//!   segmented with dummy-entry chaining so its length is not statically
-//!   limited (the property the Gaussian-elimination benchmark validates),
 //! * [`DependencyTracker`] — the functional dependency-resolution core: full
 //!   OmpSs `in`/`out`/`inout` semantics per address, reporting for every
 //!   parameter insertion whether the task must wait and, on task retirement,
-//!   which waiting tasks become released,
+//!   which waiting tasks become released. It also models each address's
+//!   kick-off list, the per-address list of waiting tasks, segmented with
+//!   dummy-entry chaining so its length is not statically limited (the
+//!   property the Gaussian-elimination benchmark validates),
 //! * [`ReferenceGraph`] — a deliberately simple software dependency graph used
 //!   as a test oracle and by the software-runtime (Nanos) model,
 //! * [`TaskPool`] — the bounded in-flight task storage of the managers,
@@ -24,14 +24,12 @@
 
 pub mod assoc;
 pub mod depcounts;
-pub mod kickoff;
 pub mod refgraph;
 pub mod taskpool;
 pub mod tracker;
 
 pub use assoc::{SetAssocConfig, SetAssocTable};
 pub use depcounts::DepCountsTable;
-pub use kickoff::KickOffList;
 pub use refgraph::ReferenceGraph;
 pub use taskpool::{RetirementOrder, TaskPool};
 pub use tracker::{DependencyTracker, InsertOutcome, RetireOutcome};
@@ -40,7 +38,6 @@ pub use tracker::{DependencyTracker, InsertOutcome, RetireOutcome};
 pub mod prelude {
     pub use crate::assoc::{SetAssocConfig, SetAssocTable};
     pub use crate::depcounts::DepCountsTable;
-    pub use crate::kickoff::KickOffList;
     pub use crate::refgraph::ReferenceGraph;
     pub use crate::taskpool::{RetirementOrder, TaskPool};
     pub use crate::tracker::{DependencyTracker, InsertOutcome, RetireOutcome};

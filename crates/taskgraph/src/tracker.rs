@@ -21,10 +21,18 @@
 //! timing models can charge extra cycles for them.
 
 use crate::assoc::{Placement, SetAssocConfig, SetAssocTable};
-use crate::kickoff::DEFAULT_SEGMENT_CAPACITY;
 use nexus_sim::FxHashMap;
 use nexus_trace::{Direction, TaskId};
 use serde::{Deserialize, Serialize};
+
+/// Waiter slots per kick-off-list segment. Each task graph keeps "a Kick-Off
+/// List for each incoming memory address" (§IV-C); in the VHDL design a list
+/// entry is a fixed-size segment, and when more tasks wait on an address than
+/// one segment holds, a dummy entry is chained (the Gaussian-elimination
+/// benchmark's first pivot row is awaited by `n − 1` tasks). Traversing the
+/// extra segments costs extra cycles, which the timing models charge through
+/// [`InsertOutcome::kickoff_segment`].
+pub const DEFAULT_SEGMENT_CAPACITY: usize = 8;
 
 /// One outstanding (unretired) access by one task parameter.
 #[derive(Debug, Clone)]

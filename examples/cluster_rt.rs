@@ -2,11 +2,11 @@
 //!
 //! Everything else in this repository simulates the cluster; this example
 //! runs it. A skewed imbalanced trace (node 0 deliberately overloaded) is
-//! replayed twice on real manager + worker threads — once with stealing off,
-//! once under the most-loaded steal policy — and the per-node statistics
-//! show descriptors actually migrating between the live nodes. The same
-//! placement scanner, steal policy objects, and master state machine as the
-//! simulators are doing the work; only the clock is real.
+//! replayed twice on real worker threads — once with stealing off, once
+//! under the most-loaded steal policy — and the per-node statistics show
+//! descriptors actually migrating between the live nodes. The same placement
+//! scanner, steal decisions, and master state machine as the simulators are
+//! doing the work; only the clock is real.
 //!
 //! Run with: `cargo run --release --example cluster_rt`
 

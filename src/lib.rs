@@ -72,7 +72,7 @@ pub mod prelude {
     pub use nexus_pp::{NexusPP, NexusPPConfig};
     pub use nexus_resources::{ManagerConfig, ResourceModel};
     pub use nexus_rt::{ClusterRuntime, RtConfig, RtTask, RuntimeHandle};
-    pub use nexus_sched::{PlacementPolicy, PolicyKind, StealKind, StealPolicy};
+    pub use nexus_sched::{PolicyKind, StealKind};
     pub use nexus_sim::{SimDuration, SimTime};
     pub use nexus_topo::{Fabric, TopologyKind};
     pub use nexus_trace::{Benchmark, TaskDescriptor, Trace, TraceStats};

@@ -1,6 +1,6 @@
 //! Integration: the qualitative claims of the paper's evaluation hold in the
-//! reproduction (orderings and crossovers, not absolute numbers — see
-//! EXPERIMENTS.md for the full quantitative comparison).
+//! reproduction (orderings and crossovers, not absolute numbers; the full
+//! quantitative comparison is the ROADMAP's "Paper fidelity, measured" item).
 //!
 //! Wall-clock audit (debug build, 2026-07): the slowest test here is
 //! `gaussian_elimination_improvement_shrinks_with_matrix_size` at ~2.8 s; every

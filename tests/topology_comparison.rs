@@ -2,7 +2,7 @@
 //!
 //! * On rack-clustered traces at ≥ 4 nodes over a rack-tiered fabric, the
 //!   topology-aware stack (`TopologyAware` placement + hierarchical stealing)
-//!   must beat the flat stack (`XorHash` + flat `StealMostLoaded`) on
+//!   must beat the flat stack (`XorHash` + flat `MostLoaded` stealing) on
 //!   makespan *and* cut inter-rack link words by ≥ 20%.
 //! * A rack-tiered fabric must degrade the makespan versus `FullMesh` when
 //!   every coupled edge crosses racks (the tiers actually bite).
