@@ -93,17 +93,17 @@ pub struct ClusterConfig {
     pub workers_per_node: usize,
     /// Interconnect timing and topology.
     pub link: LinkConfig,
-    /// Task-to-node placement policy applied by the routing pre-pass. The
-    /// default, [`PolicyKind::XorHash`], is the affinity-then-XOR routing the
-    /// cluster driver shipped with.
+    /// Task-to-node placement policy, applied once per task as the master
+    /// submits it. The default, [`PolicyKind::XorHash`], is the
+    /// affinity-then-XOR routing the cluster driver shipped with.
     pub placement: PolicyKind,
     /// Work-stealing policy for idle nodes. Disabled by default (stolen
     /// descriptors pay the re-forwarding cost over the interconnect).
     pub stealing: StealKind,
     /// Runtime feedback mode: live load digests piggybacked on retirement
-    /// notifications, consumed by submit-time placement and/or task-pool
-    /// reclamation. [`FeedbackKind::Off`] (the default) keeps the scheduling
-    /// path bit-identical to the static pre-pass behaviour.
+    /// notifications, consumed by placement at submit and/or task-pool
+    /// reclamation. [`FeedbackKind::Off`] (the default) computes no digests,
+    /// so every task is placed by [`ClusterConfig::placement`]'s static rule.
     #[serde(default)]
     pub feedback: FeedbackKind,
     /// Event-queue engine driving the simulation. Outcomes are bit-identical

@@ -4,23 +4,27 @@
 //! replays a trace on the whole cluster:
 //!
 //! * the **master** (on node 0) streams trace operations in program order
-//!   (the [`MasterSm`] state machine shared with the single-node host driver);
-//!   each submitted task is routed to its home node by the configured
-//!   [`PolicyKind`](nexus_sched::PolicyKind) (affinity hint +
-//!   XOR distribution function by default) and its descriptor is forwarded
-//!   over the interconnect (`transfer_words()` words, as over PCIe in the
-//!   single-chip design). Messages traverse the fabric hop by hop through
-//!   the event loop (one relay event per intermediate hop), so every link is
-//!   acquired at the message's physical arrival time and shared trunks of
-//!   tiered fabrics contend causally, in arrival order;
+//!   (the [`MasterSm`] state machine shared with the single-node host driver).
+//!   Each task is placed once, when the master commits its submission, by
+//!   the configured [`PolicyKind`](nexus_sched::PolicyKind) (affinity hint +
+//!   XOR distribution function by default) through the same [`DepScanner`]
+//!   the live runtime uses, and its descriptor is forwarded over the
+//!   interconnect (`transfer_words()` words, as over PCIe in the single-chip
+//!   design). Nothing about a task exists in the driver before that commit.
+//!   Messages traverse the fabric hop by hop through the event loop (one
+//!   relay event per intermediate hop), so every link is acquired at the
+//!   message's physical arrival time and shared trunks of tiered fabrics
+//!   contend causally, in arrival order;
 //! * each node's **input processor** hands arrived descriptors to the local
 //!   manager strictly in arrival order (the links are FIFO, so this is
 //!   per-node program order — local dependency semantics are preserved by the
 //!   manager exactly as in the single-node testbench);
 //! * **cross-node dependencies** (a task whose last-writer producer lives on
-//!   another node) are enforced by the driver: the consumer is held in its
-//!   node's pending queue until the producer's retirement notification
-//!   ([`NOTIFY_WORDS`] words) has crossed the interconnect;
+//!   another node) are enforced by the driver: at commit the task subscribes
+//!   to each such producer (or, if it already retired, is notified at once),
+//!   and it is held in its node's pending queue until every producer's
+//!   retirement notification ([`NOTIFY_WORDS`] words) has crossed the
+//!   interconnect;
 //! * every retirement is also forwarded to the master, which implements
 //!   `taskwait` / `taskwait on` over the cluster-wide retirement count;
 //! * **migration** moves pending descriptors from a loaded node to an idle
@@ -50,9 +54,9 @@
 //!   retirement notification to the master additionally carries the
 //!   retiring node's live load digest ([`LoadView`]) — no new message types
 //!   on the happy path. The master folds the digests into a [`LoadTracker`]
-//!   consulted by submit-time re-placement (`place` mode, through the
-//!   feedback rule of [`PolicyKind::place`](nexus_sched::PolicyKind::place))
-//!   and by reclaim victim selection.
+//!   consulted when it places a task (`place` mode, through the feedback
+//!   rule of [`PolicyKind::place`](nexus_sched::PolicyKind::place)) and by
+//!   reclaim victim selection.
 //!
 //! The event loop is one `match` that hands each event to its handler method
 //! on the run's state.
@@ -70,14 +74,14 @@ use crate::config::ClusterConfig;
 use crate::interconnect::Interconnect;
 use crate::moves::MoveKind;
 use crate::outcome::{ClusterOutcome, LinkStats};
-use crate::routing::{DepScanner, EdgeStats};
-use crate::stream::{DepthSeries, StreamOutcome, StreamingSource};
+use crate::routing::DepScanner;
+use crate::stream::{StreamOutcome, StreamingSource};
 use nexus_host::manager::{ManagerEvent, TaskManager};
 use nexus_host::master::{MasterSm, MasterStep};
 use nexus_host::metrics::SimOutcome;
 use nexus_host::pool::WorkerPool;
 use nexus_obs::{Recorder, Registry, SpanEvent};
-use nexus_sched::{LoadTracker, LoadView, NodeLoad, PlacedLoad, PlacementCtx};
+use nexus_sched::{LoadTracker, LoadView, NodeLoad};
 use nexus_sim::events::TimedEvent;
 use nexus_sim::{EventQueue, FxHashMap, SimDuration, SimTime};
 use nexus_topo::{DistanceMatrix, Fabric};
@@ -266,7 +270,8 @@ impl IdMap {
     }
 }
 
-/// Per-task routing and cross-node dependency bookkeeping.
+/// Per-task routing and cross-node dependency bookkeeping, built when the
+/// task's submission commits (`Run::subscribe`).
 struct TaskMeta {
     /// The task's current home node (placement decision, updated when the
     /// task moves).
@@ -274,9 +279,9 @@ struct TaskMeta {
     /// Indices (into submission order) of *all* distinct last-writer
     /// producers.
     producers: Vec<usize>,
-    /// Indices (into submission order) of remote last-writer producers.
-    remote_producers: Vec<usize>,
-    /// Tasks (by index) that have this task as a last-writer producer.
+    /// Submitted tasks (by index) that have this task as a last-writer
+    /// producer. Filled only while migration bookkeeping exists: only moves
+    /// and `MoveBook::retire` read it.
     consumers: Vec<usize>,
     /// Producer retirement notifications this task still waits for.
     remaining_remote: usize,
@@ -317,7 +322,6 @@ struct FlowState {
     submitted_at: Vec<SimTime>,
     /// Submit→retire latency per submission index.
     latencies: Vec<SimDuration>,
-    series: DepthSeries,
 }
 
 impl FlowState {
@@ -347,29 +351,29 @@ impl FlowState {
             backpressure_events: 0,
             submitted_at: vec![SimTime::ZERO; tasks],
             latencies: vec![SimDuration::ZERO; tasks],
-            series: DepthSeries::default(),
         }
     }
 
-    /// Decides whether the submission at `idx` (home `home`) may proceed at
-    /// `now`. Returns `true` when the submit is *deferred*: either the
-    /// arrival time lies in the future (a retry is scheduled for then) or the
-    /// home node's admission domain is full (the release pump wakes the
-    /// master; the blocked span shifts the source clock).
-    fn gate_submit(
-        &mut self,
-        home: usize,
-        idx: usize,
-        now: SimTime,
-        queue: &mut EventQueue<Event>,
-    ) -> bool {
+    /// True when the submission at `idx` is not due at `now` (its arrival
+    /// time lies in the future): the retry is scheduled for then, and the
+    /// task is not placed on this offer.
+    fn early(&self, idx: usize, now: SimTime, queue: &mut EventQueue<Event>) -> bool {
         if !self.gated {
             return false;
         }
         let due = self.arrivals[idx] + self.skew;
         if now < due {
             queue.schedule(due, Event::MasterStep);
-            return true;
+        }
+        now < due
+    }
+
+    /// True when a due submission placed at `home` is deferred because the
+    /// node's admission domain is full (the release pump wakes the master;
+    /// the blocked span shifts the source clock).
+    fn full(&mut self, home: usize, now: SimTime) -> bool {
+        if !self.gated {
+            return false;
         }
         if self.admitted[home] >= self.depth {
             if self.blocked_since.is_none() {
@@ -389,7 +393,6 @@ impl FlowState {
     fn note_submit(&mut self, home: usize, idx: usize, now: SimTime) {
         self.admitted[home] += 1;
         self.max_admitted = self.max_admitted.max(self.admitted[home]);
-        self.series.push(now, self.admitted[home] as u64);
         self.submitted_at[idx] = if self.gated {
             self.arrivals[idx] + self.skew
         } else {
@@ -509,9 +512,11 @@ const BOOKED: &str = "moves run only with migration bookkeeping";
 /// Where a descriptor waits, as far as migration is concerned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Waits {
-    /// At no node: not yet arrived, crossing the fabric, handed to the
-    /// manager or retired.
+    /// At no node: not yet submitted, on its way from the master, handed to
+    /// the manager or retired.
     Nowhere,
+    /// Crossing the fabric to a thief after a grant.
+    Moving,
     /// In its home node's input queue (`NodeState::pending`).
     Queued,
     /// Parked at its home node (see `NodeState::parked`).
@@ -524,7 +529,7 @@ enum Waits {
 /// is this one parked) is answered without walking a queue or a producer
 /// list. Debug builds check every answer against those walks.
 struct MoveBook {
-    /// Per task: last-writer producers not yet retired.
+    /// Per task: last-writer producers not yet retired (set at commit).
     unretired: Vec<u32>,
     /// Per task: where its descriptor waits.
     waits: Vec<Waits>,
@@ -537,13 +542,10 @@ struct MoveBook {
 }
 
 impl MoveBook {
-    fn new<M>(metas: &[TaskMeta], nodes: &[NodeState<M>]) -> Self {
+    fn new<M>(tasks: usize, nodes: &[NodeState<M>]) -> Self {
         MoveBook {
-            unretired: metas
-                .iter()
-                .map(|m| u32::try_from(m.producers.len()).expect("producer count fits u32"))
-                .collect(),
-            waits: vec![Waits::Nowhere; metas.len()],
+            unretired: vec![0; tasks],
+            waits: vec![Waits::Nowhere; tasks],
             eligible: vec![0; nodes.len()],
             speed_milli: nodes.iter().map(|n| n.pool.total_speed_milli()).collect(),
             board: Vec::with_capacity(nodes.len()),
@@ -790,7 +792,6 @@ impl<M: TaskManager> ClusterDriver<M> {
             latencies: fs.latencies,
             backpressure_events: fs.backpressure_events,
             max_admission_depth: fs.max_admitted,
-            depth_series: fs.series.into_samples(),
             source_lag: fs.skew,
         }
     }
@@ -809,38 +810,6 @@ impl<M: TaskManager> ClusterDriver<M> {
     ) -> (ClusterOutcome, Option<FlowState>) {
         Run::new(self, trace, flow, rec).run(prof)
     }
-}
-
-/// Routes every task and finds its remote last-writer producers, in the
-/// same pass that accumulates the edge census (one [`DepScanner`] scan —
-/// the reported statistics and the enforced dependencies cannot diverge).
-/// The fabric's distance matrix is handed to the placement policy so
-/// distance-aware placements see the real tiers.
-fn analyze(
-    cfg: &ClusterConfig,
-    tasks: &[&TaskDescriptor],
-    distances: &DistanceMatrix,
-) -> (Vec<TaskMeta>, EdgeStats) {
-    let mut scanner =
-        DepScanner::with_policy(cfg.nodes, cfg.placement).with_distances(distances.clone());
-    let mut metas: Vec<TaskMeta> = Vec::with_capacity(tasks.len());
-    for task in tasks {
-        let i = metas.len();
-        let r = scanner.scan_full(task);
-        for &p in &r.producers {
-            metas[p].consumers.push(i);
-        }
-        metas.push(TaskMeta {
-            home: r.home,
-            remaining_remote: r.remote_producers.len(),
-            producers: r.producers,
-            remote_producers: r.remote_producers,
-            consumers: Vec::new(),
-            retired_at: None,
-            subscribers: Vec::new(),
-        });
-    }
-    (metas, scanner.stats())
 }
 
 /// [`MoveBook::eligible`] by definition, walking the producer list (the
@@ -920,26 +889,25 @@ struct Run<'t, 'r, M> {
     /// The fabric's distance matrix, cloned out of the interconnect so the
     /// policies can consult it while sending.
     distances: DistanceMatrix,
+    /// Places each task as its submission commits, and keeps the edge
+    /// census of those placements.
+    scanner: DepScanner,
+    /// One entry per committed submission, in submission order.
     metas: Vec<TaskMeta>,
-    edges: EdgeStats,
     queue: EventQueue<Event>,
     scratch: Vec<ManagerEvent>,
     master: MasterSm,
     supports_taskwait_on: bool,
     /// The master's fold of the load digests riding retirement
-    /// notifications, the live counterpart of the routing pre-pass's
-    /// placed-load board. It exists only while a feedback consumer is
-    /// active, so the off path computes no digests and stays bit-identical
-    /// to the static behaviour.
+    /// notifications, the live counterpart of the scanner's placed-load
+    /// board. It exists only while a feedback consumer is active, so the off
+    /// path computes no digests and stays bit-identical to the static
+    /// behaviour.
     tracker: Option<LoadTracker>,
     /// Migration bookkeeping. It exists only while stealing or reclamation
     /// is enabled: its retirement sweep touches one entry per dependence
     /// edge, a cost that runs which never move a descriptor do not pay.
     book: Option<MoveBook>,
-    /// Submit-time re-placement's placed-load board (`place` mode). Unlike
-    /// the pre-pass board (charged at static homes during `analyze`), tasks
-    /// are charged to their *final* home at commit time.
-    placed_loads: Vec<PlacedLoad>,
     flow: Option<FlowState>,
     rec: Option<&'r mut dyn Recorder>,
     notifications: u64,
@@ -960,11 +928,12 @@ impl<'t, 'r, M: TaskManager> Run<'t, 'r, M> {
         let ClusterDriver { cfg, nodes, net } = driver;
         let tasks: Vec<&TaskDescriptor> = trace.tasks().collect();
         let distances = net.distances().clone();
-        let (metas, edges) = analyze(&cfg, &tasks, &distances);
+        let scanner =
+            DepScanner::with_policy(cfg.nodes, cfg.placement).with_distances(distances.clone());
         let book = MoveKind::ALL
             .iter()
             .any(|k| k.enabled(cfg.stealing, cfg.feedback))
-            .then(|| MoveBook::new(&metas, &nodes));
+            .then(|| MoveBook::new(tasks.len(), &nodes));
         Run {
             book,
             idx_of: IdMap::build(&tasks),
@@ -977,7 +946,7 @@ impl<'t, 'r, M: TaskManager> Run<'t, 'r, M> {
                 .feedback
                 .is_enabled()
                 .then(|| LoadTracker::new(cfg.nodes, DIGEST_HALF_LIFE_PS)),
-            placed_loads: vec![PlacedLoad::default(); cfg.nodes],
+            metas: Vec::with_capacity(tasks.len()),
             notifications: 0,
             moved: [0; 2],
             grants: [0; 2],
@@ -988,8 +957,7 @@ impl<'t, 'r, M: TaskManager> Run<'t, 'r, M> {
             net,
             tasks,
             distances,
-            metas,
-            edges,
+            scanner,
             flow,
             rec,
         }
@@ -1193,7 +1161,7 @@ impl<'t, 'r, M: TaskManager> Run<'t, 'r, M> {
             tasks: executed,
             master_barrier_time: self.master.barrier_time(),
             per_node,
-            edges: self.edges,
+            edges: self.scanner.stats(),
             notifications: metrics.counter("notify.sent"),
             steals: metrics.counter("steal.stolen"),
             steal_failures: metrics.counter("steal.failures"),
@@ -1220,32 +1188,38 @@ impl<'t, 'r, M: TaskManager> Run<'t, 'r, M> {
 
     /// Submits `task` unless an open-loop source defers it (a future arrival
     /// time or a full admission queue: the cursor stays put and the same
-    /// submit is re-offered on the next master step). The descriptor is
-    /// forwarded to its home node and the task subscribes to its remote
-    /// producers.
+    /// submit is re-offered on the next master step). A due task is placed
+    /// on every offer, against the digests of the moment in `place` mode;
+    /// the placement is recorded only when the submission commits. The
+    /// descriptor is then forwarded to its home node and the task
+    /// subscribes to its producers (see [`Run::subscribe`]).
     fn submit(&mut self, task: &'t TaskDescriptor, now: SimTime) {
         let idx = self.idx_of.idx(task.id);
-        if self.cfg.feedback.place_enabled() {
-            self.replace(idx, now);
+        if let Some(fs) = self.flow.as_ref() {
+            if fs.early(idx, now, &mut self.queue) {
+                return;
+            }
         }
-        let home = self.metas[idx].home;
+        let live = match &self.tracker {
+            Some(tr) if self.cfg.feedback.place_enabled() => Some(tr.live(now.as_ps())),
+            _ => None,
+        };
+        let placed = self.scanner.place(task, live);
+        let home = placed.home;
         if let Some(fs) = self.flow.as_mut() {
             let bp_before = fs.backpressure_events;
-            let deferred = fs.gate_submit(home, idx, now, &mut self.queue);
+            let full = fs.full(home, now);
             if fs.backpressure_events > bp_before {
                 if let Some(r) = self.rec.as_mut() {
                     r.record(now.as_ps(), SpanEvent::Backpressure { node: home });
                 }
             }
-            if deferred {
+            if full {
                 return;
             }
         }
         self.master.commit_submit(task, now);
-        if self.cfg.feedback.place_enabled() {
-            self.placed_loads[home].tasks += 1;
-            self.placed_loads[home].work += self.tasks[idx].duration;
-        }
+        self.scanner.record(task, &placed);
         if let Some(fs) = self.flow.as_mut() {
             fs.note_submit(home, idx, now);
         }
@@ -1261,67 +1235,59 @@ impl<'t, 'r, M: TaskManager> Run<'t, 'r, M> {
         }
         let arrive = Event::DescriptorArrive { node: home, idx };
         let sender_free = self.send_msg(0, home, task.transfer_words(), now, arrive);
-        // Subscribe to (or directly forward) the remote dependency
-        // notifications the task needs. The producer list is moved out and
-        // restored (a task is never its own producer) to keep the hot path
-        // free of per-submit clones.
-        let producers = std::mem::take(&mut self.metas[idx].remote_producers);
-        for &p in &producers {
-            match self.metas[p].retired_at {
-                Some(_) => {
-                    let from = self.metas[p].home;
-                    self.send_msg(from, home, NOTIFY_WORDS, now, Event::NotifyArrive { idx });
-                    self.notifications += 1;
-                }
-                None => self.metas[p].subscribers.push(idx),
-            }
-        }
-        self.metas[idx].remote_producers = producers;
+        self.subscribe(idx, home, placed.producers, now);
         self.queue.schedule(sender_free.max(now), Event::MasterStep);
     }
 
-    /// Live re-placement (`place` feedback): the pre-pass home was chosen
-    /// before any runtime load existed; re-decide against the decayed
-    /// digests. Producers may themselves have moved (re-placed, stolen or
-    /// reclaimed), so the remote-producer set and the outstanding
-    /// notification count are recomputed from the producers' *current* homes
-    /// — a producer that already subscribed this task keeps exactly one
-    /// subscription.
-    fn replace(&mut self, idx: usize, now: SimTime) {
-        let Some(tr) = self.tracker.as_ref() else {
-            return;
-        };
-        let metas = &mut self.metas;
-        let producer_homes: Vec<usize> = metas[idx]
-            .producers
-            .iter()
-            .map(|&p| metas[p].home)
-            .collect();
-        let home = self.cfg.placement.place(
-            self.tasks[idx],
-            &PlacementCtx {
-                nodes: self.cfg.nodes,
-                loads: &self.placed_loads,
-                producer_homes: &producer_homes,
-                distances: &self.distances,
-                live: Some(tr.live(now.as_ps())),
-            },
-        );
-        metas[idx].home = home;
-        let producers = std::mem::take(&mut metas[idx].producers);
-        let mut remaining = 0;
-        let mut remote = Vec::new();
+    /// Builds the cross-node state of the task at `idx`, whose submission
+    /// just committed with home `home`. Each last-writer producer is judged
+    /// by its *current* home:
+    /// * retired on another node: its notification is sent now;
+    /// * not retired, on another node: the task subscribes to it;
+    /// * not retired, at `home` but parked there or still crossing the
+    ///   fabric after a grant: the task subscribes to it too;
+    /// * otherwise nothing: the producer reaches `home`'s manager first,
+    ///   because the master's route to that node is FIFO.
+    ///
+    /// `remaining_remote` counts what this creates. The task joins its
+    /// producers' consumer lists only while migration bookkeeping exists.
+    fn subscribe(&mut self, idx: usize, home: usize, producers: Vec<usize>, now: SimTime) {
+        debug_assert_eq!(self.metas.len(), idx, "submissions commit in order");
+        let (mut remaining, mut unretired) = (0, 0);
         for &p in &producers {
-            if metas[p].subscribers.contains(&idx) {
+            let from = self.metas[p].home;
+            if self.metas[p].retired_at.is_some() {
+                if from != home {
+                    self.send_msg(from, home, NOTIFY_WORDS, now, Event::NotifyArrive { idx });
+                    self.notifications += 1;
+                    remaining += 1;
+                }
+                continue;
+            }
+            unretired += 1;
+            let in_transit = self
+                .book
+                .as_ref()
+                .is_some_and(|b| matches!(b.waits[p], Waits::Parked | Waits::Moving));
+            if from != home || in_transit {
+                self.metas[p].subscribers.push(idx);
                 remaining += 1;
-            } else if metas[p].home != home {
-                remote.push(p);
             }
         }
-        remaining += remote.len();
-        metas[idx].producers = producers;
-        metas[idx].remote_producers = remote;
-        metas[idx].remaining_remote = remaining;
+        if let Some(book) = self.book.as_mut() {
+            book.unretired[idx] = unretired;
+            for &p in &producers {
+                self.metas[p].consumers.push(idx);
+            }
+        }
+        self.metas.push(TaskMeta {
+            home,
+            producers,
+            consumers: Vec::new(),
+            remaining_remote: remaining,
+            retired_at: None,
+            subscribers: Vec::new(),
+        });
     }
 
     /// A task descriptor reaches its home node's input queue.
@@ -1511,10 +1477,9 @@ impl<'t, 'r, M: TaskManager> Run<'t, 'r, M> {
                 fs.note_move_in(thief);
             }
             debug_assert_eq!(self.metas[idx].home, victim, "moved task must be at home");
-            self.book
-                .as_mut()
-                .expect(BOOKED)
-                .dequeue(&self.metas, victim, idx, now);
+            let book = self.book.as_mut().expect(BOOKED);
+            book.dequeue(&self.metas, victim, idx, now);
+            book.waits[idx] = Waits::Moving;
             self.rehome(idx, victim, thief);
             self.moved[k] += 1;
             if let Some(r) = self.rec.as_mut() {
@@ -2095,7 +2060,7 @@ mod tests {
         // arrivals through a tight admission bound (so back-pressure, wakes
         // and steal-capping all engage) must produce the same `StreamOutcome`
         // bit for bit on both engines. The debug rendering covers every field
-        // (latencies, back-pressure count, depth series, source lag, ...).
+        // (latencies, back-pressure count, source lag, ...).
         let trace = distributed::unhinted(&distributed::sparselu(4, 0.4, 7, 0.002));
         let arrivals: Vec<SimTime> = (0..trace.task_count())
             .map(|i| SimTime::ZERO + us(5) * i as u64)
@@ -2510,11 +2475,99 @@ mod tests {
         }
     }
 
+    /// Panics unless every task of `trace` started no earlier than each of
+    /// its last-writer producers finished, that is the producer's `Started`
+    /// stamp plus its duration (the pools are uniform, so a body takes
+    /// exactly its trace duration). Neither the master's last-writer table
+    /// nor `check_conservation` compares the order of two tasks.
+    fn assert_dependence_order(trace: &Trace, rec: &nexus_obs::MemRecorder, what: &str) {
+        let mut started = vec![None; trace.task_count()];
+        for &(at, ref ev) in &rec.events {
+            if let SpanEvent::Started { task, .. } = *ev {
+                started[task] = Some(at);
+            }
+        }
+        let tasks: Vec<&TaskDescriptor> = trace.tasks().collect();
+        let mut scanner = DepScanner::new(1);
+        let mut early = Vec::new();
+        for (c, task) in tasks.iter().enumerate() {
+            let start = started[c].expect("every task starts");
+            for p in scanner.scan_full(task).producers {
+                let done = started[p].expect("every task starts") + tasks[p].duration.as_ps();
+                if start < done {
+                    early.push((p, c));
+                }
+            }
+        }
+        assert!(
+            early.is_empty(),
+            "{what}: {} consumers started before their producer finished, (producer, consumer) {early:?}",
+            early.len()
+        );
+    }
+
+    #[test]
+    fn open_loop_runs_keep_dependence_order_and_place_each_task_once() {
+        // Regression: open-loop `place`/`full` runs used to re-place a task
+        // at submit over cross-node state a pre-pass had built for tasks not
+        // yet submitted. That counted in-flight notifications twice
+        // ("remaining_remote underflow") and let consumers start before
+        // their producers finished. With digests every kind follows the same
+        // feedback rule, so in those modes the three kinds must agree. Two
+        // workers per node reach the case of a producer still crossing the
+        // fabric after a grant when its consumer commits.
+        let trace = distributed::unhinted(&distributed::sparselu(4, 0.4, 7, 0.002));
+        let arrivals: Vec<SimTime> = (0..trace.task_count())
+            .map(|i| SimTime::ZERO + us(5) * i as u64)
+            .collect();
+        let overlay = nexus_trace::arrivals::ArrivalOverlay::new(arrivals).unwrap();
+        let source = StreamingSource::open_loop(overlay, crate::stream::AdmissionConfig::new(4));
+        let link = LinkConfig::rdma().with_topology(crate::config::Topology::FullMesh);
+        for workers in [4, 2] {
+            for feedback in FeedbackKind::ALL {
+                for stealing in [
+                    StealKind::Disabled,
+                    StealKind::MostLoaded,
+                    StealKind::Hierarchical,
+                ] {
+                    let mut runs = Vec::new();
+                    for placement in PolicyKind::ALL {
+                        let what = format!("4x{workers} {feedback}/{stealing}/{placement}");
+                        let cfg = ClusterConfig::new(4, workers)
+                            .with_link(link)
+                            .with_placement(placement)
+                            .with_stealing(stealing)
+                            .with_feedback(feedback);
+                        let mut rec = nexus_obs::MemRecorder::new(nexus_obs::TimeBase::VirtualPs);
+                        let out = ClusterDriver::new(&cfg, |_| tight_sharp())
+                            .run_streaming_recorded(&trace, &source, &mut rec);
+                        assert_eq!(out.cluster.tasks, trace.task_count() as u64, "{what}");
+                        assert_dependence_order(&trace, &rec, &what);
+                        let c = &out.cluster;
+                        runs.push((
+                            (c.makespan, c.sim_events, c.steals, c.reclaims),
+                            (c.notifications, c.link.words, out.latencies),
+                        ));
+                    }
+                    if feedback.place_enabled() {
+                        for (run, placement) in runs.iter().zip(PolicyKind::ALL).skip(1) {
+                            assert!(
+                                *run == runs[0],
+                                "4x{workers} {feedback}/{stealing}: {placement} differs from {}",
+                                PolicyKind::ALL[0]
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn feedback_placement_follows_the_live_digests() {
         // `place` mode on an un-hinted imbalanced trace: the digests steer
         // un-hinted tasks away from the hot node, so placement spreads
-        // strictly better than the static pre-pass decision.
+        // strictly better than the static rule.
         let trace = distributed::unhinted(&distributed::imbalanced(4, 96, 8.0, us(50), 0.1, 5));
         let cfg = ClusterConfig::new(4, 2).with_link(LinkConfig::rdma());
         let static_run = simulate_cluster(&trace, &cfg, |_| tight_sharp());

@@ -13,24 +13,25 @@
 //!   per-tier traffic accounting), and the placement and work-stealing policy
 //!   selection ([`PolicyKind`] / [`StealKind`] from `nexus-sched`),
 //! * [`ClusterDriver`] / [`simulate_cluster`] — the event-driven cluster
-//!   simulation: a master streams the trace, tasks are routed to home nodes
-//!   by the configured placement policy (affinity hint + the paper's XOR
+//!   simulation: a master streams the trace, each task is placed on its home
+//!   node once, as the master submits it, by the configured placement policy
+//!   (affinity hint + the paper's XOR
 //!   distribution function by default; distance-aware policies see the
 //!   fabric's distance matrix), cross-node dependency notifications are
 //!   forwarded hop by hop over the links, and — when enabled — idle nodes
 //!   steal pending descriptors from loaded neighbours at descriptor
 //!   re-forwarding cost ([`simulate_cluster_on`] runs on an explicit custom
 //!   fabric). With runtime feedback enabled ([`FeedbackKind`]), retirement
-//!   notifications piggyback live per-node load digests that drive
-//!   submit-time re-placement, and idle nodes may *reclaim*
-//!   dependence-blocked descriptors a steal could never reach,
+//!   notifications piggyback live per-node load digests that steer that
+//!   placement, and idle nodes may *reclaim* dependence-blocked descriptors
+//!   a steal could never reach,
 //! * [`ClusterOutcome`] — aggregate and per-node results plus interconnect
 //!   traffic (total and per fabric tier) and steal statistics,
 //! * [`stream`] / [`simulate_streaming`] — service-mode (open-loop) runs:
 //!   a [`StreamingSource`] releases submissions at arrival times through
 //!   bounded per-node admission queues with back-pressure to the source,
-//!   and [`StreamOutcome`] adds per-task submit→retire latencies, admission
-//!   depth series and back-pressure counts on top of the closed-loop fields,
+//!   and [`StreamOutcome`] adds per-task submit→retire latencies and
+//!   back-pressure counts on top of the closed-loop fields,
 //! * [`routing`] — the policy-driven dependence scanner and the remote-edge
 //!   census used by benchmarks and tests,
 //! * [`moves`] — [`MoveKind`], the steal and reclaim decisions the simulator
@@ -87,7 +88,7 @@ pub use outcome::{ClusterOutcome, LinkStats, TierStats};
 pub use routing::{
     edge_stats, edge_stats_on, edge_stats_with, home_of, remote_edge_fraction, EdgeStats,
 };
-pub use stream::{AdmissionConfig, DepthSeries, StreamOutcome, StreamingSource};
+pub use stream::{AdmissionConfig, StreamOutcome, StreamingSource};
 
 /// Convenience prelude.
 pub mod prelude {

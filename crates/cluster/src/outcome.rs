@@ -91,7 +91,8 @@ pub struct ClusterOutcome {
     /// One [`SimOutcome`] per node (local makespan, work, idle time, manager
     /// diagnostics).
     pub per_node: Vec<SimOutcome>,
-    /// Dependency-edge census under the cluster routing.
+    /// Dependency-edge census of the placements the run made (each task's
+    /// home as the master submitted it, before any migration).
     pub edges: EdgeStats,
     /// Cross-node dependency notifications forwarded over the interconnect.
     pub notifications: u64,

@@ -43,7 +43,7 @@ impl EdgeStats {
     }
 }
 
-/// One task's routing record, as produced by [`DepScanner::scan_full`].
+/// One task's placement, as decided by [`DepScanner::place`].
 #[derive(Debug, Clone)]
 pub struct ScanRecord {
     /// The home node chosen by the placement policy.
@@ -51,20 +51,22 @@ pub struct ScanRecord {
     /// Indices (into submission order) of *all* distinct last-writer
     /// producers, ascending.
     pub producers: Vec<usize>,
-    /// The subset of `producers` homed on a different node, ascending.
-    pub remote_producers: Vec<usize>,
 }
 
 /// Streaming last-writer dependency scan over a trace's tasks in submission
 /// order. This is the *single* definition of what counts as a dependency edge
 /// (the last writer of an address feeding every later task touching it — flow
-/// and output dependencies, whose completion notifications the cluster driver
-/// must forward): both the [`edge_stats`] census and the cluster driver's
-/// routing pre-pass are built on it, so they can never disagree.
+/// and output dependencies, whose completion notifications the cluster must
+/// forward) and the single place where a task gets its home: the
+/// [`edge_stats`] census, the cluster driver and the live runtime all place
+/// each task once, as it is submitted, through one scanner.
 ///
-/// Placement is decided by the scanner's [`PolicyKind`]: for every task the
-/// scanner assembles the policy inputs (the homes of the task's last-writer
-/// producers and the per-node load placed so far) and records the decision.
+/// A scan has two halves. [`DepScanner::place`] finds the task's producers
+/// and asks the scanner's [`PolicyKind`] for a home, handing it the homes of
+/// those producers and the per-node load placed so far; it records nothing.
+/// [`DepScanner::record`] then commits the decision. A caller that may defer
+/// a submission (the simulator's admission check) places, and records only
+/// once the submission goes through.
 pub struct DepScanner {
     nodes: usize,
     policy: PolicyKind,
@@ -76,6 +78,8 @@ pub struct DepScanner {
     homes: Vec<usize>,
     loads: Vec<PlacedLoad>,
     stats: EdgeStats,
+    /// The producers' homes handed to the policy, reused across scans.
+    producer_homes: Vec<usize>,
 }
 
 impl DepScanner {
@@ -95,6 +99,7 @@ impl DepScanner {
             homes: Vec::new(),
             loads: vec![PlacedLoad::default(); nodes],
             stats: EdgeStats::default(),
+            producer_homes: Vec::new(),
         }
     }
 
@@ -113,37 +118,34 @@ impl DepScanner {
         self
     }
 
-    /// Scans the next task (tasks must be fed in submission order). Returns
-    /// its home node and the indices (into submission order) of its *remote*
-    /// last-writer producers, ascending.
-    pub fn scan(&mut self, task: &TaskDescriptor) -> (usize, Vec<usize>) {
-        let r = self.scan_full(task);
-        (r.home, r.remote_producers)
-    }
-
-    /// Scans the next task, returning the full routing record (all producers
-    /// plus the remote subset — the cluster driver needs both to re-home
-    /// dependence notifications when a descriptor is stolen).
+    /// Scans the next task (tasks must be fed in submission order): places
+    /// it and records the placement.
     pub fn scan_full(&mut self, task: &TaskDescriptor) -> ScanRecord {
         self.scan_full_live(task, None)
     }
 
     /// [`DepScanner::scan_full`] with live load digests made visible to the
-    /// placement. This is the live runtime's feedback-placement entry point:
-    /// the scanner keeps owning the homes table (so dependence subscriptions
-    /// stay consistent with placement), while the caller feeds in whatever
-    /// digests have arrived by submit time. Every policy reads them: with
-    /// `live` set, an un-hinted task follows the feedback rule of
-    /// [`PolicyKind::place`] whatever the scanner's kind, and with `None`
-    /// this is exactly [`DepScanner::scan_full`].
+    /// placement: [`DepScanner::place`] followed by [`DepScanner::record`].
     pub fn scan_full_live(
         &mut self,
         task: &TaskDescriptor,
         live: Option<LiveLoad<'_>>,
     ) -> ScanRecord {
-        let i = self.homes.len();
-        // `last_writer` only holds indices of previously scanned tasks, so a
-        // task can never appear as its own producer.
+        let r = self.place(task, live);
+        self.record(task, &r);
+        r
+    }
+
+    /// Decides the home of the next task (the one after every recorded
+    /// task) and finds its last-writer producers, recording nothing: called
+    /// again before [`DepScanner::record`], it decides against the same
+    /// state, so only `live` can change the answer. With `live` set, an
+    /// un-hinted task follows the feedback rule of [`PolicyKind::place`]
+    /// whatever the scanner's kind; with `None` the kind's static rule
+    /// applies.
+    pub fn place(&mut self, task: &TaskDescriptor, live: Option<LiveLoad<'_>>) -> ScanRecord {
+        // `last_writer` only holds indices of recorded tasks, so a task can
+        // never appear as its own producer.
         let mut producers: Vec<usize> = task
             .params
             .iter()
@@ -151,13 +153,15 @@ impl DepScanner {
             .collect();
         producers.sort_unstable();
         producers.dedup();
-        let producer_homes: Vec<usize> = producers.iter().map(|&d| self.homes[d]).collect();
+        self.producer_homes.clear();
+        self.producer_homes
+            .extend(producers.iter().map(|&d| self.homes[d]));
         let home = self.policy.place(
             task,
             &PlacementCtx {
                 nodes: self.nodes,
                 loads: &self.loads,
-                producer_homes: &producer_homes,
+                producer_homes: &self.producer_homes,
                 distances: &self.distances,
                 live,
             },
@@ -168,23 +172,23 @@ impl DepScanner {
             self.policy,
             self.nodes
         );
-        let remote_producers: Vec<usize> = producers
-            .iter()
-            .copied()
-            .filter(|&d| self.homes[d] != home)
-            .collect();
-        self.stats.total += producers.len() as u64;
-        self.stats.remote += remote_producers.len() as u64;
-        self.homes.push(home);
-        self.loads[home].tasks += 1;
-        self.loads[home].work += task.duration;
+        ScanRecord { home, producers }
+    }
+
+    /// Commits `task`'s placement `r` (as [`DepScanner::place`] returned
+    /// it): the task takes the next submission index, its home is charged
+    /// with its load, its edges join the census and its outputs become the
+    /// last writes of their addresses.
+    pub fn record(&mut self, task: &TaskDescriptor, r: &ScanRecord) {
+        let i = self.homes.len();
+        let remote = r.producers.iter().filter(|&&d| self.homes[d] != r.home);
+        self.stats.remote += remote.count() as u64;
+        self.stats.total += r.producers.len() as u64;
+        self.homes.push(r.home);
+        self.loads[r.home].tasks += 1;
+        self.loads[r.home].work += task.duration;
         for p in task.outputs() {
             self.last_writer.insert(p.addr, i);
-        }
-        ScanRecord {
-            home,
-            producers,
-            remote_producers,
         }
     }
 
@@ -196,12 +200,12 @@ impl DepScanner {
     /// The home node of submission `idx`.
     ///
     /// # Panics
-    /// Panics if fewer than `idx + 1` tasks were scanned.
+    /// Panics if fewer than `idx + 1` tasks were recorded.
     pub fn home(&self, idx: usize) -> usize {
         self.homes[idx]
     }
 
-    /// The submission index of the last scanned task that wrote `addr`, if
+    /// The submission index of the last recorded task that wrote `addr`, if
     /// any did.
     pub fn last_writer(&self, addr: u64) -> Option<usize> {
         self.last_writer.get(&addr).copied()
@@ -219,7 +223,7 @@ pub fn edge_stats(trace: &Trace, nodes: usize) -> EdgeStats {
 pub fn edge_stats_with(trace: &Trace, nodes: usize, policy: PolicyKind) -> EdgeStats {
     let mut scanner = DepScanner::with_policy(nodes, policy);
     for task in trace.tasks() {
-        scanner.scan(task);
+        scanner.scan_full(task);
     }
     scanner.stats()
 }
@@ -232,7 +236,7 @@ pub fn edge_stats_on(trace: &Trace, cfg: &crate::config::ClusterConfig) -> EdgeS
     let mut scanner = DepScanner::with_policy(cfg.nodes, cfg.placement)
         .with_distances(cfg.link.fabric(cfg.nodes).distances());
     for task in trace.tasks() {
-        scanner.scan(task);
+        scanner.scan_full(task);
     }
     scanner.stats()
 }
@@ -300,7 +304,7 @@ mod tests {
         let t = distributed::sparselu(4, 0.4, 9, 0.002);
         let mut scanner = DepScanner::new(4);
         for task in t.tasks() {
-            let (home, _) = scanner.scan(task);
+            let home = scanner.scan_full(task).home;
             assert_eq!(home, home_of(task, 4), "{}", task.id);
         }
         assert_eq!(scanner.stats(), edge_stats(&t, 4));
@@ -328,7 +332,7 @@ mod tests {
         );
         assert_eq!(r.home, 1);
         assert_eq!(r.producers, vec![0, 1]);
-        assert_eq!(r.remote_producers, vec![0]);
+        // Producer 0 lives on the other node: one of the two edges is remote.
         assert_eq!(
             scanner.stats(),
             EdgeStats {
@@ -355,7 +359,45 @@ mod tests {
                 .build(),
         );
         assert_eq!(r.producers, vec![0, 2]);
-        assert_eq!(r.remote_producers, vec![2]);
+        // Only producer 2 (on node 1) is remote to node 0.
+        assert_eq!(
+            scanner.stats(),
+            EdgeStats {
+                total: 4,
+                remote: 2
+            }
+        );
+    }
+
+    #[test]
+    fn place_records_nothing_until_record_commits_it() {
+        let producer = TaskDescriptor::builder(0).output(0x100).affinity(1).build();
+        let consumer = TaskDescriptor::builder(1)
+            .input(0x100)
+            .output(0x200)
+            .build();
+        let mut scanner = DepScanner::with_policy(2, PolicyKind::TopologyAware);
+        scanner.scan_full(&producer);
+        let first = scanner.place(&consumer, None);
+        let again = scanner.place(&consumer, None);
+        assert_eq!(
+            (first.home, &first.producers),
+            (again.home, &again.producers)
+        );
+        assert_eq!(first.producers, vec![0]);
+        assert_eq!(first.home, 1, "the consumer follows its producer");
+        assert_eq!(scanner.stats().total, 0, "placing records no edge");
+        assert_eq!(scanner.last_writer(0x200), None, "nor a write");
+        scanner.record(&consumer, &first);
+        assert_eq!(scanner.home(1), 1);
+        assert_eq!(scanner.last_writer(0x200), Some(1));
+        assert_eq!(
+            scanner.stats(),
+            EdgeStats {
+                total: 1,
+                remote: 0
+            }
+        );
     }
 
     #[test]

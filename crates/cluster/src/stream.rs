@@ -10,18 +10,18 @@
 //!
 //! Admission counts everything the source has emitted toward a node and the
 //! node has not yet handed to its manager: descriptors in flight on the wire
-//! plus the node's pending input queue. An arrival that finds its home node's
-//! admission domain full **blocks the source clock** — it is never dropped;
+//! plus the node's pending input queue. An arrival is placed once it is due,
+//! and if its home node's admission domain is full it **blocks the source
+//! clock** (it is placed again when the master retries) — it is never dropped;
 //! the whole arrival process shifts by the blocked duration (the accumulated
 //! shift is reported as [`StreamOutcome::source_lag`]) and the episode is
 //! counted in [`StreamOutcome::backpressure_events`].
 //!
 //! [`StreamOutcome`] carries the raw per-task submit→retire latencies (in
-//! submission order) and a coarsened admission-depth time series;
-//! `nexus-flow` folds them into log-bucket histograms, percentiles and knee
-//! sweeps.
+//! submission order) plus the back-pressure counters; `nexus-flow` folds the
+//! latencies into log-bucket histograms, percentiles and knee sweeps.
 
-use nexus_sim::{SimDuration, SimTime};
+use nexus_sim::SimDuration;
 use nexus_trace::ArrivalOverlay;
 use serde::{Deserialize, Serialize};
 
@@ -99,75 +99,8 @@ impl StreamingSource {
     }
 }
 
-/// A coarsened time series of admission-queue depth samples: every push is
-/// kept until the buffer reaches twice its cap, then every other retained
-/// sample is dropped and the stride doubles — deterministic, bounded memory,
-/// and the retained samples are a uniform subsample of the pushes.
-#[derive(Debug, Clone)]
-pub struct DepthSeries {
-    samples: Vec<(SimTime, u64)>,
-    cap: usize,
-    stride: u64,
-    pushes: u64,
-}
-
-impl DepthSeries {
-    /// Default retained-sample cap.
-    pub const DEFAULT_CAP: usize = 512;
-
-    /// A series retaining at most `2 * cap` samples at any point.
-    pub fn new(cap: usize) -> Self {
-        DepthSeries {
-            samples: Vec::new(),
-            cap: cap.max(2),
-            stride: 1,
-            pushes: 0,
-        }
-    }
-
-    /// Offers one sample; retained if it falls on the current stride.
-    pub fn push(&mut self, at: SimTime, depth: u64) {
-        if self.pushes.is_multiple_of(self.stride) {
-            if self.samples.len() >= 2 * self.cap {
-                // Halve the resolution: keep every other retained sample.
-                let mut keep = 0;
-                self.samples.retain(|_| {
-                    keep += 1;
-                    (keep - 1) % 2 == 0
-                });
-                self.stride *= 2;
-            }
-            if self.pushes.is_multiple_of(self.stride) {
-                self.samples.push((at, depth));
-            }
-        }
-        self.pushes += 1;
-    }
-
-    /// The retained samples, in time order.
-    pub fn samples(&self) -> &[(SimTime, u64)] {
-        &self.samples
-    }
-
-    /// Consumes the series into its retained samples.
-    pub fn into_samples(self) -> Vec<(SimTime, u64)> {
-        self.samples
-    }
-
-    /// Total samples offered (before coarsening).
-    pub fn pushes(&self) -> u64 {
-        self.pushes
-    }
-}
-
-impl Default for DepthSeries {
-    fn default() -> Self {
-        Self::new(Self::DEFAULT_CAP)
-    }
-}
-
 /// The result of a streaming run: the usual [`ClusterOutcome`] plus the
-/// service-side raw measurements (latencies, back-pressure, depth series).
+/// service-side raw measurements (latencies, back-pressure, source lag).
 #[derive(Debug, Clone)]
 pub struct StreamOutcome {
     /// The closed-loop outcome fields (makespan, traffic, per-node stats).
@@ -184,9 +117,6 @@ pub struct StreamOutcome {
     /// Largest admission-domain occupancy observed on any node. Never
     /// exceeds the configured depth on open-loop runs.
     pub max_admission_depth: usize,
-    /// Coarsened time series of the admission depth seen by each arrival at
-    /// its home node.
-    pub depth_series: Vec<(SimTime, u64)>,
     /// Total time the source clock spent blocked on full admission queues
     /// (the shift applied to the tail of the arrival process).
     pub source_lag: SimDuration,
@@ -208,6 +138,7 @@ impl StreamOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nexus_sim::SimTime;
 
     fn t(us: u64) -> SimTime {
         SimTime::ZERO + SimDuration::from_us(us)
@@ -223,25 +154,6 @@ mod tests {
     #[should_panic(expected = "at least 1")]
     fn zero_depth_rejected() {
         let _ = AdmissionConfig::new(0);
-    }
-
-    #[test]
-    fn depth_series_coarsens_deterministically() {
-        let mut s = DepthSeries::new(8);
-        for i in 0..1000u64 {
-            s.push(t(i), i);
-        }
-        assert_eq!(s.pushes(), 1000);
-        assert!(s.samples().len() <= 16, "{}", s.samples().len());
-        // Still spans the whole run: first sample kept, last region sampled.
-        assert_eq!(s.samples()[0], (t(0), 0));
-        assert!(s.samples().last().unwrap().1 >= 896);
-        // Deterministic: a second identical series retains identical samples.
-        let mut s2 = DepthSeries::new(8);
-        for i in 0..1000u64 {
-            s2.push(t(i), i);
-        }
-        assert_eq!(s.samples(), s2.samples());
     }
 
     #[test]

@@ -30,4 +30,4 @@ mod span;
 pub use check::{check_conservation, ConservationReport};
 pub use chrome::{chrome_trace, text_timeline};
 pub use registry::{Gauge, Registry};
-pub use span::{MemRecorder, NullRecorder, Recorder, SharedRecorder, SpanEvent, TimeBase};
+pub use span::{MemRecorder, Recorder, SharedRecorder, SpanEvent, TimeBase};

@@ -154,16 +154,6 @@ pub trait Recorder {
     fn record(&mut self, at: u64, event: SpanEvent);
 }
 
-/// A recorder that drops everything. Useful as an explicit "tracing off"
-/// argument; the hot paths skip the virtual call entirely when no recorder
-/// is attached, so this mostly serves tests.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullRecorder;
-
-impl Recorder for NullRecorder {
-    fn record(&mut self, _at: u64, _event: SpanEvent) {}
-}
-
 /// In-memory recorder: an append-only event log plus its time base.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MemRecorder {

@@ -377,8 +377,8 @@ impl Inner {
     fn plan(&self, sub: &mut SubmitState, task: RtTask) -> Out {
         let RtTask { descriptor, body } = task;
         let rec = if self.feedback.place_enabled() {
-            // Place against the freshest published digests — the live
-            // analogue of the simulator's submit-time re-placement.
+            // Place against the freshest published digests, as the
+            // simulator's master does when it submits a task.
             let digests = self.lock_digests();
             let live = digests.live(self.now_ns());
             sub.scanner.scan_full_live(&descriptor, Some(live))
@@ -392,6 +392,13 @@ impl Inner {
             subscribed,
             ..
         } = sub;
+        let mut out = Out::new();
+        for &producer in &rec.producers {
+            let (from, to) = (scanner.home(producer), rec.home);
+            if from != to && subscribed.insert((producer, to)) {
+                out.push_back((from, Msg::Subscribe { producer, to }));
+            }
+        }
         let mut missing = rec.producers;
         for p in &descriptor.params {
             let readers = addrs.entry(p.addr).or_default();
@@ -405,13 +412,6 @@ impl Inner {
         }
         missing.sort_unstable();
         missing.dedup();
-        let mut out = Out::new();
-        for &producer in &rec.remote_producers {
-            if subscribed.insert((producer, rec.home)) {
-                let to = rec.home;
-                out.push_back((scanner.home(producer), Msg::Subscribe { producer, to }));
-            }
-        }
         if let Some(r) = &self.rec {
             r.record_now(SpanEvent::Submitted { task: idx });
             r.record_now(SpanEvent::Placed {

@@ -1,6 +1,6 @@
 //! Live load telemetry for feedback-driven scheduling.
 //!
-//! The routing pre-pass sees only the load it has placed itself; it cannot
+//! A static placement sees only the load it has placed itself; it cannot
 //! know that one node's manager pool has backed up at runtime. [`LoadView`]
 //! is the per-node *live* digest closing that loop, aged by its staleness and
 //! exponentially decayed so an old digest stops repelling placements. Both
@@ -137,15 +137,15 @@ impl LoadTracker {
 }
 
 /// Which feedback consumers are active (the `ClusterConfig` / `NEXUS_FEEDBACK`
-/// handle). Off by default: the scheduling path is bit-identical to the
-/// static pre-pass behaviour unless explicitly enabled.
+/// handle). Off by default: every task is placed by its kind's static rule
+/// and only stealing balances load, unless feedback is explicitly enabled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum FeedbackKind {
-    /// No feedback: static pre-pass placement, steal-only balancing.
+    /// No feedback: static placement at submit, steal-only balancing.
     #[default]
     Off,
-    /// Live placement only: un-hinted tasks are re-homed at submit time by
-    /// the feedback rule of [`crate::PolicyKind::place`], which reads the
+    /// Live placement only: un-hinted tasks are placed at submit by the
+    /// feedback rule of [`crate::PolicyKind::place`], which reads the
     /// decayed digests whatever the placement kind.
     Place,
     /// Task-pool reclamation only (idle nodes pull dependence-blocked

@@ -1,7 +1,8 @@
 //! Task → node placement.
 //!
-//! The cluster driver routes every submitted task to a *home node* before the
-//! simulation starts (the routing pre-pass). [`PolicyKind::place`] makes that
+//! Both clocks (the cluster simulator and the live runtime) route every task
+//! to a *home node* once, as it is submitted, through one dependence scanner
+//! (`nexus_cluster::routing::DepScanner`). [`PolicyKind::place`] makes that
 //! decision: it sees the task descriptor, the homes of the task's last-writer
 //! producers (the dependence census accumulated so far), a snapshot of the
 //! load already placed on every node and the fabric's [`DistanceMatrix`], and
@@ -23,8 +24,8 @@
 //!   weighs the same, and each task goes where most of its last-writer
 //!   producers live.
 //!
-//! Once live load digests flow ([`PlacementCtx::live`], set only for the
-//! `place` feedback mode's submit-time decision), every kind applies one
+//! Once live load digests flow ([`PlacementCtx::live`], set only in the
+//! `place` and `full` feedback modes), every kind applies one
 //! *feedback* rule instead: minimize decayed live load combined with
 //! distance-weighted producer cost (see [`PolicyKind::place`]).
 //!
@@ -42,7 +43,8 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
-/// Load already placed on one node by the routing pre-pass.
+/// Load already placed on one node: the tasks whose placement was recorded
+/// there so far (where they were placed, not where they ran).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlacedLoad {
     /// Tasks placed on the node so far.
@@ -68,7 +70,7 @@ pub struct PlacementCtx<'a> {
     /// Live per-node load digests ([`LiveLoad`]), when runtime feedback is
     /// flowing. Every kind reads them: with digests, an un-hinted task
     /// follows the feedback rule of [`PolicyKind::place`] instead of its
-    /// kind's static rule. `None` during the static routing pre-pass.
+    /// kind's static rule. `None` when no feedback placement is enabled.
     pub live: Option<LiveLoad<'a>>,
 }
 

@@ -70,11 +70,11 @@ fn open_loop_sparselu_on_mesh_with_full_feedback() {
         .with_feedback(FeedbackKind::Full);
     let out = simulate_streaming(&trace, &source, &cfg, |_| tight_sharp());
     assert_eq!(out.cluster.tasks, 560);
-    assert_eq!(out.cluster.makespan.as_ps(), 40_899_637_580);
-    assert_eq!(out.cluster.sim_events, 6_077);
-    assert_eq!(out.cluster.steals, 142);
-    assert_eq!(out.cluster.reclaims, 81);
-    assert_eq!(out.backpressure_events, 107);
+    assert_eq!(out.cluster.makespan.as_ps(), 39_864_887_981);
+    assert_eq!(out.cluster.sim_events, 6_165);
+    assert_eq!(out.cluster.steals, 152);
+    assert_eq!(out.cluster.reclaims, 103);
+    assert_eq!(out.backpressure_events, 125);
     assert_eq!(out.max_admission_depth, 4);
 }
 

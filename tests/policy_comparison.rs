@@ -127,7 +127,7 @@ fn xorhash_without_stealing_reproduces_the_original_routing() {
         let mut scanner = DepScanner::new(4);
         let mut expected_tasks = vec![0u64; 4];
         for task in trace.tasks() {
-            let (home, _) = scanner.scan(task);
+            let home = scanner.scan_full(task).home;
             assert_eq!(home, home_of(task, 4), "{}: {}", trace.name, task.id);
             expected_tasks[home] += 1;
         }

@@ -14,8 +14,10 @@
 //! * A load ramp demonstrates the sustainable-throughput knee.
 //! * The whole pipeline is deterministic: identical seeds give bit-identical
 //!   percentiles across repeated runs and across both event engines.
+//! * Live placement under load retires every task: each task is placed once,
+//!   when the master submits it, so no notification is counted twice.
 
-use nexus::cluster::{simulate_streaming, StreamingSource};
+use nexus::cluster::{simulate_streaming, FeedbackKind, LinkConfig, StreamingSource, Topology};
 use nexus::flow::knee_sweep;
 use nexus::prelude::*;
 use nexus::sim::EngineKind;
@@ -177,7 +179,7 @@ fn service_percentiles_are_bit_identical_across_engines_and_reruns() {
         let heap = run(EngineKind::Heap);
         let heap2 = run(EngineKind::Heap);
         let calendar = run(EngineKind::Calendar);
-        // Full-outcome equality (latency vectors, histogram, depth series).
+        // Full-outcome equality (latency vectors, histogram, back-pressure).
         assert_eq!(
             format!("{heap:?}"),
             format!("{heap2:?}"),
@@ -192,4 +194,25 @@ fn service_percentiles_are_bit_identical_across_engines_and_reruns() {
         assert_eq!(heap.p99(), calendar.p99(), "{kind}");
         assert_eq!(heap.p999(), calendar.p999(), "{kind}");
     }
+}
+
+#[test]
+fn live_placement_with_migration_retires_every_task() {
+    // Regression: the simulator used to place every task twice, once in a
+    // routing pre-pass and again at submit in `place` mode. The second
+    // placement recounted the task's outstanding notifications from scratch,
+    // so one already in flight was counted twice and this run died with
+    // "remaining_remote underflow: task 4798 at node 3, t=194.226ms".
+    let trace = distributed::unhinted(&distributed::sparselu(4, 0.3, 42, 0.02));
+    let svc = service(ArrivalKind::Poisson, us(40), 16);
+    let cfg = ClusterConfig::new(4, 8)
+        .with_link(LinkConfig::rdma().with_topology(Topology::RackTiers))
+        .with_placement(PolicyKind::TopologyAware)
+        .with_stealing(StealKind::Hierarchical)
+        .with_feedback(FeedbackKind::Place);
+    let out = simulate_service(&trace, &svc, &cfg, |_| NexusSharp::paper(6));
+    assert_eq!(trace.task_count(), 4_960);
+    assert_eq!(out.stream.cluster.tasks, 4_960);
+    assert_eq!(out.stream.latencies.len(), 4_960);
+    assert!(out.stream.cluster.steals > 0, "the run must migrate work");
 }
