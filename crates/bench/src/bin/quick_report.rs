@@ -2,8 +2,8 @@
 //!
 //! Runs every Table II benchmark at a small scale under the four Fig. 8
 //! managers on a few core counts and prints measured vs. paper maximum
-//! speedups, followed by small cluster, policy, topology, service and
-//! event-engine samples. Useful as a smoke test before launching the full
+//! speedups, followed by small cluster, policy, topology and service
+//! samples. Useful as a smoke test before launching the full
 //! `cargo bench` reproduction, and as a quickstart demonstration of the
 //! library.
 //!
@@ -21,8 +21,7 @@ use nexus_bench::paper::table4_row;
 use nexus_bench::report::{fmt_speedup, Table};
 use nexus_bench::runner::{bench_scale, cluster_feedback, curves_for};
 use nexus_cluster::{
-    simulate_cluster, ClusterConfig, ClusterDriver, FeedbackKind, LinkConfig, PolicyKind,
-    StealKind, Topology,
+    simulate_cluster, ClusterConfig, FeedbackKind, LinkConfig, PolicyKind, StealKind, Topology,
 };
 use nexus_core::NexusSharp;
 use nexus_flow::{ArrivalConfig, ArrivalKind, ServiceConfig};
@@ -47,7 +46,6 @@ fn main() {
     policy_section(feedback);
     topology_section();
     service_section();
-    engine_profile_section();
 }
 
 fn report_tables(scale: f64) {
@@ -93,58 +91,6 @@ fn report_tables(scale: f64) {
                 .unwrap_or_default(),
         ]);
         eprintln!("  [{}] done in {:?}", bench.name(), t0.elapsed());
-    }
-    table.print();
-}
-
-/// Profiles the pluggable event engines on one 8-node run: per-event-kind
-/// handler wall time plus queue pop/push/coalesce counters, calendar vs.
-/// heap. This is the measurement behind the roadmap's claim that the
-/// per-node manager model (the `master_step`/`pump` handlers), not the event
-/// queue, dominates the 8-node hot path. Wall-clock numbers,
-/// machine-dependent.
-fn engine_profile_section() {
-    let trace = distributed::sparselu(8, 0.5, 42, 0.002);
-    let mut table = Table::new(
-        "Quick engine profile: dist-sparselu, 8 nodes, Nexus# 6TG per node",
-        &[
-            "engine",
-            "events",
-            "pops",
-            "coalesced",
-            "hottest event kinds (count, handler wall)",
-        ],
-    );
-    for engine in [nexus_sim::EngineKind::Calendar, nexus_sim::EngineKind::Heap] {
-        let cfg = ClusterConfig::new(8, 8).with_engine(engine);
-        let driver = ClusterDriver::new(&cfg, |_| NexusSharp::paper(6));
-        let (out, prof) = driver.run_profiled(&trace);
-        // The three hottest handlers by accumulated wall time.
-        let mut kinds: Vec<(String, u64, u64)> = prof
-            .counters_with_prefix("engine.event.")
-            .filter_map(|(key, wall)| {
-                let kind = key.strip_suffix(".wall_ns")?.to_string();
-                let count = prof.counter(&format!("{kind}.count"));
-                Some((kind, count, wall))
-            })
-            .collect();
-        kinds.sort_by_key(|&(_, _, wall)| std::cmp::Reverse(wall));
-        let hottest = kinds
-            .iter()
-            .take(3)
-            .map(|(kind, count, wall)| {
-                let name = kind.strip_prefix("engine.event.").unwrap_or(kind);
-                format!("{name} ({count}, {:.2} ms)", *wall as f64 / 1e6)
-            })
-            .collect::<Vec<_>>()
-            .join("  ");
-        table.row(vec![
-            engine.name().into(),
-            format!("{}", out.sim_events),
-            format!("{}", prof.counter("engine.pops")),
-            format!("{}", prof.counter("engine.inline_coalesced")),
-            hottest,
-        ]);
     }
     table.print();
 }

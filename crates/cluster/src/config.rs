@@ -106,10 +106,6 @@ pub struct ClusterConfig {
     /// so every task is placed by [`ClusterConfig::placement`]'s static rule.
     #[serde(default)]
     pub feedback: FeedbackKind,
-    /// Event-queue engine driving the simulation. Outcomes are bit-identical
-    /// across engines (the equivalence suite asserts it); the calendar engine
-    /// is the fast default, the heap engine the reference.
-    pub engine: EngineKind,
 }
 
 impl ClusterConfig {
@@ -128,7 +124,6 @@ impl ClusterConfig {
             placement: PolicyKind::default(),
             stealing: StealKind::default(),
             feedback: FeedbackKind::default(),
-            engine: EngineKind::default(),
         }
     }
 
@@ -157,10 +152,11 @@ impl ClusterConfig {
         self
     }
 
-    /// Same cluster with a different event-queue engine (outcomes are
-    /// engine-independent; only wall-clock speed changes).
-    pub fn with_engine(mut self, engine: EngineKind) -> Self {
-        self.engine = engine;
+    /// Returns the cluster unchanged: the simulator has one event queue, the
+    /// calendar queue. Kept only for perfbench, which calls
+    /// `cfg.with_engine(EngineKind::Calendar)` and changes only together with
+    /// the benchmark; drop it and [`EngineKind`] then.
+    pub fn with_engine(self, _: EngineKind) -> Self {
         self
     }
 

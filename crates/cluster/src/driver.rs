@@ -82,7 +82,6 @@ use nexus_host::metrics::SimOutcome;
 use nexus_host::pool::WorkerPool;
 use nexus_obs::{Recorder, Registry, SpanEvent};
 use nexus_sched::{LoadTracker, LoadView, NodeLoad};
-use nexus_sim::events::TimedEvent;
 use nexus_sim::{EventQueue, FxHashMap, SimDuration, SimTime};
 use nexus_topo::{DistanceMatrix, Fabric};
 use nexus_trace::{TaskDescriptor, TaskId, Trace};
@@ -201,16 +200,14 @@ impl Event {
 
 /// Wall-clock profile of the event loop, filled by
 /// [`ClusterDriver::run_profiled`]: per-event-kind handler time and queue
-/// pop/push/coalesce counts. Kept *outside* [`ClusterOutcome`] because wall
-/// times are nondeterministic and the outcome is compared bit-for-bit across
-/// engines.
+/// pop/push counts. Kept *outside* [`ClusterOutcome`] because wall times are
+/// nondeterministic and the outcome is compared bit-for-bit across reruns.
 #[derive(Debug, Default)]
 struct EngineProf {
     counts: [u64; Event::KINDS.len()],
     wall_ns: [u64; Event::KINDS.len()],
     pops: u64,
     pushes: u64,
-    inline_coalesced: u64,
 }
 
 impl EngineProf {
@@ -228,7 +225,6 @@ impl EngineProf {
         }
         reg.add("engine.pops", self.pops);
         reg.add("engine.pushes", self.pushes);
-        reg.add("engine.inline_coalesced", self.inline_coalesced);
     }
 }
 
@@ -291,14 +287,14 @@ struct TaskMeta {
     subscribers: Vec<usize>,
 }
 
-/// Open-loop bookkeeping threaded through the event loop by the streaming
-/// entry point ([`ClusterDriver::run_streaming`]). With `gated == false`
-/// (closed-loop source) it performs *no* gating or move capping — only
-/// latency/occupancy accounting on the side — so the event flow stays
-/// bit-identical to [`ClusterDriver::run`]. With `gated == true` the master's
-/// submissions are released at their overlay arrival times, shifted by the
-/// accumulated back-pressure skew, and held while the home node's admission
-/// domain (in-flight + pending descriptors) is at its bound.
+/// Flow bookkeeping every run carries through the event loop. With
+/// `gated == false` (a closed-loop source: [`ClusterDriver::run`] and its
+/// recorded and profiled variants, or [`ClusterDriver::run_streaming`] with
+/// [`StreamingSource::closed_loop`]) it performs *no* gating or move capping,
+/// only latency/occupancy accounting on the side. With `gated == true` the
+/// master's submissions are released at their overlay arrival times, shifted
+/// by the accumulated back-pressure skew, and held while the home node's
+/// admission domain (in-flight + pending descriptors) is at its bound.
 struct FlowState {
     /// Open loop: enforce arrival times and the admission bound.
     gated: bool,
@@ -325,23 +321,25 @@ struct FlowState {
 }
 
 impl FlowState {
-    fn open_loop(arrivals: Vec<SimTime>, depth: usize, tasks: usize, nodes: usize) -> FlowState {
-        debug_assert_eq!(arrivals.len(), tasks);
+    /// The flow state of a run of `trace` on `nodes` nodes fed by `source`.
+    ///
+    /// # Panics
+    /// Panics if an open-loop source's overlay does not cover exactly the
+    /// trace's submissions.
+    fn new(source: &StreamingSource, trace: &Trace, nodes: usize) -> FlowState {
+        let (gated, arrivals, depth) = match &source.overlay {
+            Some(overlay) => {
+                if let Err(e) = overlay.matches(trace) {
+                    panic!("streaming source does not match the trace: {e}");
+                }
+                (true, overlay.times().to_vec(), source.admission.depth)
+            }
+            None => (false, Vec::new(), usize::MAX),
+        };
+        let tasks = trace.task_count();
         FlowState {
-            gated: true,
+            gated,
             arrivals,
-            ..FlowState::closed_loop_inner(depth, tasks, nodes)
-        }
-    }
-
-    fn closed_loop(tasks: usize, nodes: usize) -> FlowState {
-        FlowState::closed_loop_inner(usize::MAX, tasks, nodes)
-    }
-
-    fn closed_loop_inner(depth: usize, tasks: usize, nodes: usize) -> FlowState {
-        FlowState {
-            gated: false,
-            arrivals: Vec::new(),
             skew: SimDuration::ZERO,
             depth,
             admitted: vec![0; nodes],
@@ -400,10 +398,19 @@ impl FlowState {
         };
     }
 
-    /// A descriptor left `node`'s admission domain (handed to the manager or
-    /// moved away); wakes the master if it was blocked on this node.
-    fn on_slot_freed(&mut self, node: usize, now: SimTime, queue: &mut EventQueue<Event>) {
-        self.admitted[node] -= 1;
+    /// The descriptor at `idx` left `node`'s admission domain (handed to the
+    /// manager or moved away); wakes the master if it was blocked on this
+    /// node.
+    fn on_slot_freed(
+        &mut self,
+        node: usize,
+        idx: usize,
+        now: SimTime,
+        queue: &mut EventQueue<Event>,
+    ) {
+        self.admitted[node] = self.admitted[node]
+            .checked_sub(1)
+            .unwrap_or_else(|| underflow("admission count", idx, node, now));
         if self.blocked_on == Some(node) && self.admitted[node] < self.depth {
             self.blocked_on = None;
             queue.schedule(now, Event::MasterStep);
@@ -712,7 +719,8 @@ impl<M: TaskManager> ClusterDriver<M> {
     /// Runs `trace` to completion on the cluster. Panics if the simulation
     /// deadlocks (which would indicate a model bug).
     pub fn run(self, trace: &Trace) -> ClusterOutcome {
-        self.run_inner(trace, None, None, None).0
+        self.run_streaming(trace, &StreamingSource::closed_loop())
+            .cluster
     }
 
     /// Runs `trace` with a [`Recorder`] attached: the event loop emits
@@ -721,17 +729,20 @@ impl<M: TaskManager> ClusterDriver<M> {
     /// bit-identical to [`ClusterDriver::run`], asserted across the full
     /// determinism grid.
     pub fn run_recorded(self, trace: &Trace, rec: &mut dyn Recorder) -> ClusterOutcome {
-        self.run_inner(trace, None, Some(rec), None).0
+        self.run_streaming_recorded(trace, &StreamingSource::closed_loop(), rec)
+            .cluster
     }
 
     /// Runs `trace` with the event loop profiled: returns the outcome plus a
-    /// [`Registry`] of per-event-kind handler wall time (`engine.event.*`)
-    /// and queue pop/push/coalesce counters (`engine.pops`, `engine.pushes`,
-    /// `engine.inline_coalesced`). The wall times are nondeterministic, which
-    /// is why they ride outside the (bit-compared) [`ClusterOutcome`].
+    /// [`Registry`] of per-event-kind handler wall time and counts
+    /// (`engine.event.*`) and the queue's pop and push counters
+    /// (`engine.pops`, which equals the event count, and `engine.pushes`).
+    /// The wall times are nondeterministic, which is why they ride outside
+    /// the (bit-compared) [`ClusterOutcome`].
     pub fn run_profiled(self, trace: &Trace) -> (ClusterOutcome, Registry) {
         let mut prof = EngineProf::default();
-        let outcome = self.run_inner(trace, None, None, Some(&mut prof)).0;
+        let closed = StreamingSource::closed_loop();
+        let outcome = Run::new(self, trace, &closed, None).run(Some(&mut prof)).0;
         let mut reg = Registry::new();
         prof.export(&mut reg);
         (outcome, reg)
@@ -740,9 +751,8 @@ impl<M: TaskManager> ClusterDriver<M> {
     /// Runs `trace` as a *service*: submissions are released by `source`
     /// (arrival times + bounded per-node admission queues) instead of
     /// self-clocked by the master, and per-task submit→retire latencies are
-    /// recorded. A closed-loop source reproduces [`ClusterDriver::run`]
-    /// exactly (bit-identical makespan and event count) with the service
-    /// metrics recorded on the side.
+    /// recorded. With a closed-loop source this is [`ClusterDriver::run`]
+    /// (which runs through it) with the service metrics kept.
     ///
     /// # Panics
     /// Panics if an open-loop source's overlay does not cover exactly the
@@ -769,24 +779,7 @@ impl<M: TaskManager> ClusterDriver<M> {
         source: &StreamingSource,
         rec: Option<&mut dyn Recorder>,
     ) -> StreamOutcome {
-        let tasks = trace.task_count();
-        let nodes = self.cfg.nodes;
-        let flow = match &source.overlay {
-            Some(overlay) => {
-                if let Err(e) = overlay.matches(trace) {
-                    panic!("streaming source does not match the trace: {e}");
-                }
-                FlowState::open_loop(
-                    overlay.times().to_vec(),
-                    source.admission.depth,
-                    tasks,
-                    nodes,
-                )
-            }
-            None => FlowState::closed_loop(tasks, nodes),
-        };
-        let (cluster, flow) = self.run_inner(trace, Some(flow), rec, None);
-        let fs = flow.expect("run_inner returns the flow state it was given");
+        let (cluster, fs) = Run::new(self, trace, source, rec).run(None);
         StreamOutcome {
             cluster,
             latencies: fs.latencies,
@@ -794,21 +787,6 @@ impl<M: TaskManager> ClusterDriver<M> {
             max_admission_depth: fs.max_admitted,
             source_lag: fs.skew,
         }
-    }
-
-    /// The event loop shared by [`ClusterDriver::run`] (`flow == None`) and
-    /// [`ClusterDriver::run_streaming`]. With `flow == None` every flow hook
-    /// compiles to a no-op check, keeping the closed-loop path untouched; the
-    /// same holds for `rec` (span tracing) and `prof` (event-loop profiling),
-    /// each a single `Option` branch when disabled.
-    fn run_inner(
-        self,
-        trace: &Trace,
-        flow: Option<FlowState>,
-        rec: Option<&mut dyn Recorder>,
-        prof: Option<&mut EngineProf>,
-    ) -> (ClusterOutcome, Option<FlowState>) {
-        Run::new(self, trace, flow, rec).run(prof)
     }
 }
 
@@ -874,8 +852,9 @@ fn drain<M: TaskManager>(
 }
 
 /// One run's state: the driver's nodes and fabric plus everything the event
-/// handlers share. [`ClusterDriver::run_inner`] builds it, and each event
-/// kind has one handler method. `flow` (streaming runs), `rec` (span
+/// handlers share. Every entry point of [`ClusterDriver`] builds one, fed by
+/// a [`StreamingSource`] (the plain, recorded and profiled runs by a
+/// closed-loop one), and each event kind has one handler method. `rec` (span
 /// tracing), `tracker` (runtime feedback) and `book` (migration) are `None`
 /// when off, so a disabled hook costs one `Option` branch.
 struct Run<'t, 'r, M> {
@@ -908,7 +887,7 @@ struct Run<'t, 'r, M> {
     /// is enabled: its retirement sweep touches one entry per dependence
     /// edge, a cost that runs which never move a descriptor do not pay.
     book: Option<MoveBook>,
-    flow: Option<FlowState>,
+    flow: FlowState,
     rec: Option<&'r mut dyn Recorder>,
     notifications: u64,
     /// Per [`MoveKind`]: descriptors moved, requests granted and requests
@@ -922,7 +901,7 @@ impl<'t, 'r, M: TaskManager> Run<'t, 'r, M> {
     fn new(
         driver: ClusterDriver<M>,
         trace: &'t Trace,
-        flow: Option<FlowState>,
+        source: &StreamingSource,
         rec: Option<&'r mut dyn Recorder>,
     ) -> Self {
         let ClusterDriver { cfg, nodes, net } = driver;
@@ -938,7 +917,7 @@ impl<'t, 'r, M: TaskManager> Run<'t, 'r, M> {
             book,
             idx_of: IdMap::build(&tasks),
             durations: tasks.iter().map(|t| t.duration).collect(),
-            queue: EventQueue::with_engine(cfg.engine),
+            queue: EventQueue::new(),
             scratch: Vec::new(),
             master: MasterSm::new(),
             supports_taskwait_on: nodes[0].manager.supports_taskwait_on(),
@@ -958,7 +937,7 @@ impl<'t, 'r, M: TaskManager> Run<'t, 'r, M> {
             tasks,
             distances,
             scanner,
-            flow,
+            flow: FlowState::new(source, trace, cfg.nodes),
             rec,
         }
     }
@@ -966,32 +945,13 @@ impl<'t, 'r, M: TaskManager> Run<'t, 'r, M> {
     /// The event loop: events pop in `(time, seq)` order and go to their
     /// handler, then idle nodes may request moves. Profiling samples the
     /// wall clock only when `prof` is attached.
-    fn run(mut self, mut prof: Option<&mut EngineProf>) -> (ClusterOutcome, Option<FlowState>) {
+    fn run(mut self, mut prof: Option<&mut EngineProf>) -> (ClusterOutcome, FlowState) {
         let (stealing, feedback) = (self.cfg.stealing, self.cfg.feedback);
         let enabled = MoveKind::ALL.map(|k| k.enabled(stealing, feedback));
         let mut makespan = SimTime::ZERO;
         let mut events: u64 = 0;
         self.queue.schedule(SimTime::ZERO, Event::MasterStep);
-
-        // Back-to-back link-relay coalescing: when a relay's continuation is
-        // provably the next event to pop (strictly smaller `(time, seq)` key
-        // than the queue minimum, under a seq reserved at the exact position a
-        // plain `schedule` would have used), it is handed to the next loop
-        // iteration directly, skipping one queue round-trip per hop without
-        // perturbing the deterministic event order.
-        let mut inline_next: Option<TimedEvent<Event>> = None;
-        let mut inline_coalesced: u64 = 0;
-        loop {
-            let ev = match inline_next.take() {
-                Some(ev) => {
-                    inline_coalesced += 1;
-                    ev
-                }
-                None => match self.queue.pop() {
-                    Some(ev) => ev,
-                    None => break,
-                },
-            };
+        while let Some(ev) = self.queue.pop() {
             let now = ev.time;
             makespan = makespan.max(now);
             events += 1;
@@ -1006,9 +966,6 @@ impl<'t, 'r, M: TaskManager> Run<'t, 'r, M> {
                 );
             }
 
-            // Set by the relay handler; resolved after the move scans (which
-            // may schedule earlier events and veto the inline).
-            let mut relayed = None;
             match ev.payload {
                 Event::MasterStep => self.master_step(now),
                 Event::DescriptorArrive { node, idx } => self.descriptor_arrive(node, idx, now),
@@ -1034,7 +991,7 @@ impl<'t, 'r, M: TaskManager> Run<'t, 'r, M> {
                     hop,
                     words,
                     then,
-                } => relayed = Some(self.relay(from, to, hop, words, then, now)),
+                } => self.relay(from, to, hop, words, then, now),
             }
 
             // Steals are scanned first (see `MoveKind::ALL`).
@@ -1046,28 +1003,16 @@ impl<'t, 'r, M: TaskManager> Run<'t, 'r, M> {
             if let (Some((t0, kind)), Some(p)) = (prof_start, prof.as_mut()) {
                 p.note(kind, t0.elapsed().as_nanos() as u64);
             }
-            if let Some(te) = relayed {
-                let beats_queue = self
-                    .queue
-                    .peek_key()
-                    .is_none_or(|min| (te.time, te.seq) < min);
-                if beats_queue {
-                    inline_next = Some(te);
-                } else {
-                    self.queue.schedule_at_seq(te.time, te.seq, te.payload);
-                }
-            }
         }
         if let Some(p) = prof {
-            p.pops = events - inline_coalesced;
+            p.pops = events;
             p.pushes = self.queue.total_scheduled();
-            p.inline_coalesced = inline_coalesced;
         }
         self.finish(makespan, events)
     }
 
     /// Checks that every task ran and assembles the outcome.
-    fn finish(self, makespan: SimTime, events: u64) -> (ClusterOutcome, Option<FlowState>) {
+    fn finish(self, makespan: SimTime, events: u64) -> (ClusterOutcome, FlowState) {
         let name = &self.trace.name;
         assert!(
             self.master.is_done(),
@@ -1095,8 +1040,8 @@ impl<'t, 'r, M: TaskManager> Run<'t, 'r, M> {
 
         // The registry the outcome's scalar fields are views over. Populated
         // once here from the driver's deterministic tallies (no hot-path
-        // registry operations), so the engine-equivalence grid can compare it
-        // bit for bit.
+        // registry operations), so the determinism grids can compare it bit
+        // for bit.
         let (steal, reclaim) = (MoveKind::Steal as usize, MoveKind::Reclaim as usize);
         let mut metrics = Registry::new();
         metrics.add("task.executed", executed);
@@ -1123,11 +1068,9 @@ impl<'t, 'r, M: TaskManager> Run<'t, 'r, M> {
             metrics.sample("node.pending.max", n.max_pending as u64);
             metrics.sample("node.executed", n.executed);
         }
-        if let Some(fs) = self.flow.as_ref() {
-            if fs.gated {
-                metrics.add("stream.backpressure", fs.backpressure_events);
-                metrics.sample("stream.admission.max", fs.max_admitted as u64);
-            }
+        if self.flow.gated {
+            metrics.add("stream.backpressure", self.flow.backpressure_events);
+            metrics.sample("stream.admission.max", self.flow.max_admitted as u64);
         }
         let max_pending_depth = self.nodes.iter().map(|n| n.max_pending).max().unwrap_or(0);
         let per_node: Vec<SimOutcome> = self
@@ -1195,10 +1138,8 @@ impl<'t, 'r, M: TaskManager> Run<'t, 'r, M> {
     /// subscribes to its producers (see [`Run::subscribe`]).
     fn submit(&mut self, task: &'t TaskDescriptor, now: SimTime) {
         let idx = self.idx_of.idx(task.id);
-        if let Some(fs) = self.flow.as_ref() {
-            if fs.early(idx, now, &mut self.queue) {
-                return;
-            }
+        if self.flow.early(idx, now, &mut self.queue) {
+            return;
         }
         let live = match &self.tracker {
             Some(tr) if self.cfg.feedback.place_enabled() => Some(tr.live(now.as_ps())),
@@ -1206,23 +1147,19 @@ impl<'t, 'r, M: TaskManager> Run<'t, 'r, M> {
         };
         let placed = self.scanner.place(task, live);
         let home = placed.home;
-        if let Some(fs) = self.flow.as_mut() {
-            let bp_before = fs.backpressure_events;
-            let full = fs.full(home, now);
-            if fs.backpressure_events > bp_before {
-                if let Some(r) = self.rec.as_mut() {
-                    r.record(now.as_ps(), SpanEvent::Backpressure { node: home });
-                }
+        let bp_before = self.flow.backpressure_events;
+        let full = self.flow.full(home, now);
+        if self.flow.backpressure_events > bp_before {
+            if let Some(r) = self.rec.as_mut() {
+                r.record(now.as_ps(), SpanEvent::Backpressure { node: home });
             }
-            if full {
-                return;
-            }
+        }
+        if full {
+            return;
         }
         self.master.commit_submit(task, now);
         self.scanner.record(task, &placed);
-        if let Some(fs) = self.flow.as_mut() {
-            fs.note_submit(home, idx, now);
-        }
+        self.flow.note_submit(home, idx, now);
         if let Some(r) = self.rec.as_mut() {
             r.record(now.as_ps(), SpanEvent::Submitted { task: idx });
             r.record(
@@ -1379,15 +1316,16 @@ impl<'t, 'r, M: TaskManager> Run<'t, 'r, M> {
         let n = &mut self.nodes[node];
         n.touch(now);
         n.retired += 1;
-        n.outstanding -= 1;
+        n.outstanding = n
+            .outstanding
+            .checked_sub(1)
+            .unwrap_or_else(|| underflow("outstanding count", idx, node, now));
         n.total_work += self.durations[idx];
         self.metas[idx].retired_at = Some(now);
         if let Some(book) = self.book.as_mut() {
             book.retire(&self.metas, idx, now);
         }
-        if let Some(fs) = self.flow.as_mut() {
-            fs.latencies[idx] = now.since(fs.submitted_at[idx]);
-        }
+        self.flow.latencies[idx] = now.since(self.flow.submitted_at[idx]);
         if let Some(r) = self.rec.as_mut() {
             r.record(now.as_ps(), SpanEvent::Retired { task: idx, node });
         }
@@ -1441,10 +1379,9 @@ impl<'t, 'r, M: TaskManager> Run<'t, 'r, M> {
         };
         let free = self.nodes[thief].pool.free();
         let mut batch = kind.batch(self.cfg.stealing, free, backlog);
-        if let Some(fs) = self.flow.as_ref() {
-            if fs.gated {
-                batch = batch.min(fs.depth.saturating_sub(fs.admitted[thief]));
-            }
+        let fs = &self.flow;
+        if fs.gated {
+            batch = batch.min(fs.depth.saturating_sub(fs.admitted[thief]));
         }
         // The youngest `batch` descriptors of the kind, collected from the
         // back of the queue (descending, so removal is position-stable).
@@ -1465,17 +1402,16 @@ impl<'t, 'r, M: TaskManager> Run<'t, 'r, M> {
         self.nodes[thief].inflight[k] = false;
         self.nodes[thief].incoming[k] += positions.len();
         for pos in positions {
-            let idx = self.nodes[victim]
-                .pending
-                .remove(pos)
-                .expect("move position in range");
-            self.nodes[victim].outstanding -= 1;
-            if let Some(fs) = self.flow.as_mut() {
-                // The descriptor moves between admission domains; the freed
-                // victim slot may wake a back-pressured source.
-                fs.on_slot_freed(victim, now, &mut self.queue);
-                fs.note_move_in(thief);
-            }
+            let n = &mut self.nodes[victim];
+            let idx = n.pending.remove(pos).expect("move position in range");
+            n.outstanding = n
+                .outstanding
+                .checked_sub(1)
+                .unwrap_or_else(|| underflow("outstanding count", idx, victim, now));
+            // The descriptor moves between admission domains; the freed
+            // victim slot may wake a back-pressured source.
+            self.flow.on_slot_freed(victim, idx, now, &mut self.queue);
+            self.flow.note_move_in(thief);
             debug_assert_eq!(self.metas[idx].home, victim, "moved task must be at home");
             let book = self.book.as_mut().expect(BOOKED);
             book.dequeue(&self.metas, victim, idx, now);
@@ -1562,10 +1498,9 @@ impl<'t, 'r, M: TaskManager> Run<'t, 'r, M> {
         n.touch(now);
     }
 
-    /// A multi-hop message enters hop `hop` now. Returns its continuation —
-    /// the next hop, or the terminal event once the last hop is crossed —
-    /// under the seq a plain `schedule` would assign; the loop decides
-    /// whether it is enqueued or handed straight to the next iteration.
+    /// A multi-hop message enters hop `hop` now and schedules its
+    /// continuation for when it leaves the hop: the next hop, or the
+    /// terminal event once the last hop is crossed.
     fn relay(
         &mut self,
         from: usize,
@@ -1574,7 +1509,7 @@ impl<'t, 'r, M: TaskManager> Run<'t, 'r, M> {
         words: u64,
         then: Box<Event>,
         now: SimTime,
-    ) -> TimedEvent<Event> {
+    ) {
         if let Some(r) = self.rec.as_mut() {
             let (link, tier) = self.net.hop_link(from, to, hop);
             r.record(now.as_ps(), SpanEvent::LinkHop { link, tier, words });
@@ -1591,11 +1526,7 @@ impl<'t, 'r, M: TaskManager> Run<'t, 'r, M> {
                 then,
             }
         };
-        TimedEvent {
-            time: d.delivered,
-            seq: self.queue.reserve_seq(),
-            payload,
-        }
+        self.queue.schedule(d.delivered, payload);
     }
 
     /// Hands a message to the fabric: serializes it onto the first hop now
@@ -1689,8 +1620,8 @@ impl<'t, 'r, M: TaskManager> Run<'t, 'r, M> {
     /// Hands pending tasks at `node` to the local manager: strictly in arrival
     /// order, only once all remote dependencies have arrived, respecting the
     /// manager's back-pressure and the submission interface's busy time.
-    /// Every hand-over frees a slot in the node's admission domain (streaming
-    /// runs only), which may wake a back-pressured source.
+    /// Every hand-over frees a slot in the node's admission domain, which
+    /// may wake a back-pressured open-loop source.
     fn pump(&mut self, node: usize, now: SimTime) {
         let Run {
             nodes,
@@ -1727,9 +1658,7 @@ impl<'t, 'r, M: TaskManager> Run<'t, 'r, M> {
             if let Some(book) = book.as_mut() {
                 book.dequeue(metas, node, idx, now);
             }
-            if let Some(fs) = flow.as_mut() {
-                fs.on_slot_freed(node, now, queue);
-            }
+            flow.on_slot_freed(node, idx, now, queue);
             if let Some(r) = rec.as_mut() {
                 r.record(now.as_ps(), SpanEvent::Dispatched { task: idx, node });
             }
@@ -2019,12 +1948,10 @@ mod tests {
     }
 
     #[test]
-    fn calendar_engine_is_bit_identical_to_heap_across_the_grid() {
-        // The engine-equivalence suite for the pluggable event core: every
-        // topology × placement × stealing combination of the determinism grid
-        // must produce the same `ClusterOutcome` bit for bit whether the
-        // driver pops its events from the reference `BinaryHeap` or from the
-        // calendar queue. The debug rendering covers every field (makespan,
+    fn determinism_grid_is_bit_identical_across_reruns() {
+        // Every topology × placement × stealing combination of the
+        // determinism grid must produce the same `ClusterOutcome` bit for bit
+        // when run twice. The debug rendering covers every field (makespan,
         // per-node outcomes, link tiers, steals, event counts, ...).
         let trace = distributed::unhinted(&distributed::sparselu(4, 0.4, 7, 0.002));
         for topology in crate::config::Topology::ALL {
@@ -2034,20 +1961,12 @@ mod tests {
                         .with_link(LinkConfig::rdma().with_topology(topology))
                         .with_placement(placement)
                         .with_stealing(stealing);
-                    let heap = simulate_cluster(
-                        &trace,
-                        &cfg.with_engine(nexus_sim::EngineKind::Heap),
-                        |_| tight_sharp(),
-                    );
-                    let calendar = simulate_cluster(
-                        &trace,
-                        &cfg.with_engine(nexus_sim::EngineKind::Calendar),
-                        |_| tight_sharp(),
-                    );
+                    let first = simulate_cluster(&trace, &cfg, |_| tight_sharp());
+                    let rerun = simulate_cluster(&trace, &cfg, |_| tight_sharp());
                     assert_eq!(
-                        format!("{heap:?}"),
-                        format!("{calendar:?}"),
-                        "engines diverged on {topology:?}/{placement}/{stealing}"
+                        format!("{first:?}"),
+                        format!("{rerun:?}"),
+                        "rerun diverged on {topology:?}/{placement}/{stealing}"
                     );
                 }
             }
@@ -2055,11 +1974,11 @@ mod tests {
     }
 
     #[test]
-    fn streaming_case_of_the_determinism_grid_is_bit_identical_across_engines() {
-        // The streaming extension of the engine-equivalence grid: open-loop
+    fn streaming_case_of_the_determinism_grid_is_bit_identical_across_reruns() {
+        // The streaming extension of the determinism grid: open-loop
         // arrivals through a tight admission bound (so back-pressure, wakes
         // and steal-capping all engage) must produce the same `StreamOutcome`
-        // bit for bit on both engines. The debug rendering covers every field
+        // bit for bit when run twice. The debug rendering covers every field
         // (latencies, back-pressure count, source lag, ...).
         let trace = distributed::unhinted(&distributed::sparselu(4, 0.4, 7, 0.002));
         let arrivals: Vec<SimTime> = (0..trace.task_count())
@@ -2067,24 +1986,20 @@ mod tests {
             .collect();
         let overlay = nexus_trace::arrivals::ArrivalOverlay::new(arrivals).unwrap();
         let source = StreamingSource::open_loop(overlay, crate::stream::AdmissionConfig::new(4));
-        let run = |engine: nexus_sim::EngineKind| {
-            let cfg = ClusterConfig::new(4, 4)
-                .with_link(LinkConfig::rdma())
-                .with_stealing(StealKind::MostLoaded)
-                .with_engine(engine);
-            simulate_streaming(&trace, &source, &cfg, |_| tight_sharp())
-        };
-        let heap = run(nexus_sim::EngineKind::Heap);
-        let calendar = run(nexus_sim::EngineKind::Calendar);
+        let cfg = ClusterConfig::new(4, 4)
+            .with_link(LinkConfig::rdma())
+            .with_stealing(StealKind::MostLoaded);
+        let first = simulate_streaming(&trace, &source, &cfg, |_| tight_sharp());
+        let rerun = simulate_streaming(&trace, &source, &cfg, |_| tight_sharp());
         assert_eq!(
-            format!("{heap:?}"),
-            format!("{calendar:?}"),
-            "engines diverged on the streaming case"
+            format!("{first:?}"),
+            format!("{rerun:?}"),
+            "rerun diverged on the streaming case"
         );
         // The tight bound was actually exercised, not vacuously satisfied.
-        assert!(heap.max_admission_depth <= 4);
+        assert!(first.max_admission_depth <= 4);
         assert_eq!(
-            heap.latencies.len(),
+            first.latencies.len(),
             trace.task_count(),
             "every task must retire exactly once"
         );
@@ -2125,30 +2040,25 @@ mod tests {
     fn recorder_is_purely_observational_across_the_grid() {
         // The tentpole invariant of the observability layer: attaching a
         // recorder must not perturb the simulation. Every topology ×
-        // placement × stealing combination of the determinism grid, on both
-        // event engines, must produce a bit-identical `ClusterOutcome` with
-        // tracing on vs. off.
+        // placement × stealing combination of the determinism grid must
+        // produce a bit-identical `ClusterOutcome` with tracing on vs. off.
         let trace = distributed::unhinted(&distributed::sparselu(4, 0.4, 7, 0.002));
-        for engine in [nexus_sim::EngineKind::Heap, nexus_sim::EngineKind::Calendar] {
-            for topology in crate::config::Topology::ALL {
-                for placement in PolicyKind::ALL {
-                    for stealing in StealKind::ALL {
-                        let cfg = ClusterConfig::new(4, 4)
-                            .with_link(LinkConfig::rdma().with_topology(topology))
-                            .with_placement(placement)
-                            .with_stealing(stealing)
-                            .with_engine(engine);
-                        let plain = simulate_cluster(&trace, &cfg, |_| tight_sharp());
-                        let mut rec = nexus_obs::MemRecorder::new(nexus_obs::TimeBase::VirtualPs);
-                        let traced =
-                            simulate_cluster_traced(&trace, &cfg, |_| tight_sharp(), &mut rec);
-                        assert_eq!(
-                            format!("{plain:?}"),
-                            format!("{traced:?}"),
-                            "recorder perturbed {engine:?}/{topology:?}/{placement}/{stealing}"
-                        );
-                        assert!(!rec.is_empty(), "recorder saw no events");
-                    }
+        for topology in crate::config::Topology::ALL {
+            for placement in PolicyKind::ALL {
+                for stealing in StealKind::ALL {
+                    let cfg = ClusterConfig::new(4, 4)
+                        .with_link(LinkConfig::rdma().with_topology(topology))
+                        .with_placement(placement)
+                        .with_stealing(stealing);
+                    let plain = simulate_cluster(&trace, &cfg, |_| tight_sharp());
+                    let mut rec = nexus_obs::MemRecorder::new(nexus_obs::TimeBase::VirtualPs);
+                    let traced = simulate_cluster_traced(&trace, &cfg, |_| tight_sharp(), &mut rec);
+                    assert_eq!(
+                        format!("{plain:?}"),
+                        format!("{traced:?}"),
+                        "recorder perturbed {topology:?}/{placement}/{stealing}"
+                    );
+                    assert!(!rec.is_empty(), "recorder saw no events");
                 }
             }
         }
@@ -2216,19 +2126,15 @@ mod tests {
         let (profiled, prof) =
             ClusterDriver::new(&cfg, |_| IdealManager::new()).run_profiled(&trace);
         assert_eq!(format!("{plain:?}"), format!("{profiled:?}"));
-        // Per-kind counts add up to the loop's event total, and the queue
-        // accounting is consistent: every processed event was either popped
-        // from the queue or coalesced inline.
+        // Per-kind counts add up to the loop's event total, and every
+        // processed event was popped from the queue.
         let per_kind: u64 = prof
             .counters_with_prefix("engine.event.")
             .filter(|(k, _)| k.ends_with(".count"))
             .map(|(_, v)| v)
             .sum();
         assert_eq!(per_kind, profiled.sim_events);
-        assert_eq!(
-            prof.counter("engine.pops") + prof.counter("engine.inline_coalesced"),
-            profiled.sim_events
-        );
+        assert_eq!(prof.counter("engine.pops"), profiled.sim_events);
         assert!(prof.counter("engine.pushes") >= prof.counter("engine.pops"));
         assert!(prof.counter("engine.event.master_step.count") > 0);
     }
@@ -2428,39 +2334,21 @@ mod tests {
     }
 
     #[test]
-    fn feedback_grid_is_bit_identical_across_engines_and_reruns() {
+    fn feedback_grid_is_bit_identical_across_reruns() {
         // The feedback × reclaim extension of the determinism grid: every
-        // feedback mode must be bit-identical across event engines and across
-        // reruns, with stealing active so all three balancing mechanisms
-        // (placement, stealing, reclamation) interleave.
+        // feedback mode must be bit-identical across reruns, with stealing
+        // active so all three balancing mechanisms (placement, stealing,
+        // reclamation) interleave.
         let trace = distributed::unhinted(&distributed::sparselu(4, 0.4, 7, 0.002));
         for feedback in FeedbackKind::ALL {
             let cfg = ClusterConfig::new(4, 4)
                 .with_link(LinkConfig::rdma())
                 .with_stealing(StealKind::Hierarchical)
                 .with_feedback(feedback);
-            let heap = simulate_cluster(
-                &trace,
-                &cfg.with_engine(nexus_sim::EngineKind::Heap),
-                |_| tight_sharp(),
-            );
-            let calendar = simulate_cluster(
-                &trace,
-                &cfg.with_engine(nexus_sim::EngineKind::Calendar),
-                |_| tight_sharp(),
-            );
-            let rerun = simulate_cluster(
-                &trace,
-                &cfg.with_engine(nexus_sim::EngineKind::Heap),
-                |_| tight_sharp(),
-            );
+            let first = simulate_cluster(&trace, &cfg, |_| tight_sharp());
+            let rerun = simulate_cluster(&trace, &cfg, |_| tight_sharp());
             assert_eq!(
-                format!("{heap:?}"),
-                format!("{calendar:?}"),
-                "engines diverged on feedback {feedback}"
-            );
-            assert_eq!(
-                format!("{heap:?}"),
+                format!("{first:?}"),
                 format!("{rerun:?}"),
                 "rerun diverged on feedback {feedback}"
             );
@@ -2468,7 +2356,7 @@ mod tests {
             let mut rec = nexus_obs::MemRecorder::new(nexus_obs::TimeBase::VirtualPs);
             let traced = simulate_cluster_traced(&trace, &cfg, |_| tight_sharp(), &mut rec);
             assert_eq!(
-                format!("{heap:?}"),
+                format!("{first:?}"),
                 format!("{traced:?}"),
                 "recorder perturbed feedback {feedback}"
             );

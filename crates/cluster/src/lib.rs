@@ -42,8 +42,8 @@
 //!   span events in virtual time; outcomes stay bit-identical with tracing
 //!   on or off), every outcome carries a metrics
 //!   [`Registry`], and
-//!   [`ClusterDriver::run_profiled`] reports per-event-kind wall time of
-//!   the pluggable event engines.
+//!   [`ClusterDriver::run_profiled`] reports the event loop's handler wall
+//!   time per event kind and its queue counts.
 //!
 //! Node-partitioned workloads with a tunable remote-edge fraction are
 //! generated by `nexus_trace::generators::distributed`.

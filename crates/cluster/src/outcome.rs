@@ -109,7 +109,7 @@ pub struct ClusterOutcome {
     #[serde(default)]
     pub reclaim_failures: u64,
     /// Discrete events processed by the cluster event loop (the simulator's
-    /// unit of work — `sim_events / wall_seconds` is the engine's events/sec).
+    /// unit of work — `sim_events / wall_seconds` is its events/sec).
     pub sim_events: u64,
     /// Interconnect traffic summary.
     pub link: LinkStats,
@@ -126,8 +126,8 @@ pub struct ClusterOutcome {
     /// (`task.*`, `steal.*`, `notify.*`, `link.*`, `sim.*`; plus `stream.*`
     /// on open-loop streaming runs). Key names are shared with the live
     /// runtime's `ShutdownReport` so the conformance suite can compare both
-    /// sides directly. Deterministic — the engine-equivalence grid compares
-    /// it bit for bit.
+    /// sides directly. Deterministic — the determinism grids compare it bit
+    /// for bit across reruns.
     pub metrics: Registry,
 }
 

@@ -79,8 +79,9 @@ impl StreamingSource {
         }
     }
 
-    /// A closed-loop source: today's self-clocked master, plus latency
-    /// recording. Reproduces [`run`](crate::ClusterDriver::run) exactly.
+    /// A closed-loop source: the master self-clocks, and latencies are
+    /// recorded on the side. [`run`](crate::ClusterDriver::run) runs with
+    /// this source.
     pub fn closed_loop() -> Self {
         StreamingSource {
             overlay: None,

@@ -117,14 +117,6 @@ impl ArrivalConfig {
         self
     }
 
-    /// Sets the diurnal modulation period and amplitude (per-mille of the
-    /// base rate, clamped to 950 so the rate never reaches zero).
-    pub fn with_diurnal(mut self, period: SimDuration, amplitude_permille: u32) -> Self {
-        self.period = period;
-        self.amplitude_permille = amplitude_permille.min(950);
-        self
-    }
-
     /// Scales the offered load by `factor` (> 0): `factor = 2.0` doubles the
     /// arrival rate (halves the mean gap). Used by knee sweeps.
     pub fn with_load_factor(mut self, factor: f64) -> Self {

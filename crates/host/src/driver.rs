@@ -9,7 +9,7 @@ use crate::manager::{ManagerEvent, TaskManager};
 use crate::master::{MasterSm, MasterStep};
 use crate::metrics::SimOutcome;
 use crate::pool::WorkerPool;
-use nexus_sim::{EngineKind, EventQueue, FxHashMap, SimDuration, SimTime};
+use nexus_sim::{EventQueue, FxHashMap, SimDuration, SimTime};
 use nexus_trace::{TaskDescriptor, TaskId, Trace};
 
 /// Host machine configuration.
@@ -18,24 +18,12 @@ pub struct HostConfig {
     /// Number of worker cores (the master runs on its own core, as in the
     /// paper's testbench).
     pub workers: usize,
-    /// Event-queue engine driving the simulation (identical outcomes either
-    /// way; see [`EngineKind`]).
-    pub engine: EngineKind,
 }
 
 impl HostConfig {
     /// A host with `workers` worker cores.
     pub fn with_workers(workers: usize) -> Self {
-        HostConfig {
-            workers,
-            engine: EngineKind::default(),
-        }
-    }
-
-    /// Selects the event-queue engine (outcomes are engine-independent).
-    pub fn with_engine(mut self, engine: EngineKind) -> Self {
-        self.engine = engine;
-        self
+        HostConfig { workers }
     }
 }
 
@@ -67,7 +55,7 @@ pub fn simulate(trace: &Trace, manager: &mut dyn TaskManager, cfg: &HostConfig) 
     assert!(cfg.workers > 0, "need at least one worker core");
     let tasks: FxHashMap<TaskId, &TaskDescriptor> = trace.tasks().map(|t| (t.id, t)).collect();
 
-    let mut queue: EventQueue<Event> = EventQueue::with_engine(cfg.engine);
+    let mut queue: EventQueue<Event> = EventQueue::new();
     let mut mgr_events: Vec<ManagerEvent> = Vec::new();
     let mut pool = WorkerPool::new(cfg.workers);
     let mut master = MasterSm::new();

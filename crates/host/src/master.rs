@@ -215,11 +215,6 @@ impl MasterSm {
         self.retired.len() as u64
     }
 
-    /// True if a specific task's retirement is visible to the master.
-    pub fn has_retired(&self, task: TaskId) -> bool {
-        self.retired.contains(&task)
-    }
-
     /// The master's final last-writer table — `(address, last writing task)`
     /// pairs sorted by address. A pure function of the committed submissions,
     /// which makes it a cheap cross-check that two drivers (e.g. the event

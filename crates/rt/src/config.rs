@@ -23,12 +23,14 @@ pub struct RtConfig {
     /// Work-stealing policy, consulted on the idle ticks of a node's parked
     /// workers.
     pub stealing: StealKind,
-    /// Runtime feedback mode, mirroring `ClusterConfig::feedback`: nodes
-    /// piggyback live load digests on their cross-node retirement `Notify`
-    /// messages, submit-time placement consumes them (`Place`/`Full`), and
-    /// idle nodes reclaim dependence-blocked descriptors out of loaded pools
-    /// (`Reclaim`/`Full`). Off by default — the protocol then carries no
-    /// digests and the reclaim path is never entered.
+    /// Runtime feedback mode, mirroring `ClusterConfig::feedback`: every
+    /// retirement publishes the retiring node's live load digest to one
+    /// shared digest board (a `LoadTracker`; no digest rides a node message),
+    /// submit-time placement reads it (`Place`/`Full`), and idle nodes
+    /// reclaim dependence-blocked descriptors out of loaded pools
+    /// (`Reclaim`/`Full`), choosing the victim from the same board. Off by
+    /// default — nothing is then published and the reclaim path is never
+    /// entered.
     pub feedback: FeedbackKind,
     /// Interconnect description. Messages between the runtime's nodes carry
     /// no simulated latency; the link config only supplies the fabric's

@@ -59,7 +59,7 @@ impl LoadView {
 
     /// Exponentially decayed load: the raw load halved once per elapsed
     /// `half_life` of staleness (`half_life == 0` disables decay). Integer
-    /// shifts keep the decay bit-exact across reruns and engines.
+    /// shifts keep the decay bit-exact across reruns and platforms.
     pub fn decayed_load(&self, now: u64, half_life: u64) -> u64 {
         if half_life == 0 {
             return self.raw_load();

@@ -31,11 +31,6 @@ impl ClockDomain {
         ClockDomain { freq_hz, period_ps }
     }
 
-    /// Creates a clock domain from a frequency in Hz.
-    pub fn from_hz(hz: f64) -> Self {
-        Self::from_mhz(hz / 1.0e6)
-    }
-
     /// The paper's reference configuration: a 100 MHz management clock.
     pub fn mhz_100() -> Self {
         Self::from_mhz(100.0)

@@ -1,4 +1,4 @@
-//! Time-ordered event queue with pluggable engines.
+//! Time-ordered event queue.
 //!
 //! The discrete-event simulations (`nexus-host`, `nexus-cluster`) are driven by
 //! a classical event loop: worker-core completions, manager ready notifications,
@@ -6,30 +6,17 @@
 //! order. Ties are broken by insertion sequence so the simulation is fully
 //! deterministic.
 //!
-//! Two engines implement the same deterministic `(time, seq)` pop order:
-//!
-//! * [`EngineKind::Heap`] — the original `BinaryHeap` implementation, kept as
-//!   the reference engine. `O(log n)` per operation with a large constant from
-//!   pointer-chasing sift operations.
-//! * [`EngineKind::Calendar`] — an indexed calendar queue (Brown's
-//!   calendar-queue / timer-wheel family): a power-of-two ring of unsorted
-//!   buckets spanning a sliding time window, with a shared overflow list for
-//!   events beyond the horizon. Scheduling is `O(1)` (a shift and a push into
-//!   a reused bucket arena — no per-event allocation in steady state), popping
-//!   scans the current bucket for the minimum `(time, seq)` key, and the
-//!   geometry (bucket count and width) adapts to the live event population
-//!   whenever the wheel is re-anchored or rebuilt.
-//!
-//! Both engines expose the same API and, by construction, the exact same pop
-//! order — the cluster equivalence suite asserts bit-identical outcomes across
-//! the whole determinism grid. The engine is selected by [`EventQueue::with_engine`]
-//! (drivers plumb it through their configs).
+//! [`EventQueue`] is an indexed calendar queue (Brown's calendar-queue /
+//! timer-wheel family): a power-of-two ring of unsorted buckets spanning a
+//! sliding time window, with a shared overflow list for events beyond the
+//! horizon. Scheduling is `O(1)` (a shift and a push into a reused bucket
+//! arena — no per-event allocation in steady state), popping scans the
+//! current bucket for the minimum `(time, seq)` key, and the geometry (bucket
+//! count and width) adapts to the live event population whenever the wheel is
+//! re-anchored or rebuilt. The tests check its pop order against a
+//! `BinaryHeap` of the same `(time, seq)` keys.
 
 use crate::time::SimTime;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-use std::fmt;
-use std::str::FromStr;
 
 /// An event scheduled at a point in simulated time.
 #[derive(Debug, Clone)]
@@ -42,70 +29,13 @@ pub struct TimedEvent<E> {
     pub payload: E,
 }
 
-impl<E> PartialEq for TimedEvent<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<E> Eq for TimedEvent<E> {}
-
-impl<E> PartialOrd for TimedEvent<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for TimedEvent<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest event is popped first.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-/// Which data structure backs an [`EventQueue`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// The data structure behind an [`EventQueue`]. There is one, the calendar
+/// queue; the type remains only because perfbench still names it (through
+/// `ClusterConfig::with_engine`), and goes once perfbench stops doing so.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineKind {
-    /// The reference `BinaryHeap` engine.
-    Heap,
-    /// The indexed calendar-queue / timer-wheel engine (the default).
-    #[default]
+    /// The indexed calendar-queue / timer-wheel engine.
     Calendar,
-}
-
-impl EngineKind {
-    /// Every engine, in documentation order.
-    pub const ALL: [EngineKind; 2] = [EngineKind::Heap, EngineKind::Calendar];
-
-    /// The canonical knob spelling (`"heap"` / `"calendar"`).
-    pub fn name(self) -> &'static str {
-        match self {
-            EngineKind::Heap => "heap",
-            EngineKind::Calendar => "calendar",
-        }
-    }
-}
-
-impl fmt::Display for EngineKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl FromStr for EngineKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "heap" | "binary-heap" | "binaryheap" => Ok(EngineKind::Heap),
-            "calendar" | "wheel" | "timer-wheel" => Ok(EngineKind::Calendar),
-            other => Err(format!(
-                "unknown event engine {other:?} (valid: heap | calendar)"
-            )),
-        }
-    }
 }
 
 /// Initial/minimum number of buckets in the calendar wheel.
@@ -323,16 +253,6 @@ impl<E> CalendarQueue<E> {
         true
     }
 
-    fn peek_key(&mut self) -> Option<(SimTime, u64)> {
-        if !self.settle_min() {
-            return None;
-        }
-        let ev = self.buckets[self.cur]
-            .last()
-            .expect("cursor bucket nonempty");
-        Some((ev.time, ev.seq))
-    }
-
     fn pop(&mut self) -> Option<TimedEvent<E>> {
         if !self.settle_min() {
             return None;
@@ -345,41 +265,17 @@ impl<E> CalendarQueue<E> {
     }
 }
 
-enum Engine<E> {
-    Heap(BinaryHeap<TimedEvent<E>>),
-    Calendar(CalendarQueue<E>),
-}
-
-impl<E: Clone> Clone for Engine<E> {
-    fn clone(&self) -> Self {
-        match self {
-            Engine::Heap(h) => Engine::Heap(h.clone()),
-            Engine::Calendar(c) => Engine::Calendar(c.clone()),
-        }
-    }
-}
-
-impl<E: fmt::Debug> fmt::Debug for Engine<E> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Engine::Heap(h) => f.debug_tuple("Heap").field(h).finish(),
-            Engine::Calendar(c) => f.debug_tuple("Calendar").field(c).finish(),
-        }
-    }
-}
-
 /// A deterministic min-priority queue of events keyed by simulated time.
 ///
-/// Events pop in `(time, seq)` order regardless of the backing
-/// [`EngineKind`]; `seq` is assigned monotonically at scheduling time (or
-/// reserved up front via [`EventQueue::reserve_seq`], which lets a driver
-/// decide *after* scheduling-adjacent work whether to enqueue the event or
-/// coalesce it inline without perturbing the deterministic order).
+/// Events pop in `(time, seq)` order; `seq` is assigned monotonically at
+/// scheduling time, so events due at the same instant pop in the order they
+/// were scheduled.
 #[derive(Debug, Clone)]
 pub struct EventQueue<E> {
-    engine: Engine<E>,
+    calendar: CalendarQueue<E>,
+    /// Sequence number of the next scheduled event, which is also the number
+    /// of events ever scheduled.
     next_seq: u64,
-    scheduled: u64,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -389,30 +285,11 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// Creates an empty queue backed by the default engine
-    /// ([`EngineKind::Calendar`]).
+    /// Creates an empty queue.
     pub fn new() -> Self {
-        Self::with_engine(EngineKind::default())
-    }
-
-    /// Creates an empty queue backed by the given engine.
-    pub fn with_engine(kind: EngineKind) -> Self {
-        let engine = match kind {
-            EngineKind::Heap => Engine::Heap(BinaryHeap::new()),
-            EngineKind::Calendar => Engine::Calendar(CalendarQueue::new()),
-        };
         EventQueue {
-            engine,
+            calendar: CalendarQueue::new(),
             next_seq: 0,
-            scheduled: 0,
-        }
-    }
-
-    /// The engine backing this queue.
-    pub fn engine(&self) -> EngineKind {
-        match self.engine {
-            Engine::Heap(_) => EngineKind::Heap,
-            Engine::Calendar(_) => EngineKind::Calendar,
         }
     }
 
@@ -420,63 +297,17 @@ impl<E> EventQueue<E> {
     pub fn schedule(&mut self, time: SimTime, payload: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.push(TimedEvent { time, seq, payload });
-    }
-
-    /// Burns and returns the sequence number the *next* scheduled event would
-    /// receive. Pass it to [`EventQueue::schedule_at_seq`] to enqueue an event
-    /// later (e.g. after deciding not to coalesce it inline) at exactly the
-    /// deterministic position it would have had.
-    pub fn reserve_seq(&mut self) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        seq
-    }
-
-    /// Schedules `payload` at `time` under a sequence number previously
-    /// obtained from [`EventQueue::reserve_seq`].
-    pub fn schedule_at_seq(&mut self, time: SimTime, seq: u64, payload: E) {
-        debug_assert!(seq < self.next_seq, "seq {seq} was never reserved");
-        self.push(TimedEvent { time, seq, payload });
-    }
-
-    fn push(&mut self, ev: TimedEvent<E>) {
-        self.scheduled += 1;
-        match &mut self.engine {
-            Engine::Heap(h) => h.push(ev),
-            Engine::Calendar(c) => c.push(ev),
-        }
+        self.calendar.push(TimedEvent { time, seq, payload });
     }
 
     /// Pops the earliest event, if any.
     pub fn pop(&mut self) -> Option<TimedEvent<E>> {
-        match &mut self.engine {
-            Engine::Heap(h) => h.pop(),
-            Engine::Calendar(c) => c.pop(),
-        }
-    }
-
-    /// Timestamp of the earliest pending event. May advance internal cursors
-    /// (hence `&mut self`); the observable state is unchanged.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.peek_key().map(|(t, _)| t)
-    }
-
-    /// `(time, seq)` key of the earliest pending event. May advance internal
-    /// cursors (hence `&mut self`); the observable state is unchanged.
-    pub fn peek_key(&mut self) -> Option<(SimTime, u64)> {
-        match &mut self.engine {
-            Engine::Heap(h) => h.peek().map(|e| (e.time, e.seq)),
-            Engine::Calendar(c) => c.peek_key(),
-        }
+        self.calendar.pop()
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        match &self.engine {
-            Engine::Heap(h) => h.len(),
-            Engine::Calendar(c) => c.len(),
-        }
+        self.calendar.len()
     }
 
     /// True if no events are pending.
@@ -486,89 +317,79 @@ impl<E> EventQueue<E> {
 
     /// Total number of events ever scheduled.
     pub fn total_scheduled(&self) -> u64 {
-        self.scheduled
+        self.next_seq
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
 
     fn at(v: u64) -> SimTime {
         SimTime::from_ps(v)
     }
 
-    fn queues() -> Vec<EventQueue<i64>> {
-        EngineKind::ALL
-            .iter()
-            .map(|&k| EventQueue::with_engine(k))
-            .collect()
-    }
-
     #[test]
     fn events_pop_in_time_order() {
-        for mut q in queues() {
-            q.schedule(at(30), 2);
-            q.schedule(at(10), 0);
-            q.schedule(at(20), 1);
-            assert_eq!(q.len(), 3);
-            assert_eq!(q.peek_time(), Some(at(10)));
-            assert_eq!(q.pop().unwrap().payload, 0);
-            assert_eq!(q.pop().unwrap().payload, 1);
-            assert_eq!(q.pop().unwrap().payload, 2);
-            assert!(q.pop().is_none());
-            assert!(q.is_empty());
-            assert_eq!(q.total_scheduled(), 3);
-        }
+        let mut q = EventQueue::new();
+        q.schedule(at(30), 2);
+        q.schedule(at(10), 0);
+        q.schedule(at(20), 1);
+        assert_eq!(q.len(), 3);
+        assert_eq!(q.pop().unwrap().payload, 0);
+        assert_eq!(q.pop().unwrap().payload, 1);
+        assert_eq!(q.pop().unwrap().payload, 2);
+        assert!(q.pop().is_none());
+        assert!(q.is_empty());
+        assert_eq!(q.total_scheduled(), 3);
     }
 
     #[test]
     fn ties_resolve_in_insertion_order() {
-        for mut q in queues() {
-            for i in 0..100 {
-                q.schedule(at(5), i);
-            }
-            let order: Vec<_> = std::iter::from_fn(|| q.pop().map(|e| e.payload)).collect();
-            let expected: Vec<_> = (0..100).collect();
-            assert_eq!(order, expected, "{:?}", q.engine());
+        let mut q = EventQueue::new();
+        for i in 0..100 {
+            q.schedule(at(5), i);
         }
+        let order: Vec<_> = std::iter::from_fn(|| q.pop().map(|e| e.payload)).collect();
+        let expected: Vec<_> = (0..100).collect();
+        assert_eq!(order, expected);
     }
 
     #[test]
     fn interleaved_schedule_and_pop_stays_ordered() {
-        for mut q in queues() {
-            q.schedule(at(10), 1);
-            q.schedule(at(5), 0);
-            assert_eq!(q.pop().unwrap().payload, 0);
-            q.schedule(at(7), 2);
-            assert_eq!(q.pop().unwrap().payload, 2);
-            assert_eq!(q.pop().unwrap().payload, 1);
-        }
+        let mut q = EventQueue::new();
+        q.schedule(at(10), 1);
+        q.schedule(at(5), 0);
+        assert_eq!(q.pop().unwrap().payload, 0);
+        q.schedule(at(7), 2);
+        assert_eq!(q.pop().unwrap().payload, 2);
+        assert_eq!(q.pop().unwrap().payload, 1);
     }
 
     #[test]
     fn same_timestamp_bursts_are_fifo_under_interleaved_pops() {
         // Same-timestamp cascades are the backbone of the cluster's ideal-link
         // scenarios: scheduling more work at `now` *while* popping must keep
-        // strict FIFO order on every engine.
-        for mut q in queues() {
-            q.schedule(at(100), 0);
-            q.schedule(at(100), 1);
-            assert_eq!(q.pop().unwrap().payload, 0);
-            q.schedule(at(100), 2); // scheduled mid-cascade, still at now
-            q.schedule(at(50), -1); // "past" clamp: must still pop first
-            assert_eq!(q.pop().unwrap().payload, -1);
-            assert_eq!(q.pop().unwrap().payload, 1);
-            assert_eq!(q.pop().unwrap().payload, 2);
-            assert!(q.pop().is_none());
-        }
+        // strict FIFO order.
+        let mut q = EventQueue::new();
+        q.schedule(at(100), 0);
+        q.schedule(at(100), 1);
+        assert_eq!(q.pop().unwrap().payload, 0);
+        q.schedule(at(100), 2); // scheduled mid-cascade, still at now
+        q.schedule(at(50), -1); // "past" clamp: must still pop first
+        assert_eq!(q.pop().unwrap().payload, -1);
+        assert_eq!(q.pop().unwrap().payload, 1);
+        assert_eq!(q.pop().unwrap().payload, 2);
+        assert!(q.pop().is_none());
     }
 
     #[test]
     fn wheel_overflow_ticks_deliver_far_future_events_in_order() {
         // Events far beyond the wheel horizon park in the overflow list and
         // must re-seed the wheel (one window jump per "tick") in exact order.
-        let mut q: EventQueue<usize> = EventQueue::with_engine(EngineKind::Calendar);
+        let mut q: EventQueue<usize> = EventQueue::new();
         let times: Vec<u64> = (0..64)
             .map(|i| 1 + (i as u64) * 1_000_000_000_000) // 1s apart: way past any window
             .collect();
@@ -585,38 +406,12 @@ mod tests {
     }
 
     #[test]
-    fn reserved_seqs_keep_deterministic_positions() {
-        for mut q in queues() {
-            q.schedule(at(10), 0);
-            let s = q.reserve_seq();
-            q.schedule(at(10), 2);
-            // The reserved event enqueues late but sorts between 0 and 2.
-            q.schedule_at_seq(at(10), s, 1);
-            let order: Vec<_> = std::iter::from_fn(|| q.pop().map(|e| e.payload)).collect();
-            assert_eq!(order, vec![0, 1, 2], "{:?}", q.engine());
-        }
-    }
-
-    #[test]
-    fn peek_key_matches_next_pop() {
-        for mut q in queues() {
-            q.schedule(at(30), 0);
-            q.schedule(at(20), 1);
-            q.schedule(at(20), 2);
-            while let Some((t, s)) = q.peek_key() {
-                let ev = q.pop().unwrap();
-                assert_eq!((ev.time, ev.seq), (t, s));
-            }
-        }
-    }
-
-    #[test]
     fn engines_agree_on_a_large_random_workload() {
-        // A deterministic pseudo-random stress: mixed far/near/equal times,
-        // interleaved pops, occasional reserve+late-schedule. Both engines
-        // must produce the identical (time, seq) stream.
-        let mut heap = EventQueue::with_engine(EngineKind::Heap);
-        let mut cal = EventQueue::with_engine(EngineKind::Calendar);
+        // A deterministic pseudo-random stress: mixed far/near/equal times
+        // and interleaved pops. The calendar queue must pop the identical
+        // (time, seq) stream as a `BinaryHeap` of the same keys.
+        let mut cal = EventQueue::new();
+        let mut heap = BinaryHeap::new();
         let mut popped: Vec<(SimTime, u64)> = Vec::new();
         let mut popped_cal: Vec<(SimTime, u64)> = Vec::new();
         let mut state = 0x2545_f491_4f6c_dd1du64;
@@ -627,7 +422,6 @@ mod tests {
             state
         };
         let mut now = 0u64;
-        let mut reserved: Vec<u64> = Vec::new();
         for round in 0..20_000u64 {
             let r = rng();
             let dt = match r % 5 {
@@ -638,35 +432,20 @@ mod tests {
                 _ => r % 100,
             };
             let t = at(now + dt);
-            match r % 7 {
-                6 => {
-                    let s = heap.reserve_seq();
-                    let s2 = cal.reserve_seq();
-                    assert_eq!(s, s2);
-                    reserved.push(s);
-                }
-                5 if !reserved.is_empty() => {
-                    let s = reserved.pop().unwrap();
-                    heap.schedule_at_seq(t, s, round);
-                    cal.schedule_at_seq(t, s, round);
-                }
-                _ => {
-                    heap.schedule(t, round);
-                    cal.schedule(t, round);
-                }
-            }
+            heap.push(Reverse((t, cal.total_scheduled())));
+            cal.schedule(t, round);
             if r % 3 == 0 {
-                if let Some(e) = heap.pop() {
-                    now = e.time.as_ps();
-                    popped.push((e.time, e.seq));
+                if let Some(Reverse(key)) = heap.pop() {
+                    now = key.0.as_ps();
+                    popped.push(key);
                 }
                 if let Some(e) = cal.pop() {
                     popped_cal.push((e.time, e.seq));
                 }
             }
         }
-        while let Some(e) = heap.pop() {
-            popped.push((e.time, e.seq));
+        while let Some(Reverse(key)) = heap.pop() {
+            popped.push(key);
         }
         while let Some(e) = cal.pop() {
             popped_cal.push((e.time, e.seq));
@@ -677,21 +456,5 @@ mod tests {
         // verify monotone non-decreasing keys after the final drain point.
         let tail = &popped[popped.len().saturating_sub(1000)..];
         assert!(tail.windows(2).all(|w| w[0] <= w[1]));
-    }
-
-    #[test]
-    fn engine_kind_parses_and_displays() {
-        assert_eq!("heap".parse::<EngineKind>().unwrap(), EngineKind::Heap);
-        assert_eq!(
-            "Calendar".parse::<EngineKind>().unwrap(),
-            EngineKind::Calendar
-        );
-        assert_eq!("wheel".parse::<EngineKind>().unwrap(), EngineKind::Calendar);
-        assert!("quantum".parse::<EngineKind>().is_err());
-        assert_eq!(EngineKind::Heap.to_string(), "heap");
-        assert_eq!(EngineKind::default(), EngineKind::Calendar);
-        for k in EngineKind::ALL {
-            assert_eq!(k.name().parse::<EngineKind>().unwrap(), k);
-        }
     }
 }

@@ -11,7 +11,8 @@
 //!   and ports,
 //! * [`LinkResource`] — a point-to-point interconnect link (latency + bandwidth
 //!   + serialization) used by the multi-node cluster simulation,
-//! * [`EventQueue`] — a time-ordered event queue for the multicore host simulation,
+//! * [`EventQueue`] — the time-ordered calendar queue that drives both event
+//!   loops, the multicore host simulation and the multi-node cluster one,
 //! * [`stats`] — online statistics and load-balance summaries used by the
 //!   benchmark harness,
 //! * [`rng`] — a small deterministic pseudo-random generator so traces and
@@ -45,7 +46,7 @@ pub use time::{SimDuration, SimTime};
 /// Convenience prelude bringing the most common simulation types into scope.
 pub mod prelude {
     pub use crate::clock::ClockDomain;
-    pub use crate::events::{EngineKind, EventQueue, TimedEvent};
+    pub use crate::events::{EventQueue, TimedEvent};
     pub use crate::link::{LinkDelivery, LinkResource};
     pub use crate::resource::SerialResource;
     pub use crate::rng::SimRng;

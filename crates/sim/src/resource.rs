@@ -66,18 +66,6 @@ impl SerialResource {
         self.acquire(now.max(not_before), service)
     }
 
-    /// The earliest time a new request could start service.
-    #[inline]
-    pub fn next_free(&self) -> SimTime {
-        self.busy_until
-    }
-
-    /// True if the resource is idle at `now`.
-    #[inline]
-    pub fn is_idle_at(&self, now: SimTime) -> bool {
-        self.busy_until <= now
-    }
-
     /// Pushes the busy-until time forward to at least `t` without accounting
     /// busy time (used to model blocking dependencies such as a stalled
     /// task-graph set waiting for an eviction).

@@ -4,7 +4,6 @@
 //! statistics (Table II / Table III) and how evenly work spreads over task
 //! graphs or nodes.
 
-use crate::time::SimDuration;
 use serde::{Deserialize, Serialize};
 
 /// Numerically stable online mean / variance / min / max accumulator
@@ -45,11 +44,6 @@ impl OnlineStats {
         if x > self.max {
             self.max = x;
         }
-    }
-
-    /// Adds a duration observation, in microseconds.
-    pub fn push_duration_us(&mut self, d: SimDuration) {
-        self.push(d.as_us_f64());
     }
 
     /// Number of observations.

@@ -65,11 +65,6 @@ impl ArrivalOverlay {
         &self.times
     }
 
-    /// Consumes the overlay into its raw timestamp vector.
-    pub fn into_times(self) -> Vec<SimTime> {
-        self.times
-    }
-
     /// Checks that the overlay covers exactly the submissions of `trace`.
     pub fn matches(&self, trace: &Trace) -> Result<(), String> {
         let tasks = trace.task_count();

@@ -2,7 +2,6 @@
 
 use crate::trace::Trace;
 use nexus_sim::stats::OnlineStats;
-use nexus_sim::SimDuration;
 use serde::{Deserialize, Serialize};
 
 /// Summary statistics of a trace, matching the columns the paper reports for
@@ -80,11 +79,6 @@ impl TraceStats {
         } else {
             format!("{}-{}", self.min_params, self.max_params)
         }
-    }
-
-    /// Average task duration.
-    pub fn avg_task(&self) -> SimDuration {
-        SimDuration::from_us_f64(self.avg_task_us)
     }
 }
 

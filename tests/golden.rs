@@ -10,7 +10,7 @@
 //!   in at the thief shows up;
 //! * seven reference scenarios spanning one to eight nodes, flat and
 //!   rack-tiered fabrics, every steal policy, the full feedback stack and an
-//!   open-loop service, each run on both event engines.
+//!   open-loop service.
 //!
 //! A deliberate model change must re-record the values and say why.
 
@@ -19,7 +19,6 @@ use nexus::cluster::{
 };
 use nexus::prelude::*;
 use nexus::sched::{FeedbackKind, PolicyKind, StealKind};
-use nexus::sim::EngineKind;
 use nexus::trace::arrivals::ArrivalOverlay;
 use nexus::trace::generators::distributed;
 
@@ -125,11 +124,11 @@ impl Pinned {
     }
 }
 
-/// Runs the named reference scenario on `engine`. Every scenario runs Nexus#
+/// Runs the named reference scenario. Every scenario runs Nexus#
 /// with 6 task graphs and 8 workers per node; sparse LU is generated at
 /// scale 0.01 and every trace and arrival process from seed 42.
-fn run_scenario(name: &str, engine: EngineKind) -> Pinned {
-    let cfg = |nodes: usize| ClusterConfig::new(nodes, 8).with_engine(engine);
+fn run_scenario(name: &str) -> Pinned {
+    let cfg = |nodes: usize| ClusterConfig::new(nodes, 8);
     let batch = |trace: &Trace, cfg: ClusterConfig| {
         Pinned::of(&simulate_cluster(trace, &cfg, |_| NexusSharp::paper(6)))
     };
@@ -299,14 +298,8 @@ fn reference_scenarios() -> Vec<(&'static str, Pinned)> {
 }
 
 #[test]
-fn reference_scenarios_reproduce_exactly_on_both_engines() {
+fn reference_scenarios_reproduce_exactly() {
     for (name, pinned) in reference_scenarios() {
-        for engine in [EngineKind::Calendar, EngineKind::Heap] {
-            assert_eq!(
-                run_scenario(name, engine),
-                pinned,
-                "{name} on the {engine} engine"
-            );
-        }
+        assert_eq!(run_scenario(name), pinned, "{name}");
     }
 }

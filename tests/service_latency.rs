@@ -13,14 +13,13 @@
 //!   are never dropped).
 //! * A load ramp demonstrates the sustainable-throughput knee.
 //! * The whole pipeline is deterministic: identical seeds give bit-identical
-//!   percentiles across repeated runs and across both event engines.
+//!   percentiles across repeated runs.
 //! * Live placement under load retires every task: each task is placed once,
 //!   when the master submits it, so no notification is counted twice.
 
 use nexus::cluster::{simulate_streaming, FeedbackKind, LinkConfig, StreamingSource, Topology};
 use nexus::flow::knee_sweep;
 use nexus::prelude::*;
-use nexus::sim::EngineKind;
 use nexus::trace::generators::distributed;
 
 fn us(v: u64) -> SimDuration {
@@ -162,7 +161,7 @@ fn knee_sweep_demonstrates_the_throughput_knee() {
 }
 
 #[test]
-fn service_percentiles_are_bit_identical_across_engines_and_reruns() {
+fn service_percentiles_are_bit_identical_across_reruns() {
     let trace = distributed::sparselu(4, 0.4, 7, 0.002);
     for kind in [
         ArrivalKind::Poisson,
@@ -170,29 +169,18 @@ fn service_percentiles_are_bit_identical_across_engines_and_reruns() {
         ArrivalKind::Diurnal,
     ] {
         let svc = service(kind, us(30), 4);
-        let run = |engine: EngineKind| {
-            let cfg = ClusterConfig::new(4, 4)
-                .with_stealing(StealKind::MostLoaded)
-                .with_engine(engine);
-            simulate_service(&trace, &svc, &cfg, |_| NexusSharp::paper(6))
-        };
-        let heap = run(EngineKind::Heap);
-        let heap2 = run(EngineKind::Heap);
-        let calendar = run(EngineKind::Calendar);
+        let cfg = ClusterConfig::new(4, 4).with_stealing(StealKind::MostLoaded);
+        let run = || simulate_service(&trace, &svc, &cfg, |_| NexusSharp::paper(6));
+        let (first, rerun) = (run(), run());
         // Full-outcome equality (latency vectors, histogram, back-pressure).
         assert_eq!(
-            format!("{heap:?}"),
-            format!("{heap2:?}"),
+            format!("{first:?}"),
+            format!("{rerun:?}"),
             "{kind}: reruns diverged"
         );
-        assert_eq!(
-            format!("{heap:?}"),
-            format!("{calendar:?}"),
-            "{kind}: engines diverged"
-        );
-        assert_eq!(heap.p50(), calendar.p50(), "{kind}");
-        assert_eq!(heap.p99(), calendar.p99(), "{kind}");
-        assert_eq!(heap.p999(), calendar.p999(), "{kind}");
+        assert_eq!(first.p50(), rerun.p50(), "{kind}");
+        assert_eq!(first.p99(), rerun.p99(), "{kind}");
+        assert_eq!(first.p999(), rerun.p999(), "{kind}");
     }
 }
 
