@@ -48,7 +48,7 @@ fn main() {
             let curve = speedup_curve(&trace, &cores, |_| {
                 let mut cfg = NexusSharpConfig::paper(6);
                 cfg.distribution = policy;
-                NexusSharp::new(cfg)
+                Box::new(NexusSharp::new(cfg))
             });
             // Re-run once at 32 cores to extract the imbalance statistic.
             let mut cfg = NexusSharpConfig::paper(6);

@@ -1,10 +1,11 @@
 //! **Ablation** — which structural differences between Nexus++ and Nexus#
 //! actually matter?
 //!
-//! DESIGN.md calls out three structural deltas between the baseline and the
-//! distributed design: (1) `taskwait on` support (missing support escalates to
-//! a full `taskwait`), (2) the task-pool recycling discipline (circular buffer
-//! vs. free list), and (3) the distributed insertion path. This bench isolates
+//! Three structural deltas separate the baseline from the distributed design
+//! (the `nexus-pp` crate doc describes the first two): (1) `taskwait on`
+//! support (missing support escalates to a full `taskwait`), (2) the
+//! task-pool recycling discipline (circular buffer vs. free list), and (3)
+//! the distributed insertion path. This bench isolates
 //! (2) and (3) by running Nexus++ variants and small Nexus# configurations on
 //! the two workloads that stress them (streamcluster for pool recycling,
 //! h264dec-1x1 for the taskwait-on escalation and front-end throughput).
@@ -61,8 +62,10 @@ fn main() {
         );
         for (name, variant) in &variants {
             let curve = match variant {
-                Variant::PP(cfg) => speedup_curve(&trace, &cores, |_| NexusPP::new(*cfg)),
-                Variant::Sharp(cfg) => speedup_curve(&trace, &cores, |_| NexusSharp::new(*cfg)),
+                Variant::PP(cfg) => speedup_curve(&trace, &cores, |_| Box::new(NexusPP::new(*cfg))),
+                Variant::Sharp(cfg) => {
+                    speedup_curve(&trace, &cores, |_| Box::new(NexusSharp::new(*cfg)))
+                }
             };
             table.row(vec![
                 name.clone(),

@@ -9,14 +9,14 @@
 //! cluster scales with the node count; at 100 % remote edges every task pays
 //! the interconnect and the cluster becomes link-bound.
 //!
-//! Every run uses the RDMA link, `xorhash` placement and no stealing.
+//! Every run uses the RDMA link, `xorhash` placement, no stealing and no
+//! runtime feedback (`policy_comparison` sweeps those).
 //!
 //! Run with: `cargo bench -p nexus-bench --bench cluster_scalability`
-//! Environment: `NEXUS_BENCH_SCALE=<0..1>` (default 0.1),
-//! `NEXUS_FEEDBACK=off|place|reclaim|full` (default off, case-insensitive).
+//! Environment: `NEXUS_BENCH_SCALE=<0.001..1>` (default 0.1).
 
 use nexus_bench::report::Table;
-use nexus_bench::runner::{bench_scale, cluster_feedback, cluster_node_counts};
+use nexus_bench::runner::{bench_scale, cluster_node_counts};
 use nexus_cluster::{remote_edge_fraction, simulate_cluster, ClusterConfig, LinkConfig};
 use nexus_core::NexusSharp;
 use nexus_trace::generators::distributed;
@@ -25,11 +25,9 @@ fn main() {
     // The distributed trace grows with the node count; keep the per-domain
     // scale small enough that the 8-node sweep stays quick.
     let scale = (bench_scale() * 0.02).clamp(0.001, 0.05);
-    let feedback = cluster_feedback();
     let workers_per_node = 8;
     println!(
-        "per-domain sparselu scale: {scale}, link: {:?}, feedback: {feedback}, \
-         {workers_per_node} workers/node\n",
+        "per-domain sparselu scale: {scale}, link: {:?}, {workers_per_node} workers/node\n",
         LinkConfig::rdma()
     );
 
@@ -53,7 +51,7 @@ fn main() {
         // directly comparable (affinity hints wrap modulo the node count).
         let trace = distributed::sparselu(8, remote, 42, scale);
         for &nodes in &cluster_node_counts() {
-            let cfg = ClusterConfig::new(nodes, workers_per_node).with_feedback(feedback);
+            let cfg = ClusterConfig::new(nodes, workers_per_node);
             let out = simulate_cluster(&trace, &cfg, |_| NexusSharp::paper(6));
             table.row(vec![
                 format!("{nodes}"),

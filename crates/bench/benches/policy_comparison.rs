@@ -25,26 +25,24 @@
 //!    trace, so a feedback regression fails the bench.
 //!
 //! Every run uses the RDMA link; the stealing sweep places tasks with
-//! `xorhash`.
+//! `xorhash`. Sweeps 1 and 2 run each configuration under every
+//! `FeedbackKind` too, so the live-digest and reclamation paths run on
+//! both traces.
 //!
 //! Run with: `cargo bench -p nexus-bench --bench policy_comparison`
-//! Environment: `NEXUS_BENCH_SCALE=<0..1>` (default 0.1),
-//! `NEXUS_FEEDBACK=off|place|reclaim|full` (applied to sweeps 1 and 2;
-//! sweep 3 runs every mode regardless). Both are case-insensitive and reject
-//! typos with the valid values.
+//! Environment: `NEXUS_BENCH_SCALE=<0.001..1>` (default 0.1).
 
 use nexus_bench::report::Table;
-use nexus_bench::runner::{bench_scale, cluster_feedback};
+use nexus_bench::runner::bench_scale;
 use nexus_cluster::{simulate_cluster, ClusterConfig, FeedbackKind, PolicyKind, StealKind};
 use nexus_core::NexusSharp;
 use nexus_sim::SimDuration;
 use nexus_trace::generators::distributed;
 
 fn main() {
-    let feedback = cluster_feedback();
     let scale = bench_scale();
     let workers_per_node = 8;
-    println!("feedback: {feedback}, scale: {scale}\n");
+    println!("scale: {scale}\n");
 
     // Part 1 — imbalanced domains: stealing recovers the makespan.
     let base_tasks = ((scale * 1920.0) as u64).clamp(96, 1920);
@@ -57,6 +55,7 @@ fn main() {
                 trace.name
             ),
             &[
+                "feedback",
                 "stealing",
                 "makespan",
                 "speedup",
@@ -65,12 +64,16 @@ fn main() {
                 "link words",
             ],
         );
-        for stealing in StealKind::ALL {
+        for (feedback, stealing) in FeedbackKind::ALL
+            .into_iter()
+            .flat_map(|f| StealKind::ALL.map(|s| (f, s)))
+        {
             let cfg = ClusterConfig::new(nodes, workers_per_node)
                 .with_stealing(stealing)
                 .with_feedback(feedback);
             let out = simulate_cluster(&trace, &cfg, |_| NexusSharp::paper(6));
             table.row(vec![
+                feedback.to_string(),
                 out.stealing.clone(),
                 format!("{}", out.makespan),
                 format!("{:.2}x", out.speedup()),
@@ -92,6 +95,7 @@ fn main() {
                 trace.name
             ),
             &[
+                "feedback",
                 "placement",
                 "makespan",
                 "speedup",
@@ -100,12 +104,16 @@ fn main() {
                 "link words",
             ],
         );
-        for placement in PolicyKind::ALL {
+        for (feedback, placement) in FeedbackKind::ALL
+            .into_iter()
+            .flat_map(|f| PolicyKind::ALL.map(|p| (f, p)))
+        {
             let cfg = ClusterConfig::new(nodes, workers_per_node)
                 .with_placement(placement)
                 .with_feedback(feedback);
             let out = simulate_cluster(&trace, &cfg, |_| NexusSharp::paper(6));
             table.row(vec![
+                feedback.to_string(),
                 out.placement.clone(),
                 format!("{}", out.makespan),
                 format!("{:.2}x", out.speedup()),

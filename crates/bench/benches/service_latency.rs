@@ -18,7 +18,7 @@
 //! to the default depth of 64 tasks per node.
 //!
 //! Run with: `cargo bench -p nexus-bench --bench service_latency`
-//! Environment: `NEXUS_BENCH_SCALE=<0..1>` (default 0.1).
+//! Environment: `NEXUS_BENCH_SCALE=<0.001..1>` (default 0.1).
 
 use nexus_bench::report::Table;
 use nexus_bench::runner::bench_scale;

@@ -20,7 +20,7 @@
 //! Every fabric runs at the RDMA link's latency and bandwidth.
 //!
 //! Run with: `cargo bench -p nexus-bench --bench topology_comparison`
-//! Environment: `NEXUS_BENCH_SCALE=<0..1>` (default 0.1).
+//! Environment: `NEXUS_BENCH_SCALE=<0.001..1>` (default 0.1).
 
 use nexus_bench::report::Table;
 use nexus_bench::runner::bench_scale;

@@ -1,29 +1,36 @@
 //! # nexus-bench — the evaluation harness
 //!
-//! One bench target per table/figure of the paper (see DESIGN.md §4 for the
-//! full experiment index), plus Criterion micro-benchmarks of the core data
-//! structures. This library holds the shared plumbing: manager construction,
-//! curve sweeps, paper reference values, scaling of the workloads and table
-//! formatting.
+//! The paper's evaluation (Tables I–IV, Figs. 1 and 3–9) comes from one
+//! binary, `paper_report`, which prints every table as Markdown with a
+//! measured/paper ratio beside each value the paper reports; its full-scale
+//! output is committed as `EXPERIMENTS.md`:
+//!
+//! ```text
+//! NEXUS_BENCH_SCALE=1 cargo run --release -p nexus-bench --bin paper_report > EXPERIMENTS.md
+//! ```
+//!
+//! The bench targets cover what the paper's tables do not: the ablations,
+//! the cluster, policy, topology and service sweeps, and Criterion
+//! micro-benchmarks of the core data structures. This library holds the
+//! shared plumbing: manager construction, curve sweeps, paper reference
+//! values, scaling of the workloads and table formatting.
 //!
 //! ## Workload scaling
 //!
 //! The full-size traces (650 k tasks for streamcluster, 4.5 M tasks for the
-//! 3000×3000 Gaussian elimination) are faithful to Table II but make a full
-//! `cargo bench` run take tens of minutes. The harness therefore runs a scaled
-//! configuration by default and prints the scale it used.
-//! `NEXUS_BENCH_SCALE=<0..1>` is the task-count scale factor (default 0.1;
-//! `1` runs the full-size traces).
+//! 3000×3000 Gaussian elimination) are faithful to Table II but take minutes
+//! to simulate. The harness therefore runs a scaled configuration by default
+//! and prints the scale it used. `NEXUS_BENCH_SCALE=<0.001..1>` is the
+//! task-count scale factor (default 0.1; `1` runs the full-size traces).
 //!
 //! Scaling shrinks the *number* of tasks (fewer frames/lines/groups), not their
 //! durations or dependency structure, so speedup curves keep their shape.
 //!
 //! ## Knobs
 //!
-//! `NEXUS_BENCH_SCALE` and `NEXUS_FEEDBACK=off|place|reclaim|full` (default
-//! `off`, read by the cluster benches) are the harness's only environment
-//! knobs; a typo in either aborts with exit 2 and lists the valid values.
-//! Every other setting is fixed in the bench that uses it.
+//! `NEXUS_BENCH_SCALE` is the harness's only environment knob; a value that
+//! does not parse or lies outside 0.001..=1.0 aborts with exit 2. Every other
+//! setting is fixed in the bench that uses it.
 
 #![warn(missing_docs)]
 
@@ -34,4 +41,4 @@ pub mod runner;
 
 pub use managers::ManagerKind;
 pub use report::Table;
-pub use runner::{bench_scale, curves_for, gaussian_core_counts, hw_core_counts};
+pub use runner::{bench_scale, gaussian_core_counts, hw_core_counts, Curves};

@@ -1,14 +1,13 @@
 //! Construction of the task managers compared in the evaluation.
 
 use nexus_core::{NexusSharp, NexusSharpConfig};
-use nexus_host::manager::{ManagerEvent, TaskManager};
+use nexus_host::manager::TaskManager;
 use nexus_host::IdealManager;
 use nexus_nanos::NanosRuntime;
-use nexus_pp::{NexusPP, NexusPPConfig};
-use nexus_sim::{SimDuration, SimTime};
-use nexus_trace::{TaskDescriptor, TaskId};
+use nexus_pp::NexusPP;
 
-/// The manager families compared in Figs. 7–9 and Table IV.
+/// The manager configurations compared in Figs. 7–9 and Table IV. Two equal
+/// values build identical managers, so a `ManagerKind` identifies a curve.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ManagerKind {
     /// The "No Overhead" ideal curve.
@@ -17,15 +16,9 @@ pub enum ManagerKind {
     Nanos,
     /// The Nexus++ centralized hardware manager at 100 MHz.
     NexusPP,
-    /// Nexus# with `task_graphs` task graphs at its Table I test frequency.
+    /// Nexus# with `task_graphs` task graphs clocked at `mhz` (Fig. 7(a)
+    /// runs every configuration at 100 MHz; Fig. 9 the 1- and 2-TG ones).
     NexusSharp {
-        /// Number of task-graph units.
-        task_graphs: usize,
-    },
-    /// Nexus# with `task_graphs` task graphs forced to a given frequency
-    /// (Fig. 7(a) uses 100 MHz for every configuration; Fig. 9 uses 100 MHz
-    /// for the 1-TG and 2-TG configurations).
-    NexusSharpAtMhz {
         /// Number of task-graph units.
         task_graphs: usize,
         /// Clock frequency in MHz.
@@ -34,14 +27,22 @@ pub enum ManagerKind {
 }
 
 impl ManagerKind {
+    /// Nexus# with `task_graphs` task graphs at its Table I test frequency
+    /// (6 task graphs run at 55.56 MHz, the configuration of Fig. 8).
+    pub fn nexus_sharp(task_graphs: usize) -> Self {
+        ManagerKind::NexusSharp {
+            task_graphs,
+            mhz: NexusSharpConfig::paper(task_graphs).clock_mhz,
+        }
+    }
+
     /// Display label used in tables.
     pub fn label(&self) -> String {
         match self {
             ManagerKind::Ideal => "ideal".to_string(),
             ManagerKind::Nanos => "Nanos".to_string(),
             ManagerKind::NexusPP => "Nexus++".to_string(),
-            ManagerKind::NexusSharp { task_graphs } => format!("Nexus# {task_graphs}TG"),
-            ManagerKind::NexusSharpAtMhz { task_graphs, mhz } => {
+            ManagerKind::NexusSharp { task_graphs, mhz } => {
                 format!("Nexus# {task_graphs}TG@{mhz:.0}MHz")
             }
         }
@@ -49,117 +50,25 @@ impl ManagerKind {
 
     /// Builds a fresh manager instance for a run of `benchmark` on `workers`
     /// worker cores.
-    pub fn build(&self, benchmark: &str, workers: usize) -> AnyManager {
-        match self {
-            ManagerKind::Ideal => AnyManager::Ideal(IdealManager::new()),
-            ManagerKind::Nanos => {
-                AnyManager::Nanos(NanosRuntime::for_benchmark(benchmark, workers))
+    pub fn build(&self, benchmark: &str, workers: usize) -> Box<dyn TaskManager> {
+        match *self {
+            ManagerKind::Ideal => Box::new(IdealManager::new()),
+            ManagerKind::Nanos => Box::new(NanosRuntime::for_benchmark(benchmark, workers)),
+            ManagerKind::NexusPP => Box::new(NexusPP::paper()),
+            ManagerKind::NexusSharp { task_graphs, mhz } => {
+                Box::new(NexusSharp::new(NexusSharpConfig::at_mhz(task_graphs, mhz)))
             }
-            ManagerKind::NexusPP => AnyManager::NexusPP(NexusPP::new(NexusPPConfig::paper())),
-            ManagerKind::NexusSharp { task_graphs } => {
-                AnyManager::NexusSharp(NexusSharp::new(NexusSharpConfig::paper(*task_graphs)))
-            }
-            ManagerKind::NexusSharpAtMhz { task_graphs, mhz } => AnyManager::NexusSharp(
-                NexusSharp::new(NexusSharpConfig::at_mhz(*task_graphs, *mhz)),
-            ),
         }
     }
 
     /// The four-manager comparison of Fig. 8 (ideal, Nanos, Nexus++, Nexus# 6 TGs).
-    pub fn fig8_set() -> Vec<ManagerKind> {
-        vec![
+    pub fn fig8_set() -> [ManagerKind; 4] {
+        [
             ManagerKind::Ideal,
             ManagerKind::Nanos,
             ManagerKind::NexusPP,
-            ManagerKind::NexusSharp { task_graphs: 6 },
+            ManagerKind::nexus_sharp(6),
         ]
-    }
-}
-
-/// A type-erased manager so sweeps can be written over `ManagerKind`.
-pub enum AnyManager {
-    /// The ideal manager.
-    Ideal(IdealManager),
-    /// The Nanos software runtime model.
-    Nanos(NanosRuntime),
-    /// The Nexus++ baseline.
-    NexusPP(NexusPP),
-    /// The Nexus# manager.
-    NexusSharp(NexusSharp),
-}
-
-impl TaskManager for AnyManager {
-    fn name(&self) -> String {
-        match self {
-            AnyManager::Ideal(m) => m.name(),
-            AnyManager::Nanos(m) => m.name(),
-            AnyManager::NexusPP(m) => m.name(),
-            AnyManager::NexusSharp(m) => m.name(),
-        }
-    }
-    fn can_accept(&self, now: SimTime) -> bool {
-        match self {
-            AnyManager::Ideal(m) => m.can_accept(now),
-            AnyManager::Nanos(m) => m.can_accept(now),
-            AnyManager::NexusPP(m) => m.can_accept(now),
-            AnyManager::NexusSharp(m) => m.can_accept(now),
-        }
-    }
-    fn submit(&mut self, task: &TaskDescriptor, now: SimTime) -> SimTime {
-        match self {
-            AnyManager::Ideal(m) => m.submit(task, now),
-            AnyManager::Nanos(m) => m.submit(task, now),
-            AnyManager::NexusPP(m) => m.submit(task, now),
-            AnyManager::NexusSharp(m) => m.submit(task, now),
-        }
-    }
-    fn finish(&mut self, task: TaskId, now: SimTime) -> SimTime {
-        match self {
-            AnyManager::Ideal(m) => m.finish(task, now),
-            AnyManager::Nanos(m) => m.finish(task, now),
-            AnyManager::NexusPP(m) => m.finish(task, now),
-            AnyManager::NexusSharp(m) => m.finish(task, now),
-        }
-    }
-    fn dispatch_cost(&mut self, task: TaskId, now: SimTime) -> SimDuration {
-        match self {
-            AnyManager::Ideal(m) => m.dispatch_cost(task, now),
-            AnyManager::Nanos(m) => m.dispatch_cost(task, now),
-            AnyManager::NexusPP(m) => m.dispatch_cost(task, now),
-            AnyManager::NexusSharp(m) => m.dispatch_cost(task, now),
-        }
-    }
-    fn supports_taskwait_on(&self) -> bool {
-        match self {
-            AnyManager::Ideal(m) => m.supports_taskwait_on(),
-            AnyManager::Nanos(m) => m.supports_taskwait_on(),
-            AnyManager::NexusPP(m) => m.supports_taskwait_on(),
-            AnyManager::NexusSharp(m) => m.supports_taskwait_on(),
-        }
-    }
-    fn drain_events(&mut self) -> Vec<ManagerEvent> {
-        match self {
-            AnyManager::Ideal(m) => m.drain_events(),
-            AnyManager::Nanos(m) => m.drain_events(),
-            AnyManager::NexusPP(m) => m.drain_events(),
-            AnyManager::NexusSharp(m) => m.drain_events(),
-        }
-    }
-    fn drain_events_into(&mut self, out: &mut Vec<ManagerEvent>) {
-        match self {
-            AnyManager::Ideal(m) => m.drain_events_into(out),
-            AnyManager::Nanos(m) => m.drain_events_into(out),
-            AnyManager::NexusPP(m) => m.drain_events_into(out),
-            AnyManager::NexusSharp(m) => m.drain_events_into(out),
-        }
-    }
-    fn stats_summary(&self) -> Vec<(String, f64)> {
-        match self {
-            AnyManager::Ideal(m) => m.stats_summary(),
-            AnyManager::Nanos(m) => m.stats_summary(),
-            AnyManager::NexusPP(m) => m.stats_summary(),
-            AnyManager::NexusSharp(m) => m.stats_summary(),
-        }
     }
 }
 
@@ -170,22 +79,29 @@ mod tests {
     #[test]
     fn labels_and_construction() {
         assert_eq!(ManagerKind::Ideal.label(), "ideal");
+        assert_eq!(ManagerKind::nexus_sharp(6).label(), "Nexus# 6TG@56MHz");
         assert_eq!(
-            ManagerKind::NexusSharp { task_graphs: 6 }.label(),
-            "Nexus# 6TG"
-        );
-        assert_eq!(
-            ManagerKind::NexusSharpAtMhz {
+            ManagerKind::NexusSharp {
                 task_graphs: 2,
                 mhz: 100.0
             }
             .label(),
             "Nexus# 2TG@100MHz"
         );
-        let m = ManagerKind::NexusSharp { task_graphs: 4 }.build("c-ray", 8);
+        let m = ManagerKind::nexus_sharp(4).build("c-ray", 8);
         assert_eq!(m.name(), "Nexus# (4 TGs)");
         let m = ManagerKind::Nanos.build("streamcluster", 8);
         assert_eq!(m.name(), "Nanos");
         assert_eq!(ManagerKind::fig8_set().len(), 4);
+    }
+
+    #[test]
+    fn equal_kinds_are_equal_configurations() {
+        // Fig. 7(b)'s 1- and 2-TG rows run at the 100 MHz of Fig. 7(a), and its
+        // 6-TG row is Fig. 8's Nexus#: each pair must share one curve.
+        let at = |task_graphs, mhz| ManagerKind::NexusSharp { task_graphs, mhz };
+        assert_eq!(ManagerKind::nexus_sharp(2), at(2, 100.0));
+        assert_eq!(ManagerKind::nexus_sharp(6), ManagerKind::fig8_set()[3]);
+        assert_ne!(ManagerKind::nexus_sharp(4), at(4, 100.0));
     }
 }

@@ -1,6 +1,6 @@
-//! Reference values reported in the paper, used to print paper-vs-measured
-//! columns in the regenerated tables. No document records the full
-//! comparison yet; the ROADMAP's "Paper fidelity, measured" item plans one.
+//! Reference values reported in the paper, printed beside the measured ones
+//! (with their ratio) by `paper_report`, whose full-scale output is
+//! `EXPERIMENTS.md`.
 
 /// One row of Table IV: maximum speedup per benchmark and task manager.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -1,6 +1,9 @@
-//! Plain-text table rendering for the figure/table benches.
+//! Markdown table rendering for the paper report and the benches.
 
-/// A simple fixed-width text table.
+/// A measured/paper ratio at or beyond this factor, either way, is flagged.
+const RATIO_FLAG: f64 = 1.5;
+
+/// A titled table, rendered as a Markdown heading and a pipe table.
 #[derive(Debug, Clone)]
 pub struct Table {
     title: String,
@@ -10,10 +13,10 @@ pub struct Table {
 
 impl Table {
     /// Creates a table with a title and column headers.
-    pub fn new(title: impl Into<String>, headers: &[&str]) -> Self {
+    pub fn new<S: AsRef<str>>(title: impl Into<String>, headers: &[S]) -> Self {
         Table {
             title: title.into(),
-            headers: headers.iter().map(|s| s.to_string()).collect(),
+            headers: headers.iter().map(|s| s.as_ref().to_string()).collect(),
             rows: Vec::new(),
         }
     }
@@ -24,51 +27,37 @@ impl Table {
         self
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True if the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// Renders the table as aligned plain text.
+    /// Renders the table as a `##` heading and a column-aligned pipe table.
     pub fn render(&self) -> String {
-        let cols = self.headers.len();
-        let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
-        for row in &self.rows {
-            for (i, cell) in row.iter().enumerate().take(cols) {
-                widths[i] = widths[i].max(cell.len());
-            }
-        }
-        let mut out = String::new();
-        out.push_str(&format!("== {} ==\n", self.title));
-        let header_line: Vec<String> = self
+        let mut widths: Vec<usize> = self
             .headers
             .iter()
-            .enumerate()
-            .map(|(i, h)| format!("{:<width$}", h, width = widths[i]))
+            .map(|h| h.chars().count().max(3))
             .collect();
-        out.push_str(&header_line.join("  "));
-        out.push('\n');
-        out.push_str(&"-".repeat(header_line.join("  ").len()));
-        out.push('\n');
         for row in &self.rows {
-            let line: Vec<String> = row
+            for (w, cell) in widths.iter_mut().zip(row) {
+                *w = (*w).max(cell.chars().count());
+            }
+        }
+        let line = |cells: &[String]| {
+            let padded: Vec<String> = widths
                 .iter()
-                .enumerate()
-                .take(cols)
-                .map(|(i, c)| format!("{:<width$}", c, width = widths[i]))
+                .zip(cells)
+                .map(|(&w, c)| format!("{c:<w$}"))
                 .collect();
-            out.push_str(&line.join("  "));
-            out.push('\n');
+            format!("| {} |\n", padded.join(" | "))
+        };
+        let rule: Vec<String> = widths.iter().map(|&w| "-".repeat(w)).collect();
+        let mut out = format!("## {}\n\n", self.title);
+        out.push_str(&line(&self.headers));
+        out.push_str(&line(&rule));
+        for row in &self.rows {
+            out.push_str(&line(row));
         }
         out
     }
 
-    /// Prints the rendered table to stdout.
+    /// Prints the rendered table to stdout, followed by a blank line.
     pub fn print(&self) {
         println!("{}", self.render());
     }
@@ -84,6 +73,17 @@ pub fn fmt_pct(v: f64) -> String {
     format!("{:.0}%", v * 100.0)
 }
 
+/// Formats the ratio measured/paper of two unrounded values, in bold when it
+/// is 1.5 or more either way.
+pub fn fmt_ratio(measured: f64, paper: f64) -> String {
+    let r = measured / paper;
+    if r >= RATIO_FLAG || r <= 1.0 / RATIO_FLAG {
+        format!("**{r:.2}**")
+    } else {
+        format!("{r:.2}")
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -92,21 +92,25 @@ mod tests {
     fn render_aligns_columns() {
         let mut t = Table::new("Demo", &["name", "value"]);
         t.row(vec!["short".into(), "1".into()]);
-        t.row(vec!["a-much-longer-name".into(), "2.5".into()]);
-        let s = t.render();
-        assert!(s.contains("== Demo =="));
-        assert!(s.contains("a-much-longer-name"));
-        assert_eq!(t.len(), 2);
-        assert!(!t.is_empty());
-        // Every data line has the same prefix width for the first column.
-        let lines: Vec<&str> = s.lines().collect();
-        let col1_width = "a-much-longer-name".len();
-        assert!(lines[3].find("1").unwrap() > col1_width);
+        t.row(vec!["a-much-longer-name".into(), "2.5×".into()]);
+        assert_eq!(
+            t.render(),
+            "## Demo\n\n\
+             | name               | value |\n\
+             | ------------------ | ----- |\n\
+             | short              | 1     |\n\
+             | a-much-longer-name | 2.5×  |\n"
+        );
     }
 
     #[test]
     fn formatting_helpers() {
         assert_eq!(fmt_speedup(193.96), "194.0x");
         assert_eq!(fmt_pct(0.58), "58%");
+        assert_eq!(fmt_ratio(1.0, 1.0), "1.00");
+        assert_eq!(fmt_ratio(1.49, 1.0), "1.49");
+        assert_eq!(fmt_ratio(3.0, 2.0), "**1.50**");
+        assert_eq!(fmt_ratio(2.0, 3.0), "**0.67**");
+        assert_eq!(fmt_ratio(2.01, 3.0), "0.67");
     }
 }

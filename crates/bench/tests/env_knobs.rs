@@ -1,80 +1,87 @@
-//! Regression tests for the command-line surface of the bench harness: an
-//! unknown value of either environment knob (`NEXUS_BENCH_SCALE`,
-//! `NEXUS_FEEDBACK`) must abort loudly (exit 2) naming the knob and its valid
-//! values, valid values must be accepted case-insensitively, and
-//! `quick_report`, which takes no arguments, must reject any.
+//! Regression tests for the command-line surface of `paper_report`: a bad
+//! `NEXUS_BENCH_SCALE` (the harness's only environment knob) must abort
+//! loudly (exit 2) naming the knob and its valid range, any argument must be
+//! rejected, and the smallest scale must run the whole report.
 //!
-//! `quick_report` validates both knobs and its arguments before it runs
+//! `paper_report` validates its arguments and the knob before it runs
 //! anything, so each abort probe is fast.
 
 use std::process::{Command, Output};
 
-fn quick_report(envs: &[(&str, &str)], args: &[&str]) -> Output {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_quick_report"));
-    // Isolate from the caller's environment so only the probed knob is set.
-    for var in ["NEXUS_BENCH_SCALE", "NEXUS_FEEDBACK"] {
-        cmd.env_remove(var);
+fn paper_report(scale: Option<&str>, args: &[&str]) -> Output {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_paper_report"));
+    // Isolate from the caller's environment so only the probed value is set.
+    cmd.env_remove("NEXUS_BENCH_SCALE");
+    if let Some(scale) = scale {
+        cmd.env("NEXUS_BENCH_SCALE", scale);
     }
-    cmd.envs(envs.iter().copied()).args(args);
-    cmd.output().expect("spawning quick_report must succeed")
-}
-
-/// Asserts that setting `var=value` aborts with exit code 2 and a message
-/// naming the knob and listing `expected` as part of the valid options.
-fn assert_aborts(var: &str, value: &str, expected: &str) {
-    let out = quick_report(&[(var, value)], &[]);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(
-        out.status.code(),
-        Some(2),
-        "{var}={value} must abort with exit 2 (stderr: {stderr})"
-    );
-    assert!(
-        stderr.contains(var),
-        "abort message must name the knob {var}: {stderr}"
-    );
-    assert!(
-        stderr.contains(expected),
-        "abort message must list the valid options ({expected}): {stderr}"
-    );
-}
-
-#[test]
-fn unknown_feedback_mode_aborts_listing_options() {
-    assert_aborts("NEXUS_FEEDBACK", "adaptive", "off|place|reclaim|full");
+    cmd.args(args)
+        .output()
+        .expect("spawning paper_report must succeed")
 }
 
 #[test]
 fn bad_bench_scale_aborts() {
-    // A decimal comma must not silently size the workload to the default.
-    assert_aborts("NEXUS_BENCH_SCALE", "0,3", "0.001..=1.0");
-    assert_aborts("NEXUS_BENCH_SCALE", "NaN", "0.001..=1.0");
+    // A decimal comma must not silently size the workload to the default,
+    // nor an out-of-range value to the nearest bound.
+    for value in ["0,3", "NaN", "10", "0", "-1"] {
+        let out = paper_report(Some(value), &[]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "NEXUS_BENCH_SCALE={value} must abort with exit 2 (stderr: {stderr})"
+        );
+        assert!(
+            stderr.contains("NEXUS_BENCH_SCALE") && stderr.contains("0.001..=1.0"),
+            "abort message must name the knob and its valid range: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "nothing may run before the abort");
+    }
 }
 
 #[test]
-fn valid_knobs_are_case_insensitive() {
-    // The smallest scale keeps this full report run to about a second.
-    let out = quick_report(
-        &[("NEXUS_BENCH_SCALE", "0.001"), ("NEXUS_FEEDBACK", "FuLl")],
-        &[],
-    );
+fn smallest_scale_prints_every_table() {
+    // The smallest scale keeps this full report run to a few seconds in debug.
+    let out = paper_report(Some("0.001"), &[]);
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(
-        out.status.code(),
-        Some(0),
-        "mixed-case valid knobs must be accepted: {stderr}"
-    );
+    assert_eq!(out.status.code(), Some(0), "the report must run: {stderr}");
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        stdout.contains("feedback full"),
-        "the policy table must run under the requested feedback mode: {stdout}"
-    );
+    let headings: Vec<&str> = stdout.lines().filter(|l| l.starts_with("## ")).collect();
+    for title in [
+        "## Table I:",
+        "## Table II:",
+        "## Table III:",
+        "## Fig. 6 ",
+        "## Fig. 3 ",
+        "## Fig. 1 ",
+        "## Fig. 4 ",
+        "## Fig. 5 ",
+        "## Pipeline headline numbers",
+        "## §IV-E ",
+        "## Fig. 8 ",
+        "## Table IV:",
+        "## Fig. 7(a) ",
+        "## Fig. 7(b) ",
+        "## Fig. 9 ",
+        "## Fig. 9 summary",
+        "## Fig. 9 headline",
+    ] {
+        assert!(
+            headings.iter().any(|h| h.starts_with(title)),
+            "no {title:?} table in the report: {headings:#?}"
+        );
+    }
+    // Fig. 3 over three task-graph counts, Fig. 7(a) and (b) over four
+    // h264dec groupings each, Fig. 8 over eight benchmarks and Fig. 9 over
+    // four matrices, with 12 single tables: 35 in all.
+    assert_eq!(headings.len(), 35, "{headings:#?}");
 }
 
 #[test]
 fn any_argument_aborts() {
-    for arg in ["--frobnicate", "--baseline-only"] {
-        let out = quick_report(&[], &[arg]);
+    for arg in ["--frobnicate", "--bench"] {
+        let out = paper_report(None, &[arg]);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{arg} must abort: {stderr}");
         assert!(

@@ -50,7 +50,8 @@
 //!   lands, then enters at the front. A stolen descriptor is always eligible
 //!   on arrival;
 //! * with runtime **feedback** enabled
-//!   ([`FeedbackKind`](nexus_sched::FeedbackKind), `NEXUS_FEEDBACK`), every
+//!   ([`ClusterConfig::feedback`](crate::ClusterConfig::feedback), a
+//!   [`FeedbackKind`](nexus_sched::FeedbackKind)), every
 //!   retirement notification to the master additionally carries the
 //!   retiring node's live load digest ([`LoadView`]) — no new message types
 //!   on the happy path. The master folds the digests into a [`LoadTracker`]

@@ -4,7 +4,7 @@
 //! core count (1–256 cores for the hardware managers, 1–32 for Nanos, which is
 //! bounded by the real machine used to measure it). [`speedup_curve`] runs one
 //! trace under one manager family over a list of core counts and returns the
-//! curve; the benchmark harness prints these as the rows/series of
+//! curve; the paper report of `nexus-bench` prints these as the rows of
 //! Figs. 7, 8 and 9 and derives Table IV from their maxima.
 
 use crate::driver::{simulate, HostConfig};
@@ -55,38 +55,21 @@ impl SpeedupCurve {
             .find(|p| p.cores == cores)
             .map(|p| p.speedup)
     }
-
-    /// Renders the curve as a compact single-line series (used by the
-    /// figure-regeneration benches).
-    pub fn series(&self) -> String {
-        let pts: Vec<String> = self
-            .points
-            .iter()
-            .map(|p| format!("{}:{:.1}", p.cores, p.speedup))
-            .collect();
-        format!(
-            "{:<24} {:<20} {}",
-            self.benchmark,
-            self.manager,
-            pts.join("  ")
-        )
-    }
 }
 
 /// Runs `trace` for every core count in `cores`, constructing a fresh manager
 /// for each run via `make_manager` (which receives the core count, letting
 /// software runtimes model per-thread contention).
-pub fn speedup_curve<M, F>(trace: &Trace, cores: &[usize], mut make_manager: F) -> SpeedupCurve
+pub fn speedup_curve<F>(trace: &Trace, cores: &[usize], mut make_manager: F) -> SpeedupCurve
 where
-    M: TaskManager,
-    F: FnMut(usize) -> M,
+    F: FnMut(usize) -> Box<dyn TaskManager>,
 {
     let mut points = Vec::with_capacity(cores.len());
     let mut manager_name = String::new();
     for &n in cores {
         let mut manager = make_manager(n);
         manager_name = manager.name();
-        let outcome = simulate(trace, &mut manager, &HostConfig::with_workers(n));
+        let outcome = simulate(trace, manager.as_mut(), &HostConfig::with_workers(n));
         points.push(SpeedupPoint {
             cores: n,
             speedup: outcome.speedup(),
@@ -110,7 +93,9 @@ mod tests {
     #[test]
     fn ideal_curve_is_monotone_and_saturates_at_available_parallelism() {
         let trace = micro::independent_tasks(32, 1, SimDuration::from_us(100));
-        let curve = speedup_curve(&trace, &[1, 2, 4, 8, 16, 32, 64], |_| IdealManager::new());
+        let curve = speedup_curve(&trace, &[1, 2, 4, 8, 16, 32, 64], |_| {
+            Box::new(IdealManager::new())
+        });
         assert_eq!(curve.manager, "No Overhead");
         for w in curve.points.windows(2) {
             assert!(w[1].speedup >= w[0].speedup - 1e-9, "curve not monotone");
@@ -118,6 +103,5 @@ mod tests {
         assert!((curve.max_speedup() - 32.0).abs() < 1e-6);
         assert_eq!(curve.at(4), Some(4.0));
         assert!(curve.at(3).is_none());
-        assert!(curve.series().contains("No Overhead"));
     }
 }

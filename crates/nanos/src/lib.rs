@@ -2,7 +2,9 @@
 //!
 //! Nanos is the official OmpSs runtime and the software baseline of the paper's
 //! evaluation (§V-B, §VI). The paper measured it on the real 32-core machine;
-//! we substitute a cost model executed on the simulated host (see DESIGN.md):
+//! we substitute a cost model executed on the simulated host, calibrated per
+//! benchmark (see [`calibration`]; `EXPERIMENTS.md` sets its Fig. 8 curves and
+//! Table IV maxima beside the paper's):
 //!
 //! * task creation and dependency insertion run on the **master** core,
 //! * scheduling (ready-queue pop) and dependency release run on the **worker**

@@ -7,7 +7,8 @@
 //! frequency (100 MHz for 1–2 task graphs down to 41.66 MHz for 8).
 //!
 //! There is no HDL synthesis ecosystem for Rust, so this crate substitutes an
-//! **analytical resource model** calibrated to Table I (see DESIGN.md §2):
+//! **analytical resource model** calibrated to Table I (`EXPERIMENTS.md`
+//! prints the model beside the paper's values):
 //!
 //! * register / LUT / block-RAM counts grow linearly with the number of task
 //!   graphs (a shared front-end plus a per-task-graph block), matching the
@@ -21,7 +22,7 @@
 //!   that does not exceed the achievable frequency.
 //!
 //! The crate also embeds the paper's reported Table I rows verbatim
-//! ([`paper_table1`]) so the benchmark harness can print model-vs-paper deltas.
+//! ([`paper_table1`]) so the paper report can print model-vs-paper ratios.
 
 #![warn(missing_docs)]
 

@@ -6,9 +6,9 @@
 //! exponentially decayed so an old digest stops repelling placements. Both
 //! clocks fold the digests into one [`LoadTracker`]: the simulator's master
 //! folds the digests riding retirement notifications, and the live runtime's
-//! nodes publish to it at every retirement. [`FeedbackKind`] is the
-//! `ClusterConfig` / `NEXUS_FEEDBACK` handle that selects which consumers
-//! read the tracker: live placement (the feedback rule of
+//! nodes publish to it at every retirement. [`FeedbackKind`] (the
+//! `ClusterConfig::feedback` field of `nexus-cluster`) selects which
+//! consumers read the tracker: live placement (the feedback rule of
 //! [`crate::PolicyKind::place`]), task-pool reclamation
 //! ([`crate::choose_reclaim_victim`]), or both.
 
@@ -136,8 +136,8 @@ impl LoadTracker {
     }
 }
 
-/// Which feedback consumers are active (the `ClusterConfig` / `NEXUS_FEEDBACK`
-/// handle). Off by default: every task is placed by its kind's static rule
+/// Which feedback consumers are active (`ClusterConfig::feedback` in
+/// `nexus-cluster`). Off by default: every task is placed by its kind's static rule
 /// and only stealing balances load, unless feedback is explicitly enabled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum FeedbackKind {

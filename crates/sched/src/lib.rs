@@ -39,8 +39,7 @@
 //! All three are selected through `ClusterConfig` (see `nexus-cluster`) via
 //! the serializable [`PolicyKind`] / [`StealKind`] / [`FeedbackKind`]
 //! values, whose `FromStr` implementations are case-insensitive and list the
-//! valid spellings on a typo — the benches hook [`FeedbackKind`] up to
-//! `NEXUS_FEEDBACK`.
+//! valid spellings on a typo.
 //!
 //! ## Example
 //!

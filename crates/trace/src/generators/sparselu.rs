@@ -16,7 +16,7 @@
 //!
 //! With `NB = 54` the dense graph has 53 955 tasks, within 1.6 % of the paper's
 //! 54 814 (the real benchmark skips empty blocks but also factorizes a slightly
-//! larger matrix; see DESIGN.md §6).
+//! larger matrix; `EXPERIMENTS.md` compares the two under Table II).
 
 use crate::addr::{addr_2d, AddrRegion};
 use crate::task::TaskDescriptor;

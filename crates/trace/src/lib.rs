@@ -17,7 +17,9 @@
 //! The real traces were collected on a 40-core Xeon E7-4870 and are not
 //! available; the generators reproduce each benchmark's *dependency pattern*,
 //! *parameter counts* and *duration distribution* as described in §V-A of the
-//! paper (see DESIGN.md for the substitution record).
+//! paper. Each generator's module doc records how it departs from the real
+//! trace, and `EXPERIMENTS.md` compares the generated Table II and Table III
+//! with the paper's.
 
 #![warn(missing_docs)]
 

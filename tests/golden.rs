@@ -10,7 +10,11 @@
 //!   in at the thief shows up;
 //! * seven reference scenarios spanning one to eight nodes, flat and
 //!   rack-tiered fabrics, every steal policy, the full feedback stack and an
-//!   open-loop service.
+//!   open-loop service;
+//! * the single-node makespans of the paper's manager models (ideal, Nanos,
+//!   Nexus++ and Nexus#) on every Table II benchmark and on Fig. 9's
+//!   smallest matrix, so a change to a manager model fails here and not only
+//!   in the numbers of `EXPERIMENTS.md`.
 //!
 //! A deliberate model change must re-record the values and say why.
 
@@ -301,5 +305,135 @@ fn reference_scenarios() -> Vec<(&'static str, Pinned)> {
 fn reference_scenarios_reproduce_exactly() {
     for (name, pinned) in reference_scenarios() {
         assert_eq!(run_scenario(name), pinned, "{name}");
+    }
+}
+
+/// The single-node manager models of the paper's evaluation (Figs. 8 and 9,
+/// Table IV), built for `workers` cores on `bench`.
+fn paper_manager(label: &str, bench: &str, workers: usize) -> Box<dyn TaskManager> {
+    match label {
+        "ideal" => Box::new(IdealManager::new()),
+        "Nanos" => Box::new(NanosRuntime::for_benchmark(bench, workers)),
+        "Nexus++" => Box::new(NexusPP::paper()),
+        "Nexus# 6TG" => Box::new(NexusSharp::paper(6)),
+        "Nexus# 1TG@100MHz" => Box::new(NexusSharp::at_mhz(1, 100.0)),
+        "Nexus# 2TG@100MHz" => Box::new(NexusSharp::at_mhz(2, 100.0)),
+        other => panic!("unknown manager {other}"),
+    }
+}
+
+/// Makespans in ps of the paper's managers on every Table II benchmark and
+/// on the 250×250 Gaussian elimination, each generated by
+/// `trace_scaled(42, 0.01)`: (benchmark, manager, workers, makespan).
+fn paper_manager_makespans() -> Vec<(String, &'static str, usize, u64)> {
+    let fig8: [(&str, [usize; 2]); 4] = [
+        ("ideal", [16, 256]),
+        ("Nexus++", [16, 256]),
+        ("Nexus# 6TG", [16, 256]),
+        ("Nanos", [16, 32]),
+    ];
+    let fig9: [(&str, [usize; 2]); 3] = [
+        ("Nexus++", [1, 64]),
+        ("Nexus# 1TG@100MHz", [1, 64]),
+        ("Nexus# 2TG@100MHz", [1, 64]),
+    ];
+    let runs = Benchmark::table2_suite()
+        .into_iter()
+        .map(|bench| (bench, &fig8[..]))
+        .chain([(Benchmark::Gaussian { dim: 250 }, &fig9[..])]);
+    let mut makespans = Vec::new();
+    for (bench, managers) in runs {
+        let trace = bench.trace_scaled(42, 0.01);
+        for &(label, workers) in managers {
+            for n in workers {
+                let mut manager = paper_manager(label, &trace.name, n);
+                let out = simulate(&trace, manager.as_mut(), &HostConfig::with_workers(n));
+                makespans.push((bench.name(), label, n, out.makespan.as_ps()));
+            }
+        }
+    }
+    makespans
+}
+
+/// The pinned [`paper_manager_makespans`].
+const PAPER_MANAGER_MAKESPANS_PS: &[(&str, &str, usize, u64)] = &[
+    ("c-ray", "ideal", 16, 6_982_705_532),
+    ("c-ray", "ideal", 256, 6_982_705_532),
+    ("c-ray", "Nexus++", 16, 6_983_625_532),
+    ("c-ray", "Nexus++", 256, 6_983_625_532),
+    ("c-ray", "Nexus# 6TG", 16, 6_984_181_532),
+    ("c-ray", "Nexus# 6TG", 256, 6_984_181_532),
+    ("c-ray", "Nanos", 16, 7_046_145_532),
+    ("c-ray", "Nanos", 32, 7_057_585_532),
+    ("rot-cc", "ideal", 16, 5_399_481_605),
+    ("rot-cc", "ideal", 256, 1_130_922_223),
+    ("rot-cc", "Nexus++", 16, 5_412_231_290),
+    ("rot-cc", "Nexus++", 256, 1_139_952_223),
+    ("rot-cc", "Nexus# 6TG", 16, 5_412_987_290),
+    ("rot-cc", "Nexus# 6TG", 256, 1_144_620_223),
+    ("rot-cc", "Nanos", 16, 5_560_995_789),
+    ("rot-cc", "Nanos", 32, 3_238_837_527),
+    ("sparselu", "ideal", 16, 38_582_231_170),
+    ("sparselu", "ideal", 256, 24_113_456_470),
+    ("sparselu", "Nexus++", 16, 38_593_771_170),
+    ("sparselu", "Nexus++", 256, 24_125_560_429),
+    ("sparselu", "Nexus# 6TG", 16, 38_602_549_324),
+    ("sparselu", "Nexus# 6TG", 256, 24_128_670_429),
+    ("sparselu", "Nanos", 16, 39_634_247_076),
+    ("sparselu", "Nanos", 32, 30_024_638_231),
+    ("streamcluster", "ideal", 16, 175_748_544_288),
+    ("streamcluster", "ideal", 256, 61_908_385_637),
+    ("streamcluster", "Nexus++", 16, 175_784_557_263),
+    ("streamcluster", "Nexus++", 256, 121_471_564_436),
+    ("streamcluster", "Nexus# 6TG", 16, 175_791_601_503),
+    ("streamcluster", "Nexus# 6TG", 256, 62_465_187_557),
+    ("streamcluster", "Nanos", 16, 419_897_710_742),
+    ("streamcluster", "Nanos", 32, 522_856_621_917),
+    ("h264dec-1x1-10f", "ideal", 16, 435_492_199),
+    ("h264dec-1x1-10f", "ideal", 256, 435_118_884),
+    ("h264dec-1x1-10f", "Nexus++", 16, 792_358_901),
+    ("h264dec-1x1-10f", "Nexus++", 256, 792_358_901),
+    ("h264dec-1x1-10f", "Nexus# 6TG", 16, 495_862_982),
+    ("h264dec-1x1-10f", "Nexus# 6TG", 256, 498_082_781),
+    ("h264dec-1x1-10f", "Nanos", 16, 9_053_676_148),
+    ("h264dec-1x1-10f", "Nanos", 32, 10_130_306_958),
+    ("h264dec-2x2-10f", "ideal", 16, 714_059_048),
+    ("h264dec-2x2-10f", "ideal", 256, 714_059_048),
+    ("h264dec-2x2-10f", "Nexus++", 16, 736_365_095),
+    ("h264dec-2x2-10f", "Nexus++", 256, 736_365_095),
+    ("h264dec-2x2-10f", "Nexus# 6TG", 16, 729_359_166),
+    ("h264dec-2x2-10f", "Nexus# 6TG", 256, 729_359_166),
+    ("h264dec-2x2-10f", "Nanos", 16, 2_613_035_479),
+    ("h264dec-2x2-10f", "Nanos", 32, 2_926_695_259),
+    ("h264dec-4x4-10f", "ideal", 16, 1_427_350_229),
+    ("h264dec-4x4-10f", "ideal", 256, 1_427_350_229),
+    ("h264dec-4x4-10f", "Nexus++", 16, 1_433_830_229),
+    ("h264dec-4x4-10f", "Nexus++", 256, 1_433_830_229),
+    ("h264dec-4x4-10f", "Nexus# 6TG", 16, 1_434_370_229),
+    ("h264dec-4x4-10f", "Nexus# 6TG", 256, 1_434_370_229),
+    ("h264dec-4x4-10f", "Nanos", 16, 1_649_714_023),
+    ("h264dec-4x4-10f", "Nanos", 32, 1_708_538_799),
+    ("h264dec-8x8-10f", "ideal", 16, 2_364_739_838),
+    ("h264dec-8x8-10f", "ideal", 256, 2_364_739_838),
+    ("h264dec-8x8-10f", "Nexus++", 16, 2_367_609_838),
+    ("h264dec-8x8-10f", "Nexus++", 256, 2_367_609_838),
+    ("h264dec-8x8-10f", "Nexus# 6TG", 16, 2_368_159_838),
+    ("h264dec-8x8-10f", "Nexus# 6TG", 256, 2_368_159_838),
+    ("h264dec-8x8-10f", "Nanos", 16, 2_462_864_753),
+    ("h264dec-8x8-10f", "Nanos", 32, 2_485_744_753),
+    ("gaussian-250", "Nexus++", 1, 108_656_000),
+    ("gaussian-250", "Nexus++", 64, 108_356_000),
+    ("gaussian-250", "Nexus# 1TG@100MHz", 1, 75_097_000),
+    ("gaussian-250", "Nexus# 1TG@100MHz", 64, 74_757_000),
+    ("gaussian-250", "Nexus# 2TG@100MHz", 1, 50_355_500),
+    ("gaussian-250", "Nexus# 2TG@100MHz", 64, 49_855_500),
+];
+
+#[test]
+fn paper_managers_reproduce_exactly() {
+    let measured = paper_manager_makespans();
+    assert_eq!(measured.len(), PAPER_MANAGER_MAKESPANS_PS.len());
+    for (got, &want) in measured.iter().zip(PAPER_MANAGER_MAKESPANS_PS) {
+        assert_eq!((got.0.as_str(), got.1, got.2, got.3), want);
     }
 }

@@ -1,6 +1,8 @@
 //! Integration: the qualitative claims of the paper's evaluation hold in the
-//! reproduction (orderings and crossovers, not absolute numbers; the full
-//! quantitative comparison is the ROADMAP's "Paper fidelity, measured" item).
+//! reproduction (orderings and crossovers, not absolute numbers). The full
+//! quantitative comparison is `EXPERIMENTS.md`, the output of
+//! `NEXUS_BENCH_SCALE=1 cargo run --release -p nexus-bench --bin paper_report`;
+//! `tests/golden.rs` pins the manager models' makespans exactly.
 //!
 //! Wall-clock audit (debug build, 2026-07): the slowest test here is
 //! `gaussian_elimination_improvement_shrinks_with_matrix_size` at ~2.8 s; every
