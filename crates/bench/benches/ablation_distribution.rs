@@ -50,12 +50,13 @@ fn main() {
                 cfg.distribution = policy;
                 Box::new(NexusSharp::new(cfg))
             });
-            // Re-run once at 32 cores to extract the imbalance statistic.
-            let mut cfg = NexusSharpConfig::paper(6);
-            cfg.distribution = policy;
-            let mut mgr = NexusSharp::new(cfg);
-            nexus_host::simulate(&trace, &mut mgr, &nexus_host::HostConfig::with_workers(32));
-            let imbalance = mgr.distribution_balance().imbalance();
+            // The 32-core point's manager summary holds the imbalance.
+            let at_32 = curve.points.iter().find(|p| p.cores == 32);
+            let imbalance = at_32
+                .into_iter()
+                .flat_map(|p| &p.outcome.manager_stats)
+                .find(|(key, _)| key == "distribution_imbalance")
+                .map_or(f64::NAN, |&(_, v)| v);
             table.row(vec![
                 trace.name.clone(),
                 name.to_string(),

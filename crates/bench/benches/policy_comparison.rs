@@ -8,7 +8,10 @@
 //!    hints pin the imbalance) is run with stealing off and on. Idle nodes
 //!    pull eligible descriptors from the overloaded node's input queue,
 //!    paying the descriptor re-forwarding cost — the makespan should drop
-//!    toward the balanced bound while link words rise.
+//!    toward the balanced bound while link words rise. This sweep runs with
+//!    feedback off only: the hints fix every placement and the tasks have no
+//!    dependences, so neither live placement nor reclamation can act, and
+//!    every feedback mode prints the same rows.
 //! 2. **Does locality-aware placement cut link traffic?** The same un-hinted
 //!    (affinity-stripped) sparselu partition is routed by every placement
 //!    policy. `topo` keeps producer→consumer chains on one node, so it
@@ -25,9 +28,9 @@
 //!    trace, so a feedback regression fails the bench.
 //!
 //! Every run uses the RDMA link; the stealing sweep places tasks with
-//! `xorhash`. Sweeps 1 and 2 run each configuration under every
-//! `FeedbackKind` too, so the live-digest and reclamation paths run on
-//! both traces.
+//! `xorhash`. Sweep 2 runs each placement under every `FeedbackKind` too,
+//! so the live-digest and reclamation paths run on both dependence-carrying
+//! traces.
 //!
 //! Run with: `cargo bench -p nexus-bench --bench policy_comparison`
 //! Environment: `NEXUS_BENCH_SCALE=<0.001..1>` (default 0.1).
@@ -55,7 +58,6 @@ fn main() {
                 trace.name
             ),
             &[
-                "feedback",
                 "stealing",
                 "makespan",
                 "speedup",
@@ -64,16 +66,12 @@ fn main() {
                 "link words",
             ],
         );
-        for (feedback, stealing) in FeedbackKind::ALL
-            .into_iter()
-            .flat_map(|f| StealKind::ALL.map(|s| (f, s)))
-        {
+        for stealing in StealKind::ALL {
             let cfg = ClusterConfig::new(nodes, workers_per_node)
                 .with_stealing(stealing)
-                .with_feedback(feedback);
+                .with_feedback(FeedbackKind::Off);
             let out = simulate_cluster(&trace, &cfg, |_| NexusSharp::paper(6));
             table.row(vec![
-                feedback.to_string(),
                 out.stealing.clone(),
                 format!("{}", out.makespan),
                 format!("{:.2}x", out.speedup()),

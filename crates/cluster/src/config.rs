@@ -64,12 +64,6 @@ impl LinkConfig {
         self
     }
 
-    /// Same parameters with a different propagation latency.
-    pub fn with_latency(mut self, latency: SimDuration) -> Self {
-        self.latency = latency;
-        self
-    }
-
     /// Builds the interconnect fabric for `nodes` nodes (see
     /// [`Topology::build`]).
     pub fn fabric(&self, nodes: usize) -> Fabric {
@@ -159,11 +153,6 @@ impl ClusterConfig {
     pub fn with_engine(self, _: EngineKind) -> Self {
         self
     }
-
-    /// Total worker cores across the cluster.
-    pub fn total_workers(&self) -> usize {
-        self.nodes * self.workers_per_node
-    }
 }
 
 #[cfg(test)]
@@ -172,14 +161,9 @@ mod tests {
 
     #[test]
     fn builders_compose() {
-        let cfg = ClusterConfig::new(4, 8).with_link(
-            LinkConfig::ethernet()
-                .with_topology(Topology::FullMesh)
-                .with_latency(SimDuration::from_us(10)),
-        );
-        assert_eq!(cfg.total_workers(), 32);
+        let cfg = ClusterConfig::new(4, 8)
+            .with_link(LinkConfig::ethernet().with_topology(Topology::FullMesh));
         assert_eq!(cfg.link.topology, Topology::FullMesh);
-        assert_eq!(cfg.link.latency, SimDuration::from_us(10));
         assert_eq!(LinkConfig::default(), LinkConfig::rdma());
         assert!(LinkConfig::ideal().latency.is_zero());
     }

@@ -34,8 +34,8 @@
 //!   retired, so the task can run anywhere. A *reclaim* (in the `reclaim`
 //!   and `full` feedback modes) takes its youngest dependence-*blocked*
 //!   descriptors, work a steal can never reach. After every event, first
-//!   for steals and then for reclaims, each idle node (free workers, empty
-//!   ready and input queues, nothing of its own in flight) sends a request
+//!   for steals and then for reclaims, each node the idle rule lets ask
+//!   ([`MoveKind::may_ask`], the live runtime's rule too) sends a request
 //!   to the victim [`MoveKind::choose_victim`] picks, and the victim grants
 //!   a batch ([`MoveKind::batch`]) or replies empty-handed. Each granted
 //!   descriptor pays the full re-forwarding cost on the
@@ -73,7 +73,7 @@
 
 use crate::config::ClusterConfig;
 use crate::interconnect::Interconnect;
-use crate::moves::MoveKind;
+use crate::moves::{IdleNode, MoveKind};
 use crate::outcome::{ClusterOutcome, LinkStats};
 use crate::routing::DepScanner;
 use crate::stream::{StreamOutcome, StreamingSource};
@@ -496,20 +496,19 @@ impl<M> NodeState<M> {
         self.max_pending = self.max_pending.max(self.pending.len());
     }
 
-    /// True if the node may issue a move request of `kind` now: free
-    /// workers, nothing ready, nothing pending, no request or granted batch
-    /// of that kind in flight, and no failed attempt at this very timestamp.
-    /// A reclaim also waits out the node's own steal traffic and parked
-    /// descriptors: imported eligible work is strictly cheaper than imported
-    /// blocked work.
+    /// True if the node may issue a move request of `kind` now: the idle
+    /// rule both clocks share ([`MoveKind::may_ask`]), and no failed attempt
+    /// at this very timestamp.
     fn may_move(&self, kind: MoveKind, now: SimTime) -> bool {
-        let quiet = |k: MoveKind| !self.inflight[k as usize] && self.incoming[k as usize] == 0;
-        quiet(kind)
-            && self.last_fail[kind as usize] != Some(now)
-            && (kind == MoveKind::Steal || (quiet(MoveKind::Steal) && self.parked == 0))
-            && self.pool.free() > 0
-            && self.pool.queued() == 0
-            && self.pending.is_empty()
+        let busy = |k: usize| self.inflight[k] || self.incoming[k] > 0;
+        self.last_fail[kind as usize] != Some(now)
+            && kind.may_ask(&IdleNode {
+                free: self.pool.free(),
+                ready: self.pool.queued(),
+                queued: self.pending.len(),
+                held: self.parked,
+                in_flight: [busy(0), busy(1)],
+            })
     }
 }
 

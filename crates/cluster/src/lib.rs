@@ -34,8 +34,8 @@
 //!   back-pressure counts on top of the closed-loop fields,
 //! * [`routing`] — the policy-driven dependence scanner and the remote-edge
 //!   census used by benchmarks and tests,
-//! * [`moves`] — [`MoveKind`], the steal and reclaim decisions the simulator
-//!   and the live runtime (`nexus-rt`) share,
+//! * [`moves`] — [`MoveKind`], the idle rule and the steal and reclaim
+//!   decisions the simulator and the live runtime (`nexus-rt`) share,
 //! * observability — [`simulate_cluster_traced`] /
 //!   [`ClusterDriver::run_recorded`] attach a `nexus-obs`
 //!   [`Recorder`] to the event loop (task-lifecycle
@@ -80,7 +80,7 @@ pub use driver::{
     ClusterDriver, NOTIFY_WORDS,
 };
 pub use interconnect::Interconnect;
-pub use moves::{MoveKind, RECLAIM_WORDS, STEAL_WORDS};
+pub use moves::{IdleNode, MoveKind, RECLAIM_WORDS, STEAL_WORDS};
 pub use nexus_obs::{MemRecorder, Recorder, Registry, SpanEvent, TimeBase};
 pub use nexus_sched::{FeedbackKind, PolicyKind, StealKind};
 pub use nexus_topo::{DistanceMatrix, Fabric};

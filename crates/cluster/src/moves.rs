@@ -2,9 +2,10 @@
 //! one (the *victim*) for pending descriptors, and the victim grants a batch
 //! or replies empty-handed. [`MoveKind`] names the two kinds and defines,
 //! once for the simulator (`ClusterDriver`) and the live runtime (`nexus-rt`),
-//! which configuration enables each, what a request costs on the wire, how a
-//! moved descriptor is recorded, whom a thief asks and how much a victim
-//! grants.
+//! which configuration enables each, when an idle node may ask
+//! ([`MoveKind::may_ask`] over an [`IdleNode`]), what a request costs on the
+//! wire, how a moved descriptor is recorded, whom a thief asks and how much a
+//! victim grants.
 
 use nexus_obs::SpanEvent;
 use nexus_sched::{
@@ -19,6 +20,25 @@ pub const STEAL_WORDS: u64 = 2;
 /// Words on the wire for a pool-reclamation request or its empty-handed
 /// reply (message tag plus node id — same shape as a steal request).
 pub const RECLAIM_WORDS: u64 = 2;
+
+/// What the idle rule ([`MoveKind::may_ask`]) reads of a node, in either
+/// clock.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct IdleNode {
+    /// Workers holding no descriptor.
+    pub free: usize,
+    /// Ready descriptors waiting for a worker.
+    pub ready: usize,
+    /// Descriptors waiting at the node's input, not yet handed to its
+    /// manager (the simulator's input queue; the runtime has none).
+    pub queued: usize,
+    /// Dependence-blocked descriptors the node holds outside a manager (the
+    /// simulator's parked moved descriptors; the runtime's blocked map).
+    pub held: usize,
+    /// Per [`MoveKind`]: a request of that kind, or the batch it was
+    /// granted, is still in flight.
+    pub in_flight: [bool; 2],
+}
 
 /// The two kinds of migration. Per-kind state lives in two-element arrays
 /// indexed by `kind as usize`.
@@ -45,6 +65,21 @@ impl MoveKind {
             MoveKind::Steal => stealing.is_enabled(),
             MoveKind::Reclaim => feedback.reclaim_enabled(),
         }
+    }
+
+    /// The idle rule both clocks share: true if `node` may ask for a move of
+    /// this kind. It needs a free worker, nothing ready, nothing queued at
+    /// its input and nothing of this kind in flight. A reclaim also waits out
+    /// the node's own steal traffic and every blocked descriptor it holds:
+    /// imported eligible work is strictly cheaper than imported blocked work.
+    #[inline]
+    pub fn may_ask(self, node: &IdleNode) -> bool {
+        let quiet = |k: MoveKind| !node.in_flight[k as usize];
+        quiet(self)
+            && node.free > 0
+            && node.ready == 0
+            && node.queued == 0
+            && (self == MoveKind::Steal || (quiet(MoveKind::Steal) && node.held == 0))
     }
 
     /// Words on the wire for a request or its empty-handed reply.
@@ -133,5 +168,39 @@ mod tests {
                 to: 0
             }
         );
+    }
+
+    #[test]
+    fn the_idle_rule_flips_with_each_input() {
+        let idle = IdleNode {
+            free: 1,
+            ..IdleNode::default()
+        };
+        let asks = |node: IdleNode| MoveKind::ALL.map(|k| k.may_ask(&node));
+        assert_eq!(asks(idle), [true, true]);
+        // Each input flipped once: [steal, reclaim] may ask.
+        let flips = [
+            (IdleNode { free: 0, ..idle }, [false, false]),
+            (IdleNode { ready: 1, ..idle }, [false, false]),
+            (IdleNode { queued: 1, ..idle }, [false, false]),
+            (IdleNode { held: 1, ..idle }, [true, false]),
+            (
+                IdleNode {
+                    in_flight: [true, false],
+                    ..idle
+                },
+                [false, false],
+            ),
+            (
+                IdleNode {
+                    in_flight: [false, true],
+                    ..idle
+                },
+                [true, false],
+            ),
+        ];
+        for (node, want) in flips {
+            assert_eq!(asks(node), want, "{node:?}");
+        }
     }
 }

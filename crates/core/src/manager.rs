@@ -95,11 +95,6 @@ impl NexusSharp {
         &self.config
     }
 
-    /// The load-balance statistics of the distribution function so far.
-    pub fn distribution_balance(&self) -> nexus_sim::stats::LoadBalance {
-        self.distributor.balance()
-    }
-
     fn cycles(&self, n: u64) -> SimDuration {
         self.clock.cycles(n)
     }

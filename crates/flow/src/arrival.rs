@@ -111,12 +111,6 @@ impl ArrivalConfig {
         }
     }
 
-    /// Sets the burst length (≥ 1; [`ArrivalKind::Bursty`]).
-    pub fn with_burst_len(mut self, burst_len: usize) -> Self {
-        self.burst_len = burst_len.max(1);
-        self
-    }
-
     /// Scales the offered load by `factor` (> 0): `factor = 2.0` doubles the
     /// arrival rate (halves the mean gap). Used by knee sweeps.
     pub fn with_load_factor(mut self, factor: f64) -> Self {
@@ -267,7 +261,7 @@ mod tests {
 
     #[test]
     fn bursty_clusters_arrivals() {
-        let cfg = ArrivalConfig::new(ArrivalKind::Bursty, us(100), 3).with_burst_len(8);
+        let cfg = ArrivalConfig::new(ArrivalKind::Bursty, us(100), 3);
         let overlay = cfg.overlay(800);
         // Count gaps far below the mean: a bursty process has ~7/8 of them.
         let tight = overlay

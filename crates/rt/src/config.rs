@@ -20,8 +20,8 @@ pub struct RtConfig {
     pub workers_per_node: usize,
     /// Task-to-node placement policy (applied at submission time).
     pub placement: PolicyKind,
-    /// Work-stealing policy, consulted on the idle ticks of a node's parked
-    /// workers.
+    /// Work-stealing policy, consulted whenever the idle rule
+    /// (`nexus_cluster::MoveKind::may_ask`) lets a node ask for work.
     pub stealing: StealKind,
     /// Runtime feedback mode, mirroring `ClusterConfig::feedback`: every
     /// retirement publishes the retiring node's live load digest to one

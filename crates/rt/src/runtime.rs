@@ -49,20 +49,25 @@
 //! cluster (the event simulator re-homes moved work instead).
 //!
 //! **Wake-ups.** A worker that finds nothing ready parks on its node's token
-//! channel. A step that makes descriptors ready sends one token per newly
-//! ready descriptor, up to the number of parked workers no token has been
-//! sent to yet, so the channel never holds more tokens than the node has
-//! workers. A worker that finishes a task takes the next ready descriptor
-//! itself, without a token. Only while a move kind is enabled do parked
-//! workers also wake every millisecond, to let their node request a move.
+//! channel, in one blocking receive. A step that makes descriptors ready
+//! sends one token per newly ready descriptor, up to the number of parked
+//! workers no token has been sent to yet, so the channel never holds more
+//! tokens than the node has workers. A worker that finishes a task takes the
+//! next ready descriptor itself, without a token.
 //!
 //! **Migration** runs one request/grant exchange in the simulator's two
 //! kinds, with the simulator's decisions: [`MoveKind`] from `nexus-cluster`
-//! says which configuration enables each kind, whom a thief asks and how
-//! much a victim grants. On an idle tick a node snapshots the per-node load
-//! boards (lock-free atomics), picks a victim and sends a `MoveRequest`; the
-//! victim answers with a `MoveGrant` of its youngest descriptors of that
-//! kind, possibly none:
+//! says which configuration enables each kind, when an idle node may ask
+//! ([`MoveKind::may_ask`], the simulator's idle rule), whom a thief asks and
+//! how much a victim grants. No clock drives it. As the simulator considers
+//! every node after every event, the runtime considers a node at the end of
+//! every step on it, so in the step that leaves it idle, and after every
+//! step on another node while it stays idle. Each node publishes on its load
+//! board (lock-free atomics) whether it may ask, and after a step another
+//! node's lock is taken only if its flag is up and the boards show it a
+//! victim. A node that may ask snapshots the boards, picks a victim and
+//! sends a `MoveRequest`; the victim answers with a `MoveGrant` of its
+//! youngest descriptors of that kind, possibly none:
 //!
 //! * a **steal** takes up to [`MoveKind::batch`] *ready* descriptors (they
 //!   have the fewest local consumers waiting);
@@ -74,7 +79,12 @@
 //!   receives is relayed to the thief.
 //!
 //! The thief takes a granted descriptor in exactly like a submission: it is
-//! ready once every producer it still misses has retired.
+//! ready once every producer it still misses has retired. It then stays
+//! there: a ready one goes to the front of the ready queue (the thief
+//! imported it to run now), and no board offers it and no grant takes it
+//! again, as the simulator hands granted work to the thief's manager or
+//! parks it. Without that, two idle nodes could hand one blocked descriptor
+//! back and forth for as long as it stays blocked.
 //!
 //! **Feedback.** With runtime feedback enabled (`RtConfig::feedback`), every
 //! retirement publishes the retiring node's live [`LoadView`]
@@ -86,9 +96,9 @@
 
 use crate::config::RtConfig;
 use crate::task::{RtTask, SubmitError, TaskBody};
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{bounded, Receiver, Sender};
 use nexus_cluster::routing::DepScanner;
-use nexus_cluster::MoveKind;
+use nexus_cluster::{IdleNode, MoveKind};
 use nexus_host::{MasterSm, MasterStep};
 use nexus_obs::{Registry, SharedRecorder, SpanEvent};
 use nexus_sched::{FeedbackKind, LoadTracker, LoadView, NodeLoad, StealKind};
@@ -97,14 +107,10 @@ use nexus_topo::DistanceMatrix;
 use nexus_trace::{TaskId, Trace};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread;
 use std::time::{Duration, Instant};
-
-/// How long a parked worker waits for a wake token before letting its node
-/// scan the load boards for a move (only while a move kind is enabled).
-const IDLE_TICK: Duration = Duration::from_millis(1);
 
 /// Decay half-life of live load digests in wall nanoseconds (the runtime's
 /// observation clock) — the live counterpart of the simulator's 200 µs
@@ -125,6 +131,9 @@ struct Descriptor {
     duration: SimDuration,
     body: Option<TaskBody>,
     missing: Vec<usize>,
+    /// Arrived in a grant: it stays with its thief (see the [module
+    /// docs](self)).
+    moved: bool,
 }
 
 /// Messages from the master to the nodes and between nodes.
@@ -162,6 +171,9 @@ struct Board {
     pending: AtomicUsize,
     stealable: AtomicUsize,
     speed_milli: u64,
+    /// Per [`MoveKind`]: the idle rule lets the node ask and it has no
+    /// victim yet.
+    asks: [AtomicBool; 2],
 }
 
 /// One node's migration counters for one [`MoveKind`].
@@ -269,6 +281,8 @@ struct Inner {
     /// the reclaim path).
     feedback: FeedbackKind,
     stealing: StealKind,
+    /// Per [`MoveKind`]: the configuration enables it.
+    moves: [bool; 2],
     distances: DistanceMatrix,
     /// Speed factor per worker of a node, in thousandths.
     speeds_milli: Vec<u64>,
@@ -313,6 +327,8 @@ impl Inner {
                         reclaimed_away: FxHashMap::default(),
                         ready: VecDeque::new(),
                         free: cfg.workers_per_node,
+                        parked: 0,
+                        moved_ready: 0,
                         inflight: [false; 2],
                         idle: 0,
                         woken: 0,
@@ -322,6 +338,7 @@ impl Inner {
                         pending: AtomicUsize::new(0),
                         stealable: AtomicUsize::new(0),
                         speed_milli: speeds_milli.iter().sum(),
+                        asks: [AtomicBool::new(false), AtomicBool::new(false)],
                     },
                     per_worker_done: (0..cfg.workers_per_node)
                         .map(|_| AtomicU64::new(0))
@@ -346,6 +363,7 @@ impl Inner {
             rec: cfg.recorder.clone(),
             feedback: cfg.feedback,
             stealing: cfg.stealing,
+            moves: MoveKind::ALL.map(|k| k.enabled(cfg.stealing, cfg.feedback)),
             distances: fabric.distances(),
             speeds_milli,
             time_scale_ns_per_us: cfg.time_scale_ns_per_us,
@@ -426,18 +444,56 @@ impl Inner {
             duration: descriptor.duration,
             body,
             missing,
+            moved: false,
         };
         out.push_back((rec.home, Msg::Submit(t)));
         out
     }
 
-    /// Runs `step` on node `n` under its lock and publishes the node's load
-    /// board, then sends the wake tokens the step owes its parked workers.
-    fn with_node<R>(&self, n: usize, step: impl FnOnce(&mut Node) -> R) -> R {
+    /// Runs `step` on node `n` (see [`Inner::locked`]), then lets each other
+    /// node whose board flag is up ask for a move if the boards show it a
+    /// victim (see the [module docs](self)). Victim choice reads the digests
+    /// only to break ties, so the lock-free check passes none.
+    fn with_node<R>(
+        &self,
+        n: usize,
+        out: &mut Out,
+        step: impl FnOnce(&mut Node, &mut Out) -> R,
+    ) -> R {
+        let r = self.locked(n, out, step);
+        if self.moves == [false; 2] {
+            return r;
+        }
+        // Pairs with the fence in `Node::try_moves`: this thread sees an
+        // idle node's flag, or that node saw the board this step published.
+        fence(Ordering::SeqCst);
+        let loads = self.load_board();
+        for (j, slot) in self.nodes.iter().enumerate().filter(|&(j, _)| j != n) {
+            let asks = |k: MoveKind| slot.board.asks[k as usize].load(Ordering::Relaxed);
+            let victim =
+                |k: MoveKind| k.choose_victim(self.stealing, j, &loads, None, &self.distances);
+            if MoveKind::ALL
+                .into_iter()
+                .any(|k| asks(k) && victim(k).is_some())
+            {
+                self.locked(j, out, |_, _| {});
+            }
+        }
+        r
+    }
+
+    /// Runs `step` on node `n` under its lock, publishes the node's load
+    /// board and lets the node ask for a move if it may
+    /// ([`Node::try_moves`]), then sends the wake tokens the step owes its
+    /// parked workers.
+    fn locked<R>(&self, n: usize, out: &mut Out, step: impl FnOnce(&mut Node, &mut Out) -> R) -> R {
         let slot = &self.nodes[n];
         let mut node = self.lock_node(n);
-        let r = step(&mut node);
+        let r = step(&mut node, out);
         node.sync_board(&slot.board);
+        if self.moves != [false; 2] {
+            node.try_moves(self, &slot.board, out);
+        }
         let tokens = node.woken.min(node.idle);
         node.idle -= tokens;
         node.woken = 0;
@@ -453,7 +509,7 @@ impl Inner {
     /// Runs `step` on node `n`, then delivers the messages it sent.
     fn step<R>(&self, n: usize, step: impl FnOnce(&mut Node, &mut Out) -> R) -> R {
         let mut out = Out::new();
-        let r = self.with_node(n, |node| step(node, &mut out));
+        let r = self.with_node(n, &mut out, step);
         self.deliver(out);
         r
     }
@@ -462,7 +518,7 @@ impl Inner {
     /// handler sends join the list.
     fn deliver(&self, mut out: Out) {
         while let Some((to, msg)) = out.pop_front() {
-            self.with_node(to, |node| node.on_msg(self, msg, &mut out));
+            self.with_node(to, &mut out, |node, out| node.on_msg(self, msg, out));
         }
     }
 
@@ -478,8 +534,8 @@ impl Inner {
 
     /// One worker thread of node `n` (see the [module docs](self)).
     fn work(&self, n: usize, worker: usize) {
-        let take = |node: &mut Node| node.take_ready(self);
-        let mut next = self.with_node(n, take);
+        let take = |node: &mut Node, _: &mut Out| node.take_ready(self);
+        let mut next = self.step(n, take);
         loop {
             // Read after `take_ready` parks this worker, so a shutdown that
             // found it unparked is seen here.
@@ -487,10 +543,8 @@ impl Inner {
                 return;
             }
             let Some(t) = next else {
-                if !self.park(n) {
-                    return;
-                }
-                next = self.with_node(n, take);
+                self.park(n);
+                next = self.step(n, take);
                 continue;
             };
             if let Some(r) = &self.rec {
@@ -513,36 +567,15 @@ impl Inner {
             self.log_retired(t.idx, t.id, n);
             next = self.step(n, |node, out| {
                 node.finish(self, t.idx, t.home, failed, out);
-                take(node)
+                take(node, out)
             });
         }
     }
 
-    /// Blocks a parked worker of node `n` until it takes a wake token. While
-    /// a move kind is enabled the worker also ticks every [`IDLE_TICK`] to
-    /// let the node request a move, and gives up on shutdown: then it
-    /// returns `false`, still parked, and must not call `take_ready` again
-    /// (that would park it twice).
-    fn park(&self, n: usize) -> bool {
+    /// Blocks a parked worker of node `n` until it takes a wake token.
+    fn park(&self, n: usize) {
         let wake = &self.nodes[n].wake_rx;
-        let moves = MoveKind::ALL
-            .iter()
-            .any(|k| k.enabled(self.stealing, self.feedback));
-        if !moves {
-            wake.recv().expect("the slot keeps a sender");
-            return true;
-        }
-        while wake.recv_timeout(IDLE_TICK) == Err(RecvTimeoutError::Timeout) {
-            if self.shutdown.load(Ordering::Acquire) {
-                return false;
-            }
-            self.step(n, |node, out| {
-                for kind in MoveKind::ALL {
-                    node.try_move(self, kind, out);
-                }
-            });
-        }
-        true
+        wake.recv().expect("the slot keeps a sender");
     }
 
     /// Snapshots every node's published board into the [`NodeLoad`]s victim
@@ -775,7 +808,7 @@ impl ClusterRuntime {
         inner.sub.lock().expect("submit state poisoned").closed = true;
         // Wake every parked worker; one that parks later sees the flag first.
         for n in 0..inner.nodes.len() {
-            inner.with_node(n, |node| node.woken = node.idle);
+            inner.step(n, |node, _| node.woken = node.idle);
         }
         // Wake anyone parked in taskwait/run_trace so they observe the
         // shutdown instead of sleeping forever.
@@ -1008,6 +1041,10 @@ struct Node {
     ready: VecDeque<Descriptor>,
     /// Workers not holding a descriptor.
     free: usize,
+    /// Granted descriptors in `pending` (the simulator's parked ones).
+    parked: usize,
+    /// Granted descriptors at the front of `ready`.
+    moved_ready: usize,
     /// Per [`MoveKind`]: a request of that kind is in flight from this node.
     inflight: [bool; 2],
     /// Parked workers no wake token has been sent to yet.
@@ -1042,7 +1079,8 @@ impl Node {
             Msg::MoveGrant { kind, tasks } => {
                 self.inflight[kind as usize] = false;
                 self.stats.moves[kind as usize].moved_in += tasks.len() as u64;
-                for t in tasks {
+                for mut t in tasks {
+                    t.moved = true;
                     self.admit(t);
                 }
             }
@@ -1058,6 +1096,7 @@ impl Node {
             return None;
         };
         self.free -= 1;
+        self.moved_ready -= usize::from(t.moved);
         self.woken = self.woken.saturating_sub(1);
         if let Some(r) = &cx.rec {
             r.record_now(SpanEvent::Dispatched {
@@ -1095,14 +1134,21 @@ impl Node {
             for &p in &t.missing {
                 self.waiting.entry(p).or_default().push(t.idx);
             }
+            self.parked += usize::from(t.moved);
             self.pending.insert(t.idx, t);
         }
     }
 
-    /// Queues a ready descriptor; the current step owes a wake token for it.
+    /// Queues a ready descriptor, a granted one at the front (its thief
+    /// imported it to run now); the current step owes a wake token for it.
     fn make_ready(&mut self, t: Descriptor) {
-        self.ready.push_back(t);
         self.woken += 1;
+        if t.moved {
+            self.moved_ready += 1;
+            self.ready.push_front(t);
+        } else {
+            self.ready.push_back(t);
+        }
     }
 
     /// Records that producer `p` retired (idempotent), relays the news to any
@@ -1130,6 +1176,7 @@ impl Node {
             t.missing.retain(|&m| m != p);
             if t.missing.is_empty() {
                 let t = self.pending.remove(&idx).expect("checked above");
+                self.parked -= usize::from(t.moved);
                 self.make_ready(t);
             }
         }
@@ -1160,57 +1207,65 @@ impl Node {
         }
     }
 
-    /// With free workers and nothing ready, snapshots the load boards and
-    /// picks a victim for a move of `kind` — at most one request of each
-    /// kind in flight. A reclaim also waits until this node holds no blocked
-    /// descriptor and its own steal request is resolved: eligible work is
-    /// always the cheaper import.
-    fn try_move(&mut self, cx: &Inner, kind: MoveKind, out: &mut Out) {
-        let waits = kind == MoveKind::Reclaim
-            && (self.inflight[MoveKind::Steal as usize] || !self.pending.is_empty());
-        if !kind.enabled(cx.stealing, cx.feedback)
-            || waits
-            || self.inflight[kind as usize]
-            || self.free == 0
-            || !self.ready.is_empty()
-        {
-            return;
+    /// The idle rule ([`MoveKind::may_ask`]) for each enabled kind, steals
+    /// first (see [`MoveKind::ALL`]): publishes on `board` whether this node
+    /// may ask and, if it may, snapshots the load boards and asks the victim
+    /// the kind picks, if any. The runtime has no input queue, and every
+    /// blocked descriptor it holds is outside a manager.
+    fn try_moves(&mut self, cx: &Inner, board: &Board, out: &mut Out) {
+        for kind in MoveKind::ALL {
+            let k = kind as usize;
+            let idle = IdleNode {
+                free: self.free,
+                ready: self.ready.len(),
+                queued: 0,
+                held: self.pending.len(),
+                in_flight: self.inflight,
+            };
+            let asks = cx.moves[k] && kind.may_ask(&idle);
+            board.asks[k].store(asks, Ordering::Relaxed);
+            if !asks {
+                continue;
+            }
+            // Flag before boards (see `Inner::with_node`).
+            fence(Ordering::SeqCst);
+            let loads = cx.load_board();
+            let digests = cx.lock_digests();
+            let live = Some(digests.live(cx.now_ns()));
+            let victim = kind.choose_victim(cx.stealing, self.id, &loads, live, &cx.distances);
+            drop(digests);
+            let Some(victim) = victim else {
+                continue;
+            };
+            self.stats.moves[k].requests += 1;
+            self.inflight[k] = true;
+            board.asks[k].store(false, Ordering::Relaxed);
+            let (thief, free) = (self.id, self.free);
+            out.push_back((victim, Msg::MoveRequest { kind, thief, free }));
         }
-        let loads = cx.load_board();
-        let digests = cx.lock_digests();
-        let live = Some(digests.live(cx.now_ns()));
-        let victim = kind.choose_victim(cx.stealing, self.id, &loads, live, &cx.distances);
-        drop(digests);
-        let Some(victim) = victim else {
-            return;
-        };
-        self.stats.moves[kind as usize].requests += 1;
-        self.inflight[kind as usize] = true;
-        let (thief, free) = (self.id, self.free);
-        out.push_back((victim, Msg::MoveRequest { kind, thief, free }));
     }
 
     /// Victim side of a move: hands the thief up to a [`MoveKind::batch`] of
-    /// its youngest descriptors of `kind` — ready ones from the back of the
-    /// ready queue for a steal (the oldest are the ones local consumers have
-    /// waited on longest), blocked ones by highest submission index for a
-    /// reclaim (the oldest are closest to resolving locally) — or an empty
-    /// batch. A blocked descriptor travels with its missing-producer list,
+    /// its youngest descriptors of `kind`, never one it was granted itself —
+    /// ready ones from the back of the ready queue for a steal (the oldest
+    /// are the ones local consumers have waited on longest), blocked ones by
+    /// highest submission index for a reclaim (the oldest are closest to
+    /// resolving locally) — or an empty batch. A blocked descriptor travels with its missing-producer list,
     /// and this node registers a forwarding entry per missing producer so
     /// every later producer retirement it learns of is relayed to the thief;
     /// the loop does nothing for ready descriptors.
     fn grant_move(&mut self, cx: &Inner, kind: MoveKind, thief: usize, free: usize, out: &mut Out) {
         let tasks: Vec<Descriptor> = match kind {
             MoveKind::Steal => {
-                let n = kind
-                    .batch(cx.stealing, free, self.ready.len())
-                    .min(self.ready.len());
+                let backlog = self.ready.len() - self.moved_ready;
+                let n = kind.batch(cx.stealing, free, backlog).min(backlog);
                 (0..n)
                     .map(|_| self.ready.pop_back().expect("batch clamped to backlog"))
                     .collect()
             }
             MoveKind::Reclaim => {
-                let mut blocked: Vec<usize> = self.pending.keys().copied().collect();
+                let own = self.pending.values().filter(|t| !t.moved);
+                let mut blocked: Vec<usize> = own.map(|t| t.idx).collect();
                 blocked.sort_unstable_by(|a, b| b.cmp(a));
                 let n = kind
                     .batch(cx.stealing, free, blocked.len())
@@ -1256,23 +1311,25 @@ impl Node {
 
     /// Publishes this node's counters to its load board.
     fn sync_board(&self, board: &Board) {
-        // `pending` counts everything held at the node (blocked + ready),
-        // matching the simulator's input-queue semantics, so that
-        // `NodeLoad::reclaimable` = blocked count on both sides.
-        let held = self.pending.len() + self.ready.len();
+        // `pending` counts what a move may take (blocked + ready, granted
+        // descriptors left out), matching the simulator's input-queue
+        // semantics, so that `NodeLoad::reclaimable` = blocked count on both
+        // sides.
+        let stealable = self.ready.len() - self.moved_ready;
+        let held = self.pending.len() - self.parked + stealable;
         board.pending.store(held, Ordering::Relaxed);
-        board.stealable.store(self.ready.len(), Ordering::Relaxed);
+        board.stealable.store(stealable, Ordering::Relaxed);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam::channel::unbounded;
     use nexus_sim::SimRng;
     use nexus_trace::TaskDescriptor;
     use std::collections::BTreeMap;
     use std::sync::atomic::AtomicU64;
+    use std::sync::mpsc;
 
     fn chain_task(id: u64, addr: u64) -> TaskDescriptor {
         TaskDescriptor::builder(id).inout(addr).build()
@@ -1301,8 +1358,8 @@ mod tests {
     /// A gate for a task body: the closure blocks until the sender fires, or
     /// for at most 5 s, so a wait that wrongly depends on the gated task fails
     /// its assertions instead of hanging.
-    fn gate() -> (Sender<()>, impl FnOnce() + Send + 'static) {
-        let (open, shut) = unbounded();
+    fn gate() -> (mpsc::Sender<()>, impl FnOnce() + Send + 'static) {
+        let (open, shut) = mpsc::channel();
         (open, move || {
             let _ = shut.recv_timeout(Duration::from_secs(5));
         })
@@ -1430,8 +1487,9 @@ mod tests {
         let mut rt = ClusterRuntime::new(
             RtConfig::new(2, 1)
                 .with_feedback(FeedbackKind::Reclaim)
-                // 20 µs tasks stretched to 2 ms real so node 1's idle ticks
-                // land while node 0 still holds a blocked backlog.
+                // 20 µs tasks stretched to 2 ms real, so node 0 still holds a
+                // blocked backlog when node 1's worker parks and at each
+                // later step while it stays idle.
                 .with_time_scale(100_000)
                 .with_recorder(rec.clone()),
         );
@@ -1753,7 +1811,7 @@ mod tests {
         h.submit(RtTask::new(reader).with_body(move || r.store(true, Ordering::SeqCst)))
             .unwrap();
         // Waiting on a helper thread turns a hang into a failed assertion.
-        let (done, waited) = unbounded();
+        let (done, waited) = mpsc::channel();
         let waiter = h.clone();
         thread::spawn(move || {
             waiter.taskwait();
@@ -1767,6 +1825,47 @@ mod tests {
         let report = rt.shutdown_timeout(Duration::from_secs(5));
         assert_eq!(report.pending, 0);
         assert_eq!(report.metrics.counter("task.failed"), 1);
+    }
+
+    #[test]
+    fn an_idle_node_asks_in_the_step_that_parks_its_worker_if_the_boards_show_a_victim() {
+        let cfg = RtConfig::new(2, 1).with_stealing(nexus_sched::StealKind::MostLoaded);
+        // Delivers task `id`, pinned to node 0, and returns what the steps
+        // sent.
+        let submit = |inner: &Inner, id: u64| {
+            let task = TaskDescriptor::builder(id).output(id).affinity(0).build();
+            let mut sent = Out::new();
+            for (to, msg) in inner.plan(&mut inner.sub.lock().unwrap(), RtTask::new(task)) {
+                inner.with_node(to, &mut sent, |node, out| node.on_msg(inner, msg, out));
+            }
+            sent
+        };
+        // Parks node 1's only worker and returns what that step sent.
+        let park = |inner: &Inner| {
+            let mut sent = Out::new();
+            let took = inner.with_node(1, &mut sent, |node, _| node.take_ready(inner));
+            assert!(took.is_none());
+            sent
+        };
+        let asked = |sent: &Out| match sent.iter().collect::<Vec<_>>()[..] {
+            [(0, Msg::MoveRequest { kind, thief, free })] => {
+                (*kind, *thief, *free) == (MoveKind::Steal, 1, 1)
+            }
+            _ => false,
+        };
+
+        // Node 0 holds two ready descriptors while node 1's worker is awake:
+        // nobody asks until the step that parks that worker.
+        let inner = Inner::new(&cfg);
+        assert!(submit(&inner, 0).is_empty() && submit(&inner, 1).is_empty());
+        assert!(asked(&park(&inner)));
+
+        // With no victim on the boards, parking sends nothing; node 1 asks
+        // in the first delivery that gives node 0 work.
+        let inner = Inner::new(&cfg);
+        assert!(park(&inner).is_empty());
+        assert_eq!(inner.lock_node(1).inflight, [false; 2]);
+        assert!(asked(&submit(&inner, 0)));
     }
 
     /// One explorer input: a runtime shape and at most six tasks pinned to
@@ -1872,8 +1971,6 @@ mod tests {
         Wake(usize),
         /// A running descriptor retires; its worker takes the next one.
         Finish(usize),
-        /// A parked worker of the node ticks, so the node may request a move.
-        Move(usize),
     }
 
     /// The explorer's count of one node's workers that hold no descriptor,
@@ -1895,8 +1992,14 @@ mod tests {
         let nodes = input.cfg.nodes;
         let mut rng = SimRng::new(seed);
         let mut links: BTreeMap<(usize, usize), VecDeque<Msg>> = BTreeMap::new();
+        // A step on one node may let another ask for a move: a request
+        // travels from its thief.
         let send = |links: &mut BTreeMap<_, VecDeque<_>>, from, out: Out| {
             for (to, msg) in out {
+                let from = match msg {
+                    Msg::MoveRequest { thief, .. } => thief,
+                    _ => from,
+                };
                 links.entry((from, to)).or_default().push_back(msg);
             }
         };
@@ -1907,7 +2010,7 @@ mod tests {
             })
             .collect();
         let mut running: Vec<(usize, Descriptor)> = Vec::new();
-        let (mut submitted, mut moves_left) = (0, 6);
+        let mut submitted = 0;
         loop {
             let mut actions = Vec::new();
             if submitted < input.tasks.len() {
@@ -1927,10 +2030,6 @@ mod tests {
             if actions.is_empty() {
                 break;
             }
-            if moves_left > 0 {
-                let ticking = (0..nodes).filter(|&n| workers[n].parked > 0);
-                actions.extend(ticking.map(Action::Move));
-            }
             let mut out = Out::new();
             match actions[rng.next_below(actions.len() as u64) as usize] {
                 Action::Submit => {
@@ -1941,15 +2040,16 @@ mod tests {
                 }
                 Action::Deliver(link) => {
                     let msg = links.get_mut(&link).unwrap().pop_front().unwrap();
-                    inner.with_node(link.1, |node| node.on_msg(&inner, msg, &mut out));
+                    inner.with_node(link.1, &mut out, |node, out| node.on_msg(&inner, msg, out));
                     send(&mut links, link.1, out);
                 }
                 Action::Take(n) => {
                     workers[n].awake -= 1;
-                    match inner.with_node(n, |node| node.take_ready(&inner)) {
+                    match inner.with_node(n, &mut out, |node, _| node.take_ready(&inner)) {
                         Some(t) => running.push((n, t)),
                         None => workers[n].parked += 1,
                     }
+                    send(&mut links, n, out);
                 }
                 Action::Wake(n) => {
                     let w = &mut workers[n];
@@ -1960,22 +2060,14 @@ mod tests {
                 Action::Finish(i) => {
                     let (n, t) = running.swap_remove(i);
                     inner.log_retired(t.idx, t.id, n);
-                    let next = inner.with_node(n, |node| {
-                        node.finish(&inner, t.idx, t.home, false, &mut out);
+                    let next = inner.with_node(n, &mut out, |node, out| {
+                        node.finish(&inner, t.idx, t.home, false, out);
                         node.take_ready(&inner)
                     });
                     match next {
                         Some(t) => running.push((n, t)),
                         None => workers[n].parked += 1,
                     }
-                    send(&mut links, n, out);
-                }
-                Action::Move(n) => {
-                    moves_left -= 1;
-                    inner.with_node(n, |node| {
-                        node.try_move(&inner, MoveKind::Steal, &mut out);
-                        node.try_move(&inner, MoveKind::Reclaim, &mut out);
-                    });
                     send(&mut links, n, out);
                 }
             }
@@ -2026,6 +2118,7 @@ mod tests {
                 || !node.reclaimed_away.is_empty()
                 || node.free != node.workers
                 || node.idle != node.workers
+                || (node.parked, node.moved_ready) != (0, 0)
                 || node.inflight != [false; 2];
             if held {
                 return Err(format!("node {n} still holds state after the run"));

@@ -328,8 +328,8 @@ fn reclamation_census_is_live_on_both_sides() {
 fn stealing_moves_real_work() {
     let trace = distributed::imbalanced(4, 200, 8.0, us(20), 0.0, 5);
     let cfg = ClusterConfig::new(4, 2).with_stealing(StealKind::MostLoaded);
-    // A small time scale keeps node 0's backlog alive long enough for the
-    // idle nodes' steal ticks to fire.
+    // A small time scale keeps node 0's backlog alive while the idle nodes'
+    // workers park and while later steps let them ask.
     let rec = nexus_rt::SharedRecorder::new();
     let mut rt = ClusterRuntime::new(
         RtConfig::from_cluster(&cfg)

@@ -42,12 +42,6 @@ impl ClockDomain {
         self.freq_hz
     }
 
-    /// Frequency in MHz.
-    #[inline]
-    pub fn freq_mhz(&self) -> f64 {
-        self.freq_hz / 1.0e6
-    }
-
     /// Clock period.
     #[inline]
     pub fn period(&self) -> SimDuration {
@@ -58,12 +52,6 @@ impl ClockDomain {
     #[inline]
     pub fn cycles(&self, cycles: u64) -> SimDuration {
         SimDuration::from_ps(self.period_ps * cycles)
-    }
-
-    /// Number of whole cycles contained in `duration` (truncating).
-    #[inline]
-    pub fn cycles_in(&self, duration: SimDuration) -> u64 {
-        duration.as_ps() / self.period_ps
     }
 
     /// Number of cycles needed to cover `duration` (rounding up).
@@ -95,7 +83,6 @@ mod tests {
         let clk = ClockDomain::mhz_100();
         assert_eq!(clk.period(), SimDuration::from_ns(10));
         assert_eq!(clk.cycles(18), SimDuration::from_ns(180));
-        assert_eq!(clk.freq_mhz(), 100.0);
     }
 
     #[test]
@@ -110,7 +97,6 @@ mod tests {
     fn cycle_counting_round_trips() {
         let clk = ClockDomain::from_mhz(41.66);
         let d = clk.cycles(1000);
-        assert_eq!(clk.cycles_in(d), 1000);
         assert_eq!(clk.cycles_to_cover(d), 1000);
         assert_eq!(clk.cycles_to_cover(d + SimDuration::from_ps(1)), 1001);
     }

@@ -17,7 +17,6 @@
 //! deliveries never overtake each other, which the cluster driver relies on to
 //! preserve per-node program order of forwarded task descriptors.
 
-use crate::clock::ClockDomain;
 use crate::resource::SerialResource;
 use crate::time::{SimDuration, SimTime};
 
@@ -53,13 +52,6 @@ impl LinkResource {
             words: 0,
             messages: 0,
         }
-    }
-
-    /// Creates a link driven by a clock domain: serialization takes
-    /// `cycles_per_word` link cycles per word and propagation takes
-    /// `latency_cycles` cycles.
-    pub fn from_clock(clock: &ClockDomain, latency_cycles: u64, cycles_per_word: u64) -> Self {
-        Self::new(clock.cycles(latency_cycles), clock.cycles(cycles_per_word))
     }
 
     /// An infinitely fast link (zero latency, zero serialization) — the
@@ -165,15 +157,5 @@ mod tests {
         assert_eq!(d.sender_free, at(7));
         assert_eq!(d.delivered, at(7));
         assert_eq!(link.utilization(at(100)), 0.0);
-    }
-
-    #[test]
-    fn clocked_link_uses_cycle_counts() {
-        let clk = ClockDomain::mhz_100(); // 10 ns period
-        let mut link = LinkResource::from_clock(&clk, 100, 1);
-        assert_eq!(link.latency(), SimDuration::from_ns(1000));
-        assert_eq!(link.per_word(), SimDuration::from_ns(10));
-        let d = link.send(SimTime::ZERO, 2);
-        assert_eq!(d.delivered, SimTime::from_ps(1020 * 1000));
     }
 }

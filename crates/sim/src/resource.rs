@@ -30,13 +30,6 @@ pub struct Reservation {
     pub end: SimTime,
 }
 
-impl Reservation {
-    /// Time the request spent queued before service.
-    pub fn queue_delay(&self, arrival: SimTime) -> SimDuration {
-        self.start.saturating_since(arrival)
-    }
-}
-
 impl SerialResource {
     /// Creates an idle resource.
     pub fn new() -> Self {
@@ -64,13 +57,6 @@ impl SerialResource {
         service: SimDuration,
     ) -> Reservation {
         self.acquire(now.max(not_before), service)
-    }
-
-    /// Pushes the busy-until time forward to at least `t` without accounting
-    /// busy time (used to model blocking dependencies such as a stalled
-    /// task-graph set waiting for an eviction).
-    pub fn block_until(&mut self, t: SimTime) {
-        self.busy_until = self.busy_until.max(t);
     }
 
     /// Total busy (service) time accumulated.
@@ -119,7 +105,6 @@ mod tests {
         let b = r.acquire(at(5), ns(10));
         assert_eq!(b.start, at(10));
         assert_eq!(b.end, at(20));
-        assert_eq!(b.queue_delay(at(5)), ns(5));
         // Third request arrives after the resource went idle: no queueing.
         let c = r.acquire(at(50), ns(1));
         assert_eq!(c.start, at(50));
@@ -134,16 +119,6 @@ mod tests {
         let res = r.acquire_after(at(0), at(30), ns(10));
         assert_eq!(res.start, at(30));
         assert_eq!(res.end, at(40));
-    }
-
-    #[test]
-    fn block_until_delays_future_requests() {
-        let mut r = SerialResource::new();
-        r.block_until(at(100));
-        let res = r.acquire(at(0), ns(5));
-        assert_eq!(res.start, at(100));
-        // Blocking does not count as busy time.
-        assert_eq!(r.busy_time(), ns(5));
     }
 
     #[test]

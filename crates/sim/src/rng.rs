@@ -91,13 +91,6 @@ impl SimRng {
         acc - 6.0
     }
 
-    /// A log-normal-ish heavy-tailed sample with the given median and sigma
-    /// (sigma is the standard deviation of the underlying normal). Used for
-    /// benchmark duration distributions such as streamcluster's.
-    pub fn lognormal(&mut self, median: f64, sigma: f64) -> f64 {
-        median * (sigma * self.gaussian()).exp()
-    }
-
     /// Returns `true` with probability `p`.
     pub fn chance(&mut self, p: f64) -> bool {
         self.next_f64() < p
@@ -181,17 +174,6 @@ mod tests {
         let var = sumsq / n as f64 - mean * mean;
         assert!(mean.abs() < 0.05, "mean {mean}");
         assert!((var - 1.0).abs() < 0.1, "var {var}");
-    }
-
-    #[test]
-    fn lognormal_median_is_close() {
-        let mut r = SimRng::new(5);
-        let mut samples: Vec<f64> = (0..20_001).map(|_| r.lognormal(100.0, 0.8)).collect();
-        samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let median = samples[samples.len() / 2];
-        assert!((70.0..140.0).contains(&median), "median {median}");
-        // Heavy tail: the max should be far above the median.
-        assert!(*samples.last().unwrap() > 4.0 * median);
     }
 
     #[test]

@@ -112,17 +112,6 @@ impl Trace {
         self.tasks().map(|t| t.duration).sum()
     }
 
-    /// Sum of master-side serial compute in the trace.
-    pub fn total_master_compute(&self) -> SimDuration {
-        self.ops
-            .iter()
-            .filter_map(|op| match op {
-                TraceOp::MasterCompute(d) => Some(*d),
-                _ => None,
-            })
-            .sum()
-    }
-
     /// Iterator over submitted task descriptors in submission order.
     pub fn tasks(&self) -> impl Iterator<Item = &TaskDescriptor> {
         self.ops.iter().filter_map(|op| op.as_submit())
@@ -235,7 +224,6 @@ mod tests {
         assert_eq!(t.barrier_count(), 2);
         assert_eq!(t.taskwait_on_count(), 1);
         assert_eq!(t.total_work(), SimDuration::from_us(60));
-        assert_eq!(t.total_master_compute(), SimDuration::from_us(5));
         assert!(t.validate().is_ok());
         assert_eq!(
             t.task(TaskId(1)).unwrap().duration,
