@@ -1,12 +1,21 @@
 //! `paper_report` — every table and figure of the paper's evaluation, as
-//! Markdown, measured against the values the paper reports.
+//! Markdown, measured against the values the paper reports, then the
+//! experiments the paper has no table for.
 //!
-//! Prints, in order: Table I, Table II, Table III with the Fig. 6 check,
-//! Fig. 3, the pipeline schedules of Figs. 1, 4 and 5 with the §IV-D/§IV-E
-//! cycle counts, Fig. 8 with Table IV, Fig. 7 and Fig. 9. Each paper value
-//! sits beside a measured/paper ratio, in bold when it is 1.5 or beyond
-//! either way. Each speedup curve is simulated once per benchmark and exact
-//! manager configuration: Fig. 8, Table IV and Fig. 7 share them.
+//! Part I prints, in order: Table I, Table II, Table III with the Fig. 6
+//! check, Fig. 3, the pipeline schedules of Figs. 1, 4 and 5 with the
+//! §IV-D/§IV-E cycle counts, Fig. 8 with Table IV, Fig. 7 and Fig. 9. Each
+//! paper value sits beside a measured/paper ratio, in bold when it is 1.5 or
+//! beyond either way.
+//!
+//! Part II prints two ablations of the paper's design choices (the
+//! distribution function of §IV-B, the structural deltas between Nexus++ and
+//! Nexus#) and four sweeps of a cluster of Nexus# nodes: node scaling,
+//! placement × stealing × feedback, interconnect fabrics and an open-loop
+//! service with its throughput knee.
+//!
+//! Each speedup curve is simulated once per benchmark and exact manager
+//! configuration: Fig. 8, Table IV, Fig. 7 and the ablations share them.
 //!
 //! ```text
 //! cargo run --release -p nexus-bench --bin paper_report
@@ -14,7 +23,8 @@
 //! ```
 //!
 //! `NEXUS_BENCH_SCALE` (default 0.1) sizes the simulated traces; Tables I–III
-//! and Figs. 1 and 3–6 do not depend on it. The report takes no arguments,
+//! and Figs. 1 and 3–6 do not depend on it, and the cluster sweeps of Part II
+//! clamp it to sizes of their own. The report takes no arguments,
 //! and a bad scale or any argument aborts with exit 2 before anything runs.
 //! Progress goes to stderr; stdout holds no wall-clock value, so two runs at
 //! one scale print the same bytes.
@@ -26,16 +36,24 @@ use nexus_bench::paper::{
 use nexus_bench::report::{fmt_pct, fmt_ratio, fmt_speedup, Table};
 use nexus_bench::runner::{bench_scale, gaussian_core_counts, hw_core_counts, Curves};
 use nexus_bench::ManagerKind;
+use nexus_cluster::{
+    remote_edge_fraction, simulate_cluster, AdmissionConfig, ClusterConfig, ClusterOutcome,
+    FeedbackKind, LinkConfig, PolicyKind, StealKind, Topology,
+};
 use nexus_core::distribution::{DistributionPolicy, Distributor};
 use nexus_core::pipeline::{
     insertion_span_cycles, micro_benchmark_cycles, sharp_pipeline_schedule, PipelineCase,
 };
-use nexus_core::NexusSharpConfig;
+use nexus_core::{NexusSharp, NexusSharpConfig};
+use nexus_flow::{knee_sweep, simulate_service, ArrivalConfig, ArrivalKind, ServiceConfig};
+use nexus_host::manager::TaskManager;
 use nexus_host::sweep::{speedup_curve, SpeedupCurve};
-use nexus_pp::{pipeline_schedule, NexusPPConfig};
+use nexus_pp::{pipeline_schedule, NexusPP, NexusPPConfig};
 use nexus_resources::{paper_table1, DeviceCapacity, ResourceModel};
+use nexus_sim::SimDuration;
 use nexus_taskgraph::refgraph::ParallelismProfile;
-use nexus_trace::generators::{gaussian, MbGrouping};
+use nexus_taskgraph::taskpool::RetirementOrder;
+use nexus_trace::generators::{distributed, gaussian, MbGrouping};
 use nexus_trace::{Benchmark, TraceStats};
 
 fn main() {
@@ -62,6 +80,22 @@ fn main() {
     fig8_and_table4(&mut curves);
     fig7(&mut curves);
     fig9(scale);
+    println!(
+        "# Part II: ablations and cluster extensions\n\n\
+         The paper reports none of the numbers below, so no ratio is printed. Two ablations \
+         vary the paper's own design choices: the distribution function of §IV-B and the \
+         structural deltas between Nexus++ and Nexus#. Four sweeps run Nexus# (6 TGs) nodes \
+         as a cluster: node scaling, placement × stealing × feedback, interconnect fabrics and \
+         an open-loop service. Every cluster run pays the RDMA link's latency and per-word \
+         cost, `{:?}`; the fabric sweeps change only its topology.\n",
+        LinkConfig::rdma()
+    );
+    ablation_distribution(&mut curves, scale);
+    ablation_structure(&mut curves, scale);
+    cluster_scalability(scale);
+    policy_comparison(scale);
+    topology_comparison(scale);
+    service_latency(scale);
 }
 
 /// Headers `first, 1c, 2c, …` for a speedup-vs-cores table.
@@ -590,4 +624,518 @@ fn fig9(scale: f64) {
         fmt_ratio(measured, FIG9_GAUSSIAN_3000_SPEEDUP),
     ]);
     head.print();
+}
+
+/// `row` followed by the maximum speedup of `curve` and its speedups at
+/// `cores`.
+fn speedup_row(mut row: Vec<String>, curve: &SpeedupCurve, cores: &[usize]) -> Vec<String> {
+    row.push(fmt_speedup(curve.max_speedup()));
+    row.extend(
+        cores
+            .iter()
+            .map(|&c| fmt_speedup(curve.at(c).unwrap_or(f64::NAN))),
+    );
+    row
+}
+
+/// Ablation of §IV-B, which asks a distribution function for speed and
+/// fairness: Nexus# (6 TGs) under the XOR hash, plain modulo, first-seen
+/// round-robin and a single graph. The XOR-hash rows read the report's
+/// shared Nexus# curves, which Fig. 8 already holds for h264dec-1x1 and
+/// streamcluster; the address imbalance is the 32-core run's.
+fn ablation_distribution(curves: &mut Curves, scale: f64) {
+    let cores = hw_core_counts();
+    let mut table = Table::new(
+        "Ablation: distribution policy under Nexus# (6 TGs @ 55.56 MHz)",
+        &[
+            "benchmark",
+            "policy",
+            "max speedup",
+            "speedup @ 32c",
+            "addr imbalance",
+        ],
+    );
+    for bench in [
+        Benchmark::H264Dec(MbGrouping::G1x1),
+        Benchmark::Streamcluster,
+        Benchmark::Gaussian { dim: 500 },
+    ] {
+        let trace = bench.trace_scaled(42, scale);
+        for (name, policy) in [
+            ("XOR hash (paper)", DistributionPolicy::XorHash),
+            ("modulo", DistributionPolicy::Modulo),
+            ("round-robin", DistributionPolicy::RoundRobin),
+            ("single graph", DistributionPolicy::SingleGraph),
+        ] {
+            let variant;
+            let curve = if policy == DistributionPolicy::XorHash {
+                curves.get(bench, ManagerKind::nexus_sharp(6))
+            } else {
+                let mut cfg = NexusSharpConfig::paper(6);
+                cfg.distribution = policy;
+                variant = speedup_curve(&trace, &cores, |_| Box::new(NexusSharp::new(cfg)));
+                &variant
+            };
+            let imbalance = curve
+                .points
+                .iter()
+                .find(|p| p.cores == 32)
+                .into_iter()
+                .flat_map(|p| &p.outcome.manager_stats)
+                .find(|(key, _)| key == "distribution_imbalance")
+                .map_or(f64::NAN, |&(_, v)| v);
+            let mut row = speedup_row(vec![trace.name.clone(), name.to_string()], curve, &[32]);
+            row.push(format!("{imbalance:.2}"));
+            table.row(row);
+        }
+        eprintln!("paper_report: distribution ablation {} done", trace.name);
+    }
+    table.print();
+}
+
+/// Ablation of the structural deltas between Nexus++ and Nexus# (the
+/// `nexus-pp` crate doc describes them): Nexus++ with a free-list pool or a
+/// 1024-entry pool, and Nexus# with one TG (taskwait-on support and the
+/// streaming front-end) and with six. Streamcluster stresses pool recycling,
+/// h264dec-1x1 the taskwait-on escalation and front-end throughput. Rows of
+/// a `ManagerKind` read the report's shared curves; Figs. 7 and 8 hold all
+/// of them but streamcluster's 1-TG one.
+fn ablation_structure(curves: &mut Curves, scale: f64) {
+    let cores = hw_core_counts();
+    let row = |variant: &str, curve: &SpeedupCurve| {
+        speedup_row(vec![variant.to_string()], curve, &[32, 256])
+    };
+    let mut free_list = NexusPPConfig::paper();
+    free_list.retirement = RetirementOrder::FreeList;
+    let mut big_pool = NexusPPConfig::paper();
+    big_pool.task_pool_capacity = 1024;
+    let one_tg = ManagerKind::NexusSharp {
+        task_graphs: 1,
+        mhz: 100.0,
+    };
+    for bench in [
+        Benchmark::Streamcluster,
+        Benchmark::H264Dec(MbGrouping::G1x1),
+    ] {
+        let trace = bench.trace_scaled(42, scale);
+        let pp = |cfg| speedup_curve(&trace, &cores, |_| Box::new(NexusPP::new(cfg)));
+        let mut table = Table::new(
+            format!("Ablation: structural variants on {}", trace.name),
+            &["variant", "max speedup", "speedup @ 32c", "speedup @ 256c"],
+        );
+        for cells in [
+            row(
+                "Nexus++ (in-order pool, no taskwait-on)",
+                curves.get(bench, ManagerKind::NexusPP),
+            ),
+            row("Nexus++ + free-list pool", &pp(free_list)),
+            row("Nexus++ + 1024-entry pool", &pp(big_pool)),
+            row(
+                "Nexus# 1 TG (adds taskwait-on + streaming front-end)",
+                curves.get(bench, one_tg),
+            ),
+            row(
+                "Nexus# 6 TGs @ 55.56 MHz (full design)",
+                curves.get(bench, ManagerKind::nexus_sharp(6)),
+            ),
+        ] {
+            table.row(cells);
+        }
+        table.print();
+        eprintln!("paper_report: structural ablation {} done", trace.name);
+    }
+    let mut support = Table::new("taskwait on support", &["design", "supported"]);
+    support.row(vec![
+        "Nexus++".into(),
+        format!("{}", NexusPP::paper().supports_taskwait_on()),
+    ]);
+    support.row(vec![
+        "Nexus#".into(),
+        format!("{}", NexusSharp::paper(6).supports_taskwait_on()),
+    ]);
+    support.print();
+}
+
+/// Node scaling: one 8-domain sparselu trace (one factorization per domain,
+/// a fraction of tasks coupled to a neighbouring domain by halo reads) on 1, 2,
+/// 4 and 8 nodes with `xorhash` placement, no stealing and no feedback. With
+/// few remote edges the cluster scales with the node count; with every
+/// domain coupled it is link-bound.
+fn cluster_scalability(scale: f64) {
+    // The distributed trace grows with the node count; keep the per-domain
+    // scale small enough that the 8-node sweep stays quick.
+    let scale = (scale * 0.02).clamp(0.001, 0.05);
+    for remote in [0.0, 0.1, 0.5, 1.0] {
+        let mut table = Table::new(
+            format!(
+                "Cluster scalability — dist-sparselu, {:.0}% halo coupling",
+                remote * 100.0
+            ),
+            &[
+                "nodes",
+                "tasks",
+                "remote edges",
+                "makespan",
+                "speedup",
+                "notifications",
+                "link peak util",
+            ],
+        );
+        // The same 8-domain workload on every cluster size, so makespans are
+        // directly comparable (affinity hints wrap modulo the node count).
+        let trace = distributed::sparselu(8, remote, 42, scale);
+        for nodes in [1, 2, 4, 8] {
+            let cfg = ClusterConfig::new(nodes, 8);
+            let out = simulate_cluster(&trace, &cfg, |_| NexusSharp::paper(6));
+            table.row(vec![
+                format!("{nodes}"),
+                format!("{}", out.tasks),
+                format!("{:.1}%", remote_edge_fraction(&trace, nodes) * 100.0),
+                format!("{}", out.makespan),
+                format!("{:.2}x", out.speedup()),
+                format!("{}", out.notifications),
+                format!("{:.1}%", out.link.peak_utilization * 100.0),
+            ]);
+        }
+        table.print();
+    }
+    println!("Per-domain sparselu scale {scale}, 8 workers per node.\n");
+}
+
+/// Placement × stealing × feedback on 8-worker nodes, in three sweeps.
+/// 1. Stealing on imbalanced domains (node 0 owns 6× the tasks of the last;
+///    the hints pin the imbalance and the tasks have no dependences, so
+///    feedback cannot act and only feedback `off` runs).
+/// 2. Every placement under every feedback mode on an un-hinted sparselu:
+///    `topo` keeps producer→consumer chains on one node.
+/// 3. Every feedback mode on a chain-skewed trace (node 0 owns 36 serial
+///    chains, the rest a geometric tail) under the strongest static stack,
+///    TopologyAware + Hierarchical: stealing sees only the chain heads, so
+///    idle nodes must reclaim the blocked tails. Its trace does not depend on
+///    the scale; `tests/policy_comparison.rs` requires full feedback to beat
+///    feedback `off` by at least 10% on it.
+fn policy_comparison(scale: f64) {
+    let base_tasks = ((scale * 1920.0) as u64).clamp(96, 1920);
+    for nodes in [2, 4, 8] {
+        let trace =
+            distributed::imbalanced(nodes, base_tasks, 6.0, SimDuration::from_us(50), 0.0, 42);
+        let mut table = Table::new(
+            format!(
+                "Work stealing — {} on {nodes} nodes, Nexus# 6TG per node",
+                trace.name
+            ),
+            &[
+                "stealing",
+                "makespan",
+                "speedup",
+                "steals",
+                "failed",
+                "link words",
+            ],
+        );
+        for stealing in StealKind::ALL {
+            let cfg = ClusterConfig::new(nodes, 8).with_stealing(stealing);
+            let out = simulate_cluster(&trace, &cfg, |_| NexusSharp::paper(6));
+            table.row(vec![
+                out.stealing.clone(),
+                format!("{}", out.makespan),
+                format!("{:.2}x", out.speedup()),
+                format!("{}", out.steals),
+                format!("{}", out.steal_failures),
+                format!("{}", out.link.words),
+            ]);
+        }
+        table.print();
+    }
+
+    let lu_scale = (scale * 0.04).clamp(0.001, 0.05);
+    for nodes in [2, 4, 8] {
+        let trace = distributed::unhinted(&distributed::sparselu(nodes, 0.3, 42, lu_scale));
+        let mut table = Table::new(
+            format!(
+                "Placement — {} on {nodes} nodes, Nexus# 6TG per node",
+                trace.name
+            ),
+            &[
+                "feedback",
+                "placement",
+                "makespan",
+                "speedup",
+                "remote edges",
+                "notifications",
+                "link words",
+            ],
+        );
+        for feedback in FeedbackKind::ALL {
+            for placement in PolicyKind::ALL {
+                let cfg = ClusterConfig::new(nodes, 8)
+                    .with_placement(placement)
+                    .with_feedback(feedback);
+                let out = simulate_cluster(&trace, &cfg, |_| NexusSharp::paper(6));
+                table.row(vec![
+                    feedback.to_string(),
+                    out.placement.clone(),
+                    format!("{}", out.makespan),
+                    format!("{:.2}x", out.speedup()),
+                    format!("{:.1}%", out.remote_edge_fraction() * 100.0),
+                    format!("{}", out.notifications),
+                    format!("{}", out.link.words),
+                ]);
+            }
+        }
+        table.print();
+    }
+
+    let chains = distributed::chained_imbalanced(4, 36, 16, 6.0, SimDuration::from_us(20));
+    let mut table = Table::new(
+        format!(
+            "Feedback — {} on 4 nodes, TopologyAware + Hierarchical, Nexus# 6TG per node",
+            chains.name
+        ),
+        &[
+            "feedback",
+            "makespan",
+            "speedup",
+            "steals",
+            "reclaims",
+            "link words",
+        ],
+    );
+    let mut makespan = |mode| {
+        let cfg = ClusterConfig::new(4, 8)
+            .with_placement(PolicyKind::TopologyAware)
+            .with_stealing(StealKind::Hierarchical)
+            .with_feedback(mode);
+        let out = simulate_cluster(&chains, &cfg, |_| NexusSharp::paper(6));
+        table.row(vec![
+            mode.to_string(),
+            format!("{}", out.makespan),
+            format!("{:.2}x", out.speedup()),
+            format!("{}", out.steals),
+            format!("{}", out.reclaims),
+            format!("{}", out.link.words),
+        ]);
+        out.makespan.as_us_f64()
+    };
+    // `ALL` lists off, place, reclaim and full.
+    let [off, _, _, full] = FeedbackKind::ALL.map(&mut makespan);
+    table.print();
+    println!(
+        "Full feedback against the static stack (feedback off): {:.1}% shorter makespan; \
+         `tests/policy_comparison.rs` requires at least 10%.\n",
+        (1.0 - full / off) * 100.0
+    );
+}
+
+/// Per-tier link words of a cluster run, `name words` for each tier.
+fn tier_summary(out: &ClusterOutcome) -> String {
+    out.link
+        .per_tier
+        .iter()
+        .map(|t| format!("{} {}w", t.name, t.words))
+        .collect::<Vec<_>>()
+        .join(", ")
+}
+
+/// Interconnect fabrics × scheduling stacks on rack-clustered chain traces,
+/// 4-worker nodes, in three sweeps: one trace over every built-in fabric
+/// (the uniform `bus` and `mesh` anchor the ends); the flat stack, `xorhash`
+/// placement with flat `steal`, against the aware one, `topo` with `hier`,
+/// on an un-hinted trace whose rack heads own 3× the chains, over
+/// `racktiers`; and traffic that stays inside racks against traffic that
+/// crosses them, on `mesh` and `racktiers`.
+fn topology_comparison(scale: f64) {
+    let link = LinkConfig::rdma();
+    let us = SimDuration::from_us;
+    let chains = ((scale * 60.0) as u64).clamp(4, 60);
+    // The rack shapes line up with the fabrics' derived rack and group sizes,
+    // so the trace's intra-rack coupling really is intra-rack on the wire.
+    for (racks, nodes_per_rack) in [(2, 2), (3, 3)] {
+        let trace = distributed::rack_clustered(
+            racks,
+            nodes_per_rack,
+            chains,
+            10,
+            1.0,
+            0.5,
+            0.0,
+            us(30),
+            42,
+        );
+        let nodes = racks * nodes_per_rack;
+        let mut table = Table::new(
+            format!(
+                "Fabric sweep — {} on {nodes} nodes, Nexus# 6TG per node",
+                trace.name
+            ),
+            &["topology", "makespan", "speedup", "link words", "per tier"],
+        );
+        for topology in Topology::ALL {
+            let cfg = ClusterConfig::new(nodes, 4).with_link(link.with_topology(topology));
+            let out = simulate_cluster(&trace, &cfg, |_| NexusSharp::paper(6));
+            table.row(vec![
+                out.topology.clone(),
+                format!("{}", out.makespan),
+                format!("{:.2}x", out.speedup()),
+                format!("{}", out.link.words),
+                tier_summary(&out),
+            ]);
+        }
+        table.print();
+    }
+
+    let skewed = distributed::unhinted(&distributed::rack_clustered(
+        2,
+        2,
+        chains,
+        10,
+        3.0,
+        0.6,
+        0.0,
+        us(30),
+        11,
+    ));
+    let mut table = Table::new(
+        format!(
+            "Scheduling stacks — {} on 4 nodes over {}, Nexus# 6TG per node",
+            skewed.name,
+            Topology::RackTiers
+        ),
+        &[
+            "stack",
+            "placement",
+            "stealing",
+            "makespan",
+            "steals",
+            "per tier",
+        ],
+    );
+    for (stack, placement, stealing) in [
+        ("flat", PolicyKind::XorHash, StealKind::MostLoaded),
+        ("aware", PolicyKind::TopologyAware, StealKind::Hierarchical),
+    ] {
+        let cfg = ClusterConfig::new(4, 4)
+            .with_link(link.with_topology(Topology::RackTiers))
+            .with_placement(placement)
+            .with_stealing(stealing);
+        let out = simulate_cluster(&skewed, &cfg, |_| NexusSharp::paper(6));
+        table.row(vec![
+            stack.to_string(),
+            out.placement.clone(),
+            out.stealing.clone(),
+            format!("{}", out.makespan),
+            format!("{}", out.steals),
+            tier_summary(&out),
+        ]);
+    }
+    table.print();
+
+    let mut table = Table::new(
+        "Match vs fight — rack-clustered traffic direction × fabric, 4 nodes",
+        &["trace", "topology", "makespan", "speedup", "per tier"],
+    );
+    for cross_rack in [0.0, 1.0] {
+        let trace = distributed::rack_clustered(2, 2, chains, 10, 1.0, 1.0, cross_rack, us(30), 13);
+        for topology in [Topology::FullMesh, Topology::RackTiers] {
+            let cfg = ClusterConfig::new(4, 4).with_link(link.with_topology(topology));
+            let out = simulate_cluster(&trace, &cfg, |_| NexusSharp::paper(6));
+            table.row(vec![
+                trace.name.clone(),
+                out.topology.clone(),
+                format!("{}", out.makespan),
+                format!("{:.2}x", out.speedup()),
+                tier_summary(&out),
+            ]);
+        }
+    }
+    table.print();
+    println!("{chains} chains per node, 4 workers per node.\n");
+}
+
+/// An open-loop service: Poisson arrivals into a 4 × 8 cluster running one
+/// distributed sparselu trace, under-driven (an eighth of the closed-loop
+/// capacity, the default admission depth of 64), over-driven (1 ns gaps
+/// through a 4-deep admission queue), and along a load ramp that locates the
+/// highest sustained rate. `tests/service_latency.rs` checks that the
+/// under-driven case never back-pressures, the over-driven one does, the
+/// admission bound holds and no task is lost, and the ramp crosses the knee.
+fn service_latency(scale: f64) {
+    let scale = (scale * 0.02).clamp(0.001, 0.05);
+    let kind = ArrivalKind::Poisson;
+    let depth = AdmissionConfig::DEFAULT_DEPTH;
+    let trace = distributed::sparselu(4, 0.3, 42, scale);
+    let cfg = ClusterConfig::new(4, 8);
+    // Capacity estimate from the closed-loop run: at full drive the cluster
+    // retires one task every makespan/tasks on average.
+    let closed = simulate_cluster(&trace, &cfg, |_| NexusSharp::paper(6));
+    let tasks = trace.task_count() as u64;
+    let capacity_gap = SimDuration::from_ns((closed.makespan.as_ns() / tasks.max(1)).max(1));
+
+    let mut table = Table::new(
+        format!("Service latency — {kind} arrivals, admission depth per case"),
+        &[
+            "case",
+            "gap",
+            "depth",
+            "p50",
+            "p99",
+            "p99.9",
+            "backpressure",
+            "max depth",
+        ],
+    );
+    for (case, gap, depth) in [
+        ("under", capacity_gap * 8, depth),
+        ("over", SimDuration::from_ns(1), 4),
+    ] {
+        let service = ServiceConfig::new(ArrivalConfig::new(kind, gap, 42))
+            .with_admission(AdmissionConfig::new(depth));
+        let out = simulate_service(&trace, &service, &cfg, |_| NexusSharp::paper(6));
+        table.row(vec![
+            case.into(),
+            format!("{gap}"),
+            format!("{depth}"),
+            format!("{}", out.p50()),
+            format!("{}", out.p99()),
+            format!("{}", out.p999()),
+            format!("{}", out.backpressure_events()),
+            format!("{}", out.stream.max_admission_depth),
+        ]);
+    }
+    table.print();
+
+    let base = ServiceConfig::new(ArrivalConfig::new(kind, capacity_gap * 8, 42))
+        .with_admission(AdmissionConfig::new(8));
+    let report = knee_sweep(
+        &trace,
+        &base,
+        &cfg,
+        &[0.5, 1.0, 2.0, 4.0, 16.0, 64.0],
+        |_| NexusSharp::paper(6),
+    );
+    let mut ramp = Table::new(
+        "Knee ramp — load factor over 1/8th-capacity base rate",
+        &["load", "offered/s", "done/s", "p99", "backpressure", "lag"],
+    );
+    for p in &report.points {
+        ramp.row(vec![
+            format!("{:.1}x", p.load_factor),
+            format!("{:.0}", p.offered_per_sec),
+            format!("{:.0}", p.completed_per_sec),
+            format!("{}", p.p99),
+            format!("{}", p.backpressure_events),
+            format!("{}", p.source_lag),
+        ]);
+    }
+    ramp.print();
+    let knee = match report.knee() {
+        Some(k) => format!("{:.0} offered/s sustained", k.offered_per_sec),
+        None => "below the lowest point of the ramp".to_string(),
+    };
+    println!(
+        "dist-sparselu at scale {scale}, {tasks} tasks, default admission depth {depth}; \
+         closed-loop makespan {}, about {:.0} tasks/s. Knee: {knee}.\n",
+        closed.makespan,
+        1e9 / capacity_gap.as_ns() as f64
+    );
 }

@@ -9,11 +9,14 @@
 //! NEXUS_BENCH_SCALE=1 cargo run --release -p nexus-bench --bin paper_report > EXPERIMENTS.md
 //! ```
 //!
-//! The bench targets cover what the paper's tables do not: the ablations,
-//! the cluster, policy, topology and service sweeps, and Criterion
-//! micro-benchmarks of the core data structures. This library holds the
-//! shared plumbing: manager construction, curve sweeps, paper reference
-//! values, scaling of the workloads and table formatting.
+//! Its Part II covers what the paper's tables do not: ablations of the
+//! distribution function and of the structural deltas between Nexus++ and
+//! Nexus#, and sweeps of a cluster of Nexus# nodes (node scaling, placement ×
+//! stealing × feedback, fabrics, an open-loop service). The one bench target,
+//! `micro_structures`, holds Criterion micro-benchmarks of the core data
+//! structures. This library holds the report's plumbing: manager
+//! construction, curve sweeps, paper reference values, scaling of the
+//! workloads and table formatting.
 //!
 //! ## Workload scaling
 //!
@@ -30,7 +33,7 @@
 //!
 //! `NEXUS_BENCH_SCALE` is the harness's only environment knob; a value that
 //! does not parse or lies outside 0.001..=1.0 aborts with exit 2. Every other
-//! setting is fixed in the bench that uses it.
+//! setting is fixed in the report section that uses it.
 
 #![warn(missing_docs)]
 

@@ -1,4 +1,4 @@
-//! Markdown table rendering for the paper report and the benches.
+//! Markdown table rendering for the paper report.
 
 /// A measured/paper ratio at or beyond this factor, either way, is flagged.
 const RATIO_FLAG: f64 = 1.5;

@@ -1,4 +1,4 @@
-//! Shared sweep plumbing for the paper report and the benches.
+//! Sweep plumbing for the paper report.
 
 use crate::managers::ManagerKind;
 use nexus_host::sweep::{speedup_curve, SpeedupCurve};
@@ -17,11 +17,6 @@ pub fn nanos_core_counts() -> Vec<usize> {
 /// Core counts used in the Gaussian-elimination figure (Fig. 9 plots 1–64).
 pub fn gaussian_core_counts() -> Vec<usize> {
     vec![1, 2, 4, 8, 16, 32, 64]
-}
-
-/// Node counts for the cluster-scalability sweep.
-pub fn cluster_node_counts() -> Vec<usize> {
-    vec![1, 2, 4, 8]
 }
 
 /// The workload scale factor: `NEXUS_BENCH_SCALE` (default 0.1; `1` runs
@@ -44,8 +39,8 @@ pub fn bench_scale() -> f64 {
 }
 
 /// Speedup curves of the paper's benchmarks at one scale, each simulated
-/// once per (benchmark, exact manager configuration): Fig. 8, Table IV and
-/// Fig. 7 read the same curves.
+/// once per (benchmark, exact manager configuration): Fig. 8, Table IV,
+/// Fig. 7 and the ablations read the same curves.
 pub struct Curves {
     scale: f64,
     seed: u64,

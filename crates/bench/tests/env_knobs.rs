@@ -42,7 +42,8 @@ fn bad_bench_scale_aborts() {
 
 #[test]
 fn smallest_scale_prints_every_table() {
-    // The smallest scale keeps this full report run to a few seconds in debug.
+    // The smallest scale keeps this full report run to a few seconds in debug
+    // (about 7 s for both parts on a 2-vCPU host).
     let out = paper_report(Some("0.001"), &[]);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(0), "the report must run: {stderr}");
@@ -66,16 +67,39 @@ fn smallest_scale_prints_every_table() {
         "## Fig. 9 ",
         "## Fig. 9 summary",
         "## Fig. 9 headline",
+        "## Ablation: distribution policy",
+        "## Ablation: structural variants",
+        "## taskwait on support",
+        "## Cluster scalability ",
+        "## Work stealing ",
+        "## Placement ",
+        "## Feedback ",
+        "## Fabric sweep ",
+        "## Scheduling stacks ",
+        "## Match vs fight ",
+        "## Service latency ",
+        "## Knee ramp ",
     ] {
         assert!(
             headings.iter().any(|h| h.starts_with(title)),
             "no {title:?} table in the report: {headings:#?}"
         );
     }
-    // Fig. 3 over three task-graph counts, Fig. 7(a) and (b) over four
-    // h264dec groupings each, Fig. 8 over eight benchmarks and Fig. 9 over
-    // four matrices, with 12 single tables: 35 in all.
-    assert_eq!(headings.len(), 35, "{headings:#?}");
+    // Part I: Fig. 3 over three task-graph counts, Fig. 7(a) and (b) over
+    // four h264dec groupings each, Fig. 8 over eight benchmarks and Fig. 9
+    // over four matrices, with 12 single tables: 35. Part II: the structural
+    // ablation over two benchmarks, cluster scalability over four couplings,
+    // stealing and placement over three node counts each, fabrics over two
+    // rack shapes, with 8 single tables: 21. 56 in all.
+    assert_eq!(headings.len(), 56, "{headings:#?}");
+    let part2 = stdout.find("\n# Part II").expect("Part II follows Part I");
+    assert!(
+        part2
+            > stdout
+                .find("## Fig. 9 headline")
+                .expect("Fig. 9 is printed"),
+        "Part II must follow Fig. 9"
+    );
 }
 
 #[test]

@@ -4,7 +4,6 @@
 use crate::routing::EdgeStats;
 use nexus_host::SimOutcome;
 use nexus_obs::Registry;
-use nexus_sim::stats::LoadBalance;
 use nexus_sim::SimDuration;
 use nexus_trace::TaskId;
 use serde::{Deserialize, Serialize};
@@ -160,11 +159,6 @@ impl ClusterOutcome {
     /// Tasks executed per node.
     pub fn node_tasks(&self) -> Vec<u64> {
         self.per_node.iter().map(|o| o.tasks).collect()
-    }
-
-    /// Load balance of task placement across the nodes.
-    pub fn balance(&self) -> LoadBalance {
-        LoadBalance::new(self.node_tasks())
     }
 
     /// A one-line human-readable summary.

@@ -93,11 +93,6 @@ impl StreamingSource {
     pub fn admission(&self) -> AdmissionConfig {
         self.admission
     }
-
-    /// True for an open-loop (arrival-driven) source.
-    pub fn is_open_loop(&self) -> bool {
-        self.overlay.is_some()
-    }
 }
 
 /// The result of a streaming run: the usual [`ClusterOutcome`] plus the
@@ -159,10 +154,8 @@ mod tests {
 
     #[test]
     fn source_kinds() {
-        assert!(!StreamingSource::closed_loop().is_open_loop());
         let overlay = ArrivalOverlay::new(vec![t(1), t(2)]).unwrap();
         let src = StreamingSource::open_loop(overlay, AdmissionConfig::new(2));
-        assert!(src.is_open_loop());
         assert_eq!(src.admission().depth, 2);
     }
 }

@@ -14,9 +14,9 @@
 //! It is computable in one cycle and distributes a typical application's
 //! addresses (which differ only in their low 20 bits) evenly over up to 32 task
 //! graphs. Alternative policies are provided for the Fig. 3 study and the
-//! ablation benches; note that any policy must be *address-consistent* (the same
-//! address always maps to the same task graph), otherwise insertions and
-//! retirements would reach different graphs.
+//! paper report's distribution ablation; note that any policy must be
+//! *address-consistent* (the same address always maps to the same task
+//! graph), otherwise insertions and retirements would reach different graphs.
 
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;

@@ -8,27 +8,29 @@
 //! effects the structural model does not capture explicitly (allocator
 //! pressure, NUMA traffic, Mercurium-generated glue code, taskwait
 //! implementation details), and they are deliberately transparent: every entry
-//! is listed here with the Table IV value it targets.
+//! is listed here. The values they target are the Nanos column of Table IV
+//! (`nexus_bench::paper::TABLE4`), which the paper report prints beside the
+//! measured maxima.
 
-/// `(benchmark-name prefix, overhead scale, paper's Table IV max speedup)`.
-pub const CALIBRATION: &[(&str, f64, f64)] = &[
+/// `(benchmark-name prefix, overhead scale)`.
+pub const CALIBRATION: &[(&str, f64)] = &[
     // Long independent tasks: overhead barely matters.
-    ("c-ray", 1.0, 31.4),
+    ("c-ray", 1.0),
     // Half-millisecond pipelined pairs: mild overhead sensitivity.
-    ("rot-cc", 1.6, 24.5),
+    ("rot-cc", 1.6),
     // Blocked LU with 0.7 ms tasks, designed to match Nanos overheads.
-    ("sparselu", 1.8, 24.5),
+    ("sparselu", 1.8),
     // Fork-join with many short tasks and frequent taskwaits: Nanos collapses.
-    ("streamcluster", 9.5, 4.9),
+    ("streamcluster", 9.5),
     // Macroblock-granularity decoding: tasks of a few microseconds; the
     // runtime is slower than serial execution at the finest granularity.
-    ("h264dec-1x1", 1.3, 0.7),
-    ("h264dec-2x2", 1.3, 1.4),
-    ("h264dec-4x4", 1.3, 3.6),
-    ("h264dec-8x8", 1.3, 3.9),
+    ("h264dec-1x1", 1.3),
+    ("h264dec-2x2", 1.3),
+    ("h264dec-4x4", 1.3),
+    ("h264dec-8x8", 1.3),
     // Sub-microsecond Gaussian elimination tasks (Fig. 9 does not include
     // Nanos; kept for completeness).
-    ("gaussian", 1.0, f64::NAN),
+    ("gaussian", 1.0),
 ];
 
 /// Returns the calibrated overhead scale for a benchmark trace name
@@ -37,20 +39,10 @@ pub fn benchmark_overhead_scale(benchmark: &str) -> f64 {
     // Longest-prefix match so "h264dec-1x1-10f" hits the 1x1 entry.
     CALIBRATION
         .iter()
-        .filter(|(prefix, _, _)| benchmark.starts_with(prefix))
-        .max_by_key(|(prefix, _, _)| prefix.len())
-        .map(|(_, scale, _)| *scale)
+        .filter(|(prefix, _)| benchmark.starts_with(prefix))
+        .max_by_key(|(prefix, _)| prefix.len())
+        .map(|(_, scale)| *scale)
         .unwrap_or(1.0)
-}
-
-/// The paper's Table IV maximum speedup for a benchmark, if listed.
-pub fn paper_max_speedup(benchmark: &str) -> Option<f64> {
-    CALIBRATION
-        .iter()
-        .filter(|(prefix, _, _)| benchmark.starts_with(prefix))
-        .max_by_key(|(prefix, _, _)| prefix.len())
-        .map(|(_, _, max)| *max)
-        .filter(|v| v.is_finite())
 }
 
 #[cfg(test)]
@@ -66,16 +58,8 @@ mod tests {
     }
 
     #[test]
-    fn paper_values_are_exposed() {
-        assert_eq!(paper_max_speedup("streamcluster"), Some(4.9));
-        assert_eq!(paper_max_speedup("h264dec-8x8-10f"), Some(3.9));
-        assert_eq!(paper_max_speedup("gaussian-250"), None);
-        assert_eq!(paper_max_speedup("unheard-of"), None);
-    }
-
-    #[test]
     fn every_calibration_entry_is_positive() {
-        for (name, scale, _) in CALIBRATION {
+        for (name, scale) in CALIBRATION {
             assert!(*scale > 0.0, "{name}");
         }
     }

@@ -82,9 +82,11 @@
 //! ready once every producer it still misses has retired. It then stays
 //! there: a ready one goes to the front of the ready queue (the thief
 //! imported it to run now), and no board offers it and no grant takes it
-//! again, as the simulator hands granted work to the thief's manager or
-//! parks it. Without that, two idle nodes could hand one blocked descriptor
-//! back and forth for as long as it stays blocked.
+//! again. Without that, two idle nodes could hand one blocked descriptor
+//! back and forth for as long as it stays blocked. The simulator keeps only
+//! blocked arrivals out of reach (it parks them): an eligible one waits at
+//! the front of the thief's input queue while the input processor is busy,
+//! and a later grant can move it on.
 //!
 //! **Feedback.** With runtime feedback enabled (`RtConfig::feedback`), every
 //! retirement publishes the retiring node's live [`LoadView`]

@@ -80,17 +80,6 @@ impl SimRng {
         lo + (hi - lo) * self.next_f64()
     }
 
-    /// Approximately normally-distributed value (mean 0, std 1) via the
-    /// sum-of-uniforms method (Irwin–Hall with 12 terms). Plenty for duration
-    /// jitter.
-    pub fn gaussian(&mut self) -> f64 {
-        let mut acc = 0.0;
-        for _ in 0..12 {
-            acc += self.next_f64();
-        }
-        acc - 6.0
-    }
-
     /// Returns `true` with probability `p`.
     pub fn chance(&mut self, p: f64) -> bool {
         self.next_f64() < p
@@ -157,23 +146,6 @@ mod tests {
             // Expect 10_000 each; allow generous 15% slack.
             assert!((8_500..11_500).contains(&c), "bucket count {c}");
         }
-    }
-
-    #[test]
-    fn gaussian_has_reasonable_moments() {
-        let mut r = SimRng::new(99);
-        let n = 50_000;
-        let mut sum = 0.0;
-        let mut sumsq = 0.0;
-        for _ in 0..n {
-            let x = r.gaussian();
-            sum += x;
-            sumsq += x * x;
-        }
-        let mean = sum / n as f64;
-        let var = sumsq / n as f64 - mean * mean;
-        assert!(mean.abs() < 0.05, "mean {mean}");
-        assert!((var - 1.0).abs() < 0.1, "var {var}");
     }
 
     #[test]

@@ -151,19 +151,6 @@ impl LoadBalance {
         let max = *self.per_unit.iter().max().unwrap() as f64;
         max / ideal
     }
-
-    /// Coefficient of variation of the per-unit load (0 = perfectly even).
-    pub fn coefficient_of_variation(&self) -> f64 {
-        let mut s = OnlineStats::new();
-        for &c in &self.per_unit {
-            s.push(c as f64);
-        }
-        if s.mean() == 0.0 {
-            0.0
-        } else {
-            s.std_dev() / s.mean()
-        }
-    }
 }
 
 #[cfg(test)]
@@ -222,11 +209,9 @@ mod tests {
     fn load_balance_imbalance_metrics() {
         let even = LoadBalance::new(vec![100, 100, 100, 100]);
         assert!((even.imbalance() - 1.0).abs() < 1e-12);
-        assert!(even.coefficient_of_variation() < 1e-12);
 
         let worst = LoadBalance::new(vec![400, 0, 0, 0]);
         assert!((worst.imbalance() - 4.0).abs() < 1e-12);
-        assert!(worst.coefficient_of_variation() > 1.0);
         assert_eq!(worst.total(), 400);
 
         let empty = LoadBalance::new(vec![0, 0]);

@@ -5,7 +5,8 @@
 //! function of Nexus# exploits exactly that. [`AddrRegion`] hands out 48-bit
 //! addresses that mimic this layout: a fixed high part per allocation region and
 //! a dense, stride-separated low part, so the distribution-function study in
-//! Fig. 3 and the ablation benches see realistic inputs.
+//! Fig. 3 and the distribution ablation of the paper report see realistic
+//! inputs.
 
 use serde::{Deserialize, Serialize};
 

@@ -135,7 +135,7 @@ pub fn skew_weights(nodes: usize, skew: f64) -> Vec<f64> {
 }
 
 /// Strips every affinity hint from `trace`, leaving routing entirely to the
-/// placement policy (the un-hinted workloads of the `policy_comparison`
+/// placement policy (the un-hinted workloads of the paper report's placement
 /// sweep). Everything else — addresses, durations, barriers — is unchanged.
 pub fn unhinted(trace: &Trace) -> Trace {
     let mut out = trace.clone();

@@ -7,13 +7,18 @@
 //!   mesh) must reduce aggregate interconnect words (and the remote-edge
 //!   census) versus the `XorHash` baseline on un-hinted traces at equal node
 //!   counts.
+//! * Full runtime feedback must beat the strongest static stack
+//!   (`TopologyAware` + `Hierarchical`, feedback off) by at least 10%
+//!   makespan on chain-skewed work, which only reclamation can spread.
 //! * Every placement × stealing combination must be bit-identical across
 //!   reruns.
 //! * `XorHash` with stealing disabled must reproduce the original
 //!   (pre-`nexus-sched`) cluster routing exactly.
 
 use nexus::cluster::routing::DepScanner;
-use nexus::cluster::{home_of, simulate_cluster, ClusterConfig, ClusterOutcome, LinkConfig};
+use nexus::cluster::{
+    home_of, simulate_cluster, ClusterConfig, ClusterOutcome, FeedbackKind, LinkConfig,
+};
 use nexus::prelude::*;
 use nexus::sched::{PolicyKind, StealKind};
 use nexus::sharp::NexusSharpConfig;
@@ -87,6 +92,35 @@ fn locality_placement_cuts_link_traffic_on_unhinted_traces() {
         "link words: locality {} vs xorhash {}",
         loc.link.words,
         xor.link.words
+    );
+}
+
+#[test]
+fn full_feedback_beats_the_static_stack_on_chain_skewed_work() {
+    // Node 0 owns 36 serial chains of 16 tasks, the other nodes a geometric
+    // tail (6, 1, 1). Stealing sees at most one eligible head per chain, so
+    // the blocked tails leave node 0 only when idle nodes reclaim them. The
+    // paper report's Part II prints every feedback mode on this trace.
+    let trace = distributed::chained_imbalanced(4, 36, 16, 6.0, us(20));
+    let run = |feedback: FeedbackKind| -> ClusterOutcome {
+        let cfg = ClusterConfig::new(4, 8)
+            .with_placement(PolicyKind::TopologyAware)
+            .with_stealing(StealKind::Hierarchical)
+            .with_feedback(feedback);
+        simulate_cluster(&trace, &cfg, |_| NexusSharp::paper(6))
+    };
+    let (off, full) = (run(FeedbackKind::Off), run(FeedbackKind::Full));
+    assert_eq!(off.tasks, full.tasks);
+    assert_eq!(off.reclaims, 0);
+    assert!(
+        full.reclaims > 0,
+        "full feedback must reclaim blocked tails"
+    );
+    assert!(
+        full.makespan.as_us_f64() <= 0.90 * off.makespan.as_us_f64(),
+        "full feedback must beat the static stack by at least 10%: off {}, full {}",
+        off.makespan,
+        full.makespan
     );
 }
 

@@ -117,6 +117,7 @@ fn underdriven_service_never_backpressures_and_keeps_p99_bounded() {
     assert_eq!(out.backpressure_events(), 0);
     assert_eq!(out.stream.source_lag, SimDuration::ZERO);
     assert_eq!(out.histogram.count(), trace.task_count() as u64);
+    assert!(out.stream.max_admission_depth <= AdmissionConfig::DEFAULT_DEPTH);
     // At 1/8th capacity, waiting is dependency-driven, not congestion-driven:
     // p99 stays within a small multiple of the closed-loop makespan fraction.
     assert!(
