@@ -542,20 +542,17 @@ struct MoveBook {
     waits: Vec<Waits>,
     /// Per node: eligible descriptors in its input queue.
     eligible: Vec<usize>,
-    /// Per node: aggregate worker speed (pools do not change during a run).
-    speed_milli: Vec<u64>,
     /// The load board, rebuilt in place for each round of move requests.
     board: Vec<NodeLoad>,
 }
 
 impl MoveBook {
-    fn new<M>(tasks: usize, nodes: &[NodeState<M>]) -> Self {
+    fn new(tasks: usize, nodes: usize) -> Self {
         MoveBook {
             unretired: vec![0; tasks],
             waits: vec![Waits::Nowhere; tasks],
-            eligible: vec![0; nodes.len()],
-            speed_milli: nodes.iter().map(|n| n.pool.total_speed_milli()).collect(),
-            board: Vec::with_capacity(nodes.len()),
+            eligible: vec![0; nodes],
+            board: Vec::with_capacity(nodes),
         }
     }
 
@@ -693,27 +690,6 @@ impl<M: TaskManager> ClusterDriver<M> {
             nodes,
             net: Interconnect::with_fabric(fabric),
         }
-    }
-
-    /// Replaces every node's worker pool with one built from per-core speed
-    /// factors (`1.0` = a standard core; see
-    /// [`WorkerPool::with_speeds`](nexus_host::WorkerPool::with_speeds)).
-    /// All nodes share the same core mix; steal policies see the aggregate
-    /// capacity through the load board and normalize backlogs by it.
-    ///
-    /// # Panics
-    /// Panics if `speeds.len()` differs from `workers_per_node`, or if any
-    /// factor is not a positive finite number.
-    pub fn with_worker_speeds(mut self, speeds: &[f64]) -> Self {
-        assert_eq!(
-            speeds.len(),
-            self.cfg.workers_per_node,
-            "need one speed factor per worker core"
-        );
-        for node in &mut self.nodes {
-            node.pool = WorkerPool::with_speeds(speeds);
-        }
-        self
     }
 
     /// Runs `trace` to completion on the cluster. Panics if the simulation
@@ -912,7 +888,7 @@ impl<'t, 'r, M: TaskManager> Run<'t, 'r, M> {
         let book = MoveKind::ALL
             .iter()
             .any(|k| k.enabled(cfg.stealing, cfg.feedback))
-            .then(|| MoveBook::new(tasks.len(), &nodes));
+            .then(|| MoveBook::new(tasks.len(), nodes.len()));
         Run {
             book,
             idx_of: IdMap::build(&tasks),
@@ -1612,7 +1588,6 @@ impl<'t, 'r, M: TaskManager> Run<'t, 'r, M> {
         board.extend(self.nodes.iter().enumerate().map(|(i, n)| NodeLoad {
             pending: n.pending.len(),
             stealable: book.eligible_at(&self.metas, i, &n.pending),
-            speed_milli: book.speed_milli[i],
         }));
         board
     }
@@ -1681,7 +1656,7 @@ impl<'t, 'r, M: TaskManager> Run<'t, 'r, M> {
         } = self;
         let n = &mut nodes[node];
         let manager = &mut n.manager;
-        n.pool.dispatch(|task, worker, speed| {
+        n.pool.dispatch(|task, worker| {
             let idx = idx_of.idx(task);
             let extra = manager.dispatch_cost(task, now);
             manager.drain_events_into(scratch);
@@ -1696,11 +1671,8 @@ impl<'t, 'r, M: TaskManager> Run<'t, 'r, M> {
                     },
                 );
             }
-            // A core of speed `speed/1000`× executes the task proportionally
-            // faster (exact for the uniform default: `d * 1000 / 1000 == d`).
-            let dur = durations[idx] * 1000 / speed;
             queue.schedule(
-                now + extra + dur,
+                now + extra + durations[idx],
                 Event::WorkerFinish { node, task, worker },
             );
         });
@@ -2365,9 +2337,9 @@ mod tests {
 
     /// Panics unless every task of `trace` started no earlier than each of
     /// its last-writer producers finished, that is the producer's `Started`
-    /// stamp plus its duration (the pools are uniform, so a body takes
-    /// exactly its trace duration). Neither the master's last-writer table
-    /// nor `check_conservation` compares the order of two tasks.
+    /// stamp plus its duration (a body takes exactly its trace duration).
+    /// Neither the master's last-writer table nor `check_conservation`
+    /// compares the order of two tasks.
     fn assert_dependence_order(trace: &Trace, rec: &nexus_obs::MemRecorder, what: &str) {
         let mut started = vec![None; trace.task_count()];
         for &(at, ref ev) in &rec.events {

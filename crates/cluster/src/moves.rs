@@ -144,7 +144,6 @@ mod tests {
             NodeLoad {
                 pending: 4,
                 stealable: 4,
-                ..NodeLoad::default()
             },
             NodeLoad {
                 pending: 6,

@@ -6,10 +6,11 @@
 //! the spirit of asynchronous distributed task front-ends (Bosch et al.) and
 //! the task-as-request framing of the task/actor duality work:
 //!
-//! * [`ArrivalKind`] / [`ArrivalConfig`] — deterministic, seeded open-loop
-//!   arrival processes (Poisson, bursty, diurnal, or closed-loop
-//!   pass-through) generating an
-//!   [`ArrivalOverlay`](nexus_trace::ArrivalOverlay) over any trace,
+//! * [`ArrivalKind`] / [`ArrivalConfig`] — a deterministic, seeded Poisson
+//!   arrival process generating an
+//!   [`ArrivalOverlay`](nexus_trace::ArrivalOverlay) over any trace (a
+//!   closed-loop run needs no overlay:
+//!   [`StreamingSource::closed_loop`](nexus_cluster::StreamingSource::closed_loop)),
 //! * [`simulate_service`] / [`ServiceConfig`] — drives
 //!   [`nexus_cluster::simulate_streaming`]: submissions released at arrival
 //!   times through bounded per-node admission queues

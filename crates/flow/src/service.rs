@@ -2,7 +2,7 @@
 //! cluster, folded into latency percentiles — and the knee sweep that ramps
 //! offered load to find sustainable throughput.
 
-use crate::arrival::{ArrivalConfig, ArrivalKind};
+use crate::arrival::ArrivalConfig;
 use crate::histogram::LatencyHistogram;
 use nexus_cluster::{simulate_streaming, AdmissionConfig, ClusterConfig, StreamingSource};
 use nexus_host::manager::TaskManager;
@@ -34,12 +34,9 @@ impl ServiceConfig {
         self
     }
 
-    /// The [`StreamingSource`] this config induces for `trace`.
+    /// The open-loop [`StreamingSource`] this config induces for `trace`.
     pub fn source_for(&self, trace: &Trace) -> StreamingSource {
-        match self.arrival.kind {
-            ArrivalKind::ClosedLoop => StreamingSource::closed_loop(),
-            _ => StreamingSource::open_loop(self.arrival.overlay_for(trace), self.admission),
-        }
+        StreamingSource::open_loop(self.arrival.overlay_for(trace), self.admission)
     }
 }
 
@@ -151,10 +148,6 @@ pub fn knee_sweep<M: TaskManager>(
     load_factors: &[f64],
     make_manager: impl Fn(usize) -> M,
 ) -> KneeReport {
-    assert!(
-        base.arrival.kind != ArrivalKind::ClosedLoop,
-        "a knee sweep needs an open-loop arrival process"
-    );
     let points = load_factors
         .iter()
         .map(|&factor| {

@@ -124,10 +124,10 @@ pub fn simulate(trace: &Trace, manager: &mut dyn TaskManager, cfg: &HostConfig) 
             Event::ReadyVisible(task) => {
                 pool.enqueue(task);
                 // Dispatch as many ready tasks as there are free workers.
-                pool.dispatch(|next, worker, speed| {
+                pool.dispatch(|next, worker| {
                     let extra = manager.dispatch_cost(next, now);
                     drain_manager!(now);
-                    let dur = tasks[&next].duration * 1000 / speed;
+                    let dur = tasks[&next].duration;
                     queue.schedule(now + extra + dur, Event::WorkerFinish(next, worker));
                 });
             }
@@ -141,10 +141,10 @@ pub fn simulate(trace: &Trace, manager: &mut dyn TaskManager, cfg: &HostConfig) 
 
             Event::WorkerFree(worker) => {
                 pool.release(worker);
-                pool.dispatch(|next, worker, speed| {
+                pool.dispatch(|next, worker| {
                     let extra = manager.dispatch_cost(next, now);
                     drain_manager!(now);
-                    let dur = tasks[&next].duration * 1000 / speed;
+                    let dur = tasks[&next].duration;
                     queue.schedule(now + extra + dur, Event::WorkerFinish(next, worker));
                 });
             }

@@ -7,77 +7,32 @@
 //! [`WorkerPool`] is that loop's state machine, extracted so every driver
 //! shares one implementation.
 //!
-//! Worker cores carry an individual *speed factor* (Specx-style heterogeneous
-//! pools): [`WorkerPool::with_speeds`] builds a pool where core `w` executes
-//! tasks `speeds[w]`× faster than a standard core. Dispatch is greedy — the
-//! fastest free core is handed the next ready task (ties break toward the
-//! lowest core index), which on a uniform pool reduces exactly to the old
-//! anonymous-core behaviour. Speeds are kept in milli-units (`1000` = a
-//! standard core) so drivers can scale simulated durations with exact integer
-//! arithmetic.
+//! Every core is a standard core: it executes a task in the task's traced
+//! duration. Dispatch hands the next ready task to the lowest-index free core.
 
 use nexus_trace::TaskId;
 use std::collections::VecDeque;
 
-/// FIFO ready-queue plus free-worker accounting for one node, with per-core
-/// speed factors (see the [module docs](self)).
+/// FIFO ready-queue plus free-worker accounting for one node (see the
+/// [module docs](self)).
 #[derive(Debug, Clone)]
 pub struct WorkerPool {
     ready: VecDeque<TaskId>,
     busy: Vec<bool>,
     free: usize,
-    /// Per-core speed in milli-units (1000 = a standard core).
-    speeds_milli: Vec<u64>,
-    /// Core indices in dispatch preference order: fastest first, lowest index
-    /// on ties (precomputed — speeds are fixed for the pool's lifetime).
-    order: Vec<usize>,
-    /// Tasks completed per core.
-    done: Vec<u64>,
 }
 
 impl WorkerPool {
-    /// Creates a pool of `workers` idle standard-speed worker cores.
+    /// Creates a pool of `workers` idle worker cores.
     ///
     /// # Panics
     /// Panics if `workers` is zero.
     pub fn new(workers: usize) -> Self {
         assert!(workers > 0, "need at least one worker core");
-        Self::from_milli(vec![1000; workers])
-    }
-
-    /// Creates a pool with one core per entry of `speeds`, where `speeds[w]`
-    /// is core `w`'s speed factor relative to a standard core (`1.0`); a
-    /// 2×-fast core executes any task in half the time.
-    ///
-    /// # Panics
-    /// Panics if `speeds` is empty or any factor is not a positive finite
-    /// number.
-    pub fn with_speeds(speeds: &[f64]) -> Self {
-        assert!(!speeds.is_empty(), "need at least one worker core");
-        let milli = speeds
-            .iter()
-            .map(|&s| {
-                assert!(
-                    s.is_finite() && s > 0.0,
-                    "worker speed factor must be a positive finite number (got {s})"
-                );
-                ((s * 1000.0).round() as u64).max(1)
-            })
-            .collect();
-        Self::from_milli(milli)
-    }
-
-    fn from_milli(speeds_milli: Vec<u64>) -> Self {
-        let workers = speeds_milli.len();
-        let mut order: Vec<usize> = (0..workers).collect();
-        order.sort_by_key(|&w| (u64::MAX - speeds_milli[w], w));
         WorkerPool {
             ready: VecDeque::new(),
             busy: vec![false; workers],
             free: workers,
-            speeds_milli,
-            order,
-            done: vec![0; workers],
         }
     }
 
@@ -99,57 +54,36 @@ impl WorkerPool {
         self.ready.len()
     }
 
-    /// Core `worker`'s speed in milli-units (1000 = a standard core).
-    #[inline]
-    pub fn speed_milli(&self, worker: usize) -> u64 {
-        self.speeds_milli[worker]
-    }
-
-    /// Aggregate service capacity of the pool in milli-units — the sum of the
-    /// per-core speeds (what steal policies normalize backlogs by).
-    pub fn total_speed_milli(&self) -> u64 {
-        self.speeds_milli.iter().sum()
-    }
-
-    /// Tasks completed per core so far (indexed by core).
-    pub fn per_worker_done(&self) -> &[u64] {
-        &self.done
-    }
-
     /// Appends a ready task to the queue (it does not start until
     /// [`WorkerPool::dispatch`] hands it to a free worker).
     pub fn enqueue(&mut self, task: TaskId) {
         self.ready.push_back(task);
     }
 
-    /// Returns core `worker` to the pool after its finish-notification cost,
-    /// crediting it with one completed task.
+    /// Returns core `worker` to the pool after its finish-notification cost.
     pub fn release(&mut self, worker: usize) {
         debug_assert!(self.busy[worker], "released a core that was not busy");
         self.busy[worker] = false;
-        self.done[worker] += 1;
         self.free += 1;
     }
 
-    /// Hands queued tasks to free workers in FIFO order — fastest free core
-    /// first — invoking `start(task, worker, speed_milli)` for each dispatch.
-    /// The callback typically charges the manager's dispatch cost and
-    /// schedules the task's completion event after `duration * 1000 /
-    /// speed_milli`.
-    pub fn dispatch(&mut self, mut start: impl FnMut(TaskId, usize, u64)) {
+    /// Hands queued tasks to free workers in FIFO order — lowest-index free
+    /// core first — invoking `start(task, worker)` for each dispatch. The
+    /// callback typically charges the manager's dispatch cost and schedules
+    /// the task's completion event after its duration.
+    pub fn dispatch(&mut self, mut start: impl FnMut(TaskId, usize)) {
         while self.free > 0 {
             let Some(task) = self.ready.pop_front() else {
                 break;
             };
             let worker = self
-                .order
+                .busy
                 .iter()
-                .copied()
-                .find(|&w| !self.busy[w])
+                .position(|&busy| !busy)
                 .expect("free count positive but no idle core");
             self.busy[worker] = true;
             self.free -= 1;
-            start(task, worker, self.speeds_milli[worker]);
+            start(task, worker);
         }
     }
 }
@@ -165,71 +99,48 @@ mod tests {
             pool.enqueue(TaskId(id));
         }
         let mut started = Vec::new();
-        pool.dispatch(|t, _, _| started.push(t));
+        pool.dispatch(|t, _| started.push(t));
         assert_eq!(started, vec![TaskId(0), TaskId(1)]);
         assert_eq!(pool.free(), 0);
         assert_eq!(pool.queued(), 2);
 
         pool.release(0);
-        pool.dispatch(|t, _, _| started.push(t));
+        pool.dispatch(|t, _| started.push(t));
         assert_eq!(started.last(), Some(&TaskId(2)));
         assert_eq!(pool.workers(), 2);
     }
 
     #[test]
-    fn idle_pool_dispatches_nothing() {
-        let mut pool = WorkerPool::new(3);
-        pool.dispatch(|_, _, _| panic!("nothing queued"));
-        assert_eq!(pool.free(), 3);
-    }
-
-    #[test]
-    fn dispatch_prefers_the_fastest_free_core() {
-        let mut pool = WorkerPool::with_speeds(&[1.0, 2.0, 1.0]);
-        assert_eq!(pool.total_speed_milli(), 4000);
-        pool.enqueue(TaskId(0));
-        pool.enqueue(TaskId(1));
-        let mut picked = Vec::new();
-        pool.dispatch(|_, w, s| picked.push((w, s)));
-        // Fastest core (1, 2000 milli) first, then the index tie-break.
-        assert_eq!(picked, vec![(1, 2000), (0, 1000)]);
-        pool.release(1);
-        pool.enqueue(TaskId(2));
-        pool.dispatch(|_, w, _| picked.push((w, 0)));
-        assert_eq!(picked.last(), Some(&(1, 0)));
-    }
-
-    #[test]
-    fn greedy_dispatch_credits_the_fast_core_with_more_tasks() {
-        // 6 rounds of release-and-redispatch on a [2×, 1×] pool, modelling the
-        // fast core finishing twice as often: it should complete ~2× as many.
-        let mut pool = WorkerPool::with_speeds(&[2.0, 1.0]);
-        for id in 0..8 {
+    fn dispatch_takes_the_lowest_index_free_cores() {
+        let mut pool = WorkerPool::new(4);
+        for id in 0..4 {
             pool.enqueue(TaskId(id));
         }
-        pool.dispatch(|_, _, _| {});
-        // Fast core finishes two tasks for every one of the slow core.
-        for _ in 0..2 {
-            pool.release(0);
-            pool.dispatch(|_, _, _| {});
-            pool.release(0);
-            pool.dispatch(|_, _, _| {});
-            pool.release(1);
-            pool.dispatch(|_, _, _| {});
+        let mut picked = Vec::new();
+        pool.dispatch(|t, w| picked.push((t, w)));
+        let first: Vec<_> = (0..4).map(|i| (TaskId(i), i as usize)).collect();
+        assert_eq!(picked, first);
+        // Free cores 3 and 1: the next two tasks go to 1, then 3.
+        pool.release(3);
+        pool.release(1);
+        for id in 4..6 {
+            pool.enqueue(TaskId(id));
         }
-        let done = pool.per_worker_done();
-        assert_eq!(done, &[4, 2]);
+        picked.clear();
+        pool.dispatch(|t, w| picked.push((t, w)));
+        assert_eq!(picked, vec![(TaskId(4), 1), (TaskId(5), 3)]);
+    }
+
+    #[test]
+    fn idle_pool_dispatches_nothing() {
+        let mut pool = WorkerPool::new(3);
+        pool.dispatch(|_, _| panic!("nothing queued"));
+        assert_eq!(pool.free(), 3);
     }
 
     #[test]
     #[should_panic(expected = "at least one worker")]
     fn empty_pool_rejected() {
         let _ = WorkerPool::new(0);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive finite")]
-    fn nonpositive_speed_rejected() {
-        let _ = WorkerPool::with_speeds(&[1.0, 0.0]);
     }
 }

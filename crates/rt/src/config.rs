@@ -37,13 +37,9 @@ pub struct RtConfig {
     /// distance matrix to distance-aware placement and tiered steal policies,
     /// exactly as the cluster driver wires them.
     pub link: LinkConfig,
-    /// Per-worker speed factors (`1.0` = a standard core), shared by every
-    /// node. `None` means a uniform pool.
-    pub worker_speeds: Option<Vec<f64>>,
-    /// Real nanoseconds a standard-speed worker sleeps per simulated
-    /// microsecond of task duration (a worker with speed factor `s` sleeps
-    /// `1/s` of that). `0` — the default — skips the sleep entirely: task
-    /// bodies still run, which is what the conformance grid wants.
+    /// Real nanoseconds a worker sleeps per simulated microsecond of task
+    /// duration. `0` — the default — skips the sleep entirely: task bodies
+    /// still run, which is what the conformance grid wants.
     pub time_scale_ns_per_us: u64,
     /// Optional span recorder the runtime threads stamp task-lifecycle
     /// events into (wall-clock nanoseconds since the recorder's epoch). The
@@ -65,7 +61,6 @@ impl RtConfig {
             stealing: StealKind::default(),
             feedback: FeedbackKind::default(),
             link: LinkConfig::default(),
-            worker_speeds: None,
             time_scale_ns_per_us: 0,
             recorder: None,
         }
@@ -82,7 +77,6 @@ impl RtConfig {
             stealing: cfg.stealing,
             feedback: cfg.feedback,
             link: cfg.link,
-            worker_speeds: None,
             time_scale_ns_per_us: 0,
             recorder: None,
         }
@@ -113,14 +107,6 @@ impl RtConfig {
         self
     }
 
-    /// Same runtime with per-worker speed factors (`1.0` = standard). Every
-    /// node gets the same mix; `speeds.len()` must equal `workers_per_node`
-    /// (checked when the runtime is built).
-    pub fn with_worker_speeds(mut self, speeds: &[f64]) -> Self {
-        self.worker_speeds = Some(speeds.to_vec());
-        self
-    }
-
     /// Same runtime with simulated task durations mapped to real sleeps at
     /// `ns_per_us` nanoseconds per simulated microsecond (see
     /// [`RtConfig::time_scale_ns_per_us`]).
@@ -146,12 +132,10 @@ mod tests {
     fn builders_compose_and_mirror_the_cluster_config() {
         let cfg = RtConfig::new(4, 2)
             .with_stealing(StealKind::MostLoaded)
-            .with_worker_speeds(&[2.0, 1.0])
             .with_time_scale(500);
         assert_eq!(cfg.nodes, 4);
         assert_eq!(cfg.workers_per_node, 2);
         assert_eq!(cfg.stealing, StealKind::MostLoaded);
-        assert_eq!(cfg.worker_speeds.as_deref(), Some(&[2.0, 1.0][..]));
         assert_eq!(cfg.time_scale_ns_per_us, 500);
 
         let sim = ClusterConfig::new(3, 8)

@@ -172,7 +172,6 @@ type Out = VecDeque<(usize, Msg)>;
 struct Board {
     pending: AtomicUsize,
     stealable: AtomicUsize,
-    speed_milli: u64,
     /// Per [`MoveKind`]: the idle rule lets the node ask and it has no
     /// victim yet.
     asks: [AtomicBool; 2],
@@ -286,8 +285,6 @@ struct Inner {
     /// Per [`MoveKind`]: the configuration enables it.
     moves: [bool; 2],
     distances: DistanceMatrix,
-    /// Speed factor per worker of a node, in thousandths.
-    speeds_milli: Vec<u64>,
     time_scale_ns_per_us: u64,
     /// Epoch of the digest observation clock — one `Instant` shared by every
     /// thread so all `LoadView::updated_at` stamps are comparable.
@@ -302,13 +299,6 @@ struct Inner {
 impl Inner {
     /// Builds every node for `cfg`, spawning nothing.
     fn new(cfg: &RtConfig) -> Inner {
-        let speeds_milli: Vec<u64> = match &cfg.worker_speeds {
-            Some(speeds) => speeds
-                .iter()
-                .map(|&s| ((s * 1000.0).round() as u64).max(1))
-                .collect(),
-            None => vec![1000; cfg.workers_per_node],
-        };
         let fabric = cfg.link.fabric(cfg.nodes);
         // The scanner keeps owning the homes table, so dependence
         // subscriptions always match the placement actually used, digests
@@ -339,7 +329,6 @@ impl Inner {
                     board: Board {
                         pending: AtomicUsize::new(0),
                         stealable: AtomicUsize::new(0),
-                        speed_milli: speeds_milli.iter().sum(),
                         asks: [AtomicBool::new(false), AtomicBool::new(false)],
                     },
                     per_worker_done: (0..cfg.workers_per_node)
@@ -367,7 +356,6 @@ impl Inner {
             stealing: cfg.stealing,
             moves: MoveKind::ALL.map(|k| k.enabled(cfg.stealing, cfg.feedback)),
             distances: fabric.distances(),
-            speeds_milli,
             time_scale_ns_per_us: cfg.time_scale_ns_per_us,
             epoch: Instant::now(),
             digests: Mutex::new(LoadTracker::new(cfg.nodes, DIGEST_HALF_LIFE_NS)),
@@ -454,8 +442,9 @@ impl Inner {
 
     /// Runs `step` on node `n` (see [`Inner::locked`]), then lets each other
     /// node whose board flag is up ask for a move if the boards show it a
-    /// victim (see the [module docs](self)). Victim choice reads the digests
-    /// only to break ties, so the lock-free check passes none.
+    /// victim (see the [module docs](self)). The boards are snapshotted once,
+    /// at the first raised flag. Victim choice reads the digests only to
+    /// break ties, so the lock-free check passes none.
     fn with_node<R>(
         &self,
         n: usize,
@@ -469,14 +458,18 @@ impl Inner {
         // Pairs with the fence in `Node::try_moves`: this thread sees an
         // idle node's flag, or that node saw the board this step published.
         fence(Ordering::SeqCst);
-        let loads = self.load_board();
+        let mut loads = None;
         for (j, slot) in self.nodes.iter().enumerate().filter(|&(j, _)| j != n) {
-            let asks = |k: MoveKind| slot.board.asks[k as usize].load(Ordering::Relaxed);
+            let asks = MoveKind::ALL.map(|k| slot.board.asks[k as usize].load(Ordering::Relaxed));
+            if asks == [false; 2] {
+                continue;
+            }
+            let loads = loads.get_or_insert_with(|| self.load_board());
             let victim =
-                |k: MoveKind| k.choose_victim(self.stealing, j, &loads, None, &self.distances);
+                |k: MoveKind| k.choose_victim(self.stealing, j, loads, None, &self.distances);
             if MoveKind::ALL
                 .into_iter()
-                .any(|k| asks(k) && victim(k).is_some())
+                .any(|k| asks[k as usize] && victim(k).is_some())
             {
                 self.locked(j, out, |_, _| {});
             }
@@ -560,8 +553,7 @@ impl Inner {
                 .body
                 .is_some_and(|body| catch_unwind(AssertUnwindSafe(body)).is_err());
             if self.time_scale_ns_per_us > 0 {
-                let ns = t.duration.as_us_f64() * self.time_scale_ns_per_us as f64 * 1000.0
-                    / self.speeds_milli[worker] as f64;
+                let ns = t.duration.as_us_f64() * self.time_scale_ns_per_us as f64;
                 thread::sleep(Duration::from_nanos(ns as u64));
             }
             self.nodes[n].per_worker_done[worker].fetch_add(1, Ordering::Relaxed);
@@ -588,7 +580,6 @@ impl Inner {
             .map(|n| NodeLoad {
                 pending: n.board.pending.load(Ordering::Relaxed),
                 stealable: n.board.stealable.load(Ordering::Relaxed),
-                speed_milli: n.board.speed_milli,
             })
             .collect()
     }
@@ -698,28 +689,13 @@ impl ClusterRuntime {
     /// Prepares a runtime for `cfg` without spawning any thread.
     ///
     /// # Panics
-    /// Panics if `cfg.nodes` or `cfg.workers_per_node` is zero, or if
-    /// `cfg.worker_speeds` has the wrong length or a non-positive/non-finite
-    /// factor.
+    /// Panics if `cfg.nodes` or `cfg.workers_per_node` is zero.
     pub fn new(cfg: RtConfig) -> Self {
         assert!(cfg.nodes > 0, "need at least one node");
         assert!(
             cfg.workers_per_node > 0,
             "need at least one worker per node"
         );
-        if let Some(speeds) = &cfg.worker_speeds {
-            assert_eq!(
-                speeds.len(),
-                cfg.workers_per_node,
-                "need one speed factor per worker"
-            );
-            for &s in speeds {
-                assert!(
-                    s.is_finite() && s > 0.0,
-                    "worker speed factor must be a positive finite number (got {s})"
-                );
-            }
-        }
         ClusterRuntime {
             cfg,
             state: State::New,

@@ -1,6 +1,6 @@
 //! Lifecycle edge cases of the owner/handle pair: rejected configurations,
-//! double-start, timed-out shutdown with work still pending, submissions
-//! after shutdown, and heterogeneous worker speeds on the live runtime.
+//! double-start, timed-out shutdown with work still pending, and submissions
+//! after shutdown.
 
 use nexus_rt::{ClusterRuntime, RtConfig, RtTask, SubmitError};
 use nexus_trace::TaskDescriptor;
@@ -25,24 +25,6 @@ fn zero_nodes_are_rejected() {
 #[should_panic(expected = "need at least one worker per node")]
 fn zero_workers_are_rejected() {
     ClusterRuntime::new(RtConfig::new(1, 0));
-}
-
-#[test]
-#[should_panic(expected = "need one speed factor per worker")]
-fn a_wrong_speed_count_is_rejected() {
-    ClusterRuntime::new(RtConfig::new(1, 2).with_worker_speeds(&[1.0]));
-}
-
-#[test]
-#[should_panic(expected = "positive finite number (got 0)")]
-fn a_zero_speed_is_rejected() {
-    ClusterRuntime::new(RtConfig::new(1, 2).with_worker_speeds(&[1.0, 0.0]));
-}
-
-#[test]
-#[should_panic(expected = "positive finite number (got inf)")]
-fn an_infinite_speed_is_rejected() {
-    ClusterRuntime::new(RtConfig::new(1, 1).with_worker_speeds(&[f64::INFINITY]));
 }
 
 #[test]
@@ -108,31 +90,4 @@ fn shutdown_before_any_submission_is_clean() {
     assert_eq!(report.submitted, 0);
     assert_eq!(report.pending, 0);
     assert_eq!(report.per_node.len(), 4);
-}
-
-#[test]
-fn double_speed_worker_completes_about_twice_the_tasks() {
-    // One node, two workers, one at 2x speed. Thirty independent 1000 µs
-    // tasks at 3 ns of real time per simulated ns: 3 ms on the standard
-    // worker, 1.5 ms on the fast one. The workers drain a shared queue, so
-    // the fast worker should end up with about twice the completions.
-    let cfg = RtConfig::new(1, 2)
-        .with_worker_speeds(&[2.0, 1.0])
-        .with_time_scale(3_000);
-    let mut rt = ClusterRuntime::new(cfg);
-    let handle = rt.start();
-    for id in 0..30u64 {
-        handle.submit(task_us(id, 0x1000 + id, 1000)).unwrap();
-    }
-    handle.taskwait();
-    let stats = handle.node_stats();
-    let report = rt.shutdown_timeout(Duration::from_secs(30));
-    assert_eq!(report.pending, 0);
-    let done = &stats[0].per_worker_done;
-    assert_eq!(done.len(), 2);
-    assert_eq!(done[0] + done[1], 30);
-    assert!(
-        done[0] as f64 > done[1] as f64 * 1.3,
-        "fast worker should clearly out-complete the standard one: {done:?}"
-    );
 }

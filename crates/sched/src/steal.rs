@@ -42,11 +42,6 @@ pub struct NodeLoad {
     /// Subset of `pending` that is eligible for stealing (all last-writer
     /// producers retired, no notification in flight).
     pub stealable: usize,
-    /// Aggregate service capacity of the node's worker pool, in milli-units
-    /// (a standard core contributes 1000; a 2×-fast core 2000). `0` means
-    /// "unreported" and is treated as one standard core per comparison, so
-    /// uniform snapshots that never set the field keep their old ordering.
-    pub speed_milli: u64,
 }
 
 impl NodeLoad {
@@ -55,19 +50,6 @@ impl NodeLoad {
     /// stealing alone can never move them.
     pub fn reclaimable(&self) -> usize {
         self.pending.saturating_sub(self.stealable)
-    }
-
-    /// Time-to-drain estimate of the node's eligible backlog: `stealable`
-    /// normalized by the node's reported service capacity (in fixed-point
-    /// backlog-per-capacity units). A fast node with a deep queue can be a
-    /// worse victim than a slow node with a shallower one.
-    pub fn drain_estimate(&self) -> u64 {
-        let capacity = if self.speed_milli == 0 {
-            1000
-        } else {
-            self.speed_milli
-        };
-        (self.stealable as u64).saturating_mul(1_000_000) / capacity
     }
 }
 
@@ -112,13 +94,9 @@ pub enum StealKind {
     /// Never steal — the behaviour the cluster driver shipped with.
     #[default]
     Disabled,
-    /// Steal from the neighbour with the largest eligible backlog *per unit
-    /// of service capacity* (see [`NodeLoad::drain_estimate`]), breaking ties
-    /// toward the larger raw backlog, then the lowest node index, one
-    /// descriptor per free worker of the thief. On uniform-speed clusters
-    /// this reduces to raw most-loaded selection; with heterogeneous worker
-    /// pools it prefers the victim that will take longest to drain its own
-    /// queue. The fabric's distances play no part.
+    /// Steal from the neighbour with the largest eligible backlog, breaking
+    /// ties toward the lowest node index, one descriptor per free worker of
+    /// the thief. The fabric's distances play no part.
     MostLoaded,
     /// Hierarchical victim selection for tiered fabrics: victims are bucketed
     /// by their `(tier, hops)` victim→thief distance (measured in the
@@ -171,9 +149,7 @@ impl StealKind {
             .filter(|&(n, l)| n != thief && l.stealable > 0);
         let victim = match self {
             StealKind::Disabled => None,
-            StealKind::MostLoaded => {
-                victims.max_by_key(|&(n, l)| (l.drain_estimate(), l.stealable, usize::MAX - n))
-            }
+            StealKind::MostLoaded => victims.max_by_key(|&(n, l)| (l.stealable, usize::MAX - n)),
             StealKind::Hierarchical => victims.min_by_key(|&(n, l)| {
                 let near = (distances.tier(n, thief), distances.hops(n, thief));
                 (near, u64::MAX - l.stealable as u64, n)
@@ -250,12 +226,10 @@ mod tests {
         loads[2] = NodeLoad {
             pending: 8,
             stealable: 5,
-            ..NodeLoad::default()
         };
         loads[3] = NodeLoad {
             pending: 9,
             stealable: 5,
-            ..NodeLoad::default()
         };
         let flat = DistanceMatrix::uniform(4);
         let p = StealKind::MostLoaded;
@@ -268,36 +242,11 @@ mod tests {
     }
 
     #[test]
-    fn most_loaded_normalizes_the_backlog_by_worker_speed() {
-        let mut loads = vec![NodeLoad::default(); 3];
-        // Node 1: deeper backlog, but a 4×-capacity pool drains it quickly.
-        loads[1] = NodeLoad {
-            stealable: 8,
-            speed_milli: 4000,
-            ..NodeLoad::default()
-        };
-        // Node 2: shallower backlog on one standard core — slower to drain.
-        loads[2] = NodeLoad {
-            stealable: 6,
-            speed_milli: 1000,
-            ..NodeLoad::default()
-        };
-        let flat = DistanceMatrix::uniform(3);
-        let p = StealKind::MostLoaded;
-        assert_eq!(p.choose_victim(0, &loads, &flat), Some(2));
-        // Unreported speeds (0) fall back to the raw backlog ordering.
-        loads[1].speed_milli = 0;
-        loads[2].speed_milli = 0;
-        assert_eq!(p.choose_victim(0, &loads, &flat), Some(1));
-    }
-
-    #[test]
     fn no_stealing_never_picks_anyone() {
         let loads = vec![
             NodeLoad {
                 pending: 100,
                 stealable: 100,
-                ..NodeLoad::default()
             };
             2
         ];
@@ -375,13 +324,11 @@ mod tests {
         let l = NodeLoad {
             pending: 9,
             stealable: 4,
-            speed_milli: 2000,
         };
         assert_eq!(l.reclaimable(), 5, "pending minus steal-eligible");
         let all_eligible = NodeLoad {
             pending: 2,
             stealable: 7,
-            ..NodeLoad::default()
         };
         assert_eq!(all_eligible.reclaimable(), 0);
     }
@@ -395,17 +342,14 @@ mod tests {
         loads[1] = NodeLoad {
             pending: 30,
             stealable: 30,
-            ..NodeLoad::default()
         };
         loads[2] = NodeLoad {
             pending: 10,
             stealable: 2,
-            ..NodeLoad::default()
         };
         loads[3] = NodeLoad {
             pending: 9,
             stealable: 1,
-            ..NodeLoad::default()
         };
         assert_eq!(choose_reclaim_victim(0, &loads, None), Some(2));
         assert_eq!(choose_reclaim_victim(2, &loads, None), Some(3));
@@ -413,7 +357,6 @@ mod tests {
         loads[3] = NodeLoad {
             pending: 10,
             stealable: 2,
-            ..NodeLoad::default()
         };
         let views = [
             LoadView::default(),

@@ -7,6 +7,9 @@
 //!   mesh) must reduce aggregate interconnect words (and the remote-edge
 //!   census) versus the `XorHash` baseline on un-hinted traces at equal node
 //!   counts.
+//! * In a closed loop with stealing off, XorHash and TopologyAware under
+//!   live placement (`place` feedback) both reproduce static TopologyAware
+//!   exactly on an un-hinted sparselu, on a mesh and on rack tiers.
 //! * Full runtime feedback must beat the strongest static stack
 //!   (`TopologyAware` + `Hierarchical`, feedback off) by at least 10%
 //!   makespan on chain-skewed work, which only reclamation can spread.
@@ -17,7 +20,7 @@
 
 use nexus::cluster::routing::DepScanner;
 use nexus::cluster::{
-    home_of, simulate_cluster, ClusterConfig, ClusterOutcome, FeedbackKind, LinkConfig,
+    home_of, simulate_cluster, ClusterConfig, ClusterOutcome, FeedbackKind, LinkConfig, Topology,
 };
 use nexus::prelude::*;
 use nexus::sched::{PolicyKind, StealKind};
@@ -93,6 +96,32 @@ fn locality_placement_cuts_link_traffic_on_unhinted_traces() {
         loc.link.words,
         xor.link.words
     );
+}
+
+#[test]
+fn closed_loop_place_feedback_matches_static_topology_aware() {
+    // In a closed loop with stealing off, `place` makes XorHash place like
+    // TopologyAware on this trace: on the mesh static XorHash takes 1.252 s
+    // and 125,916 link words, XorHash + `place` 1.189 s and 85,306 words,
+    // the same as static TopologyAware.
+    let trace = distributed::unhinted(&distributed::sparselu(4, 0.3, 42, 0.05));
+    for topology in [Topology::FullMesh, Topology::RackTiers] {
+        let run = |placement: PolicyKind, feedback: FeedbackKind| -> ClusterOutcome {
+            let cfg = ClusterConfig::new(4, 4)
+                .with_link(LinkConfig::rdma().with_topology(topology))
+                .with_placement(placement)
+                .with_feedback(feedback);
+            simulate_cluster(&trace, &cfg, |_| NexusSharp::paper(6))
+        };
+        let static_topo = run(PolicyKind::TopologyAware, FeedbackKind::Off);
+        for placement in [PolicyKind::XorHash, PolicyKind::TopologyAware] {
+            let live = run(placement, FeedbackKind::Place);
+            let what = format!("{topology:?}, {placement} + place");
+            assert_eq!(live.makespan, static_topo.makespan, "{what}");
+            assert_eq!(live.steals, static_topo.steals, "{what}");
+            assert_eq!(live.link.words, static_topo.link.words, "{what}");
+        }
+    }
 }
 
 #[test]

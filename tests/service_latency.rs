@@ -2,10 +2,9 @@
 //! latency percentiles) — the acceptance criteria of the `nexus-flow`
 //! subsystem.
 //!
-//! * Closed-loop streaming is a strict no-op: it reproduces the batch
-//!   `simulate_cluster` makespan exactly on every trace/config sampled here,
-//!   whether driven by a closed-loop source or by a service whose arrival
-//!   kind is `ClosedLoop`.
+//! * Closed-loop streaming is a strict no-op: a closed-loop source
+//!   reproduces the batch `simulate_cluster` makespan exactly on every
+//!   trace/config sampled here.
 //! * Admission is an invariant, not a hint: the observed queue depth never
 //!   exceeds the bound, and no task is lost or duplicated under back-pressure.
 //! * Under-driven services never back-pressure and keep p99 bounded;
@@ -26,8 +25,8 @@ fn us(v: u64) -> SimDuration {
     SimDuration::from_us(v)
 }
 
-fn service(kind: ArrivalKind, gap: SimDuration, depth: usize) -> ServiceConfig {
-    ServiceConfig::new(ArrivalConfig::new(kind, gap, 42))
+fn service(gap: SimDuration, depth: usize) -> ServiceConfig {
+    ServiceConfig::new(ArrivalConfig::new(ArrivalKind::Poisson, gap, 42))
         .with_admission(AdmissionConfig::new(depth))
 }
 
@@ -57,20 +56,6 @@ fn closed_loop_streaming_reproduces_batch_makespans_exactly() {
             );
             assert_eq!(stream.backpressure_events, 0, "{}", trace.name);
             assert_eq!(stream.latencies.len(), trace.task_count(), "{}", trace.name);
-            let closed =
-                ServiceConfig::new(ArrivalConfig::new(ArrivalKind::ClosedLoop, us(40), 42));
-            let served = simulate_service(trace, &closed, &cfg, |_| NexusSharp::paper(6));
-            assert_eq!(
-                served.stream.cluster.makespan, batch.makespan,
-                "{}/{nodes}n: a closed-loop service must not perturb the makespan",
-                trace.name
-            );
-            assert_eq!(
-                served.histogram.count(),
-                trace.task_count() as u64,
-                "{}",
-                trace.name
-            );
         }
     }
 }
@@ -80,7 +65,7 @@ fn admission_depth_is_a_hard_bound_and_no_task_is_lost_under_overdrive() {
     let trace = distributed::sparselu(4, 0.3, 42, 0.002);
     for depth in [1usize, 2, 4, 16] {
         // 1 ns gaps drive the source far past capacity at any depth.
-        let svc = service(ArrivalKind::Poisson, SimDuration::from_ns(1), depth);
+        let svc = service(SimDuration::from_ns(1), depth);
         let cfg = ClusterConfig::new(4, 4);
         let out = simulate_service(&trace, &svc, &cfg, |_| NexusSharp::paper(6));
         assert!(
@@ -110,7 +95,7 @@ fn underdriven_service_never_backpressures_and_keeps_p99_bounded() {
     let gap = SimDuration::from_ns(capacity_gap * 8);
     let out = simulate_service(
         &trace,
-        &service(ArrivalKind::Poisson, gap, AdmissionConfig::DEFAULT_DEPTH),
+        &service(gap, AdmissionConfig::DEFAULT_DEPTH),
         &cfg,
         |_| NexusSharp::paper(6),
     );
@@ -135,7 +120,7 @@ fn knee_sweep_demonstrates_the_throughput_knee() {
     let cfg = ClusterConfig::new(4, 8);
     let closed = simulate_cluster(&trace, &cfg, |_| NexusSharp::paper(6));
     let base_gap = SimDuration::from_ns(closed.makespan.as_ns() / trace.task_count() as u64 * 8);
-    let base = service(ArrivalKind::Poisson, base_gap, 8);
+    let base = service(base_gap, 8);
     let report = knee_sweep(
         &trace,
         &base,
@@ -164,25 +149,19 @@ fn knee_sweep_demonstrates_the_throughput_knee() {
 #[test]
 fn service_percentiles_are_bit_identical_across_reruns() {
     let trace = distributed::sparselu(4, 0.4, 7, 0.002);
-    for kind in [
-        ArrivalKind::Poisson,
-        ArrivalKind::Bursty,
-        ArrivalKind::Diurnal,
-    ] {
-        let svc = service(kind, us(30), 4);
-        let cfg = ClusterConfig::new(4, 4).with_stealing(StealKind::MostLoaded);
-        let run = || simulate_service(&trace, &svc, &cfg, |_| NexusSharp::paper(6));
-        let (first, rerun) = (run(), run());
-        // Full-outcome equality (latency vectors, histogram, back-pressure).
-        assert_eq!(
-            format!("{first:?}"),
-            format!("{rerun:?}"),
-            "{kind}: reruns diverged"
-        );
-        assert_eq!(first.p50(), rerun.p50(), "{kind}");
-        assert_eq!(first.p99(), rerun.p99(), "{kind}");
-        assert_eq!(first.p999(), rerun.p999(), "{kind}");
-    }
+    let svc = service(us(30), 4);
+    let cfg = ClusterConfig::new(4, 4).with_stealing(StealKind::MostLoaded);
+    let run = || simulate_service(&trace, &svc, &cfg, |_| NexusSharp::paper(6));
+    let (first, rerun) = (run(), run());
+    // Full-outcome equality (latency vectors, histogram, back-pressure).
+    assert_eq!(
+        format!("{first:?}"),
+        format!("{rerun:?}"),
+        "reruns diverged"
+    );
+    assert_eq!(first.p50(), rerun.p50());
+    assert_eq!(first.p99(), rerun.p99());
+    assert_eq!(first.p999(), rerun.p999());
 }
 
 #[test]
@@ -193,7 +172,7 @@ fn live_placement_with_migration_retires_every_task() {
     // so one already in flight was counted twice and this run died with
     // "remaining_remote underflow: task 4798 at node 3, t=194.226ms".
     let trace = distributed::unhinted(&distributed::sparselu(4, 0.3, 42, 0.02));
-    let svc = service(ArrivalKind::Poisson, us(40), 16);
+    let svc = service(us(40), 16);
     let cfg = ClusterConfig::new(4, 8)
         .with_link(LinkConfig::rdma().with_topology(Topology::RackTiers))
         .with_placement(PolicyKind::TopologyAware)
