@@ -37,23 +37,34 @@
 //! global retire log, then runs `finish` under its node's lock. Appending
 //! first means no dependent can become ready before its producer is in the
 //! log, so the log is a topological order: the witness the conformance suite
-//! checks, and the wait mechanism behind `taskwait`. `finish` marks the
-//! producer retired, which promotes local waiters, and notifies the
-//! producer's subscribers if the node is its home, or sends the home a
-//! `Notify` otherwise. A body that panics is caught: its task retires as
-//! failed, and its dependents still run.
+//! checks, and the wait mechanism behind `taskwait`. A thread that blocks on
+//! the log registers what it waits for under the log lock: a prefix of
+//! submission indices (`taskwait`), one submission index (`taskwait on`), or
+//! a log length (trace replay and the shutdown drain). A retirement wakes the
+//! blocked threads only when it meets a registered wait, so a retirement
+//! nobody waits for makes no wake-up call. `finish` marks the producer
+//! retired, which promotes local waiters, and notifies the producer's
+//! subscribers if the node is its home, or sends the home a `Notify`
+//! otherwise. A body that panics is caught: its task retires as failed, and
+//! its dependents still run.
 //!
 //! A node marks a producer retired either by executing it or by a `Notify`.
 //! The home node remains the directory for a descriptor no matter where it
 //! ends up executing, so subscriptions never chase moved work around the
 //! cluster (the event simulator re-homes moved work instead).
 //!
-//! **Wake-ups.** A worker that finds nothing ready parks on its node's token
-//! channel, in one blocking receive. A step that makes descriptors ready
-//! sends one token per newly ready descriptor, up to the number of parked
-//! workers no token has been sent to yet, so the channel never holds more
-//! tokens than the node has workers. A worker that finishes a task takes the
-//! next ready descriptor itself, without a token.
+//! **Wake-ups.** A worker that finds nothing ready parks: it yields its CPU
+//! once, then takes a wake token from its node's count if one is there, and
+//! only then sleeps on its node's condvar. A step that makes descriptors
+//! ready adds one token per newly ready descriptor, up to the number of
+//! parked workers no token is owed to yet, so the count never exceeds the
+//! node's workers. The step notifies the condvar only for workers asleep on
+//! it (the node counts them under its lock); a parked worker still yielding
+//! finds its token before it would sleep, and taking a token notifies
+//! nobody. On a CPU shared with the thread that makes the work ready, the
+//! yield lets that thread run first, instead of the worker sleeping and being
+//! woken a moment later. A worker that finishes a task takes the next ready
+//! descriptor itself, without a token.
 //!
 //! **Migration** runs one request/grant exchange in the simulator's two
 //! kinds, with the simulator's decisions: [`MoveKind`] from `nexus-cluster`
@@ -98,7 +109,6 @@
 
 use crate::config::RtConfig;
 use crate::task::{RtTask, SubmitError, TaskBody};
-use crossbeam::channel::{bounded, Receiver, Sender};
 use nexus_cluster::routing::DepScanner;
 use nexus_cluster::{IdleNode, MoveKind};
 use nexus_host::{MasterSm, MasterStep};
@@ -212,10 +222,22 @@ struct Slot {
     node: Mutex<Node>,
     board: Board,
     per_worker_done: Vec<AtomicU64>,
-    /// Wake tokens for the node's parked workers (see the [module
-    /// docs](self)). The slot keeps both ends, so neither ever disconnects.
-    wake_tx: Sender<()>,
-    wake_rx: Receiver<()>,
+    /// Where the node's parked workers sleep until a wake token is there (see
+    /// the [module docs](self)).
+    wake: Condvar,
+}
+
+/// What a thread blocked on the retire log waits for (see
+/// [`Inner::wait_log`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Wait {
+    /// Every submission index below this one has retired (`taskwait`).
+    Prefix(usize),
+    /// This submission index has retired (`taskwait on`).
+    Index(usize),
+    /// The log holds at least this many retirements (trace replay, the
+    /// shutdown drain).
+    Len(usize),
 }
 
 /// The global retirement record: `order` is the append-only log (one entry
@@ -229,25 +251,41 @@ struct RetireLog {
     prefix: usize,
     /// Retired submission indices above `prefix`.
     ahead: FxHashSet<usize>,
+    /// The waits of the threads blocked on the log; none is met yet.
+    waits: Vec<Wait>,
 }
 
 impl RetireLog {
-    /// Records the retirement of task `id`, submission index `idx`.
-    fn retire(&mut self, idx: usize, id: TaskId) {
+    /// Records the retirement of task `id`, submission index `idx`. Returns
+    /// whether it met a registered wait; the met waits are dropped.
+    fn retire(&mut self, idx: usize, id: TaskId) -> bool {
         self.order.push(id);
         if idx != self.prefix {
             self.ahead.insert(idx);
-            return;
-        }
-        self.prefix += 1;
-        while self.ahead.remove(&self.prefix) {
+        } else {
             self.prefix += 1;
+            while self.ahead.remove(&self.prefix) {
+                self.prefix += 1;
+            }
         }
+        if self.waits.is_empty() {
+            return false;
+        }
+        let mut waits = std::mem::take(&mut self.waits);
+        let before = waits.len();
+        waits.retain(|&w| !self.met(w));
+        let met = waits.len() < before;
+        self.waits = waits;
+        met
     }
 
-    /// Whether submission `idx` has retired.
-    fn has(&self, idx: usize) -> bool {
-        idx < self.prefix || self.ahead.contains(&idx)
+    /// Whether the log meets `wait`.
+    fn met(&self, wait: Wait) -> bool {
+        match wait {
+            Wait::Prefix(p) => self.prefix >= p,
+            Wait::Index(i) => i < self.prefix || self.ahead.contains(&i),
+            Wait::Len(n) => self.order.len() >= n,
+        }
     }
 }
 
@@ -270,8 +308,10 @@ struct Inner {
     sub: Mutex<SubmitState>,
     submitted: AtomicU64,
     /// Set once by `stop` before it wakes the parked workers under each
-    /// node's lock. A worker reads it after registering as parked under that
-    /// lock, so either `stop` wakes the worker or the worker sees the flag.
+    /// node's lock and the threads blocked on the log under the log lock. A
+    /// worker reads it after registering as parked under its node's lock,
+    /// and a log waiter under the log lock, so either `stop` wakes the thread
+    /// or the thread sees the flag.
     shutdown: AtomicBool,
     log: Mutex<RetireLog>,
     log_cv: Condvar,
@@ -306,37 +346,35 @@ impl Inner {
         let scanner =
             DepScanner::with_policy(cfg.nodes, cfg.placement).with_distances(fabric.distances());
         let nodes = (0..cfg.nodes)
-            .map(|id| {
-                let (wake_tx, wake_rx) = bounded(cfg.workers_per_node);
-                Slot {
-                    node: Mutex::new(Node {
-                        id,
-                        workers: cfg.workers_per_node,
-                        retired: FxHashSet::default(),
-                        subs: FxHashMap::default(),
-                        waiting: FxHashMap::default(),
-                        pending: FxHashMap::default(),
-                        reclaimed_away: FxHashMap::default(),
-                        ready: VecDeque::new(),
-                        free: cfg.workers_per_node,
-                        parked: 0,
-                        moved_ready: 0,
-                        inflight: [false; 2],
-                        idle: 0,
-                        woken: 0,
-                        stats: NodeStats::default(),
-                    }),
-                    board: Board {
-                        pending: AtomicUsize::new(0),
-                        stealable: AtomicUsize::new(0),
-                        asks: [AtomicBool::new(false), AtomicBool::new(false)],
-                    },
-                    per_worker_done: (0..cfg.workers_per_node)
-                        .map(|_| AtomicU64::new(0))
-                        .collect(),
-                    wake_tx,
-                    wake_rx,
-                }
+            .map(|id| Slot {
+                node: Mutex::new(Node {
+                    id,
+                    workers: cfg.workers_per_node,
+                    retired: FxHashSet::default(),
+                    subs: FxHashMap::default(),
+                    waiting: FxHashMap::default(),
+                    pending: FxHashMap::default(),
+                    reclaimed_away: FxHashMap::default(),
+                    ready: VecDeque::new(),
+                    free: cfg.workers_per_node,
+                    parked: 0,
+                    moved_ready: 0,
+                    inflight: [false; 2],
+                    idle: 0,
+                    woken: 0,
+                    tokens: 0,
+                    sleepers: 0,
+                    stats: NodeStats::default(),
+                }),
+                board: Board {
+                    pending: AtomicUsize::new(0),
+                    stealable: AtomicUsize::new(0),
+                    asks: [AtomicBool::new(false), AtomicBool::new(false)],
+                },
+                per_worker_done: (0..cfg.workers_per_node)
+                    .map(|_| AtomicU64::new(0))
+                    .collect(),
+                wake: Condvar::new(),
             })
             .collect();
         Inner {
@@ -479,8 +517,8 @@ impl Inner {
 
     /// Runs `step` on node `n` under its lock, publishes the node's load
     /// board and lets the node ask for a move if it may
-    /// ([`Node::try_moves`]), then sends the wake tokens the step owes its
-    /// parked workers.
+    /// ([`Node::try_moves`]), then hands out the wake tokens the step owes
+    /// its parked workers and wakes as many of them as sleep.
     fn locked<R>(&self, n: usize, out: &mut Out, step: impl FnOnce(&mut Node, &mut Out) -> R) -> R {
         let slot = &self.nodes[n];
         let mut node = self.lock_node(n);
@@ -492,11 +530,13 @@ impl Inner {
         let tokens = node.woken.min(node.idle);
         node.idle -= tokens;
         node.woken = 0;
+        node.tokens += tokens;
+        // A parked worker that is not asleep yet checks the count before it
+        // sleeps: only sleepers need a notify.
+        let wake = tokens.min(node.sleepers);
         drop(node);
-        for _ in 0..tokens {
-            // Never blocks: each token is owed to a distinct parked worker,
-            // so the channel never holds more tokens than its `workers` slots.
-            slot.wake_tx.send(()).expect("the slot keeps a receiver");
+        for _ in 0..wake {
+            slot.wake.notify_one();
         }
         r
     }
@@ -518,13 +558,49 @@ impl Inner {
     }
 
     /// Appends the retirement of submission `idx`, executed on node `node`,
-    /// to the retire log.
+    /// to the retire log, and wakes the threads blocked on the log if it met
+    /// one of their waits.
     fn log_retired(&self, idx: usize, id: TaskId, node: usize) {
-        self.lock_log().retire(idx, id);
+        let met = self.lock_log().retire(idx, id);
         if let Some(r) = &self.rec {
             r.record_now(SpanEvent::Retired { task: idx, node });
         }
-        self.log_cv.notify_all();
+        if met {
+            self.log_cv.notify_all();
+        }
+    }
+
+    /// Blocks until the retire log meets `wait` and returns true, or returns
+    /// false once the runtime shuts down or `deadline` passes first. While
+    /// the thread sleeps, its wait stays registered in the log, so only a
+    /// retirement that meets some registered wait, or the shutdown, wakes it.
+    fn wait_log(&self, wait: Wait, deadline: Option<Instant>) -> bool {
+        let mut log = self.lock_log();
+        let mut registered = false;
+        while !log.met(wait) {
+            let left = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+            if self.shutdown.load(Ordering::Acquire) || left.is_some_and(|l| l.is_zero()) {
+                if registered {
+                    let at = log.waits.iter().position(|&w| w == wait);
+                    log.waits
+                        .swap_remove(at.expect("an unmet wait stays registered"));
+                }
+                return false;
+            }
+            if !registered {
+                log.waits.push(wait);
+                registered = true;
+            }
+            log = match left {
+                None => self.log_cv.wait(log).expect("retire log poisoned"),
+                Some(left) => {
+                    let waited = self.log_cv.wait_timeout(log, left);
+                    waited.expect("retire log poisoned").0
+                }
+            };
+        }
+        // The retirement that met a registered wait dropped it.
+        true
     }
 
     /// One worker thread of node `n` (see the [module docs](self)).
@@ -566,10 +642,21 @@ impl Inner {
         }
     }
 
-    /// Blocks a parked worker of node `n` until it takes a wake token.
+    /// Blocks a parked worker of node `n` until it takes a wake token: it
+    /// yields once, then sleeps only if no token is there yet (see the
+    /// [module docs](self)).
     fn park(&self, n: usize) {
-        let wake = &self.nodes[n].wake_rx;
-        wake.recv().expect("the slot keeps a sender");
+        thread::yield_now();
+        let mut node = self.lock_node(n);
+        if node.tokens == 0 {
+            node.sleepers += 1;
+            node = self.nodes[n]
+                .wake
+                .wait_while(node, |node| node.tokens == 0)
+                .expect("node state poisoned");
+            node.sleepers -= 1;
+        }
+        node.tokens -= 1;
     }
 
     /// Snapshots every node's published board into the [`NodeLoad`]s victim
@@ -764,33 +851,22 @@ impl ClusterRuntime {
         }
         self.state = State::Stopped;
         let inner = self.inner.take().expect("running runtime has inner state");
+        // Closed first: the drain waits for a fixed number of submissions.
+        inner.sub.lock().expect("submit state poisoned").closed = true;
         if let Some(timeout) = wait {
-            let deadline = Instant::now() + timeout;
-            let mut log = inner.lock_log();
-            loop {
-                if log.order.len() as u64 >= inner.submitted.load(Ordering::Acquire) {
-                    break;
-                }
-                let left = deadline.saturating_duration_since(Instant::now());
-                if left.is_zero() {
-                    break;
-                }
-                log = inner
-                    .log_cv
-                    .wait_timeout(log, left)
-                    .expect("retire log poisoned")
-                    .0;
-            }
+            let submitted = inner.submitted.load(Ordering::Acquire) as usize;
+            inner.wait_log(Wait::Len(submitted), Some(Instant::now() + timeout));
         }
         inner.shutdown.store(true, Ordering::Release);
-        inner.sub.lock().expect("submit state poisoned").closed = true;
         // Wake every parked worker; one that parks later sees the flag first.
         for n in 0..inner.nodes.len() {
             inner.step(n, |node, _| node.woken = node.idle);
         }
-        // Wake anyone parked in taskwait/run_trace so they observe the
-        // shutdown instead of sleeping forever.
+        // Wake every thread blocked on the log, under its lock: one that
+        // read the flag unset is asleep by then.
+        let log = inner.lock_log();
         inner.log_cv.notify_all();
+        drop(log);
         let threads = std::mem::take(&mut self.threads);
         if wait.is_some() {
             for t in threads {
@@ -874,10 +950,7 @@ impl RuntimeHandle {
     /// runtime shuts down, whichever comes first).
     pub fn taskwait(&self) {
         let target = self.inner.submitted.load(Ordering::Acquire) as usize;
-        let mut log = self.inner.lock_log();
-        while log.prefix < target && !self.inner.shutdown.load(Ordering::Acquire) {
-            log = self.inner.log_cv.wait(log).expect("retire log poisoned");
-        }
+        self.inner.wait_log(Wait::Prefix(target), None);
     }
 
     /// Blocks until the last task that wrote `addr` has retired — a no-op if
@@ -889,10 +962,7 @@ impl RuntimeHandle {
             return;
         };
         drop(sub);
-        let mut log = self.inner.lock_log();
-        while !log.has(target) && !self.inner.shutdown.load(Ordering::Acquire) {
-            log = self.inner.log_cv.wait(log).expect("retire log poisoned");
-        }
+        self.inner.wait_log(Wait::Index(target), None);
     }
 
     /// Tasks submitted so far.
@@ -976,12 +1046,8 @@ impl RuntimeHandle {
                 }
                 MasterStep::Compute(_) | MasterStep::Continue => {}
                 MasterStep::Waiting => {
-                    let mut log = self.inner.lock_log();
-                    while log.order.len() == fed {
-                        if self.inner.shutdown.load(Ordering::Acquire) {
-                            return Err(SubmitError::ShutDown);
-                        }
-                        log = self.inner.log_cv.wait(log).expect("retire log poisoned");
+                    if !self.inner.wait_log(Wait::Len(fed + 1), None) {
+                        return Err(SubmitError::ShutDown);
                     }
                 }
                 MasterStep::Done => break,
@@ -1025,11 +1091,16 @@ struct Node {
     moved_ready: usize,
     /// Per [`MoveKind`]: a request of that kind is in flight from this node.
     inflight: [bool; 2],
-    /// Parked workers no wake token has been sent to yet.
+    /// Parked workers no wake token is owed to yet.
     idle: usize,
     /// Descriptors made ready in the current step and not taken in it: the
     /// wake tokens the step owes.
     woken: usize,
+    /// Wake tokens handed out and not yet taken, each owed to a distinct
+    /// parked worker.
+    tokens: usize,
+    /// Parked workers asleep on the slot's condvar.
+    sleepers: usize,
     stats: NodeStats,
 }
 
@@ -1067,7 +1138,7 @@ impl Node {
 
     /// Takes the oldest ready descriptor for a worker of this node. With
     /// none ready the worker parks: it counts as idle until a wake token is
-    /// sent to it.
+    /// handed out for it.
     fn take_ready(&mut self, cx: &Inner) -> Option<Descriptor> {
         let Some(t) = self.ready.pop_front() else {
             self.idle += 1;
@@ -1731,6 +1802,112 @@ mod tests {
     }
 
     #[test]
+    fn mixed_waiters_each_return_once_their_own_target_retired() {
+        let (rt, h) = one_node(3);
+        let done: Vec<Arc<AtomicBool>> = (0..3).map(|_| Arc::default()).collect();
+        let mut gates = Vec::new();
+        for (id, addr) in [0xA, 0xB, 0xC].into_iter().enumerate() {
+            let (open, wait) = gate();
+            h.submit(writer(id as u64, addr, &done[id], wait)).unwrap();
+            gates.push(open);
+        }
+        // Each waiter reports its target when it returns: 0xA and 0xB by
+        // address, `None` for the barrier over all three tasks.
+        let (tx, returned) = mpsc::channel();
+        let waiters: Vec<_> = [Some(0xA), Some(0xB), None]
+            .into_iter()
+            .map(|addr| {
+                let (h, tx) = (h.clone(), tx.clone());
+                thread::spawn(move || {
+                    match addr {
+                        Some(addr) => h.taskwait_on(addr),
+                        None => h.taskwait(),
+                    }
+                    tx.send(addr).unwrap();
+                })
+            })
+            .collect();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while h.inner.lock_log().waits.len() < 3 {
+            assert!(Instant::now() < deadline, "a waiter never blocked");
+            thread::yield_now();
+        }
+        // The gates open one at a time, well inside their 5 s: a waiter that
+        // misses its wake-up fails the receive instead of hanging the test.
+        for (task, target, left) in [(1, Some(0xB), 2), (0, Some(0xA), 1), (2, None, 0)] {
+            gates[task].send(()).unwrap();
+            assert_eq!(
+                returned.recv_timeout(Duration::from_secs(2)),
+                Ok(target),
+                "the retirement of task {task} did not release its waiter"
+            );
+            assert!(done[task].load(Ordering::SeqCst));
+            // The retirement dropped only the wait it met.
+            assert_eq!(h.inner.lock_log().waits.len(), left);
+            assert_eq!(
+                returned.try_recv(),
+                Err(mpsc::TryRecvError::Empty),
+                "a waiter returned before its target retired"
+            );
+        }
+        for w in waiters {
+            w.join().unwrap();
+        }
+        rt.shutdown_background();
+    }
+
+    #[test]
+    fn every_round_parks_every_worker_and_no_wake_up_is_lost() {
+        let mut rt = ClusterRuntime::new(RtConfig::new(2, 2));
+        let h = rt.start();
+        // One task per node and a barrier per round: each round wakes a
+        // worker on each node, and every worker parks again before the next.
+        let (done, finished) = mpsc::channel();
+        thread::spawn(move || {
+            for round in 0..2_000u64 {
+                for node in 0..2 {
+                    let id = round * 2 + node;
+                    let task = TaskDescriptor::builder(id)
+                        .output(0x100 + node)
+                        .affinity(node as u32)
+                        .build();
+                    h.submit(RtTask::new(task)).unwrap();
+                }
+                h.taskwait();
+            }
+            done.send(()).unwrap();
+        });
+        assert!(
+            finished.recv_timeout(Duration::from_secs(60)).is_ok(),
+            "a round never retired: a wake-up was lost"
+        );
+        let report = rt.shutdown_timeout(Duration::from_secs(10));
+        assert_eq!(report.retired, 4_000);
+        assert_eq!(report.pending, 0);
+    }
+
+    #[test]
+    fn a_retirement_reports_exactly_the_waits_it_meets() {
+        let mut log = RetireLog {
+            waits: vec![Wait::Prefix(2), Wait::Index(3), Wait::Len(4)],
+            ..RetireLog::default()
+        };
+        // Index 1 retires ahead of the prefix, and the log holds one entry.
+        assert!(!log.retire(1, TaskId(1)));
+        assert!(log.retire(3, TaskId(3)));
+        assert_eq!(log.waits, [Wait::Prefix(2), Wait::Len(4)]);
+        // Index 0 closes the prefix up to 2; the log holds three entries.
+        assert!(log.retire(0, TaskId(0)));
+        assert_eq!(log.waits, [Wait::Len(4)]);
+        assert!(log.retire(2, TaskId(2)));
+        assert!(log.waits.is_empty());
+        // With nothing registered, a retirement wakes nobody.
+        assert!(!log.retire(4, TaskId(4)));
+        assert_eq!((log.prefix, log.order.len()), (5, 5));
+        assert!(log.met(Wait::Index(4)) && !log.met(Wait::Index(5)));
+    }
+
+    #[test]
     fn chains_preserve_program_order() {
         let (rt, h) = one_node(8);
         let chains: Vec<Arc<Mutex<Vec<u64>>>> = (0..16).map(|_| Arc::default()).collect();
@@ -1945,19 +2122,17 @@ mod tests {
         Deliver((usize, usize)),
         /// An awake worker of the node takes a ready descriptor, or parks.
         Take(usize),
-        /// A parked worker of the node receives a wake token.
+        /// A parked worker of the node takes a wake token.
         Wake(usize),
         /// A running descriptor retires; its worker takes the next one.
         Finish(usize),
     }
 
-    /// The explorer's count of one node's workers that hold no descriptor,
-    /// and of the wake tokens sent to the node and not yet received.
+    /// The explorer's count of one node's workers that hold no descriptor.
     #[derive(Default)]
     struct Workers {
         awake: usize,
         parked: usize,
-        tokens: usize,
     }
 
     /// Plays one seeded schedule of `input` over thread-less nodes, the test
@@ -2000,7 +2175,7 @@ mod tests {
                 if w.awake > 0 {
                     actions.push(Action::Take(n));
                 }
-                if w.tokens > 0 {
+                if inner.lock_node(n).tokens > 0 {
                     actions.push(Action::Wake(n));
                 }
             }
@@ -2030,8 +2205,8 @@ mod tests {
                     send(&mut links, n, out);
                 }
                 Action::Wake(n) => {
+                    inner.lock_node(n).tokens -= 1;
                     let w = &mut workers[n];
-                    w.tokens -= 1;
                     w.parked -= 1;
                     w.awake += 1;
                 }
@@ -2049,15 +2224,12 @@ mod tests {
                     send(&mut links, n, out);
                 }
             }
-            // Every parked worker is owed a token or has one on its way, and
-            // none is owed one while ready work outnumbers the workers coming
-            // to take it.
-            for (n, w) in workers.iter_mut().enumerate() {
-                while inner.nodes[n].wake_rx.try_recv().is_ok() {
-                    w.tokens += 1;
-                }
+            // Every parked worker is idle or has a token waiting in its
+            // node's count, and none is idle while ready work outnumbers the
+            // workers coming to take it.
+            for (n, w) in workers.iter().enumerate() {
                 let node = inner.lock_node(n);
-                let (idle, ready, tokens) = (node.idle, node.ready.len(), w.tokens);
+                let (idle, ready, tokens) = (node.idle, node.ready.len(), node.tokens);
                 if idle + tokens != w.parked || (idle > 0 && ready > tokens + w.awake) {
                     return Err(format!(
                         "node {n}: {} parked, {idle} idle, {tokens} tokens, {ready} ready",

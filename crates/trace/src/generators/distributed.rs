@@ -26,7 +26,7 @@
 
 use crate::addr::ADDR_MASK_48;
 use crate::task::{TaskDescriptor, TaskParam};
-use crate::trace::{Trace, TraceBuilder};
+use crate::trace::{Trace, TraceBuilder, TraceOp};
 use nexus_sim::{SimDuration, SimRng};
 
 /// Address-space offset between consecutive node domains. Bit 28 is well above
@@ -60,14 +60,20 @@ pub fn partition(
         0.0
     };
 
+    // The descriptors move out of the sub-traces: a clone would also drop
+    // the spare capacity a halo read pushes into.
     let mut streams: Vec<std::collections::VecDeque<TaskDescriptor>> = subs
         .into_iter()
         .enumerate()
         .map(|(node, sub)| {
             let offset = node as u64 * NODE_ADDR_STRIDE;
-            sub.tasks()
-                .map(|t| {
-                    let mut t = t.clone();
+            sub.ops
+                .into_iter()
+                .filter_map(|op| match op {
+                    TraceOp::Submit(t) => Some(t),
+                    _ => None,
+                })
+                .map(|mut t| {
                     for p in &mut t.params {
                         p.addr = (p.addr + offset) & ADDR_MASK_48;
                     }
@@ -81,6 +87,8 @@ pub fn partition(
     let mut rng = SimRng::new(seed ^ 0xD157_0000_0000_0001);
     let mut last_written: Vec<Option<u64>> = vec![None; nodes];
     let mut b = TraceBuilder::new(name);
+    // Every task, then the closing taskwait.
+    b.reserve(streams.iter().map(|s| s.len()).sum::<usize>() + 1);
 
     while streams.iter().any(|s| !s.is_empty()) {
         for node in 0..nodes {

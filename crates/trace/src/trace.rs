@@ -161,6 +161,11 @@ impl TraceBuilder {
         }
     }
 
+    /// Reserves room for at least `additional` more operations.
+    pub fn reserve(&mut self, additional: usize) {
+        self.trace.ops.reserve(additional);
+    }
+
     /// Next task id that will be assigned.
     pub fn next_id(&self) -> TaskId {
         TaskId(self.next_id)
