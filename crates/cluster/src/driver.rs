@@ -37,7 +37,11 @@
 //!   for steals and then for reclaims, each node the idle rule lets ask
 //!   ([`MoveKind::may_ask`], the live runtime's rule too) sends a request
 //!   to the victim [`MoveKind::choose_victim`] picks, and the victim grants
-//!   a batch ([`MoveKind::batch`]) or replies empty-handed. Each granted
+//!   a batch ([`MoveKind::batch`]) or replies empty-handed. Each node caches
+//!   the idle rule's answer, refreshed at the one node an event can change,
+//!   and the migration bookkeeping counts the nodes that may ask and the
+//!   queued descriptors of each kind: after an event from which no request
+//!   can follow, the check costs O(1) at any node count. Each granted
 //!   descriptor pays the full re-forwarding cost on the
 //!   victim→thief link and is re-homed at the thief: consumers that would
 //!   have resolved its dependence inside the victim's manager are
@@ -458,6 +462,11 @@ struct NodeState<M> {
     /// (suppresses immediate same-timestamp retries, which would loop
     /// forever on ideal links).
     last_fail: [Option<SimTime>; 2],
+    /// Per [`MoveKind`]: the idle rule's answer over the node's inputs
+    /// ([`NodeState::idle_rule`]) as of the last `Run::refresh_idle`, kept
+    /// only while migration bookkeeping exists; `MoveBook::idle` counts the
+    /// nodes whose answer is yes.
+    may_ask: [bool; 2],
     /// How many moved descriptors are parked at this node until their last
     /// producer notification arrives (which ones is `MoveBook::waits`).
     /// They are dependence-blocked and must *not* enter `pending`: a
@@ -496,19 +505,26 @@ impl<M> NodeState<M> {
         self.max_pending = self.max_pending.max(self.pending.len());
     }
 
+    /// The idle rule both clocks share ([`MoveKind::may_ask`]) over the
+    /// node's free workers, ready queue, input queue, parked descriptors and
+    /// move traffic, per [`MoveKind`].
+    fn idle_rule(&self) -> [bool; 2] {
+        let busy = |k: usize| self.inflight[k] || self.incoming[k] > 0;
+        let node = IdleNode {
+            free: self.pool.free(),
+            ready: self.pool.queued(),
+            queued: self.pending.len(),
+            held: self.parked,
+            in_flight: [busy(0), busy(1)],
+        };
+        MoveKind::ALL.map(|kind| kind.may_ask(&node))
+    }
+
     /// True if the node may issue a move request of `kind` now: the idle
-    /// rule both clocks share ([`MoveKind::may_ask`]), and no failed attempt
+    /// rule's cached answer ([`NodeState::may_ask`]), and no failed attempt
     /// at this very timestamp.
     fn may_move(&self, kind: MoveKind, now: SimTime) -> bool {
-        let busy = |k: usize| self.inflight[k] || self.incoming[k] > 0;
-        self.last_fail[kind as usize] != Some(now)
-            && kind.may_ask(&IdleNode {
-                free: self.pool.free(),
-                ready: self.pool.queued(),
-                queued: self.pending.len(),
-                held: self.parked,
-                in_flight: [busy(0), busy(1)],
-            })
+        self.may_ask[kind as usize] && self.last_fail[kind as usize] != Some(now)
     }
 }
 
@@ -533,8 +549,9 @@ enum Waits {
 /// Migration bookkeeping: counters kept up to date as descriptors move, so
 /// that every question the steal and reclaim paths ask (is this descriptor
 /// eligible, how many eligible descriptors does a node's input queue hold,
-/// is this one parked) is answered without walking a queue or a producer
-/// list. Debug builds check every answer against those walks.
+/// is this one parked, may any node ask, is there anything to take) is
+/// answered without walking a queue, a producer list or the nodes. Debug
+/// builds check every answer against those walks.
 struct MoveBook {
     /// Per task: last-writer producers not yet retired (set at commit).
     unretired: Vec<u32>,
@@ -542,6 +559,12 @@ struct MoveBook {
     waits: Vec<Waits>,
     /// Per node: eligible descriptors in its input queue.
     eligible: Vec<usize>,
+    /// Per [`MoveKind`]: the nodes whose cached idle-rule answer
+    /// (`NodeState::may_ask`) is yes.
+    idle: [usize; 2],
+    /// Per [`MoveKind`]: the descriptors of that kind (see
+    /// `MoveBook::kind_of`) in all input queues together.
+    backlog: [usize; 2],
     /// The load board, rebuilt in place for each round of move requests.
     board: Vec<NodeLoad>,
 }
@@ -552,6 +575,8 @@ impl MoveBook {
             unretired: vec![0; tasks],
             waits: vec![Waits::Nowhere; tasks],
             eligible: vec![0; nodes],
+            idle: [0; 2],
+            backlog: [0; 2],
             board: Vec::with_capacity(nodes),
         }
     }
@@ -580,23 +605,40 @@ impl MoveBook {
         self.eligible[node]
     }
 
+    /// The kind of move that can take the descriptor at `idx`: a steal if
+    /// it is eligible, a reclaim if it is dependence-blocked.
+    fn kind_of(&self, metas: &[TaskMeta], idx: usize) -> MoveKind {
+        if self.eligible(metas, idx) {
+            MoveKind::Steal
+        } else {
+            MoveKind::Reclaim
+        }
+    }
+
     /// The descriptor at `idx` entered `node`'s input queue.
     fn enqueue(&mut self, metas: &[TaskMeta], node: usize, idx: usize) {
         self.waits[idx] = Waits::Queued;
-        if self.eligible(metas, idx) {
+        let kind = self.kind_of(metas, idx);
+        if kind == MoveKind::Steal {
             self.eligible[node] += 1;
         }
+        self.backlog[kind as usize] += 1;
     }
 
     /// The descriptor at `idx` left `node`'s input queue: handed to the
     /// manager, or granted (before it is re-homed).
     fn dequeue(&mut self, metas: &[TaskMeta], node: usize, idx: usize, now: SimTime) {
         self.waits[idx] = Waits::Nowhere;
-        if self.eligible(metas, idx) {
+        let kind = self.kind_of(metas, idx);
+        if kind == MoveKind::Steal {
             self.eligible[node] = self.eligible[node]
                 .checked_sub(1)
                 .unwrap_or_else(|| underflow("eligible count", idx, node, now));
         }
+        let k = kind as usize;
+        self.backlog[k] = self.backlog[k]
+            .checked_sub(1)
+            .unwrap_or_else(|| underflow("backlog", idx, node, now));
     }
 
     /// One of the two counters that gate `idx` reached zero: if the other
@@ -604,9 +646,15 @@ impl MoveBook {
     /// (Neither counter rises on a queued descriptor that is eligible: a
     /// re-homed producer has not retired, so its queued consumers are
     /// blocked anyway.)
-    fn resolved(&mut self, metas: &[TaskMeta], idx: usize) {
+    fn resolved(&mut self, metas: &[TaskMeta], idx: usize, now: SimTime) {
         if self.waits[idx] == Waits::Queued && self.eligible(metas, idx) {
-            self.eligible[metas[idx].home] += 1;
+            let home = metas[idx].home;
+            self.eligible[home] += 1;
+            let (steal, reclaim) = (MoveKind::Steal as usize, MoveKind::Reclaim as usize);
+            self.backlog[steal] += 1;
+            self.backlog[reclaim] = self.backlog[reclaim]
+                .checked_sub(1)
+                .unwrap_or_else(|| underflow("backlog", idx, home, now));
         }
     }
 
@@ -618,7 +666,7 @@ impl MoveBook {
                 .unwrap_or_else(|| underflow("unretired producer count", c, metas[c].home, now));
             self.unretired[c] = left;
             if left == 0 {
-                self.resolved(metas, c);
+                self.resolved(metas, c, now);
             }
         }
     }
@@ -682,6 +730,7 @@ impl<M: TaskManager> ClusterDriver<M> {
                 inflight: [false; 2],
                 incoming: [0; 2],
                 last_fail: [None; 2],
+                may_ask: [false; 2],
                 parked: 0,
             })
             .collect();
@@ -889,7 +938,7 @@ impl<'t, 'r, M: TaskManager> Run<'t, 'r, M> {
             .iter()
             .any(|k| k.enabled(cfg.stealing, cfg.feedback))
             .then(|| MoveBook::new(tasks.len(), nodes.len()));
-        Run {
+        let mut run = Run {
             book,
             idx_of: IdMap::build(&tasks),
             durations: tasks.iter().map(|t| t.duration).collect(),
@@ -915,11 +964,16 @@ impl<'t, 'r, M: TaskManager> Run<'t, 'r, M> {
             scanner,
             flow: FlowState::new(source, trace, cfg.nodes),
             rec,
+        };
+        for node in 0..run.nodes.len() {
+            run.refresh_idle(node);
         }
+        run
     }
 
     /// The event loop: events pop in `(time, seq)` order and go to their
-    /// handler, then idle nodes may request moves. Profiling samples the
+    /// handler, then the node whose idle inputs the handler may have changed
+    /// is refreshed and idle nodes may request moves. Profiling samples the
     /// wall clock only when `prof` is attached.
     fn run(mut self, mut prof: Option<&mut EngineProf>) -> (ClusterOutcome, FlowState) {
         let (stealing, feedback) = (self.cfg.stealing, self.cfg.feedback);
@@ -942,6 +996,7 @@ impl<'t, 'r, M: TaskManager> Run<'t, 'r, M> {
                 );
             }
 
+            let touched = self.idle_node(&ev.payload);
             match ev.payload {
                 Event::MasterStep => self.master_step(now),
                 Event::DescriptorArrive { node, idx } => self.descriptor_arrive(node, idx, now),
@@ -968,6 +1023,9 @@ impl<'t, 'r, M: TaskManager> Run<'t, 'r, M> {
                     words,
                     then,
                 } => self.relay(from, to, hop, words, then, now),
+            }
+            if let Some(node) = touched {
+                self.refresh_idle(node);
             }
 
             // Steals are scanned first (see `MoveKind::ALL`).
@@ -1093,6 +1151,43 @@ impl<'t, 'r, M: TaskManager> Run<'t, 'r, M> {
             metrics,
         };
         (outcome, self.flow)
+    }
+
+    /// The node whose idle inputs (see [`NodeState::idle_rule`]) the
+    /// handler of `ev` may change, if any: the one the event names, or the
+    /// home of a notified task. A grant leaves the thief's answers as they
+    /// were (its request turns into an incoming batch, so the kind stays
+    /// busy), and a finished worker is freed only by its own later event.
+    fn idle_node(&self, ev: &Event) -> Option<usize> {
+        match *ev {
+            Event::DescriptorArrive { node, .. }
+            | Event::Pump { node }
+            | Event::Ready { node, .. }
+            | Event::WorkerFree { node, .. }
+            | Event::Retired { node, .. }
+            | Event::MoveArrive { node, .. }
+            | Event::MoveRequest { victim: node, .. }
+            | Event::MoveFailed { thief: node, .. } => Some(node),
+            Event::NotifyArrive { idx } => Some(self.metas[idx].home),
+            Event::MasterStep
+            | Event::WorkerFinish { .. }
+            | Event::MasterSawRetire { .. }
+            | Event::Relay { .. } => None,
+        }
+    }
+
+    /// Re-evaluates the idle rule at `node` into its cache
+    /// ([`NodeState::may_ask`]) and keeps `MoveBook::idle` in step. Nothing
+    /// to do while migration is off.
+    fn refresh_idle(&mut self, node: usize) {
+        if let Some(book) = self.book.as_mut() {
+            let n = &mut self.nodes[node];
+            let is = n.idle_rule();
+            for (k, count) in book.idle.iter_mut().enumerate() {
+                *count = *count + usize::from(is[k]) - usize::from(n.may_ask[k]);
+            }
+            n.may_ask = is;
+        }
     }
 
     /// The master executes its next trace operation.
@@ -1243,7 +1338,7 @@ impl<'t, 'r, M: TaskManager> Run<'t, 'r, M> {
                     n.push_front(idx);
                     book.enqueue(&self.metas, home, idx);
                 } else {
-                    book.resolved(&self.metas, idx);
+                    book.resolved(&self.metas, idx, now);
                 }
             }
         }
@@ -1546,10 +1641,17 @@ impl<'t, 'r, M: TaskManager> Run<'t, 'r, M> {
 
     /// Sends a move request of `kind` from every idle node that may issue
     /// one (see `NodeState::may_move`) to the victim the policy picks. Runs
-    /// after each event while the kind is enabled; the load board is only
-    /// built when some node qualifies, from counters (O(1) per node).
+    /// after each event while the kind is enabled, and returns in O(1)
+    /// unless some node may ask (`MoveBook::idle`) and some input queue holds
+    /// a descriptor of the kind (`MoveBook::backlog`). That gate changes no
+    /// decision: an asking node's own input queue is empty by the idle rule,
+    /// so with no backlog every victim choice comes back empty. Past it, the
+    /// load board is built from counters (O(1) per node) and every node is
+    /// walked in index order.
     fn try_moves(&mut self, kind: MoveKind, now: SimTime) {
-        if !self.nodes.iter().any(|n| n.may_move(kind, now)) {
+        self.check_gate(kind);
+        let book = self.book.as_ref().expect(BOOKED);
+        if book.idle[kind as usize] == 0 || book.backlog[kind as usize] == 0 {
             return;
         }
         let loads = self.load_board();
@@ -1568,6 +1670,7 @@ impl<'t, 'r, M: TaskManager> Run<'t, 'r, M> {
                 "{kind:?} under steal policy {stealing} picked victim {victim} for thief {thief}"
             );
             self.nodes[thief].inflight[kind as usize] = true;
+            self.refresh_idle(thief);
             let request = Event::MoveRequest {
                 kind,
                 thief,
@@ -1576,6 +1679,34 @@ impl<'t, 'r, M: TaskManager> Run<'t, 'r, M> {
             self.send_msg(thief, victim, kind.words(), now, request);
         }
         self.book.as_mut().expect(BOOKED).board = loads;
+    }
+
+    /// Debug builds: recounts `try_moves`' gate for `kind`, its idle count
+    /// by re-evaluating the idle rule at every node and its backlog by
+    /// walking every input queue, and panics on a mismatch.
+    fn check_gate(&self, kind: MoveKind) {
+        let book = self.book.as_ref().expect(BOOKED);
+        let k = kind as usize;
+        debug_assert_eq!(
+            book.idle[k],
+            self.nodes.iter().filter(|n| n.idle_rule()[k]).count(),
+            "{kind:?} idle count drifted from the nodes"
+        );
+        debug_assert_eq!(
+            book.backlog[k],
+            self.nodes
+                .iter()
+                .enumerate()
+                .map(|(i, n)| {
+                    let eligible = book.eligible_at(&self.metas, i, &n.pending);
+                    match kind {
+                        MoveKind::Steal => eligible,
+                        MoveKind::Reclaim => n.pending.len() - eligible,
+                    }
+                })
+                .sum::<usize>(),
+            "{kind:?} backlog drifted from the input queues"
+        );
     }
 
     /// The per-node load board handed to victim selection. The buffer is

@@ -188,7 +188,7 @@ impl TaskManager for NexusSharp {
             .input_parser
             .acquire(ip_cursor, self.cycles(self.config.ip_finalize_cycles));
         self.pool
-            .admit(task.clone())
+            .admit(task.id)
             .expect("driver must check can_accept before submitting");
         let mut buf = self.param_arena.pop().unwrap_or_default();
         buf.clear();

@@ -141,7 +141,7 @@ impl TaskManager for NexusPP {
 
         // Bookkeeping for the finished-task pipeline.
         self.pool
-            .admit(task.clone())
+            .admit(task.id)
             .expect("driver must check can_accept before submitting");
         self.params.insert(task.id, task.params.clone());
 

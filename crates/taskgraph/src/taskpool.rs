@@ -18,8 +18,8 @@
 //!   which is one of the structural reasons the central design falls behind on
 //!   irregular workloads.
 
-use nexus_sim::FxHashMap;
-use nexus_trace::{TaskDescriptor, TaskId};
+use nexus_sim::FxHashSet;
+use nexus_trace::TaskId;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
@@ -45,20 +45,21 @@ pub struct TaskPoolStats {
     pub peak_occupancy: usize,
 }
 
-/// A bounded pool of in-flight task descriptors.
+/// A bounded pool of in-flight task descriptors. Only the slots are
+/// modelled: the pool keeps the ids of the tasks that hold one, not copies
+/// of their descriptors.
 #[derive(Debug, Clone)]
 pub struct TaskPool {
     capacity: usize,
     order: RetirementOrder,
-    tasks: FxHashMap<TaskId, TaskDescriptor>,
-    /// Occupied slots (admitted and not yet recycled).
-    occupied: usize,
+    /// Tasks holding a slot (admitted and not yet recycled).
+    tasks: FxHashSet<TaskId>,
     /// Allocation order — maintained only under in-order recycling (free-list
     /// slots have no positional identity, so keeping this queue would cost an
     /// O(occupancy) scan per retirement for nothing).
     fifo: VecDeque<TaskId>,
     /// Tasks finished but whose slot is not yet recyclable (in-order mode only).
-    finished_pending: FxHashMap<TaskId, ()>,
+    finished_pending: FxHashSet<TaskId>,
     stats: TaskPoolStats,
 }
 
@@ -72,10 +73,9 @@ impl TaskPool {
         TaskPool {
             capacity,
             order,
-            tasks: FxHashMap::default(),
-            occupied: 0,
+            tasks: FxHashSet::default(),
             fifo: VecDeque::with_capacity(capacity),
-            finished_pending: FxHashMap::default(),
+            finished_pending: FxHashSet::default(),
             stats: TaskPoolStats::default(),
         }
     }
@@ -92,7 +92,7 @@ impl TaskPool {
 
     /// Number of occupied slots (admitted and not yet recycled).
     pub fn occupancy(&self) -> usize {
-        self.occupied
+        self.tasks.len()
     }
 
     /// True if a new task can be admitted right now.
@@ -105,17 +105,15 @@ impl TaskPool {
         self.stats
     }
 
-    /// Admits a task. Returns `Err(task)` if the pool is full.
-    pub fn admit(&mut self, task: TaskDescriptor) -> Result<(), TaskDescriptor> {
+    /// Admits the task `id`. Returns `Err(id)` if the pool is full.
+    pub fn admit(&mut self, id: TaskId) -> Result<(), TaskId> {
         if !self.has_free_slot() {
             self.stats.rejections += 1;
-            return Err(task);
+            return Err(id);
         }
         self.stats.admitted += 1;
-        let id = task.id;
-        debug_assert!(!self.tasks.contains_key(&id), "{id} admitted twice");
-        self.tasks.insert(id, task);
-        self.occupied += 1;
+        let fresh = self.tasks.insert(id);
+        debug_assert!(fresh, "{id} admitted twice");
         if self.order == RetirementOrder::InOrder {
             self.fifo.push_back(id);
         }
@@ -123,32 +121,25 @@ impl TaskPool {
         Ok(())
     }
 
-    /// Looks up the descriptor of an in-flight task.
-    pub fn get(&self, id: TaskId) -> Option<&TaskDescriptor> {
-        self.tasks.get(&id)
-    }
-
     /// Marks a task as finished and recycles whatever slots the retirement
     /// discipline allows. Returns the number of slots made reusable by this
     /// call (0 is possible under in-order recycling when an older task is
     /// still running).
     pub fn finish(&mut self, id: TaskId) -> usize {
-        debug_assert!(self.tasks.contains_key(&id), "finishing unknown task {id}");
+        debug_assert!(self.tasks.contains(&id), "finishing unknown task {id}");
         match self.order {
             RetirementOrder::FreeList => {
                 self.tasks.remove(&id);
-                self.occupied -= 1;
                 self.stats.recycled += 1;
                 1
             }
             RetirementOrder::InOrder => {
-                self.finished_pending.insert(id, ());
+                self.finished_pending.insert(id);
                 let mut recycled = 0;
                 while let Some(&head) = self.fifo.front() {
-                    if self.finished_pending.remove(&head).is_some() {
+                    if self.finished_pending.remove(&head) {
                         self.fifo.pop_front();
                         self.tasks.remove(&head);
-                        self.occupied -= 1;
                         recycled += 1;
                     } else {
                         break;
@@ -164,38 +155,31 @@ impl TaskPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nexus_sim::SimDuration;
-
-    fn task(id: u64) -> TaskDescriptor {
-        TaskDescriptor::builder(id)
-            .inout(0x1000 + id * 64)
-            .duration(SimDuration::from_us(1))
-            .build()
-    }
 
     #[test]
     fn free_list_recycles_immediately() {
         let mut p = TaskPool::new(2, RetirementOrder::FreeList);
-        p.admit(task(0)).unwrap();
-        p.admit(task(1)).unwrap();
+        p.admit(TaskId(0)).unwrap();
+        p.admit(TaskId(1)).unwrap();
         assert!(!p.has_free_slot());
-        assert!(p.admit(task(2)).is_err());
+        assert!(p.admit(TaskId(2)).is_err());
         assert_eq!(p.stats().rejections, 1);
         // Finishing the *second* task frees a slot immediately.
         assert_eq!(p.finish(TaskId(1)), 1);
         assert!(p.has_free_slot());
-        p.admit(task(2)).unwrap();
+        p.admit(TaskId(2)).unwrap();
         assert_eq!(p.occupancy(), 2);
-        assert!(p.get(TaskId(0)).is_some());
-        assert!(p.get(TaskId(1)).is_none());
+        // Task 0 still holds its slot.
+        assert_eq!(p.finish(TaskId(0)), 1);
+        assert_eq!(p.occupancy(), 1);
     }
 
     #[test]
     fn in_order_recycling_suffers_head_of_line_blocking() {
         let mut p = TaskPool::new(3, RetirementOrder::InOrder);
-        p.admit(task(0)).unwrap();
-        p.admit(task(1)).unwrap();
-        p.admit(task(2)).unwrap();
+        p.admit(TaskId(0)).unwrap();
+        p.admit(TaskId(1)).unwrap();
+        p.admit(TaskId(2)).unwrap();
         // Tasks 1 and 2 finish, but task 0 (the head) is still running:
         // no slot can be recycled.
         assert_eq!(p.finish(TaskId(1)), 0);
@@ -211,7 +195,7 @@ mod tests {
     fn peak_occupancy_is_tracked() {
         let mut p = TaskPool::new(8, RetirementOrder::FreeList);
         for i in 0..5 {
-            p.admit(task(i)).unwrap();
+            p.admit(TaskId(i)).unwrap();
         }
         for i in 0..5 {
             p.finish(TaskId(i));

@@ -4,10 +4,10 @@
 //! cannot notice a change that moves a simulated bit the same way in every
 //! run. The tests here pin exact outcomes instead:
 //!
-//! * two migration runs that engage stealing with adaptive batches and the
-//!   reclamation of dependence-blocked descriptors under full feedback, so
-//!   any change to the order in which moves are requested, granted or taken
-//!   in at the thief shows up;
+//! * migration runs that engage stealing with adaptive batches and the
+//!   reclamation of dependence-blocked descriptors under full feedback, on 4
+//!   nodes and on 16 and 32 mostly idle ones, so any change to the order in
+//!   which moves are requested, granted or taken in at the thief shows up;
 //! * seven reference scenarios spanning one to eight nodes, flat and
 //!   rack-tiered fabrics, every steal policy, the full feedback stack and an
 //!   open-loop service;
@@ -57,6 +57,44 @@ fn chained_imbalanced_on_rack_tiers_with_full_feedback() {
     assert_eq!(out.notifications, 807);
     assert_eq!(out.link.messages, 5_705);
     assert_eq!(out.link.words, 17_620);
+}
+
+/// The same chains on 16 and 32 rack-tiered nodes of two workers: most
+/// nodes sit idle and ask for work of both kinds, and many of their requests
+/// come back empty.
+#[test]
+fn chained_imbalanced_on_16_and_32_rack_tiered_nodes() {
+    let run = |nodes: usize| {
+        let chains = distributed::chained_imbalanced(nodes, 64, 8, 2.0, us(20));
+        let cfg = ClusterConfig::new(nodes, 2)
+            .with_link(LinkConfig::rdma().with_topology(Topology::RackTiers))
+            .with_placement(PolicyKind::TopologyAware)
+            .with_stealing(StealKind::Hierarchical)
+            .with_feedback(FeedbackKind::Full);
+        let out = simulate_cluster(&distributed::unhinted(&chains), &cfg, |_| tight_sharp());
+        // Tasks, makespan in ps, events, steals and failures, reclaims and
+        // failures, notifications, link messages and words.
+        [
+            out.tasks,
+            out.makespan.as_ps(),
+            out.sim_events,
+            out.steals,
+            out.steal_failures,
+            out.reclaims,
+            out.reclaim_failures,
+            out.notifications,
+            out.link.messages,
+            out.link.words,
+        ]
+    };
+    assert_eq!(
+        run(16),
+        [1_088, 807_420_800, 9_460, 46, 16, 59, 13, 95, 3_578, 10_614]
+    );
+    assert_eq!(
+        run(32),
+        [1_216, 509_032_800, 10_819, 7, 26, 29, 23, 34, 4_198, 12_404]
+    );
 }
 
 #[test]
