@@ -1454,14 +1454,23 @@ impl<'t, 'r, M: TaskManager> Run<'t, 'r, M> {
         if fs.gated {
             batch = batch.min(fs.depth.saturating_sub(fs.admitted[thief]));
         }
-        // The youngest `batch` descriptors of the kind, collected from the
-        // back of the queue (descending, so removal is position-stable).
-        let positions: Vec<usize> = (0..pending.len())
-            .rev()
-            .filter(|&pos| book.eligible(&self.metas, pending[pos]) == want_eligible)
-            .take(batch)
-            .collect();
-        if positions.is_empty() {
+        // The youngest `batch` descriptors of the kind, taken youngest first
+        // in one pass over the back of the queue; the ones passed over go
+        // back in their order.
+        let n = &mut self.nodes[victim];
+        let (mut granted, mut passed) = (Vec::new(), Vec::new());
+        while granted.len() < batch {
+            let Some(idx) = n.pending.pop_back() else {
+                break;
+            };
+            if book.eligible(&self.metas, idx) == want_eligible {
+                granted.push(idx);
+            } else {
+                passed.push(idx);
+            }
+        }
+        n.pending.extend(passed.into_iter().rev());
+        if granted.is_empty() {
             self.failures[k] += 1;
             let failed = Event::MoveFailed { kind, thief };
             self.send_msg(victim, thief, kind.words(), now, failed);
@@ -1471,10 +1480,9 @@ impl<'t, 'r, M: TaskManager> Run<'t, 'r, M> {
         // descriptor has landed (it has no capacity for more anyway).
         self.grants[k] += 1;
         self.nodes[thief].inflight[k] = false;
-        self.nodes[thief].incoming[k] += positions.len();
-        for pos in positions {
+        self.nodes[thief].incoming[k] += granted.len();
+        for idx in granted {
             let n = &mut self.nodes[victim];
-            let idx = n.pending.remove(pos).expect("move position in range");
             n.outstanding = n
                 .outstanding
                 .checked_sub(1)

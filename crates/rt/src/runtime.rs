@@ -32,6 +32,17 @@
 //! locks at once, and under a node lock only leaf locks are taken (the
 //! recorder and the digest board). A submission is planned and delivered
 //! under the submit lock, so every node admits tasks in program order.
+//! Out-lists are reused, never allocated per step: the submitters share
+//! one under the submit lock, and each worker keeps its own across its
+//! steps.
+//!
+//! **Storage.** The sets keyed by submission index (a node's retired
+//! producers, the retire log's retirements ahead of its prefix, and the
+//! master's subscribed producer–node pairs) are bitsets, one bit per index;
+//! none is pruned. A node's per-producer lists (its directory's
+//! subscribers, its local waiters and its reclaim forwarding entries) come
+//! from a per-node pool of spare lists, and go back to it when their
+//! producer's entry is removed.
 //!
 //! **Retirement.** A worker that finished a task first appends it to the one
 //! global retire log, then runs `finish` under its node's lock. Appending
@@ -114,7 +125,7 @@ use nexus_cluster::{IdleNode, MoveKind};
 use nexus_host::{MasterSm, MasterStep};
 use nexus_obs::{Registry, SharedRecorder, SpanEvent};
 use nexus_sched::{FeedbackKind, LoadTracker, LoadView, NodeLoad, StealKind};
-use nexus_sim::{FxHashMap, FxHashSet, SimDuration, SimTime};
+use nexus_sim::{FxHashMap, SimDuration, SimTime};
 use nexus_topo::DistanceMatrix;
 use nexus_trace::{TaskId, Trace};
 use std::collections::VecDeque;
@@ -129,6 +140,44 @@ use std::time::{Duration, Instant};
 /// virtual half-life, stretched to the millisecond scale real threads
 /// schedule at.
 const DIGEST_HALF_LIFE_NS: u64 = 1_000_000;
+
+/// A growable set of small integers, one bit each: the sets keyed by
+/// submission index, which grow by one index per task and are never pruned.
+#[derive(Default)]
+struct BitSet {
+    words: Vec<u64>,
+}
+
+impl BitSet {
+    /// Adds `i`; returns whether it was not in the set yet.
+    fn insert(&mut self, i: usize) -> bool {
+        let (w, bit) = (i / 64, 1 << (i % 64));
+        if w >= self.words.len() {
+            self.words.resize(w + 1, 0);
+        }
+        let new = self.words[w] & bit == 0;
+        self.words[w] |= bit;
+        new
+    }
+
+    /// Whether `i` is in the set.
+    fn contains(&self, i: usize) -> bool {
+        self.words
+            .get(i / 64)
+            .is_some_and(|w| w & (1 << (i % 64)) != 0)
+    }
+
+    /// Drops `i`; returns whether it was in the set.
+    fn remove(&mut self, i: usize) -> bool {
+        let Some(w) = self.words.get_mut(i / 64) else {
+            return false;
+        };
+        let bit = 1 << (i % 64);
+        let had = *w & bit != 0;
+        *w &= !bit;
+        had
+    }
+}
 
 /// A task descriptor as the nodes hold it and pass it on: submitted to its
 /// home, queued, granted to a thief, taken by a worker. `home` is the
@@ -250,7 +299,7 @@ struct RetireLog {
     /// Every submission index below `prefix` has retired.
     prefix: usize,
     /// Retired submission indices above `prefix`.
-    ahead: FxHashSet<usize>,
+    ahead: BitSet,
     /// The waits of the threads blocked on the log; none is met yet.
     waits: Vec<Wait>,
 }
@@ -264,7 +313,7 @@ impl RetireLog {
             self.ahead.insert(idx);
         } else {
             self.prefix += 1;
-            while self.ahead.remove(&self.prefix) {
+            while self.ahead.remove(self.prefix) {
                 self.prefix += 1;
             }
         }
@@ -283,7 +332,7 @@ impl RetireLog {
     fn met(&self, wait: Wait) -> bool {
         match wait {
             Wait::Prefix(p) => self.prefix >= p,
-            Wait::Index(i) => i < self.prefix || self.ahead.contains(&i),
+            Wait::Index(i) => i < self.prefix || self.ahead.contains(i),
             Wait::Len(n) => self.order.len() >= n,
         }
     }
@@ -296,9 +345,12 @@ struct SubmitState {
     /// Per address: submission indices of the tasks that read it since it
     /// was last written, which the next writer on the same node waits for.
     addrs: FxHashMap<u64, Vec<usize>>,
-    /// `(producer, node)` pairs already subscribed (dedup: one `Notify` per
-    /// consuming node is enough, readiness counting is per missing producer).
-    subscribed: FxHashSet<(usize, usize)>,
+    /// `(producer, node)` pairs already subscribed, keyed `producer * nodes +
+    /// node` (dedup: one `Notify` per consuming node is enough, readiness
+    /// counting is per missing producer).
+    subscribed: BitSet,
+    /// The submitters' out-list, reused by every submission.
+    out: Out,
     closed: bool,
 }
 
@@ -350,11 +402,12 @@ impl Inner {
                 node: Mutex::new(Node {
                     id,
                     workers: cfg.workers_per_node,
-                    retired: FxHashSet::default(),
+                    retired: BitSet::default(),
                     subs: FxHashMap::default(),
                     waiting: FxHashMap::default(),
                     pending: FxHashMap::default(),
                     reclaimed_away: FxHashMap::default(),
+                    spare: Vec::new(),
                     ready: VecDeque::new(),
                     free: cfg.workers_per_node,
                     parked: 0,
@@ -382,7 +435,8 @@ impl Inner {
             sub: Mutex::new(SubmitState {
                 scanner,
                 addrs: FxHashMap::default(),
-                subscribed: FxHashSet::default(),
+                subscribed: BitSet::default(),
+                out: Out::new(),
                 closed: false,
             }),
             submitted: AtomicU64::new(0),
@@ -417,10 +471,10 @@ impl Inner {
         self.epoch.elapsed().as_nanos() as u64
     }
 
-    /// Scans a submission and returns the messages that route it: one
-    /// `Subscribe` per remote producer not yet subscribed to from the task's
-    /// home, then the `Submit`.
-    fn plan(&self, sub: &mut SubmitState, task: RtTask) -> Out {
+    /// Scans a submission and appends to `out` the messages that route it:
+    /// one `Subscribe` per remote producer not yet subscribed to from the
+    /// task's home, then the `Submit`.
+    fn plan(&self, sub: &mut SubmitState, task: RtTask, out: &mut Out) {
         let RtTask { descriptor, body } = task;
         let rec = if self.feedback.place_enabled() {
             // Place against the freshest published digests, as the
@@ -438,10 +492,9 @@ impl Inner {
             subscribed,
             ..
         } = sub;
-        let mut out = Out::new();
         for &producer in &rec.producers {
             let (from, to) = (scanner.home(producer), rec.home);
-            if from != to && subscribed.insert((producer, to)) {
+            if from != to && subscribed.insert(producer * self.nodes.len() + to) {
                 out.push_back((from, Msg::Subscribe { producer, to }));
             }
         }
@@ -475,7 +528,6 @@ impl Inner {
             moved: false,
         };
         out.push_back((rec.home, Msg::Submit(t)));
-        out
     }
 
     /// Runs `step` on node `n` (see [`Inner::locked`]), then lets each other
@@ -541,19 +593,19 @@ impl Inner {
         r
     }
 
-    /// Runs `step` on node `n`, then delivers the messages it sent.
-    fn step<R>(&self, n: usize, step: impl FnOnce(&mut Node, &mut Out) -> R) -> R {
-        let mut out = Out::new();
-        let r = self.with_node(n, &mut out, step);
+    /// Runs `step` on node `n`, then delivers the messages it sent through
+    /// `out`, the calling thread's empty out-list.
+    fn step<R>(&self, n: usize, out: &mut Out, step: impl FnOnce(&mut Node, &mut Out) -> R) -> R {
+        let r = self.with_node(n, out, step);
         self.deliver(out);
         r
     }
 
-    /// Delivers `out` in send order, one node lock at a time; the messages a
-    /// handler sends join the list.
-    fn deliver(&self, mut out: Out) {
+    /// Delivers `out` in send order, one node lock at a time, until it is
+    /// empty; the messages a handler sends join the list.
+    fn deliver(&self, out: &mut Out) {
         while let Some((to, msg)) = out.pop_front() {
-            self.with_node(to, &mut out, |node, out| node.on_msg(self, msg, out));
+            self.with_node(to, out, |node, out| node.on_msg(self, msg, out));
         }
     }
 
@@ -603,10 +655,12 @@ impl Inner {
         true
     }
 
-    /// One worker thread of node `n` (see the [module docs](self)).
+    /// One worker thread of node `n` (see the [module docs](self)). It keeps
+    /// one out-list across its steps.
     fn work(&self, n: usize, worker: usize) {
         let take = |node: &mut Node, _: &mut Out| node.take_ready(self);
-        let mut next = self.step(n, take);
+        let mut out = Out::new();
+        let mut next = self.step(n, &mut out, take);
         loop {
             // Read after `take_ready` parks this worker, so a shutdown that
             // found it unparked is seen here.
@@ -615,7 +669,7 @@ impl Inner {
             }
             let Some(t) = next else {
                 self.park(n);
-                next = self.step(n, take);
+                next = self.step(n, &mut out, take);
                 continue;
             };
             if let Some(r) = &self.rec {
@@ -635,7 +689,7 @@ impl Inner {
             self.nodes[n].per_worker_done[worker].fetch_add(1, Ordering::Relaxed);
             // Before `finish`, which may make dependents ready.
             self.log_retired(t.idx, t.id, n);
-            next = self.step(n, |node, out| {
+            next = self.step(n, &mut out, |node, out| {
                 node.finish(self, t.idx, t.home, failed, out);
                 take(node, out)
             });
@@ -860,7 +914,7 @@ impl ClusterRuntime {
         inner.shutdown.store(true, Ordering::Release);
         // Wake every parked worker; one that parks later sees the flag first.
         for n in 0..inner.nodes.len() {
-            inner.step(n, |node, _| node.woken = node.idle);
+            inner.step(n, &mut Out::new(), |node, _| node.woken = node.idle);
         }
         // Wake every thread blocked on the log, under its lock: one that
         // read the flag unset is asleep by then.
@@ -940,9 +994,11 @@ impl RuntimeHandle {
         if sub.closed {
             return Err(SubmitError::ShutDown);
         }
-        let out = self.inner.plan(&mut sub, task);
+        let mut out = std::mem::take(&mut sub.out);
+        self.inner.plan(&mut sub, task, &mut out);
         // Still under the submit lock: every node admits in program order.
-        self.inner.deliver(out);
+        self.inner.deliver(&mut out);
+        sub.out = out;
         Ok(id)
     }
 
@@ -1040,9 +1096,8 @@ impl RuntimeHandle {
             }
             match sm.step(trace, SimTime::ZERO, true) {
                 MasterStep::Submit(task) => {
-                    let task = task.clone();
                     self.submit(RtTask::new(task.clone()))?;
-                    sm.commit_submit(&task, SimTime::ZERO);
+                    sm.commit_submit(task, SimTime::ZERO);
                 }
                 MasterStep::Compute(_) | MasterStep::Continue => {}
                 MasterStep::Waiting => {
@@ -1061,6 +1116,17 @@ impl RuntimeHandle {
     }
 }
 
+/// The list under `key` in one of a node's per-producer maps; a new key
+/// takes a cleared list from `spare`.
+fn list<'a>(
+    map: &'a mut FxHashMap<usize, Vec<usize>>,
+    spare: &mut Vec<Vec<usize>>,
+    key: usize,
+) -> &'a mut Vec<usize> {
+    map.entry(key)
+        .or_insert_with(|| spare.pop().unwrap_or_default())
+}
+
 /// One node's state machine (see the [module docs](self) for the protocol).
 /// Each method handles one event and appends the messages it sends to an
 /// out-list; none takes a lock but the leaf ones.
@@ -1069,7 +1135,7 @@ struct Node {
     workers: usize,
     /// Producers known retired at this node (executed here, or announced by
     /// a `Notify`).
-    retired: FxHashSet<usize>,
+    retired: BitSet,
     /// Directory: producer → nodes to `Notify` when it retires.
     subs: FxHashMap<usize, Vec<usize>>,
     /// Producer → local pending tasks waiting on it.
@@ -1080,6 +1146,9 @@ struct Node {
     /// producer → thief nodes to relay the retirement `Notify` to, so the
     /// thief's copy of the dependence eventually resolves.
     reclaimed_away: FxHashMap<usize, Vec<usize>>,
+    /// Empty lists that `subs`, `waiting` and `reclaimed_away` gave back
+    /// when a key went, for the next new key to take (see [`list`]).
+    spare: Vec<Vec<usize>>,
     /// Ready descriptors waiting for a worker (the stealable backlog;
     /// thieves take from the back).
     ready: VecDeque<Descriptor>,
@@ -1113,10 +1182,10 @@ impl Node {
                 self.admit(t);
             }
             Msg::Subscribe { producer, to } => {
-                if self.retired.contains(&producer) {
+                if self.retired.contains(producer) {
                     out.push_back((to, Msg::Notify { producer }));
                 } else {
-                    self.subs.entry(producer).or_default().push(to);
+                    list(&mut self.subs, &mut self.spare, producer).push(to);
                 }
             }
             Msg::Notify { producer } => {
@@ -1176,12 +1245,12 @@ impl Node {
     /// for the rest otherwise (for a reclaimed task, the victim's forwarded
     /// `Notify`s).
     fn admit(&mut self, mut t: Descriptor) {
-        t.missing.retain(|p| !self.retired.contains(p));
+        t.missing.retain(|&p| !self.retired.contains(p));
         if t.missing.is_empty() {
             self.make_ready(t);
         } else {
             for &p in &t.missing {
-                self.waiting.entry(p).or_default().push(t.idx);
+                list(&mut self.waiting, &mut self.spare, p).push(t.idx);
             }
             self.parked += usize::from(t.moved);
             self.pending.insert(t.idx, t);
@@ -1207,17 +1276,18 @@ impl Node {
         if !self.retired.insert(p) {
             return;
         }
-        if let Some(thieves) = self.reclaimed_away.remove(&p) {
+        if let Some(mut thieves) = self.reclaimed_away.remove(&p) {
             out.extend(
                 thieves
-                    .into_iter()
+                    .drain(..)
                     .map(|to| (to, Msg::Notify { producer: p })),
             );
+            self.spare.push(thieves);
         }
-        let Some(waiters) = self.waiting.remove(&p) else {
+        let Some(mut waiters) = self.waiting.remove(&p) else {
             return;
         };
-        for idx in waiters {
+        for idx in waiters.drain(..) {
             let t = self
                 .pending
                 .get_mut(&idx)
@@ -1229,13 +1299,15 @@ impl Node {
                 self.make_ready(t);
             }
         }
+        self.spare.push(waiters);
     }
 
     /// Notifies every node subscribed to producer `p` (directory duty of the
     /// home node).
     fn flush_subs(&mut self, p: usize, out: &mut Out) {
-        if let Some(subs) = self.subs.remove(&p) {
-            out.extend(subs.into_iter().map(|to| (to, Msg::Notify { producer: p })));
+        if let Some(mut subs) = self.subs.remove(&p) {
+            out.extend(subs.drain(..).map(|to| (to, Msg::Notify { producer: p })));
+            self.spare.push(subs);
         }
     }
 
@@ -1334,10 +1406,11 @@ impl Node {
                 if let Some(w) = self.waiting.get_mut(&p) {
                     w.retain(|&i| i != t.idx);
                     if w.is_empty() {
+                        self.spare.push(std::mem::take(w));
                         self.waiting.remove(&p);
                     }
                 }
-                let thieves = self.reclaimed_away.entry(p).or_default();
+                let thieves = list(&mut self.reclaimed_away, &mut self.spare, p);
                 if !thieves.contains(&thief) {
                     thieves.push(thief);
                 }
@@ -1376,7 +1449,7 @@ mod tests {
     use super::*;
     use nexus_sim::SimRng;
     use nexus_trace::TaskDescriptor;
-    use std::collections::BTreeMap;
+    use std::collections::{BTreeMap, BTreeSet};
     use std::sync::atomic::AtomicU64;
     use std::sync::mpsc;
 
@@ -1908,6 +1981,94 @@ mod tests {
     }
 
     #[test]
+    fn a_bitset_grows_across_words_and_reports_what_each_call_changed() {
+        let mut set = BitSet::default();
+        // Past the end: absent, and nothing to remove.
+        assert!(!set.contains(0) && !set.contains(1_000));
+        assert!(!set.remove(1_000));
+        let members = [0, 63, 64, 127, 128, 1_000];
+        for i in members {
+            assert!(set.insert(i), "{i} was not in the set yet");
+            assert!(!set.insert(i), "{i} was in the set already");
+            assert!(set.contains(i));
+        }
+        assert_eq!(set.words.len(), 1_000 / 64 + 1);
+        for i in [1, 62, 65, 126, 129, 999, 1_001, 1 << 20] {
+            assert!(!set.contains(i), "{i} was never inserted");
+        }
+        // Removal clears one bit and reports whether it was set.
+        assert!(set.remove(64) && !set.remove(64));
+        assert!(!set.contains(64) && set.contains(63) && set.contains(127));
+        assert!(!set.remove(65));
+        assert!(set.insert(64));
+        let kept: Vec<usize> = (0..=1_000).filter(|&i| set.contains(i)).collect();
+        assert_eq!(kept, members);
+    }
+
+    #[test]
+    fn the_retire_log_matches_a_set_over_seeded_retirement_orders() {
+        for seed in 0..40 {
+            let mut rng = SimRng::new(seed);
+            let n = 1 + rng.next_below(300) as usize;
+            let mut order: Vec<usize> = (0..n).collect();
+            for i in (1..n).rev() {
+                order.swap(i, rng.next_below(i as u64 + 1) as usize);
+            }
+            let mut log = RetireLog::default();
+            let mut retired = BTreeSet::new();
+            for (step, &idx) in order.iter().enumerate() {
+                log.retire(idx, TaskId(idx as u64));
+                retired.insert(idx);
+                let prefix = (0..).find(|i| !retired.contains(i)).expect("finite set");
+                let at = format!("seed {seed}, step {step}, index {idx}");
+                assert_eq!(log.prefix, prefix, "{at}: prefix");
+                for i in 0..=n {
+                    assert_eq!(log.met(Wait::Prefix(i)), i <= prefix, "{at}: prefix {i}");
+                    let was = retired.contains(&i);
+                    assert_eq!(log.met(Wait::Index(i)), was, "{at}: index {i}");
+                }
+                assert!(log.met(Wait::Len(step + 1)) && !log.met(Wait::Len(step + 2)));
+            }
+        }
+    }
+
+    #[test]
+    fn each_producer_and_consuming_node_pair_is_subscribed_once() {
+        let inner = Inner::new(&RtConfig::new(3, 1));
+        let on = |id: u64, node: u32| TaskDescriptor::builder(id).affinity(node);
+        // Independent fillers first, so the producers' keys (producer × 3 +
+        // node) lie beyond the bitset's first word.
+        let mut tasks: Vec<TaskDescriptor> = (0..40)
+            .map(|id| on(id, 0).output(0x1000 + id).build())
+            .collect();
+        tasks.extend([
+            on(40, 0).output(0xA).build(),
+            on(41, 2).output(0xB).build(),
+            on(42, 1).input(0xA).build(),
+            on(43, 1).input(0xA).input(0xB).build(),
+            on(44, 2).input(0xA).build(),
+            on(45, 0).input(0xB).build(),
+            on(46, 2).input(0xA).input(0xB).build(),
+            on(47, 0).input(0xA).input(0xB).build(),
+            on(48, 1).input(0xB).build(),
+        ]);
+        let mut out = Out::new();
+        for task in tasks {
+            inner.plan(&mut inner.sub.lock().unwrap(), RtTask::new(task), &mut out);
+        }
+        let subscribes: Vec<(usize, usize, usize)> = out
+            .iter()
+            .filter_map(|(from, msg)| match *msg {
+                Msg::Subscribe { producer, to } => Some((*from, producer, to)),
+                _ => None,
+            })
+            .collect();
+        // (producer's home, producer, consuming node), in submission order;
+        // a local producer subscribes nobody.
+        assert_eq!(subscribes, [(0, 40, 1), (2, 41, 1), (0, 40, 2), (2, 41, 0)]);
+    }
+
+    #[test]
     fn chains_preserve_program_order() {
         let (rt, h) = one_node(8);
         let chains: Vec<Arc<Mutex<Vec<u64>>>> = (0..16).map(|_| Arc::default()).collect();
@@ -1989,8 +2150,13 @@ mod tests {
         // sent.
         let submit = |inner: &Inner, id: u64| {
             let task = TaskDescriptor::builder(id).output(id).affinity(0).build();
-            let mut sent = Out::new();
-            for (to, msg) in inner.plan(&mut inner.sub.lock().unwrap(), RtTask::new(task)) {
+            let (mut planned, mut sent) = (Out::new(), Out::new());
+            inner.plan(
+                &mut inner.sub.lock().unwrap(),
+                RtTask::new(task),
+                &mut planned,
+            );
+            for (to, msg) in planned {
                 inner.with_node(to, &mut sent, |node, out| node.on_msg(inner, msg, out));
             }
             sent
@@ -2188,8 +2354,8 @@ mod tests {
                 Action::Submit => {
                     let task = RtTask::new(input.tasks[submitted].clone());
                     submitted += 1;
-                    let planned = inner.plan(&mut inner.sub.lock().unwrap(), task);
-                    send(&mut links, MASTER, planned);
+                    inner.plan(&mut inner.sub.lock().unwrap(), task, &mut out);
+                    send(&mut links, MASTER, out);
                 }
                 Action::Deliver(link) => {
                     let msg = links.get_mut(&link).unwrap().pop_front().unwrap();
