@@ -443,13 +443,11 @@ struct NodeState<M> {
     /// duplicate retry, which cascades into an event storm on loaded nodes
     /// (hundreds of no-op events per task at high backlog).
     pump_queued: bool,
-    /// Tasks arrived at this node and not yet retired (for idle accounting).
+    /// Tasks arrived at this node and not yet retired (for the load digest).
     outstanding: u64,
     executed: u64,
     retired: u64,
     total_work: SimDuration,
-    idle_area: SimDuration,
-    last_accounting: SimTime,
     makespan: SimTime,
     max_pending: usize,
     /// Per [`MoveKind`]: a request is in flight from this node (unresolved
@@ -477,13 +475,8 @@ struct NodeState<M> {
 }
 
 impl<M> NodeState<M> {
-    /// Integrates idle-worker time up to `now` and advances the local clock.
+    /// Advances the node's local clock (its makespan) to `now`.
     fn touch(&mut self, now: SimTime) {
-        let dt = now.saturating_since(self.last_accounting);
-        if self.outstanding > 0 && self.pool.free() > 0 {
-            self.idle_area += dt * self.pool.free().min(self.outstanding as usize) as u64;
-        }
-        self.last_accounting = now;
         self.makespan = self.makespan.max(now);
     }
 
@@ -723,8 +716,6 @@ impl<M: TaskManager> ClusterDriver<M> {
                 executed: 0,
                 retired: 0,
                 total_work: SimDuration::ZERO,
-                idle_area: SimDuration::ZERO,
-                last_accounting: SimTime::ZERO,
                 makespan: SimTime::ZERO,
                 max_pending: 0,
                 inflight: [false; 2],
@@ -1120,7 +1111,6 @@ impl<'t, 'r, M: TaskManager> Run<'t, 'r, M> {
                 tasks: n.executed,
                 master_barrier_time: SimDuration::ZERO,
                 master_backpressure_time: SimDuration::ZERO,
-                worker_idle_time: n.idle_area,
                 manager_stats: n.manager.stats_summary(),
             })
             .collect();

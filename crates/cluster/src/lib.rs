@@ -85,23 +85,5 @@ pub use nexus_obs::{MemRecorder, Recorder, Registry, SpanEvent, TimeBase};
 pub use nexus_sched::{FeedbackKind, PolicyKind, StealKind};
 pub use nexus_topo::{DistanceMatrix, Fabric};
 pub use outcome::{ClusterOutcome, LinkStats, TierStats};
-pub use routing::{
-    edge_stats, edge_stats_on, edge_stats_with, home_of, remote_edge_fraction, EdgeStats,
-};
+pub use routing::{edge_stats, edge_stats_with, home_of, remote_edge_fraction, EdgeStats};
 pub use stream::{AdmissionConfig, StreamOutcome, StreamingSource};
-
-/// Convenience prelude.
-pub mod prelude {
-    pub use crate::config::{ClusterConfig, LinkConfig, Topology};
-    pub use crate::driver::{
-        simulate_cluster, simulate_cluster_on, simulate_cluster_traced, simulate_streaming,
-        ClusterDriver,
-    };
-    pub use crate::outcome::{ClusterOutcome, LinkStats, TierStats};
-    pub use crate::routing::{
-        edge_stats, edge_stats_on, edge_stats_with, remote_edge_fraction, EdgeStats,
-    };
-    pub use crate::stream::{AdmissionConfig, StreamOutcome, StreamingSource};
-    pub use nexus_sched::{FeedbackKind, PolicyKind, StealKind};
-    pub use nexus_topo::{Fabric, TopologyKind};
-}

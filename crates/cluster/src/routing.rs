@@ -228,19 +228,6 @@ pub fn edge_stats_with(trace: &Trace, nodes: usize, policy: PolicyKind) -> EdgeS
     scanner.stats()
 }
 
-/// Counts the dependency edges of `trace` under a full cluster configuration:
-/// same placement policy *and* same fabric distances as
-/// [`crate::simulate_cluster`] would use, so the census agrees with the
-/// driver even for distance-aware policies.
-pub fn edge_stats_on(trace: &Trace, cfg: &crate::config::ClusterConfig) -> EdgeStats {
-    let mut scanner = DepScanner::with_policy(cfg.nodes, cfg.placement)
-        .with_distances(cfg.link.fabric(cfg.nodes).distances());
-    for task in trace.tasks() {
-        scanner.scan_full(task);
-    }
-    scanner.stats()
-}
-
 /// Convenience wrapper: [`EdgeStats::remote_fraction`] of [`edge_stats`].
 pub fn remote_edge_fraction(trace: &Trace, nodes: usize) -> f64 {
     edge_stats(trace, nodes).remote_fraction()

@@ -57,12 +57,3 @@ pub use histogram::LatencyHistogram;
 pub use service::{
     knee_sweep, simulate_service, KneePoint, KneeReport, ServiceConfig, ServiceOutcome,
 };
-
-/// Convenience prelude.
-pub mod prelude {
-    pub use crate::arrival::{ArrivalConfig, ArrivalKind};
-    pub use crate::histogram::LatencyHistogram;
-    pub use crate::service::{
-        knee_sweep, simulate_service, KneePoint, KneeReport, ServiceConfig, ServiceOutcome,
-    };
-}

@@ -9,7 +9,7 @@ use crate::manager::{ManagerEvent, TaskManager};
 use crate::master::{MasterSm, MasterStep};
 use crate::metrics::SimOutcome;
 use crate::pool::WorkerPool;
-use nexus_sim::{EventQueue, FxHashMap, SimDuration, SimTime};
+use nexus_sim::{EventQueue, FxHashMap, SimTime};
 use nexus_trace::{TaskDescriptor, TaskId, Trace};
 
 /// Host machine configuration.
@@ -62,11 +62,6 @@ pub fn simulate(trace: &Trace, manager: &mut dyn TaskManager, cfg: &HostConfig) 
     let mut executed: u64 = 0;
     let mut makespan = SimTime::ZERO;
 
-    // Diagnostics.
-    let mut idle_worker_area = SimDuration::ZERO; // worker·time with tasks outstanding
-    let mut last_accounting = SimTime::ZERO;
-    let mut outstanding_tasks: u64 = 0;
-
     queue.schedule(SimTime::ZERO, Event::MasterStep);
 
     macro_rules! drain_manager {
@@ -89,13 +84,6 @@ pub fn simulate(trace: &Trace, manager: &mut dyn TaskManager, cfg: &HostConfig) 
         let now = ev.time;
         makespan = makespan.max(now);
 
-        // Integrate idle-worker area (workers idle while work is outstanding).
-        let dt = now.saturating_since(last_accounting);
-        if outstanding_tasks > 0 && pool.free() > 0 {
-            idle_worker_area += dt * pool.free().min(outstanding_tasks as usize) as u64;
-        }
-        last_accounting = now;
-
         match ev.payload {
             Event::MasterStep => {
                 // Execute exactly one trace operation (or block).
@@ -108,7 +96,6 @@ pub fn simulate(trace: &Trace, manager: &mut dyn TaskManager, cfg: &HostConfig) 
                         let release = manager.submit(task, now);
                         drain_manager!(now);
                         master.commit_submit(task, now);
-                        outstanding_tasks += 1;
                         queue.schedule(release.max(now), Event::MasterStep);
                     }
                     MasterStep::Compute(d) => {
@@ -150,7 +137,6 @@ pub fn simulate(trace: &Trace, manager: &mut dyn TaskManager, cfg: &HostConfig) 
             }
 
             Event::RetiredVisible(task) => {
-                outstanding_tasks -= 1;
                 if master.on_retired(task, now) {
                     queue.schedule(now, Event::MasterStep);
                 }
@@ -188,7 +174,6 @@ pub fn simulate(trace: &Trace, manager: &mut dyn TaskManager, cfg: &HostConfig) 
         tasks: executed,
         master_barrier_time: master.barrier_time(),
         master_backpressure_time: master.backpressure_time(),
-        worker_idle_time: idle_worker_area,
         manager_stats: manager.stats_summary(),
     }
 }
@@ -197,6 +182,7 @@ pub fn simulate(trace: &Trace, manager: &mut dyn TaskManager, cfg: &HostConfig) 
 mod tests {
     use super::*;
     use crate::ideal::IdealManager;
+    use nexus_sim::SimDuration;
     use nexus_trace::generators::micro;
 
     fn us(v: u64) -> SimDuration {

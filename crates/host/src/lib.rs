@@ -42,13 +42,3 @@ pub use master::{MasterSm, MasterStep};
 pub use metrics::SimOutcome;
 pub use pool::WorkerPool;
 pub use sweep::{speedup_curve, SpeedupCurve, SpeedupPoint};
-
-/// Convenience prelude.
-pub mod prelude {
-    pub use crate::driver::{simulate, HostConfig};
-    pub use crate::ideal::IdealManager;
-    pub use crate::manager::{ManagerEvent, TaskManager};
-    pub use crate::metrics::SimOutcome;
-    pub use crate::pool::WorkerPool;
-    pub use crate::sweep::{speedup_curve, SpeedupCurve, SpeedupPoint};
-}

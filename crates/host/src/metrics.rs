@@ -22,8 +22,6 @@ pub struct SimOutcome {
     pub master_barrier_time: SimDuration,
     /// Time the master spent blocked on task-pool back-pressure.
     pub master_backpressure_time: SimDuration,
-    /// Aggregate time workers spent idle while tasks were outstanding.
-    pub worker_idle_time: SimDuration,
     /// Manager diagnostic summary (name/value pairs).
     pub manager_stats: Vec<(String, f64)>,
 }
@@ -77,7 +75,6 @@ mod tests {
             tasks: 1,
             master_barrier_time: SimDuration::ZERO,
             master_backpressure_time: SimDuration::ZERO,
-            worker_idle_time: SimDuration::ZERO,
             manager_stats: vec![],
         }
     }

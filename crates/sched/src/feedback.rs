@@ -14,7 +14,6 @@
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::str::FromStr;
 
 /// One node's live load digest.
 ///
@@ -164,9 +163,6 @@ impl FeedbackKind {
         FeedbackKind::Full,
     ];
 
-    /// The accepted (lower-case canonical) spellings, for error messages.
-    pub const VALID: &'static str = "off|place|reclaim|full";
-
     /// True when any feedback consumer is active (lets drivers skip the load
     /// tracker entirely, keeping the off path bit-identical).
     pub fn is_enabled(self) -> bool {
@@ -197,24 +193,6 @@ impl FeedbackKind {
 impl fmt::Display for FeedbackKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
-    }
-}
-
-impl FromStr for FeedbackKind {
-    type Err = String;
-
-    /// Case-insensitive; accepts a few natural spellings.
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "off" | "none" | "disabled" | "0" => Ok(FeedbackKind::Off),
-            "place" | "placement" => Ok(FeedbackKind::Place),
-            "reclaim" | "reclamation" => Ok(FeedbackKind::Reclaim),
-            "full" | "on" | "both" | "1" => Ok(FeedbackKind::Full),
-            other => Err(format!(
-                "unknown feedback mode {other:?} (expected {})",
-                Self::VALID
-            )),
-        }
     }
 }
 
@@ -309,24 +287,8 @@ mod tests {
     }
 
     #[test]
-    fn kind_parsing_is_case_insensitive_with_clear_errors() {
-        assert_eq!("OFF".parse::<FeedbackKind>().unwrap(), FeedbackKind::Off);
-        assert_eq!(
-            "Place".parse::<FeedbackKind>().unwrap(),
-            FeedbackKind::Place
-        );
-        assert_eq!(
-            "RECLAIM".parse::<FeedbackKind>().unwrap(),
-            FeedbackKind::Reclaim
-        );
-        assert_eq!(
-            " Full ".parse::<FeedbackKind>().unwrap(),
-            FeedbackKind::Full
-        );
-        let err = "ful".parse::<FeedbackKind>().unwrap_err();
-        assert!(err.contains("off|place|reclaim|full"), "{err}");
+    fn kinds_default_to_off_and_enable_their_consumers() {
         for kind in FeedbackKind::ALL {
-            assert_eq!(kind.name().parse::<FeedbackKind>().unwrap(), kind);
             assert_eq!(kind.to_string(), kind.name());
         }
         assert_eq!(FeedbackKind::default(), FeedbackKind::Off);

@@ -38,8 +38,7 @@
 //!
 //! All three are selected through `ClusterConfig` (see `nexus-cluster`) via
 //! the serializable [`PolicyKind`] / [`StealKind`] / [`FeedbackKind`]
-//! values, whose `FromStr` implementations are case-insensitive and list the
-//! valid spellings on a typo.
+//! values.
 //!
 //! ## Example
 //!
@@ -48,7 +47,7 @@
 //! use nexus_topo::DistanceMatrix;
 //! use nexus_trace::TaskDescriptor;
 //!
-//! let policy = "Topo".parse::<PolicyKind>().unwrap();
+//! let policy = PolicyKind::TopologyAware;
 //! let loads = vec![PlacedLoad::default(); 2];
 //! let flat = DistanceMatrix::uniform(2);
 //! let consumer = TaskDescriptor::builder(7).input(0x100).output(0x200).build();
@@ -72,10 +71,3 @@ pub mod steal;
 pub use feedback::{FeedbackKind, LiveLoad, LoadTracker, LoadView};
 pub use place::{primary_addr, xor_home, PlacedLoad, PlacementCtx, PolicyKind};
 pub use steal::{choose_reclaim_victim, reclaim_batch, NodeLoad, StealKind};
-
-/// Convenience prelude.
-pub mod prelude {
-    pub use crate::feedback::{FeedbackKind, LiveLoad, LoadTracker, LoadView};
-    pub use crate::place::{PlacedLoad, PlacementCtx, PolicyKind};
-    pub use crate::steal::{NodeLoad, StealKind};
-}

@@ -41,7 +41,6 @@ use nexus_topo::DistanceMatrix;
 use nexus_trace::TaskDescriptor;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::str::FromStr;
 
 /// Load already placed on one node: the tasks whose placement was recorded
 /// there so far (where they were placed, not where they ran).
@@ -136,9 +135,6 @@ impl PolicyKind {
         PolicyKind::TopologyAware,
     ];
 
-    /// The accepted (lower-case canonical) spellings, for error messages.
-    pub const VALID: &'static str = "xorhash|affinity|topo";
-
     /// Returns the kind itself: placement needs no state beyond it. Kept only
     /// for perfbench, whose scanners call
     /// `DepScanner::with_policy(n, cfg.placement.build())` and which changes
@@ -194,26 +190,6 @@ impl PolicyKind {
 impl fmt::Display for PolicyKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
-    }
-}
-
-impl FromStr for PolicyKind {
-    type Err = String;
-
-    /// Case-insensitive; also accepts the long type names
-    /// (`"TopologyAware"`, `"affinity-first"`, …).
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "xorhash" | "xor" | "xor-hash" => Ok(PolicyKind::XorHash),
-            "affinity" | "affinityfirst" | "affinity-first" => Ok(PolicyKind::AffinityFirst),
-            "topo" | "topology" | "topologyaware" | "topology-aware" => {
-                Ok(PolicyKind::TopologyAware)
-            }
-            other => Err(format!(
-                "unknown placement policy {other:?} (expected {})",
-                Self::VALID
-            )),
-        }
     }
 }
 
@@ -446,26 +422,8 @@ mod tests {
     }
 
     #[test]
-    fn kind_parsing_is_case_insensitive_with_clear_errors() {
-        assert_eq!(
-            "XorHash".parse::<PolicyKind>().unwrap(),
-            PolicyKind::XorHash
-        );
-        assert_eq!("XOR".parse::<PolicyKind>().unwrap(), PolicyKind::XorHash);
-        assert_eq!(
-            " Affinity-First ".parse::<PolicyKind>().unwrap(),
-            PolicyKind::AffinityFirst
-        );
-        assert_eq!(
-            "Topology-Aware".parse::<PolicyKind>().unwrap(),
-            PolicyKind::TopologyAware
-        );
-        let err = "topollogy".parse::<PolicyKind>().unwrap_err();
-        assert!(err.contains("xorhash|affinity|topo"), "{err}");
-        // Locality placement is TopologyAware on a flat fabric.
-        assert!("locality".parse::<PolicyKind>().is_err());
+    fn kinds_build_to_themselves_and_default_to_xor_hash() {
         for kind in PolicyKind::ALL {
-            assert_eq!(kind.name().parse::<PolicyKind>().unwrap(), kind);
             assert_eq!(kind.build(), kind);
         }
         assert_eq!(PolicyKind::default(), PolicyKind::XorHash);

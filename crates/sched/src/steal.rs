@@ -29,7 +29,6 @@ use crate::feedback::LiveLoad;
 use nexus_topo::DistanceMatrix;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::str::FromStr;
 
 /// Runtime load snapshot of one node, as victim choice sees it. Both clocks
 /// build it with a struct literal, so a new field fails to compile in each
@@ -124,9 +123,6 @@ impl StealKind {
         StealKind::Hierarchical,
     ];
 
-    /// The accepted (lower-case canonical) spellings, for error messages.
-    pub const VALID: &'static str = "off|steal|hier";
-
     /// True when stealing is enabled at all (lets the driver skip the idle
     /// scan entirely).
     pub fn is_enabled(self) -> bool {
@@ -184,23 +180,6 @@ impl StealKind {
 impl fmt::Display for StealKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
-    }
-}
-
-impl FromStr for StealKind {
-    type Err = String;
-
-    /// Case-insensitive; accepts a few natural spellings.
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "off" | "none" | "disabled" | "0" => Ok(StealKind::Disabled),
-            "steal" | "on" | "mostloaded" | "most-loaded" | "1" => Ok(StealKind::MostLoaded),
-            "hier" | "hierarchical" | "hierarchy" => Ok(StealKind::Hierarchical),
-            other => Err(format!(
-                "unknown steal policy {other:?} (expected {})",
-                Self::VALID
-            )),
-        }
     }
 }
 
@@ -389,24 +368,7 @@ mod tests {
     }
 
     #[test]
-    fn kind_parsing_is_case_insensitive_with_clear_errors() {
-        assert_eq!("OFF".parse::<StealKind>().unwrap(), StealKind::Disabled);
-        assert_eq!("Steal".parse::<StealKind>().unwrap(), StealKind::MostLoaded);
-        assert_eq!(
-            "Most-Loaded".parse::<StealKind>().unwrap(),
-            StealKind::MostLoaded
-        );
-        assert_eq!(
-            "Hierarchical".parse::<StealKind>().unwrap(),
-            StealKind::Hierarchical
-        );
-        let err = "stea1".parse::<StealKind>().unwrap_err();
-        assert!(err.contains("off|steal|hier"), "{err}");
-        // Steal-half batching is Hierarchical's on a flat fabric.
-        assert!("steal-half".parse::<StealKind>().is_err());
-        for kind in StealKind::ALL {
-            assert_eq!(kind.name().parse::<StealKind>().unwrap(), kind);
-        }
+    fn kinds_default_to_disabled_and_every_other_kind_steals() {
         assert_eq!(StealKind::default(), StealKind::Disabled);
         assert!(!StealKind::Disabled.is_enabled());
         assert!(StealKind::MostLoaded.is_enabled());

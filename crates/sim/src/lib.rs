@@ -42,14 +42,3 @@ pub use link::{LinkDelivery, LinkResource};
 pub use resource::SerialResource;
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};
-
-/// Convenience prelude bringing the most common simulation types into scope.
-pub mod prelude {
-    pub use crate::clock::ClockDomain;
-    pub use crate::events::{EventQueue, TimedEvent};
-    pub use crate::link::{LinkDelivery, LinkResource};
-    pub use crate::resource::SerialResource;
-    pub use crate::rng::SimRng;
-    pub use crate::stats::OnlineStats;
-    pub use crate::time::{SimDuration, SimTime};
-}

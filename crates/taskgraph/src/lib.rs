@@ -33,12 +33,3 @@ pub use depcounts::DepCountsTable;
 pub use refgraph::ReferenceGraph;
 pub use taskpool::{RetirementOrder, TaskPool};
 pub use tracker::{DependencyTracker, InsertOutcome, RetireOutcome};
-
-/// Convenience prelude.
-pub mod prelude {
-    pub use crate::assoc::{SetAssocConfig, SetAssocTable};
-    pub use crate::depcounts::DepCountsTable;
-    pub use crate::refgraph::ReferenceGraph;
-    pub use crate::taskpool::{RetirementOrder, TaskPool};
-    pub use crate::tracker::{DependencyTracker, InsertOutcome, RetireOutcome};
-}

@@ -25,7 +25,6 @@ use nexus_sim::SimDuration;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
-use std::str::FromStr;
 
 /// Latency multiplier of an inter-rack trunk relative to the base link.
 pub const RACK_TRUNK_LATENCY_X: u64 = 8;
@@ -74,27 +73,67 @@ pub fn full_mesh(nodes: usize, latency: SimDuration, per_word: SimDuration) -> F
     Fabric::new("mesh", nodes, links, routes, vec!["link"])
 }
 
-/// Builds the intra-cluster wiring shared by the two-level fabrics: one
-/// direct tier-0 base link per ordered pair of nodes inside the same cluster
-/// of `cluster` consecutive nodes. Appends to `links` and returns the
-/// `(from, to) → link id` lookup map.
-fn cluster_mesh(
+/// The two-level fabric [`rack_tiers`] and [`dragonfly`] share: one `base`
+/// link per ordered pair of nodes inside each cluster of `cluster`
+/// consecutive nodes, and one `trunk` link per ordered cluster pair, leaving
+/// cluster `c` for cluster `d` at node `attach(c, d)` and landing at
+/// `attach(d, c)`. A cross-cluster route hops node → attachment → trunk →
+/// attachment → node, skipping the local hops where a node is its own
+/// attachment. `tiers` names tier 0 and tier 1; a single cluster has tier 0
+/// only.
+fn two_tier(
+    name: String,
+    tiers: [&'static str; 2],
     nodes: usize,
     cluster: usize,
-    latency: SimDuration,
-    per_word: SimDuration,
-    links: &mut Vec<LinkSpec>,
-) -> HashMap<(usize, usize), usize> {
+    base: LinkSpec,
+    trunk: LinkSpec,
+    attach: impl Fn(usize, usize) -> usize,
+) -> Fabric {
+    let clusters = nodes.div_ceil(cluster);
+    let mut links = Vec::new();
     let mut direct = HashMap::new();
     for a in 0..nodes {
         for b in 0..nodes {
             if a != b && a / cluster == b / cluster {
                 direct.insert((a, b), links.len());
-                links.push(LinkSpec::local(latency, per_word));
+                links.push(base);
             }
         }
     }
-    direct
+    let mut trunks = HashMap::new();
+    for ca in 0..clusters {
+        for cb in 0..clusters {
+            if ca != cb {
+                trunks.insert((ca, cb), links.len());
+                links.push(trunk);
+            }
+        }
+    }
+    let mut routes = vec![Vec::new(); nodes * nodes];
+    for a in 0..nodes {
+        for b in 0..nodes {
+            if a == b {
+                continue;
+            }
+            let (ca, cb) = (a / cluster, b / cluster);
+            let route = &mut routes[a * nodes + b];
+            if ca == cb {
+                route.push(direct[&(a, b)]);
+            } else {
+                let (exit, entry) = (attach(ca, cb), attach(cb, ca));
+                if a != exit {
+                    route.push(direct[&(a, exit)]);
+                }
+                route.push(trunks[&(ca, cb)]);
+                if entry != b {
+                    route.push(direct[&(entry, b)]);
+                }
+            }
+        }
+    }
+    let tiers = tiers[..clusters.min(2)].to_vec();
+    Fabric::new(name, nodes, links, routes, tiers)
 }
 
 /// Racks of `rack` consecutive nodes: full mesh of base links inside a rack
@@ -114,56 +153,19 @@ pub fn rack_tiers(
 ) -> Fabric {
     assert!(nodes > 0, "need at least one node");
     assert!(rack > 0, "need at least one node per rack");
-    let racks = nodes.div_ceil(rack);
-    let mut links = Vec::new();
-    let direct = cluster_mesh(nodes, rack, latency, per_word, &mut links);
-    let mut trunks: HashMap<(usize, usize), usize> = HashMap::new();
-    for ra in 0..racks {
-        for rb in 0..racks {
-            if ra != rb {
-                trunks.insert((ra, rb), links.len());
-                links.push(LinkSpec {
-                    latency: latency * RACK_TRUNK_LATENCY_X,
-                    per_word: per_word * RACK_TRUNK_PER_WORD_X,
-                    tier: 1,
-                });
-            }
-        }
-    }
-    let mut routes = vec![Vec::new(); nodes * nodes];
-    for a in 0..nodes {
-        for b in 0..nodes {
-            if a == b {
-                continue;
-            }
-            let (ra, rb) = (a / rack, b / rack);
-            let route = &mut routes[a * nodes + b];
-            if ra == rb {
-                route.push(direct[&(a, b)]);
-            } else {
-                let router_a = ra * rack;
-                let router_b = rb * rack;
-                if a != router_a {
-                    route.push(direct[&(a, router_a)]);
-                }
-                route.push(trunks[&(ra, rb)]);
-                if router_b != b {
-                    route.push(direct[&(router_b, b)]);
-                }
-            }
-        }
-    }
-    let tier_names = if racks > 1 {
-        vec!["intra-rack", "inter-rack"]
-    } else {
-        vec!["intra-rack"]
+    let trunk = LinkSpec {
+        latency: latency * RACK_TRUNK_LATENCY_X,
+        per_word: per_word * RACK_TRUNK_PER_WORD_X,
+        tier: 1,
     };
-    Fabric::new(
+    two_tier(
         format!("racktiers-r{rack}"),
+        ["intra-rack", "inter-rack"],
         nodes,
-        links,
-        routes,
-        tier_names,
+        rack,
+        LinkSpec::local(latency, per_word),
+        trunk,
+        |r, _| r * rack,
     )
 }
 
@@ -257,58 +259,22 @@ pub fn dragonfly(
 ) -> Fabric {
     assert!(nodes > 0, "need at least one node");
     assert!(group > 0, "need at least one node per group");
-    let groups = nodes.div_ceil(group);
-    let base_of = |g: usize| g * group;
-    let size_of = |g: usize| (nodes - base_of(g)).min(group);
-    let mut links = Vec::new();
-    let direct = cluster_mesh(nodes, group, latency, per_word, &mut links);
-    let mut global: HashMap<(usize, usize), usize> = HashMap::new();
-    for ga in 0..groups {
-        for gb in 0..groups {
-            if ga != gb {
-                global.insert((ga, gb), links.len());
-                links.push(LinkSpec {
-                    latency: latency * DRAGONFLY_GLOBAL_LATENCY_X,
-                    per_word,
-                    tier: 1,
-                });
-            }
-        }
-    }
-    let mut routes = vec![Vec::new(); nodes * nodes];
-    for a in 0..nodes {
-        for b in 0..nodes {
-            if a == b {
-                continue;
-            }
-            let (ga, gb) = (a / group, b / group);
-            let route = &mut routes[a * nodes + b];
-            if ga == gb {
-                route.push(direct[&(a, b)]);
-            } else {
-                let gateway = base_of(ga) + gb % size_of(ga);
-                let landing = base_of(gb) + ga % size_of(gb);
-                if a != gateway {
-                    route.push(direct[&(a, gateway)]);
-                }
-                route.push(global[&(ga, gb)]);
-                if landing != b {
-                    route.push(direct[&(landing, b)]);
-                }
-            }
-        }
-    }
-    let tier_names = if groups > 1 {
-        vec!["intra-group", "global"]
-    } else {
-        vec!["intra-group"]
+    let global = LinkSpec {
+        latency: latency * DRAGONFLY_GLOBAL_LATENCY_X,
+        per_word,
+        tier: 1,
     };
-    Fabric::new(
+    two_tier(
         format!("dragonfly-g{group}"),
+        ["intra-group", "global"],
         nodes,
-        links,
-        routes,
-        tier_names,
+        group,
+        LinkSpec::local(latency, per_word),
+        global,
+        |g, other| {
+            let base = g * group;
+            base + other % (nodes - base).min(group)
+        },
     )
 }
 
@@ -342,9 +308,6 @@ impl TopologyKind {
         TopologyKind::Torus2D,
         TopologyKind::Dragonfly,
     ];
-
-    /// The accepted (lower-case canonical) spellings, for error messages.
-    pub const VALID: &'static str = "bus|mesh|racktiers|torus|dragonfly";
 
     /// The rack/group size the tiered kinds derive for `nodes` nodes:
     /// ⌈√nodes⌉, the balanced two-level split (4 nodes → racks of 2,
@@ -384,26 +347,6 @@ impl TopologyKind {
 impl fmt::Display for TopologyKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
-    }
-}
-
-impl FromStr for TopologyKind {
-    type Err = String;
-
-    /// Case-insensitive; also accepts the type names (`"SharedBus"`,
-    /// `"rack-tiers"`, `"torus2d"`, …).
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "bus" | "sharedbus" | "shared-bus" => Ok(TopologyKind::SharedBus),
-            "mesh" | "fullmesh" | "full-mesh" => Ok(TopologyKind::FullMesh),
-            "racktiers" | "rack-tiers" | "rack" | "racks" => Ok(TopologyKind::RackTiers),
-            "torus" | "torus2d" | "torus-2d" => Ok(TopologyKind::Torus2D),
-            "dragonfly" | "dfly" => Ok(TopologyKind::Dragonfly),
-            other => Err(format!(
-                "unknown topology {other:?} (expected {})",
-                Self::VALID
-            )),
-        }
     }
 }
 
@@ -518,32 +461,7 @@ mod tests {
     }
 
     #[test]
-    fn kind_parsing_is_case_insensitive_with_clear_errors() {
-        assert_eq!(
-            "SharedBus".parse::<TopologyKind>().unwrap(),
-            TopologyKind::SharedBus
-        );
-        assert_eq!(
-            "MESH".parse::<TopologyKind>().unwrap(),
-            TopologyKind::FullMesh
-        );
-        assert_eq!(
-            " Rack-Tiers ".parse::<TopologyKind>().unwrap(),
-            TopologyKind::RackTiers
-        );
-        assert_eq!(
-            "Torus2D".parse::<TopologyKind>().unwrap(),
-            TopologyKind::Torus2D
-        );
-        assert_eq!(
-            "dfly".parse::<TopologyKind>().unwrap(),
-            TopologyKind::Dragonfly
-        );
-        let err = "racktier5".parse::<TopologyKind>().unwrap_err();
-        assert!(err.contains(TopologyKind::VALID), "{err}");
-        for kind in TopologyKind::ALL {
-            assert_eq!(kind.name().parse::<TopologyKind>().unwrap(), kind);
-        }
+    fn kinds_default_to_the_full_mesh_and_display_their_names() {
         assert_eq!(TopologyKind::default(), TopologyKind::FullMesh);
         assert_eq!(TopologyKind::RackTiers.to_string(), "racktiers");
     }

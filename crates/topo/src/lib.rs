@@ -18,8 +18,7 @@
 //!   the degenerate uniform [`SharedBus`](TopologyKind::SharedBus) /
 //!   [`FullMesh`](TopologyKind::FullMesh), plus tiered
 //!   [`RackTiers`](TopologyKind::RackTiers), [`Torus2D`](TopologyKind::Torus2D)
-//!   and [`Dragonfly`](TopologyKind::Dragonfly); `FromStr` is case-insensitive
-//!   and lists the valid spellings on a typo.
+//!   and [`Dragonfly`](TopologyKind::Dragonfly).
 //!
 //! `nexus-cluster` instantiates one serializing wire per fabric link and
 //! forwards messages hop by hop (store-and-forward), so multi-hop routes pay
@@ -52,9 +51,3 @@ pub use kinds::{
     dragonfly, full_mesh, rack_tiers, shared_bus, torus2d, torus_dims, TopologyKind,
     DRAGONFLY_GLOBAL_LATENCY_X, RACK_TRUNK_LATENCY_X, RACK_TRUNK_PER_WORD_X,
 };
-
-/// Convenience prelude.
-pub mod prelude {
-    pub use crate::fabric::{DistanceMatrix, Fabric, LinkSpec};
-    pub use crate::kinds::TopologyKind;
-}

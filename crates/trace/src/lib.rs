@@ -36,13 +36,3 @@ pub use generators::{standard_suite, Benchmark};
 pub use stats::TraceStats;
 pub use task::{Direction, FunctionId, TaskDescriptor, TaskId, TaskParam};
 pub use trace::{Trace, TraceOp};
-
-/// Convenience prelude.
-pub mod prelude {
-    pub use crate::addr::AddrRegion;
-    pub use crate::arrivals::ArrivalOverlay;
-    pub use crate::generators::{standard_suite, Benchmark};
-    pub use crate::stats::TraceStats;
-    pub use crate::task::{Direction, FunctionId, TaskDescriptor, TaskId, TaskParam};
-    pub use crate::trace::{Trace, TraceOp};
-}

@@ -2,24 +2,20 @@
 //! Nexus# need to keep up with macroblock-granularity H.264 decoding, and what
 //! does the lack of `taskwait on` support cost Nexus++?
 //!
-//! Generates the h264dec workload at several granularities and prints a
-//! Fig.-7/Fig.-8-style comparison.
+//! Generates the h264dec workload at several granularities, at 0.2 of the
+//! full 10-frame trace, and prints a Fig.-7/Fig.-8-style comparison. The
+//! full-size Fig. 7 is in `EXPERIMENTS.md` (the `paper_report` binary of
+//! `nexus-bench` regenerates it).
 //!
 //! Run with: `cargo run --release --example h264_scalability`
-//! (set `H264_SCALE=1.0` for the full 10-frame trace).
 
 use nexus::prelude::*;
 use nexus::trace::generators::MbGrouping;
 
 fn main() {
-    let scale = std::env::var("H264_SCALE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.2);
-
     for grouping in MbGrouping::all() {
         let bench = Benchmark::H264Dec(grouping);
-        let trace = bench.trace_scaled(42, scale);
+        let trace = bench.trace_scaled(42, 0.2);
         let stats = TraceStats::of(&trace);
         println!(
             "\n=== {} — {} tasks, avg {:.1} us/task ===",
