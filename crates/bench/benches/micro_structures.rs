@@ -50,15 +50,15 @@ fn bench_dependency_tracker(c: &mut Criterion) {
         group.bench_function(BenchmarkId::new("insert_retire", name), |b| {
             b.iter(|| {
                 let mut t = DependencyTracker::with_default_geometry();
-                for i in 0..4096u64 {
-                    let addr = if contended { 0x1000 } else { 0x1000 + i * 64 };
-                    t.insert_param(TaskId(i), addr, Direction::InOut);
+                let addr = |i: u64| if contended { 0x1000 } else { 0x1000 + i * 64 };
+                let accesses: Vec<_> = (0..4096u64)
+                    .map(|i| t.insert_param(TaskId(i), addr(i), Direction::InOut).access)
+                    .collect();
+                let mut released = Vec::new();
+                for (i, access) in (0..4096u64).zip(accesses) {
+                    t.retire_param(TaskId(i), addr(i), access, &mut released);
                 }
-                for i in 0..4096u64 {
-                    let addr = if contended { 0x1000 } else { 0x1000 + i * 64 };
-                    t.retire_param(TaskId(i), addr, Direction::InOut);
-                }
-                black_box(t.stats())
+                black_box((released.len(), t.stats()))
             })
         });
     }

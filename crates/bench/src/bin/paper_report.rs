@@ -26,8 +26,9 @@
 //! and Figs. 1 and 3–6 do not depend on it, and the cluster sweeps of Part II
 //! clamp it to sizes of their own. The report takes no arguments,
 //! and a bad scale or any argument aborts with exit 2 before anything runs.
-//! Progress goes to stderr; stdout holds no wall-clock value, so two runs at
-//! one scale print the same bytes.
+//! Progress goes to stderr, one `paper_report: … done in … s` line per
+//! section with its wall time; stdout holds no wall-clock value, so two runs
+//! at one scale print the same bytes.
 
 use nexus_bench::paper::{
     table4_row, FIG9_GAUSSIAN_3000_SPEEDUP, FIG9_IMPROVEMENT_250, FIG9_IMPROVEMENT_LARGE,
@@ -55,6 +56,8 @@ use nexus_taskgraph::refgraph::ParallelismProfile;
 use nexus_taskgraph::taskpool::RetirementOrder;
 use nexus_trace::generators::{distributed, gaussian, MbGrouping};
 use nexus_trace::{Benchmark, TraceStats};
+use std::fmt::Display;
+use std::time::Instant;
 
 fn main() {
     if let Some(arg) = std::env::args().nth(1) {
@@ -65,6 +68,7 @@ fn main() {
         std::process::exit(2);
     }
     let scale = bench_scale();
+    let started = Instant::now();
     println!("# Nexus# paper report: measured against the paper\n");
     println!(
         "Workload scale {scale}, generated by `NEXUS_BENCH_SCALE={scale} cargo run --release \
@@ -73,9 +77,12 @@ fn main() {
     );
     table1();
     table2();
+    done("Tables I and II", started);
+    let started = Instant::now();
     table3();
     fig3();
     pipelines();
+    done("Table III, Fig. 3 and the pipelines", started);
     let mut curves = Curves::new(scale, 42);
     fig8_and_table4(&mut curves);
     fig7(&mut curves);
@@ -92,10 +99,25 @@ fn main() {
     );
     ablation_distribution(&mut curves, scale);
     ablation_structure(&mut curves, scale);
-    cluster_scalability(scale);
-    policy_comparison(scale);
-    topology_comparison(scale);
-    service_latency(scale);
+    for (section, sweep) in [
+        ("cluster scalability", cluster_scalability as fn(f64)),
+        ("policy comparison", policy_comparison),
+        ("topology comparison", topology_comparison),
+        ("service latency", service_latency),
+    ] {
+        let started = Instant::now();
+        sweep(scale);
+        done(section, started);
+    }
+}
+
+/// Reports on stderr that `section` is done and the wall time it took since
+/// `started`.
+fn done(section: impl Display, started: Instant) {
+    eprintln!(
+        "paper_report: {section} done in {:.2} s",
+        started.elapsed().as_secs_f64()
+    );
 }
 
 /// Headers `first, 1c, 2c, …` for a speedup-vs-cores table.
@@ -216,7 +238,6 @@ fn table2() {
         "The generators are synthetic reconstructions; each generator's module doc in \
          `nexus-trace` records how it departs from the paper's traces.\n"
     );
-    eprintln!("paper_report: Tables I and II done");
 }
 
 fn table3() {
@@ -478,6 +499,7 @@ fn fig8_and_table4(curves: &mut Curves) {
         ],
     );
     for bench in Benchmark::table2_suite() {
+        let started = Instant::now();
         let mut fig8 = Table::new(
             format!("Fig. 8 — {} (speedup vs cores)", bench.name()),
             &core_headers("manager", &cores),
@@ -503,7 +525,7 @@ fn fig8_and_table4(curves: &mut Curves) {
             ]);
         }
         table4.row(row);
-        eprintln!("paper_report: Fig. 8 {} done", bench.name());
+        done(format_args!("Fig. 8 {}", bench.name()), started);
     }
     table4.print();
     println!(
@@ -523,6 +545,7 @@ fn fig7(curves: &mut Curves) {
         ("(b) at synthesis test frequency", false),
     ] {
         for grouping in MbGrouping::all() {
+            let started = Instant::now();
             let bench = Benchmark::H264Dec(grouping);
             let mut table = Table::new(
                 format!("Fig. 7{part} — {}", bench.name()),
@@ -544,7 +567,7 @@ fn fig7(curves: &mut Curves) {
                 ));
             }
             table.print();
-            eprintln!("paper_report: Fig. 7{part} {grouping} done");
+            done(format_args!("Fig. 7{part} {grouping}"), started);
         }
     }
 }
@@ -566,6 +589,7 @@ fn fig9(scale: f64) {
     );
     let mut headline = (String::new(), 0.0);
     for (i, bench) in Benchmark::gaussian_suite().into_iter().enumerate() {
+        let started = Instant::now();
         let trace = bench.trace_scaled(42, scale);
         let mut table = Table::new(
             format!(
@@ -609,7 +633,7 @@ fn fig9(scale: f64) {
             format!("~{:+.0}%", paper * 100.0),
             fmt_ratio(improvement, paper),
         ]);
-        eprintln!("paper_report: Fig. 9 {} done", trace.name);
+        done(format_args!("Fig. 9 {}", trace.name), started);
     }
     summary.print();
     let (matrix, measured) = headline;
@@ -660,6 +684,7 @@ fn ablation_distribution(curves: &mut Curves, scale: f64) {
         Benchmark::Streamcluster,
         Benchmark::Gaussian { dim: 500 },
     ] {
+        let started = Instant::now();
         let trace = bench.trace_scaled(42, scale);
         for (name, policy) in [
             ("XOR hash (paper)", DistributionPolicy::XorHash),
@@ -688,7 +713,10 @@ fn ablation_distribution(curves: &mut Curves, scale: f64) {
             row.push(format!("{imbalance:.2}"));
             table.row(row);
         }
-        eprintln!("paper_report: distribution ablation {} done", trace.name);
+        done(
+            format_args!("distribution ablation {}", trace.name),
+            started,
+        );
     }
     table.print();
 }
@@ -717,6 +745,7 @@ fn ablation_structure(curves: &mut Curves, scale: f64) {
         Benchmark::Streamcluster,
         Benchmark::H264Dec(MbGrouping::G1x1),
     ] {
+        let started = Instant::now();
         let trace = bench.trace_scaled(42, scale);
         let pp = |cfg| speedup_curve(&trace, &cores, |_| Box::new(NexusPP::new(cfg)));
         let mut table = Table::new(
@@ -742,7 +771,7 @@ fn ablation_structure(curves: &mut Curves, scale: f64) {
             table.row(cells);
         }
         table.print();
-        eprintln!("paper_report: structural ablation {} done", trace.name);
+        done(format_args!("structural ablation {}", trace.name), started);
     }
     let mut support = Table::new("taskwait on support", &["design", "supported"]);
     support.row(vec![

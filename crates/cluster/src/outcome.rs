@@ -161,10 +161,11 @@ impl ClusterOutcome {
         self.per_node.iter().map(|o| o.tasks).collect()
     }
 
-    /// A one-line human-readable summary.
+    /// A one-line human-readable summary. `link busy` sums the wire time of
+    /// every link.
     pub fn summary(&self) -> String {
         format!(
-            "{:<28} {:<18} {}x{:<3} cores  makespan {:>12}  speedup {:>7.2}x  remote {:>5.1}%  link peak {:>5.1}%",
+            "{:<28} {:<18} {}x{:<3} cores  makespan {:>12}  speedup {:>7.2}x  remote {:>5.1}%  link busy {:>10}",
             self.benchmark,
             self.manager,
             self.nodes,
@@ -172,7 +173,7 @@ impl ClusterOutcome {
             format!("{}", self.makespan),
             self.speedup(),
             self.remote_edge_fraction() * 100.0,
-            self.link.peak_utilization * 100.0,
+            format!("{}", self.link.busy_time),
         )
     }
 }
@@ -240,11 +241,14 @@ mod tests {
 
     #[test]
     fn derived_metrics() {
-        let o = outcome(250, 1000);
+        let mut o = outcome(250, 1000);
+        o.link.busy_time = SimDuration::from_ns(2_500);
         assert!((o.speedup() - 4.0).abs() < 1e-12);
         assert!((o.efficiency() - 0.5).abs() < 1e-12);
         assert!((o.remote_edge_fraction() - 0.3).abs() < 1e-12);
-        assert!(o.summary().contains("4.00x"));
+        let summary = o.summary();
+        assert!(summary.contains("4.00x"), "{summary}");
+        assert!(summary.ends_with("link busy    2.500us"), "{summary}");
     }
 
     #[test]

@@ -12,12 +12,17 @@
 //!   the XOR [`distribution`] function), instead of waiting for the whole task;
 //!   it finally stores the descriptor in the **Task Pool**,
 //! * **Task graphs (×N)** — each owns a slice of the address space in a
-//!   set-associative table with kick-off lists (`nexus-taskgraph`), fed through
-//!   *New Args.* / *Finished Args.* buffers,
+//!   set-associative table with kick-off lists
+//!   ([`nexus_taskgraph::DependencyTracker`]: per address, a queue of the
+//!   outstanding accesses and counters), fed through *New Args.* / *Finished
+//!   Args.* buffers,
 //! * **Dependence Counts Arbiter** — gathers the per-address outcomes, maintains
 //!   the per-task dependence counts (Sim. Tasks Dep. Counts buffer + global Dep.
-//!   Counts table, [`nexus_taskgraph::DepCountsTable`]), decrements counts when
-//!   finished tasks kick off waiters, and forwards ready task ids,
+//!   Counts table), decrements counts when finished tasks kick off waiters, and
+//!   forwards ready task ids. The model keeps one in-flight record per task:
+//!   its parameter list with each parameter's tracker access, and its
+//!   dependence count, gathered during `submit` and decremented by releases,
+//!   with buffers reused from task to task,
 //! * **Write Back** — returns ready task ids (via the Function Pointers table)
 //!   to the Nexus IO unit.
 //!

@@ -4,8 +4,16 @@ use crate::config::NexusSharpConfig;
 use crate::distribution::Distributor;
 use nexus_host::manager::{ManagerEvent, TaskManager};
 use nexus_sim::{ClockDomain, FxHashMap, SerialResource, SimDuration, SimTime};
-use nexus_taskgraph::{DepCountsTable, DependencyTracker, TaskPool};
+use nexus_taskgraph::{AccessId, DependencyTracker, TaskPool};
 use nexus_trace::{TaskDescriptor, TaskId};
+
+/// One in-flight task: the addresses of its parameters with their tracker
+/// accesses (the Task Pool contents re-distributed when it finishes), and its
+/// outstanding dependence count (its entry of the global Dep. Counts table).
+struct InFlight {
+    params: Vec<(u64, AccessId)>,
+    deps: u32,
+}
 
 /// The distributed Nexus# hardware task manager.
 pub struct NexusSharp {
@@ -27,17 +35,16 @@ pub struct NexusSharp {
 
     /// Functional dependency state, one tracker per task graph.
     trackers: Vec<DependencyTracker>,
-    /// The arbiter's per-task gathering state and global dependence counts.
-    dep_counts: DepCountsTable,
     /// Bounded in-flight task storage with free-list recycling.
     pool: TaskPool,
-    /// Parameter lists of in-flight tasks (the Task Pool contents used when a
-    /// finished task's addresses are re-distributed).
-    params: FxHashMap<TaskId, Vec<nexus_trace::TaskParam>>,
-    /// Retired parameter-list buffers, reused for the next submission (the
+    /// The record of every in-flight task.
+    in_flight: FxHashMap<TaskId, InFlight>,
+    /// Parameter lists of retired tasks, reused for the next submission (the
     /// managers churn through one list per task; recycling the allocations
     /// keeps the event hot path allocation-free in steady state).
-    param_arena: Vec<Vec<nexus_trace::TaskParam>>,
+    param_arena: Vec<Vec<(u64, AccessId)>>,
+    /// The tasks one retired parameter released, reused by every `finish`.
+    released: Vec<TaskId>,
 
     pending: Vec<ManagerEvent>,
     tasks_submitted: u64,
@@ -65,10 +72,10 @@ impl NexusSharp {
             trackers: (0..config.task_graphs)
                 .map(|_| DependencyTracker::new(config.table_per_tg))
                 .collect(),
-            dep_counts: DepCountsTable::new(),
             pool: TaskPool::new(config.task_pool_capacity, config.retirement),
-            params: FxHashMap::default(),
+            in_flight: FxHashMap::default(),
             param_arena: Vec::new(),
+            released: Vec::new(),
             pending: Vec::new(),
             tasks_submitted: 0,
             tasks_retired: 0,
@@ -130,17 +137,17 @@ impl TaskManager for NexusSharp {
     fn submit(&mut self, task: &TaskDescriptor, now: SimTime) -> SimTime {
         self.tasks_submitted += 1;
         self.last_activity = self.last_activity.max(now);
-        let n_params = task.num_params();
-        self.dep_counts.begin_task(task.id, n_params as u32);
-
         // IPh: receive the header word (function pointer + parameter count).
         let header = self
             .input_parser
             .acquire(now, self.cycles(self.config.ip_header_cycles));
         let mut ip_cursor = header.end;
 
-        let mut any_blocked = false;
-        let mut decision: Option<(bool, SimTime)> = None;
+        // The arbiter's gathering state: the dependence count so far and when
+        // the last parameter's result was gathered.
+        let mut params = self.param_arena.pop().unwrap_or_default();
+        let mut deps = 0;
+        let mut gathered_at = None;
 
         for p in &task.params {
             // IP: receive the two words of this address and distribute it
@@ -152,7 +159,8 @@ impl TaskManager for NexusSharp {
 
             let tg = self.distributor.pick(p.addr);
             let outcome = self.trackers[tg].insert_param(task.id, p.addr, p.dir);
-            any_blocked |= outcome.blocked;
+            params.push((p.addr, outcome.access));
+            deps += u32::from(outcome.blocked);
 
             // IN: the task graph inserts the address once it emerges from the
             // New Args. buffer and the engine is free.
@@ -177,10 +185,7 @@ impl TaskManager for NexusSharp {
                 ins.end,
                 self.cycles(self.config.arbiter_cycles_per_result),
             );
-
-            if let Some(ready) = self.dep_counts.param_processed(task.id, outcome.blocked) {
-                decision = Some((ready, ar.end));
-            }
+            gathered_at = Some(ar.end);
         }
 
         // IPf: store the descriptor in the Task Pool.
@@ -190,21 +195,18 @@ impl TaskManager for NexusSharp {
         self.pool
             .admit(task.id)
             .expect("driver must check can_accept before submitting");
-        let mut buf = self.param_arena.pop().unwrap_or_default();
-        buf.clear();
-        buf.extend_from_slice(&task.params);
-        self.params.insert(task.id, buf);
+        self.in_flight.insert(task.id, InFlight { params, deps });
 
         // The arbiter concludes the final dependence count once the last
-        // parameter's result has been gathered.
-        let (ready, gathered_at) = decision.expect("every task has at least one parameter");
+        // parameter's result has been gathered. No `finish` runs inside a
+        // `submit`, so no release can reach the task before its decision.
+        let gathered_at = gathered_at.expect("every task has at least one parameter");
         let decide = self.arbiter.acquire_after(
             gathered_at,
             gathered_at,
             self.cycles(self.config.arbiter_decide_cycles),
         );
-        if ready {
-            debug_assert!(!any_blocked);
+        if deps == 0 {
             self.ready_immediately += 1;
             self.write_back_ready(task.id, decide.end);
         }
@@ -223,22 +225,24 @@ impl TaskManager for NexusSharp {
             .input_parser
             .acquire(now, self.cycles(self.config.finish_receive_cycles));
 
-        let params = self
-            .params
+        let InFlight { mut params, .. } = self
+            .in_flight
             .remove(&task)
             .expect("finish() for a task that was never submitted");
+        let mut released = std::mem::take(&mut self.released);
         let mut ip_cursor = recv.end;
         let mut retire_at = recv.end;
 
-        for p in &params {
+        for &(addr, access) in &params {
             let dist = self.input_parser.acquire(
                 ip_cursor,
                 self.cycles(self.config.finish_distribute_cycles_per_param),
             );
             ip_cursor = dist.end;
 
-            let tg = self.distributor.pick_readonly(p.addr);
-            let out = self.trackers[tg].retire_param(task, p.addr, p.dir);
+            let tg = self.distributor.pick_readonly(addr);
+            released.clear();
+            let out = self.trackers[tg].retire_param(task, addr, access, &mut released);
 
             // Task-graph cleanup: delete the entry and walk the kick-off list.
             let mut delete_cycles = self.config.delete_cycles_per_param;
@@ -252,20 +256,27 @@ impl TaskManager for NexusSharp {
             // Waiting tasks found in the kick-off list are written to the Wait.
             // Tasks buffer; the arbiter decrements their dependence counts one
             // by one and decides whether they are ready.
-            for released in out.released {
+            for &waiter in &released {
                 let ar = self.arbiter.acquire_after(
                     del.end,
                     del.end,
                     self.cycles(self.config.waiter_decrement_cycles),
                 );
-                if self.dep_counts.release_one(released) {
-                    self.write_back_ready(released, ar.end);
+                let record = self
+                    .in_flight
+                    .get_mut(&waiter)
+                    .expect("a released task is in flight");
+                record.deps -= 1;
+                if record.deps == 0 {
+                    self.write_back_ready(waiter, ar.end);
                 }
                 retire_at = retire_at.max(ar.end);
             }
         }
 
+        self.released = released;
         self.pool.finish(task);
+        params.clear();
         self.param_arena.push(params);
         self.tasks_retired += 1;
         self.pending.push(ManagerEvent::Retired {

@@ -2,10 +2,16 @@
 
 use crate::config::NexusPPConfig;
 use nexus_host::manager::{ManagerEvent, TaskManager};
-use nexus_sim::{ClockDomain, SerialResource, SimDuration, SimTime};
-use nexus_taskgraph::{DependencyTracker, TaskPool};
+use nexus_sim::{ClockDomain, FxHashMap, SerialResource, SimDuration, SimTime};
+use nexus_taskgraph::{AccessId, DependencyTracker, TaskPool};
 use nexus_trace::{TaskDescriptor, TaskId};
-use std::collections::HashMap;
+
+/// One in-flight task: the addresses of its parameters with their tracker
+/// accesses (needed at cleanup time), and its outstanding dependence count.
+struct InFlight {
+    params: Vec<(u64, AccessId)>,
+    deps: u32,
+}
 
 /// The centralized Nexus++ hardware task manager.
 pub struct NexusPP {
@@ -25,10 +31,12 @@ pub struct NexusPP {
     tracker: DependencyTracker,
     /// Bounded in-flight task storage (circular-buffer recycling by default).
     pool: TaskPool,
-    /// Outstanding dependence count per waiting task.
-    dep_counts: HashMap<TaskId, u32>,
-    /// Parameter lists of in-flight tasks (needed at cleanup time).
-    params: HashMap<TaskId, Vec<nexus_trace::TaskParam>>,
+    /// The record of every in-flight task.
+    in_flight: FxHashMap<TaskId, InFlight>,
+    /// Parameter lists of retired tasks, reused for the next submission.
+    param_arena: Vec<Vec<(u64, AccessId)>>,
+    /// The tasks a finishing task released, reused by every `finish`.
+    released: Vec<TaskId>,
 
     pending: Vec<ManagerEvent>,
     /// Counters for `stats_summary`.
@@ -53,8 +61,9 @@ impl NexusPP {
             io_front_end: SerialResource::new(),
             graph_engine: SerialResource::new(),
             writeback: SerialResource::new(),
-            dep_counts: HashMap::new(),
-            params: HashMap::new(),
+            in_flight: FxHashMap::default(),
+            param_arena: Vec::new(),
+            released: Vec::new(),
             pending: Vec::new(),
             tasks_submitted: 0,
             tasks_retired: 0,
@@ -118,12 +127,12 @@ impl TaskManager for NexusPP {
         // Stage 2: Insert — the whole parameter list is inserted into the single
         // task graph once the descriptor has passed through the inter-stage FIFO.
         let mut insert_cycles = self.config.insert_cycles(task.num_params());
-        let mut blocked_params = 0u32;
+        let mut params = self.param_arena.pop().unwrap_or_default();
+        let mut deps = 0;
         for p in &task.params {
             let outcome = self.tracker.insert_param(task.id, p.addr, p.dir);
-            if outcome.blocked {
-                blocked_params += 1;
-            }
+            params.push((p.addr, outcome.access));
+            deps += u32::from(outcome.blocked);
             if outcome.overflow {
                 insert_cycles += self.config.overflow_penalty_cycles;
             }
@@ -143,14 +152,12 @@ impl TaskManager for NexusPP {
         self.pool
             .admit(task.id)
             .expect("driver must check can_accept before submitting");
-        self.params.insert(task.id, task.params.clone());
+        self.in_flight.insert(task.id, InFlight { params, deps });
 
         // Stage 3: Write Back for tasks with no unresolved dependencies.
-        if blocked_params == 0 {
+        if deps == 0 {
             self.ready_immediately += 1;
             self.write_back_ready(task.id, insert.end);
-        } else {
-            self.dep_counts.insert(task.id, blocked_params);
         }
 
         // The master is released once the transfer into the Nexus IO completes.
@@ -167,17 +174,19 @@ impl TaskManager for NexusPP {
         // The finished-task pipeline walks the task's parameter list, kicks off
         // waiting tasks and cleans up table entries; it contends with the Insert
         // stage for the single task graph.
-        let params = self
-            .params
+        let InFlight { mut params, .. } = self
+            .in_flight
             .remove(&task)
             .expect("finish() for a task that was never submitted");
         let mut cleanup_cycles = self.config.delete_cycles_per_param * params.len() as u64;
-        let mut released: Vec<TaskId> = Vec::new();
-        for p in &params {
-            let out = self.tracker.retire_param(task, p.addr, p.dir);
+        let mut released = std::mem::take(&mut self.released);
+        released.clear();
+        for &(addr, access) in &params {
+            let out = self.tracker.retire_param(task, addr, access, &mut released);
             cleanup_cycles += self.config.kickoff_cycles_per_waiter * out.waiters_scanned as u64;
-            released.extend(out.released);
         }
+        params.clear();
+        self.param_arena.push(params);
         let cleanup = self.graph_engine.acquire_after(
             recv.end,
             recv.end + self.fifo_delay(),
@@ -186,17 +195,17 @@ impl TaskManager for NexusPP {
 
         // Kicked-off tasks whose dependence count reaches zero go through the
         // Write Back stage.
-        for dep in released {
-            let count = self
-                .dep_counts
+        for &dep in &released {
+            let record = self
+                .in_flight
                 .get_mut(&dep)
-                .expect("released task must have a dependence count");
-            *count -= 1;
-            if *count == 0 {
-                self.dep_counts.remove(&dep);
+                .expect("a released task is in flight");
+            record.deps -= 1;
+            if record.deps == 0 {
                 self.write_back_ready(dep, cleanup.end);
             }
         }
+        self.released = released;
 
         // Retirement (as observed by `taskwait`) happens when cleanup completes.
         self.pool.finish(task);
@@ -212,6 +221,10 @@ impl TaskManager for NexusPP {
 
     fn drain_events(&mut self) -> Vec<ManagerEvent> {
         std::mem::take(&mut self.pending)
+    }
+
+    fn drain_events_into(&mut self, out: &mut Vec<ManagerEvent>) {
+        out.append(&mut self.pending);
     }
 
     fn stats_summary(&self) -> Vec<(String, f64)> {

@@ -9,27 +9,29 @@
 //! * [`DependencyTracker`] — the functional dependency-resolution core: full
 //!   OmpSs `in`/`out`/`inout` semantics per address, reporting for every
 //!   parameter insertion whether the task must wait and, on task retirement,
-//!   which waiting tasks become released. It also models each address's
-//!   kick-off list, the per-address list of waiting tasks, segmented with
-//!   dummy-entry chaining so its length is not statically limited (the
-//!   property the Gaussian-elimination benchmark validates),
+//!   which waiting tasks become released. Each address keeps one queue of its
+//!   outstanding accesses in insertion order plus counters (writers inserted,
+//!   newest outstanding writer), from which it derives who waits and who is
+//!   released. It also models each address's kick-off list, the per-address
+//!   list of waiting tasks, as an occupancy count segmented with dummy-entry
+//!   chaining, so its length is not statically limited (the property the
+//!   Gaussian-elimination benchmark validates),
 //! * [`ReferenceGraph`] — a deliberately simple software dependency graph used
 //!   as a test oracle and by the software-runtime (Nanos) model,
 //! * [`TaskPool`] — the bounded in-flight task storage of the managers,
-//!   supporting both free-list and in-order (circular-buffer) retirement,
-//! * [`DepCountsTable`] — the per-task outstanding-dependence counters
-//!   gathered by the Dependence Counts Arbiter.
+//!   supporting both free-list and in-order (circular-buffer) retirement.
+//!
+//! The per-task dependence counts (the Dependence Counts table of Nexus#) live
+//! in each manager's in-flight record of a task, beside its parameter list.
 
 #![warn(missing_docs)]
 
 pub mod assoc;
-pub mod depcounts;
 pub mod refgraph;
 pub mod taskpool;
 pub mod tracker;
 
 pub use assoc::{SetAssocConfig, SetAssocTable};
-pub use depcounts::DepCountsTable;
 pub use refgraph::ReferenceGraph;
 pub use taskpool::{RetirementOrder, TaskPool};
-pub use tracker::{DependencyTracker, InsertOutcome, RetireOutcome};
+pub use tracker::{AccessId, DependencyTracker, InsertOutcome, RetireOutcome};

@@ -3,7 +3,7 @@
 //! submissions and completions, and for all the paper's workload generators.
 
 use nexus_sim::{SimDuration, SimRng};
-use nexus_taskgraph::{DependencyTracker, ReferenceGraph};
+use nexus_taskgraph::{AccessId, DependencyTracker, ReferenceGraph};
 use nexus_trace::generators::{micro, Benchmark, MbGrouping};
 use nexus_trace::{TaskDescriptor, TaskId, Trace};
 use std::collections::{BTreeSet, HashMap, VecDeque};
@@ -16,6 +16,8 @@ struct TrackerHarness {
     tracker: DependencyTracker,
     /// Remaining blocked-parameter count per task.
     blocked_params: HashMap<TaskId, usize>,
+    /// The handle of each submitted task's access per parameter.
+    accesses: HashMap<TaskId, Vec<AccessId>>,
     ready: BTreeSet<TaskId>,
 }
 
@@ -24,18 +26,22 @@ impl TrackerHarness {
         TrackerHarness {
             tracker: DependencyTracker::with_default_geometry(),
             blocked_params: HashMap::new(),
+            accesses: HashMap::new(),
             ready: BTreeSet::new(),
         }
     }
 
     fn submit(&mut self, task: &TaskDescriptor) {
         let mut blocked = 0;
+        let mut accesses = Vec::new();
         for p in &task.params {
             let o = self.tracker.insert_param(task.id, p.addr, p.dir);
+            accesses.push(o.access);
             if o.blocked {
                 blocked += 1;
             }
         }
+        self.accesses.insert(task.id, accesses);
         if blocked == 0 {
             self.ready.insert(task.id);
         } else {
@@ -45,9 +51,16 @@ impl TrackerHarness {
 
     fn finish(&mut self, task: &TaskDescriptor) {
         self.ready.remove(&task.id);
-        for p in &task.params {
-            let out = self.tracker.retire_param(task.id, p.addr, p.dir);
-            for released in out.released {
+        let accesses = self
+            .accesses
+            .remove(&task.id)
+            .expect("finished task was submitted");
+        let mut released_here = Vec::new();
+        for (p, access) in task.params.iter().zip(accesses) {
+            released_here.clear();
+            self.tracker
+                .retire_param(task.id, p.addr, access, &mut released_here);
+            for &released in &released_here {
                 let remaining = self
                     .blocked_params
                     .get_mut(&released)
