@@ -66,6 +66,21 @@
 //! The event loop is one `match` that hands each event to its handler method
 //! on the run's state.
 //!
+//! Once its buffers have grown to the run's peak, a run allocates nothing
+//! per task or per message. A task's bookkeeping holds indices only: its
+//! producers are a range of one per-run `u32` arena, copied from the
+//! scanner's reused buffer when its submission commits, and its consumer and
+//! subscriber lists are insertion-ordered linked lists whose nodes all live
+//! in one per-run arena; when the task retires, its lists' nodes go back to
+//! the arena for later appends. List order is part of the model: a
+//! retirement notifies its subscribers, and a re-homing subscribes the
+//! moved task's consumers, in list order, and the order in which events are
+//! scheduled fixes their sequence numbers, which decide between events due
+//! at the same instant. A message with more than one hop to go parks the
+//! event it turns into on arrival in a slot of a recycled table and carries
+//! the slot number from hop to hop; the run ends by checking that every slot
+//! is free again (a slot still taken is a message that never arrived).
+//!
 //! Cross-node anti-dependencies (a remote writer overtaking a remote reader)
 //! are intentionally *not* ordered: as in distributed task-based runtimes
 //! (DuctTeip's versioned data, the distributed runtime of Bosch et al.), each
@@ -75,6 +90,7 @@
 //! pick up a conservative manager-level ordering there — never a lost
 //! dependence.)
 
+use crate::arena::{List, ListArena, Slots};
 use crate::config::ClusterConfig;
 use crate::interconnect::Interconnect;
 use crate::moves::{IdleNode, MoveKind};
@@ -91,6 +107,7 @@ use nexus_sim::{EventQueue, FxHashMap, SimDuration, SimTime};
 use nexus_topo::{DistanceMatrix, Fabric};
 use nexus_trace::{TaskDescriptor, TaskId, Trace};
 use std::collections::VecDeque;
+use std::ops::{Index, IndexMut, Range};
 use std::time::Instant;
 
 /// Words on the wire for a retirement / dependency notification (message tag
@@ -157,8 +174,9 @@ enum Event {
         hop: usize,
         /// Message size in 32-bit words (paid on every hop).
         words: u64,
-        /// The event the message becomes when it leaves the last hop.
-        then: Box<Event>,
+        /// Slot in `Run::relays` of the event the message becomes when it
+        /// leaves the last hop.
+        then: usize,
     },
 }
 
@@ -272,24 +290,113 @@ impl IdMap {
 }
 
 /// Per-task routing and cross-node dependency bookkeeping, built when the
-/// task's submission commits (`Run::subscribe`).
+/// task's submission commits (`Run::subscribe`). It owns no heap memory:
+/// its producers are a range of [`Metas::producers`] and its lists live in
+/// [`Metas::lists`].
 struct TaskMeta {
     /// The task's current home node (placement decision, updated when the
     /// task moves).
     home: usize,
-    /// Indices (into submission order) of *all* distinct last-writer
-    /// producers.
-    producers: Vec<usize>,
+    /// Where its distinct last-writer producers (indices into submission
+    /// order, ascending) lie in [`Metas::producers`].
+    producers: Range<u32>,
     /// Submitted tasks (by index) that have this task as a last-writer
-    /// producer. Filled only while migration bookkeeping exists: only moves
-    /// and `MoveBook::retire` read it.
-    consumers: Vec<usize>,
+    /// producer, in submission order. Filled only while migration
+    /// bookkeeping exists and the task has not retired: only moves and
+    /// `MoveBook::retire` read it.
+    consumers: List,
     /// Producer retirement notifications this task still waits for.
     remaining_remote: usize,
-    /// When the task retired (if it has).
-    retired_at: Option<SimTime>,
-    /// Consumers (by index) waiting for this producer's retirement.
-    subscribers: Vec<usize>,
+    /// The task retired.
+    retired: bool,
+    /// Consumers (by index) waiting for this producer's retirement, in the
+    /// order they subscribed, which is the order they are notified in.
+    subscribers: List,
+}
+
+/// Every committed task's [`TaskMeta`], in submission order, with the
+/// per-run arenas its producer range and lists point into. A task's lists
+/// are released when it retires: nothing reads or extends them after.
+struct Metas {
+    metas: Vec<TaskMeta>,
+    /// Every committed task's producers, one contiguous range per task.
+    producers: Vec<u32>,
+    /// The nodes of every task's consumer and subscriber list.
+    lists: ListArena,
+}
+
+impl Metas {
+    fn with_capacity(tasks: usize) -> Self {
+        Metas {
+            metas: Vec::with_capacity(tasks),
+            producers: Vec::with_capacity(tasks),
+            lists: ListArena::new(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.metas.len()
+    }
+
+    /// Appends the next task's producers to the arena and returns their
+    /// range. (Every submission index fits a `u32`: `Run::new` checks the
+    /// task count.)
+    fn push_producers(&mut self, producers: &[usize]) -> Range<u32> {
+        let start = self.producers.len() as u32;
+        self.producers.extend(producers.iter().map(|&p| p as u32));
+        let end = u32::try_from(self.producers.len()).expect("producer arena fits u32 indices");
+        start..end
+    }
+
+    /// The distinct last-writer producers of the task at `idx`, ascending.
+    fn producers_of(&self, idx: usize) -> &[u32] {
+        let r = &self.metas[idx].producers;
+        &self.producers[r.start as usize..r.end as usize]
+    }
+
+    /// The consumers of the task at `idx` (see [`TaskMeta::consumers`]).
+    fn consumers(&self, idx: usize) -> impl Iterator<Item = usize> + '_ {
+        self.lists.iter(self.metas[idx].consumers)
+    }
+
+    /// Records `consumer` as a consumer of `producer`.
+    fn add_consumer(&mut self, producer: usize, consumer: usize) {
+        self.lists
+            .push(&mut self.metas[producer].consumers, consumer);
+    }
+
+    /// True if `consumer` waits for `producer`'s retirement notification.
+    fn subscribed(&self, producer: usize, consumer: usize) -> bool {
+        self.lists
+            .contains(self.metas[producer].subscribers, consumer)
+    }
+
+    /// Subscribes `consumer` to `producer`'s retirement notification.
+    fn subscribe(&mut self, producer: usize, consumer: usize) {
+        self.lists
+            .push(&mut self.metas[producer].subscribers, consumer);
+    }
+
+    /// Releases the lists of the retired task at `idx`.
+    fn release(&mut self, idx: usize) {
+        let meta = &mut self.metas[idx];
+        self.lists.release(&mut meta.consumers);
+        self.lists.release(&mut meta.subscribers);
+    }
+}
+
+impl Index<usize> for Metas {
+    type Output = TaskMeta;
+
+    fn index(&self, idx: usize) -> &TaskMeta {
+        &self.metas[idx]
+    }
+}
+
+impl IndexMut<usize> for Metas {
+    fn index_mut(&mut self, idx: usize) -> &mut TaskMeta {
+        &mut self.metas[idx]
+    }
 }
 
 /// Flow bookkeeping every run carries through the event loop. With
@@ -577,7 +684,7 @@ impl MoveBook {
     /// True if the descriptor at `idx` may be stolen: every last-writer
     /// producer has retired and no notification is still in flight, so the
     /// task can execute on any node without waiting on anything.
-    fn eligible(&self, metas: &[TaskMeta], idx: usize) -> bool {
+    fn eligible(&self, metas: &Metas, idx: usize) -> bool {
         let eligible = metas[idx].remaining_remote == 0 && self.unretired[idx] == 0;
         debug_assert_eq!(
             eligible,
@@ -589,7 +696,7 @@ impl MoveBook {
 
     /// `node`'s eligible count, checked against a recount of its input
     /// queue `pending` in debug builds.
-    fn eligible_at(&self, metas: &[TaskMeta], node: usize, pending: &VecDeque<usize>) -> usize {
+    fn eligible_at(&self, metas: &Metas, node: usize, pending: &VecDeque<usize>) -> usize {
         debug_assert_eq!(
             self.eligible[node],
             eligible_in(metas, pending),
@@ -600,7 +707,7 @@ impl MoveBook {
 
     /// The kind of move that can take the descriptor at `idx`: a steal if
     /// it is eligible, a reclaim if it is dependence-blocked.
-    fn kind_of(&self, metas: &[TaskMeta], idx: usize) -> MoveKind {
+    fn kind_of(&self, metas: &Metas, idx: usize) -> MoveKind {
         if self.eligible(metas, idx) {
             MoveKind::Steal
         } else {
@@ -609,7 +716,7 @@ impl MoveBook {
     }
 
     /// The descriptor at `idx` entered `node`'s input queue.
-    fn enqueue(&mut self, metas: &[TaskMeta], node: usize, idx: usize) {
+    fn enqueue(&mut self, metas: &Metas, node: usize, idx: usize) {
         self.waits[idx] = Waits::Queued;
         let kind = self.kind_of(metas, idx);
         if kind == MoveKind::Steal {
@@ -620,7 +727,7 @@ impl MoveBook {
 
     /// The descriptor at `idx` left `node`'s input queue: handed to the
     /// manager, or granted (before it is re-homed).
-    fn dequeue(&mut self, metas: &[TaskMeta], node: usize, idx: usize, now: SimTime) {
+    fn dequeue(&mut self, metas: &Metas, node: usize, idx: usize, now: SimTime) {
         self.waits[idx] = Waits::Nowhere;
         let kind = self.kind_of(metas, idx);
         if kind == MoveKind::Steal {
@@ -639,7 +746,7 @@ impl MoveBook {
     /// (Neither counter rises on a queued descriptor that is eligible: a
     /// re-homed producer has not retired, so its queued consumers are
     /// blocked anyway.)
-    fn resolved(&mut self, metas: &[TaskMeta], idx: usize, now: SimTime) {
+    fn resolved(&mut self, metas: &Metas, idx: usize, now: SimTime) {
         if self.waits[idx] == Waits::Queued && self.eligible(metas, idx) {
             let home = metas[idx].home;
             self.eligible[home] += 1;
@@ -652,8 +759,8 @@ impl MoveBook {
     }
 
     /// The task at `idx` retired: each consumer waits for one producer less.
-    fn retire(&mut self, metas: &[TaskMeta], idx: usize, now: SimTime) {
-        for &c in &metas[idx].consumers {
+    fn retire(&mut self, metas: &Metas, idx: usize, now: SimTime) {
+        for c in metas.consumers(idx) {
             let left = self.unretired[c]
                 .checked_sub(1)
                 .unwrap_or_else(|| underflow("unretired producer count", c, metas[c].home, now));
@@ -808,17 +915,17 @@ impl<M: TaskManager> ClusterDriver<M> {
 
 /// [`MoveBook::eligible`] by definition, walking the producer list (the
 /// debug builds' cross-check of the counters).
-fn eligible_by_scan(metas: &[TaskMeta], idx: usize) -> bool {
+fn eligible_by_scan(metas: &Metas, idx: usize) -> bool {
     metas[idx].remaining_remote == 0
-        && metas[idx]
-            .producers
+        && metas
+            .producers_of(idx)
             .iter()
-            .all(|&p| metas[p].retired_at.is_some())
+            .all(|&p| metas[p as usize].retired)
 }
 
 /// Eligible descriptors in an input queue, counted by walking it (the debug
 /// builds' cross-check of `MoveBook::eligible`).
-fn eligible_in(metas: &[TaskMeta], pending: &VecDeque<usize>) -> usize {
+fn eligible_in(metas: &Metas, pending: &VecDeque<usize>) -> usize {
     pending
         .iter()
         .filter(|&&i| eligible_by_scan(metas, i))
@@ -888,9 +995,15 @@ struct Run<'t, 'r, M> {
     /// census of those placements.
     scanner: DepScanner,
     /// One entry per committed submission, in submission order.
-    metas: Vec<TaskMeta>,
+    metas: Metas,
     queue: EventQueue<Event>,
     scratch: Vec<ManagerEvent>,
+    /// The terminal events of messages still crossing a multi-hop route,
+    /// by the slot their [`Event::Relay`] carries.
+    relays: Slots<Event>,
+    /// Descriptors a grant takes and passes over, reused across grants.
+    granted: Vec<usize>,
+    passed: Vec<usize>,
     master: MasterSm,
     supports_taskwait_on: bool,
     /// The master's fold of the load digests riding retirement
@@ -922,6 +1035,11 @@ impl<'t, 'r, M: TaskManager> Run<'t, 'r, M> {
     ) -> Self {
         let ClusterDriver { cfg, nodes, net } = driver;
         let tasks: Vec<&TaskDescriptor> = trace.tasks().collect();
+        assert!(
+            u32::try_from(tasks.len()).is_ok(),
+            "{} has more tasks than the driver indexes",
+            trace.name
+        );
         let distances = net.distances().clone();
         let scanner =
             DepScanner::with_policy(cfg.nodes, cfg.placement).with_distances(distances.clone());
@@ -941,7 +1059,10 @@ impl<'t, 'r, M: TaskManager> Run<'t, 'r, M> {
                 .feedback
                 .is_enabled()
                 .then(|| LoadTracker::new(cfg.nodes, DIGEST_HALF_LIFE_PS)),
-            metas: Vec::with_capacity(tasks.len()),
+            metas: Metas::with_capacity(tasks.len()),
+            relays: Slots::new(),
+            granted: Vec::new(),
+            passed: Vec::new(),
             notifications: 0,
             moved: [0; 2],
             grants: [0; 2],
@@ -1052,6 +1173,11 @@ impl<'t, 'r, M: TaskManager> Run<'t, 'r, M> {
         );
         let retired: u64 = self.nodes.iter().map(|n| n.retired).sum();
         assert_eq!(retired as usize, self.tasks.len());
+        assert_eq!(
+            self.relays.in_use(),
+            0,
+            "relayed messages never left their last hop ({name})"
+        );
 
         let net = &self.net;
         let link = LinkStats {
@@ -1206,8 +1332,7 @@ impl<'t, 'r, M: TaskManager> Run<'t, 'r, M> {
             Some(tr) if self.cfg.feedback.place_enabled() => Some(tr.live(now.as_ps())),
             _ => None,
         };
-        let placed = self.scanner.place(task, live);
-        let home = placed.home;
+        let home = self.scanner.place(task, live);
         let bp_before = self.flow.backpressure_events;
         let full = self.flow.full(home, now);
         if self.flow.backpressure_events > bp_before {
@@ -1219,7 +1344,7 @@ impl<'t, 'r, M: TaskManager> Run<'t, 'r, M> {
             return;
         }
         self.master.commit_submit(task, now);
-        self.scanner.record(task, &placed);
+        self.scanner.record(task, home);
         self.flow.note_submit(home, idx, now);
         if let Some(r) = self.rec.as_mut() {
             r.record(now.as_ps(), SpanEvent::Submitted { task: idx });
@@ -1233,13 +1358,13 @@ impl<'t, 'r, M: TaskManager> Run<'t, 'r, M> {
         }
         let arrive = Event::DescriptorArrive { node: home, idx };
         let sender_free = self.send_msg(0, home, task.transfer_words(), now, arrive);
-        self.subscribe(idx, home, placed.producers, now);
+        self.subscribe(idx, home, now);
         self.queue.schedule(sender_free.max(now), Event::MasterStep);
     }
 
     /// Builds the cross-node state of the task at `idx`, whose submission
-    /// just committed with home `home`. Each last-writer producer is judged
-    /// by its *current* home:
+    /// just committed with home `home` and the producers the scanner found.
+    /// Each last-writer producer is judged by its *current* home:
     /// * retired on another node: its notification is sent now;
     /// * not retired, on another node: the task subscribes to it;
     /// * not retired, at `home` but parked there or still crossing the
@@ -1248,13 +1373,16 @@ impl<'t, 'r, M: TaskManager> Run<'t, 'r, M> {
     ///   because the master's route to that node is FIFO.
     ///
     /// `remaining_remote` counts what this creates. The task joins its
-    /// producers' consumer lists only while migration bookkeeping exists.
-    fn subscribe(&mut self, idx: usize, home: usize, producers: Vec<usize>, now: SimTime) {
+    /// unretired producers' consumer lists only while migration bookkeeping
+    /// exists.
+    fn subscribe(&mut self, idx: usize, home: usize, now: SimTime) {
         debug_assert_eq!(self.metas.len(), idx, "submissions commit in order");
+        let producers = self.metas.push_producers(self.scanner.producers());
         let (mut remaining, mut unretired) = (0, 0);
-        for &p in &producers {
+        for at in producers.clone() {
+            let p = self.metas.producers[at as usize] as usize;
             let from = self.metas[p].home;
-            if self.metas[p].retired_at.is_some() {
+            if self.metas[p].retired {
                 if from != home {
                     self.send_msg(from, home, NOTIFY_WORDS, now, Event::NotifyArrive { idx });
                     self.notifications += 1;
@@ -1267,24 +1395,24 @@ impl<'t, 'r, M: TaskManager> Run<'t, 'r, M> {
                 .book
                 .as_ref()
                 .is_some_and(|b| matches!(b.waits[p], Waits::Parked | Waits::Moving));
+            if self.book.is_some() {
+                self.metas.add_consumer(p, idx);
+            }
             if from != home || in_transit {
-                self.metas[p].subscribers.push(idx);
+                self.metas.subscribe(p, idx);
                 remaining += 1;
             }
         }
         if let Some(book) = self.book.as_mut() {
             book.unretired[idx] = unretired;
-            for &p in &producers {
-                self.metas[p].consumers.push(idx);
-            }
         }
-        self.metas.push(TaskMeta {
+        self.metas.metas.push(TaskMeta {
             home,
             producers,
-            consumers: Vec::new(),
+            consumers: List::EMPTY,
             remaining_remote: remaining,
-            retired_at: None,
-            subscribers: Vec::new(),
+            retired: false,
+            subscribers: List::EMPTY,
         });
     }
 
@@ -1382,7 +1510,7 @@ impl<'t, 'r, M: TaskManager> Run<'t, 'r, M> {
             .checked_sub(1)
             .unwrap_or_else(|| underflow("outstanding count", idx, node, now));
         n.total_work += self.durations[idx];
-        self.metas[idx].retired_at = Some(now);
+        self.metas[idx].retired = true;
         if let Some(book) = self.book.as_mut() {
             book.retire(&self.metas, idx, now);
         }
@@ -1390,12 +1518,17 @@ impl<'t, 'r, M: TaskManager> Run<'t, 'r, M> {
         if let Some(r) = self.rec.as_mut() {
             r.record(now.as_ps(), SpanEvent::Retired { task: idx, node });
         }
-        for sub in std::mem::take(&mut self.metas[idx].subscribers) {
+        // In subscription order: the order the notifications are sent in
+        // fixes their events' sequence numbers.
+        let mut at = self.metas[idx].subscribers.start();
+        while let Some((sub, next)) = self.metas.lists.step(at) {
             let home = self.metas[sub].home;
             let notify = Event::NotifyArrive { idx: sub };
             self.send_msg(node, home, NOTIFY_WORDS, now, notify);
             self.notifications += 1;
+            at = next;
         }
+        self.metas.release(idx);
         // The master's notification is free if the task retired on node 0.
         // With feedback enabled it carries the retiring node's load digest —
         // same message, same words, no extra traffic on the happy path.
@@ -1448,7 +1581,7 @@ impl<'t, 'r, M: TaskManager> Run<'t, 'r, M> {
         // in one pass over the back of the queue; the ones passed over go
         // back in their order.
         let n = &mut self.nodes[victim];
-        let (mut granted, mut passed) = (Vec::new(), Vec::new());
+        let (granted, passed) = (&mut self.granted, &mut self.passed);
         while granted.len() < batch {
             let Some(idx) = n.pending.pop_back() else {
                 break;
@@ -1459,7 +1592,7 @@ impl<'t, 'r, M: TaskManager> Run<'t, 'r, M> {
                 passed.push(idx);
             }
         }
-        n.pending.extend(passed.into_iter().rev());
+        n.pending.extend(passed.drain(..).rev());
         if granted.is_empty() {
             self.failures[k] += 1;
             let failed = Event::MoveFailed { kind, thief };
@@ -1471,7 +1604,8 @@ impl<'t, 'r, M: TaskManager> Run<'t, 'r, M> {
         self.grants[k] += 1;
         self.nodes[thief].inflight[k] = false;
         self.nodes[thief].incoming[k] += granted.len();
-        for idx in granted {
+        let mut granted = std::mem::take(&mut self.granted);
+        for idx in granted.drain(..) {
             let n = &mut self.nodes[victim];
             n.outstanding = n
                 .outstanding
@@ -1497,6 +1631,7 @@ impl<'t, 'r, M: TaskManager> Run<'t, 'r, M> {
             };
             self.send_msg(victim, thief, self.tasks[idx].transfer_words(), now, arrive);
         }
+        self.granted = granted;
         // A reclaim may have taken the queue's blocked head: the eligible
         // descriptors behind it would otherwise wait for a wake-up that
         // never comes.
@@ -1513,22 +1648,21 @@ impl<'t, 'r, M: TaskManager> Run<'t, 'r, M> {
     /// have all retired.
     fn rehome(&mut self, idx: usize, victim: usize, thief: usize) {
         let metas = &mut self.metas;
-        let consumers = std::mem::take(&mut metas[idx].consumers);
-        for &c in &consumers {
-            if metas[c].home == victim && !metas[idx].subscribers.contains(&c) {
+        let mut at = metas[idx].consumers.start();
+        while let Some((c, next)) = metas.lists.step(at) {
+            if metas[c].home == victim && !metas.subscribed(idx, c) {
                 metas[c].remaining_remote += 1;
-                metas[idx].subscribers.push(c);
+                metas.subscribe(idx, c);
             }
+            at = next;
         }
-        metas[idx].consumers = consumers;
-        let producers = std::mem::take(&mut metas[idx].producers);
-        for &p in &producers {
-            if metas[p].retired_at.is_none() && !metas[p].subscribers.contains(&idx) {
+        for at in metas[idx].producers.clone() {
+            let p = metas.producers[at as usize] as usize;
+            if !metas[p].retired && !metas.subscribed(p, idx) {
                 metas[idx].remaining_remote += 1;
-                metas[p].subscribers.push(idx);
+                metas.subscribe(p, idx);
             }
         }
-        metas[idx].producers = producers;
         metas[idx].home = thief;
     }
 
@@ -1570,22 +1704,14 @@ impl<'t, 'r, M: TaskManager> Run<'t, 'r, M> {
     /// A multi-hop message enters hop `hop` now and schedules its
     /// continuation for when it leaves the hop: the next hop, or the
     /// terminal event once the last hop is crossed.
-    fn relay(
-        &mut self,
-        from: usize,
-        to: usize,
-        hop: usize,
-        words: u64,
-        then: Box<Event>,
-        now: SimTime,
-    ) {
+    fn relay(&mut self, from: usize, to: usize, hop: usize, words: u64, then: usize, now: SimTime) {
         if let Some(r) = self.rec.as_mut() {
             let (link, tier) = self.net.hop_link(from, to, hop);
             r.record(now.as_ps(), SpanEvent::LinkHop { link, tier, words });
         }
         let d = self.net.send_hop(from, to, hop, words, now);
         let payload = if hop + 1 == self.net.hops(from, to) {
-            *then
+            self.relays.take(then)
         } else {
             Event::Relay {
                 from,
@@ -1630,7 +1756,7 @@ impl<'t, 'r, M: TaskManager> Run<'t, 'r, M> {
                 to,
                 hop: 1,
                 words,
-                then: Box::new(then),
+                then: self.relays.insert(then),
             }
         };
         self.queue.schedule(d.delivered, payload);

@@ -66,6 +66,7 @@
 
 #![warn(missing_docs)]
 
+mod arena;
 pub mod config;
 pub mod driver;
 pub mod interconnect;

@@ -43,7 +43,8 @@ impl EdgeStats {
     }
 }
 
-/// One task's placement, as decided by [`DepScanner::place`].
+/// One task's placement and producers, as [`DepScanner::scan_full`]
+/// returns them.
 #[derive(Debug, Clone)]
 pub struct ScanRecord {
     /// The home node chosen by the placement policy.
@@ -63,10 +64,11 @@ pub struct ScanRecord {
 ///
 /// A scan has two halves. [`DepScanner::place`] finds the task's producers
 /// and asks the scanner's [`PolicyKind`] for a home, handing it the homes of
-/// those producers and the per-node load placed so far; it records nothing.
-/// [`DepScanner::record`] then commits the decision. A caller that may defer
-/// a submission (the simulator's admission check) places, and records only
-/// once the submission goes through.
+/// those producers and the per-node load placed so far; it records nothing
+/// and keeps the producers in a buffer it reuses ([`DepScanner::producers`]),
+/// so placing allocates nothing. [`DepScanner::record`] then commits the
+/// decision. A caller that may defer a submission (the simulator's admission
+/// check) places, and records only once the submission goes through.
 pub struct DepScanner {
     nodes: usize,
     policy: PolicyKind,
@@ -78,6 +80,9 @@ pub struct DepScanner {
     homes: Vec<usize>,
     loads: Vec<PlacedLoad>,
     stats: EdgeStats,
+    /// The distinct last-writer producers of the task last placed,
+    /// ascending, reused across scans.
+    producers: Vec<usize>,
     /// The producers' homes handed to the policy, reused across scans.
     producer_homes: Vec<usize>,
 }
@@ -99,6 +104,7 @@ impl DepScanner {
             homes: Vec::new(),
             loads: vec![PlacedLoad::default(); nodes],
             stats: EdgeStats::default(),
+            producers: Vec::new(),
             producer_homes: Vec::new(),
         }
     }
@@ -131,31 +137,35 @@ impl DepScanner {
         task: &TaskDescriptor,
         live: Option<LiveLoad<'_>>,
     ) -> ScanRecord {
-        let r = self.place(task, live);
-        self.record(task, &r);
-        r
+        let home = self.place(task, live);
+        self.record(task, home);
+        ScanRecord {
+            home,
+            producers: self.producers.clone(),
+        }
     }
 
     /// Decides the home of the next task (the one after every recorded
-    /// task) and finds its last-writer producers, recording nothing: called
-    /// again before [`DepScanner::record`], it decides against the same
-    /// state, so only `live` can change the answer. With `live` set, an
-    /// un-hinted task follows the feedback rule of [`PolicyKind::place`]
-    /// whatever the scanner's kind; with `None` the kind's static rule
-    /// applies.
-    pub fn place(&mut self, task: &TaskDescriptor, live: Option<LiveLoad<'_>>) -> ScanRecord {
+    /// task) and finds its last-writer producers, which it leaves in
+    /// [`DepScanner::producers`]; it records nothing: called again before
+    /// [`DepScanner::record`], it decides against the same state, so only
+    /// `live` can change the answer. With `live` set, an un-hinted task
+    /// follows the feedback rule of [`PolicyKind::place`] whatever the
+    /// scanner's kind; with `None` the kind's static rule applies.
+    pub fn place(&mut self, task: &TaskDescriptor, live: Option<LiveLoad<'_>>) -> usize {
         // `last_writer` only holds indices of recorded tasks, so a task can
         // never appear as its own producer.
-        let mut producers: Vec<usize> = task
-            .params
-            .iter()
-            .filter_map(|p| self.last_writer.get(&p.addr).copied())
-            .collect();
-        producers.sort_unstable();
-        producers.dedup();
+        self.producers.clear();
+        self.producers.extend(
+            task.params
+                .iter()
+                .filter_map(|p| self.last_writer.get(&p.addr).copied()),
+        );
+        self.producers.sort_unstable();
+        self.producers.dedup();
         self.producer_homes.clear();
         self.producer_homes
-            .extend(producers.iter().map(|&d| self.homes[d]));
+            .extend(self.producers.iter().map(|&d| self.homes[d]));
         let home = self.policy.place(
             task,
             &PlacementCtx {
@@ -172,21 +182,28 @@ impl DepScanner {
             self.policy,
             self.nodes
         );
-        ScanRecord { home, producers }
+        home
     }
 
-    /// Commits `task`'s placement `r` (as [`DepScanner::place`] returned
-    /// it): the task takes the next submission index, its home is charged
-    /// with its load, its edges join the census and its outputs become the
-    /// last writes of their addresses.
-    pub fn record(&mut self, task: &TaskDescriptor, r: &ScanRecord) {
+    /// The distinct last-writer producers (indices into submission order,
+    /// ascending) of the task [`DepScanner::place`] last placed.
+    pub fn producers(&self) -> &[usize] {
+        &self.producers
+    }
+
+    /// Commits the placement at `home` of `task`, the task
+    /// [`DepScanner::place`] last placed: the task takes the next
+    /// submission index, its home is charged with its load, its edges join
+    /// the census and its outputs become the last writes of their
+    /// addresses.
+    pub fn record(&mut self, task: &TaskDescriptor, home: usize) {
         let i = self.homes.len();
-        let remote = r.producers.iter().filter(|&&d| self.homes[d] != r.home);
+        let remote = self.producers.iter().filter(|&&d| self.homes[d] != home);
         self.stats.remote += remote.count() as u64;
-        self.stats.total += r.producers.len() as u64;
-        self.homes.push(r.home);
-        self.loads[r.home].tasks += 1;
-        self.loads[r.home].work += task.duration;
+        self.stats.total += self.producers.len() as u64;
+        self.homes.push(home);
+        self.loads[home].tasks += 1;
+        self.loads[home].work += task.duration;
         for p in task.outputs() {
             self.last_writer.insert(p.addr, i);
         }
@@ -366,16 +383,14 @@ mod tests {
         let mut scanner = DepScanner::with_policy(2, PolicyKind::TopologyAware);
         scanner.scan_full(&producer);
         let first = scanner.place(&consumer, None);
+        let first_producers = scanner.producers().to_vec();
         let again = scanner.place(&consumer, None);
-        assert_eq!(
-            (first.home, &first.producers),
-            (again.home, &again.producers)
-        );
-        assert_eq!(first.producers, vec![0]);
-        assert_eq!(first.home, 1, "the consumer follows its producer");
+        assert_eq!((first, &first_producers[..]), (again, scanner.producers()));
+        assert_eq!(first_producers, vec![0]);
+        assert_eq!(first, 1, "the consumer follows its producer");
         assert_eq!(scanner.stats().total, 0, "placing records no edge");
         assert_eq!(scanner.last_writer(0x200), None, "nor a write");
-        scanner.record(&consumer, &first);
+        scanner.record(&consumer, first);
         assert_eq!(scanner.home(1), 1);
         assert_eq!(scanner.last_writer(0x200), Some(1));
         assert_eq!(
