@@ -368,10 +368,7 @@ fn fig3() {
 /// 4-parameter example task, the §IV-D headline cycle counts, and the §IV-E
 /// micro-benchmark (5 independent 2-parameter tasks on one task graph).
 fn pipelines() {
-    let pp = NexusPPConfig::paper();
-    let sharp4 = NexusSharpConfig::at_mhz(4, 100.0);
-
-    let (spans, total) = pipeline_schedule(&pp, 1, 4);
+    let (spans, total) = pipeline_schedule(1, 4);
     let mut fig1 = Table::new(
         "Fig. 1 — Nexus++ pipeline, one 4-parameter task",
         &["stage", "start cycle", "end cycle", "length"],
@@ -402,7 +399,7 @@ fn pipelines() {
             PipelineCase::BestCase,
         ),
     ] {
-        let (spans, total) = sharp_pipeline_schedule(&sharp4, 1, 4, case);
+        let (spans, total) = sharp_pipeline_schedule(4, 1, 4, case);
         let mut t = Table::new(title, &["stage", "param", "start", "end", "length"]);
         for s in &spans {
             t.row(vec![
@@ -430,22 +427,22 @@ fn pipelines() {
     for (quantity, measured, paper) in [
         (
             "Nexus++ insert stage, 4 params (cycles)",
-            pp.insert_cycles(4),
+            nexus_pp::config::insert_cycles(4),
             18,
         ),
         (
             "Nexus# insertion span, average case (cycles)",
-            insertion_span_cycles(&sharp4, 4, PipelineCase::Average),
+            insertion_span_cycles(4, 4, PipelineCase::Average),
             11,
         ),
         (
             "Nexus# insertion span, best case (cycles)",
-            insertion_span_cycles(&sharp4, 4, PipelineCase::BestCase),
+            insertion_span_cycles(4, 4, PipelineCase::BestCase),
             5,
         ),
         (
             "Nexus++ steady-state write-back interval (cycles)",
-            nexus_pp::pipeline::initiation_interval(&pp, 4),
+            nexus_pp::pipeline::initiation_interval(4),
             18,
         ),
     ] {
@@ -458,7 +455,7 @@ fn pipelines() {
     }
     head.print();
 
-    let measured = micro_benchmark_cycles(&NexusSharpConfig::at_mhz(1, 100.0));
+    let measured = micro_benchmark_cycles();
     let mut micro = Table::new(
         "§IV-E micro-benchmark: 5 independent 2-parameter tasks, 1 task graph",
         &["design", "cycles", "paper", "ratio"],

@@ -2099,6 +2099,59 @@ mod tests {
         assert_eq!(a.node_tasks(), b.node_tasks());
     }
 
+    /// `trace` with every task id `i` renamed `7 i + 3`: still increasing in
+    /// submission order, but too sparse for [`IdMap::Dense`].
+    fn sparse_ids(trace: &Trace) -> Trace {
+        let mut sparse = trace.clone();
+        for op in &mut sparse.ops {
+            if let nexus_trace::TraceOp::Submit(task) = op {
+                task.id = TaskId(7 * task.id.0 + 3);
+            }
+        }
+        sparse
+    }
+
+    #[test]
+    fn sparse_task_ids_reproduce_the_dense_run() {
+        let chains = distributed::chained_imbalanced(8, 16, 16, 2.0, us(20));
+        let steal = ClusterConfig::new(8, 4)
+            .with_link(LinkConfig::rdma().with_topology(crate::config::Topology::RackTiers))
+            .with_placement(PolicyKind::TopologyAware)
+            .with_stealing(StealKind::Hierarchical)
+            .with_feedback(nexus_sched::FeedbackKind::Full);
+        let lu = distributed::sparselu(4, 0.3, 42, 0.01);
+        let counts = |o: &ClusterOutcome| {
+            (
+                o.makespan,
+                o.sim_events,
+                o.steals,
+                o.reclaims,
+                o.notifications,
+            )
+        };
+        let mut moved = 0;
+        for (trace, cfg) in [(chains, steal), (lu, ClusterConfig::new(4, 4))] {
+            let sparse = sparse_ids(&trace);
+            let tasks: Vec<&TaskDescriptor> = sparse.tasks().collect();
+            assert!(
+                matches!(IdMap::build(&tasks), IdMap::Sparse(_)),
+                "{}: the remapped ids must take the sparse path",
+                trace.name
+            );
+            let dense = simulate_cluster(&trace, &cfg, |_| tight_sharp());
+            let remapped = simulate_cluster(&sparse, &cfg, |_| tight_sharp());
+            assert_eq!(counts(&remapped), counts(&dense), "{}", trace.name);
+            assert_eq!(remapped.tasks as usize, trace.task_count());
+            println!(
+                "{}: makespan, events, steals, reclaims, notifications {:?}",
+                trace.name,
+                counts(&dense)
+            );
+            moved += dense.steals + dense.reclaims;
+        }
+        assert!(moved > 0, "no descriptor moved");
+    }
+
     #[test]
     fn stealing_drains_an_imbalanced_trace_onto_idle_nodes() {
         // Node 0 owns 6x the work of node 3; without stealing the makespan is

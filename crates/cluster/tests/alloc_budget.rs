@@ -15,6 +15,13 @@
 //! with stealing, reclaims and full feedback (steal and reclaim grants,
 //! re-homing, multi-hop relays, load digests), and an open-loop sparse LU
 //! with Poisson arrivals through bounded admission queues (back-pressure).
+//!
+//! Building a cluster has a budget too: [`ClusterDriver::new`] with Nexus#
+//! (6 task graphs, 512-set tables each) at every node may make at most
+//! [`BUILD_BUDGET`] allocations per node, counted on the same two cluster
+//! shapes (8 × 8 and 4 × 8). Each node's managers, worker pool and queues
+//! are a fixed number of allocations, not one per table set.
+//!
 //! `cargo test --release -p nexus-cluster --test alloc_budget --
 //! --nocapture` prints the counts.
 //!
@@ -67,6 +74,9 @@ static GLOBAL: Counting = Counting;
 /// Most allocations per task the driver may make outside the managers'
 /// calls, over a run.
 const BUDGET: f64 = 0.5;
+
+/// Most allocations per node `ClusterDriver::new` may make.
+const BUILD_BUDGET: f64 = 64.0;
 
 fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
@@ -169,6 +179,22 @@ fn allocations_per_task(trace: &Trace, cfg: &ClusterConfig, source: &StreamingSo
     (total - managers) as f64 / trace.task_count() as f64
 }
 
+/// Allocations per node `ClusterDriver::new` makes building `cfg` with
+/// Nexus# (6 TGs) at every node.
+fn build_allocations_per_node(cfg: &ClusterConfig) -> f64 {
+    let before = allocations();
+    let driver = ClusterDriver::new(cfg, |_| NexusSharp::paper(6));
+    let made = allocations() - before;
+    drop(driver);
+    println!(
+        "ClusterDriver::new on {} x {}: {made} allocations, {:.1} per node",
+        cfg.nodes,
+        cfg.workers_per_node,
+        made as f64 / cfg.nodes as f64
+    );
+    made as f64 / cfg.nodes as f64
+}
+
 #[test]
 fn cluster_driver_stays_within_its_allocation_budget() {
     let chains = distributed::chained_imbalanced(8, 64, 32, 2.0, SimDuration::from_us(20));
@@ -198,5 +224,22 @@ fn cluster_driver_stays_within_its_allocation_budget() {
     assert!(
         over.is_empty(),
         "over the budget of {BUDGET} allocations per task: {over:?}"
+    );
+
+    let builds = [
+        ("8 x 8, rack tiers", build_allocations_per_node(&steal)),
+        (
+            "4 x 8",
+            build_allocations_per_node(&ClusterConfig::new(4, 8)),
+        ),
+    ];
+    let over: Vec<String> = builds
+        .iter()
+        .filter(|(_, per_node)| *per_node > BUILD_BUDGET)
+        .map(|(what, per_node)| format!("{what}: {per_node:.1}"))
+        .collect();
+    assert!(
+        over.is_empty(),
+        "ClusterDriver::new over the budget of {BUILD_BUDGET} allocations per node: {over:?}"
     );
 }

@@ -19,10 +19,11 @@
 //! * **Dependence Counts Arbiter** — gathers the per-address outcomes, maintains
 //!   the per-task dependence counts (Sim. Tasks Dep. Counts buffer + global Dep.
 //!   Counts table), decrements counts when finished tasks kick off waiters, and
-//!   forwards ready task ids. The model keeps one in-flight record per task:
-//!   its parameter list with each parameter's tracker access, and its
-//!   dependence count, gathered during `submit` and decremented by releases,
-//!   with buffers reused from task to task,
+//!   forwards ready task ids. The model keeps each task's parameter list
+//!   (with each parameter's tracker access) and its dependence count,
+//!   gathered during `submit` and decremented by releases, in its record in
+//!   the Task Pool ([`nexus_taskgraph::TaskPool`]), which reuses the lists
+//!   from task to task,
 //! * **Write Back** — returns ready task ids (via the Function Pointers table)
 //!   to the Nexus IO unit.
 //!

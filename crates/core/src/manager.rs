@@ -1,23 +1,20 @@
 //! The Nexus# discrete-event model (implements [`TaskManager`]).
 
-use crate::config::NexusSharpConfig;
+use crate::config::{
+    NexusSharpConfig, ARBITER_CYCLES_PER_RESULT, ARBITER_DECIDE_CYCLES, ARGS_FIFO_LATENCY_CYCLES,
+    DELETE_CYCLES_PER_PARAM, FINISH_DISTRIBUTE_CYCLES_PER_PARAM, FINISH_RECEIVE_CYCLES,
+    INSERT_CYCLES_PER_PARAM, IP_CYCLES_PER_PARAM, IP_FINALIZE_CYCLES, IP_HEADER_CYCLES,
+    KICKOFF_SEGMENT_PENALTY_CYCLES, OVERFLOW_PENALTY_CYCLES, READY_FIFO_LATENCY_CYCLES,
+    WAITER_DECREMENT_CYCLES, WRITEBACK_CYCLES,
+};
 use crate::distribution::Distributor;
 use nexus_host::manager::{ManagerEvent, TaskManager};
-use nexus_sim::{ClockDomain, FxHashMap, SerialResource, SimDuration, SimTime};
-use nexus_taskgraph::{AccessId, DependencyTracker, TaskPool};
+use nexus_sim::{ClockDomain, SerialResource, SimDuration, SimTime};
+use nexus_taskgraph::{DependencyTracker, SetAssocConfig, TaskPool};
 use nexus_trace::{TaskDescriptor, TaskId};
-
-/// One in-flight task: the addresses of its parameters with their tracker
-/// accesses (the Task Pool contents re-distributed when it finishes), and its
-/// outstanding dependence count (its entry of the global Dep. Counts table).
-struct InFlight {
-    params: Vec<(u64, AccessId)>,
-    deps: u32,
-}
 
 /// The distributed Nexus# hardware task manager.
 pub struct NexusSharp {
-    config: NexusSharpConfig,
     clock: ClockDomain,
     distributor: Distributor,
 
@@ -35,14 +32,10 @@ pub struct NexusSharp {
 
     /// Functional dependency state, one tracker per task graph.
     trackers: Vec<DependencyTracker>,
-    /// Bounded in-flight task storage with free-list recycling.
+    /// The Task Pool: every in-flight task's parameter list and dependence
+    /// count (its entry of the global Dep. Counts table), with free-list
+    /// recycling.
     pool: TaskPool,
-    /// The record of every in-flight task.
-    in_flight: FxHashMap<TaskId, InFlight>,
-    /// Parameter lists of retired tasks, reused for the next submission (the
-    /// managers churn through one list per task; recycling the allocations
-    /// keeps the event hot path allocation-free in steady state).
-    param_arena: Vec<Vec<(u64, AccessId)>>,
     /// The tasks one retired parameter released, reused by every `finish`.
     released: Vec<TaskId>,
 
@@ -70,18 +63,15 @@ impl NexusSharp {
             arbiter: SerialResource::new(),
             writeback: SerialResource::new(),
             trackers: (0..config.task_graphs)
-                .map(|_| DependencyTracker::new(config.table_per_tg))
+                .map(|_| DependencyTracker::new(SetAssocConfig::default()))
                 .collect(),
             pool: TaskPool::new(config.task_pool_capacity, config.retirement),
-            in_flight: FxHashMap::default(),
-            param_arena: Vec::new(),
             released: Vec::new(),
             pending: Vec::new(),
             tasks_submitted: 0,
             tasks_retired: 0,
             ready_immediately: 0,
             last_activity: SimTime::ZERO,
-            config,
         }
     }
 
@@ -97,25 +87,20 @@ impl NexusSharp {
         Self::new(NexusSharpConfig::at_mhz(task_graphs, mhz))
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &NexusSharpConfig {
-        &self.config
-    }
-
     fn cycles(&self, n: u64) -> SimDuration {
         self.clock.cycles(n)
     }
 
     fn args_fifo(&self) -> SimDuration {
-        self.cycles(self.config.args_fifo_latency_cycles)
+        self.cycles(ARGS_FIFO_LATENCY_CYCLES)
     }
 
     /// Ready id goes through the Internal Ready Tasks buffer and Write Back.
     fn write_back_ready(&mut self, task: TaskId, not_before: SimTime) {
         let res = self.writeback.acquire_after(
             not_before,
-            not_before + self.cycles(self.config.ready_fifo_latency_cycles),
-            self.cycles(self.config.writeback_cycles),
+            not_before + self.cycles(READY_FIFO_LATENCY_CYCLES),
+            self.cycles(WRITEBACK_CYCLES),
         );
         self.pending.push(ManagerEvent::Ready { task, at: res.end });
     }
@@ -123,7 +108,7 @@ impl NexusSharp {
 
 impl TaskManager for NexusSharp {
     fn name(&self) -> String {
-        format!("Nexus# ({} TGs)", self.config.task_graphs)
+        format!("Nexus# ({} TGs)", self.trackers.len())
     }
 
     fn supports_taskwait_on(&self) -> bool {
@@ -140,12 +125,12 @@ impl TaskManager for NexusSharp {
         // IPh: receive the header word (function pointer + parameter count).
         let header = self
             .input_parser
-            .acquire(now, self.cycles(self.config.ip_header_cycles));
+            .acquire(now, self.cycles(IP_HEADER_CYCLES));
         let mut ip_cursor = header.end;
 
         // The arbiter's gathering state: the dependence count so far and when
         // the last parameter's result was gathered.
-        let mut params = self.param_arena.pop().unwrap_or_default();
+        let mut params = self.pool.empty_list();
         let mut deps = 0;
         let mut gathered_at = None;
 
@@ -154,7 +139,7 @@ impl TaskManager for NexusSharp {
             // immediately to its task graph's New Args. buffer.
             let ip = self
                 .input_parser
-                .acquire(ip_cursor, self.cycles(self.config.ip_cycles_per_param));
+                .acquire(ip_cursor, self.cycles(IP_CYCLES_PER_PARAM));
             ip_cursor = ip.end;
 
             let tg = self.distributor.pick(p.addr);
@@ -164,15 +149,15 @@ impl TaskManager for NexusSharp {
 
             // IN: the task graph inserts the address once it emerges from the
             // New Args. buffer and the engine is free.
-            let mut insert_cycles = self.config.insert_cycles_per_param;
+            let mut insert_cycles = INSERT_CYCLES_PER_PARAM;
             if outcome.overflow {
-                insert_cycles += self.config.overflow_penalty_cycles;
+                insert_cycles += OVERFLOW_PENALTY_CYCLES;
             }
             if outcome.kickoff_segment > 1 {
                 // Appending to a chained (dummy-entry) segment costs one extra
                 // pointer chase; the hardware keeps a tail pointer, so the cost
                 // does not grow with the list length.
-                insert_cycles += self.config.kickoff_segment_penalty_cycles;
+                insert_cycles += KICKOFF_SEGMENT_PENALTY_CYCLES;
             }
             let fifo = self.args_fifo();
             let insert_service = self.cycles(insert_cycles);
@@ -183,7 +168,7 @@ impl TaskManager for NexusSharp {
             let ar = self.arbiter.acquire_after(
                 ins.end,
                 ins.end,
-                self.cycles(self.config.arbiter_cycles_per_result),
+                self.cycles(ARBITER_CYCLES_PER_RESULT),
             );
             gathered_at = Some(ar.end);
         }
@@ -191,11 +176,10 @@ impl TaskManager for NexusSharp {
         // IPf: store the descriptor in the Task Pool.
         let ipf = self
             .input_parser
-            .acquire(ip_cursor, self.cycles(self.config.ip_finalize_cycles));
+            .acquire(ip_cursor, self.cycles(IP_FINALIZE_CYCLES));
         self.pool
-            .admit(task.id)
+            .admit(task.id, params, deps)
             .expect("driver must check can_accept before submitting");
-        self.in_flight.insert(task.id, InFlight { params, deps });
 
         // The arbiter concludes the final dependence count once the last
         // parameter's result has been gathered. No `finish` runs inside a
@@ -204,7 +188,7 @@ impl TaskManager for NexusSharp {
         let decide = self.arbiter.acquire_after(
             gathered_at,
             gathered_at,
-            self.cycles(self.config.arbiter_decide_cycles),
+            self.cycles(ARBITER_DECIDE_CYCLES),
         );
         if deps == 0 {
             self.ready_immediately += 1;
@@ -223,21 +207,17 @@ impl TaskManager for NexusSharp {
         // Pool and re-distributes it to the Finished Args. buffers.
         let recv = self
             .input_parser
-            .acquire(now, self.cycles(self.config.finish_receive_cycles));
+            .acquire(now, self.cycles(FINISH_RECEIVE_CYCLES));
 
-        let InFlight { mut params, .. } = self
-            .in_flight
-            .remove(&task)
-            .expect("finish() for a task that was never submitted");
+        let params = self.pool.finish(task);
         let mut released = std::mem::take(&mut self.released);
         let mut ip_cursor = recv.end;
         let mut retire_at = recv.end;
 
         for &(addr, access) in &params {
-            let dist = self.input_parser.acquire(
-                ip_cursor,
-                self.cycles(self.config.finish_distribute_cycles_per_param),
-            );
+            let dist = self
+                .input_parser
+                .acquire(ip_cursor, self.cycles(FINISH_DISTRIBUTE_CYCLES_PER_PARAM));
             ip_cursor = dist.end;
 
             let tg = self.distributor.pick_readonly(addr);
@@ -245,9 +225,8 @@ impl TaskManager for NexusSharp {
             let out = self.trackers[tg].retire_param(task, addr, access, &mut released);
 
             // Task-graph cleanup: delete the entry and walk the kick-off list.
-            let mut delete_cycles = self.config.delete_cycles_per_param;
-            delete_cycles +=
-                self.config.kickoff_segment_penalty_cycles * (out.waiters_scanned as u64 / 8);
+            let delete_cycles = DELETE_CYCLES_PER_PARAM
+                + KICKOFF_SEGMENT_PENALTY_CYCLES * (out.waiters_scanned as u64 / 8);
             let fifo = self.args_fifo();
             let delete_service = self.cycles(delete_cycles);
             let del = self.tg_engines[tg].acquire_after(dist.end, dist.end + fifo, delete_service);
@@ -260,14 +239,9 @@ impl TaskManager for NexusSharp {
                 let ar = self.arbiter.acquire_after(
                     del.end,
                     del.end,
-                    self.cycles(self.config.waiter_decrement_cycles),
+                    self.cycles(WAITER_DECREMENT_CYCLES),
                 );
-                let record = self
-                    .in_flight
-                    .get_mut(&waiter)
-                    .expect("a released task is in flight");
-                record.deps -= 1;
-                if record.deps == 0 {
+                if self.pool.release(waiter) {
                     self.write_back_ready(waiter, ar.end);
                 }
                 retire_at = retire_at.max(ar.end);
@@ -275,9 +249,7 @@ impl TaskManager for NexusSharp {
         }
 
         self.released = released;
-        self.pool.finish(task);
-        params.clear();
-        self.param_arena.push(params);
+        self.pool.recycle(params);
         self.tasks_retired += 1;
         self.pending.push(ManagerEvent::Retired {
             task,
@@ -286,10 +258,6 @@ impl TaskManager for NexusSharp {
 
         // The worker is released once its notification has been accepted.
         recv.end
-    }
-
-    fn drain_events(&mut self) -> Vec<ManagerEvent> {
-        std::mem::take(&mut self.pending)
     }
 
     fn drain_events_into(&mut self, out: &mut Vec<ManagerEvent>) {

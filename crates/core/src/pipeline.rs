@@ -8,7 +8,11 @@
 //! benchmark harness can print the per-stage cycle layout and compare the two
 //! pipelines stage by stage.
 
-use crate::config::NexusSharpConfig;
+use crate::config::{
+    ARBITER_CYCLES_PER_RESULT, ARBITER_DECIDE_CYCLES, ARGS_FIFO_LATENCY_CYCLES,
+    INSERT_CYCLES_PER_PARAM, IP_CYCLES_PER_PARAM, IP_FINALIZE_CYCLES, IP_HEADER_CYCLES,
+    READY_FIFO_LATENCY_CYCLES, WRITEBACK_CYCLES,
+};
 use serde::{Deserialize, Serialize};
 
 /// One stage occupancy interval, in cycles from the start of the schedule.
@@ -45,16 +49,16 @@ pub enum PipelineCase {
 }
 
 /// Computes the ideal schedule of `tasks` back-to-back independent tasks with
-/// `params_per_task` parameters each, parameters assigned round-robin over the
-/// configured number of task graphs. Returns the spans and the cycle at which
-/// the last write-back completes.
+/// `params_per_task` parameters each, parameters assigned round-robin over
+/// `task_graphs` task graphs. Returns the spans and the cycle at which the
+/// last write-back completes.
 pub fn sharp_pipeline_schedule(
-    config: &NexusSharpConfig,
+    task_graphs: usize,
     tasks: usize,
     params_per_task: usize,
     case: PipelineCase,
 ) -> (Vec<SharpStageSpan>, u64) {
-    let n_tg = config.task_graphs.max(1);
+    let n_tg = task_graphs.max(1);
     let mut spans = Vec::new();
     let mut ip_free = 0u64;
     let mut tg_free = vec![0u64; n_tg];
@@ -69,7 +73,7 @@ pub fn sharp_pipeline_schedule(
         // descriptor is assumed buffered).
         let header_end = if case == PipelineCase::Average {
             let start = ip_free;
-            let end = start + config.ip_header_cycles;
+            let end = start + IP_HEADER_CYCLES;
             spans.push(SharpStageSpan {
                 task: t,
                 param: None,
@@ -88,7 +92,7 @@ pub fn sharp_pipeline_schedule(
             // IP: receive + distribute this parameter (average case only).
             let avail = if case == PipelineCase::Average {
                 let start = ip_cursor;
-                let end = start + config.ip_cycles_per_param;
+                let end = start + IP_CYCLES_PER_PARAM;
                 spans.push(SharpStageSpan {
                     task: t,
                     param: Some(p),
@@ -98,7 +102,7 @@ pub fn sharp_pipeline_schedule(
                 });
                 ip_cursor = end;
                 ip_free = end;
-                end + config.args_fifo_latency_cycles
+                end + ARGS_FIFO_LATENCY_CYCLES
             } else {
                 // Already sitting at the output of the New Args. buffer.
                 0
@@ -107,7 +111,7 @@ pub fn sharp_pipeline_schedule(
             // IN: insertion at the parameter's task graph.
             let tg = p % n_tg;
             let start = avail.max(tg_free[tg]);
-            let end = start + config.insert_cycles_per_param;
+            let end = start + INSERT_CYCLES_PER_PARAM;
             tg_free[tg] = end;
             spans.push(SharpStageSpan {
                 task: t,
@@ -119,7 +123,7 @@ pub fn sharp_pipeline_schedule(
 
             // AR: the arbiter gathers this result.
             let ar_start = end.max(arbiter_free);
-            let ar_end = ar_start + config.arbiter_cycles_per_result;
+            let ar_end = ar_start + ARBITER_CYCLES_PER_RESULT;
             arbiter_free = ar_end;
             spans.push(SharpStageSpan {
                 task: t,
@@ -134,7 +138,7 @@ pub fn sharp_pipeline_schedule(
         if case == PipelineCase::Average {
             // IPf: store the descriptor in the Task Pool.
             let start = ip_cursor;
-            let end = start + config.ip_finalize_cycles;
+            let end = start + IP_FINALIZE_CYCLES;
             spans.push(SharpStageSpan {
                 task: t,
                 param: None,
@@ -146,10 +150,10 @@ pub fn sharp_pipeline_schedule(
         }
 
         // Final dependence-count decision, ready FIFO and write back.
-        let decide_end = last_gather.max(arbiter_free) + config.arbiter_decide_cycles;
+        let decide_end = last_gather.max(arbiter_free) + ARBITER_DECIDE_CYCLES;
         arbiter_free = decide_end;
-        let wb_start = (decide_end + config.ready_fifo_latency_cycles).max(wb_free);
-        let wb_end = wb_start + config.writeback_cycles;
+        let wb_start = (decide_end + READY_FIFO_LATENCY_CYCLES).max(wb_free);
+        let wb_end = wb_start + WRITEBACK_CYCLES;
         wb_free = wb_end;
         spans.push(SharpStageSpan {
             task: t,
@@ -167,18 +171,17 @@ pub fn sharp_pipeline_schedule(
 /// parameters each, pushed through a single-task-graph Nexus# (the paper
 /// reports 78 cycles, vs. 172 cycles for the task-superscalar prototype
 /// of Yazdanpanah et al.).
-pub fn micro_benchmark_cycles(config: &NexusSharpConfig) -> u64 {
-    let mut cfg = *config;
-    cfg.task_graphs = 1;
-    sharp_pipeline_schedule(&cfg, 5, 2, PipelineCase::Average).1
+pub fn micro_benchmark_cycles() -> u64 {
+    sharp_pipeline_schedule(1, 5, 2, PipelineCase::Average).1
 }
 
-/// Span (in cycles) of the insertion phase of a single task: the interval from
-/// the first parameter starting insertion to the last finishing. The paper
+/// Span (in cycles) of the insertion phase of a single task on `task_graphs`
+/// task graphs: the interval from the first parameter starting insertion to
+/// the last finishing. The paper
 /// quotes 11 cycles for the 4-parameter average case (vs. 18 cycles for the
 /// monolithic Nexus++ insert stage) and 5 cycles for the best case.
-pub fn insertion_span_cycles(config: &NexusSharpConfig, params: usize, case: PipelineCase) -> u64 {
-    let (spans, _) = sharp_pipeline_schedule(config, 1, params, case);
+pub fn insertion_span_cycles(task_graphs: usize, params: usize, case: PipelineCase) -> u64 {
+    let (spans, _) = sharp_pipeline_schedule(task_graphs, 1, params, case);
     let ins: Vec<&SharpStageSpan> = spans.iter().filter(|s| s.stage == "IN").collect();
     let start = ins.iter().map(|s| s.start_cycle).min().unwrap_or(0);
     let end = ins.iter().map(|s| s.end_cycle).max().unwrap_or(0);
@@ -189,29 +192,25 @@ pub fn insertion_span_cycles(config: &NexusSharpConfig, params: usize, case: Pip
 mod tests {
     use super::*;
 
-    fn cfg(tgs: usize) -> NexusSharpConfig {
-        NexusSharpConfig::at_mhz(tgs, 100.0)
-    }
-
     #[test]
     fn average_case_insertion_span_matches_fig4() {
         // "The Insertion stage in the new pipeline consumed 11 cycles,
         // compared to 18 cycles in the old pipeline."
-        assert_eq!(insertion_span_cycles(&cfg(4), 4, PipelineCase::Average), 11);
+        assert_eq!(insertion_span_cycles(4, 4, PipelineCase::Average), 11);
     }
 
     #[test]
     fn best_case_insertion_span_matches_fig5() {
         // With all four parameters already buffered at four different task
         // graphs, insertion takes exactly one 5-cycle slot.
-        assert_eq!(insertion_span_cycles(&cfg(4), 4, PipelineCase::BestCase), 5);
+        assert_eq!(insertion_span_cycles(4, 4, PipelineCase::BestCase), 5);
     }
 
     #[test]
     fn best_case_initiation_interval_is_five_cycles() {
         // "In this scenario, the Write Back stage will take place every other
         // 5 cycles."
-        let (spans, _) = sharp_pipeline_schedule(&cfg(4), 6, 4, PipelineCase::BestCase);
+        let (spans, _) = sharp_pipeline_schedule(4, 6, 4, PipelineCase::BestCase);
         let wb: Vec<u64> = spans
             .iter()
             .filter(|s| s.stage == "WB")
@@ -226,7 +225,7 @@ mod tests {
         // "this number decreased significantly to 11 cycles in the new
         // pipeline" — the steady-state write-back interval equals the Input
         // Parser occupancy per task (2 + 2*4 + 1 = 11 cycles).
-        let (spans, _) = sharp_pipeline_schedule(&cfg(4), 8, 4, PipelineCase::Average);
+        let (spans, _) = sharp_pipeline_schedule(4, 8, 4, PipelineCase::Average);
         let wb: Vec<u64> = spans
             .iter()
             .filter(|s| s.stage == "WB")
@@ -241,7 +240,7 @@ mod tests {
 
     #[test]
     fn micro_benchmark_is_well_under_the_task_superscalar_172_cycles() {
-        let cycles = micro_benchmark_cycles(&cfg(1));
+        let cycles = micro_benchmark_cycles();
         // The paper reports 78 cycles for its VHDL prototype; our analytic
         // model lands in the same range and far below the 172 cycles of [19].
         assert!(cycles >= 50, "{cycles}");
@@ -250,7 +249,7 @@ mod tests {
 
     #[test]
     fn stages_never_overlap_on_their_resource() {
-        let (spans, _) = sharp_pipeline_schedule(&cfg(3), 5, 4, PipelineCase::Average);
+        let (spans, _) = sharp_pipeline_schedule(3, 5, 4, PipelineCase::Average);
         // The input parser stages (IPh/IP/IPf) are serial.
         let mut last_end = 0;
         for s in spans

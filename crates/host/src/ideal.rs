@@ -60,8 +60,8 @@ impl TaskManager for IdealManager {
         now // zero notification cost
     }
 
-    fn drain_events(&mut self) -> Vec<ManagerEvent> {
-        std::mem::take(&mut self.pending)
+    fn drain_events_into(&mut self, out: &mut Vec<ManagerEvent>) {
+        out.append(&mut self.pending);
     }
 }
 

@@ -64,13 +64,13 @@ pub trait TaskManager {
     /// The master submits `task` at `now`. Returns the time at which the master
     /// can continue with its next operation (submission interface busy time,
     /// software task-creation time, …). Readiness is reported asynchronously
-    /// through [`TaskManager::drain_events`].
+    /// through [`TaskManager::drain_events_into`].
     fn submit(&mut self, task: &TaskDescriptor, now: SimTime) -> SimTime;
 
     /// A worker reports at `now` that `task` finished executing. Returns the
     /// time at which the worker is free to pick up new work (notification
     /// cost). Kick-offs and retirement are reported through
-    /// [`TaskManager::drain_events`].
+    /// [`TaskManager::drain_events_into`].
     fn finish(&mut self, task: TaskId, now: SimTime) -> SimTime;
 
     /// Cost charged when a ready task is handed to a worker (the runtime's
@@ -86,16 +86,19 @@ pub trait TaskManager {
         true
     }
 
-    /// Drains all pending notifications produced by earlier calls. Timestamps
-    /// are at or after the call that generated them.
-    fn drain_events(&mut self) -> Vec<ManagerEvent>;
+    /// Appends all pending notifications produced by earlier calls to `out`.
+    /// Timestamps are at or after the call that generated them. The drivers
+    /// call this on their event hot path with a reused buffer; a manager that
+    /// keeps its notifications in a buffer of its own moves them with
+    /// `out.append`, which keeps both buffers' capacity.
+    fn drain_events_into(&mut self, out: &mut Vec<ManagerEvent>);
 
-    /// Appends all pending notifications to `out` instead of allocating a
-    /// fresh vector. The drivers call this on their event hot path with a
-    /// reused scratch buffer; managers with an internal pending buffer should
-    /// override it to `append` (which keeps both buffers' capacity alive).
-    fn drain_events_into(&mut self, out: &mut Vec<ManagerEvent>) {
-        out.extend(self.drain_events());
+    /// Drains all pending notifications into a new vector (see
+    /// [`TaskManager::drain_events_into`]).
+    fn drain_events(&mut self) -> Vec<ManagerEvent> {
+        let mut events = Vec::new();
+        self.drain_events_into(&mut events);
+        events
     }
 
     /// Optional diagnostic key/value summary (utilizations, stall counts, …)

@@ -1,12 +1,36 @@
-//! Nanos cost-model configuration.
+//! Nanos cost-model configuration: the worker count and the per-benchmark
+//! overhead scale, with the cost terms as constants.
+//!
+//! Every cost is in microseconds. The constants are in the range reported for
+//! dependency-aware task runtimes of the period (Vandierendonck et al. quote
+//! 400 cycles ≈ 0.2 µs per task as the *best* case for a heavily optimized
+//! tracker; Nanos with the Mercurium-generated glue is one to two orders of
+//! magnitude heavier). The paper gives no per-operation costs for Nanos; what
+//! the model takes from it is their structure: what runs on the master, what
+//! on the worker, and what serializes on the runtime lock.
+//! [`crate::calibration`] scales every term per benchmark through
+//! [`NanosConfig::overhead_scale`].
 
 use serde::{Deserialize, Serialize};
 
-/// Cost parameters of the software runtime model (all in microseconds unless
-/// stated otherwise). Defaults are in the range reported for dependency-aware
-/// task runtimes of the period (Vandierendonck et al. quote 400 cycles ≈ 0.2 µs
-/// per task as the *best* case for a heavily optimized tracker; Nanos with the
-/// Mercurium-generated glue is one to two orders of magnitude heavier).
+/// Master-side task-creation cost (allocation, closure capture, bookkeeping).
+pub const CREATE_US: f64 = 3.0;
+/// Master-side cost per dependency (address) inserted.
+pub const CREATE_PER_DEP_US: f64 = 0.7;
+/// Worker-side scheduling cost per dispatched task (ready-queue pop, thread
+/// wake-up).
+pub const DISPATCH_US: f64 = 1.2;
+/// Worker-side completion cost per finished task (dependency release walk).
+pub const RELEASE_US: f64 = 1.8;
+/// Worker-side cost per dependency released.
+pub const RELEASE_PER_DEP_US: f64 = 0.5;
+/// Runtime-lock critical-section base length per operation.
+pub const LOCK_BASE_US: f64 = 0.6;
+/// Runtime-lock extra hold time per active worker (cache-line transfer /
+/// contention growth).
+pub const LOCK_PER_WORKER_US: f64 = 0.055;
+
+/// The settable parameters of the software runtime model.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct NanosConfig {
     /// Number of worker threads (used to model lock contention growth).
@@ -14,40 +38,14 @@ pub struct NanosConfig {
     /// Global multiplier applied to every overhead term (per-benchmark
     /// calibration; see [`crate::calibration`]).
     pub overhead_scale: f64,
-
-    /// Master-side task-creation cost (allocation, closure capture, bookkeeping).
-    pub create_us: f64,
-    /// Master-side cost per dependency (address) inserted.
-    pub create_per_dep_us: f64,
-    /// Worker-side scheduling cost per dispatched task (ready-queue pop,
-    /// thread wake-up).
-    pub dispatch_us: f64,
-    /// Worker-side completion cost per finished task (dependency release walk).
-    pub release_us: f64,
-    /// Worker-side cost per dependency released.
-    pub release_per_dep_us: f64,
-
-    /// Runtime-lock critical-section base length per operation.
-    pub lock_base_us: f64,
-    /// Runtime-lock extra hold time per active worker (cache-line transfer /
-    /// contention growth).
-    pub lock_per_worker_us: f64,
 }
 
 impl NanosConfig {
-    /// Default cost constants for a given worker count (no per-benchmark
-    /// scaling).
+    /// The model for a given worker count (no per-benchmark scaling).
     pub fn with_workers(workers: usize) -> Self {
         NanosConfig {
             workers,
             overhead_scale: 1.0,
-            create_us: 3.0,
-            create_per_dep_us: 0.7,
-            dispatch_us: 1.2,
-            release_us: 1.8,
-            release_per_dep_us: 0.5,
-            lock_base_us: 0.6,
-            lock_per_worker_us: 0.055,
         }
     }
 
@@ -59,22 +57,22 @@ impl NanosConfig {
 
     /// The runtime-lock hold time per operation at this worker count.
     pub fn lock_hold_us(&self) -> f64 {
-        (self.lock_base_us + self.lock_per_worker_us * self.workers as f64) * self.overhead_scale
+        (LOCK_BASE_US + LOCK_PER_WORKER_US * self.workers as f64) * self.overhead_scale
     }
 
     /// Master-side creation cost for a task with `deps` dependencies.
     pub fn creation_us(&self, deps: usize) -> f64 {
-        (self.create_us + self.create_per_dep_us * deps as f64) * self.overhead_scale
+        (CREATE_US + CREATE_PER_DEP_US * deps as f64) * self.overhead_scale
     }
 
     /// Worker-side dispatch cost.
     pub fn dispatch_cost_us(&self) -> f64 {
-        self.dispatch_us * self.overhead_scale
+        DISPATCH_US * self.overhead_scale
     }
 
     /// Worker-side release cost for a task with `deps` dependencies.
     pub fn release_cost_us(&self, deps: usize) -> f64 {
-        (self.release_us + self.release_per_dep_us * deps as f64) * self.overhead_scale
+        (RELEASE_US + RELEASE_PER_DEP_US * deps as f64) * self.overhead_scale
     }
 
     /// Validates the configuration.

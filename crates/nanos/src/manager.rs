@@ -124,8 +124,8 @@ impl TaskManager for NanosRuntime {
         lock_released
     }
 
-    fn drain_events(&mut self) -> Vec<ManagerEvent> {
-        std::mem::take(&mut self.pending)
+    fn drain_events_into(&mut self, out: &mut Vec<ManagerEvent>) {
+        out.append(&mut self.pending);
     }
 
     fn stats_summary(&self) -> Vec<(String, f64)> {

@@ -1,21 +1,17 @@
 //! The Nexus++ discrete-event model (implements [`TaskManager`]).
 
-use crate::config::NexusPPConfig;
+use crate::config::{
+    insert_cycles, ip_cycles, NexusPPConfig, CLOCK_MHZ, DELETE_CYCLES_PER_PARAM,
+    FIFO_LATENCY_CYCLES, FINISH_RECEIVE_CYCLES, KICKOFF_CYCLES_PER_WAITER,
+    KICKOFF_SEGMENT_PENALTY_CYCLES, OVERFLOW_PENALTY_CYCLES, WRITEBACK_CYCLES,
+};
 use nexus_host::manager::{ManagerEvent, TaskManager};
-use nexus_sim::{ClockDomain, FxHashMap, SerialResource, SimDuration, SimTime};
-use nexus_taskgraph::{AccessId, DependencyTracker, TaskPool};
+use nexus_sim::{ClockDomain, SerialResource, SimDuration, SimTime};
+use nexus_taskgraph::{DependencyTracker, SetAssocConfig, TaskPool};
 use nexus_trace::{TaskDescriptor, TaskId};
-
-/// One in-flight task: the addresses of its parameters with their tracker
-/// accesses (needed at cleanup time), and its outstanding dependence count.
-struct InFlight {
-    params: Vec<(u64, AccessId)>,
-    deps: u32,
-}
 
 /// The centralized Nexus++ hardware task manager.
 pub struct NexusPP {
-    config: NexusPPConfig,
     clock: ClockDomain,
 
     /// The Nexus IO / Input Parser front-end: receives task submissions and
@@ -29,12 +25,10 @@ pub struct NexusPP {
 
     /// Functional dependency state of the single task graph.
     tracker: DependencyTracker,
-    /// Bounded in-flight task storage (circular-buffer recycling by default).
+    /// The Task Pool: every in-flight task's parameter list (needed at
+    /// cleanup time) and dependence count (circular-buffer recycling by
+    /// default).
     pool: TaskPool,
-    /// The record of every in-flight task.
-    in_flight: FxHashMap<TaskId, InFlight>,
-    /// Parameter lists of retired tasks, reused for the next submission.
-    param_arena: Vec<Vec<(u64, AccessId)>>,
     /// The tasks a finishing task released, reused by every `finish`.
     released: Vec<TaskId>,
 
@@ -54,15 +48,12 @@ impl NexusPP {
     pub fn new(config: NexusPPConfig) -> Self {
         config.validate().expect("invalid Nexus++ configuration");
         NexusPP {
-            clock: config.clock(),
-            tracker: DependencyTracker::new(config.table),
+            clock: ClockDomain::from_mhz(CLOCK_MHZ),
+            tracker: DependencyTracker::new(SetAssocConfig::default()),
             pool: TaskPool::new(config.task_pool_capacity, config.retirement),
-            config,
             io_front_end: SerialResource::new(),
             graph_engine: SerialResource::new(),
             writeback: SerialResource::new(),
-            in_flight: FxHashMap::default(),
-            param_arena: Vec::new(),
             released: Vec::new(),
             pending: Vec::new(),
             tasks_submitted: 0,
@@ -77,17 +68,12 @@ impl NexusPP {
         Self::new(NexusPPConfig::paper())
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &NexusPPConfig {
-        &self.config
-    }
-
     fn cycles(&self, n: u64) -> SimDuration {
         self.clock.cycles(n)
     }
 
     fn fifo_delay(&self) -> SimDuration {
-        self.cycles(self.config.fifo_latency_cycles)
+        self.cycles(FIFO_LATENCY_CYCLES)
     }
 
     /// Emits a ready notification through the Write Back stage.
@@ -95,7 +81,7 @@ impl NexusPP {
         let res = self.writeback.acquire_after(
             not_before,
             not_before + self.fifo_delay(),
-            self.cycles(self.config.writeback_cycles),
+            self.cycles(WRITEBACK_CYCLES),
         );
         self.pending.push(ManagerEvent::Ready { task, at: res.end });
     }
@@ -121,38 +107,38 @@ impl TaskManager for NexusPP {
 
         // Stage 1: Input Parser — the master streams the whole descriptor over
         // the Nexus IO; the master is busy for the duration of the transfer.
-        let ip_cycles = self.config.ip_cycles(task.num_params());
-        let ip = self.io_front_end.acquire(now, self.cycles(ip_cycles));
+        let ip = self
+            .io_front_end
+            .acquire(now, self.cycles(ip_cycles(task.num_params())));
 
         // Stage 2: Insert — the whole parameter list is inserted into the single
         // task graph once the descriptor has passed through the inter-stage FIFO.
-        let mut insert_cycles = self.config.insert_cycles(task.num_params());
-        let mut params = self.param_arena.pop().unwrap_or_default();
+        let mut insert_len = insert_cycles(task.num_params());
+        let mut params = self.pool.empty_list();
         let mut deps = 0;
         for p in &task.params {
             let outcome = self.tracker.insert_param(task.id, p.addr, p.dir);
             params.push((p.addr, outcome.access));
             deps += u32::from(outcome.blocked);
             if outcome.overflow {
-                insert_cycles += self.config.overflow_penalty_cycles;
+                insert_len += OVERFLOW_PENALTY_CYCLES;
             }
             if outcome.kickoff_segment > 1 {
                 // Appending to a chained (dummy-entry) segment costs one extra
                 // pointer chase (the design keeps a tail pointer).
-                insert_cycles += self.config.kickoff_segment_penalty_cycles;
+                insert_len += KICKOFF_SEGMENT_PENALTY_CYCLES;
             }
         }
         let insert = self.graph_engine.acquire_after(
             ip.end,
             ip.end + self.fifo_delay(),
-            self.cycles(insert_cycles),
+            self.cycles(insert_len),
         );
 
         // Bookkeeping for the finished-task pipeline.
         self.pool
-            .admit(task.id)
+            .admit(task.id, params, deps)
             .expect("driver must check can_accept before submitting");
-        self.in_flight.insert(task.id, InFlight { params, deps });
 
         // Stage 3: Write Back for tasks with no unresolved dependencies.
         if deps == 0 {
@@ -169,24 +155,20 @@ impl TaskManager for NexusPP {
         // The worker writes a completion notification to the Nexus IO unit.
         let recv = self
             .io_front_end
-            .acquire(now, self.cycles(self.config.finish_receive_cycles));
+            .acquire(now, self.cycles(FINISH_RECEIVE_CYCLES));
 
         // The finished-task pipeline walks the task's parameter list, kicks off
         // waiting tasks and cleans up table entries; it contends with the Insert
         // stage for the single task graph.
-        let InFlight { mut params, .. } = self
-            .in_flight
-            .remove(&task)
-            .expect("finish() for a task that was never submitted");
-        let mut cleanup_cycles = self.config.delete_cycles_per_param * params.len() as u64;
+        let params = self.pool.finish(task);
+        let mut cleanup_cycles = DELETE_CYCLES_PER_PARAM * params.len() as u64;
         let mut released = std::mem::take(&mut self.released);
         released.clear();
         for &(addr, access) in &params {
             let out = self.tracker.retire_param(task, addr, access, &mut released);
-            cleanup_cycles += self.config.kickoff_cycles_per_waiter * out.waiters_scanned as u64;
+            cleanup_cycles += KICKOFF_CYCLES_PER_WAITER * out.waiters_scanned as u64;
         }
-        params.clear();
-        self.param_arena.push(params);
+        self.pool.recycle(params);
         let cleanup = self.graph_engine.acquire_after(
             recv.end,
             recv.end + self.fifo_delay(),
@@ -196,19 +178,13 @@ impl TaskManager for NexusPP {
         // Kicked-off tasks whose dependence count reaches zero go through the
         // Write Back stage.
         for &dep in &released {
-            let record = self
-                .in_flight
-                .get_mut(&dep)
-                .expect("a released task is in flight");
-            record.deps -= 1;
-            if record.deps == 0 {
+            if self.pool.release(dep) {
                 self.write_back_ready(dep, cleanup.end);
             }
         }
         self.released = released;
 
         // Retirement (as observed by `taskwait`) happens when cleanup completes.
-        self.pool.finish(task);
         self.tasks_retired += 1;
         self.pending.push(ManagerEvent::Retired {
             task,
@@ -217,10 +193,6 @@ impl TaskManager for NexusPP {
 
         // The worker is released as soon as its notification has been accepted.
         recv.end
-    }
-
-    fn drain_events(&mut self) -> Vec<ManagerEvent> {
-        std::mem::take(&mut self.pending)
     }
 
     fn drain_events_into(&mut self, out: &mut Vec<ManagerEvent>) {

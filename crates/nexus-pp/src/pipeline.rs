@@ -6,7 +6,7 @@
 //! harness uses it to regenerate the pipeline walk-throughs of Fig. 1 and to
 //! compare against the Nexus# schedules of Fig. 4 / Fig. 5.
 
-use crate::config::NexusPPConfig;
+use crate::config::{insert_cycles, ip_cycles, FIFO_LATENCY_CYCLES, WRITEBACK_CYCLES};
 use serde::{Deserialize, Serialize};
 
 /// One pipeline-stage occupancy interval, in cycles relative to the start of
@@ -36,11 +36,7 @@ impl StageSpan {
 ///
 /// Returns the stage spans plus the total cycle count (the cycle at which the
 /// last write-back completes).
-pub fn pipeline_schedule(
-    config: &NexusPPConfig,
-    tasks: usize,
-    params_per_task: usize,
-) -> (Vec<StageSpan>, u64) {
+pub fn pipeline_schedule(tasks: usize, params_per_task: usize) -> (Vec<StageSpan>, u64) {
     let mut spans = Vec::with_capacity(tasks * 3);
     let mut ip_free = 0u64;
     let mut insert_free = 0u64;
@@ -50,7 +46,7 @@ pub fn pipeline_schedule(
     for t in 0..tasks {
         // Stage 1: Input Parser (serial per task, a whole task at a time).
         let ip_start = ip_free;
-        let ip_end = ip_start + config.ip_cycles(params_per_task);
+        let ip_end = ip_start + ip_cycles(params_per_task);
         ip_free = ip_end;
         spans.push(StageSpan {
             task: t,
@@ -61,8 +57,8 @@ pub fn pipeline_schedule(
 
         // Stage 2: Insert — data must be fully buffered (FIFO latency) and the
         // stage must be free.
-        let ins_start = (ip_end + config.fifo_latency_cycles).max(insert_free);
-        let ins_end = ins_start + config.insert_cycles(params_per_task);
+        let ins_start = (ip_end + FIFO_LATENCY_CYCLES).max(insert_free);
+        let ins_end = ins_start + insert_cycles(params_per_task);
         insert_free = ins_end;
         spans.push(StageSpan {
             task: t,
@@ -73,8 +69,8 @@ pub fn pipeline_schedule(
 
         // Stage 3: Write Back (only for ready tasks; all tasks are independent
         // here).
-        let wb_start = (ins_end + config.fifo_latency_cycles).max(wb_free);
-        let wb_end = wb_start + config.writeback_cycles;
+        let wb_start = (ins_end + FIFO_LATENCY_CYCLES).max(wb_free);
+        let wb_end = wb_start + WRITEBACK_CYCLES;
         wb_free = wb_end;
         spans.push(StageSpan {
             task: t,
@@ -92,11 +88,10 @@ pub fn pipeline_schedule(
 /// the longest stage, which for Nexus++ is the Insert stage (18 cycles for the
 /// 4-parameter example — "the write back stage … took place every other 18
 /// cycles in the old pipeline").
-pub fn initiation_interval(config: &NexusPPConfig, params_per_task: usize) -> u64 {
-    config
-        .ip_cycles(params_per_task)
-        .max(config.insert_cycles(params_per_task))
-        .max(config.writeback_cycles)
+pub fn initiation_interval(params_per_task: usize) -> u64 {
+    ip_cycles(params_per_task)
+        .max(insert_cycles(params_per_task))
+        .max(WRITEBACK_CYCLES)
 }
 
 #[cfg(test)]
@@ -105,8 +100,7 @@ mod tests {
 
     #[test]
     fn four_parameter_example_matches_fig1() {
-        let c = NexusPPConfig::default();
-        let (spans, total) = pipeline_schedule(&c, 1, 4);
+        let (spans, total) = pipeline_schedule(1, 4);
         assert_eq!(spans.len(), 3);
         assert_eq!(spans[0].cycles(), 12);
         assert_eq!(spans[1].cycles(), 18);
@@ -117,9 +111,8 @@ mod tests {
 
     #[test]
     fn steady_state_is_limited_by_the_insert_stage() {
-        let c = NexusPPConfig::default();
-        assert_eq!(initiation_interval(&c, 4), 18);
-        let (spans, _) = pipeline_schedule(&c, 4, 4);
+        assert_eq!(initiation_interval(4), 18);
+        let (spans, _) = pipeline_schedule(4, 4);
         // Write-backs of consecutive tasks are 18 cycles apart in steady state.
         let wb: Vec<&StageSpan> = spans.iter().filter(|s| s.stage == "WB").collect();
         let deltas: Vec<u64> = wb
@@ -131,8 +124,7 @@ mod tests {
 
     #[test]
     fn stages_never_overlap_on_the_same_resource() {
-        let c = NexusPPConfig::default();
-        let (spans, _) = pipeline_schedule(&c, 6, 3);
+        let (spans, _) = pipeline_schedule(6, 3);
         for stage in ["IP", "Insert", "WB"] {
             let mut last_end = 0;
             for s in spans.iter().filter(|s| s.stage == stage) {

@@ -7,9 +7,15 @@
 //! back to dummy/overflow entries, which cost extra cycles to reach; the table
 //! reports these events so the timing models can charge for them and the
 //! statistics can show how often they happen.
+//!
+//! The model keeps every live entry in one map, next to its [`Placement`],
+//! and a set is only the count of its ways in use: a new entry takes a way
+//! while its set has one free and goes to the overflow area otherwise, and an
+//! entry never moves, so freeing a way does not promote an overflow entry.
 
 use nexus_sim::FxHashMap;
 use serde::{Deserialize, Serialize};
+use std::collections::hash_map::Entry;
 
 /// Geometry of a set-associative table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -69,12 +75,6 @@ pub enum Placement {
     Overflow,
 }
 
-#[derive(Debug, Clone)]
-struct WayEntry<V> {
-    addr: u64,
-    value: V,
-}
-
 /// Occupancy and event statistics of a table.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TableStats {
@@ -96,8 +96,10 @@ pub struct TableStats {
 #[derive(Debug, Clone)]
 pub struct SetAssocTable<V> {
     config: SetAssocConfig,
-    sets: Vec<Vec<WayEntry<V>>>,
-    overflow: FxHashMap<u64, V>,
+    /// Every live entry, with where it lives.
+    entries: FxHashMap<u64, (V, Placement)>,
+    /// Ways in use per set.
+    ways_used: Vec<usize>,
     stats: TableStats,
 }
 
@@ -110,10 +112,8 @@ impl<V> SetAssocTable<V> {
         config.validate().expect("invalid set-associative geometry");
         SetAssocTable {
             config,
-            sets: (0..config.sets)
-                .map(|_| Vec::with_capacity(config.ways))
-                .collect(),
-            overflow: FxHashMap::default(),
+            entries: FxHashMap::default(),
+            ways_used: vec![0; config.sets],
             stats: TableStats::default(),
         }
     }
@@ -130,40 +130,27 @@ impl<V> SetAssocTable<V> {
 
     /// Number of live entries (ways + overflow).
     pub fn len(&self) -> usize {
-        self.stats.resident + self.stats.overflowed
+        self.entries.len()
     }
 
     /// True if the table holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.entries.is_empty()
     }
 
     /// Looks up an entry, reporting where it was found.
     pub fn get(&self, addr: u64) -> Option<(&V, Placement)> {
-        let set = &self.sets[self.config.set_of(addr)];
-        if let Some(e) = set.iter().find(|e| e.addr == addr) {
-            return Some((&e.value, Placement::Way));
-        }
-        self.overflow.get(&addr).map(|v| (v, Placement::Overflow))
+        self.entries.get(&addr).map(|(v, p)| (v, *p))
     }
 
     /// Mutable lookup, reporting where the entry was found and counting
     /// overflow hits.
     pub fn get_mut(&mut self, addr: u64) -> Option<(&mut V, Placement)> {
-        let set_idx = self.config.set_of(addr);
-        // Split borrows: check the home set first.
-        if self.sets[set_idx].iter().any(|e| e.addr == addr) {
-            let e = self.sets[set_idx]
-                .iter_mut()
-                .find(|e| e.addr == addr)
-                .expect("just found");
-            return Some((&mut e.value, Placement::Way));
-        }
-        if let Some(v) = self.overflow.get_mut(&addr) {
+        let (v, placement) = self.entries.get_mut(&addr)?;
+        if *placement == Placement::Overflow {
             self.stats.overflow_hits += 1;
-            return Some((v, Placement::Overflow));
         }
-        None
+        Some((v, *placement))
     }
 
     /// Returns the entry for `addr`, inserting a fresh one created by `init` if
@@ -173,75 +160,211 @@ impl<V> SetAssocTable<V> {
         addr: u64,
         init: impl FnOnce() -> V,
     ) -> (&mut V, Placement, bool) {
-        let set_idx = self.config.set_of(addr);
-        let in_way = self.sets[set_idx].iter().any(|e| e.addr == addr);
-        if in_way {
-            let e = self.sets[set_idx]
-                .iter_mut()
-                .find(|e| e.addr == addr)
-                .expect("just found");
-            return (&mut e.value, Placement::Way, false);
+        match self.entries.entry(addr) {
+            Entry::Occupied(e) => {
+                let (v, placement) = e.into_mut();
+                if *placement == Placement::Overflow {
+                    self.stats.overflow_hits += 1;
+                }
+                (v, *placement, false)
+            }
+            Entry::Vacant(e) => {
+                let stats = &mut self.stats;
+                stats.insertions += 1;
+                let used = &mut self.ways_used[self.config.set_of(addr)];
+                let placement = if *used < self.config.ways {
+                    *used += 1;
+                    stats.resident += 1;
+                    Placement::Way
+                } else {
+                    stats.overflow_insertions += 1;
+                    stats.overflowed += 1;
+                    Placement::Overflow
+                };
+                stats.peak_live = stats.peak_live.max(stats.resident + stats.overflowed);
+                let (v, _) = e.insert((init(), placement));
+                (v, placement, true)
+            }
         }
-        if self.overflow.contains_key(&addr) {
-            self.stats.overflow_hits += 1;
-            let v = self.overflow.get_mut(&addr).expect("just found");
-            return (v, Placement::Overflow, false);
-        }
-        // Allocate.
-        self.stats.insertions += 1;
-        let placement = if self.sets[set_idx].len() < self.config.ways {
-            self.sets[set_idx].push(WayEntry {
-                addr,
-                value: init(),
-            });
-            self.stats.resident += 1;
-            Placement::Way
-        } else {
-            self.stats.overflow_insertions += 1;
-            self.overflow.insert(addr, init());
-            self.stats.overflowed += 1;
-            Placement::Overflow
-        };
-        self.stats.peak_live = self.stats.peak_live.max(self.len());
+    }
+
+    /// Removes the entry for `addr`, returning its value. Removing a way entry
+    /// frees that way for a later insertion.
+    pub fn remove(&mut self, addr: u64) -> Option<V> {
+        let (v, placement) = self.entries.remove(&addr)?;
         match placement {
             Placement::Way => {
-                let e = self.sets[set_idx].last_mut().expect("just pushed");
-                (&mut e.value, Placement::Way, true)
+                self.ways_used[self.config.set_of(addr)] -= 1;
+                self.stats.resident -= 1;
             }
-            Placement::Overflow => (
-                self.overflow.get_mut(&addr).expect("just inserted"),
-                Placement::Overflow,
-                true,
-            ),
+            Placement::Overflow => self.stats.overflowed -= 1,
         }
-    }
-
-    /// Removes the entry for `addr`, returning its value.
-    pub fn remove(&mut self, addr: u64) -> Option<V> {
-        let set_idx = self.config.set_of(addr);
-        if let Some(pos) = self.sets[set_idx].iter().position(|e| e.addr == addr) {
-            self.stats.resident -= 1;
-            return Some(self.sets[set_idx].swap_remove(pos).value);
-        }
-        if let Some(v) = self.overflow.remove(&addr) {
-            self.stats.overflowed -= 1;
-            return Some(v);
-        }
-        None
-    }
-
-    /// Iterates over all live entries (way entries first, then overflow).
-    pub fn iter(&self) -> impl Iterator<Item = (u64, &V)> {
-        self.sets
-            .iter()
-            .flat_map(|s| s.iter().map(|e| (e.addr, &e.value)))
-            .chain(self.overflow.iter().map(|(a, v)| (*a, v)))
+        Some(v)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nexus_sim::SimRng;
+    use std::collections::HashMap;
+
+    /// The oracle: the table with one `Vec` of ways per set and a map for the
+    /// overflow area, searched in that order.
+    struct VecTable<V> {
+        config: SetAssocConfig,
+        sets: Vec<Vec<(u64, V)>>,
+        overflow: HashMap<u64, V>,
+        stats: TableStats,
+    }
+
+    impl<V> VecTable<V> {
+        fn new(config: SetAssocConfig) -> Self {
+            VecTable {
+                config,
+                sets: (0..config.sets).map(|_| Vec::new()).collect(),
+                overflow: HashMap::new(),
+                stats: TableStats::default(),
+            }
+        }
+
+        fn get(&self, addr: u64) -> Option<(&V, Placement)> {
+            let set = &self.sets[self.config.set_of(addr)];
+            if let Some((_, v)) = set.iter().find(|(a, _)| *a == addr) {
+                return Some((v, Placement::Way));
+            }
+            self.overflow.get(&addr).map(|v| (v, Placement::Overflow))
+        }
+
+        fn get_mut(&mut self, addr: u64) -> Option<(&mut V, Placement)> {
+            let set = &mut self.sets[self.config.set_of(addr)];
+            if let Some(i) = set.iter().position(|(a, _)| *a == addr) {
+                return Some((&mut set[i].1, Placement::Way));
+            }
+            let v = self.overflow.get_mut(&addr)?;
+            self.stats.overflow_hits += 1;
+            Some((v, Placement::Overflow))
+        }
+
+        fn get_or_insert_with(
+            &mut self,
+            addr: u64,
+            init: impl FnOnce() -> V,
+        ) -> (&mut V, Placement, bool) {
+            let set = &mut self.sets[self.config.set_of(addr)];
+            if let Some(i) = set.iter().position(|(a, _)| *a == addr) {
+                return (&mut set[i].1, Placement::Way, false);
+            }
+            let s = &mut self.stats;
+            if self.overflow.contains_key(&addr) {
+                s.overflow_hits += 1;
+                let v = self.overflow.get_mut(&addr).unwrap();
+                return (v, Placement::Overflow, false);
+            }
+            s.insertions += 1;
+            s.peak_live = s.peak_live.max(s.resident + s.overflowed + 1);
+            if set.len() < self.config.ways {
+                s.resident += 1;
+                set.push((addr, init()));
+                return (&mut set.last_mut().unwrap().1, Placement::Way, true);
+            }
+            s.overflow_insertions += 1;
+            s.overflowed += 1;
+            let v = self.overflow.entry(addr).or_insert_with(init);
+            (v, Placement::Overflow, true)
+        }
+
+        fn remove(&mut self, addr: u64) -> Option<V> {
+            let set = &mut self.sets[self.config.set_of(addr)];
+            if let Some(i) = set.iter().position(|(a, _)| *a == addr) {
+                self.stats.resident -= 1;
+                return Some(set.swap_remove(i).1);
+            }
+            let v = self.overflow.remove(&addr)?;
+            self.stats.overflowed -= 1;
+            Some(v)
+        }
+    }
+
+    /// Runs one seeded case of random calls on a small geometry and panics,
+    /// naming the seed, at the first output that differs from the oracle's.
+    /// Returns the table's final statistics.
+    fn check_against_vec_table(seed: u64) -> TableStats {
+        let mut rng = SimRng::new(seed);
+        let config = SetAssocConfig {
+            sets: 1 << rng.next_below(3),
+            ways: rng.range(1, 4) as usize,
+            line_offset_bits: 6,
+        };
+        // Twelve lines, two addresses on each: every set is contended, and
+        // two addresses on one line share a set but not an entry.
+        let addrs: Vec<u64> = (0..24)
+            .map(|i| 0x1000 + (i / 2) * 64 + (i % 2) * 8)
+            .collect();
+        let mut table = SetAssocTable::new(config);
+        let mut oracle = VecTable::new(config);
+        for step in 0..300u64 {
+            let addr = addrs[rng.next_below(addrs.len() as u64) as usize];
+            let what = match rng.next_below(4) {
+                0 => {
+                    let got = table.get_or_insert_with(addr, || step);
+                    let got = (*got.0, got.1, got.2);
+                    let want = oracle.get_or_insert_with(addr, || step);
+                    assert_eq!(
+                        got,
+                        (*want.0, want.1, want.2),
+                        "seed {seed:#x}, step {step}"
+                    );
+                    "get_or_insert_with"
+                }
+                1 => {
+                    let got = table.get(addr).map(|(v, p)| (*v, p));
+                    let want = oracle.get(addr).map(|(v, p)| (*v, p));
+                    assert_eq!(got, want, "seed {seed:#x}, step {step}: get {addr:#x}");
+                    "get"
+                }
+                2 => {
+                    let got = table.get_mut(addr).map(|(v, p)| {
+                        *v += 1000;
+                        (*v, p)
+                    });
+                    let want = oracle.get_mut(addr).map(|(v, p)| {
+                        *v += 1000;
+                        (*v, p)
+                    });
+                    assert_eq!(got, want, "seed {seed:#x}, step {step}: get_mut {addr:#x}");
+                    "get_mut"
+                }
+                _ => {
+                    let got = table.remove(addr);
+                    let want = oracle.remove(addr);
+                    assert_eq!(got, want, "seed {seed:#x}, step {step}: remove {addr:#x}");
+                    "remove"
+                }
+            };
+            assert_eq!(
+                (table.stats(), table.len()),
+                (
+                    oracle.stats,
+                    oracle.stats.resident + oracle.stats.overflowed
+                ),
+                "seed {seed:#x}, step {step}: stats after {what} {addr:#x}"
+            );
+        }
+        table.stats()
+    }
+
+    #[test]
+    fn every_call_matches_the_per_set_vec_table() {
+        let (mut overflowed, mut hits) = (0, 0);
+        for seed in 0..600 {
+            let stats = check_against_vec_table(0x7AB1_E000 + seed);
+            overflowed += stats.overflow_insertions;
+            hits += stats.overflow_hits;
+        }
+        println!("600 cases: {overflowed} overflow insertions, {hits} overflow hits");
+        assert!(hits > 0, "no call reached an overflow entry");
+    }
 
     fn tiny() -> SetAssocTable<u32> {
         SetAssocTable::new(SetAssocConfig {
@@ -294,18 +417,6 @@ mod tests {
         t.remove(0x0);
         let (_, p, _) = t.get_or_insert_with(0x200, || 9);
         assert_eq!(p, Placement::Way);
-    }
-
-    #[test]
-    fn iter_visits_everything() {
-        let mut t = tiny();
-        for i in 0..6u64 {
-            t.get_or_insert_with(i * 64, || i as u32);
-        }
-        let mut seen: Vec<u64> = t.iter().map(|(a, _)| a).collect();
-        seen.sort_unstable();
-        assert_eq!(seen, (0..6).map(|i| i * 64).collect::<Vec<_>>());
-        assert_eq!(t.len(), 6);
     }
 
     #[test]

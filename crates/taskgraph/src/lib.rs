@@ -5,7 +5,8 @@
 //!
 //! * [`SetAssocTable`] — the "set-associative cache-like structure" that maps a
 //!   parameter memory address to its tracking entry, with a bounded number of
-//!   ways per set and an overflow (dummy-entry) area,
+//!   ways per set and an overflow (dummy-entry) area (one map of entries, each
+//!   with its placement, and a count of the ways in use per set),
 //! * [`DependencyTracker`] — the functional dependency-resolution core: full
 //!   OmpSs `in`/`out`/`inout` semantics per address, reporting for every
 //!   parameter insertion whether the task must wait and, on task retirement,
@@ -19,10 +20,11 @@
 //! * [`ReferenceGraph`] — a deliberately simple software dependency graph used
 //!   as a test oracle and by the software-runtime (Nanos) model,
 //! * [`TaskPool`] — the bounded in-flight task storage of the managers,
-//!   supporting both free-list and in-order (circular-buffer) retirement.
-//!
-//! The per-task dependence counts (the Dependence Counts table of Nexus#) live
-//! in each manager's in-flight record of a task, beside its parameter list.
+//!   supporting both free-list and in-order (circular-buffer) retirement. It
+//!   is the managers' only store of in-flight tasks: each task's parameter
+//!   list (addresses with their tracker accesses, re-distributed when the
+//!   task finishes) and its dependence count (its entry of the Dependence
+//!   Counts table of Nexus#), with the lists recycled from task to task.
 
 #![warn(missing_docs)]
 

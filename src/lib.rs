@@ -9,7 +9,7 @@
 //! |---|---|---|
 //! | [`sim`] | `nexus-sim` | discrete-event simulation substrate |
 //! | [`trace`] | `nexus-trace` | task model + workload generators (Table II/III) |
-//! | [`taskgraph`] | `nexus-taskgraph` | set-associative tables; dependency tracking with one queue of outstanding accesses and counters per address (kick-off lists modelled as counts) |
+//! | [`taskgraph`] | `nexus-taskgraph` | set-associative tables; dependency tracking with one queue of outstanding accesses and counters per address (kick-off lists modelled as counts); the Task Pool of in-flight tasks |
 //! | [`resources`] | `nexus-resources` | FPGA utilization / frequency model (Table I) |
 //! | [`pp`] | `nexus-pp` | the Nexus++ centralized baseline (§III) |
 //! | [`sharp`] | `nexus-core` | **Nexus#**, the distributed manager (§IV) |

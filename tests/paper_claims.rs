@@ -194,11 +194,8 @@ fn resource_model_matches_the_synthesis_story() {
 #[test]
 fn pipeline_cycle_claims() {
     use nexus::sharp::pipeline::{insertion_span_cycles, micro_benchmark_cycles, PipelineCase};
-    let cfg4 = NexusSharpConfig::at_mhz(4, 100.0);
-    assert_eq!(insertion_span_cycles(&cfg4, 4, PipelineCase::Average), 11);
-    assert_eq!(insertion_span_cycles(&cfg4, 4, PipelineCase::BestCase), 5);
-    let cfg1 = NexusSharpConfig::at_mhz(1, 100.0);
-    assert!(micro_benchmark_cycles(&cfg1) < 172);
-    let pp = NexusPPConfig::paper();
-    assert_eq!(pp.insert_cycles(4), 18);
+    assert_eq!(insertion_span_cycles(4, 4, PipelineCase::Average), 11);
+    assert_eq!(insertion_span_cycles(4, 4, PipelineCase::BestCase), 5);
+    assert!(micro_benchmark_cycles() < 172);
+    assert_eq!(nexus::pp::config::insert_cycles(4), 18);
 }
